@@ -668,7 +668,7 @@ _RUNNERS = {
 }
 
 
-def _execute(kind, config, out, seed, jobs, strict):
+def _execute(kind, config, out, seed, strict):
     try:
         cfg = RunConfig.parse(config)
     except ConfigError as exc:
@@ -716,18 +716,15 @@ def _register(kind):
     @click.option("--config", required=True, type=click.Path(), help="INI config path")
     @click.option("--out", default=".", type=click.Path(), help="output directory")
     @click.option("--seed", default=None, type=int, help="probe seed override")
-    @click.option("--jobs", default=1, type=int, help="worker threads for per-index work")
     @click.option("--strict", is_flag=True, help="treat warnings as errors")
-    def _cmd(config, out, seed, jobs, strict, _kind=kind):
+    def _cmd(config, out, seed, strict, _kind=kind):
         cfg_seed = seed
         if cfg_seed is None:
             try:
                 cfg_seed = RunConfig.parse(config).get_int("probes", "seed", 0)
             except ConfigError:
                 cfg_seed = 0
-        if jobs < 1:
-            raise click.UsageError("--jobs must be at least 1")
-        _execute(_kind, config, out, cfg_seed, jobs, strict)
+        _execute(_kind, config, out, cfg_seed, strict)
 
 
 for _kind in _RUNNERS:

@@ -35,7 +35,7 @@ from .errors import (
     SolverDiverged,
     VanishingHarmonicMean,
 )
-from .hilbert import HilbertSpace, LinearOp, ProbeSet
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, _check_residual, _SparseSolver
 
 __all__ = [
     "GridDomain",
@@ -433,69 +433,49 @@ def galerkin_matrix(grad, a):
     return (g.conj().T @ (w @ (m @ g))).tocsc()
 
 
-class _FactorizedSolve:
-    """Residual-checked linear solve; direct below the size cutoff,
-    ILU-preconditioned GMRES above. Failure is an error, not a warning."""
+class _GridSolver:
+    """Residual-checked solver of a grid system K u = F (one load or an
+    (n, m) block). Flavors with constant kernels are grounded at node 0 and
+    return mean-centred solutions of compatible loads. Factorisation is
+    direct, except ILU+GMRES on 3-d grids above ``_DIRECT_CUTOFF`` unknowns,
+    where direct fill does not fit."""
 
-    def __init__(self, k, tol=1e-10):
-        self.k = k.tocsc()
-        self.tol = tol
-        self.n = k.shape[0]
-        if self.n <= _DIRECT_CUTOFF:
-            self._lu = spla.splu(self.k)
-            self._iter = None
-        else:
-            self._lu = None
-            self._iter = spla.spilu(self.k, drop_tol=1e-5, fill_factor=20)
+    def __init__(self, grad, k):
+        self.k = k
+        self._grad = grad
+        self._grounded = grad.flavor != "dirichlet"
+        red = k[1:, 1:] if self._grounded else k
+        self._solver = _SparseSolver(red, iterative=grad.d == 3 and red.shape[0] > _DIRECT_CUTOFF)
 
     def solve(self, rhs):
-        if self._lu is not None:
-            x = self._lu.solve(rhs)
-        else:
-            prec = spla.LinearOperator((self.n, self.n), matvec=self._iter.solve)
-            x, info = spla.gmres(self.k, rhs, M=prec, rtol=self.tol / 10,
-                                 maxiter=10 * self.n, restart=200)
-            if info != 0:
-                raise SolverDiverged(f"iterative solve failed with info={info}")
-        res = np.linalg.norm(self.k @ x - rhs)
-        if res > self.tol * max(1.0, np.linalg.norm(rhs)):
-            raise SolverDiverged(f"solve residual {res:.3e} misses {self.tol:.1e}")
-        return x
+        if not self._grounded:
+            return self._solver.solve(rhs)
+        if rhs.ndim == 2:
+            return np.column_stack([self.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+        if abs(rhs @ np.ones(rhs.size)) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+            raise CompatibilityError("load does not annihilate constants")
+        u = self._grad.mean_center(np.concatenate([[0.0], self._solver.solve(rhs[1:])]))
+        _check_residual(self.k, u, rhs, self._solver.tol)
+        return u
 
 
 @lru_cache(maxsize=32)
 def stiffness_solver(domain, flavor="dirichlet"):
-    """Cached factorization of the unit-coefficient stiffness matrix; for
-    non-dirichlet flavors the system is grounded at node 0."""
+    """Cached solver of the unit-coefficient stiffness matrix."""
     grad = build_grad(domain, flavor)
-    one = CoefficientField.constant(domain, 1.0)
-    k = galerkin_matrix(grad, one)
-    if flavor == "dirichlet":
-        return _FactorizedSolve(k), None
-    n = k.shape[0]
-    keep = np.arange(1, n)
-    return _FactorizedSolve(k[keep][:, keep]), keep
+    return _GridSolver(grad, galerkin_matrix(grad, CoefficientField.constant(domain, 1.0)))
 
 
-def _solve_galerkin(grad, a, rhs, tol=1e-10):
-    """Solve G^H W M_a G u = rhs, grounding + mean-centering for the
-    flavors with constant kernels."""
-    k = galerkin_matrix(grad, a)
-    if grad.flavor == "dirichlet":
-        return _FactorizedSolve(k, tol=tol).solve(rhs)
-    ones = np.ones(grad.scalar_space.dim)
-    if abs(rhs @ ones) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise CompatibilityError("load does not annihilate constants")
-    n = k.shape[0]
-    keep = np.arange(1, n)
-    red = _FactorizedSolve(k[keep][:, keep], tol=tol).solve(rhs[keep])
-    u = np.zeros(n, dtype=red.dtype)
-    u[keep] = red
-    u = grad.mean_center(u)
-    res = np.linalg.norm(k @ u - rhs)
-    if res > tol * max(1.0, np.linalg.norm(rhs)):
-        raise SolverDiverged(f"grounded solve residual {res:.3e}")
-    return u
+def _solve_galerkin(grad, a, rhs):
+    """Solve G^H W M_a G u = rhs (one load or an (n, m) block)."""
+    return _GridSolver(grad, galerkin_matrix(grad, a)).solve(rhs)
+
+
+def _require_coercive(a):
+    if a.bounds is not None and not a.is_member(*a.bounds):
+        raise CoercivityError("coefficient violates its declared bounds")
+    if a.bounds is None and a.coercivity_margins()[0] <= 0:
+        raise CoercivityError("coefficient is not coercive")
 
 
 def solve_elliptic(domain, a, f, flavor="dirichlet"):
@@ -506,12 +486,7 @@ def solve_elliptic(domain, a, f, flavor="dirichlet"):
     return the mean-free solution.
     """
     grad = build_grad(domain, flavor)
-    if a.bounds is not None and not a.is_member(*a.bounds):
-        raise CoercivityError("coefficient violates its declared bounds")
-    if a.bounds is None:
-        re_min, _ = a.coercivity_margins()
-        if re_min <= 0:
-            raise CoercivityError("coefficient is not coercive")
+    _require_coercive(a)
     rhs = f.assemble(grad)
     u = _solve_galerkin(grad, a, rhs)
     q = a.apply(grad, grad.matrix @ u)
@@ -532,10 +507,7 @@ def solve_affine(domain, a, z, f, flavor="dirichlet", dual_check=True):
     rhs = f.assemble(grad) - grad.matrix.conj().T @ grad.vector_space.apply_weight(
         a.apply(grad, z_vec)
     )
-    if grad.flavor != "dirichlet":
-        u = _solve_galerkin(grad, a, rhs)
-    else:
-        u = _FactorizedSolve(galerkin_matrix(grad, a)).solve(rhs)
+    u = _solve_galerkin(grad, a, rhs)
     p = a.apply(grad, grad.matrix @ u + z_vec)
     if dual_check:
         err = affine_dual_residual(domain, a, z_vec, p, flavor=flavor, count=3)
@@ -546,14 +518,8 @@ def solve_affine(domain, a, z, f, flavor="dirichlet", dual_check=True):
 
 def _complement_project(grad, v):
     """(I - P) v with P the weighted projector onto ran(grad)."""
-    solver, keep = stiffness_solver(grad.domain, grad.flavor)
     rhs = grad.matrix.conj().T @ grad.vector_space.apply_weight(v)
-    if keep is None:
-        u = solver.solve(rhs)
-    else:
-        u = np.zeros(grad.scalar_space.dim, dtype=v.dtype)
-        u[keep] = solver.solve(rhs[keep])
-    return v - grad.matrix @ u
+    return v - grad.matrix @ stiffness_solver(grad.domain, grad.flavor).solve(rhs)
 
 
 def affine_dual_residual(domain, a, z_vec, p, flavor="dirichlet", count=8, seed=0):
@@ -632,8 +598,7 @@ def hminus_norm(domain, f):
     """
     grad = build_grad(domain, "dirichlet")
     rhs = f.assemble(grad)
-    solver, _ = stiffness_solver(domain, "dirichlet")
-    w = solver.solve(rhs)
+    w = stiffness_solver(domain, "dirichlet").solve(rhs)
     val = np.vdot(rhs, w).real
     return float(np.sqrt(max(val, 0.0)))
 

@@ -162,9 +162,10 @@ def resolvent_bounds(t, a, tol=1e-9):
     n_res = operator_norm(res_op)
     n_ares = operator_norm(LinearOp(space, space, matrix=amat @ res))
     t_norm = operator_norm(t)
-    assert n_res <= 1.0 / c + tol, f"resolvent norm {n_res} exceeds 1/c = {1.0 / c}"
-    assert n_ares <= (c + t_norm) / c + tol, \
-        f"A-resolvent norm {n_ares} exceeds (c + |T|)/c = {(c + t_norm) / c}"
+    if n_res > 1.0 / c + tol:
+        raise HomlabError(f"resolvent norm {n_res} exceeds 1/c = {1.0 / c}")
+    if n_ares > (c + t_norm) / c + tol:
+        raise HomlabError(f"A-resolvent norm {n_ares} exceeds (c + |T|)/c = {(c + t_norm) / c}")
     return n_res, n_ares, c
 
 

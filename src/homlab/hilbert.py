@@ -17,6 +17,7 @@ of scope.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import MissingTranspose, ShapeError
+from .errors import MissingTranspose, ShapeError, SolverDiverged
 
 __all__ = [
     "HilbertSpace",
@@ -354,21 +355,13 @@ class Subspace:
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
         w = ambient.weight_operator()
-        gram = (g.conj().T @ (w @ g)).tocsc()
-        lu = spla.splu(gram)
-        real_factor = not np.iscomplexobj(gram.data)
+        gram = _SparseSolver(g.conj().T @ (w @ g))
         gh_w = (g.conj().T @ w).tocsr()
 
-        def solve(rhs):
-            if real_factor and np.iscomplexobj(rhs):
-                return lu.solve(np.ascontiguousarray(rhs.real)) \
-                    + 1j * lu.solve(np.ascontiguousarray(rhs.imag))
-            return lu.solve(rhs)
-
         def project(v):
-            return g @ solve(gh_w @ v)
+            return g @ gram.solve(gh_w @ v)
 
-        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram_solve=solve)
+        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram_solve=gram.solve)
 
     @classmethod
     def complement(cls, sub):
@@ -526,8 +519,9 @@ def _sym_lambda_min(space, mat):
             raise ShapeError("large sparse coercivity check needs a diagonal weight")
         d = np.sqrt(space.weight)
 
+        mat_h = mat.conj().T
         def mv(x):
-            return 0.5 * (d * (mat @ (x / d)) + (mat.conj().T @ (d * x)) / d)
+            return 0.5 * (d * (mat @ (x / d)) + (mat_h @ (d * x)) / d)
 
         op = spla.LinearOperator((n, n), matvec=mv, dtype=mat.dtype)
         vals = spla.eigsh(op, k=1, which="SA", return_eigenvectors=False, maxiter=50 * n)
@@ -563,15 +557,15 @@ def coercivity_check(op, alpha, beta, tol=0.0):
     n = space.dim
     if _is_sparse(mat) and n > _DENSE_EIG_CUTOFF:
         try:
-            lu = spla.splu(mat.tocsc())
+            solver = _SparseSolver(mat)
         except RuntimeError:
             singular = True
         else:
             d = np.sqrt(space.weight)
 
             def mv(x):
-                a = d * lu.solve(x / d)                    # Ahat^{-1} x
-                b = lu.solve(d * x, trans="H") / d         # Ahat^{-H} x
+                a = d * solver.solve(x / d)                # Ahat^{-1} x
+                b = solver.solve(d * x, trans="H") / d     # Ahat^{-H} x
                 return 0.5 * (a + b)
 
             opi = spla.LinearOperator((n, n), matvec=mv, dtype=mat.dtype)
@@ -678,3 +672,56 @@ def strong_gap(s, t, right):
     for psi in right:
         gap = max(gap, s.target.norm(s(psi) - t(psi)))
     return gap
+
+
+def _check_residual(k, x, b, tol):
+    """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)."""
+    res = np.linalg.norm(k @ x - b)
+    if res > tol * max(1.0, np.linalg.norm(b)):
+        raise SolverDiverged(f"solve residual {res:.3e} misses {tol:.1e}")
+
+
+class _SparseSolver:
+    """Residual-checked solves of K x = b (K^H x = b for ``trans="H"``) from
+    one factorisation of a sparse K: SuperLU, or ILU-preconditioned GMRES
+    when ``iterative`` is set; a singular K raises ``RuntimeError``. One
+    right-hand side or an (n, m) block, solved column by column; a real
+    factorisation solves a complex right-hand side part by part."""
+
+    def __init__(self, k, tol=1e-10, iterative=False):
+        self.k = k.tocsc()
+        self.tol = tol
+        self.iterative = iterative
+        self._real = not np.iscomplexobj(self.k.data)
+        self._factor = spla.spilu(self.k, drop_tol=1e-5, fill_factor=20) if iterative \
+            else spla.splu(self.k)
+
+    def solve(self, rhs, trans="N"):
+        rhs = np.asarray(rhs)
+        if rhs.ndim == 2:
+            return np.column_stack([self.solve(rhs[:, j], trans) for j in range(rhs.shape[1])])
+        if self._real and np.iscomplexobj(rhs):
+            x = self._solve(np.ascontiguousarray(rhs.real), trans) \
+                + 1j * self._solve(np.ascontiguousarray(rhs.imag), trans)
+        else:
+            x = self._solve(rhs, trans)
+        _check_residual(self._matrix(trans), x, rhs, self.tol)
+        return x
+
+    @functools.cached_property
+    def _kh(self):
+        return self.k.conj().T
+
+    def _matrix(self, trans):
+        return self.k if trans == "N" else self._kh
+
+    def _solve(self, rhs, trans):
+        if not self.iterative:
+            return self._factor.solve(rhs, trans=trans)
+        n = self.k.shape[0]
+        prec = spla.LinearOperator((n, n), matvec=lambda x: self._factor.solve(x, trans=trans))
+        x, info = spla.gmres(self._matrix(trans), rhs, M=prec, rtol=self.tol / 10,
+                             maxiter=10 * n, restart=200)
+        if info != 0:
+            raise SolverDiverged(f"iterative solve failed with info={info}")
+        return x

@@ -23,6 +23,8 @@ from .elliptic import (
     CoefficientField,
     GridDomain,
     RHSFunctional,
+    _require_coercive,
+    _solve_galerkin,
     build_grad,
     scalar_probes,
     solve_elliptic,
@@ -220,36 +222,32 @@ def cell_problem(a_cell, xi, residual_tol=1e-9):
     Returns (v, w) with v = xi + grad_# w and w the mean-free corrector
     potential; both defining residuals are verified at tolerance.
     """
+    if np.shape(xi) != (a_cell.domain.dim,):
+        raise ShapeError(f"xi must be a {a_cell.domain.dim}-vector")
+    return next(_correctors(a_cell, [xi], residual_tol))
+
+
+def _correctors(a_cell, xis, residual_tol=1e-9):
+    """Yield (v, w) of :func:`cell_problem` for each direction in ``xis``,
+    from one factorisation of the periodic cell matrix."""
     domain = a_cell.domain
     _check_unit_cell(domain)
-    xi = np.asarray(xi, dtype=complex if np.iscomplexobj(a_cell.values) else float)
-    if xi.shape != (domain.dim,):
-        raise ShapeError(f"xi must be a {domain.dim}-vector")
+    _require_coercive(a_cell)
+    xis = np.asarray(xis, dtype=complex if np.iscomplexobj(a_cell.values) else float)
     grad = build_grad(domain, "periodic")
-    xi_field = np.tile(xi, grad.n_elem)
-    rhs = RHSFunctional.flux(a_cell.apply(grad, xi_field))
+    xi_fields = [np.tile(xi, grad.n_elem) for xi in xis]
     # G^H W a (G w + xi) = 0  <=>  K_a w = -G^H W a xi
-    w, _ = solve_elliptic(domain, a_cell, _NegatedFlux(rhs), flavor="periodic")
-    v = xi_field + grad.matrix @ w
-    flux = a_cell.apply(grad, v)
-    res = np.linalg.norm(grad.matrix.conj().T @ grad.vector_space.apply_weight(flux))
-    scale = max(1.0, grad.vector_space.norm(flux))
-    if res > residual_tol * scale:
-        raise CoercivityError(f"cell problem residual {res:.3e} misses tolerance")
-    return v, w
-
-
-class _NegatedFlux:
-    """Load G^H W (a xi) with the sign of the corrector equation."""
-
-    def __init__(self, flux_rhs):
-        self._rhs = flux_rhs
-
-    def assemble(self, grad):
-        return self._rhs.assemble(grad)
-
-    def __call__(self, grad, phi):
-        return self._rhs(grad, phi)
+    loads = np.column_stack([RHSFunctional.flux(a_cell.apply(grad, f)).assemble(grad)
+                             for f in xi_fields])
+    ws = _solve_galerkin(grad, a_cell, loads)
+    for xi_field, w in zip(xi_fields, ws.T):
+        v = xi_field + grad.matrix @ w
+        flux = a_cell.apply(grad, v)
+        res = np.linalg.norm(grad.matrix.conj().T @ grad.vector_space.apply_weight(flux))
+        scale = max(1.0, grad.vector_space.norm(flux))
+        if res > residual_tol * scale:
+            raise CoercivityError(f"cell problem residual {res:.3e} misses tolerance")
+        yield v, w
 
 
 def homogenized_tensor(a_cell, coercivity_tol=1e-8):
@@ -262,8 +260,7 @@ def homogenized_tensor(a_cell, coercivity_tol=1e-8):
     d = domain.dim
     grad = build_grad(domain, "periodic")
     cols = []
-    for j in range(d):
-        v, _ = cell_problem(a_cell, np.eye(d)[j])
+    for v, _ in _correctors(a_cell, np.eye(d)):
         flux = grad.field_as_elements(a_cell.apply(grad, v))
         cols.append((grad.elem_measure[:, None] * flux).sum(axis=0) / domain.volume)
     a_hom = np.stack(cols, axis=-1)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elliptic import GridDomain, unknown_budget
 from .errors import BudgetExceeded, CoercivityError, ShapeError
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, kernel_range
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver, kernel_range
 from .homogenize import ExperimentReport, MeshRule, laminate_limit
 from .schur import Decomposition, schur_maps, tau_gap
 
@@ -327,7 +326,7 @@ class MaxwellSystem:
         return sp.diags(np.concatenate([self.lam * e + s, self.lam * m]))
 
     def resolvent_solver(self):
-        return spla.splu((self.t_matrix() + self.a_matrix).tocsc())
+        return _SparseSolver(self.t_matrix() + self.a_matrix)
 
 
 def assemble_maxwell(domain, eps, mu, sigma, lam, bounds):
@@ -479,8 +478,8 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         t_lim = sp.diags(np.concatenate([lam * eps_lim, lam * mu_lim]))
 
         probes, space = _maxwell_probes(cx, seed=probe_seed)
-        lu_n = spla.splu((t_n + sys_n.a_matrix).tocsc())
-        lu_lim = spla.splu((t_lim + sys_n.a_matrix).tocsc())
+        lu_n = sys_n.resolvent_solver()
+        lu_lim = _SparseSolver(t_lim + sys_n.a_matrix)
         gap_res = 0.0
         for psi in probes:
             d = lu_n.solve(psi) - lu_lim.solve(psi)

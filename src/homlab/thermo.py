@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elliptic import CoefficientField, GridDomain, build_grad
 from .errors import CoercivityError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet
-from .hilbert import _sym_lambda_min
+from .hilbert import _SparseSolver, _sym_lambda_min
 from .homogenize import ExperimentReport, default_mesh_rule, laminate_limit
 from .schur import Decomposition, schur_maps, tau_gap
 
@@ -95,7 +94,7 @@ class ThermoSystem:
         return (self.lam * self.m0 + self.m1 + self.a_matrix).tocsc()
 
     def resolvent_solver(self):
-        return spla.splu(self.evolution_matrix())
+        return _SparseSolver(self.evolution_matrix())
 
     def a_op(self):
         return LinearOp(self.space, self.space, matrix=self.a_matrix)

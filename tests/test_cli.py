@@ -68,6 +68,11 @@ class TestFixtures:
         payload = json.loads(res.output.strip().splitlines()[-1])
         assert "n_list" in payload["error"]
 
+    def test_jobs_option_removed(self, tmp_path):
+        res = run_cli(["hconv", "--config", fixture("1d_harmonic.cfg"),
+                       "--out", str(tmp_path), "--jobs", "2"])
+        assert res.exit_code == 2
+
     def test_kind_mismatch_exit_2(self, tmp_path):
         res = run_cli(["qdind", "--config", fixture("1d_harmonic.cfg"),
                        "--out", str(tmp_path)])

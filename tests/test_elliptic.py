@@ -516,3 +516,41 @@ class TestProbes:
         assert len(probes) > 0
         for v in probes:
             assert abs(g.vector_space.norm(v) - 1.0) < 1e-12
+
+
+class TestComplexLoads:
+    def test_complex_field_on_real_factorisation(self):
+        dom = GridDomain.box((8, 8))
+        g = build_grad(dom)
+        rng = np.random.default_rng(12)
+        re = rng.standard_normal(g.vector_space.dim)
+        im = rng.standard_normal(g.vector_space.dim)
+        r = re + 1j * im
+        h = hminus_norm(dom, RHSFunctional.flux(r))
+        h_re = hminus_norm(dom, RHSFunctional.flux(re))
+        h_im = hminus_norm(dom, RHSFunctional.flux(im))
+        assert abs(h - np.hypot(h_re, h_im)) < 1e-12
+        d = divergence_defect(dom, r, 0)
+        assert abs(d.divergence_gap - h) < 1e-12
+        assert abs(d.ratio - 1.0) < 1e-8
+
+
+class TestGridSolverPath:
+    @pytest.mark.parametrize("cells, iterative", [((8, 8), False), ((4, 4, 4), True)])
+    def test_only_large_3d_grids_iterate(self, monkeypatch, cells, iterative):
+        from homlab import elliptic
+
+        monkeypatch.setattr(elliptic, "_DIRECT_CUTOFF", 10)
+        dom = GridDomain.box(cells)
+        g = build_grad(dom, "periodic")
+        a = CoefficientField.from_function(dom, lambda p: 1.0 + 3.0 * (p[:, 0] < 0.5),
+                                           bounds=(1.0, 4.0))
+        k = galerkin_matrix(g, a)
+        solver = elliptic._GridSolver(g, k)
+        assert solver._solver.iterative is iterative
+        rng = np.random.default_rng(13)
+        rhs = rng.standard_normal(g.scalar_space.dim)
+        rhs -= rhs.mean()
+        u = solver.solve(rhs)
+        assert np.linalg.norm(k @ u - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+        assert abs(g.scalar_space.weight @ u) < 1e-12

@@ -4,8 +4,9 @@ block-map/resolvent equivalence experiment."""
 import numpy as np
 import pytest
 
+from homlab import evolution
 from homlab.elliptic import GridDomain, build_grad
-from homlab.errors import CoercivityError, NotSkew, SingularResolvent
+from homlab.errors import CoercivityError, HomlabError, NotSkew, SingularResolvent
 from homlab.evolution import (
     MaterialLaw,
     abstract_schur_experiment,
@@ -106,6 +107,14 @@ class TestResolventBounds:
         n_res, n_ares, cc = resolvent_bounds(t, a)
         assert np.isclose(n_res, 1.0 / np.sqrt(c**2 + w**2))
         assert n_res <= 1.0 / cc
+
+    def test_violated_bound_raises(self, monkeypatch):
+        space = HilbertSpace(2)
+        t = LinearOp(space, space, matrix=np.eye(2))
+        a = skew_split(LinearOp(space, space, matrix=np.array([[0, -1.0], [1.0, 0]])))
+        monkeypatch.setattr(evolution, "operator_norm", lambda op: 10.0)
+        with pytest.raises(HomlabError, match="resolvent norm"):
+            resolvent_bounds(t, a)
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(5)

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import MissingTranspose, ShapeError
+from homlab.errors import MissingTranspose, ShapeError, SolverDiverged
 from homlab.hilbert import (
     HilbertSpace,
     LinearOp,
     ProbeSet,
     Subspace,
+    _SparseSolver,
     adjoint,
     coercivity_check,
     kernel_range,
@@ -388,3 +390,44 @@ def test_adjoint_involution_property(dim, seed):
     m = rng.standard_normal((dim, dim))
     op = LinearOp(space, space, matrix=m)
     np.testing.assert_allclose(adjoint(adjoint(op)).to_dense(), m, atol=1e-11)
+
+
+def random_sparse(n, seed, complex_=False):
+    rng = np.random.default_rng(seed)
+    m = sp.random(n, n, density=0.2, random_state=seed)
+    if complex_:
+        m = m + 1j * sp.random(n, n, density=0.2, random_state=seed + 1)
+    return (m + n * sp.eye(n)).tocsc(), rng
+
+
+class TestSparseSolver:
+    @pytest.mark.parametrize("complex_factor, complex_rhs",
+                             [(False, False), (True, True), (False, True)])
+    def test_block_rhs_matches_single_solves_bitwise(self, complex_factor, complex_rhs):
+        k, rng = random_sparse(30, 3, complex_factor)
+        b = rng.standard_normal((30, 4))
+        if complex_rhs:
+            b = b + 1j * rng.standard_normal((30, 4))
+        solver = _SparseSolver(k)
+        block = solver.solve(b)
+        for j in range(4):
+            assert np.array_equal(block[:, j], solver.solve(b[:, j]))
+        assert np.abs(k @ block - b).max() < 1e-12
+
+    def test_real_factor_splits_complex_rhs(self):
+        k, rng = random_sparse(20, 4)
+        b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        solver = _SparseSolver(k)
+        x = solver.solve(b)
+        assert np.array_equal(x, solver.solve(b.real) + 1j * solver.solve(b.imag))
+
+    def test_adjoint_solve(self):
+        k, rng = random_sparse(20, 5, complex_=True)
+        b = rng.standard_normal(20)
+        x = _SparseSolver(k).solve(b, trans="H")
+        assert np.abs(k.conj().T @ x - b).max() < 1e-12
+
+    def test_residual_miss_raises(self):
+        k, rng = random_sparse(20, 6)
+        with pytest.raises(SolverDiverged, match="residual"):
+            _SparseSolver(k, tol=1e-30).solve(rng.standard_normal(20))

@@ -153,6 +153,22 @@ class TestHomogenizedTensor:
         rep = coercivity_check(LinearOp(space, space, matrix=a_hom), 1.0, 4.0, tol=1e-8)
         assert rep.passed
 
+    def test_one_factorisation_for_all_directions(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        dom = GridDomain.box((12, 12))
+        a = CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0))
+        homogenized_tensor(a)
+        assert len(calls) == 1
+
     def test_refinement_convergence_smooth_profile(self):
         errs = []
         for m in (16, 32, 64):
