@@ -216,9 +216,20 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return [int(x) for x in raw.replace(",", " ").split()]
+            values = [int(x) for x in raw.replace(",", " ").split()]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not an integer list") from exc
+        if not values:
+            raise ConfigError(f"[{section}] {key}: empty list")
+        return values
+
+
+def _domain_cells(cfg, default):
+    """[domain] cells, the cell count per axis, which must be positive."""
+    cells = cfg.get_int("domain", "cells", default)
+    if cells < 1:
+        raise ConfigError(f"[domain] cells: must be at least 1 (got {cells})")
+    return cells
 
 
 def _profile_from(cfg, prefix=""):
@@ -287,7 +298,7 @@ def _run_solve1d(cfg, out, seed, digest):
         if dom.dim != 1:
             raise ConfigError("[coefficients] path: solve1d needs a 1-d field")
     else:
-        cells = cfg.get_int("domain", "cells", 256)
+        cells = _domain_cells(cfg, 256)
         dom = GridDomain.interval(0, 1, cells)
         profile, bounds = _profile_from(cfg)
         a = CoefficientField.from_function(dom, lambda p: profile(p[:, 0] % 1.0),
@@ -329,7 +340,7 @@ def _run_laminate2d(cfg, out, seed, digest):
 
 def _run_cell(cfg, out, seed, digest):
     kind = cfg.get("coefficients", "cell_kind", "laminate")
-    cells = cfg.get_int("domain", "cells", 64)
+    cells = _domain_cells(cfg, 64)
     tol = cfg.get_float("run", "tolerance", 0.02)
     profile, bounds = _profile_from(cfg)
     if kind == "laminate":
@@ -412,7 +423,7 @@ def _run_divcurl(cfg, out, seed, digest):
     rows = []
     failures = []
     if mode == "counterexample":
-        m = cfg.get_int("domain", "cells", 4096)
+        m = _domain_cells(cfg, 4096)
         dom = GridDomain.interval(0, 1, m)
         phi = elliptic.smooth_bump(dom)
         grad = elliptic.build_grad(dom)
@@ -460,7 +471,7 @@ def _run_divcurl(cfg, out, seed, digest):
 
 
 def _run_divtest(cfg, out, seed, digest):
-    m = cfg.get_int("domain", "cells", 2048)
+    m = _domain_cells(cfg, 2048)
     dom = GridDomain.interval(0, 1, m)
     grad = elliptic.build_grad(dom)
     rows = []
@@ -624,7 +635,7 @@ def _run_maxwell(cfg, out, seed, digest):
 
 
 def _run_helmholtz(cfg, out, seed, digest):
-    cells = cfg.get_int("domain", "cells", 4)
+    cells = _domain_cells(cfg, 4)
     dom = GridDomain.box((cells, cells, cells))
     cx = maxwell_mod.YeeComplex(dom)
     dirichlet, neumann = maxwell_mod.helmholtz_decompose(dom)
@@ -687,6 +698,7 @@ def _execute(kind, config, out, seed, strict):
     os.makedirs(out, exist_ok=True)
     digest = config_digest(cfg.text + f"|seed={seed}")
     try:
+        elliptic.unknown_budget()    # a malformed budget is a config error for every run
         with warnings.catch_warnings():
             if strict:
                 warnings.simplefilter("error")

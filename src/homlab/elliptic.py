@@ -16,6 +16,7 @@ and ``periodic`` (wrapped nodes, kernel = constants on the torus).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -30,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     CoercivityError,
     CompatibilityError,
+    ConfigError,
     NonMeanFree,
     ShapeError,
     SolverDiverged,
@@ -60,14 +62,22 @@ __all__ = [
 ]
 
 FLAVORS = ("dirichlet", "neumann", "periodic")
-_DIRECT_CUTOFF = 200_000
 _DEFAULT_BUDGET = 4_000_000
 
 
 def unknown_budget():
-    """Unknown-count guard, overridable through HOMLAB_BUDGET."""
+    """Unknown-count guard, overridable through HOMLAB_BUDGET (a positive
+    count); a malformed value raises :class:`ConfigError`."""
     env = os.environ.get("HOMLAB_BUDGET")
-    return int(float(env)) if env else _DEFAULT_BUDGET
+    if not env:
+        return _DEFAULT_BUDGET
+    try:
+        budget = int(float(env))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"HOMLAB_BUDGET: not a number ({env!r})") from exc
+    if budget < 1:
+        raise ConfigError(f"HOMLAB_BUDGET: must be a positive count ({env!r})")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -236,14 +246,14 @@ class DiscreteGradient:
         self.elem_measure = np.array(measures)[elem_type]
 
         # geometric element midpoints (unwrapped vertex positions)
-        offs_arr = np.array([tables[t] for t in elem_type], dtype=float)  # (n_e, d+1, d)
+        offs_arr = np.array(tables, dtype=float)[elem_type]  # (n_e, d+1, d)
         base = np.array(lo) + cell_multi * np.array(h)
         base = np.concatenate([base] * per_cell)
         self.elem_mid = base[:, None, :] + offs_arr * np.array(h)
         self.elem_mid = self.elem_mid.mean(axis=1)
 
         # sparse gradient: rows (element, component), cols reduced nodes
-        gtab = np.stack([grads[t] for t in elem_type])   # (n_e, d+1, d)
+        gtab = np.stack(grads)[elem_type]   # (n_e, d+1, d)
         rows = (np.arange(n_elem) * d)[:, None, None] + np.arange(d)[None, None, :]
         rows = np.broadcast_to(rows, (n_elem, d + 1, d))
         cols = np.broadcast_to(ev[:, :, None], (n_elem, d + 1, d))
@@ -433,37 +443,121 @@ def galerkin_matrix(grad, a):
     return (g.conj().T @ (w @ (m @ g))).tocsc()
 
 
+class _TransformInverse:
+    """Fast-transform inverse of the unit-coefficient stiffness K_1 on a
+    d >= 2 grid: FFT for ``periodic``, DST-I for ``dirichlet`` and DCT-I of
+    D^-1 K_1 for ``neumann``, where D is the tensor product of the 1-d
+    trapezoid weights (1/2, 1, ..., 1, 1/2). The eigenvalues are read off
+    K_1 itself, as the transform of its first column over the transform of
+    the first unit vector, so the grid spacing needs no special case. The
+    zero mode of ``neumann``/``periodic`` is dropped. The inverse is exact
+    except for ``neumann`` in 3-d, where the Kuhn tetrahedra make K_1 differ
+    from a tensor product on the boundary edges; there it is a spectrally
+    equivalent preconditioner only."""
+
+    def __init__(self, grad, k1):
+        import scipy.fft
+
+        d = grad.d
+        self._shape = tuple(s - 2 for s in grad._node_shape) \
+            if grad.flavor == "dirichlet" else grad._node_shape
+        fwd, inv, kind = {"periodic": (scipy.fft.fftn, scipy.fft.ifftn, {}),
+                          "dirichlet": (scipy.fft.dstn, scipy.fft.idstn, {"type": 1}),
+                          "neumann": (scipy.fft.dctn, scipy.fft.idctn, {"type": 1})}[grad.flavor]
+        self._fwd = functools.partial(fwd, **kind)
+        self._inv = functools.partial(inv, **kind)
+        self._scale = 1.0
+        if grad.flavor == "neumann":
+            trapezoids = [np.r_[0.5, np.ones(n - 2), 0.5] for n in self._shape]
+            self._scale = 1.0 / functools.reduce(np.multiply.outer, trapezoids)
+        unit = np.zeros(self._shape)
+        unit[(0,) * d] = 1.0
+        col = k1[:, [0]].toarray().reshape(self._shape)
+        self._lam = (self._fwd(self._scale * col) / self._fwd(unit)).real
+        if grad.flavor != "dirichlet":
+            self._lam[(0,) * d] = np.inf
+
+    def __call__(self, r):
+        u = self._inv(self._fwd(self._scale * r.reshape(self._shape)) / self._lam)
+        return (u if np.iscomplexobj(r) else u.real).ravel()
+
+
 class _GridSolver:
     """Residual-checked solver of a grid system K u = F (one load or an
-    (n, m) block). Flavors with constant kernels are grounded at node 0 and
-    return mean-centred solutions of compatible loads. Factorisation is
-    direct, except ILU+GMRES on 3-d grids above ``_DIRECT_CUTOFF`` unknowns,
-    where direct fill does not fit."""
+    (n, m) block). Flavors with constant kernels need compatible loads and
+    return mean-centred solutions.
 
-    def __init__(self, grad, k):
+    1-d grids factorise K (tridiagonal, so there is no fill), grounded at
+    node 0 for ``neumann``/``periodic``. Grids with d >= 2 run CG when K is
+    Hermitian and GMRES otherwise, both preconditioned with the
+    fast-transform inverse of the unit-coefficient stiffness of the same
+    (domain, flavor), which is spectrally equivalent to K with condition
+    number at most beta/alpha, and start from its image of the load. The
+    Krylov stop is ||r|| <= 1e-12 max(1, ||F||), after at most 10 n steps;
+    the returned solution is checked at 1e-10. ``iterations`` holds the
+    Krylov iteration count of the last right-hand side solved."""
+
+    _KRYLOV_TOL = 1e-12
+
+    def __init__(self, grad, k, prec=None):
         self.k = k
+        self.iterations = 0
         self._grad = grad
         self._grounded = grad.flavor != "dirichlet"
-        red = k[1:, 1:] if self._grounded else k
-        self._solver = _SparseSolver(red, iterative=grad.d == 3 and red.shape[0] > _DIRECT_CUTOFF)
+        if grad.d == 1:
+            self._lu = _SparseSolver(k[1:, 1:] if self._grounded else k)
+            return
+        self.prec = prec or stiffness_solver(grad.domain, grad.flavor).prec
+        self._hermitian = bool(abs(k - k.conj().T).max() <= 1e-12 * abs(k).max())
 
     def solve(self, rhs):
-        if not self._grounded:
-            return self._solver.solve(rhs)
         if rhs.ndim == 2:
             return np.column_stack([self.solve(rhs[:, j]) for j in range(rhs.shape[1])])
-        if abs(rhs @ np.ones(rhs.size)) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        if self._grounded and abs(rhs @ np.ones(rhs.size)) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
             raise CompatibilityError("load does not annihilate constants")
-        u = self._grad.mean_center(np.concatenate([[0.0], self._solver.solve(rhs[1:])]))
-        _check_residual(self.k, u, rhs, self._solver.tol)
+        if self._grad.d > 1:
+            u = self._krylov(rhs)
+        elif self._grounded:
+            u = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
+        else:
+            return self._lu.solve(rhs)
+        if self._grounded:
+            u = self._grad.mean_center(u)
+        _check_residual(self.k, u, rhs, 1e-10)
+        return u
+
+    def _krylov(self, rhs):
+        n = self.k.shape[0]
+        prec = spla.LinearOperator((n, n), matvec=self.prec,
+                                   dtype=np.result_type(self.k.dtype, rhs.dtype))
+        count = [0]
+
+        def step(_):
+            count[0] += 1
+
+        # x0 = prec(rhs) is the exact solution when K is the unit stiffness
+        tols = dict(x0=self.prec(rhs), rtol=self._KRYLOV_TOL, atol=self._KRYLOV_TOL, M=prec,
+                    callback=step)
+        if self._hermitian:
+            u, info = spla.cg(self.k, rhs, maxiter=10 * n, **tols)
+        else:
+            u, info = spla.gmres(self.k, rhs, restart=30, maxiter=max(1, n // 3),
+                                 callback_type="pr_norm", **tols)
+        self.iterations = count[0]
+        if info != 0:
+            raise SolverDiverged(f"Krylov solve stopped after {count[0]} iterations (info={info})")
         return u
 
 
 @lru_cache(maxsize=32)
 def stiffness_solver(domain, flavor="dirichlet"):
-    """Cached solver of the unit-coefficient stiffness matrix."""
+    """Cached solver of the unit-coefficient stiffness matrix. On d >= 2 grids
+    its ``prec`` is the fast-transform inverse that preconditions every grid
+    solve on the same (domain, flavor); where that inverse is exact, the
+    solve is its one application, residual-checked."""
     grad = build_grad(domain, flavor)
-    return _GridSolver(grad, galerkin_matrix(grad, CoefficientField.constant(domain, 1.0)))
+    k1 = galerkin_matrix(grad, CoefficientField.constant(domain, 1.0))
+    return _GridSolver(grad, k1, prec=_TransformInverse(grad, k1) if domain.dim > 1 else None)
 
 
 def _solve_galerkin(grad, a, rhs):

@@ -307,10 +307,9 @@ class Subspace:
     _PROJ_TOL = 1e-8
 
     def __init__(self, ambient, basis=None, project=None, dim=None, generator=None,
-                 gram_solve=None, _verify=True):
+                 _verify=True):
         self.ambient = ambient
         self.generator = generator
-        self.gram_solve = gram_solve
         if basis is not None:
             basis = np.asarray(basis)
             if basis.ndim != 2 or basis.shape[0] != ambient.dim:
@@ -361,7 +360,7 @@ class Subspace:
         def project(v):
             return g @ gram.solve(gh_w @ v)
 
-        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram_solve=gram.solve)
+        return cls(ambient, project=project, dim=g.shape[1], generator=g)
 
     @classmethod
     def complement(cls, sub):
@@ -683,45 +682,29 @@ def _check_residual(k, x, b, tol):
 
 class _SparseSolver:
     """Residual-checked solves of K x = b (K^H x = b for ``trans="H"``) from
-    one factorisation of a sparse K: SuperLU, or ILU-preconditioned GMRES
-    when ``iterative`` is set; a singular K raises ``RuntimeError``. One
-    right-hand side or an (n, m) block, solved column by column; a real
-    factorisation solves a complex right-hand side part by part."""
+    one SuperLU factorisation of a sparse K; a singular K raises
+    ``RuntimeError``. One right-hand side or an (n, m) block, solved column
+    by column; a real factorisation solves a complex right-hand side part by
+    part."""
 
-    def __init__(self, k, tol=1e-10, iterative=False):
+    def __init__(self, k, tol=1e-10):
         self.k = k.tocsc()
         self.tol = tol
-        self.iterative = iterative
         self._real = not np.iscomplexobj(self.k.data)
-        self._factor = spla.spilu(self.k, drop_tol=1e-5, fill_factor=20) if iterative \
-            else spla.splu(self.k)
+        self._factor = spla.splu(self.k)
 
     def solve(self, rhs, trans="N"):
         rhs = np.asarray(rhs)
         if rhs.ndim == 2:
             return np.column_stack([self.solve(rhs[:, j], trans) for j in range(rhs.shape[1])])
         if self._real and np.iscomplexobj(rhs):
-            x = self._solve(np.ascontiguousarray(rhs.real), trans) \
-                + 1j * self._solve(np.ascontiguousarray(rhs.imag), trans)
+            x = self._factor.solve(np.ascontiguousarray(rhs.real), trans=trans) \
+                + 1j * self._factor.solve(np.ascontiguousarray(rhs.imag), trans=trans)
         else:
-            x = self._solve(rhs, trans)
-        _check_residual(self._matrix(trans), x, rhs, self.tol)
+            x = self._factor.solve(rhs, trans=trans)
+        _check_residual(self.k if trans == "N" else self._kh, x, rhs, self.tol)
         return x
 
     @functools.cached_property
     def _kh(self):
         return self.k.conj().T
-
-    def _matrix(self, trans):
-        return self.k if trans == "N" else self._kh
-
-    def _solve(self, rhs, trans):
-        if not self.iterative:
-            return self._factor.solve(rhs, trans=trans)
-        n = self.k.shape[0]
-        prec = spla.LinearOperator((n, n), matvec=lambda x: self._factor.solve(x, trans=trans))
-        x, info = spla.gmres(self._matrix(trans), rhs, M=prec, rtol=self.tol / 10,
-                             maxiter=10 * n, restart=200)
-        if info != 0:
-            raise SolverDiverged(f"iterative solve failed with info={info}")
-        return x

@@ -229,7 +229,8 @@ def cell_problem(a_cell, xi, residual_tol=1e-9):
 
 def _correctors(a_cell, xis, residual_tol=1e-9):
     """Yield (v, w) of :func:`cell_problem` for each direction in ``xis``,
-    from one factorisation of the periodic cell matrix."""
+    from one solver of the periodic cell matrix (one preconditioner for all
+    directions)."""
     domain = a_cell.domain
     _check_unit_cell(domain)
     _require_coercive(a_cell)

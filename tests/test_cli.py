@@ -73,6 +73,28 @@ class TestFixtures:
                        "--out", str(tmp_path), "--jobs", "2"])
         assert res.exit_code == 2
 
+    def test_malformed_budget_exit_2(self, tmp_path):
+        res = CliRunner().invoke(main, ["hconv", "--config", fixture("1d_harmonic.cfg"),
+                                        "--out", str(tmp_path)], env={"HOMLAB_BUDGET": "abc"})
+        assert res.exit_code == 2
+        assert "HOMLAB_BUDGET" in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+    def test_zero_cells_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[experiment]\nkind = cell\n[domain]\ncells = 0\n")
+        res = run_cli(["cell", "--config", str(bad), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert "[domain] cells" in error
+
+    def test_empty_required_list_exit_2(self, tmp_path):
+        text = open(fixture("1d_harmonic.cfg")).read()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("n_list = 1, 2, 4, 8, 16, 32", "n_list ="))
+        res = run_cli(["hconv", "--config", str(bad), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "[run] n_list" in json.loads(res.output.strip().splitlines()[-1])["error"]
+
     def test_kind_mismatch_exit_2(self, tmp_path):
         res = run_cli(["qdind", "--config", fixture("1d_harmonic.cfg"),
                        "--out", str(tmp_path)])

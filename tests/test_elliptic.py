@@ -535,22 +535,107 @@ class TestComplexLoads:
         assert abs(d.ratio - 1.0) < 1e-8
 
 
+def _grid_coefficient(dom, kind):
+    """Cell-varying coefficient: real symmetric, real with a cell-varying
+    skew part (a non-symmetric K), or complex."""
+    rng = np.random.default_rng(3)
+    d = dom.dim
+    vals = rng.uniform(1.0, 4.0, dom.n_cells)[:, None, None] * np.eye(d)
+    if kind == "nonsym":
+        skew = np.zeros((d, d))
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        vals = vals + rng.uniform(-0.8, 0.8, dom.n_cells)[:, None, None] * skew
+    elif kind == "complex":
+        vals = vals + 1j * rng.uniform(-1.0, 1.0, dom.n_cells)[:, None, None] * np.eye(d)
+    return CoefficientField(dom, vals)
+
+
+def _compatible_load(g, seed=5):
+    """A flux load, which annihilates constants on every flavor."""
+    rng = np.random.default_rng(seed)
+    return RHSFunctional.flux(rng.standard_normal(g.vector_space.dim)).assemble(g)
+
+
 class TestGridSolverPath:
-    @pytest.mark.parametrize("cells, iterative", [((8, 8), False), ((4, 4, 4), True)])
-    def test_only_large_3d_grids_iterate(self, monkeypatch, cells, iterative):
+    @pytest.mark.parametrize("cells", [(6, 7), (4, 3, 5)])
+    def test_grids_with_d_at_least_2_call_no_sparse_lu(self, monkeypatch, cells):
+        import scipy.sparse.linalg as spla
+
+        from homlab.homogenize import homogenized_tensor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU on a d >= 2 grid")
+
+        monkeypatch.setattr(spla, "splu", refuse)
+        monkeypatch.setattr(spla, "spilu", refuse)
+        dom = GridDomain.box(cells)
+        a = _grid_coefficient(dom, "sym")
+        rng = np.random.default_rng(2)
+        for flavor in ("dirichlet", "neumann", "periodic"):
+            g = build_grad(dom, flavor)
+            solve_elliptic(dom, a, RHSFunctional.flux(rng.standard_normal(g.vector_space.dim)),
+                           flavor)
+        hminus_norm(dom, RHSFunctional.density(np.ones(build_grad(dom).scalar_space.dim)))
+        homogenized_tensor(a)
+
+    @pytest.mark.parametrize("kind", ["sym", "nonsym", "complex"])
+    @pytest.mark.parametrize("cells", [(9, 12), (5, 6, 7)])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])
+    def test_krylov_matches_sparse_lu(self, flavor, cells, kind):
+        from homlab import elliptic
+        from homlab.hilbert import _SparseSolver
+
+        dom = GridDomain.box(cells, hi=(1.0, 1.7, 0.8)[:len(cells)])
+        g = build_grad(dom, flavor)
+        k = galerkin_matrix(g, _grid_coefficient(dom, kind))
+        rhs = _compatible_load(g)
+        solver = elliptic._GridSolver(g, k)
+        assert solver._hermitian is (kind == "sym")
+        u = solver.solve(rhs)
+        if flavor == "dirichlet":
+            ref = _SparseSolver(k).solve(rhs)
+        else:
+            ref = g.mean_center(np.concatenate([[0.0], _SparseSolver(k[1:, 1:]).solve(rhs[1:])]))
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("cells", [(9, 12), (5, 6, 7)])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])
+    def test_unit_stiffness_solve_is_one_transform(self, flavor, cells):
+        """The transform inverse of K_1 is exact, so the solve needs no
+        Krylov step, except for 3-d neumann grids, whose K_1 is not a tensor
+        product on the boundary edges."""
         from homlab import elliptic
 
-        monkeypatch.setattr(elliptic, "_DIRECT_CUTOFF", 10)
-        dom = GridDomain.box(cells)
-        g = build_grad(dom, "periodic")
-        a = CoefficientField.from_function(dom, lambda p: 1.0 + 3.0 * (p[:, 0] < 0.5),
-                                           bounds=(1.0, 4.0))
-        k = galerkin_matrix(g, a)
-        solver = elliptic._GridSolver(g, k)
-        assert solver._solver.iterative is iterative
-        rng = np.random.default_rng(13)
-        rhs = rng.standard_normal(g.scalar_space.dim)
-        rhs -= rhs.mean()
+        dom = GridDomain.box(cells, hi=(1.0, 1.7, 0.8)[:len(cells)])
+        solver = elliptic.stiffness_solver(dom, flavor)
+        rhs = _compatible_load(solver._grad)
         u = solver.solve(rhs)
-        assert np.linalg.norm(k @ u - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
-        assert abs(g.scalar_space.weight @ u) < 1e-12
+        assert np.linalg.norm(solver.k @ u - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+        assert (solver.iterations == 0) is not (flavor == "neumann" and len(cells) == 3)
+
+    @pytest.mark.parametrize("kind", ["sym", "complex"])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])
+    def test_zero_load_returns_zero(self, flavor, kind):
+        from homlab import elliptic
+
+        dom = GridDomain.box((8, 8))
+        g = build_grad(dom, flavor)
+        solver = elliptic._GridSolver(g, galerkin_matrix(g, _grid_coefficient(dom, kind)))
+        u = solver.solve(np.zeros(g.scalar_space.dim))
+        assert not np.any(u)
+
+    def test_cg_iterations_do_not_grow_with_the_mesh(self):
+        from homlab import elliptic
+
+        counts = []
+        for m in (32, 128):
+            dom = GridDomain.box((m, m))
+            a = CoefficientField.from_function(
+                dom, lambda p: np.where(((np.floor(2 * p[:, 0]) + np.floor(2 * p[:, 1])) % 2)
+                                        == 0, 1.0, 4.0), bounds=(1.0, 4.0))
+            g = build_grad(dom, "periodic")
+            solver = elliptic._GridSolver(g, galerkin_matrix(g, a))
+            solver.solve(RHSFunctional.flux(a.apply(g, np.tile([1.0, 0.0], g.n_elem))).assemble(g))
+            assert solver._hermitian
+            counts.append(solver.iterations)
+        assert counts[0] > 0 and abs(counts[1] - counts[0]) <= 3

@@ -1,8 +1,9 @@
-"""Run every shipped config through the CLI and print one SHA-256 per CSV.
+"""Run every shipped config through the CLI and print one SHA-256 per CSV,
+or save the CSVs, or compare them numerically with saved ones.
 
 Usage::
 
-    python3 tools/config_digests.py [CONFIG ...]
+    python3 tools/config_digests.py [--save DIR | --compare DIR] [CONFIG ...]
 
 Each config (default: all of ``configs/*.cfg``) runs as its own
 ``python -m homlab.cli <kind>`` process against this checkout's ``src/``,
@@ -11,19 +12,33 @@ writing into a fresh temporary directory. The output has one line per CSV,
     <sha256>  <config stem>/<path of the CSV below the output directory>
 
 sorted by config and path, so two checkouts can be compared with ``diff``.
-A run that exits with a status other than 0 is reported on stderr, and the
-script then exits 1.
+
+``--save DIR`` also copies every CSV to ``DIR/<config stem>/<path>``.
+``--compare DIR`` compares every CSV with the one saved there instead of
+printing digests: each numeric value must match to ``RTOL`` relative plus
+``ATOL`` absolute (the benchmark's tolerance), and every other cell must
+match exactly. It prints one line per CSV,
+
+    <largest absolute deviation>  <largest relative deviation>  ok|FAIL  <stem>/<path>
+
+which is the gate for a change of solver, where byte-identical output
+cannot be expected. A run that exits with a status other than 0, or a
+comparison that fails, is reported, and the script then exits 1.
 """
 
+import argparse
 import configparser
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RTOL = 1e-10
+ATOL = 1e-12
 
 
 def run_config(cfg_path, out_dir):
@@ -44,23 +59,69 @@ def run_config(cfg_path, out_dir):
     return proc.returncode
 
 
-def digests(out_dir, stem):
-    lines = []
-    for csv in sorted(out_dir.rglob("*.csv")):
-        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {stem}/{csv.relative_to(out_dir).as_posix()}")
-    return lines
+def _number(text):
+    try:
+        return complex(text)
+    except ValueError:
+        return None
+
+
+def compare_csv(new, old):
+    """(largest absolute deviation, largest relative deviation, ok) over the
+    cells of two CSV files; the relative deviation skips zero references."""
+    new_rows = [line.split(",") for line in new.read_text().splitlines()]
+    old_rows = [line.split(",") for line in old.read_text().splitlines()]
+    if [len(r) for r in new_rows] != [len(r) for r in old_rows]:
+        return float("inf"), float("inf"), False
+    worst_abs = worst_rel = 0.0
+    ok = True
+    for new_row, old_row in zip(new_rows, old_rows):
+        for got_text, ref_text in zip(new_row, old_row):
+            got, ref = _number(got_text), _number(ref_text)
+            if got is None or ref is None:
+                ok &= got_text == ref_text
+                continue
+            dev = abs(got - ref)
+            worst_abs = max(worst_abs, dev)
+            if ref:
+                worst_rel = max(worst_rel, dev / abs(ref))
+            ok &= dev <= RTOL * abs(ref) + ATOL
+    return worst_abs, worst_rel, ok
 
 
 def main(argv):
-    configs = [Path(a).resolve() for a in argv] or sorted((ROOT / "configs").glob("*.cfg"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", type=Path, metavar="DIR", help="copy every CSV to DIR")
+    mode.add_argument("--compare", type=Path, metavar="DIR",
+                      help="compare every CSV numerically with the ones saved in DIR")
+    parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG")
+    args = parser.parse_args(argv)
+    configs = [c.resolve() for c in args.configs] or sorted((ROOT / "configs").glob("*.cfg"))
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in configs:
             out_dir = Path(tmp) / cfg.stem
             failed |= run_config(cfg, out_dir) != 0
-            for line in digests(out_dir, cfg.stem):
-                print(line, flush=True)
+            rels = {csv.relative_to(out_dir) for csv in out_dir.rglob("*.csv")}
+            if args.compare:
+                saved = args.compare / cfg.stem
+                rels |= {csv.relative_to(saved) for csv in saved.rglob("*.csv")}
+            for rel in sorted(rels):
+                name = f"{cfg.stem}/{rel.as_posix()}"
+                csv = out_dir / rel
+                if args.compare:
+                    ref = args.compare / cfg.stem / rel
+                    dev_abs, dev_rel, ok = compare_csv(csv, ref) \
+                        if csv.exists() and ref.exists() else (float("inf"), float("inf"), False)
+                    failed |= not ok
+                    print(f"{dev_abs:.3e}  {dev_rel:.3e}  {'ok' if ok else 'FAIL'}  {name}",
+                          flush=True)
+                    continue
+                if args.save:
+                    (args.save / cfg.stem / rel).parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(csv, args.save / cfg.stem / rel)
+                print(f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {name}", flush=True)
     return 1 if failed else 0
 
 
