@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import sys
 import warnings
@@ -150,14 +151,17 @@ class RunConfig:
         parser = configparser.ConfigParser()
         try:
             parser.read_string(text)
+            items = {name: parser.items(name) for name in parser.sections()}
         except configparser.Error as exc:
-            raise ConfigError(str(exc)) from exc
+            # a bad '%' interpolation carries the section and key
+            where = f"[{exc.section}] {exc.option}: " if hasattr(exc, "option") else ""
+            raise ConfigError(f"{where}{exc}") from exc
         sections = {}
-        for name in parser.sections():
+        for name in items:
             if name not in _ALLOWED_KEYS:
                 raise ConfigError(f"unknown section [{name}]")
             body = {}
-            for key, value in parser.items(name):
+            for key, value in items[name]:
                 if key not in _ALLOWED_KEYS[name]:
                     raise ConfigError(f"[{name}] unknown key '{key}'")
                 body[key] = value.strip()
@@ -198,9 +202,12 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not a number ({raw!r})") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: not a finite number ({raw!r})")
+        return value
 
     def get_int(self, section, key, default=None, required=False):
         raw = self.get(section, key, None, required)
@@ -232,16 +239,24 @@ def _domain_cells(cfg, default):
     return cells
 
 
+def _positive(cfg, key, default):
+    """A [coefficients] value that must be a positive number."""
+    value = cfg.get_float("coefficients", key, default)
+    if value <= 0:
+        raise ConfigError(f"[coefficients] {key}: must be positive (got {value})")
+    return value
+
+
 def _profile_from(cfg, prefix=""):
     """Periodic scalar profile of the fast variable from config keys."""
     kind = cfg.get("coefficients", "profile", "two_phase")
     if prefix:
-        low = cfg.get_float("coefficients", f"{prefix}_low", 1.0)
-        high = cfg.get_float("coefficients", f"{prefix}_high", 4.0)
+        low = _positive(cfg, f"{prefix}_low", 1.0)
+        high = _positive(cfg, f"{prefix}_high", 4.0)
         return (lambda y: np.where(np.asarray(y) < 0.5, low, high)), (min(low, high), max(low, high))
     if kind == "two_phase":
-        low = cfg.get_float("coefficients", "low", 1.0)
-        high = cfg.get_float("coefficients", "high", 4.0)
+        low = _positive(cfg, "low", 1.0)
+        high = _positive(cfg, "high", 4.0)
         cut = cfg.get_float("coefficients", "cut", 0.5)
         prof = lambda y: np.where(np.asarray(y) < cut, low, high)
         return prof, (min(low, high), max(low, high))
@@ -254,7 +269,7 @@ def _profile_from(cfg, prefix=""):
         prof = lambda y: shift + amp * np.sin(2 * np.pi * freq * np.asarray(y))
         return prof, (shift - abs(amp), shift + abs(amp))
     if kind == "constant":
-        value = cfg.get_float("coefficients", "value", 1.0)
+        value = _positive(cfg, "value", 1.0)
         return (lambda y: value + 0 * np.asarray(y)), (value, value)
     raise ConfigError(f"[coefficients] unknown profile {kind!r}")
 
@@ -350,8 +365,8 @@ def _run_cell(cfg, out, seed, digest):
         a_h, a_m = laminate_limit(profile)
         expected = np.diag([a_h, a_m])
     elif kind == "checkerboard":
-        low = cfg.get_float("coefficients", "low", 1.0)
-        high = cfg.get_float("coefficients", "high", 4.0)
+        low = _positive(cfg, "low", 1.0)
+        high = _positive(cfg, "high", 4.0)
         dom = GridDomain.box((cells, cells))
 
         def cb(p):
@@ -362,7 +377,7 @@ def _run_cell(cfg, out, seed, digest):
                                                bounds=(min(low, high), max(low, high)))
         expected = np.sqrt(low * high) * np.eye(2)
     elif kind == "constant":
-        v = cfg.get_float("coefficients", "value", 2.0)
+        v = _positive(cfg, "value", 2.0)
         dom = GridDomain.box((cells, cells))
         field = CoefficientField.constant(dom, v, bounds=(v, v))
         expected = v * np.eye(2)
@@ -595,8 +610,8 @@ def _run_recover(cfg, out, seed, digest):
 
 def _run_thermo(cfg, out, seed, digest):
     def two(prefix):
-        lo = cfg.get_float("coefficients", f"{prefix}_low", 1.0)
-        hi = cfg.get_float("coefficients", f"{prefix}_high", 4.0)
+        lo = _positive(cfg, f"{prefix}_low", 1.0)
+        hi = _positive(cfg, f"{prefix}_high", 4.0)
         return lambda y: np.where(np.asarray(y) < 0.5, lo, hi)
 
     gamma = cfg.get_float("coefficients", "gamma", 0.5)
@@ -706,7 +721,7 @@ def _execute(kind, config, out, seed, strict):
     except ConfigError as exc:
         click.echo(json.dumps({"status": "config-error", "error": str(exc)}))
         sys.exit(EXIT_USAGE)
-    except HomlabError as exc:
+    except (HomlabError, Warning) as exc:    # under --strict a warning is an error
         click.echo(json.dumps({"status": "error",
                                "error": f"{type(exc).__name__}: {exc}"}))
         sys.exit(EXIT_FAIL)

@@ -169,6 +169,15 @@ def resolvent_bounds(t, a, tol=1e-9):
     return n_res, n_ares, c
 
 
+def _block(space, tmat, bi, bj):
+    """The block B_i^H W T B_j of a dense T between two basis matrices."""
+    if bi.shape[1] == 0 or bj.shape[1] == 0:
+        return np.zeros((bi.shape[1], bj.shape[1]))
+    wcols = np.column_stack([space.apply_weight(tmat @ bj[:, k])
+                             for k in range(bj.shape[1])])
+    return bi.conj().T @ wcols
+
+
 def block_solve(t, a, f, tol=1e-9):
     """Solve (T + A)u = f by elimination along (ker A, ran A):
 
@@ -187,18 +196,10 @@ def block_solve(t, a, f, tol=1e-9):
     tmat = t.to_dense()
     f0 = b0.conj().T @ space.apply_weight(f) if a.ker.dim else np.zeros(0)
     f1 = b1.conj().T @ space.apply_weight(f) if a.ran.dim else np.zeros(0)
-
-    def block(bi, bj):
-        if bi.shape[1] == 0 or bj.shape[1] == 0:
-            return np.zeros((bi.shape[1], bj.shape[1]))
-        wcols = np.column_stack([space.apply_weight(tmat @ bj[:, k])
-                                 for k in range(bj.shape[1])])
-        return bi.conj().T @ wcols
-
-    t00 = block(b0, b0)
-    t01 = block(b0, b1)
-    t10 = block(b1, b0)
-    t11 = block(b1, b1)
+    t00 = _block(space, tmat, b0, b0)
+    t01 = _block(space, tmat, b0, b1)
+    t10 = _block(space, tmat, b1, b0)
+    t11 = _block(space, tmat, b1, b1)
     t_s = t11 - (t10 @ np.linalg.solve(t00, t01) if a.ker.dim else t11 * 0)
     reduced = t_s + a.a_tilde
     if a.ran.dim and np.linalg.cond(reduced) > 1e12:
@@ -257,27 +258,17 @@ def _split_probes(a, probes):
 def _reduced_strong_gap(a, t_n, t_lim, wobble_coords):
     """Strong gap of the eliminated problem on ran(A): the compact-inverse
     mechanism turns weak wobbles of the data into vanishing solution gaps."""
-    b1 = a.ran.basis
+    b0, b1 = a.ker.basis, a.ran.basis
     if not a.ran.dim:
         return 0.0
     space = a.space
 
     def reduced(tmat):
-        wcols = np.column_stack([space.apply_weight(tmat @ b1[:, j])
-                                 for j in range(a.ran.dim)])
-        t11 = b1.conj().T @ wcols
-        if a.ker.dim:
-            b0 = a.ker.basis
-            w0 = np.column_stack([space.apply_weight(tmat @ b0[:, j])
-                                  for j in range(a.ker.dim)])
-            t10 = b1.conj().T @ w0
-            wc = np.column_stack([space.apply_weight(tmat @ b1[:, j])
-                                  for j in range(a.ran.dim)])
-            t01 = b0.conj().T @ wc
-            t00 = b0.conj().T @ np.column_stack(
-                [space.apply_weight(tmat @ b0[:, j]) for j in range(a.ker.dim)])
-            return t11 - t10 @ np.linalg.solve(t00, t01)
-        return t11
+        t11 = _block(space, tmat, b1, b1)
+        if not a.ker.dim:
+            return t11
+        t00, t01, t10 = (_block(space, tmat, bi, bj) for bi, bj in ((b0, b0), (b0, b1), (b1, b0)))
+        return t11 - t10 @ np.linalg.solve(t00, t01)
 
     g = np.ones(a.ran.dim) / np.sqrt(a.ran.dim)
     red_n = reduced(t_n.to_dense()) + a.a_tilde
@@ -358,8 +349,7 @@ def grid_skew_block(grad):
     skew-adjointness is structural."""
     ns, nv = grad.scalar_space.dim, grad.vector_space.dim
     g = grad.matrix
-    div = -(sp.diags(1.0 / grad.scalar_space.weight)
-            @ (g.conj().T @ sp.diags(grad.vector_space.weight)))
+    div = -adjoint(LinearOp(grad.scalar_space, grad.vector_space, matrix=g)).matrix
     block = sp.bmat([[None, div], [g, None]]).tocsr()
     weight = np.concatenate([grad.scalar_space.weight, grad.vector_space.weight])
     space = HilbertSpace(ns + nv, weight=weight)

@@ -9,10 +9,12 @@ weighted inner products: for ``A : S -> T`` the adjoint is
 
 Weak-operator-topology statements are operationalised against finite probe
 families: :func:`wot_gap` measures ``max |<phi_i, (S-T) psi_j>|`` over a fixed
-probe set, :func:`strong_gap` the corresponding maximal image-norm gap. Probe
-gaps over a fixed family form a pseudo-metric, not the metric of the abstract
-compactness theorems; that metric is never exhibited and is deliberately out
-of scope.
+probe set, :func:`strong_gap` the corresponding maximal image-norm gap. These
+two functions are the package's only operator probe-pairing code: every
+operator gap the experiment modules report is one of them applied to two
+:class:`LinearOp` instances. Probe gaps over a fixed family form a
+pseudo-metric, not the metric of the abstract compactness theorems; that
+metric is never exhibited and is deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import MissingTranspose, ShapeError, SolverDiverged
+from .errors import MissingTranspose, NotInM, ShapeError, SolverDiverged
 
 __all__ = [
     "HilbertSpace",
@@ -202,8 +204,8 @@ class LinearOp:
 
     def to_dense(self):
         if self.matrix is None:
-            cols = [self(np.eye(self.source.dim)[:, j]) for j in range(self.source.dim)]
-            return np.column_stack(cols)
+            eye = np.eye(self.source.dim)
+            return np.column_stack([self(eye[:, j]) for j in range(self.source.dim)])
         if _is_sparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix)
@@ -273,7 +275,7 @@ def adjoint(op):
             ws_inv = sp.diags(1.0 / src.weight) if src._diagonal else None
             wt = sp.diags(tgt.weight) if tgt._diagonal else None
             if ws_inv is not None and wt is not None:
-                return LinearOp(tgt, src, matrix=(ws_inv @ (m.conj().T.tocsr() @ wt)).tocsr())
+                return LinearOp(tgt, src, matrix=(ws_inv @ (m.conj().T @ wt)).tocsr())
             m = m.toarray()
         mh = np.asarray(m).conj().T
         if src._diagonal and tgt._diagonal:
@@ -557,7 +559,7 @@ def coercivity_check(op, alpha, beta, tol=0.0):
     if _is_sparse(mat) and n > _DENSE_EIG_CUTOFF:
         try:
             solver = _SparseSolver(mat)
-        except RuntimeError:
+        except NotInM:
             singular = True
         else:
             d = np.sqrt(space.weight)
@@ -674,24 +676,28 @@ def strong_gap(s, t, right):
 
 
 def _check_residual(k, x, b, tol):
-    """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)."""
+    """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||);
+    a NaN residual misses every tolerance."""
     res = np.linalg.norm(k @ x - b)
-    if res > tol * max(1.0, np.linalg.norm(b)):
+    if not res <= tol * max(1.0, np.linalg.norm(b)):
         raise SolverDiverged(f"solve residual {res:.3e} misses {tol:.1e}")
 
 
 class _SparseSolver:
     """Residual-checked solves of K x = b (K^H x = b for ``trans="H"``) from
-    one SuperLU factorisation of a sparse K; a singular K raises
-    ``RuntimeError``. One right-hand side or an (n, m) block, solved column
-    by column; a real factorisation solves a complex right-hand side part by
-    part."""
+    one SuperLU factorisation of a sparse K; a K that SuperLU finds singular
+    raises :class:`NotInM`. One right-hand side or an (n, m) block, solved
+    column by column; a real factorisation solves a complex right-hand side
+    part by part."""
 
     def __init__(self, k, tol=1e-10):
         self.k = k.tocsc()
         self.tol = tol
         self._real = not np.iscomplexobj(self.k.data)
-        self._factor = spla.splu(self.k)
+        try:
+            self._factor = spla.splu(self.k)
+        except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
+            raise NotInM(f"sparse factorisation failed: {exc}") from exc
 
     def solve(self, rhs, trans="N"):
         rhs = np.asarray(rhs)

@@ -32,7 +32,7 @@ from .elliptic import (
     vector_probes,
 )
 from .errors import CoercivityError, MeshRuleViolation, ShapeError
-from .hilbert import LinearOp, ProbeSet, coercivity_check
+from .hilbert import LinearOp, ProbeSet, coercivity_check, wot_gap
 from .schur import Decomposition, schur_maps, tau_gap
 
 __all__ = [
@@ -393,7 +393,7 @@ def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=Non
     """
     probes_cache = {}
     rows = []
-    raw_u, raw_q = [], []
+    first_u, first_q = [], []
     d = len(extents) if extents else dim
     n_list = n_list or default_n_list(d)
     mesh_rule = mesh_rule or default_mesh_rule(d)
@@ -421,8 +421,8 @@ def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=Non
             err_q = float(np.abs(pair_q).max() / max(den_q, 1e-300))
         else:
             err_u = err_q = float("nan")
-        raw_u.append(np.array([grad.scalar_space.inner(g, u_n) for g in sp_probes]))
-        raw_q.append(np.array([grad.vector_space.inner(g, q_n) for g in vp_probes]))
+            first_u.append(grad.scalar_space.inner(sp_probes.vectors[0], u_n))
+            first_q.append(grad.vector_space.inner(vp_probes.vectors[0], q_n))
         rows.append({
             "n": n,
             "cells_per_axis": dom.cells[0],
@@ -433,8 +433,8 @@ def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=Non
     estimates = None
     if candidate is None and len(n_list) >= 3:
         estimates = {
-            "pairing_limit_solution": _aitken([r[0] for r in raw_u]),
-            "pairing_limit_flux": _aitken([r[0] for r in raw_q]),
+            "pairing_limit_solution": _aitken(first_u),
+            "pairing_limit_flux": _aitken(first_q),
             "estimate_only": True,
         }
     return ExperimentReport(
@@ -459,29 +459,34 @@ def g0_decomposition(grad):
     return Decomposition.from_generator(grad.vector_space, grad.matrix)
 
 
-def _projected_probes(grad, project, count, seed, keep_frac=0.05):
-    """Project smooth vector modes into a subspace, keeping only those that
-    retain an order-one fraction of their mass; near-annihilated modes would
-    normalize into mesh-scale noise with no continuum meaning."""
-    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
+_KEEP_FRAC = 0.05
+
+
+def _projected_probes(base, project, count, seed):
+    """Project the unit probes of ``base`` into a subspace, keeping the first
+    ``count`` that retain at least ``_KEEP_FRAC`` of their norm;
+    near-annihilated modes would normalize into mesh-scale noise with no
+    continuum meaning."""
     kept = []
     for v in base:
         p = project(np.asarray(v))
-        if grad.vector_space.norm(p) >= keep_frac:
+        if base.space.norm(p) >= _KEEP_FRAC:
             kept.append(p)
         if len(kept) == count:
             break
-    return ProbeSet.from_vectors(grad.vector_space, kept, seed=seed)
+    return ProbeSet.from_vectors(base.space, kept, seed=seed)
 
 
 def g0_probes(grad, dec=None, count=8, seed=0):
     dec = dec or g0_decomposition(grad)
-    return _projected_probes(grad, dec.h0.project, count, seed)
+    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
+    return _projected_probes(base, dec.h0.project, count, seed)
 
 
 def complement_probes(grad, dec=None, count=8, seed=0):
     dec = dec or g0_decomposition(grad)
-    return _projected_probes(grad, dec.h1.project, count, seed)
+    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
+    return _projected_probes(base, dec.h1.project, count, seed)
 
 
 def qdind_check(seq, n_list, candidate=None, mesh_rule=None, probe_seed=0):
@@ -512,32 +517,27 @@ def qdind_check(seq, n_list, candidate=None, mesh_rule=None, probe_seed=0):
                 for v in base], seed=probe_seed)
     full = base
 
+    def op(apply):
+        return LinearOp(space, space, apply=apply)
+
+    def limit_compressed(x):
+        y = x / candidate
+        return y - grad.elem_measure @ y / dom.volume
+
+    inv_lim = op(lambda x: x / candidate)
+    proj_lim = op(limit_compressed)
+    flux_lim = op(lambda x: candidate * limit_compressed(x))
     rows = []
     for n in n_list:
         a_vals = seq.field(n, dom).values[:, 0, 0][grad.elem_cell]
-        inv_gap = 0.0
-        for psi in full:
-            diff = psi / a_vals - psi / candidate
-            for phi in full:
-                inv_gap = max(inv_gap, abs(space.inner(phi, diff)))
-        proj_gap = 0.0
-        flux_gap = 0.0
-        for psi in mean_free:
-            compressed = projected_inverse_1d(a_vals, np.asarray(psi))
-            limit_compressed = np.asarray(psi) / candidate
-            limit_compressed = limit_compressed - grad.elem_measure @ limit_compressed / dom.volume
-            dproj = compressed - limit_compressed
-            dflux = a_vals * compressed - candidate * limit_compressed
-            for phi in mean_free:
-                proj_gap = max(proj_gap, abs(space.inner(phi, dproj)))
-            for phi in full:
-                flux_gap = max(flux_gap, abs(space.inner(phi, dflux)))
+        proj_n = op(lambda x: projected_inverse_1d(a_vals, x))
+        flux_n = op(lambda x: a_vals * projected_inverse_1d(a_vals, x))
         rows.append({
             "n": n,
             "cells": dom.cells[0],
-            "gap_inverse": inv_gap,
-            "gap_projected": proj_gap,
-            "gap_flux": flux_gap,
+            "gap_inverse": wot_gap(op(lambda x: x / a_vals), inv_lim, full, full),
+            "gap_projected": wot_gap(proj_n, proj_lim, mean_free, mean_free),
+            "gap_flux": wot_gap(flux_n, flux_lim, full, mean_free),
         })
     return ExperimentReport(
         kind="qdind",

@@ -25,8 +25,9 @@ import scipy.sparse as sp
 
 from .elliptic import GridDomain, unknown_budget
 from .errors import BudgetExceeded, CoercivityError, ShapeError
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver, kernel_range
-from .homogenize import ExperimentReport, MeshRule, laminate_limit
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
+from .hilbert import adjoint, kernel_range, wot_gap
+from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
 from .schur import Decomposition, schur_maps, tau_gap
 
 __all__ = [
@@ -238,19 +239,13 @@ class YeeComplex:
 
     def curl_adjoint_matrix(self):
         """curl = curl0^* : faces -> edges as an explicit sparse matrix."""
-        we_inv = sp.diags(1.0 / self.edge_space.weight)
-        wf = sp.diags(self.face_space.weight)
-        return (we_inv @ (self.curl0.conj().T @ wf)).tocsr()
+        return adjoint(LinearOp(self.edge_space, self.face_space, matrix=self.curl0)).matrix
 
-    def dual_gradient_matrix(self, grounded=True):
+    def dual_gradient_matrix(self):
         """Cells -> faces generator of ker(curl): the weighted adjoint of the
-        face divergence, optionally grounded at cell 0 to make it injective."""
-        wf_inv = sp.diags(1.0 / self.face_space.weight)
-        wc = sp.diags(self.cell_space.weight)
-        g = (wf_inv @ (self.div_faces.conj().T @ wc)).tocsr()
-        if grounded:
-            g = g[:, 1:]
-        return g
+        face divergence, grounded at cell 0 to make it injective."""
+        div = LinearOp(self.face_space, self.cell_space, matrix=self.div_faces)
+        return adjoint(div).matrix[:, 1:]
 
     def sample_edges(self, fn):
         """Diagonal edge coefficient from a scalar callable or an axis-wise
@@ -478,27 +473,13 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         t_lim = sp.diags(np.concatenate([lam * eps_lim, lam * mu_lim]))
 
         probes, space = _maxwell_probes(cx, seed=probe_seed)
-        lu_n = sys_n.resolvent_solver()
-        lu_lim = _SparseSolver(t_lim + sys_n.a_matrix)
-        gap_res = 0.0
-        for psi in probes:
-            d = lu_n.solve(psi) - lu_lim.solve(psi)
-            for phi in probes:
-                gap_res = max(gap_res, abs(space.inner(phi, d)))
+        gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
+                          LinearOp(space, space, apply=_SparseSolver(t_lim + sys_n.a_matrix).solve),
+                          probes, probes)
 
         dec = _kernel_decomposition(cx, space)
-        keep = []
-        for v in probes:
-            p = dec.h0.project(np.asarray(v))
-            if space.norm(p) > 0.05:
-                keep.append(p)
-        p0 = ProbeSet.from_vectors(space, keep[:6], seed=probe_seed)
-        keep1 = []
-        for v in probes:
-            p = dec.h1.project(np.asarray(v))
-            if space.norm(p) > 0.05:
-                keep1.append(p)
-        p1 = ProbeSet.from_vectors(space, keep1[:6], seed=probe_seed)
+        p0 = _projected_probes(probes, dec.h0.project, 6, probe_seed)
+        p1 = _projected_probes(probes, dec.h1.project, 6, probe_seed)
         op_n = LinearOp(space, space, matrix=t_n.tocsr())
         op_lim = LinearOp(space, space, matrix=t_lim.tocsr())
         maps_n = schur_maps(op_n, dec, check_membership=False)

@@ -105,7 +105,7 @@ def _sparse_cond_estimate(m):
     # estimate (and NotInM), not as a failed solve
     try:
         solver = _SparseSolver(m, tol=np.inf)
-    except RuntimeError:
+    except NotInM:
         return np.inf
     n = m.shape[0]
     inv = spla.LinearOperator(
@@ -133,7 +133,7 @@ class _ProjectedSolver:
         self._g = g
         try:
             self._solver = _SparseSolver(self._ghw @ (a_matrix @ g))
-        except RuntimeError as exc:
+        except NotInM as exc:
             raise NotInM(f"projected block is numerically singular: {exc}") from exc
 
     def solve(self, phi):

@@ -21,10 +21,11 @@ import scipy.sparse as sp
 
 from .elliptic import CoefficientField, GridDomain, build_grad
 from .errors import CoercivityError
-from .hilbert import HilbertSpace, LinearOp, ProbeSet
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
 from .hilbert import _SparseSolver, _sym_lambda_min
 from .homogenize import ExperimentReport, default_mesh_rule, laminate_limit
-from .schur import Decomposition, schur_maps, tau_gap
+from .homogenize import complement_probes, g0_decomposition, g0_probes
+from .schur import schur_maps, tau_gap
 
 __all__ = [
     "ThermoSystem",
@@ -60,6 +61,11 @@ def _coupling_map(grad, gamma, direction=None):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_e * d, grad.scalar_space.dim),
     )
+
+
+def _star(grad, m):
+    """Weighted adjoint of a scalar-to-vector matrix ``m``."""
+    return adjoint(LinearOp(grad.scalar_space, grad.vector_space, matrix=m)).matrix
 
 
 def _scalar_samples(grad, fn, bounds, what):
@@ -120,11 +126,9 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
                 raise CoercivityError(f"{name} violates the declared bounds")
 
     g = grad.matrix
-    div = -(sp.diags(1.0 / grad.scalar_space.weight)
-            @ (g.conj().T @ sp.diags(grad.vector_space.weight)))
-    z_ss = None
+    div = -_star(grad, g)
     a_matrix = sp.bmat([
-        [z_ss, div, None, None],
+        [None, div, None, None],
         [g, None, None, None],
         [None, None, None, div],
         [None, None, g, None],
@@ -133,8 +137,7 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
     cinv = c_field.inverse_field().operator(grad).matrix
     kinv = kappa_field.inverse_field().operator(grad).matrix
     gam = _coupling_map(grad, gamma, direction)
-    gam_star = sp.diags(1.0 / grad.scalar_space.weight) \
-        @ (gam.conj().T @ sp.diags(grad.vector_space.weight))
+    gam_star = _star(grad, gam)
     m0 = sp.bmat([
         [sp.diags(rho_vals), None, None, None],
         [None, cinv, cinv @ gam, None],
@@ -177,8 +180,7 @@ def congruence_diagonalize(sys, tol=1e-9):
     eye_s, eye_v = sp.eye(ns), sp.eye(nv)
     gam = sys.gamma_map
     grad = sys.grad
-    gam_star = sp.diags(1.0 / grad.scalar_space.weight) \
-        @ (gam.conj().T @ sp.diags(grad.vector_space.weight))
+    gam_star = _star(grad, gam)
     s_mat = sp.bmat([
         [eye_s, None, None, None],
         [None, eye_v, None, None],
@@ -202,8 +204,7 @@ def congruence_diagonalize(sys, tol=1e-9):
         [None, None, None, sp.csr_matrix((nv, nv))],
     ]).tocsr()
     g = grad.matrix
-    div = -(sp.diags(1.0 / grad.scalar_space.weight)
-            @ (g.conj().T @ sp.diags(grad.vector_space.weight)))
+    div = -_star(grad, g)
     expected_a = sp.bmat([
         [None, div, -(div @ gam), sp.csr_matrix((ns, nv))],
         [g, None, None, None],
@@ -217,9 +218,7 @@ def congruence_diagonalize(sys, tol=1e-9):
 
     sas = (s_mat @ sys.a_matrix @ s_star).tocsr()
     # weighted adjoint of S A S* must be its negative
-    wd = sp.diags(sys.space.weight)
-    wd_inv = sp.diags(1.0 / sys.space.weight)
-    sas_adj = (wd_inv @ (sas.conj().T @ wd)).tocsr()
+    sas_adj = adjoint(LinearOp(sys.space, sys.space, matrix=sas)).matrix
     checks = {
         "m0_diagonalized": resid(s_mat @ sys.m0 @ s_star, expected_m0),
         "m1_invariant": resid(s_mat @ sys.m1 @ s_mat, sys.m1),
@@ -281,18 +280,13 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
         sys_lim = assemble_thermo(dom, rho_m, c_lim, gamma, w_m, k_lim, lam,
                                   bounds=None)
         probes = _thermo_probes(sys_n, seed=probe_seed)
-        lu_n = sys_n.resolvent_solver()
-        lu_lim = sys_lim.resolvent_solver()
-        gap_res = 0.0
-        for psi in probes:
-            d = lu_n.solve(np.asarray(psi)) - lu_lim.solve(np.asarray(psi))
-            for phi in probes:
-                gap_res = max(gap_res, abs(sys_n.space.inner(phi, d)))
+        space = sys_n.space
+        gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
+                          LinearOp(space, space, apply=sys_lim.resolvent_solver().solve),
+                          probes, probes)
 
         grad = sys_n.grad
-        dec = Decomposition.from_generator(grad.vector_space, grad.matrix)
-        from .homogenize import complement_probes, g0_probes
-
+        dec = g0_decomposition(grad)
         p0 = g0_probes(grad, dec, seed=probe_seed)
         p1 = complement_probes(grad, dec, seed=probe_seed)
         op_n = c_n.operator(grad)
@@ -303,13 +297,16 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
 
         sspace = grad.scalar_space
         smodes = [v[: sys_n.dims[0]] for v in probes if np.abs(v[: sys_n.dims[0]]).max() > 0]
-        smodes = [sspace.normalize(v) for v in smodes[:4]]
-        w_n = np.asarray(osc(w_profile)(grad.node_coords))
-        rho_n = np.asarray(osc(rho_profile)(grad.node_coords))
-        gap_w = max(abs(sspace.inner(phi, (w_n - w_m) * psi))
-                    for phi in smodes for psi in smodes)
-        gap_rho = max(abs(sspace.inner(phi, (rho_n - rho_m) * psi))
-                      for phi in smodes for psi in smodes)
+        smodes = ProbeSet(sspace, [sspace.normalize(v) for v in smodes[:4]])
+        zero = LinearOp(sspace, sspace, matrix=sp.csr_matrix((sspace.dim, sspace.dim)))
+
+        def multiplier_gap(profile, mean):
+            dev = np.asarray(osc(profile)(grad.node_coords)) - mean
+            return wot_gap(LinearOp(sspace, sspace, apply=lambda x: dev * x), zero,
+                           smodes, smodes)
+
+        gap_w = multiplier_gap(w_profile, w_m)
+        gap_rho = multiplier_gap(rho_profile, rho_m)
         rows.append({
             "n": n,
             "cells": m,

@@ -1,11 +1,15 @@
 """CLI behavior: config validation, fixture runs, determinism, exit codes."""
 
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab.cli import CATALOGUE, RunConfig, main
 from homlab.errors import ConfigError
@@ -19,6 +23,18 @@ def fixture(name):
 
 def run_cli(args):
     return CliRunner().invoke(main, args)
+
+
+def run_tiny_hconv(out, coefficients, strict=False):
+    """A 1-d hconv run at n = 1, 2 with 8 cells per period and the given
+    [coefficients] keys."""
+    body = "".join(f"{key} = {value}\n" for key, value in coefficients.items())
+    cfg = os.path.join(out, "tiny.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("[experiment]\nkind = hconv\n[coefficients]\n" + body
+                 + "[run]\nn_list = 1, 2\ncells_per_period = 8\n"
+                 "candidate = harmonic\ntolerance = 0.5\n")
+    return run_cli(["hconv", "--config", cfg, "--out", out] + ["--strict"] * strict)
 
 
 class TestRunConfig:
@@ -95,6 +111,35 @@ class TestFixtures:
         assert res.exit_code == 2
         assert "[run] n_list" in json.loads(res.output.strip().splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("profile, key, value, reason", [
+        ("two_phase", "low", "0", "must be positive"),
+        ("two_phase", "low", "-1", "must be positive"),
+        ("two_phase", "low", "inf", "not a finite number"),
+        ("two_phase", "low", "nan", "not a finite number"),
+        ("sin_shift", "shift", "inf", "not a finite number"),
+        ("sin_shift", "shift", "nan", "not a finite number"),
+        ("two_phase", "low", "5%", "'%'"),
+    ])
+    def test_bad_coefficient_value_exit_2(self, tmp_path, profile, key, value, reason):
+        res = run_tiny_hconv(str(tmp_path), {"profile": profile, key: value})
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert f"[coefficients] {key}: " in error and reason in error
+
+    def test_thermo_coefficient_not_positive_exit_2(self, tmp_path):
+        cfg = tmp_path / "thermo.cfg"
+        cfg.write_text("[experiment]\nkind = thermo\n[coefficients]\nc_low = 0\n")
+        res = run_cli(["thermo", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "[coefficients] c_low: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+    def test_strict_warning_exit_1(self, tmp_path):
+        # 1 / 5e-324 overflows, which --strict turns into an error
+        res = run_tiny_hconv(str(tmp_path), {"low": "5e-324"}, strict=True)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "RuntimeWarning" in json.loads(res.output.strip().splitlines()[-1])["error"]
+
     def test_kind_mismatch_exit_2(self, tmp_path):
         res = run_cli(["qdind", "--config", fixture("1d_harmonic.cfg"),
                        "--out", str(tmp_path)])
@@ -165,6 +210,47 @@ class TestFixtures:
         payload = json.loads(res.output.strip().splitlines()[-1])
         assert payload["status"] == "fail"
         assert payload["failures"]
+
+
+# keys each profile reads, and the keys whose values must be positive
+PROFILE_KEYS = {"two_phase": ("low", "high", "cut"), "sin_shift": ("shift", "amplitude"),
+                "constant": ("value",)}
+POSITIVE_KEYS = {"low", "high", "value"}
+COEFFICIENT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0", "-1", "5e-324", "1e-320", "1e308", "inf", "-inf", "nan", "1e999"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+)
+
+
+def _is_valid(profile, values):
+    """Whether a [coefficients] body is a valid config: every value a finite
+    number, low/high/value positive, and a sin_shift profile coercive."""
+    nums = {}
+    for key, text in values.items():
+        try:
+            nums[key] = float(text.strip())
+        except ValueError:
+            return False
+        if not math.isfinite(nums[key]) or (key in POSITIVE_KEYS and nums[key] <= 0):
+            return False
+    if profile == "sin_shift":
+        return nums.get("shift", 2.0) - abs(nums.get("amplitude", 1.0)) > 0
+    return True
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), profile=st.sampled_from(sorted(PROFILE_KEYS)), strict=st.booleans())
+    def test_coefficient_values_exit_0_1_or_2(self, data, profile, strict):
+        keys = data.draw(st.lists(st.sampled_from(PROFILE_KEYS[profile]), unique=True))
+        values = {key: data.draw(COEFFICIENT_TEXT, label=key) for key in keys}
+        with tempfile.TemporaryDirectory() as out:
+            res = run_tiny_hconv(out, {"profile": profile, **values}, strict)
+        assert isinstance(res.exception, (SystemExit, type(None))), res.exception
+        assert res.exit_code in (0, 1, 2), res.output
+        if not _is_valid(profile, values):
+            assert res.exit_code == 2, res.output
 
 
 class TestDeterminism:

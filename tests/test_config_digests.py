@@ -1,0 +1,50 @@
+"""The 1e-10 numeric gate of tools/config_digests.py (``compare_csv``)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "config_digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("config_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = "# homlab-csv kind=hconv\nn,err_solution,status\n1,0.25,ok\n2,0.125,ok\n"
+
+
+def compare(digests, tmp_path, new_text):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    new.write_text(new_text)
+    old.write_text(REFERENCE)
+    return digests.compare_csv(new, old)
+
+
+def test_identical_files_pass_with_zero_deviation(digests, tmp_path):
+    assert compare(digests, tmp_path, REFERENCE) == (0.0, 0.0, True)
+
+
+def test_relative_change_below_tolerance_passes(digests, tmp_path):
+    _, rel, ok = compare(digests, tmp_path, REFERENCE.replace("0.125", repr(0.125 * (1 + 1e-11))))
+    assert ok
+    assert rel == pytest.approx(1e-11, rel=1e-3)
+
+
+def test_relative_change_above_tolerance_fails(digests, tmp_path):
+    _, rel, ok = compare(digests, tmp_path, REFERENCE.replace("0.125", repr(0.125 * (1 + 1e-9))))
+    assert not ok
+    assert rel == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_changed_text_cell_fails(digests, tmp_path):
+    assert not compare(digests, tmp_path, REFERENCE.replace("2,0.125,ok", "2,0.125,FAIL"))[2]
+
+
+def test_missing_row_fails(digests, tmp_path):
+    assert not compare(digests, tmp_path, REFERENCE.replace("2,0.125,ok\n", ""))[2]

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import MissingTranspose, ShapeError, SolverDiverged
+from homlab.errors import MissingTranspose, NotInM, ShapeError, SolverDiverged
 from homlab.hilbert import (
     HilbertSpace,
     LinearOp,
@@ -431,3 +431,13 @@ class TestSparseSolver:
         k, rng = random_sparse(20, 6)
         with pytest.raises(SolverDiverged, match="residual"):
             _SparseSolver(k, tol=1e-30).solve(rng.standard_normal(20))
+
+    def test_singular_matrix_raises_not_in_m(self):
+        k = sp.diags([1.0, 0.0, 2.0]).tocsc()
+        with pytest.raises(NotInM, match="singular"):
+            _SparseSolver(k)
+
+    def test_nan_residual_misses_every_tolerance(self):
+        k, _ = random_sparse(10, 7)
+        with pytest.raises(SolverDiverged, match="nan"):
+            _SparseSolver(k, tol=np.inf).solve(np.full(10, np.nan))
