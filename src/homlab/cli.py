@@ -239,27 +239,29 @@ def _domain_cells(cfg, default):
     return cells
 
 
-def _positive(cfg, key, default):
-    """A [coefficients] value that must be a positive number."""
+def _positive(cfg, key, default, zero_ok=False):
+    """A [coefficients] value that must be positive, or at least 0 when
+    zero_ok."""
     value = cfg.get_float("coefficients", key, default)
-    if value <= 0:
-        raise ConfigError(f"[coefficients] {key}: must be positive (got {value})")
+    if value < 0 or (value == 0 and not zero_ok):
+        rule = "at least 0" if zero_ok else "positive"
+        raise ConfigError(f"[coefficients] {key}: must be {rule} (got {value})")
     return value
 
 
-def _profile_from(cfg, prefix=""):
+def _two_phase(cfg, prefix="", high=4.0, cut=0.5, zero_ok=False):
+    """Two-phase profile of the fast variable, [coefficients] {prefix}low
+    below the cut and {prefix}high above it, with its bounds."""
+    lo = _positive(cfg, prefix + "low", 1.0, zero_ok)
+    hi = _positive(cfg, prefix + "high", high, zero_ok)
+    return (lambda y: np.where(np.asarray(y) < cut, lo, hi)), (min(lo, hi), max(lo, hi))
+
+
+def _profile_from(cfg):
     """Periodic scalar profile of the fast variable from config keys."""
     kind = cfg.get("coefficients", "profile", "two_phase")
-    if prefix:
-        low = _positive(cfg, f"{prefix}_low", 1.0)
-        high = _positive(cfg, f"{prefix}_high", 4.0)
-        return (lambda y: np.where(np.asarray(y) < 0.5, low, high)), (min(low, high), max(low, high))
     if kind == "two_phase":
-        low = _positive(cfg, "low", 1.0)
-        high = _positive(cfg, "high", 4.0)
-        cut = cfg.get_float("coefficients", "cut", 0.5)
-        prof = lambda y: np.where(np.asarray(y) < cut, low, high)
-        return prof, (min(low, high), max(low, high))
+        return _two_phase(cfg, cut=cfg.get_float("coefficients", "cut", 0.5))
     if kind == "sin_shift":
         shift = cfg.get_float("coefficients", "shift", 2.0)
         amp = cfg.get_float("coefficients", "amplitude", 1.0)
@@ -609,18 +611,15 @@ def _run_recover(cfg, out, seed, digest):
 
 
 def _run_thermo(cfg, out, seed, digest):
-    def two(prefix):
-        lo = _positive(cfg, f"{prefix}_low", 1.0)
-        hi = _positive(cfg, f"{prefix}_high", 4.0)
-        return lambda y: np.where(np.asarray(y) < 0.5, lo, hi)
-
     gamma = cfg.get_float("coefficients", "gamma", 0.5)
     lam = cfg.get_float("coefficients", "lambda", 1.0)
     n_list = cfg.get_int_list("run", "n_list", [2, 4, 8, 16])
     ppd = cfg.get_int("run", "cells_per_period", 32)
     tol = cfg.get_float("run", "tolerance", 5e-2)
+    c, kappa, w, rho = (_two_phase(cfg, f"{name}_")[0]
+                        for name in ("c", "kappa", "w", "rho"))
     rep = thermo_mod.thermo_homogenization_experiment(
-        two("c"), two("kappa"), two("w"), two("rho"), gamma=gamma, lam=lam,
+        c, kappa, w, rho, gamma=gamma, lam=lam,
         n_list=n_list, bounds=(0.4, 5.0), mesh_rule=MeshRule(ppd),
         probe_seed=seed)
     paths = [_emit(out, "thermo", rep, digest)]
@@ -630,17 +629,14 @@ def _run_thermo(cfg, out, seed, digest):
 
 
 def _run_maxwell(cfg, out, seed, digest):
-    def two(prefix, default_hi):
-        lo = cfg.get_float("coefficients", f"{prefix}_low", 1.0)
-        hi = cfg.get_float("coefficients", f"{prefix}_high", default_hi)
-        return lambda y: np.where(np.asarray(y) < 0.5, lo, hi)
-
     lam = cfg.get_float("coefficients", "lambda", 1.0)
     n_list = cfg.get_int_list("run", "n_list", [1, 2, 4, 8])
     tol = cfg.get_float("run", "tolerance", 1e-1)
     tc = cfg.get_int("run", "transverse_cells", 8)
+    eps, mu = _two_phase(cfg, "eps_", 4.0)[0], _two_phase(cfg, "mu_", 2.0)[0]
+    sigma = _two_phase(cfg, "sigma_", 1.0, zero_ok=True)[0]
     rep = maxwell_mod.maxwell_homogenization_experiment(
-        two("eps", 4.0), two("mu", 2.0), two("sigma", 1.0), lam=lam,
+        eps, mu, sigma, lam=lam,
         n_list=n_list, bounds=(0.4, 10.0), transverse_cells=tc,
         probe_seed=seed)
     paths = [_emit(out, "maxwell", rep, digest)]

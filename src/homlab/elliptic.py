@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -456,8 +457,6 @@ class _TransformInverse:
     equivalent preconditioner only."""
 
     def __init__(self, grad, k1):
-        import scipy.fft
-
         d = grad.d
         self._shape = tuple(s - 2 for s in grad._node_shape) \
             if grad.flavor == "dirichlet" else grad._node_shape

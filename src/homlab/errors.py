@@ -36,6 +36,11 @@ class SolverDiverged(HomlabError):
     """Linear solver missed its residual contract within the iteration cap."""
 
 
+class QuadratureError(HomlabError):
+    """Adaptive quadrature met a value that is not finite, or missed its
+    tolerance within its interval cap."""
+
+
 class NonMeanFree(HomlabError):
     """Input vector required to be mean-free is not."""
 

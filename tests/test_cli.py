@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homlab
 from homlab.cli import CATALOGUE, RunConfig, main
 from homlab.errors import ConfigError
 
@@ -132,6 +135,29 @@ class TestFixtures:
         res = run_cli(["thermo", "--config", str(cfg), "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
         assert "[coefficients] c_low: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("eps_low", "-1", "must be positive"),
+        ("mu_high", "0", "must be positive"),
+        ("mu_low", "-2", "must be positive"),
+        ("sigma_low", "-0.5", "must be at least 0"),
+    ])
+    def test_maxwell_coefficient_out_of_range_exit_2(self, tmp_path, key, value, reason):
+        cfg = tmp_path / "maxwell.cfg"
+        cfg.write_text("[experiment]\nkind = maxwell\n[coefficients]\n"
+                       f"{key} = {value}\n[run]\nn_list = 1\ntransverse_cells = 2\n")
+        res = run_cli(["maxwell", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert f"[coefficients] {key}: " in error and reason in error
+
+    def test_maxwell_zero_sigma_is_valid(self, tmp_path):
+        cfg = tmp_path / "maxwell.cfg"
+        cfg.write_text("[experiment]\nkind = maxwell\n[coefficients]\n"
+                       "sigma_low = 0\n[run]\nn_list = 1\ntransverse_cells = 2\n")
+        res = run_cli(["maxwell", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code != 2, res.output
+        assert (tmp_path / "maxwell.csv").exists()
 
     def test_strict_warning_exit_1(self, tmp_path):
         # 1 / 5e-324 overflows, which --strict turns into an error
@@ -291,3 +317,17 @@ class TestCatalogue:
     def test_describe_unknown_is_usage_error(self):
         res = run_cli(["describe", "nope"])
         assert res.exit_code == 2
+
+
+class TestImportPath:
+    def test_cli_import_leaves_out_heavy_scipy_modules(self):
+        # every homlab process pays for what `import homlab.cli` loads
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.interpolate")
+        code = f"import sys, homlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        src = os.path.dirname(os.path.dirname(homlab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

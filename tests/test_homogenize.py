@@ -1,12 +1,14 @@
 """Tests for oscillation families, effective limits, and the convergence
 experiments."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from homlab.elliptic import CoefficientField, GridDomain, RHSFunctional, build_grad
-from homlab.errors import CoercivityError, MeshRuleViolation, ShapeError
+from homlab.errors import CoercivityError, HomlabError, MeshRuleViolation, ShapeError
 from homlab.homogenize import (
     CoefficientSequence,
     MeshRule,
@@ -69,6 +71,78 @@ class TestLaminateLimit:
             assert a_h <= a_m + 1e-12
         a_h, a_m = laminate_limit(lambda y: 2.0 + 0 * np.asarray(y))
         assert abs(a_h - a_m) < 1e-12
+
+
+def quad_means(profile, cut=None):
+    """Oracle harmonic and arithmetic means by scipy's quad, split at a jump
+    and run on the real and imaginary parts apart."""
+    prof = np.vectorize(profile)
+
+    def mean(fn):
+        parts = [scipy.integrate.quad(lambda y: part(fn(y)), 0.0, 1.0, epsabs=1e-15,
+                                      epsrel=1e-13, limit=200,
+                                      points=None if cut is None else [cut])[0]
+                 for part in (np.real, np.imag)]
+        return complex(*parts)
+
+    return 1.0 / mean(lambda y: 1.0 / prof(y)), mean(prof)
+
+
+def two_phase_at(cut):
+    return lambda y: np.where(np.asarray(y) < cut, 1.0, 4.0)
+
+
+def shifted_sin(a, k):
+    return lambda y: 2.0 + a * np.sin(2 * np.pi * k * np.asarray(y))
+
+
+class TestLaminateQuadratureOracle:
+    """laminate_limit against quad: 1e-10 relative, and 1e-14 where the
+    Gauss rule is exact (a jump on a dyadic split point) or converges fast
+    (smooth profiles)."""
+
+    @pytest.mark.parametrize("profile, cut, rtol", [
+        (two_phase_at(0.5), 0.5, 1e-14),
+        (two_phase_at(0.3), 0.3, 1e-10),
+        (two_phase_at(1 / 3), 1 / 3, 1e-10),
+        *((shifted_sin(a, k), None, 1e-14) for k in (1, 2, 3) for a in (1.9, 1.99)),
+        (lambda y: 2.0 + 0.5 * np.cos(2 * np.pi * np.asarray(y))
+         + 1j * np.sin(2 * np.pi * np.asarray(y)), None, 1e-10),
+        (lambda y: 1.0 + np.sqrt(y), None, 1e-10),
+        (lambda y: 2.0 + math.sin(2 * math.pi * y), None, 1e-14),
+    ])
+    def test_matches_quad(self, profile, cut, rtol):
+        got = laminate_limit(profile)
+        for value, ref in zip(got, quad_means(profile, cut)):
+            assert abs(value - ref) <= rtol * abs(ref), (value, ref)
+
+    def test_return_types(self):
+        assert all(type(v) is float for v in laminate_limit(shifted_sin(1.0, 1)))
+        complex_profile = lambda y: 2.0 + 1j * (1.0 + np.sin(2 * np.pi * np.asarray(y)))
+        assert all(type(v) is complex for v in laminate_limit(complex_profile))
+
+    def test_profile_on_half_open_period(self):
+        # laminates evaluate profiles at (n x) mod 1, so y = 1 is never needed
+        a_h, a_m = laminate_limit(lambda y: (1.0, 2.0, 3.0, 4.0)[int(4 * y)])
+        assert abs(a_h - 48 / 25) <= 1e-14 * 48 / 25 and abs(a_m - 2.5) <= 1e-14 * 2.5
+
+    def test_jump_anywhere_meets_tolerance(self):
+        # a jump next to a split point hides from Gauss rules alone; quad
+        # missed about a fifth of random cuts by more than 1e-10 relative
+        for cut in np.random.default_rng(3).uniform(0.0, 1.0, 40):
+            a_h, a_m = laminate_limit(two_phase_at(cut))
+            inv, mean = cut + (1 - cut) / 4, cut + 4 * (1 - cut)
+            assert abs(1 / a_h - inv) <= 1e-10 * max(1.0, inv), cut
+            assert abs(a_m - mean) <= 1e-10 * max(1.0, mean), cut
+
+    @pytest.mark.parametrize("profile", [
+        lambda y: np.nan * np.asarray(y),
+        lambda y: 1.0 / np.asarray(y),
+        lambda y: 2.0 + np.sin(2e5 * np.pi * np.asarray(y)),
+    ], ids=["nan", "not-integrable", "unresolved"])
+    def test_failure_raises(self, profile):
+        with pytest.raises(HomlabError):
+            laminate_limit(profile)
 
 
 class TestCellProblem:
