@@ -249,11 +249,30 @@ def _positive(cfg, key, default, zero_ok=False):
     return value
 
 
-def _two_phase(cfg, prefix="", high=4.0, cut=0.5, zero_ok=False):
+def _phases(cfg, prefix, high, zero_ok=False):
+    """[coefficients] {prefix}low and {prefix}high of a two-phase profile."""
+    return (_positive(cfg, prefix + "low", 1.0, zero_ok),
+            _positive(cfg, prefix + "high", high, zero_ok))
+
+
+def _admit(keys, value, bounds, what=None):
+    """Reject a [coefficients] value, or the combination ``what`` of the
+    values of ``keys``, outside the closed coefficient class ``bounds`` that
+    the experiment checks."""
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ConfigError(f"[coefficients] {keys}: {what or keys} = {value:g} lies "
+                          f"outside the admitted range [{lo}, {hi}]")
+
+
+def _two_phase(cfg, prefix="", high=4.0, cut=0.5, zero_ok=False, admitted=None):
     """Two-phase profile of the fast variable, [coefficients] {prefix}low
-    below the cut and {prefix}high above it, with its bounds."""
-    lo = _positive(cfg, prefix + "low", 1.0, zero_ok)
-    hi = _positive(cfg, prefix + "high", high, zero_ok)
+    below the cut and {prefix}high above it, with its bounds. Both values
+    must lie in ``admitted`` when it is given."""
+    lo, hi = _phases(cfg, prefix, high, zero_ok)
+    if admitted is not None:
+        _admit(prefix + "low", lo, admitted)
+        _admit(prefix + "high", hi, admitted)
     return (lambda y: np.where(np.asarray(y) < cut, lo, hi)), (min(lo, hi), max(lo, hi))
 
 
@@ -610,17 +629,23 @@ def _run_recover(cfg, out, seed, digest):
     return [_emit(out, "recover", rep, digest)], failures
 
 
+# the coefficient classes of the thermo and Maxwell experiments: every
+# coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
+_THERMO_BOUNDS = (0.4, 5.0)
+_MAXWELL_BOUNDS = (0.4, 10.0)
+
+
 def _run_thermo(cfg, out, seed, digest):
     gamma = cfg.get_float("coefficients", "gamma", 0.5)
     lam = cfg.get_float("coefficients", "lambda", 1.0)
     n_list = cfg.get_int_list("run", "n_list", [2, 4, 8, 16])
     ppd = cfg.get_int("run", "cells_per_period", 32)
     tol = cfg.get_float("run", "tolerance", 5e-2)
-    c, kappa, w, rho = (_two_phase(cfg, f"{name}_")[0]
+    c, kappa, w, rho = (_two_phase(cfg, f"{name}_", admitted=_THERMO_BOUNDS)[0]
                         for name in ("c", "kappa", "w", "rho"))
     rep = thermo_mod.thermo_homogenization_experiment(
         c, kappa, w, rho, gamma=gamma, lam=lam,
-        n_list=n_list, bounds=(0.4, 5.0), mesh_rule=MeshRule(ppd),
+        n_list=n_list, bounds=_THERMO_BOUNDS, mesh_rule=MeshRule(ppd),
         probe_seed=seed)
     paths = [_emit(out, "thermo", rep, digest)]
     ok = rep.final("gap_resolvent") <= tol and rep.decreasing("gap_resolvent")
@@ -633,11 +658,16 @@ def _run_maxwell(cfg, out, seed, digest):
     n_list = cfg.get_int_list("run", "n_list", [1, 2, 4, 8])
     tol = cfg.get_float("run", "tolerance", 1e-1)
     tc = cfg.get_int("run", "transverse_cells", 8)
-    eps, mu = _two_phase(cfg, "eps_", 4.0)[0], _two_phase(cfg, "mu_", 2.0)[0]
+    eps = _two_phase(cfg, "eps_", 4.0)[0]
+    mu = _two_phase(cfg, "mu_", 2.0, admitted=_MAXWELL_BOUNDS)[0]
     sigma = _two_phase(cfg, "sigma_", 1.0, zero_ok=True)[0]
+    for phase, e, s in zip(("low", "high"), _phases(cfg, "eps_", 4.0),
+                           _phases(cfg, "sigma_", 1.0, zero_ok=True)):
+        _admit(f"lambda, eps_{phase}, sigma_{phase}", lam * e + s, _MAXWELL_BOUNDS,
+               f"lambda * eps_{phase} + sigma_{phase}")
     rep = maxwell_mod.maxwell_homogenization_experiment(
         eps, mu, sigma, lam=lam,
-        n_list=n_list, bounds=(0.4, 10.0), transverse_cells=tc,
+        n_list=n_list, bounds=_MAXWELL_BOUNDS, transverse_cells=tc,
         probe_seed=seed)
     paths = [_emit(out, "maxwell", rep, digest)]
     ok = rep.final("gap_resolvent") <= tol and rep.decreasing("gap_resolvent")

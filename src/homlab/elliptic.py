@@ -197,7 +197,6 @@ class DiscreteGradient:
         reduced[full_ids[keep].ravel()] = np.arange(keep.sum())
         reduced = reduced.reshape(node_shape)
         self._node_shape = node_shape
-        self._keep = keep
         self._reduced = reduced
         n_nodes = int(keep.sum())
 
@@ -290,9 +289,6 @@ class DiscreteGradient:
     def d(self):
         return self.domain.dim
 
-    def sample_nodes(self, fn):
-        return np.asarray(fn(self.node_coords))
-
     def sample_vector(self, fn):
         """Flatten a callable (points -> (N, d)) sampled at element midpoints."""
         vals = np.asarray(fn(self.elem_mid))
@@ -302,12 +298,6 @@ class DiscreteGradient:
 
     def field_as_elements(self, v):
         return np.asarray(v).reshape(self.n_elem, self.d)
-
-    def with_boundary(self, u):
-        """Nodal values on the full node grid, zero on eliminated nodes."""
-        full = np.zeros(self._keep.size, dtype=np.asarray(u).dtype)
-        full[self._keep.ravel()] = u
-        return full.reshape(self._node_shape)
 
     def mean_center(self, u):
         w = self.scalar_space.weight

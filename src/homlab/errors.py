@@ -46,8 +46,9 @@ class NonMeanFree(HomlabError):
 
 
 class VanishingHarmonicMean(HomlabError):
-    """The mean of the inverse coefficient vanishes; the closed projected
-    inverse formula is undefined (only possible for complex coefficients)."""
+    """The mean of the inverse coefficient vanishes, so its harmonic mean and
+    the closed projected inverse formula are undefined (possible for complex
+    coefficients and for real ones that change sign)."""
 
 
 class SingularResolvent(HomlabError):

@@ -46,6 +46,9 @@ __all__ = [
 # dense fallbacks engage below these sizes; above, sparse/iterative paths
 _DENSE_EIG_CUTOFF = 1200
 _DENSE_SVD_CUTOFF = 5000
+# a connected block of Re T whose banded eigensolve would cost more than
+# size^2 x bandwidth = this (about 0.25 s) goes to ARPACK instead
+_BANDED_WORK_CUTOFF = 1e8
 
 
 def _is_sparse(m):
@@ -512,21 +515,23 @@ def _sym_lambda_min(space, mat):
     """Smallest eigenvalue of Re(T) in the weighted inner product.
 
     Works in the orthonormal frame z = W^{1/2} x, where the pencil becomes the
-    Hermitian part of Ahat = W^{1/2} T W^{-1/2}.
+    Hermitian part h = (Ahat + Ahat^H)/2 of Ahat = W^{1/2} T W^{-1/2}.
+
+    A sparse T on a space with a diagonal weight never goes dense: h is formed
+    as a sparse matrix and split into its connected components, whose
+    smallest eigenvalues are taken one by one. A single unknown is its own
+    eigenvalue, read off the diagonal. A larger component is reordered by
+    reverse Cuthill-McKee and handed to LAPACK's banded Hermitian solver
+    (``eig_banded``), which costs about size^2 x bandwidth; only a component
+    above ``_BANDED_WORK_CUTOFF`` by that measure (a large 2-d or 3-d grid)
+    falls back to ARPACK (``eigsh``) on its explicit submatrix. Dense T, and
+    sparse T with a matrix weight up to ``_DENSE_EIG_CUTOFF`` unknowns, take
+    a dense ``eigvalsh`` of h.
     """
-    n = space.dim
-    if _is_sparse(mat) and n > _DENSE_EIG_CUTOFF:
-        if not space._diagonal:
-            raise ShapeError("large sparse coercivity check needs a diagonal weight")
-        d = np.sqrt(space.weight)
-
-        mat_h = mat.conj().T
-        def mv(x):
-            return 0.5 * (d * (mat @ (x / d)) + (mat_h @ (d * x)) / d)
-
-        op = spla.LinearOperator((n, n), matvec=mv, dtype=mat.dtype)
-        vals = spla.eigsh(op, k=1, which="SA", return_eigenvectors=False, maxiter=50 * n)
-        return float(vals[0].real)
+    if _is_sparse(mat) and space._diagonal:
+        return _sparse_lambda_min(space, mat)
+    if _is_sparse(mat) and space.dim > _DENSE_EIG_CUTOFF:
+        raise ShapeError("large sparse coercivity check needs a diagonal weight")
     m = mat.toarray() if _is_sparse(mat) else np.asarray(mat)
     if space._diagonal:
         d = np.sqrt(space.weight)
@@ -538,13 +543,65 @@ def _sym_lambda_min(space, mat):
     return float(scipy.linalg.eigvalsh(h)[0])
 
 
+def _sparse_lambda_min(space, mat):
+    """The sparse, diagonal-weight branch of :func:`_sym_lambda_min`."""
+    from scipy.sparse import csgraph
+
+    d = np.sqrt(space.weight)
+    ahat = sp.diags(d) @ sp.csr_matrix(mat) @ sp.diags(1.0 / d)
+    h = (0.5 * (ahat + ahat.conj().T)).tocsr()
+    h.eliminate_zeros()
+    # only the pattern counts; abs() spares csgraph a complex-to-real cast
+    n_comp, labels = csgraph.connected_components(abs(h), directed=False)
+    sizes = np.bincount(labels, minlength=n_comp)
+    lam_min = h.diagonal().real[sizes[labels] == 1].min(initial=np.inf)
+    # renumber so that each component is one contiguous diagonal block
+    order = np.argsort(labels, kind="stable")
+    h = h[order][:, order]
+    starts = np.cumsum(sizes) - sizes
+    for k in np.flatnonzero(sizes > 1):
+        block = h[starts[k]:starts[k] + sizes[k], starts[k]:starts[k] + sizes[k]]
+        lam_min = min(lam_min, _component_lambda_min(block))
+    return float(lam_min)
+
+
+def _component_lambda_min(h):
+    """Smallest eigenvalue of one connected Hermitian sparse block."""
+    from scipy.sparse import csgraph
+
+    n = h.shape[0]
+    perm = csgraph.reverse_cuthill_mckee(h, symmetric_mode=True)
+    lower = sp.tril(h[perm][:, perm]).tocoo()
+    offsets = lower.row - lower.col
+    bandwidth = int(offsets.max())
+    if n * n * bandwidth > _BANDED_WORK_CUTOFF:
+        vals = spla.eigsh(h, k=1, which="SA", return_eigenvectors=False, maxiter=50 * n)
+        return float(vals[0].real)
+    band = np.zeros((bandwidth + 1, n), dtype=h.dtype)
+    band[offsets, lower.col] = lower.data
+    vals = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
+                                   select="i", select_range=(0, 0))
+    return float(vals[0])
+
+
 def coercivity_check(op, alpha, beta, tol=0.0):
     """Membership test for the operator class with Re T >= alpha and
     Re T^{-1} >= 1/beta.
 
     Computes the smallest eigenvalue of Re T = (T + T*)/2 and of Re(T^{-1})
-    in the weighted inner product and reports pass/fail per bound. A singular
-    T is reported with the inverse check failed and the singularity flagged.
+    in the weighted inner product and reports pass/fail per bound.
+
+    - Re T goes through :func:`_sym_lambda_min`. For a sparse T on a
+      diagonal weight that is the minimum over the connected components of
+      Re T, each by a banded eigensolve; ARPACK runs only on a component
+      above ``_BANDED_WORK_CUTOFF``. A dense T takes a dense ``eigvalsh``.
+    - Re(T^{-1}) up to ``_DENSE_EIG_CUTOFF`` unknowns: T is inverted densely
+      and the inverse goes through :func:`_sym_lambda_min`. Above it, a
+      sparse T is factorised once and ARPACK runs on the Hermitian part of
+      the inverse, two triangular solves per step.
+
+    A singular T is reported with the inverse check failed and the
+    singularity flagged.
     """
     if not op.square or not op.source.compatible(op.target):
         raise ShapeError("coercivity check needs a square operator on one space")

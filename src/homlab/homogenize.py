@@ -30,7 +30,13 @@ from .elliptic import (
     unknown_budget,
     vector_probes,
 )
-from .errors import CoercivityError, MeshRuleViolation, QuadratureError, ShapeError
+from .errors import (
+    CoercivityError,
+    MeshRuleViolation,
+    QuadratureError,
+    ShapeError,
+    VanishingHarmonicMean,
+)
 from .hilbert import LinearOp, ProbeSet, coercivity_check, wot_gap
 from .schur import Decomposition, schur_maps, tau_gap
 
@@ -208,13 +214,22 @@ def _unit_integral(fn, tol):
                           f"within {_MAX_INTERVALS} intervals")
 
 
+def _harmonic_mean(inv_mean, tol):
+    """1 / mean(1/a) from the quadrature value of mean(1/a), which must not
+    vanish within the quadrature tolerance."""
+    if abs(inv_mean) <= tol:
+        raise VanishingHarmonicMean(f"mean of 1/a is {inv_mean:.3e}, zero within "
+                                    f"the quadrature tolerance {tol:g}")
+    return 1.0 / inv_mean
+
+
 def laminate_limit(profile, tol=1e-10):
     """Harmonic and arithmetic means of a periodic scalar profile by adaptive
     quadrature: (1 / mean(1/a), mean(a))."""
     prof = np.vectorize(profile)
     inv_mean = _unit_integral(lambda x: 1.0 / prof(x), tol)
     mean = _unit_integral(prof, tol)
-    return 1.0 / inv_mean, mean
+    return _harmonic_mean(inv_mean, tol), mean
 
 
 def modulated_laminate_limit(profile, tol=1e-10):
@@ -227,7 +242,7 @@ def modulated_laminate_limit(profile, tol=1e-10):
     def a_h(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.array([
-            1.0 / _unit_integral(lambda y, xx=xx: 1.0 / prof(xx, y), tol)
+            _harmonic_mean(_unit_integral(lambda y, xx=xx: 1.0 / prof(xx, y), tol), tol)
             for xx in x
         ])
 

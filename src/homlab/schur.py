@@ -89,10 +89,6 @@ class Decomposition:
         return Decomposition(self.space, self.h1, self.h0)
 
 
-def _coord_space(sub, field):
-    return HilbertSpace(max(sub.dim, 1), field=field) if sub.dim else None
-
-
 def _dense_cond(m):
     try:
         return np.linalg.cond(m)

@@ -151,6 +151,25 @@ class TestFixtures:
         error = json.loads(res.output.strip().splitlines()[-1])["error"]
         assert f"[coefficients] {key}: " in error and reason in error
 
+    @pytest.mark.parametrize("kind, body, keys, admitted", [
+        ("thermo", "c_low = 0.1\n", "c_low", "[0.4, 5.0]"),
+        ("thermo", "rho_high = 5.5\n", "rho_high", "[0.4, 5.0]"),
+        ("maxwell", "eps_low = 0.1\nsigma_low = 0\n", "lambda, eps_low, sigma_low",
+         "[0.4, 10.0]"),
+        ("maxwell", "mu_high = 12\n", "mu_high", "[0.4, 10.0]"),
+    ], ids=["thermo-c_low", "thermo-rho_high", "maxwell-eps_sigma", "maxwell-mu_high"])
+    def test_coefficient_outside_experiment_bounds_exit_2(self, tmp_path, kind, body,
+                                                         keys, admitted):
+        # the experiments check their coefficients against fixed bounds; a
+        # value outside them is a config error, not a failed run (exit 1)
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(f"[experiment]\nkind = {kind}\n[coefficients]\n{body}"
+                       "[run]\nn_list = 1\ntransverse_cells = 2\n")
+        res = run_cli([kind, "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert error.startswith(f"[coefficients] {keys}: ") and admitted in error
+
     def test_maxwell_zero_sigma_is_valid(self, tmp_path):
         cfg = tmp_path / "maxwell.cfg"
         cfg.write_text("[experiment]\nkind = maxwell\n[coefficients]\n"
@@ -322,7 +341,8 @@ class TestCatalogue:
 class TestImportPath:
     def test_cli_import_leaves_out_heavy_scipy_modules(self):
         # every homlab process pays for what `import homlab.cli` loads
-        heavy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.interpolate")
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.interpolate",
+                 "scipy.sparse.csgraph")
         code = f"import sys, homlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
         src = os.path.dirname(os.path.dirname(homlab.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,4 +1,5 @@
-"""The 1e-10 numeric gate of tools/config_digests.py (``compare_csv``)."""
+"""tools/config_digests.py: the 1e-10 numeric gate (``compare_csv``) and the
+resolution of its config arguments."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,19 @@ def test_changed_text_cell_fails(digests, tmp_path):
 
 def test_missing_row_fails(digests, tmp_path):
     assert not compare(digests, tmp_path, REFERENCE.replace("2,0.125,ok\n", ""))[2]
+
+
+def test_bare_stem_names_a_shipped_config(digests, capsys):
+    assert digests.resolve_config(Path("thermo_laminate")) \
+        == TOOL.parents[1] / "configs" / "thermo_laminate.cfg"
+    assert digests.main(["solve1d"]) == 0
+    assert capsys.readouterr().out.endswith("  solve1d/solution.csv\n")
+
+
+@pytest.mark.parametrize("arg", ["no_such_config", "configs/no_such_config.cfg"])
+def test_missing_config_is_a_usage_error(digests, capsys, arg):
+    # used to die with a configparser.NoSectionError traceback
+    with pytest.raises(SystemExit) as exc:
+        digests.main([arg])
+    assert exc.value.code == 2
+    assert "no_such_config.cfg" in capsys.readouterr().err

@@ -441,3 +441,89 @@ class TestSparseSolver:
         k, _ = random_sparse(10, 7)
         with pytest.raises(SolverDiverged, match="nan"):
             _SparseSolver(k, tol=np.inf).solve(np.full(10, np.nan))
+
+
+def _block_structured(sizes, seed, complex_, zero_unknown):
+    """A non-Hermitian sparse T whose Hermitian part falls apart into blocks
+    of the given sizes (singletons included), scattered by a permutation,
+    with a positive diagonal weight. With zero_unknown, one unknown has an
+    empty row and column."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in sizes:
+        b = rng.standard_normal((k, k)) * (rng.uniform(size=(k, k)) < 0.7)
+        if complex_:
+            b = b + 1j * rng.standard_normal((k, k))
+        blocks.append(b + rng.uniform(-1.0, 3.0) * np.eye(k))
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    t = sp.block_diag(blocks, format="csr")[perm][:, perm].tolil()
+    if zero_unknown:
+        t[int(rng.integers(n)), :] = 0
+        t[:, int(rng.integers(n))] = 0
+    return HilbertSpace(n, weight=rng.uniform(0.2, 5.0, n)), t.tocsr()
+
+
+def _dense_lambda_min(space, t):
+    d = np.sqrt(space.weight)
+    that = d[:, None] * t.toarray() / d[None, :]
+    vals = np.linalg.eigvalsh(0.5 * (that + that.conj().T))
+    return vals[0], np.abs(vals).max()
+
+
+class TestSparseCoercivityBound:
+    """``_sym_lambda_min`` on sparse T: per connected component of Re T,
+    singletons off the diagonal, larger blocks banded or (above the work
+    cutoff) by ARPACK; never through a dense eigvalsh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=9),
+           seed=st.integers(0, 10**6), complex_=st.booleans(),
+           zero_unknown=st.booleans(), force_arpack=st.booleans())
+    def test_matches_dense_eigvalsh(self, sizes, seed, complex_, zero_unknown,
+                                    force_arpack):
+        from homlab import hilbert
+
+        space, t = _block_structured(sizes, seed, complex_, zero_unknown)
+        ref, scale = _dense_lambda_min(space, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigvalsh on a sparse operator")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert.scipy.linalg, "eigvalsh", refuse)
+            if force_arpack:
+                # every block of 4 or more unknowns (ARPACK needs k < n - 1
+                # for complex Hermitian input)
+                mp.setattr(hilbert, "_BANDED_WORK_CUTOFF", 10)
+            got = hilbert._sym_lambda_min(space, t)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), scale), (got, ref)
+
+    def test_components_are_found(self, monkeypatch):
+        # three multi-unknown blocks and two singletons: three banded solves
+        from homlab import hilbert
+
+        calls = []
+        banded = hilbert.scipy.linalg.eig_banded
+        monkeypatch.setattr(hilbert.scipy.linalg, "eig_banded",
+                            lambda *a, **k: calls.append(a[0].shape) or banded(*a, **k))
+        space, t = _block_structured([3, 1, 5, 2, 1], 7, False, False)
+        ref, _ = _dense_lambda_min(space, t)
+        assert hilbert._sym_lambda_min(space, t) == pytest.approx(ref, rel=1e-12)
+        assert sorted(shape[1] for shape in calls) == [2, 3, 5]
+
+    def test_large_component_falls_back_to_arpack(self, monkeypatch):
+        # a 2-d grid block: size^2 x bandwidth is above the cutoff
+        from homlab import hilbert
+
+        m = 60
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+        t = (sp.kronsum(lap, lap) + 0.5 * sp.eye(m * m)).tocsr()
+        called = []
+        eigsh = hilbert.spla.eigsh
+        monkeypatch.setattr(hilbert.spla, "eigsh",
+                            lambda *a, **k: called.append(True) or eigsh(*a, **k))
+        got = hilbert._sym_lambda_min(HilbertSpace(m * m), t)
+        assert called
+        exact = 0.5 + 2 * (4 * np.sin(np.pi / (2 * (m + 1))) ** 2)
+        assert got == pytest.approx(exact, rel=1e-10)

@@ -8,7 +8,13 @@ import pytest
 import scipy.integrate
 
 from homlab.elliptic import CoefficientField, GridDomain, RHSFunctional, build_grad
-from homlab.errors import CoercivityError, HomlabError, MeshRuleViolation, ShapeError
+from homlab.errors import (
+    CoercivityError,
+    HomlabError,
+    MeshRuleViolation,
+    ShapeError,
+    VanishingHarmonicMean,
+)
 from homlab.homogenize import (
     CoefficientSequence,
     MeshRule,
@@ -18,6 +24,7 @@ from homlab.homogenize import (
     homogenized_tensor,
     laminate_limit,
     log_gap_correlation,
+    modulated_laminate_limit,
     qdind_check,
     schur_equiv_check,
 )
@@ -143,6 +150,15 @@ class TestLaminateQuadratureOracle:
     def test_failure_raises(self, profile):
         with pytest.raises(HomlabError):
             laminate_limit(profile)
+
+    def test_vanishing_harmonic_mean_raises(self):
+        # 1/a integrates to 0 over a -2/2 two-phase period
+        sign_change = lambda y: np.where(np.asarray(y) < 0.5, -2.0, 2.0)
+        with pytest.raises(VanishingHarmonicMean):
+            laminate_limit(sign_change)
+        a_h, _ = modulated_laminate_limit(lambda x, y: sign_change(y))
+        with pytest.raises(VanishingHarmonicMean):
+            a_h(0.3)
 
 
 class TestCellProblem:

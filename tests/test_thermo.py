@@ -152,6 +152,21 @@ class TestHomogenizationExperiment:
         assert v[-1] < v[0]
         assert rep.decreasing("gap_w") and rep.decreasing("gap_rho")
 
+    def test_shipped_size_certifies_without_arpack(self, monkeypatch):
+        # the coercivity bound of lam m0 + m1 comes from the connected
+        # components of its Hermitian part, not from ARPACK
+        import scipy.sparse.linalg as spla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh in the thermo coercivity bound")
+
+        monkeypatch.setattr(spla, "eigsh", refuse)
+        rep = thermo_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.8, 1.2),
+            TWO_PHASE(1.0, 3.0), gamma=0.5, lam=1.0,
+            n_list=[16], bounds=(0.4, 5.0), mesh_rule=MeshRule(32))
+        assert rep.values("gap_resolvent")[0] < 5e-2
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_gamma_sweep_decay_persists(self, gamma):
         rep = thermo_homogenization_experiment(

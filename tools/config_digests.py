@@ -5,9 +5,12 @@ Usage::
 
     python3 tools/config_digests.py [--save DIR | --compare DIR] [CONFIG ...]
 
-Each config (default: all of ``configs/*.cfg``) runs as its own
-``python -m homlab.cli <kind>`` process against this checkout's ``src/``,
-writing into a fresh temporary directory. The output has one line per CSV,
+A CONFIG is a path or the stem of a shipped config (``thermo_laminate`` for
+``configs/thermo_laminate.cfg``); a config that does not exist is a usage
+error (exit 2). Each config (default: all of ``configs/*.cfg``) runs as its
+own ``python -m homlab.cli <kind>`` process against this checkout's
+``src/``, writing into a fresh temporary directory. The output has one line
+per CSV,
 
     <sha256>  <config stem>/<path of the CSV below the output directory>
 
@@ -39,6 +42,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RTOL = 1e-10
 ATOL = 1e-12
+
+
+def resolve_config(arg):
+    """The config a command-line argument names: a path, or a bare stem such
+    as ``thermo_laminate`` for ``configs/thermo_laminate.cfg``."""
+    if arg.exists() or arg.suffix or len(arg.parts) > 1:
+        return arg.resolve()
+    return ROOT / "configs" / f"{arg}.cfg"
 
 
 def run_config(cfg_path, out_dir):
@@ -95,9 +106,14 @@ def main(argv):
     mode.add_argument("--save", type=Path, metavar="DIR", help="copy every CSV to DIR")
     mode.add_argument("--compare", type=Path, metavar="DIR",
                       help="compare every CSV numerically with the ones saved in DIR")
-    parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG")
+    parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG",
+                        help="a config file, or the stem of one in configs/")
     args = parser.parse_args(argv)
-    configs = [c.resolve() for c in args.configs] or sorted((ROOT / "configs").glob("*.cfg"))
+    configs = [resolve_config(c) for c in args.configs] \
+        or sorted((ROOT / "configs").glob("*.cfg"))
+    missing = [str(c) for c in configs if not c.is_file()]
+    if missing:
+        parser.error(f"no such config: {', '.join(missing)}")
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in configs:
