@@ -659,12 +659,13 @@ def _run_maxwell(cfg, out, seed, digest):
     tol = cfg.get_float("run", "tolerance", 1e-1)
     tc = cfg.get_int("run", "transverse_cells", 8)
     eps = _two_phase(cfg, "eps_", 4.0)[0]
-    mu = _two_phase(cfg, "mu_", 2.0, admitted=_MAXWELL_BOUNDS)[0]
+    mu = _two_phase(cfg, "mu_", 2.0)[0]
     sigma = _two_phase(cfg, "sigma_", 1.0, zero_ok=True)[0]
-    for phase, e, s in zip(("low", "high"), _phases(cfg, "eps_", 4.0),
-                           _phases(cfg, "sigma_", 1.0, zero_ok=True)):
+    for phase, e, m, s in zip(("low", "high"), _phases(cfg, "eps_", 4.0), _phases(cfg, "mu_", 2.0),
+                              _phases(cfg, "sigma_", 1.0, zero_ok=True)):
         _admit(f"lambda, eps_{phase}, sigma_{phase}", lam * e + s, _MAXWELL_BOUNDS,
                f"lambda * eps_{phase} + sigma_{phase}")
+        _admit(f"mu_{phase}", lam * m, _MAXWELL_BOUNDS, f"lambda * mu_{phase}")
     rep = maxwell_mod.maxwell_homogenization_experiment(
         eps, mu, sigma, lam=lam,
         n_list=n_list, bounds=_MAXWELL_BOUNDS, transverse_cells=tc,
@@ -694,7 +695,7 @@ def _run_helmholtz(cfg, out, seed, digest):
             failures.append(f"{split.flavor}: dimensions do not sum")
         if split.dims[2] != 0:
             failures.append(f"{split.flavor}: nonzero harmonic dimension on a box")
-        cross = split.gradients.gram(split.gradients.basis, split.curls.basis)
+        cross = split.gradients.ambient.gram(split.gradients.basis, split.curls.basis)
         if cross.size and np.abs(cross).max() > 1e-8:
             failures.append(f"{split.flavor}: gradient/curl blocks not orthogonal")
     rep = _table("helmholtz", ("flavor", "dim_gradients", "dim_curls",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -316,11 +315,13 @@ class CoefficientField:
     Membership in the admissible class is checked cell-wise: the smallest
     eigenvalue of Re a(x) must reach alpha and of Re a(x)^{-1} must reach
     1/beta on every cell. Sampling at cell midpoints preserves these bounds
-    exactly.
+    exactly. The values are not to be changed after construction: the
+    margins are computed once per field.
     """
 
     def __init__(self, domain, values, bounds=None, check=True):
         self.domain = domain
+        self._margins = None
         d = domain.dim
         values = np.asarray(values)
         if values.ndim == 1:
@@ -354,13 +355,23 @@ class CoefficientField:
                    bounds=bounds, check=check)
 
     def coercivity_margins(self):
-        a = self.values
-        re = 0.5 * (a + a.conj().transpose(0, 2, 1))
-        re_min = float(np.linalg.eigvalsh(re)[:, 0].min())
-        inv = np.linalg.inv(a)
-        re_i = 0.5 * (inv + inv.conj().transpose(0, 2, 1))
-        re_inv_min = float(np.linalg.eigvalsh(re_i)[:, 0].min())
-        return re_min, re_inv_min
+        """(min over cells of the smallest eigenvalue of Re a, the same for
+        Re a^{-1}); closed forms for d <= 2, ``eigvalsh`` for d = 3. A
+        singular cell of a d <= 2 field gives -inf for the second."""
+        if self._margins is None:
+            a = self.values
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if a.shape[1] == 1:
+                    inv = 1.0 / a
+                elif a.shape[1] == 2:     # adj(a) / det(a)
+                    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+                    adj = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], -1)
+                    inv = adj.reshape(a.shape) / det[:, None, None]
+                else:
+                    inv = np.linalg.inv(a)
+            re_inv_min = _re_lambda_min(inv) if np.isfinite(inv).all() else -np.inf
+            self._margins = (_re_lambda_min(a), re_inv_min)
+        return self._margins
 
     def is_member(self, alpha, beta, tol=1e-12):
         re_min, re_inv_min = self.coercivity_margins()
@@ -393,6 +404,20 @@ class CoefficientField:
     def apply(self, grad, v):
         blocks = self.values[grad.elem_cell]
         return np.einsum("eij,ej->ei", blocks, grad.field_as_elements(v)).ravel()
+
+
+def _re_lambda_min(m):
+    """Smallest eigenvalue of Re m = (m + m^H)/2 over a stack of cell
+    matrices. For 2 x 2, Re m = [[p, q], [q*, r]] has the eigenvalues
+    (p + r)/2 -+ sqrt(((p - r)/2)^2 + |q|^2)."""
+    if m.shape[1] == 1:
+        return float(m[:, 0, 0].real.min())
+    if m.shape[1] == 2:
+        p, r = m[:, 0, 0].real, m[:, 1, 1].real
+        q = 0.5 * (m[:, 0, 1] + m[:, 1, 0].conj())
+        return float((0.5 * (p + r) - np.hypot(0.5 * (p - r), np.abs(q))).min())
+    re = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    return float(np.linalg.eigvalsh(re)[:, 0].min())
 
 
 class RHSFunctional:
@@ -444,10 +469,14 @@ class _TransformInverse:
     zero mode of ``neumann``/``periodic`` is dropped. The inverse is exact
     except for ``neumann`` in 3-d, where the Kuhn tetrahedra make K_1 differ
     from a tensor product on the boundary edges; there it is a spectrally
-    equivalent preconditioner only."""
+    equivalent preconditioner only. It maps one vector or an (n, k) block,
+    transforming over the grid axes only."""
 
     def __init__(self, grad, k1):
+        import scipy.fft    # only a d >= 2 grid solve needs it
+
         d = grad.d
+        self._axes = tuple(range(d))
         self._shape = tuple(s - 2 for s in grad._node_shape) \
             if grad.flavor == "dirichlet" else grad._node_shape
         fwd, inv, kind = {"periodic": (scipy.fft.fftn, scipy.fft.ifftn, {}),
@@ -455,7 +484,7 @@ class _TransformInverse:
                           "neumann": (scipy.fft.dctn, scipy.fft.idctn, {"type": 1})}[grad.flavor]
         self._fwd = functools.partial(fwd, **kind)
         self._inv = functools.partial(inv, **kind)
-        self._scale = 1.0
+        self._scale = np.array(1.0)
         if grad.flavor == "neumann":
             trapezoids = [np.r_[0.5, np.ones(n - 2), 0.5] for n in self._shape]
             self._scale = 1.0 / functools.reduce(np.multiply.outer, trapezoids)
@@ -467,8 +496,11 @@ class _TransformInverse:
             self._lam[(0,) * d] = np.inf
 
     def __call__(self, r):
-        u = self._inv(self._fwd(self._scale * r.reshape(self._shape)) / self._lam)
-        return (u if np.iscomplexobj(r) else u.real).ravel()
+        extra = (..., None) if r.ndim == 2 else ...
+        grid = r.reshape(self._shape + r.shape[1:])
+        u = self._inv(self._fwd(self._scale[extra] * grid, axes=self._axes)
+                      / self._lam[extra], axes=self._axes)
+        return (u if np.iscomplexobj(r) else u.real).reshape(r.shape)
 
 
 class _GridSolver:
@@ -483,8 +515,11 @@ class _GridSolver:
     (domain, flavor), which is spectrally equivalent to K with condition
     number at most beta/alpha, and start from its image of the load. The
     Krylov stop is ||r|| <= 1e-12 max(1, ||F||), after at most 10 n steps;
-    the returned solution is checked at 1e-10. ``iterations`` holds the
-    Krylov iteration count of the last right-hand side solved."""
+    the returned solution is checked at 1e-10, column by column for a block.
+    A block goes through the preconditioner in one batched transform, and
+    only the columns whose image misses the Krylov stop run a Krylov solve
+    of their own. ``iterations`` holds the largest Krylov iteration count
+    over the columns of the last solve."""
 
     _KRYLOV_TOL = 1e-12
 
@@ -500,14 +535,13 @@ class _GridSolver:
         self._hermitian = bool(abs(k - k.conj().T).max() <= 1e-12 * abs(k).max())
 
     def solve(self, rhs):
-        if rhs.ndim == 2:
-            return np.column_stack([self.solve(rhs[:, j]) for j in range(rhs.shape[1])])
-        if self._grounded and abs(rhs @ np.ones(rhs.size)) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        if self._grounded and np.any(np.abs(np.ones(len(rhs)) @ rhs)
+                                     > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
             raise CompatibilityError("load does not annihilate constants")
         if self._grad.d > 1:
             u = self._krylov(rhs)
         elif self._grounded:
-            u = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
+            u = np.concatenate([np.zeros((1,) + rhs.shape[1:]), self._lu.solve(rhs[1:])])
         else:
             return self._lu.solve(rhs)
         if self._grounded:
@@ -516,6 +550,19 @@ class _GridSolver:
         return u
 
     def _krylov(self, rhs):
+        self.iterations = 0
+        u = self.prec(rhs).astype(np.result_type(self.k.dtype, rhs.dtype), copy=False)
+        if rhs.ndim == 1:
+            return self._krylov_column(rhs, u)
+        # where the preconditioner's image of a column already meets the
+        # Krylov stop, CG and GMRES would return it unchanged
+        res = np.linalg.norm(self.k @ u - rhs, axis=0)
+        stop = self._KRYLOV_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+        for j in np.flatnonzero(res >= stop):
+            u[:, j] = self._krylov_column(rhs[:, j], u[:, j])
+        return u
+
+    def _krylov_column(self, rhs, x0):
         n = self.k.shape[0]
         prec = spla.LinearOperator((n, n), matvec=self.prec,
                                    dtype=np.result_type(self.k.dtype, rhs.dtype))
@@ -525,14 +572,14 @@ class _GridSolver:
             count[0] += 1
 
         # x0 = prec(rhs) is the exact solution when K is the unit stiffness
-        tols = dict(x0=self.prec(rhs), rtol=self._KRYLOV_TOL, atol=self._KRYLOV_TOL, M=prec,
+        tols = dict(x0=x0, rtol=self._KRYLOV_TOL, atol=self._KRYLOV_TOL, M=prec,
                     callback=step)
         if self._hermitian:
             u, info = spla.cg(self.k, rhs, maxiter=10 * n, **tols)
         else:
             u, info = spla.gmres(self.k, rhs, restart=30, maxiter=max(1, n // 3),
                                  callback_type="pr_norm", **tols)
-        self.iterations = count[0]
+        self.iterations = max(self.iterations, count[0])
         if info != 0:
             raise SolverDiverged(f"Krylov solve stopped after {count[0]} iterations (info={info})")
         return u
@@ -600,7 +647,8 @@ def solve_affine(domain, a, z, f, flavor="dirichlet", dual_check=True):
 
 
 def _complement_project(grad, v):
-    """(I - P) v with P the weighted projector onto ran(grad)."""
+    """(I - P) v with P the weighted projector onto ran(grad), for a vector
+    or a block."""
     rhs = grad.matrix.conj().T @ grad.vector_space.apply_weight(v)
     return v - grad.matrix @ stiffness_solver(grad.domain, grad.flavor).solve(rhs)
 
@@ -608,34 +656,25 @@ def _complement_project(grad, v):
 def affine_dual_residual(domain, a, z_vec, p, flavor="dirichlet", count=8, seed=0):
     """max over complement probes q of |<a^{-1} p - z, q>| (normalized)."""
     grad = build_grad(domain, flavor)
-    raw = vector_probes(grad, count=count, seed=seed)
-    err = 0.0
+    space = grad.vector_space
+    q = _complement_project(grad, vector_probes(grad, count=count, seed=seed).matrix)
+    nq = space.column_norms(q)
+    keep = nq >= 1e-12
     mism = a.inverse_field().apply(grad, p) - z_vec
-    scale = max(1.0, grad.vector_space.norm(z_vec))
-    for probe in raw:
-        q = _complement_project(grad, probe)
-        nq = grad.vector_space.norm(q)
-        if nq < 1e-12:
-            continue
-        err = max(err, abs(grad.vector_space.inner(q / nq, mism)) / scale)
-    return err
+    pairs = space.gram(q[:, keep] / nq[keep], mism)
+    return float(np.abs(pairs).max(initial=0.0)) / max(1.0, space.norm(z_vec))
 
 
 def poincare_constant(domain):
     """Smallest singular value of the Dirichlet gradient in the weighted
-    norms; always at least 1/(2R) where R bounds |x_1| on the domain."""
-    grad = build_grad(domain, "dirichlet")
-    k = galerkin_matrix(grad, CoefficientField.constant(domain, 1.0))
-    w = grad.scalar_space.weight
-    n = k.shape[0]
-    if n <= 1500:
-        import scipy.linalg
+    norms; always at least 1/(2R) where R bounds |x_1| on the domain.
 
-        lam = scipy.linalg.eigvalsh(k.toarray(), np.diag(w))[0]
-    else:
-        lam = spla.eigsh(k, k=1, M=sp.diags(w).tocsc(), sigma=0, which="LM",
-                         return_eigenvectors=False)[0]
-    gamma = float(np.sqrt(max(lam, 0.0)))
+    On a box the unit Dirichlet stiffness and the lumped mass are tensor
+    products (the Kuhn split gives the 2d + 1 point stencil), so the
+    smallest eigenvalue of the pencil is sum_a (4/h_a^2) sin^2(pi/(2 m_a))
+    for m_a cells of width h_a on axis a."""
+    gamma = math.sqrt(sum(4.0 / h**2 * math.sin(math.pi / (2 * m)) ** 2
+                          for h, m in zip(domain.spacing, domain.cells)))
     r_bound = max(abs(domain.extents[0][0]), abs(domain.extents[0][1]))
     if gamma < 1.0 / (2.0 * r_bound):
         raise SolverDiverged(
@@ -651,25 +690,26 @@ def projected_inverse_1d(a, phi, extent=(0.0, 1.0)):
 
         psi = a^{-1} phi - a^{-1} <1, a^{-1} phi> / <a^{-1}>,
 
-    which is again mean-free. ``a`` and ``phi`` are cell values on a uniform
-    grid of the interval.
+    which is again mean-free. ``a`` holds cell values on a uniform grid of
+    the interval, ``phi`` the same for one function or, as the columns of
+    an (m, k) block, for k of them.
     """
     a = np.asarray(a)
     phi = np.asarray(phi)
-    if a.shape != phi.shape or a.ndim != 1:
+    if a.ndim != 1 or phi.ndim not in (1, 2) or phi.shape[0] != a.size:
         raise ShapeError("need matching 1-d cell arrays")
-    m = a.size
-    h = (extent[1] - extent[0]) / m
-    mean_phi = h * phi.sum()
-    if abs(mean_phi) > 1e-10 * max(1.0, np.sqrt(h) * np.linalg.norm(phi)):
-        raise NonMeanFree(f"<1, phi> = {mean_phi:.3e}")
+    h = (extent[1] - extent[0]) / a.size
+    pt = phi.T      # one function per row, so that a scales the last axis
+    mean_phi = h * pt.sum(-1)
+    if np.any(np.abs(mean_phi) > 1e-10 * np.maximum(1.0, np.sqrt(h) * np.linalg.norm(pt, axis=-1))):
+        raise NonMeanFree(f"<1, phi> = {np.abs(mean_phi).max():.3e}")
     ainv_mean = h * (1.0 / a).sum()
     if abs(ainv_mean) < 1e-12:
         raise VanishingHarmonicMean("<a^{-1}> vanishes")
-    ainv_phi = phi / a
-    correction = (h * ainv_phi.sum()) / ainv_mean
-    psi = ainv_phi - correction / a
-    return psi - h * psi.sum() / (extent[1] - extent[0])
+    ainv_phi = pt / a
+    correction = (h * ainv_phi.sum(-1)) / ainv_mean
+    psi = ainv_phi - correction[..., None] / a
+    return (psi - (h * psi.sum(-1) / (extent[1] - extent[0]))[..., None]).T
 
 
 def hminus_norm(domain, f):
@@ -823,6 +863,4 @@ def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",), se
                 vecs.append(field.ravel())
         if "gradient" in kinds:
             vecs.append(_eval_mode_grad(grad.domain, k, grad.elem_mid).ravel())
-    if count is not None:
-        vecs = vecs[:count]
-    return ProbeSet.from_vectors(grad.vector_space, vecs, seed=seed)
+    return ProbeSet.from_vectors(grad.vector_space, vecs[:count], seed=seed)

@@ -21,6 +21,7 @@ from .hilbert import (
     LinearOp,
     ProbeSet,
     adjoint,
+    _ortho_matrix,
     coercivity_check,
     kernel_range,
     wot_gap,
@@ -46,18 +47,7 @@ _SKEW_TOL = 1e-10
 
 def operator_norm(op):
     """Weighted operator norm (largest singular value in the W-frames)."""
-    m = op.to_dense()
-    src, tgt = op.source, op.target
-    scaled = np.column_stack([tgt.scale_to_ortho(m[:, j]) for j in range(src.dim)])
-    if src._diagonal:
-        scaled = scaled / np.sqrt(src.weight)[None, :]
-    else:
-        import scipy.linalg
-
-        l = scipy.linalg.cholesky(src.weight, lower=True)
-        scaled = scipy.linalg.solve_triangular(l.conj().T, scaled.conj().T,
-                                               lower=False).conj().T
-    return float(np.linalg.norm(scaled, 2))
+    return float(np.linalg.norm(_ortho_matrix(op), 2))
 
 
 class SkewOp:
@@ -108,13 +98,11 @@ def skew_split(a, tol=_SKEW_TOL):
     b1 = ran.basis
     if ran.dim:
         # A~ = B1^H W A B1
-        a_cols = np.column_stack([mat @ b1[:, j] for j in range(ran.dim)])
-        wb1 = np.column_stack([space.apply_weight(b1[:, j]) for j in range(ran.dim)])
+        a_cols, wb1 = mat @ b1, space.apply_weight(b1)
         a_tilde = wb1.conj().T @ a_cols
         # block form sanity: kernel rows/columns vanish
         if ker.dim:
-            wb0 = np.column_stack([space.apply_weight(ker.basis[:, j]) for j in range(ker.dim)])
-            a_k = np.column_stack([mat @ ker.basis[:, j] for j in range(ker.dim)])
+            wb0, a_k = space.apply_weight(ker.basis), mat @ ker.basis
             if max(np.abs(wb0.conj().T @ a_cols).max(), np.abs(wb1.conj().T @ a_k).max(),
                    np.abs(wb0.conj().T @ a_k).max()) > 1e-9 * scale:
                 raise NotSkew("block form of the splitting is not [[0,0],[0,A~]]")
@@ -171,11 +159,7 @@ def resolvent_bounds(t, a, tol=1e-9):
 
 def _block(space, tmat, bi, bj):
     """The block B_i^H W T B_j of a dense T between two basis matrices."""
-    if bi.shape[1] == 0 or bj.shape[1] == 0:
-        return np.zeros((bi.shape[1], bj.shape[1]))
-    wcols = np.column_stack([space.apply_weight(tmat @ bj[:, k])
-                             for k in range(bj.shape[1])])
-    return bi.conj().T @ wcols
+    return bi.conj().T @ space.apply_weight(tmat @ bj)
 
 
 def block_solve(t, a, f, tol=1e-9):
@@ -194,29 +178,21 @@ def block_solve(t, a, f, tol=1e-9):
     f = space.check_member(np.asarray(f))
     b0, b1 = a.ker.basis, a.ran.basis
     tmat = t.to_dense()
-    f0 = b0.conj().T @ space.apply_weight(f) if a.ker.dim else np.zeros(0)
-    f1 = b1.conj().T @ space.apply_weight(f) if a.ran.dim else np.zeros(0)
+    # an empty kernel or range gives empty blocks, which numpy solves as such
+    f0, f1 = b0.conj().T @ space.apply_weight(f), b1.conj().T @ space.apply_weight(f)
     t00 = _block(space, tmat, b0, b0)
     t01 = _block(space, tmat, b0, b1)
     t10 = _block(space, tmat, b1, b0)
     t11 = _block(space, tmat, b1, b1)
-    t_s = t11 - (t10 @ np.linalg.solve(t00, t01) if a.ker.dim else t11 * 0)
-    reduced = t_s + a.a_tilde
+    reduced = t11 - t10 @ np.linalg.solve(t00, t01) + a.a_tilde
     if a.ran.dim and np.linalg.cond(reduced) > 1e12:
         raise HomlabError(
             "internal inconsistency: T_S + A~ is singular despite the "
             "coercivity and skew-adjointness guards"
         )
-    if a.ran.dim:
-        rhs1 = f1 - (t10 @ np.linalg.solve(t00, f0) if a.ker.dim else 0.0)
-        u1 = np.linalg.solve(reduced, rhs1)
-    else:
-        u1 = np.zeros(0)
-    if a.ker.dim:
-        u0 = np.linalg.solve(t00, f0) - np.linalg.solve(t00, t01 @ u1 if a.ran.dim else 0 * f0)
-    else:
-        u0 = np.zeros(0)
-    u = (b0 @ u0 if a.ker.dim else 0.0) + (b1 @ u1 if a.ran.dim else 0.0)
+    u1 = np.linalg.solve(reduced, f1 - t10 @ np.linalg.solve(t00, f0))
+    u0 = np.linalg.solve(t00, f0) - np.linalg.solve(t00, t01 @ u1)
+    u = b0 @ u0 + b1 @ u1
     residual = (tmat + a.matrix()) @ u - f
     if np.linalg.norm(residual) > tol * max(1.0, np.linalg.norm(f)):
         raise HomlabError(f"block solve residual {np.linalg.norm(residual):.3e}")
@@ -248,10 +224,11 @@ def recover_coefficient(s, a, bounds=None, tol=1e-9):
 
 
 def _split_probes(a, probes):
-    p0 = ProbeSet.from_vectors(a.space, [a.ker.project(v) for v in probes]) \
-        if a.ker.dim else ProbeSet(a.space, [probes.vectors[0]])
-    p1 = ProbeSet.from_vectors(a.space, [a.ran.project(v) for v in probes]) \
-        if a.ran.dim else ProbeSet(a.space, [probes.vectors[0]])
+    first = probes.matrix[:, :1]
+    p0 = ProbeSet.from_vectors(a.space, a.ker.project(probes.matrix)) \
+        if a.ker.dim else ProbeSet(a.space, first)
+    p1 = ProbeSet.from_vectors(a.space, a.ran.project(probes.matrix)) \
+        if a.ran.dim else ProbeSet(a.space, first)
     return p0, p1
 
 
@@ -264,10 +241,8 @@ def _reduced_strong_gap(a, t_n, t_lim, wobble_coords):
     space = a.space
 
     def reduced(tmat):
-        t11 = _block(space, tmat, b1, b1)
-        if not a.ker.dim:
-            return t11
-        t00, t01, t10 = (_block(space, tmat, bi, bj) for bi, bj in ((b0, b0), (b0, b1), (b1, b0)))
+        t00, t01, t10, t11 = (_block(space, tmat, bi, bj)
+                              for bi, bj in ((b0, b0), (b0, b1), (b1, b0), (b1, b1)))
         return t11 - t10 @ np.linalg.solve(t00, t01)
 
     g = np.ones(a.ran.dim) / np.sqrt(a.ran.dim)

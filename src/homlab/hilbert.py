@@ -7,14 +7,21 @@ anti-linear in the first, and all adjoints are taken with respect to the
 weighted inner products: for ``A : S -> T`` the adjoint is
 ``A* = W_S^{-1} A^H W_T``.
 
+Vectors are 1-d arrays; a family of vectors is one (dim, k) array whose
+columns are the members. Every operator applies to a single vector or to such
+a block, and the weight, the projectors and the solvers act on a block in one
+call.
+
 Weak-operator-topology statements are operationalised against finite probe
-families: :func:`wot_gap` measures ``max |<phi_i, (S-T) psi_j>|`` over a fixed
-probe set, :func:`strong_gap` the corresponding maximal image-norm gap. These
-two functions are the package's only operator probe-pairing code: every
-operator gap the experiment modules report is one of them applied to two
-:class:`LinearOp` instances. Probe gaps over a fixed family form a
-pseudo-metric, not the metric of the abstract compactness theorems; that
-metric is never exhibited and is deliberately out of scope.
+families, each held as one (dim, k) matrix: :func:`wot_gap` measures
+``max |<phi_i, (S-T) psi_j>|`` over a fixed probe set as the one weighted
+product ``max |Phi^H W (S Psi - T Psi)|``, and :func:`strong_gap` the
+corresponding maximal image-norm gap. These two functions are the package's
+only operator probe-pairing code: every operator gap the experiment modules
+report is one of them applied to two :class:`LinearOp` instances. Probe gaps
+over a fixed family form a pseudo-metric, not the metric of the abstract
+compactness theorems; that metric is never exhibited and is deliberately out
+of scope.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ _BANDED_WORK_CUTOFF = 1e8
 
 def _is_sparse(m):
     return sp.issparse(m)
+
+
+def _rows(d, v):
+    """The per-row factors ``d`` shaped to scale the rows of ``v``, a vector
+    or a (dim, k) block."""
+    return d if np.ndim(v) < 2 else d[:, None]
 
 
 class HilbertSpace:
@@ -112,40 +125,57 @@ class HilbertSpace:
             raise ShapeError(f"vector shape {v.shape} does not match space dim {self.dim}")
         return v
 
+    def check_block(self, v):
+        """A vector or a (dim, k) block of column vectors of this space."""
+        v = np.asarray(v)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise ShapeError(f"block shape {v.shape} does not match space dim {self.dim}")
+        return v
+
     def apply_weight(self, v):
         if self._diagonal:
-            return self.weight * v
+            return _rows(self.weight, v) * v
         return self.weight @ v
 
     def solve_weight(self, v):
         if self._diagonal:
-            return v / self.weight
+            return v / _rows(self.weight, v)
         return scipy.linalg.cho_solve(self._w_chol, v)
 
     def inner(self, x, y):
         """<x, y> = conj(x)^T W y, anti-linear in x."""
         return np.vdot(self.check_member(x), self.apply_weight(self.check_member(y)))
 
+    def gram(self, a, b):
+        """Matrix of inner products <a_i, b_j> between the columns of two blocks
+        (a vector for a 1-d ``b``), with W applied to the one with fewer columns."""
+        if a.shape[1] <= (b.shape[1] if b.ndim == 2 else 1):
+            return self.apply_weight(a).conj().T @ b
+        return a.conj().T @ self.apply_weight(b)
+
     def norm(self, x):
         return float(np.sqrt(max(self.inner(x, x).real, 0.0)))
 
-    def normalize(self, x):
-        n = self.norm(x)
-        if n == 0.0:
-            raise ShapeError("cannot normalize the zero vector")
-        return x / n
+    def column_norms(self, block):
+        """Weighted norms of the columns of a (dim, k) block; a diagonal
+        weight makes no temporary of the block's size."""
+        if self._diagonal:
+            sq = np.einsum("ij,ij,i->j", block.conj(), block, self.weight).real
+        else:
+            sq = np.einsum("ij,ij->j", block.conj(), self.weight @ block).real
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def scale_to_ortho(self, v):
         """Coordinates of v in the W-orthonormal frame (W^{1/2} v)."""
         if self._diagonal:
-            return np.sqrt(self.weight) * v
+            return _rows(np.sqrt(self.weight), v) * v
         L = scipy.linalg.cholesky(self.weight, lower=True)
         return L.conj().T @ v
 
     def scale_from_ortho(self, v):
         """Inverse of :meth:`scale_to_ortho`."""
         if self._diagonal:
-            return v / np.sqrt(self.weight)
+            return v / _rows(np.sqrt(self.weight), v)
         L = scipy.linalg.cholesky(self.weight, lower=True)
         return scipy.linalg.solve_triangular(L.conj().T, v, lower=False)
 
@@ -172,6 +202,8 @@ class LinearOp:
     Backed either by a dense/sparse matrix or by a pair of applicators
     ``(apply, rmatvec)`` where ``rmatvec(y) = A^H y`` is the plain
     conjugate-transpose action (the weighted adjoint is assembled on top).
+    The operator maps a vector or a (dim, k) block of columns, and so must
+    both applicators: a block goes to them in one call.
     """
 
     def __init__(self, source, target, matrix=None, apply=None, rmatvec=None):
@@ -197,18 +229,14 @@ class LinearOp:
         return cls(space, space, matrix=sp.eye(space.dim, format="csr"))
 
     def __call__(self, x):
-        x = self.source.check_member(x)
+        x = self.source.check_block(x)
         if self.matrix is not None:
             return self.matrix @ x
         return self._apply(x)
 
-    def apply(self, x):
-        return self(x)
-
     def to_dense(self):
         if self.matrix is None:
-            eye = np.eye(self.source.dim)
-            return np.column_stack([self(eye[:, j]) for j in range(self.source.dim)])
+            return self(np.eye(self.source.dim))
         if _is_sparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix)
@@ -218,25 +246,21 @@ class LinearOp:
         return self.source.dim == self.target.dim
 
     def __add__(self, other):
-        _check_same_spaces(self, other)
-        if self.matrix is not None and other.matrix is not None:
-            return LinearOp(self.source, self.target, matrix=self.matrix + other.matrix)
-        return LinearOp(
-            self.source,
-            self.target,
-            apply=lambda x: self(x) + other(x),
-            rmatvec=_combine_rmatvec(self, other, 1.0),
-        )
+        return self._combine(other, 1.0)
 
     def __sub__(self, other):
+        return self._combine(other, -1.0)
+
+    def _combine(self, other, sign):
         _check_same_spaces(self, other)
         if self.matrix is not None and other.matrix is not None:
-            return LinearOp(self.source, self.target, matrix=self.matrix - other.matrix)
+            return LinearOp(self.source, self.target, matrix=self.matrix + sign * other.matrix)
+        ra, rb = self._raw_rmatvec(), other._raw_rmatvec()
         return LinearOp(
             self.source,
             self.target,
-            apply=lambda x: self(x) - other(x),
-            rmatvec=_combine_rmatvec(self, other, -1.0),
+            apply=lambda x: self(x) + sign * other(x),
+            rmatvec=None if ra is None or rb is None else lambda y: ra(y) + sign * rb(y),
         )
 
     def _raw_rmatvec(self):
@@ -254,14 +278,6 @@ class LinearOp:
 def _check_same_spaces(a, b):
     if not (a.source.compatible(b.source) and a.target.compatible(b.target)):
         raise ShapeError("operators do not share source/target spaces")
-
-
-def _combine_rmatvec(a, b, sign):
-    ra = a._raw_rmatvec()
-    rb = b._raw_rmatvec()
-    if ra is None or rb is None:
-        return None
-    return lambda y: ra(y) + sign * rb(y)
 
 
 def adjoint(op):
@@ -284,7 +300,7 @@ def adjoint(op):
         if src._diagonal and tgt._diagonal:
             mat = (mh * tgt.weight[None, :]) / src.weight[:, None]
         else:
-            mat = np.column_stack([src.solve_weight(mh @ tgt.apply_weight(e)) for e in np.eye(tgt.dim).T])
+            mat = src.solve_weight(mh @ tgt.apply_weight(np.eye(tgt.dim)))
         return LinearOp(tgt, src, matrix=mat)
     rmv = op._raw_rmatvec()
     if rmv is None:
@@ -303,9 +319,10 @@ class Subspace:
 
     Explicit mode stores a weighted-orthonormal basis matrix ``B`` with
     ``B^H W B = I`` (checked to 1e-10). Implicit mode stores an orthogonal
-    projector applicator, typically ``P = G (G^H W G)^{-1} G^H W`` backed by a
-    sparse factorization of an injective generator ``G``; idempotency and
-    weighted self-adjointness are verified on random probes at 1e-8.
+    projector applicator, typically ``P = G (G^H W G)^{-1} G^H W`` for an
+    injective generator ``G``; idempotency and weighted self-adjointness are
+    verified on a block of random probes at 1e-8. Either mode projects a
+    vector or a (dim, k) block.
     """
 
     _ORTHO_TOL = 1e-10
@@ -323,7 +340,7 @@ class Subspace:
             self.dim = basis.shape[1]
             self._project = None
             if _verify and self.dim > 0:
-                g = self.gram(basis, basis)
+                g = ambient.gram(basis, basis)
                 err = np.abs(g - np.eye(self.dim)).max()
                 if err > self._ORTHO_TOL:
                     raise ShapeError(f"basis not weighted-orthonormal: deviation {err:.3e}")
@@ -340,26 +357,24 @@ class Subspace:
 
     @classmethod
     def from_span(cls, ambient, vectors, tol=1e-12):
-        """Weighted-orthonormalize the span of the given column vectors."""
-        m = np.column_stack([np.asarray(v) for v in vectors]) if len(vectors) else np.zeros((ambient.dim, 0))
-        scaled = np.column_stack([ambient.scale_to_ortho(m[:, j]) for j in range(m.shape[1])]) if m.shape[1] else m
-        if m.shape[1]:
-            q, r = np.linalg.qr(scaled)
-            keep = np.abs(np.diag(r)) > tol * max(1.0, np.abs(np.diag(r)).max())
-            q = q[:, keep]
-            basis = np.column_stack([ambient.scale_from_ortho(q[:, j]) for j in range(q.shape[1])])
-        else:
-            basis = np.zeros((ambient.dim, 0))
-        return cls(ambient, basis=basis)
+        """Weighted-orthonormalize the span of the given vectors (a list or
+        the columns of a (dim, k) array)."""
+        q, r = np.linalg.qr(ambient.scale_to_ortho(_as_columns(ambient, vectors)))
+        keep = np.abs(np.diag(r)) > tol * np.abs(np.diag(r)).max(initial=1.0)
+        return cls(ambient, basis=ambient.scale_from_ortho(q[:, keep]))
 
     @classmethod
-    def from_generator(cls, ambient, generator):
-        """Implicit subspace ran(G) for an injective sparse generator G."""
+    def from_generator(cls, ambient, generator, solver=None):
+        """Implicit subspace ran(G) for an injective sparse generator G.
+
+        ``solver`` solves the Gram system G^H W G x = b for a vector or a
+        block through its ``solve`` method; by default G^H W G is factorised
+        with SuperLU."""
         g = generator.tocsr() if _is_sparse(generator) else sp.csr_matrix(generator)
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
         w = ambient.weight_operator()
-        gram = _SparseSolver(g.conj().T @ (w @ g))
+        gram = solver or _SparseSolver(g.conj().T @ (w @ g))
         gh_w = (g.conj().T @ w).tocsr()
 
         def project(v):
@@ -372,26 +387,16 @@ class Subspace:
         """Orthogonal complement, explicit when the ambient is small."""
         amb = sub.ambient
         if sub.basis is not None and amb.dim <= _DENSE_SVD_CUTOFF:
-            scaled = np.column_stack(
-                [amb.scale_to_ortho(sub.basis[:, j]) for j in range(sub.dim)]
-            ) if sub.dim else np.zeros((amb.dim, 0))
+            scaled = amb.scale_to_ortho(sub.basis)
             q = scipy.linalg.null_space(scaled.conj().T) if sub.dim else np.eye(amb.dim)
-            basis = np.column_stack([amb.scale_from_ortho(q[:, j]) for j in range(q.shape[1])]) \
-                if q.shape[1] else np.zeros((amb.dim, 0))
-            return cls(amb, basis=basis)
+            return cls(amb, basis=amb.scale_from_ortho(q))
         dim = None if sub.dim is None else amb.dim - sub.dim
         return cls(amb, project=lambda v: v - sub.project(v), dim=dim)
 
     # -- operations ---------------------------------------------------------
 
-    def gram(self, cols_a, cols_b):
-        """Matrix of weighted inner products between two column families."""
-        wa = np.column_stack([self.ambient.apply_weight(cols_a[:, j]) for j in range(cols_a.shape[1])]) \
-            if cols_a.shape[1] else cols_a
-        return wa.conj().T @ cols_b
-
     def project(self, v):
-        v = self.ambient.check_member(v)
+        v = self.ambient.check_block(v)
         if self.basis is not None:
             return self.basis @ self.coords(v)
         return self._project(v)
@@ -402,30 +407,20 @@ class Subspace:
             raise ShapeError("coords requires an explicit basis")
         return self.basis.conj().T @ self.ambient.apply_weight(v)
 
-    def lift(self, c):
-        if self.basis is None:
-            raise ShapeError("lift requires an explicit basis")
-        return self.basis @ np.asarray(c)
-
-    def contains(self, v, tol=1e-8):
-        r = v - self.project(v)
-        return self.ambient.norm(r) <= tol * max(1.0, self.ambient.norm(v))
-
     def _verify_projector(self):
+        amb = self.ambient
         rng = np.random.default_rng(1234)
-        for _ in range(3):
-            v = rng.standard_normal(self.ambient.dim)
-            if self.ambient.field == "complex":
-                v = v + 1j * rng.standard_normal(self.ambient.dim)
-            pv = self._project(v)
-            ppv = self._project(pv)
-            scale = max(1.0, self.ambient.norm(v))
-            if self.ambient.norm(ppv - pv) > self._PROJ_TOL * scale:
-                raise ShapeError("projector is not idempotent at tolerance")
-            u = rng.standard_normal(self.ambient.dim)
-            asym = abs(self.ambient.inner(u, pv) - self.ambient.inner(self._project(u), v))
-            if asym > self._PROJ_TOL * scale * max(1.0, self.ambient.norm(u)):
-                raise ShapeError("projector is not weighted-self-adjoint at tolerance")
+        v = rng.standard_normal((amb.dim, 3))
+        if amb.field == "complex":
+            v = v + 1j * rng.standard_normal((amb.dim, 3))
+        u = rng.standard_normal((amb.dim, 3))
+        pv, pu = np.split(self._project(np.hstack([v, u])), 2, axis=1)
+        scale = np.maximum(1.0, amb.column_norms(v))
+        if np.any(amb.column_norms(self._project(pv) - pv) > self._PROJ_TOL * scale):
+            raise ShapeError("projector is not idempotent at tolerance")
+        asym = np.abs(np.diag(amb.gram(u, pv)) - np.diag(amb.gram(pu, v)))
+        if np.any(asym > self._PROJ_TOL * scale * np.maximum(1.0, amb.column_norms(u))):
+            raise ShapeError("projector is not weighted-self-adjoint at tolerance")
 
     def __repr__(self):
         mode = "explicit" if self.basis is not None else "implicit"
@@ -433,54 +428,59 @@ class Subspace:
 
 
 class ProbeSet:
-    """Nonempty family of unit-norm probe vectors on one space.
+    """Nonempty family of unit-norm probe vectors on one space, held as the
+    columns of one (dim, k) array ``matrix``.
 
     Default constructors give seeded pseudo-random unit vectors on abstract
     spaces; grid-backed modules supply smooth low-frequency probe families
-    that mimic compactly supported test functions.
+    that mimic compactly supported test functions. ``vectors`` is a list of
+    vectors or a (dim, k) array.
     """
 
     def __init__(self, space, vectors, seed=0):
-        if len(vectors) == 0:
+        m = _as_columns(space, vectors)
+        if m.shape[1] == 0:
             raise ShapeError("probe set must be nonempty")
+        dev = np.abs(space.column_norms(m) - 1.0)
+        if dev.max() > 1e-12:
+            raise ShapeError(f"probe norm {1.0 + dev.max()} deviates from 1 beyond 1e-12")
         self.space = space
         self.seed = seed
-        vecs = []
-        for v in vectors:
-            v = space.check_member(np.asarray(v))
-            n = space.norm(v)
-            if abs(n - 1.0) > 1e-12:
-                raise ShapeError(f"probe norm {n} deviates from 1 beyond 1e-12")
-            vecs.append(v)
-        self.vectors = vecs
+        self.matrix = m
 
     @classmethod
     def random(cls, space, count=8, seed=0):
         rng = np.random.default_rng(seed)
-        vecs = []
-        for _ in range(count):
-            v = rng.standard_normal(space.dim)
-            if space.field == "complex":
-                v = v + 1j * rng.standard_normal(space.dim)
-            vecs.append(space.normalize(v))
-        return cls(space, vecs, seed=seed)
+        parts = rng.standard_normal((count, 2 if space.field == "complex" else 1, space.dim))
+        v = parts[:, 0] + 1j * parts[:, 1] if space.field == "complex" else parts[:, 0]
+        return cls.from_vectors(space, v.T, seed=seed)
 
     @classmethod
     def from_vectors(cls, space, vectors, seed=0, drop_tol=1e-10):
         """Normalize raw vectors, silently dropping near-zero ones."""
-        vecs = []
-        for v in vectors:
-            v = np.asarray(v, dtype=complex if space.field == "complex" else float)
-            n = space.norm(v)
-            if n > drop_tol:
-                vecs.append(v / n)
-        return cls(space, vecs, seed=seed)
+        # normalised in place below, so never in the caller's array
+        m = _as_columns(space, vectors).astype(complex if space.field == "complex" else float,
+                                               copy=isinstance(vectors, np.ndarray))
+        norms = space.column_norms(m)
+        keep = norms > drop_tol
+        m = m if keep.all() else m[:, keep]
+        m /= norms[keep]
+        return cls(space, m, seed=seed)
 
     def __len__(self):
-        return len(self.vectors)
+        return self.matrix.shape[1]
 
     def __iter__(self):
-        return iter(self.vectors)
+        return iter(self.matrix.T)
+
+
+def _as_columns(space, vectors):
+    """A (dim, k) array from a list of vectors or from such an array."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        return space.check_block(vectors)
+    if not len(vectors):
+        return np.zeros((space.dim, 0))
+    return np.column_stack([space.check_member(v) for v in vectors])
 
 
 @dataclass
@@ -657,27 +657,18 @@ def kernel_range(op, tol=None):
             "kernel_range materializes a dense SVD; build implicit subspaces "
             "from a sparse generator for large operators"
         )
-    a = op.to_dense()
-    # Ahat = Wt^{1/2} A Ws^{-1/2}
-    ahat = np.column_stack([tgt.scale_to_ortho(a[:, j]) for j in range(src.dim)])
-    if src._diagonal:
-        ahat = ahat / np.sqrt(src.weight)[None, :]
-    else:
-        L = scipy.linalg.cholesky(src.weight, lower=True)
-        ahat = scipy.linalg.solve_triangular(L.conj().T, ahat.conj().T, lower=False).conj().T
-    u, s, vh = np.linalg.svd(ahat, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    if tol is None:
-        tol = 1e-10 * smax
-    rank = int(np.sum(s > tol)) if s.size else 0
-    v = vh.conj().T
-    kernel_cols = v[:, rank:]
-    range_cols = u[:, :rank]
-    ker_basis = np.column_stack([src.scale_from_ortho(kernel_cols[:, j]) for j in range(kernel_cols.shape[1])]) \
-        if kernel_cols.shape[1] else np.zeros((src.dim, 0))
-    ran_basis = np.column_stack([tgt.scale_from_ortho(range_cols[:, j]) for j in range(range_cols.shape[1])]) \
-        if range_cols.shape[1] else np.zeros((tgt.dim, 0))
+    u, s, vh = np.linalg.svd(_ortho_matrix(op), full_matrices=True)
+    tol = 1e-10 * s.max(initial=0.0) if tol is None else tol
+    rank = int(np.sum(s > tol))
+    ker_basis = src.scale_from_ortho(vh.conj().T[:, rank:])
+    ran_basis = tgt.scale_from_ortho(u[:, :rank])
     return Subspace(src, basis=ker_basis), Subspace(tgt, basis=ran_basis)
+
+
+def _ortho_matrix(op):
+    """Dense matrix of ``op`` in the W-orthonormal frames, Wt^{1/2} A Ws^{-1/2}."""
+    ahat_h = op.target.scale_to_ortho(op.to_dense()).conj().T
+    return op.source.scale_from_ortho(ahat_h).conj().T
 
 
 def check_linear(op, trials=3, tol=1e-10, seed=0):
@@ -708,44 +699,42 @@ def _check_gap_args(s, t, probes_src, probes_tgt):
 
 
 def wot_gap(s, t, left, right):
-    """max over probe pairs of |<phi_i, (s - t) psi_j>|.
+    """max over probe pairs of |<phi_i, (s - t) psi_j>|, taken as the one
+    weighted product max |Phi^H W (s Psi - t Psi)| with one block
+    application of each operator.
 
     Zero iff s = t on the span of the probes; restricted to a fixed probe
     family this is a pseudo-metric on operators (symmetry and triangle
     inequality hold exactly).
     """
     _check_gap_args(s, t, right, left)
-    gap = 0.0
-    for psi in right:
-        d = s(psi) - t(psi)
-        for phi in left:
-            gap = max(gap, abs(s.target.inner(phi, d)))
-    return gap
+    d = s(right.matrix) - t(right.matrix)
+    return float(np.abs(s.target.gram(left.matrix, d)).max())
 
 
 def strong_gap(s, t, right):
     """max over probes of the weighted norm of (s - t) psi_j."""
     _check_gap_args(s, t, right, None)
-    gap = 0.0
-    for psi in right:
-        gap = max(gap, s.target.norm(s(psi) - t(psi)))
-    return gap
+    return float(s.target.column_norms(s(right.matrix) - t(right.matrix)).max())
 
 
 def _check_residual(k, x, b, tol):
-    """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||);
-    a NaN residual misses every tolerance."""
-    res = np.linalg.norm(k @ x - b)
-    if not res <= tol * max(1.0, np.linalg.norm(b)):
-        raise SolverDiverged(f"solve residual {res:.3e} misses {tol:.1e}")
+    """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)
+    for the solution and load, or for every column of a block of them; a
+    NaN residual misses every tolerance."""
+    res = np.atleast_1d(np.linalg.norm(k @ x - b, axis=0))
+    bad = ~(res <= tol * np.maximum(1.0, np.linalg.norm(b, axis=0)))
+    if np.any(bad):
+        where = f" in column {np.flatnonzero(bad)[0]}" if np.ndim(b) == 2 else ""
+        raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses {tol:.1e}{where}")
 
 
 class _SparseSolver:
     """Residual-checked solves of K x = b (K^H x = b for ``trans="H"``) from
     one SuperLU factorisation of a sparse K; a K that SuperLU finds singular
-    raises :class:`NotInM`. One right-hand side or an (n, m) block, solved
-    column by column; a real factorisation solves a complex right-hand side
-    part by part."""
+    raises :class:`NotInM`. One right-hand side or an (n, m) block, solved in
+    one SuperLU call and checked column by column; a real factorisation
+    solves a complex right-hand side part by part."""
 
     def __init__(self, k, tol=1e-10):
         self.k = k.tocsc()
@@ -758,8 +747,6 @@ class _SparseSolver:
 
     def solve(self, rhs, trans="N"):
         rhs = np.asarray(rhs)
-        if rhs.ndim == 2:
-            return np.column_stack([self.solve(rhs[:, j], trans) for j in range(rhs.shape[1])])
         if self._real and np.iscomplexobj(rhs):
             x = self._factor.solve(np.ascontiguousarray(rhs.real), trans=trans) \
                 + 1j * self._factor.solve(np.ascontiguousarray(rhs.imag), trans=trans)

@@ -294,8 +294,8 @@ class MaxwellSystem:
     Coefficients are diagonal (scalar or axis-wise) multipliers sampled at
     edge and face midpoints; that keeps the coercivity bounds exact under
     sampling on the staggered layout. The admissibility requirement is
-    lambda eps + sigma and mu inside the coefficient class at the chosen
-    lambda."""
+    lambda eps + sigma and lambda mu inside the coefficient class at the
+    chosen lambda."""
 
     def __init__(self, domain, eps, mu, sigma, lam, bounds):
         self.complex = YeeComplex(domain)
@@ -307,7 +307,7 @@ class MaxwellSystem:
         alpha, beta = bounds
         _diag_bounds_check(self.lam * self.eps + self.sigma, alpha, beta,
                            "lambda eps + sigma")
-        _diag_bounds_check(self.mu, alpha, beta, "mu")
+        _diag_bounds_check(self.lam * self.mu, alpha, beta, "lambda mu")
         weight = np.concatenate([cx.edge_space.weight, cx.face_space.weight])
         self.space = HilbertSpace(cx.n_edges + cx.n_faces, weight=weight)
         curl = cx.curl_adjoint_matrix()
@@ -371,8 +371,7 @@ def helmholtz_decompose(domain):
 
 
 def _triple_complement(space, sub_a, sub_b):
-    combined = np.hstack([sub_a.basis, sub_b.basis])
-    span = Subspace.from_span(space, [combined[:, j] for j in range(combined.shape[1])])
+    span = Subspace.from_span(space, np.hstack([sub_a.basis, sub_b.basis]))
     return Subspace.complement(span)
 
 
@@ -461,14 +460,8 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         cx = sys_n.complex
         # limit system: eps(lambda) tensor entries divided back by lambda so
         # that lambda * eps_limit + 0 reproduces the lambda-limit exactly
-        eps_lim = np.empty(cx.n_edges)
-        for axis in range(3):
-            m = cx.edge_axis == axis
-            eps_lim[m] = eps_lambda_fns[axis](cx.edge_mid[m]) / lam
-        mu_lim = np.empty(cx.n_faces)
-        for axis in range(3):
-            m = cx.face_axis == axis
-            mu_lim[m] = (mu_fns[axis])(cx.face_mid[m])
+        eps_lim = cx.sample_edges(eps_lambda_fns) / lam
+        mu_lim = cx.sample_faces(mu_fns)
         t_n = sys_n.t_matrix()
         t_lim = sp.diags(np.concatenate([lam * eps_lim, lam * mu_lim]))
 

@@ -6,10 +6,15 @@ For an operator ``a`` with blocks ``a_jk = i_j* a i_k`` the four maps are
     a00^{-1},   a00^{-1} a01,   a10 a00^{-1},   a_S = a11 - a10 a00^{-1} a01,
 
 each landing in a weak-operator-topologized operator space; convergence of all
-four against probe families is measured by :func:`tau_gap`. Explicit
-decompositions carry orthonormal bases and produce dense coordinate matrices;
-implicit ones are generator-backed (projectors and projected solves through
-sparse factorizations) and produce matrix-free maps.
+four against probe families is measured by :func:`tau_gap`, each map applied
+once to a whole probe block. Explicit decompositions carry orthonormal bases
+and produce dense coordinate matrices; implicit ones are generator-backed and
+produce matrix-free maps that take blocks. Two solvers serve an implicit
+splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
+Gram matrix through the solver the splitting was built with (on a d >= 2 grid
+gradient range, the cached fast-transform inverse of the unit stiffness;
+otherwise a SuperLU factorisation), while a00^{-1} solves the Galerkin
+system G^H W a G through one SuperLU factorisation per operator.
 """
 
 from __future__ import annotations
@@ -64,25 +69,23 @@ class Decomposition:
                 raise ShapeError(
                     f"subspace dims {h0.dim}+{h1.dim} do not sum to {space.dim}"
                 )
-            if h0.dim and h1.dim:
-                cross = h0.gram(h0.basis, h1.basis)
-                if np.abs(cross).max() > _ORTHO_TOL:
-                    raise ShapeError("h0 and h1 are not orthogonal")
+            if np.abs(space.gram(h0.basis, h1.basis)).max(initial=0.0) > _ORTHO_TOL:
+                raise ShapeError("h0 and h1 are not orthogonal")
         else:
-            rng = np.random.default_rng(99)
-            for _ in range(3):
-                v = rng.standard_normal(space.dim)
-                r = h0.project(v) + h1.project(v) - v
-                if space.norm(r) > _ORTHO_TOL * max(1.0, space.norm(v)):
-                    raise ShapeError("projectors do not sum to the identity")
+            v = np.random.default_rng(99).standard_normal((space.dim, 3))
+            r = h0.project(v) + h1.project(v) - v
+            if np.any(space.column_norms(r) > _ORTHO_TOL * np.maximum(1.0, space.column_norms(v))):
+                raise ShapeError("projectors do not sum to the identity")
 
     @classmethod
     def from_subspace(cls, space, h0):
         return cls(space, h0, Subspace.complement(h0))
 
     @classmethod
-    def from_generator(cls, space, generator):
-        h0 = Subspace.from_generator(space, generator)
+    def from_generator(cls, space, generator, solver=None):
+        """Splitting along ran(G); ``solver`` solves with G^H W G (see
+        :meth:`Subspace.from_generator`)."""
+        h0 = Subspace.from_generator(space, generator, solver)
         return cls(space, h0, Subspace.complement(h0))
 
     def swap(self):
@@ -116,7 +119,8 @@ def _sparse_cond_estimate(m):
 class _ProjectedSolver:
     """a00^{-1} on a generator-backed subspace: parametrizing H0 = ran(G)
     turns the projected equation P0 a G u = phi into the Galerkin system
-    (G^H W a G) u = G^H W phi, solved through one sparse factorization."""
+    (G^H W a G) u = G^H W phi, solved through one sparse factorization
+    (for one load or a block)."""
 
     def __init__(self, dec, a_matrix):
         g = dec.h0.generator
@@ -170,20 +174,11 @@ def blocks(a, dec):
         raise ShapeError("operator must be square on the decomposition's space")
     if dec.explicit:
         amat = a.to_dense()
-        w = dec.space
-        cols0 = np.column_stack([amat @ dec.h0.basis[:, j] for j in range(dec.h0.dim)]) \
-            if dec.h0.dim else np.zeros((w.dim, 0))
-        cols1 = np.column_stack([amat @ dec.h1.basis[:, j] for j in range(dec.h1.dim)]) \
-            if dec.h1.dim else np.zeros((w.dim, 0))
-        wb0 = np.column_stack([w.apply_weight(dec.h0.basis[:, j]) for j in range(dec.h0.dim)]) \
-            if dec.h0.dim else np.zeros((w.dim, 0))
-        wb1 = np.column_stack([w.apply_weight(dec.h1.basis[:, j]) for j in range(dec.h1.dim)]) \
-            if dec.h1.dim else np.zeros((w.dim, 0))
-        a00 = wb0.conj().T @ cols0
-        a01 = wb0.conj().T @ cols1
-        a10 = wb1.conj().T @ cols0
-        a11 = wb1.conj().T @ cols1
-        return a00, a01, a10, a11
+        b0, b1 = dec.h0.basis, dec.h1.basis
+        wb0, wb1 = dec.space.apply_weight(b0), dec.space.apply_weight(b1)
+        cols0, cols1 = amat @ b0, amat @ b1
+        return (wb0.conj().T @ cols0, wb0.conj().T @ cols1,
+                wb1.conj().T @ cols0, wb1.conj().T @ cols1)
     p0, p1 = dec.h0.project, dec.h1.project
     space = dec.space
     mk = lambda pj, pk: LinearOp(space, space, apply=lambda v: pj(a(pk(v))))
@@ -205,15 +200,12 @@ def schur_maps(a, dec, check_membership=True):
                 raise NotInM("operator condition estimate above cutoff")
             if a00.size and _dense_cond(a00) > _COND_CUTOFF:
                 raise NotInM("a00 condition estimate above cutoff")
-        k0, k1 = dec.h0.dim, dec.h1.dim
-        a00inv = np.linalg.inv(a00) if k0 else np.zeros((0, 0))
+        a00inv = np.linalg.inv(a00)
         m01 = a00inv @ a01
         m10 = a10 @ a00inv
         ms = a11 - a10 @ (a00inv @ a01)
-        b0, b1 = dec.h0.basis, dec.h1.basis
-        c0 = lambda v: dec.h0.coords(v)
-        c1 = lambda v: dec.h1.coords(v)
-        maps = SchurMaps(
+        b0, b1, c0, c1 = dec.h0.basis, dec.h1.basis, dec.h0.coords, dec.h1.coords
+        return SchurMaps(
             dec.space, dec,
             apply_m00inv=lambda v: b0 @ (a00inv @ c0(v)),
             apply_m01=lambda v: b0 @ (m01 @ c1(v)),
@@ -221,7 +213,6 @@ def schur_maps(a, dec, check_membership=True):
             apply_ms=lambda v: b1 @ (ms @ c1(v)),
             coord_mats=(a00inv, m01, m10, ms),
         )
-        return maps
     amat = a.matrix
     if amat is None:
         raise ShapeError("implicit Schur maps need a sparse operator matrix")
@@ -230,13 +221,17 @@ def schur_maps(a, dec, check_membership=True):
             raise NotInM("operator condition estimate above cutoff")
     solver = _ProjectedSolver(dec, amat)
     p0, p1 = dec.h0.project, dec.h1.project
-    apply_a = a.apply
+
+    def apply_ms(v):
+        av = a(v)
+        return p1(av - a(solver.solve(p0(av))))
+
     return SchurMaps(
         dec.space, dec,
         apply_m00inv=solver.solve,
-        apply_m01=lambda v: solver.solve(p0(apply_a(v))),
-        apply_m10=lambda v: p1(apply_a(solver.solve(v))),
-        apply_ms=lambda v: p1(apply_a(v)) - p1(apply_a(solver.solve(p0(apply_a(v))))),
+        apply_m01=lambda v: solver.solve(p0(a(v))),
+        apply_m10=lambda v: p1(a(solver.solve(v))),
+        apply_ms=apply_ms,
     )
 
 
@@ -253,7 +248,7 @@ def block_inverse(a, dec, verify_tol=1e-8, rng_seed=7):
         raise ShapeError("block_inverse needs an explicit decomposition")
     maps = schur_maps(a, dec)
     a00inv, m01, m10, ms = maps.m00inv_mat, maps.m01_mat, maps.m10_mat, maps.ms_mat
-    msinv = np.linalg.inv(ms) if ms.size else np.zeros((0, 0))
+    msinv = np.linalg.inv(ms)
     top_left = a00inv + m01 @ msinv @ m10
     top_right = -m01 @ msinv
     bot_left = -msinv @ m10
@@ -261,16 +256,12 @@ def block_inverse(a, dec, verify_tol=1e-8, rng_seed=7):
     b0, b1 = dec.h0.basis, dec.h1.basis
     emb = np.hstack([b0, b1])
     coord = np.block([[top_left, top_right], [bot_left, bot_right]])
-    w = dec.space
-    wemb = np.column_stack([w.apply_weight(emb[:, j]) for j in range(emb.shape[1])])
-    inv_mat = emb @ coord @ wemb.conj().T
+    inv_mat = emb @ coord @ dec.space.apply_weight(emb).conj().T
     result = LinearOp(dec.space, dec.space, matrix=inv_mat)
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(3):
-        v = rng.standard_normal(dec.space.dim)
-        err = np.abs(a(result(v)) - v).max()
-        if err > verify_tol * max(1.0, np.abs(v).max()):
-            raise SolverDiverged(f"block inverse verification failed: {err:.3e}")
+    v = np.random.default_rng(rng_seed).standard_normal((dec.space.dim, 3))
+    err = np.abs(a(result(v)) - v).max(axis=0)
+    if np.any(err > verify_tol * np.maximum(1.0, np.abs(v).max(axis=0))):
+        raise SolverDiverged(f"block inverse verification failed: {err.max():.3e}")
     return result
 
 
@@ -283,8 +274,7 @@ def schur_complement_coercivity(a, dec, alpha, beta, tol=0.0):
     maps = schur_maps(a, dec)
     if maps.ms_mat is None:
         raise ShapeError("coercivity of the complement needs an explicit decomposition")
-    k1 = dec.h1.dim
-    space1 = HilbertSpace(k1, field=dec.space.field)
+    space1 = HilbertSpace(dec.h1.dim, field=dec.space.field)
     op = LinearOp(space1, space1, matrix=maps.ms_mat)
     return coercivity_check(op, alpha, beta, tol=tol)
 
@@ -299,11 +289,10 @@ def tau_gap(a, b, dec, probes0, probes1):
     """
     ma = a if isinstance(a, SchurMaps) else schur_maps(a, dec)
     mb = b if isinstance(b, SchurMaps) else schur_maps(b, dec)
-    g00 = wot_gap(ma.m00inv, mb.m00inv, probes0, probes0) if len(probes0) else 0.0
-    g01 = wot_gap(ma.m01, mb.m01, probes0, probes1) if len(probes0) and len(probes1) else 0.0
-    g10 = wot_gap(ma.m10, mb.m10, probes1, probes0) if len(probes0) and len(probes1) else 0.0
-    gs = wot_gap(ma.ms, mb.ms, probes1, probes1) if len(probes1) else 0.0
-    return g00, g01, g10, gs
+    return (wot_gap(ma.m00inv, mb.m00inv, probes0, probes0),
+            wot_gap(ma.m01, mb.m01, probes0, probes1),
+            wot_gap(ma.m10, mb.m10, probes1, probes0),
+            wot_gap(ma.ms, mb.ms, probes1, probes1))
 
 
 def inversion_swap_check(a, dec, tol=1e-9):
@@ -341,23 +330,19 @@ def finite_shuffle(dec, k):
         raise ShapeError("finite_shuffle needs an explicit decomposition")
     if k.basis is None:
         raise ShapeError("the shuffled subspace needs an explicit basis")
-    for j in range(k.dim):
-        if not dec.h1.contains(k.basis[:, j], tol=1e-8):
-            raise ShapeError("shuffled subspace is not contained in h1")
+    space = dec.space
+    outside = space.column_norms(k.basis - dec.h1.project(k.basis))
+    if np.any(outside > 1e-8 * np.maximum(1.0, space.column_norms(k.basis))):
+        raise ShapeError("shuffled subspace is not contained in h1")
     if k.dim == 0:
         return dec
-    space = dec.space
-    new_h0 = Subspace.from_span(
-        space, [dec.h0.basis[:, j] for j in range(dec.h0.dim)]
-        + [k.basis[:, j] for j in range(k.dim)]
-    )
+    new_h0 = Subspace.from_span(space, np.hstack([dec.h0.basis, k.basis]))
     # h1 vectors orthogonal to k: null space of the cross Gram in h1 coords
-    cross = dec.h1.gram(k.basis, dec.h1.basis)  # k.dim x h1.dim
+    cross = space.gram(k.basis, dec.h1.basis)  # k.dim x h1.dim
     import scipy.linalg
 
     null = scipy.linalg.null_space(cross)
-    new_h1 = Subspace.from_span(space, [dec.h1.basis @ null[:, j] for j in range(null.shape[1])]) \
-        if null.shape[1] else Subspace(space, basis=np.zeros((space.dim, 0)))
+    new_h1 = Subspace.from_span(space, dec.h1.basis @ null)
     return Decomposition(space, new_h0, new_h1)
 
 

@@ -296,14 +296,13 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
         g00, g01, g10, gs = tau_gap(maps_n, maps_lim, dec, p0, p1)
 
         sspace = grad.scalar_space
-        smodes = [v[: sys_n.dims[0]] for v in probes if np.abs(v[: sys_n.dims[0]]).max() > 0]
-        smodes = ProbeSet(sspace, [sspace.normalize(v) for v in smodes[:4]])
+        smodes = probes.matrix[: sys_n.dims[0]]
+        smodes = ProbeSet.from_vectors(sspace, smodes[:, np.abs(smodes).max(axis=0) > 0][:, :4])
         zero = LinearOp(sspace, sspace, matrix=sp.csr_matrix((sspace.dim, sspace.dim)))
 
         def multiplier_gap(profile, mean):
             dev = np.asarray(osc(profile)(grad.node_coords)) - mean
-            return wot_gap(LinearOp(sspace, sspace, apply=lambda x: dev * x), zero,
-                           smodes, smodes)
+            return wot_gap(LinearOp(sspace, sspace, matrix=sp.diags(dev)), zero, smodes, smodes)
 
         gap_w = multiplier_gap(w_profile, w_m)
         gap_rho = multiplier_gap(rho_profile, rho_m)

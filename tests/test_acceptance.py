@@ -341,8 +341,8 @@ def test_criterion_11_helmholtz():
             assert sum(neumann.dims) == cx.n_faces
             assert dirichlet.dims[2] == 0 and neumann.dims[2] == 0
             for split in (dirichlet, neumann):
-                cross = split.gradients.gram(split.gradients.basis,
-                                             split.curls.basis)
+                cross = split.gradients.ambient.gram(split.gradients.basis,
+                                                     split.curls.basis)
                 assert np.abs(cross).max() < 1e-8
 
 

@@ -151,6 +151,19 @@ class TestFixtures:
         error = json.loads(res.output.strip().splitlines()[-1])["error"]
         assert f"[coefficients] {key}: " in error and reason in error
 
+    def test_maxwell_negative_lambda_exit_2(self, tmp_path):
+        # the H block of the material law is lambda mu, negative here although
+        # mu and lambda eps + sigma are both admitted
+        cfg = tmp_path / "maxwell.cfg"
+        cfg.write_text("[experiment]\nkind = maxwell\n[coefficients]\nlambda = -1\n"
+                       "eps_low = 1\neps_high = 1\nsigma_low = 2\nsigma_high = 6\n"
+                       "[run]\nn_list = 1, 2\ntransverse_cells = 2\n")
+        res = run_cli(["maxwell", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert error.startswith("[coefficients] mu_low: ") and "lambda * mu_low = -1" in error
+        assert not (tmp_path / "maxwell.csv").exists()
+
     @pytest.mark.parametrize("kind, body, keys, admitted", [
         ("thermo", "c_low = 0.1\n", "c_low", "[0.4, 5.0]"),
         ("thermo", "rho_high = 5.5\n", "rho_high", "[0.4, 5.0]"),
@@ -342,7 +355,7 @@ class TestImportPath:
     def test_cli_import_leaves_out_heavy_scipy_modules(self):
         # every homlab process pays for what `import homlab.cli` loads
         heavy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.interpolate",
-                 "scipy.sparse.csgraph")
+                 "scipy.sparse.csgraph", "scipy.fft")
         code = f"import sys, homlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
         src = os.path.dirname(os.path.dirname(homlab.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -134,6 +134,19 @@ class TestPoincare:
         assert abs(gamma - np.pi) < 0.01
         assert gamma >= 1.0 / 22.0
 
+    @pytest.mark.parametrize("domain, value", [
+        (GridDomain.box((20,)), 3.1383638291137768),
+        (GridDomain.box((12, 9)), 4.425286144582289),
+        (GridDomain.box((40, 40)), 4.441741112219518),
+        (GridDomain.box((6, 5, 7)), 5.37590663556728),
+        (GridDomain.box((14, 14, 14)), 5.429988515105346),
+        (GridDomain(((10.0, 11.0), (0.0, 2.0)), (12, 9)), 3.500830028281656),
+    ])
+    def test_closed_form_matches_the_pencil_eigenvalue(self, domain, value):
+        # the values of the generalized eigensolve (dense eigvalsh up to 1500
+        # unknowns, shift-invert ARPACK above) that the closed form replaced
+        assert abs(poincare_constant(domain) - value) <= 1e-12 * value
+
 
 class TestSolveElliptic:
     def test_1d_constant_closed_form(self):

@@ -312,8 +312,8 @@ class TestGaps:
 
     def test_rank_one_difference(self):
         # s - t = phi1 <psi1, .> with unit probes: gap exactly 1
-        phi = self.probes.vectors[0]
-        psi = self.probes.vectors[1]
+        phi = self.probes.matrix[:, 0]
+        psi = self.probes.matrix[:, 1]
         w_psi = self.space.apply_weight(psi)
         d = np.outer(phi, np.conj(w_psi))
         s = self._op(np.eye(12) + d)
@@ -344,8 +344,7 @@ class TestGaps:
                         apply=lambda v: 0 * v, rmatvec=lambda v: 0 * v)
         gaps_w, gaps_s = [], []
         for n in (4, 16, 64):
-            mult = LinearOp(space, space, apply=lambda v, n=n: np.sin(2 * np.pi * n * x) * v,
-                            rmatvec=lambda v, n=n: np.sin(2 * np.pi * n * x) * v)
+            mult = LinearOp(space, space, matrix=sp.diags(np.sin(2 * np.pi * n * x)))
             gaps_w.append(wot_gap(mult, zero, probes, probes))
             gaps_s.append(strong_gap(mult, zero, probes))
         assert gaps_w[0] > gaps_w[1] > gaps_w[2]

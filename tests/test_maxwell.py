@@ -117,8 +117,8 @@ class TestHelmholtz:
         assert dirichlet.dims[2] == 0 and neumann.dims[2] == 0
         assert dirichlet.dims[0] == cx.n_nodes
         assert neumann.dims[0] == cx.n_cells - 1
-        cross = dirichlet.gradients.gram(dirichlet.gradients.basis,
-                                         dirichlet.curls.basis)
+        cross = dirichlet.gradients.ambient.gram(dirichlet.gradients.basis,
+                                                 dirichlet.curls.basis)
         assert np.abs(cross).max() < 1e-8
 
     def test_gradient_probe_lands_in_gradient_block(self):
@@ -150,6 +150,15 @@ class TestMaxwellSystem:
                           lambda p: np.full(len(p), 1.0),
                           lambda p: np.full(len(p), 0.0),
                           lam=1.0, bounds=(0.5, 5.0))
+
+    def test_negative_lambda_fails_the_h_block(self):
+        # lambda eps + sigma = 1 is admitted, but the H block lambda mu = -1 is not
+        dom = GridDomain.box((2, 2, 2))
+        with pytest.raises(CoercivityError, match="lambda mu"):
+            MaxwellSystem(dom, lambda p: np.full(len(p), 1.0),
+                          lambda p: np.full(len(p), 1.0),
+                          lambda p: np.full(len(p), 2.0),
+                          lam=-1.0, bounds=(0.4, 10.0))
 
     def test_resolvent_bounds_hold(self):
         dom = GridDomain.box((3, 3, 3))

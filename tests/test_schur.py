@@ -308,7 +308,7 @@ class TestFiniteShuffle:
         k = Subspace(space, basis=dec.h1.basis[:, :1])
         dec2 = finite_shuffle(dec, k)
         assert (dec2.h0.dim, dec2.h1.dim) == (2, 1)
-        cross = dec2.h0.gram(dec2.h0.basis, dec2.h1.basis)
+        cross = dec2.h0.ambient.gram(dec2.h0.basis, dec2.h1.basis)
         assert np.abs(cross).max() < 1e-10
 
     def test_shuffle_preserves_tau_convergence(self):
