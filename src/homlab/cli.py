@@ -231,12 +231,17 @@ class RunConfig:
         return values
 
 
-def _domain_cells(cfg, default):
-    """[domain] cells, the cell count per axis, which must be positive."""
-    cells = cfg.get_int("domain", "cells", default)
-    if cells < 1:
-        raise ConfigError(f"[domain] cells: must be at least 1 (got {cells})")
-    return cells
+def _at_least(cfg, section, key, default, least):
+    """An integer key that must be at least ``least``."""
+    value = cfg.get_int(section, key, default)
+    if value < least:
+        raise ConfigError(f"[{section}] {key}: must be at least {least} (got {value})")
+    return value
+
+
+def _domain_cells(cfg, default, least=1):
+    """[domain] cells, the cell count per axis."""
+    return _at_least(cfg, "domain", "cells", default, least)
 
 
 def _positive(cfg, key, default, zero_ok=False):
@@ -379,31 +384,31 @@ def _run_cell(cfg, out, seed, digest):
     cells = _domain_cells(cfg, 64)
     tol = cfg.get_float("run", "tolerance", 0.02)
     profile, bounds = _profile_from(cfg)
+    dom = GridDomain.box((cells, cells))
     if kind == "laminate":
-        dom = GridDomain.box((cells, cells))
-        field = CoefficientField.from_function(
+        sample = lambda: CoefficientField.from_function(
             dom, lambda p: profile(p[:, 0] % 1.0), bounds=bounds)
         a_h, a_m = laminate_limit(profile)
         expected = np.diag([a_h, a_m])
     elif kind == "checkerboard":
         low = _positive(cfg, "low", 1.0)
         high = _positive(cfg, "high", 4.0)
-        dom = GridDomain.box((cells, cells))
 
         def cb(p):
             return np.where(((np.floor(2 * p[:, 0]) + np.floor(2 * p[:, 1])) % 2) == 0,
                             low, high)
 
-        field = CoefficientField.from_function(dom, cb,
-                                               bounds=(min(low, high), max(low, high)))
+        sample = lambda: CoefficientField.from_function(
+            dom, cb, bounds=(min(low, high), max(low, high)))
         expected = np.sqrt(low * high) * np.eye(2)
     elif kind == "constant":
         v = _positive(cfg, "value", 2.0)
-        dom = GridDomain.box((cells, cells))
-        field = CoefficientField.constant(dom, v, bounds=(v, v))
+        sample = lambda: CoefficientField.constant(dom, v, bounds=(v, v))
         expected = v * np.eye(2)
     else:
         raise ConfigError(f"[coefficients] unknown cell_kind {kind!r}")
+    elliptic.check_budget(dom.cells, "periodic")    # before the field is sampled
+    field = sample()
     a_hom = homogenize.homogenized_tensor(field)
     scale = np.abs(expected).max()
     rows = [{"i": i, "j": j, "value": a_hom[i, j].real,
@@ -657,7 +662,7 @@ def _run_maxwell(cfg, out, seed, digest):
     lam = cfg.get_float("coefficients", "lambda", 1.0)
     n_list = cfg.get_int_list("run", "n_list", [1, 2, 4, 8])
     tol = cfg.get_float("run", "tolerance", 1e-1)
-    tc = cfg.get_int("run", "transverse_cells", 8)
+    tc = _at_least(cfg, "run", "transverse_cells", 8, 2)    # the Yee complex's minimum
     eps = _two_phase(cfg, "eps_", 4.0)[0]
     mu = _two_phase(cfg, "mu_", 2.0)[0]
     sigma = _two_phase(cfg, "sigma_", 1.0, zero_ok=True)[0]
@@ -677,7 +682,7 @@ def _run_maxwell(cfg, out, seed, digest):
 
 
 def _run_helmholtz(cfg, out, seed, digest):
-    cells = _domain_cells(cfg, 4)
+    cells = _domain_cells(cfg, 4, least=2)    # the Yee complex's minimum
     dom = GridDomain.box((cells, cells, cells))
     cx = maxwell_mod.YeeComplex(dom)
     dirichlet, neumann = maxwell_mod.helmholtz_decompose(dom)

@@ -59,6 +59,8 @@ __all__ = [
     "galerkin_matrix",
     "stiffness_solver",
     "DivergenceDefect",
+    "grid_unknowns",
+    "check_budget",
 ]
 
 FLAVORS = ("dirichlet", "neumann", "periodic")
@@ -78,6 +80,30 @@ def unknown_budget():
     if budget < 1:
         raise ConfigError(f"HOMLAB_BUDGET: must be a positive count ({env!r})")
     return budget
+
+
+def grid_unknowns(cells, flavor):
+    """Unknowns on a grid of ``cells`` per axis, in closed form and without
+    allocating: nodes plus d gradient components per simplex for a gradient
+    of ``flavor``, or edges plus faces of the staggered complex for
+    ``"yee"``."""
+    if flavor == "yee":
+        total = 0
+        for axis, c in enumerate(cells):
+            others = [m for t, m in enumerate(cells) if t != axis]
+            total += c * math.prod(m - 1 for m in others) + (c - 1) * math.prod(others)
+        return total
+    shift = {"periodic": 0, "neumann": 1, "dirichlet": -1}[flavor]
+    d = len(cells)
+    return math.prod(c + shift for c in cells) + math.prod(cells) * math.factorial(d) * d
+
+
+def check_budget(cells, flavor, error=BudgetExceeded):
+    """Raise ``error`` when a grid of ``cells`` per axis carries more
+    unknowns than :func:`unknown_budget` admits."""
+    count, budget = grid_unknowns(cells, flavor), unknown_budget()
+    if count > budget:
+        raise error(f"{count} unknowns exceed budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +205,7 @@ class DiscreteGradient:
         h = domain.spacing
         lo = domain.lo
 
+        check_budget(cells, flavor)
         if flavor == "periodic":
             node_shape = cells
         else:
@@ -203,11 +230,6 @@ class DiscreteGradient:
         per_cell = len(tables)
         n_cell = domain.n_cells
         n_elem = n_cell * per_cell
-        budget = unknown_budget()
-        if n_nodes + n_elem * d > budget:
-            raise BudgetExceeded(
-                f"{n_nodes + n_elem * d} unknowns exceed budget {budget}"
-            )
 
         # local constant gradients per simplex type
         grads = []

@@ -666,9 +666,13 @@ def kernel_range(op, tol=None):
 
 
 def _ortho_matrix(op):
-    """Dense matrix of ``op`` in the W-orthonormal frames, Wt^{1/2} A Ws^{-1/2}."""
-    ahat_h = op.target.scale_to_ortho(op.to_dense()).conj().T
-    return op.source.scale_from_ortho(ahat_h).conj().T
+    """Dense matrix of ``op`` in the W-orthonormal frames, Wt^{1/2} A Ws^{-1/2},
+    where W^{1/2} is the frame map of :meth:`HilbertSpace.scale_to_ortho`."""
+    ahat = op.target.scale_to_ortho(op.to_dense())
+    src = op.source
+    if src._diagonal:
+        return ahat / np.sqrt(src.weight)
+    return ahat @ src.scale_from_ortho(np.eye(src.dim))
 
 
 def check_linear(op, trials=3, tol=1e-10, seed=0):
@@ -734,14 +738,18 @@ class _SparseSolver:
     one SuperLU factorisation of a sparse K; a K that SuperLU finds singular
     raises :class:`NotInM`. One right-hand side or an (n, m) block, solved in
     one SuperLU call and checked column by column; a real factorisation
-    solves a complex right-hand side part by part."""
+    solves a complex right-hand side part by part. A ``symmetric`` K is
+    ordered by minimum degree on K + K^T with diagonal pivots preferred,
+    which fills less than the default column ordering."""
 
-    def __init__(self, k, tol=1e-10):
+    def __init__(self, k, tol=1e-10, symmetric=False):
         self.k = k.tocsc()
         self.tol = tol
         self._real = not np.iscomplexobj(self.k.data)
+        order = {"permc_spec": "MMD_AT_PLUS_A",
+                 "options": {"SymmetricMode": True}} if symmetric else {}
         try:
-            self._factor = spla.splu(self.k)
+            self._factor = spla.splu(self.k, **order)
         except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
             raise NotInM(f"sparse factorisation failed: {exc}") from exc
 

@@ -13,7 +13,6 @@ desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,10 @@ from .elliptic import (
     _require_coercive,
     _solve_galerkin,
     build_grad,
+    check_budget,
     scalar_probes,
     solve_elliptic,
     stiffness_solver,
-    unknown_budget,
     vector_probes,
 )
 from .errors import (
@@ -425,17 +424,10 @@ def _as_candidate_field(candidate, domain, bounds):
     return CoefficientField.constant(domain, cand, bounds=bounds, check=False)
 
 
-def _guarded_domain(n, mesh_rule, d, extents=None):
-    c = mesh_rule.cells(n)
-    cells = (c,) * d
-    dom = GridDomain(extents, cells) if extents else GridDomain.box(cells)
-    per_cell = {1: 1, 2: 2, 3: 6}[d]
-    unknowns = math.prod(cells) * (per_cell * d + 1)
-    if unknowns > unknown_budget():
-        raise MeshRuleViolation(
-            f"n={n} needs ~{unknowns} unknowns, beyond budget {unknown_budget()}"
-        )
-    return dom
+def _guarded_domain(n, mesh_rule, d, extents=None, flavor="dirichlet"):
+    cells = (mesh_rule.cells(n),) * d
+    check_budget(cells, flavor, MeshRuleViolation)
+    return GridDomain(extents, cells) if extents else GridDomain.box(cells)
 
 
 def _aitken(values):
@@ -466,7 +458,7 @@ def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=Non
     mesh_rule = mesh_rule or default_mesh_rule(d)
 
     for n in n_list:
-        dom = _guarded_domain(n, mesh_rule, d, extents)
+        dom = _guarded_domain(n, mesh_rule, d, extents, flavor)
         grad = build_grad(dom, flavor)
         a_n = seq.field(n, dom)
         u_n, q_n = solve_elliptic(dom, a_n, f, flavor=flavor)
@@ -551,16 +543,26 @@ def _projected_probes(base, project, count, seed):
     return ProbeSet.from_vectors(base.space, np.hstack(kept)[:, :count], seed=seed)
 
 
+def _g0_base(grad, seed):
+    return vector_probes(grad, kinds=("component", "gradient"), seed=seed)
+
+
 def g0_probes(grad, dec=None, count=8, seed=0):
     dec = dec or g0_decomposition(grad)
-    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
-    return _projected_probes(base, dec.h0.project, count, seed)
+    return _projected_probes(_g0_base(grad, seed), dec.h0.project, count, seed)
 
 
 def complement_probes(grad, dec=None, count=8, seed=0):
     dec = dec or g0_decomposition(grad)
-    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
-    return _projected_probes(base, dec.h1.project, count, seed)
+    return _projected_probes(_g0_base(grad, seed), dec.h1.project, count, seed)
+
+
+def _split_g0_probes(grad, dec, count=8, seed=0):
+    """``g0_probes`` and ``complement_probes`` projected from one base
+    family."""
+    base = _g0_base(grad, seed)
+    return (_projected_probes(base, dec.h0.project, count, seed),
+            _projected_probes(base, dec.h1.project, count, seed))
 
 
 def qdind_check(seq, n_list, candidate=None, mesh_rule=None, probe_seed=0):
@@ -652,8 +654,7 @@ def schur_equiv_check(seq, n_list=None, candidate=None, dim=1, mesh_rule=None,
         dom = _guarded_domain(n, mesh_rule, d, extents)
         grad = build_grad(dom, "dirichlet")
         dec = g0_decomposition(grad)
-        p0 = g0_probes(grad, dec, seed=probe_seed)
-        p1 = complement_probes(grad, dec, seed=probe_seed)
+        p0, p1 = _split_g0_probes(grad, dec, seed=probe_seed)
         a_n = seq.field(n, dom)
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         op_n = a_n.operator(grad)

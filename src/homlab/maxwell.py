@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elliptic import GridDomain, unknown_budget
-from .errors import BudgetExceeded, CoercivityError, ShapeError
+from .elliptic import GridDomain, check_budget
+from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
+from .hilbert import _check_residual, _rows
 from .hilbert import adjoint, kernel_range, wot_gap
 from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
 from .schur import Decomposition, schur_maps, tau_gap
@@ -66,6 +67,7 @@ class YeeComplex:
         mx, my, mz = domain.cells
         if min(mx, my, mz) < 2:
             raise ShapeError("the staggered complex needs at least 2 cells per axis")
+        check_budget(domain.cells, "yee")
         hx, hy, hz = domain.spacing
         lo = domain.lo
         vol = hx * hy * hz
@@ -119,10 +121,6 @@ class YeeComplex:
         self._face_offsets = np.concatenate([[0], np.cumsum(fcounts)])
         self.n_faces = int(self._face_offsets[-1])
         self.n_cells = domain.n_cells
-
-        budget = unknown_budget()
-        if self.n_edges + self.n_faces > budget:
-            raise BudgetExceeded(f"{self.n_edges + self.n_faces} unknowns over budget")
 
         self.edge_space = HilbertSpace(self.n_edges, weight=np.full(self.n_edges, vol))
         self.face_space = HilbertSpace(self.n_faces, weight=np.full(self.n_faces, vol))
@@ -295,7 +293,16 @@ class MaxwellSystem:
     edge and face midpoints; that keeps the coercivity bounds exact under
     sampling on the staggered layout. The admissibility requirement is
     lambda eps + sigma and lambda mu inside the coefficient class at the
-    chosen lambda."""
+    chosen lambda.
+
+    The resolvent is solved with the magnetic field eliminated: with
+    T = diag(te, tf), the rows te e - curl h = f and curl0 e + tf h = g give
+    h = tf^-1 (g - curl0 e) and the edge system
+
+        (W_e te + curl0^H W_f tf^-1 curl0) e = W_e f + curl0^H W_f tf^-1 g,
+
+    which is real symmetric positive definite for real coefficients and has
+    n_edges unknowns instead of n_edges + n_faces."""
 
     def __init__(self, domain, eps, mu, sigma, lam, bounds):
         self.complex = YeeComplex(domain)
@@ -320,8 +327,41 @@ class MaxwellSystem:
         s = self.sigma if sigma_vals is None else sigma_vals
         return sp.diags(np.concatenate([self.lam * e + s, self.lam * m]))
 
-    def resolvent_solver(self):
-        return _SparseSolver(self.t_matrix() + self.a_matrix)
+    def resolvent_solver(self, t=None):
+        """Solver of (T + A) x = b for a diagonal T, by default
+        ``t_matrix()``, through the eliminated edge system."""
+        return _EdgeResolvent(self, self.t_matrix() if t is None else t)
+
+
+class _EdgeResolvent:
+    """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block from
+    one factorisation of the edge system (see :class:`MaxwellSystem`), with
+    every column's residual checked on the full system."""
+
+    def __init__(self, system, t):
+        cx = system.complex
+        diag = t.diagonal()
+        self._ne = cx.n_edges
+        self._tf = diag[self._ne:]
+        self._we = cx.edge_space.weight
+        self._wf_tf = cx.face_space.weight / self._tf
+        self._curl0 = cx.curl0
+        self._curl0h = cx.curl0.T.tocsr()    # curl0 is real
+        edge = sp.diags(self._we * diag[:self._ne]) \
+            + self._curl0h @ sp.diags(self._wf_tf) @ self._curl0
+        # the residual is checked below, on the full system
+        self._edge = _SparseSolver(edge, tol=np.inf, symmetric=True)
+        self._full = (t + system.a_matrix).tocsr()
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs)
+        f, g = rhs[:self._ne], rhs[self._ne:]
+        e = self._edge.solve(_rows(self._we, f) * f
+                             + self._curl0h @ (_rows(self._wf_tf, g) * g))
+        h = (g - self._curl0 @ e) / _rows(self._tf, g)
+        x = np.concatenate([e, h])
+        _check_residual(self._full, x, rhs, 1e-10)
+        return x
 
 
 def assemble_maxwell(domain, eps, mu, sigma, lam, bounds):
@@ -467,7 +507,7 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
 
         probes, space = _maxwell_probes(cx, seed=probe_seed)
         gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
-                          LinearOp(space, space, apply=_SparseSolver(t_lim + sys_n.a_matrix).solve),
+                          LinearOp(space, space, apply=sys_n.resolvent_solver(t_lim).solve),
                           probes, probes)
 
         dec = _kernel_decomposition(cx, space)

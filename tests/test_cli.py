@@ -191,6 +191,32 @@ class TestFixtures:
         assert res.exit_code != 2, res.output
         assert (tmp_path / "maxwell.csv").exists()
 
+    def run_body(self, tmp_path, kind, body):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(f"[experiment]\nkind = {kind}\n{body}")
+        return run_cli([kind, "--config", str(cfg), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("kind, body", [
+        # the first index array of this Yee grid would take about 240 PB
+        ("maxwell", "[run]\nn_list = 1\ntransverse_cells = 100000000\n"),
+        # sampling the field takes 1e16 cell midpoints, about 71 PiB
+        ("cell", "[domain]\ncells = 100000000\n"),
+    ], ids=["maxwell", "cell"])
+    def test_over_budget_exits_1_before_allocating(self, tmp_path, kind, body):
+        res = self.run_body(tmp_path, kind, body)
+        assert res.exit_code == 1, res.output
+        payload = json.loads(res.output.strip().splitlines()[-1])
+        assert payload["error"].startswith("BudgetExceeded"), payload
+
+    @pytest.mark.parametrize("kind, body, key", [
+        ("maxwell", "[run]\nn_list = 1\ntransverse_cells = 1\n", "[run] transverse_cells"),
+        ("helmholtz", "[domain]\ncells = 1\n", "[domain] cells"),
+    ], ids=["maxwell", "helmholtz"])
+    def test_yee_grid_below_two_cells_exit_2(self, tmp_path, kind, body, key):
+        res = self.run_body(tmp_path, kind, body)
+        assert res.exit_code == 2, res.output
+        assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
+
     def test_strict_warning_exit_1(self, tmp_path):
         # 1 / 5e-324 overflows, which --strict turns into an error
         res = run_tiny_hconv(str(tmp_path), {"low": "5e-324"}, strict=True)

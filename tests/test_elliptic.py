@@ -13,6 +13,7 @@ from homlab.elliptic import (
     divcurl_pairing,
     divergence_defect,
     galerkin_matrix,
+    grid_unknowns,
     hminus_norm,
     poincare_constant,
     projected_inverse_1d,
@@ -58,6 +59,20 @@ class TestGridDomain:
         monkeypatch.setenv("HOMLAB_BUDGET", "1000")
         with pytest.raises(BudgetExceeded):
             build_grad.__wrapped__(GridDomain.box((64, 64)), "dirichlet")
+
+
+    @pytest.mark.parametrize("cells", [(5,), (4, 3), (3, 2, 4)])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])
+    def test_closed_form_unknown_count(self, cells, flavor):
+        g = build_grad.__wrapped__(GridDomain.box(cells), flavor)
+        assert grid_unknowns(cells, flavor) == g.scalar_space.dim + g.vector_space.dim
+
+    @pytest.mark.parametrize("cells", [(2, 2, 2), (4, 3, 5)])
+    def test_closed_form_yee_count(self, cells):
+        from homlab.maxwell import YeeComplex
+
+        cx = YeeComplex(GridDomain.box(cells))
+        assert grid_unknowns(cells, "yee") == cx.n_edges + cx.n_faces
 
 
 class TestBuildGrad:

@@ -161,6 +161,19 @@ class TestKernelRange:
         assert ker.dim + ran_adj.dim == src.dim
         assert ran.dim == ran_adj.dim == 3
 
+    def test_dense_weight_kernel_is_annihilated(self):
+        # the W-orthonormal frame of a dense weight is not self-adjoint, so
+        # its inverse must multiply from the right untransposed
+        src, tgt = random_space(5, 26, diagonal=False), random_space(4, 27, diagonal=False)
+        rng = np.random.default_rng(28)
+        a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5))
+        ker, ran = kernel_range(LinearOp(src, tgt, matrix=a))
+        assert ker.dim == 3 and ran.dim == 2
+        assert np.abs(a @ ker.basis).max() < 1e-12
+        np.testing.assert_allclose(src.gram(ker.basis, ker.basis), np.eye(3), atol=1e-12)
+        # ran(A) is spanned by the columns of A
+        np.testing.assert_allclose(ran.project(a), a, atol=1e-12)
+
     def test_kernel_perp_range_of_adjoint(self):
         # cross Gram between ker(A) and ran(A*) vanishes
         src = random_space(6, 23)

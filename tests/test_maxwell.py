@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from homlab.elliptic import GridDomain
-from homlab.errors import CoercivityError
+from homlab.errors import CoercivityError, SolverDiverged
 from homlab.evolution import resolvent_bounds, skew_split
-from homlab.hilbert import LinearOp
-from homlab.homogenize import laminate_limit
+from homlab.hilbert import LinearOp, _SparseSolver
+from homlab.homogenize import MeshRule, laminate_limit
 from homlab.maxwell import (
     MaxwellSystem,
     YeeComplex,
@@ -179,6 +181,81 @@ class TestMaxwellSystem:
         for axis in range(3):
             m = sys.complex.edge_axis == axis
             assert np.allclose(sys.eps[m], 1.0 + 0.5 * axis)
+
+
+def const(v):
+    return lambda p: np.full(len(p), v)
+
+
+def axiswise(*values):
+    return tuple(const(v) for v in values)
+
+
+class TestEliminatedResolvent:
+    """The resolvent with H eliminated against the monolithic factorisation
+    of the full edge+face system T + A, kept here as the reference."""
+
+    def system(self, cells=(4, 3, 3)):
+        dom = GridDomain.box(cells, hi=(1.0, 0.7, 1.3))
+        osc = lambda lo, hi: (lambda p: np.where(p[:, 0] % 0.5 < 0.25, lo, hi))
+        return MaxwellSystem(dom, axiswise(1.0, 2.0, 3.0), osc(1.0, 2.5),
+                             osc(0.5, 1.5), lam=1.3, bounds=(0.4, 10.0))
+
+    def blocks(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        real = rng.standard_normal((dim, 3))
+        return real, real + 1j * rng.standard_normal((dim, 3))
+
+    @pytest.mark.parametrize("limit", [False, True])
+    def test_matches_the_monolithic_solve(self, limit):
+        sys = self.system()
+        cx = sys.complex
+        t = sys.t_matrix()
+        if limit:
+            # an axis-wise limit diagonal, as the homogenisation experiment builds
+            t = sp.diags(np.concatenate([1.3 * cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
+                                         1.3 * cx.sample_faces(axiswise(1.2, 1.7, 1.7))]))
+        solver = sys.resolvent_solver(t if limit else None)
+        ref = _SparseSolver(t + sys.a_matrix)
+        for rhs in self.blocks(sys.space.dim, 40):
+            x, x_ref = solver.solve(rhs), ref.solve(rhs)
+            assert np.iscomplexobj(x) == np.iscomplexobj(rhs)
+            assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+            np.testing.assert_allclose(solver.solve(rhs[:, 1]), x[:, 1], rtol=0,
+                                       atol=1e-14 * np.abs(x).max())
+
+    def test_complex_coefficients(self):
+        sys = self.system((3, 3, 2))
+        t = sys.t_matrix(eps_vals=sys.eps + 0.4j)
+        rhs = self.blocks(sys.space.dim, 41)[1]
+        x, x_ref = sys.resolvent_solver(t).solve(rhs), _SparseSolver(t + sys.a_matrix).solve(rhs)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_nan_column_raises(self):
+        sys = self.system()
+        rhs = self.blocks(sys.space.dim, 42)[0]
+        rhs[sys.complex.n_edges + 2, 1] = np.nan
+        with pytest.raises(SolverDiverged, match="column 1"):
+            sys.resolvent_solver().solve(rhs)
+
+    def test_only_the_edge_system_is_factorised(self, monkeypatch):
+        shapes = []
+        splu = spla.splu
+
+        def recording(k, *args, **kwargs):
+            shapes.append(k.shape)
+            return splu(k, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        rep = maxwell_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
+            lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
+        assert rep.values("gap_resolvent").max() > 0
+        full = set()
+        for n in (1, 2):
+            cx = YeeComplex(GridDomain.box((MeshRule(2, min_cells=3).cells(n), 3, 3)))
+            full.add(cx.n_edges + cx.n_faces)
+        assert shapes and not any(rows in full for rows, _ in shapes)
 
 
 class TestHomogenizationExperiment:
