@@ -331,6 +331,7 @@ def _table(kind, columns, rows, meta=None):
 
 def _run_solve1d(cfg, out, seed, digest):
     coef_path = cfg.get("coefficients", "path")
+    flavor = cfg.get("run", "flavor", "dirichlet")
     if coef_path:
         from .serialize import load_coefficient_text
 
@@ -340,11 +341,11 @@ def _run_solve1d(cfg, out, seed, digest):
             raise ConfigError("[coefficients] path: solve1d needs a 1-d field")
     else:
         cells = _domain_cells(cfg, 256)
+        elliptic.check_budget((cells,), flavor)    # before the field is sampled
         dom = GridDomain.interval(0, 1, cells)
         profile, bounds = _profile_from(cfg)
         a = CoefficientField.from_function(dom, lambda p: profile(p[:, 0] % 1.0),
                                            bounds=bounds)
-    flavor = cfg.get("run", "flavor", "dirichlet")
     f = RHSFunctional.density(lambda p: np.ones(len(p)))
     u, q = elliptic.solve_elliptic(dom, a, f, flavor=flavor)
     grad = elliptic.build_grad(dom, flavor)
@@ -382,33 +383,34 @@ def _run_laminate2d(cfg, out, seed, digest):
 def _run_cell(cfg, out, seed, digest):
     kind = cfg.get("coefficients", "cell_kind", "laminate")
     cells = _domain_cells(cfg, 64)
+    elliptic.check_budget((cells, cells), "periodic")    # before the field is sampled
     tol = cfg.get_float("run", "tolerance", 0.02)
     profile, bounds = _profile_from(cfg)
-    dom = GridDomain.box((cells, cells))
     if kind == "laminate":
-        sample = lambda: CoefficientField.from_function(
+        dom = GridDomain.box((cells, cells))
+        field = CoefficientField.from_function(
             dom, lambda p: profile(p[:, 0] % 1.0), bounds=bounds)
         a_h, a_m = laminate_limit(profile)
         expected = np.diag([a_h, a_m])
     elif kind == "checkerboard":
         low = _positive(cfg, "low", 1.0)
         high = _positive(cfg, "high", 4.0)
+        dom = GridDomain.box((cells, cells))
 
         def cb(p):
             return np.where(((np.floor(2 * p[:, 0]) + np.floor(2 * p[:, 1])) % 2) == 0,
                             low, high)
 
-        sample = lambda: CoefficientField.from_function(
-            dom, cb, bounds=(min(low, high), max(low, high)))
+        field = CoefficientField.from_function(dom, cb,
+                                               bounds=(min(low, high), max(low, high)))
         expected = np.sqrt(low * high) * np.eye(2)
     elif kind == "constant":
         v = _positive(cfg, "value", 2.0)
-        sample = lambda: CoefficientField.constant(dom, v, bounds=(v, v))
+        dom = GridDomain.box((cells, cells))
+        field = CoefficientField.constant(dom, v, bounds=(v, v))
         expected = v * np.eye(2)
     else:
         raise ConfigError(f"[coefficients] unknown cell_kind {kind!r}")
-    elliptic.check_budget(dom.cells, "periodic")    # before the field is sampled
-    field = sample()
     a_hom = homogenize.homogenized_tensor(field)
     scale = np.abs(expected).max()
     rows = [{"i": i, "j": j, "value": a_hom[i, j].real,

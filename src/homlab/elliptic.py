@@ -93,6 +93,8 @@ def grid_unknowns(cells, flavor):
             others = [m for t, m in enumerate(cells) if t != axis]
             total += c * math.prod(m - 1 for m in others) + (c - 1) * math.prod(others)
         return total
+    if flavor not in FLAVORS:
+        raise ShapeError(f"unknown flavor {flavor!r}")
     shift = {"periodic": 0, "neumann": 1, "dirichlet": -1}[flavor]
     d = len(cells)
     return math.prod(c + shift for c in cells) + math.prod(cells) * math.factorial(d) * d

@@ -738,18 +738,14 @@ class _SparseSolver:
     one SuperLU factorisation of a sparse K; a K that SuperLU finds singular
     raises :class:`NotInM`. One right-hand side or an (n, m) block, solved in
     one SuperLU call and checked column by column; a real factorisation
-    solves a complex right-hand side part by part. A ``symmetric`` K is
-    ordered by minimum degree on K + K^T with diagonal pivots preferred,
-    which fills less than the default column ordering."""
+    solves a complex right-hand side part by part."""
 
-    def __init__(self, k, tol=1e-10, symmetric=False):
+    def __init__(self, k, tol=1e-10):
         self.k = k.tocsc()
         self.tol = tol
         self._real = not np.iscomplexobj(self.k.data)
-        order = {"permc_spec": "MMD_AT_PLUS_A",
-                 "options": {"SymmetricMode": True}} if symmetric else {}
         try:
-            self._factor = spla.splu(self.k, **order)
+            self._factor = spla.splu(self.k)
         except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
             raise NotInM(f"sparse factorisation failed: {exc}") from exc
 

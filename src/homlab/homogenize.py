@@ -55,8 +55,7 @@ __all__ = [
     "schur_equiv_check",
     "adjoint_symmetry_check",
     "g0_decomposition",
-    "g0_probes",
-    "complement_probes",
+    "g0_probe_pair",
 ]
 
 
@@ -543,24 +542,12 @@ def _projected_probes(base, project, count, seed):
     return ProbeSet.from_vectors(base.space, np.hstack(kept)[:, :count], seed=seed)
 
 
-def _g0_base(grad, seed):
-    return vector_probes(grad, kinds=("component", "gradient"), seed=seed)
-
-
-def g0_probes(grad, dec=None, count=8, seed=0):
+def g0_probe_pair(grad, dec=None, count=8, seed=0):
+    """Probes of the gradient range and of its complement, ``(p0, p1)``: one
+    base family of component and gradient probes projected by
+    ``dec.h0.project`` and ``dec.h1.project``."""
     dec = dec or g0_decomposition(grad)
-    return _projected_probes(_g0_base(grad, seed), dec.h0.project, count, seed)
-
-
-def complement_probes(grad, dec=None, count=8, seed=0):
-    dec = dec or g0_decomposition(grad)
-    return _projected_probes(_g0_base(grad, seed), dec.h1.project, count, seed)
-
-
-def _split_g0_probes(grad, dec, count=8, seed=0):
-    """``g0_probes`` and ``complement_probes`` projected from one base
-    family."""
-    base = _g0_base(grad, seed)
+    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
     return (_projected_probes(base, dec.h0.project, count, seed),
             _projected_probes(base, dec.h1.project, count, seed))
 
@@ -654,7 +641,7 @@ def schur_equiv_check(seq, n_list=None, candidate=None, dim=1, mesh_rule=None,
         dom = _guarded_domain(n, mesh_rule, d, extents)
         grad = build_grad(dom, "dirichlet")
         dec = g0_decomposition(grad)
-        p0, p1 = _split_g0_probes(grad, dec, seed=probe_seed)
+        p0, p1 = g0_probe_pair(grad, dec, seed=probe_seed)
         a_n = seq.field(n, dom)
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         op_n = a_n.operator(grad)

@@ -350,7 +350,7 @@ class _EdgeResolvent:
         edge = sp.diags(self._we * diag[:self._ne]) \
             + self._curl0h @ sp.diags(self._wf_tf) @ self._curl0
         # the residual is checked below, on the full system
-        self._edge = _SparseSolver(edge, tol=np.inf, symmetric=True)
+        self._edge = _SparseSolver(edge, tol=np.inf)
         self._full = (t + system.a_matrix).tocsr()
 
     def solve(self, rhs):

@@ -24,7 +24,7 @@ from .errors import CoercivityError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
 from .hilbert import _SparseSolver, _sym_lambda_min
 from .homogenize import ExperimentReport, default_mesh_rule, laminate_limit
-from .homogenize import _split_g0_probes, g0_decomposition
+from .homogenize import g0_decomposition, g0_probe_pair
 from .schur import schur_maps, tau_gap
 
 __all__ = [
@@ -287,7 +287,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
 
         grad = sys_n.grad
         dec = g0_decomposition(grad)
-        p0, p1 = _split_g0_probes(grad, dec, seed=probe_seed)
+        p0, p1 = g0_probe_pair(grad, dec, seed=probe_seed)
         op_n = c_n.operator(grad)
         op_lim = c_lim.operator(grad)
         maps_n = schur_maps(op_n, dec, check_membership=False)

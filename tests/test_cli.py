@@ -201,12 +201,22 @@ class TestFixtures:
         ("maxwell", "[run]\nn_list = 1\ntransverse_cells = 100000000\n"),
         # sampling the field takes 1e16 cell midpoints, about 71 PiB
         ("cell", "[domain]\ncells = 100000000\n"),
-    ], ids=["maxwell", "cell"])
+        # sampling the field takes 1e17 cell midpoints, about 710 PiB
+        ("solve1d", "[domain]\ncells = 100000000000000000\n"),
+    ], ids=["maxwell", "cell", "solve1d"])
     def test_over_budget_exits_1_before_allocating(self, tmp_path, kind, body):
         res = self.run_body(tmp_path, kind, body)
         assert res.exit_code == 1, res.output
         payload = json.loads(res.output.strip().splitlines()[-1])
         assert payload["error"].startswith("BudgetExceeded"), payload
+
+    @pytest.mark.parametrize("kind", ["hconv", "laminate2d"])
+    def test_unknown_flavor_exits_1_with_shape_error(self, tmp_path, kind):
+        res = self.run_body(tmp_path, kind, "[run]\nn_list = 1\nflavor = foo\n")
+        assert res.exit_code == 1, res.output
+        payload = json.loads(res.output.strip().splitlines()[-1])
+        assert payload["error"].startswith("ShapeError"), payload
+        assert "foo" in payload["error"], payload
 
     @pytest.mark.parametrize("kind, body, key", [
         ("maxwell", "[run]\nn_list = 1\ntransverse_cells = 1\n", "[run] transverse_cells"),
