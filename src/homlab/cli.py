@@ -482,11 +482,15 @@ def _run_divcurl(cfg, out, seed, digest):
         if abs(rows[-1]["pairing"] - half_phi) > 0.05 * abs(half_phi):
             failures.append("counterexample pairing missed half the cutoff mass")
     else:
+        ppd = _at_least(cfg, "run", "cells_per_period", 64, 1)
+        if min(n_list) < 1:
+            raise ConfigError(f"[run] n_list: every entry must be at least 1 "
+                              f"(got {min(n_list)})")
+        elliptic.check_budget((ppd * max(n_list),), "dirichlet")    # before any field is sampled
         f = RHSFunctional.density(lambda p: np.ones(len(p)))
         profile, bounds = _profile_from(cfg)
         r_fn = lambda pts: np.stack([np.cos(np.pi * pts[:, 0])], axis=-1)
         a_h, _ = laminate_limit(profile)
-        ppd = cfg.get_int("run", "cells_per_period", 64)
         vals = []
         for n in n_list:
             dom = GridDomain.interval(0, 1, ppd * n)

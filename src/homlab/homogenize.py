@@ -646,8 +646,8 @@ def schur_equiv_check(seq, n_list=None, candidate=None, dim=1, mesh_rule=None,
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         op_n = a_n.operator(grad)
         op_h = cand_field.operator(grad)
-        maps_n = schur_maps(op_n, dec, check_membership=False)
-        maps_h = schur_maps(op_h, dec, check_membership=False)
+        maps_n = schur_maps(op_n, dec)
+        maps_h = schur_maps(op_h, dec)
         g00, g01, g10, gs = tau_gap(maps_n, maps_h, dec, p0, p1)
         u_n, _ = solve_elliptic(dom, a_n, f)
         u_h, _ = solve_elliptic(dom, cand_field, f)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NotInM, ShapeError, SolverDiverged
 from .hilbert import (
@@ -99,23 +98,6 @@ def _dense_cond(m):
         return np.inf
 
 
-def _sparse_cond_estimate(m):
-    # tol=inf: an ill-conditioned operator has to come out as a large
-    # estimate (and NotInM), not as a failed solve
-    try:
-        solver = _SparseSolver(m, tol=np.inf)
-    except NotInM:
-        return np.inf
-    n = m.shape[0]
-    inv = spla.LinearOperator(
-        (n, n),
-        matvec=solver.solve,
-        rmatvec=lambda x: solver.solve(x, trans="H"),
-        dtype=m.dtype,
-    )
-    return spla.onenormest(m) * spla.onenormest(inv)
-
-
 class _ProjectedSolver:
     """a00^{-1} on a generator-backed subspace: parametrizing H0 = ran(G)
     turns the projected equation P0 a G u = phi into the Galerkin system
@@ -185,21 +167,23 @@ def blocks(a, dec):
     return mk(p0, p0), mk(p0, p1), mk(p1, p0), mk(p1, p1)
 
 
-def schur_maps(a, dec, check_membership=True):
+def schur_maps(a, dec):
     """The four Schur-topology maps of ``a`` for the given decomposition.
 
-    Requires ``a`` and its (0,0) block to be continuously invertible
-    (condition estimate below 1e12); otherwise raises :class:`NotInM`.
+    Requires ``a`` and its (0,0) block to be continuously invertible;
+    otherwise raises :class:`NotInM`. An explicit decomposition checks the
+    dense condition numbers of ``a`` and a00 against 1e12; an implicit one
+    checks only a00, through the SuperLU factorisation of its Galerkin
+    system, which raises :class:`NotInM` when that system is singular.
     """
     if not a.square or not a.source.compatible(dec.space):
         raise ShapeError("operator must be square on the decomposition's space")
     if dec.explicit:
         a00, a01, a10, a11 = blocks(a, dec)
-        if check_membership:
-            if _dense_cond(a.to_dense()) > _COND_CUTOFF:
-                raise NotInM("operator condition estimate above cutoff")
-            if a00.size and _dense_cond(a00) > _COND_CUTOFF:
-                raise NotInM("a00 condition estimate above cutoff")
+        if _dense_cond(a.to_dense()) > _COND_CUTOFF:
+            raise NotInM("operator condition estimate above cutoff")
+        if a00.size and _dense_cond(a00) > _COND_CUTOFF:
+            raise NotInM("a00 condition estimate above cutoff")
         a00inv = np.linalg.inv(a00)
         m01 = a00inv @ a01
         m10 = a10 @ a00inv
@@ -216,9 +200,6 @@ def schur_maps(a, dec, check_membership=True):
     amat = a.matrix
     if amat is None:
         raise ShapeError("implicit Schur maps need a sparse operator matrix")
-    if check_membership:
-        if _sparse_cond_estimate(sp.csc_matrix(amat)) > _COND_CUTOFF:
-            raise NotInM("operator condition estimate above cutoff")
     solver = _ProjectedSolver(dec, amat)
     p0, p1 = dec.h0.project, dec.h1.project
 

@@ -290,8 +290,8 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
         p0, p1 = g0_probe_pair(grad, dec, seed=probe_seed)
         op_n = c_n.operator(grad)
         op_lim = c_lim.operator(grad)
-        maps_n = schur_maps(op_n, dec, check_membership=False)
-        maps_lim = schur_maps(op_lim, dec, check_membership=False)
+        maps_n = schur_maps(op_n, dec)
+        maps_lim = schur_maps(op_lim, dec)
         g00, g01, g10, gs = tau_gap(maps_n, maps_lim, dec, p0, p1)
 
         sspace = grad.scalar_space

@@ -104,7 +104,7 @@ def test_criterion_02_projected_inverse_closed_form():
                             shape=(m, m - 1)).tocsr() / h
             dec = Decomposition.from_generator(space, gmat)
             aop = LinearOp(space, space, matrix=sp.diags(a).tocsr())
-            generic = smaps(aop, dec, check_membership=False).m00inv(phi)
+            generic = smaps(aop, dec).m00inv(phi)
             closed = projected_inverse_1d(a, phi)
             assert np.abs(generic - closed).max() < 1e-10, f"trial {trial}"
 

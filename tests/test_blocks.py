@@ -148,7 +148,7 @@ class TestApplicatorsTakeBlocks:
         grad = build_grad(dom)
         rng = np.random.default_rng(13)
         a = CoefficientField(dom, rng.uniform(1.0, 3.0, dom.n_cells), bounds=(1.0, 3.0))
-        maps = schur_maps(a.operator(grad), g0_decomposition(grad), check_membership=False)
+        maps = schur_maps(a.operator(grad), g0_decomposition(grad))
         block = rng.standard_normal((grad.vector_space.dim, 4))
         for m in (maps.m00inv, maps.m01, maps.m10, maps.ms):
             assert_column_stack(m, block, rtol=1e-10)

@@ -203,7 +203,9 @@ class TestFixtures:
         ("cell", "[domain]\ncells = 100000000\n"),
         # sampling the field takes 1e17 cell midpoints, about 710 PiB
         ("solve1d", "[domain]\ncells = 100000000000000000\n"),
-    ], ids=["maxwell", "cell", "solve1d"])
+        # sampling the compliant field takes 1e15 cell midpoints, about 7 PiB
+        ("divcurl", "[run]\nn_list = 1\ncells_per_period = 1000000000000000\n"),
+    ], ids=["maxwell", "cell", "solve1d", "divcurl"])
     def test_over_budget_exits_1_before_allocating(self, tmp_path, kind, body):
         res = self.run_body(tmp_path, kind, body)
         assert res.exit_code == 1, res.output
@@ -224,6 +226,16 @@ class TestFixtures:
     ], ids=["maxwell", "helmholtz"])
     def test_yee_grid_below_two_cells_exit_2(self, tmp_path, kind, body, key):
         res = self.run_body(tmp_path, kind, body)
+        assert res.exit_code == 2, res.output
+        assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize("body, key", [
+        ("[run]\nn_list = 1\ncells_per_period = 0\n", "[run] cells_per_period"),
+        ("[run]\nn_list = 2, 0\ncells_per_period = 4\n", "[run] n_list"),
+        ("[run]\nn_list = -1\ncells_per_period = 4\n", "[run] n_list"),
+    ], ids=["cells_per_period", "n_list-zero", "n_list-negative"])
+    def test_divcurl_grid_below_one_cell_exit_2(self, tmp_path, body, key):
+        res = self.run_body(tmp_path, "divcurl", body)
         assert res.exit_code == 2, res.output
         assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
 

@@ -1,5 +1,5 @@
-"""tools/config_digests.py: the 1e-10 numeric gate (``compare_csv``) and the
-resolution of its config arguments."""
+"""tools/config_digests.py: the 1e-10 numeric gate (``compare_csv``), the
+resolution of its config arguments and its check of the thread settings."""
 
 import importlib.util
 from pathlib import Path
@@ -65,3 +65,22 @@ def test_missing_config_is_a_usage_error(digests, capsys, arg):
         digests.main([arg])
     assert exc.value.code == 2
     assert "no_such_config.cfg" in capsys.readouterr().err
+
+
+def test_compare_names_a_changed_thread_setting(digests, capsys, tmp_path, monkeypatch):
+    # evo_two_scale's gap_strong moves by 1 % with the BLAS thread count, so
+    # a comparison across thread settings is refused before anything runs
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert digests.main(["--save", str(tmp_path), "solve1d"]) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        digests.main(["--compare", str(tmp_path), "solve1d"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "OPENBLAS_NUM_THREADS" in err
+    assert "OMP_NUM_THREADS" not in err and "MKL_NUM_THREADS" not in err
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert digests.main(["--compare", str(tmp_path), "solve1d"]) == 0

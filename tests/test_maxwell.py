@@ -1,11 +1,15 @@
 """Tests for the staggered Maxwell system and Helmholtz decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homlab.elliptic import GridDomain
+from homlab.elliptic import GridDomain, grid_unknowns
 from homlab.errors import CoercivityError, SolverDiverged
 from homlab.evolution import resolvent_bounds, skew_split
 from homlab.hilbert import LinearOp, _SparseSolver
@@ -13,7 +17,6 @@ from homlab.homogenize import MeshRule, laminate_limit
 from homlab.maxwell import (
     MaxwellSystem,
     YeeComplex,
-    assemble_maxwell,
     build_curl,
     helmholtz_decompose,
     maxwell_homogenization_experiment,
@@ -86,22 +89,99 @@ class TestComplexStructure:
         yz = jj * h[1]
         ez_full = np.sin(np.pi * xz) * np.sin(np.pi * yz)
         e = np.zeros(cx.n_edges)
-        keep = cx._edge_keep[2]
-        e[cx._edge_offsets[2] + cx._edge_red[2][keep]] = ez_full[keep]
+        e[cx.edge_axis == 2] = ez_full[1:mx, 1:my, :].ravel()
         out = cx.curl0 @ e
         # (curl E)_x = d Ez / dy at x-normal faces (interior planes only)
         dz_dy = (ez_full[:, 1:, :] - ez_full[:, :-1, :]) / h[1]
-        fx_keep = cx._face_keep[0]
         expected_x = dz_dy[1:mx, :, :]
-        got_x = out[cx._face_offsets[0] + cx._face_red[0][fx_keep]]
-        np.testing.assert_allclose(got_x, expected_x.ravel(), atol=1e-13)
+        np.testing.assert_allclose(out[cx.face_axis == 0], expected_x.ravel(), atol=1e-13)
+
+    def test_operators_vs_slicing_oracle(self):
+        # random fields on the full staggered index grids, zero at the
+        # eliminated boundary positions, against np.diff on those grids; the
+        # reduced vectors are the interior slices in C order
+        m = (4, 5, 3)
+        dom = GridDomain.box(m, lo=(-0.5, 0.2, 1.0), hi=(1.5, 1.2, 1.6))
+        cx = YeeComplex(dom)
+        h = dom.spacing
+        rng = np.random.default_rng(4)
+        interior = [slice(1, c) for c in m]
+        full = [slice(None)] * 3
+
+        def along(axis, inside, rest):
+            return tuple(inside if t == axis else rest[t] for t in range(3))
+
+        u_full = np.zeros([c + 1 for c in m])
+        u_full[tuple(interior)] = rng.standard_normal([c - 1 for c in m])
+        e_full, f_full = [], []
+        for a in range(3):
+            ef = np.zeros([c if t == a else c + 1 for t, c in enumerate(m)])
+            ef[along(a, slice(None), interior)] = rng.standard_normal(
+                [c if t == a else c - 1 for t, c in enumerate(m)])
+            e_full.append(ef)
+            ff = np.zeros([c + 1 if t == a else c for t, c in enumerate(m)])
+            ff[along(a, interior[a], full)] = rng.standard_normal(
+                [c - 1 if t == a else c for t, c in enumerate(m)])
+            f_full.append(ff)
+        u = u_full[tuple(interior)].ravel()
+        e = np.concatenate([e_full[a][along(a, slice(None), interior)].ravel()
+                            for a in range(3)])
+        f = np.concatenate([f_full[a][along(a, interior[a], full)].ravel()
+                            for a in range(3)])
+
+        grad = cx.grad0 @ u
+        curl = cx.curl0 @ e
+        for a in range(3):
+            expected = np.diff(u_full, axis=a) / h[a]
+            np.testing.assert_allclose(grad[cx.edge_axis == a],
+                                       expected[along(a, slice(None), interior)].ravel(),
+                                       rtol=1e-12, atol=1e-12)
+            b, c = (a + 1) % 3, (a + 2) % 3
+            expected = (np.diff(e_full[c], axis=b) / h[b]
+                        - np.diff(e_full[b], axis=c) / h[c])
+            np.testing.assert_allclose(curl[cx.face_axis == a],
+                                       expected[along(a, interior[a], full)].ravel(),
+                                       rtol=1e-12, atol=1e-12)
+        expected = sum(np.diff(f_full[a], axis=a) / h[a] for a in range(3))
+        np.testing.assert_allclose(cx.div_faces @ f, expected.ravel(), rtol=1e-12, atol=1e-12)
+
+        centres = [lo + (np.arange(c) + 0.5) * s for lo, c, s in zip(dom.lo, m, h)]
+        nodes = [lo + np.arange(1, c) * s for lo, c, s in zip(dom.lo, m, h)]
+        for a in range(3):
+            grids = np.meshgrid(*[centres[t] if t == a else nodes[t] for t in range(3)],
+                                indexing="ij")
+            np.testing.assert_allclose(cx.edge_mid[cx.edge_axis == a],
+                                       np.stack([g.ravel() for g in grids], axis=-1),
+                                       rtol=0, atol=1e-15)
+            grids = np.meshgrid(*[nodes[t] if t == a else centres[t] for t in range(3)],
+                                indexing="ij")
+            np.testing.assert_allclose(cx.face_mid[cx.face_axis == a],
+                                       np.stack([g.ravel() for g in grids], axis=-1),
+                                       rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.tuples(*[st.integers(2, 6)] * 3),
+           lo=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+           width=st.tuples(*[st.floats(0.1, 5.0)] * 3))
+    def test_complex_on_random_boxes(self, cells, lo, width):
+        hi = tuple(a + w for a, w in zip(lo, width))
+        dom = GridDomain.box(cells, lo=lo, hi=hi)
+        cx = YeeComplex(dom)
+        for chain in (cx.curl0 @ cx.grad0, cx.div_faces @ cx.curl0):
+            assert chain.nnz == 0 or np.abs(chain.data).max() == 0.0
+        assert cx.n_edges + cx.n_faces == grid_unknowns(cells, "yee")
+        assert cx.n_nodes == math.prod(c - 1 for c in cells)
+        assert cx.grad0.shape == (cx.n_edges, cx.n_nodes)
+        assert cx.div_faces.shape == (cx.n_cells, cx.n_faces)
+        for mid in (cx.edge_mid, cx.face_mid):
+            assert np.all(mid > np.array(dom.lo)) and np.all(mid < np.array(hi))
 
     def test_block_operator_skew_with_kernel_dims(self):
         dom = GridDomain.box((3, 3, 3))
-        sys = assemble_maxwell(dom, lambda p: np.full(len(p), 2.0),
-                               lambda p: np.full(len(p), 1.0),
-                               lambda p: np.full(len(p), 0.5),
-                               lam=1.0, bounds=(0.5, 5.0))
+        sys = MaxwellSystem(dom, lambda p: np.full(len(p), 2.0),
+                            lambda p: np.full(len(p), 1.0),
+                            lambda p: np.full(len(p), 0.5),
+                            lam=1.0, bounds=(0.5, 5.0))
         a = skew_split(sys.a_op)
         cx = sys.complex
         assert a.ker.dim == cx.n_nodes + cx.n_cells - 1
@@ -164,10 +244,10 @@ class TestMaxwellSystem:
 
     def test_resolvent_bounds_hold(self):
         dom = GridDomain.box((3, 3, 3))
-        sys = assemble_maxwell(dom, lambda p: np.full(len(p), 2.0),
-                               lambda p: np.full(len(p), 1.0),
-                               lambda p: np.full(len(p), 0.5),
-                               lam=1.0, bounds=(0.5, 5.0))
+        sys = MaxwellSystem(dom, lambda p: np.full(len(p), 2.0),
+                            lambda p: np.full(len(p), 1.0),
+                            lambda p: np.full(len(p), 0.5),
+                            lam=1.0, bounds=(0.5, 5.0))
         t = LinearOp(sys.space, sys.space, matrix=sys.t_matrix().toarray())
         a = skew_split(sys.a_op)
         resolvent_bounds(t, a)

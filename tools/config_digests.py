@@ -27,11 +27,19 @@ match exactly. It prints one line per CSV,
 which is the gate for a change of solver, where byte-identical output
 cannot be expected. A run that exits with a status other than 0, or a
 comparison that fails, is reported, and the script then exits 1.
+
+``--save`` also records the ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``
+and ``MKL_NUM_THREADS`` settings in ``DIR/threads.json``, and ``--compare``
+exits 2, naming each variable, when a setting differs from the recorded
+one: some outputs move with the BLAS thread count (``evo_two_scale``'s
+``gap_strong`` by about 1 %), so both sides must run under the same
+threading. A directory without the record is compared without this check.
 """
 
 import argparse
 import configparser
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -42,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RTOL = 1e-10
 ATOL = 1e-12
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+THREADS_FILE = "threads.json"
 
 
 def resolve_config(arg):
@@ -114,6 +124,16 @@ def main(argv):
     missing = [str(c) for c in configs if not c.is_file()]
     if missing:
         parser.error(f"no such config: {', '.join(missing)}")
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
+        settings = {var: os.environ.get(var) for var in THREAD_VARS}
+        (args.save / THREADS_FILE).write_text(json.dumps(settings, indent=1) + "\n")
+    if args.compare and (args.compare / THREADS_FILE).is_file():
+        saved = json.loads((args.compare / THREADS_FILE).read_text())
+        changed = [f"{var}={os.environ.get(var)} here but {saved.get(var)} at --save"
+                   for var in THREAD_VARS if os.environ.get(var) != saved.get(var)]
+        if changed:
+            parser.error("thread settings differ: " + "; ".join(changed))
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in configs:
