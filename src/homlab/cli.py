@@ -244,6 +244,23 @@ def _domain_cells(cfg, default, least=1):
     return _at_least(cfg, "domain", "cells", default, least)
 
 
+def _run_mode(cfg, modes):
+    """[run] mode, one of ``modes``; the first is the default."""
+    mode = cfg.get("run", "mode", modes[0])
+    if mode not in modes:
+        raise ConfigError(f"[run] mode: must be one of {', '.join(modes)} (got {mode!r})")
+    return mode
+
+
+def _n_list(cfg, default):
+    """[run] n_list, every entry at least 1."""
+    n_list = cfg.get_int_list("run", "n_list", default)
+    if min(n_list) < 1:
+        raise ConfigError(f"[run] n_list: every entry must be at least 1 "
+                          f"(got {min(n_list)})")
+    return n_list
+
+
 def _positive(cfg, key, default, zero_ok=False):
     """A [coefficients] value that must be positive, or at least 0 when
     zero_ok."""
@@ -461,8 +478,8 @@ def _run_schur_gap(cfg, out, seed, digest):
 
 
 def _run_divcurl(cfg, out, seed, digest):
-    mode = cfg.get("run", "mode", "compliant")
-    n_list = cfg.get_int_list("run", "n_list", [4, 8, 16, 32])
+    mode = _run_mode(cfg, ("compliant", "counterexample"))
+    n_list = _n_list(cfg, [4, 8, 16, 32])
     rows = []
     failures = []
     if mode == "counterexample":
@@ -483,9 +500,6 @@ def _run_divcurl(cfg, out, seed, digest):
             failures.append("counterexample pairing missed half the cutoff mass")
     else:
         ppd = _at_least(cfg, "run", "cells_per_period", 64, 1)
-        if min(n_list) < 1:
-            raise ConfigError(f"[run] n_list: every entry must be at least 1 "
-                              f"(got {min(n_list)})")
         elliptic.check_budget((ppd * max(n_list),), "dirichlet")    # before any field is sampled
         f = RHSFunctional.density(lambda p: np.ones(len(p)))
         profile, bounds = _profile_from(cfg)
@@ -543,8 +557,8 @@ def _run_divtest(cfg, out, seed, digest):
 
 
 def _run_evo(cfg, out, seed, digest):
-    mode = cfg.get("run", "mode", "synthetic")
-    n_list = cfg.get_int_list("run", "n_list", [1, 2, 4, 8, 16, 32])
+    mode = _run_mode(cfg, ("synthetic", "two_scale"))
+    n_list = _n_list(cfg, [1, 2, 4, 8, 16, 32])
     failures = []
     if mode == "two_scale":
         tol = cfg.get_float("run", "tolerance", 5e-2)

@@ -29,7 +29,7 @@ from .hilbert import (
     wot_gap,
 )
 from .homogenize import ExperimentReport
-from .schur import Decomposition, tau_gap
+from .schur import Decomposition, schur_maps, tau_gap
 
 __all__ = [
     "SkewOp",
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _SKEW_TOL = 1e-10
+_EVO_COLUMNS = ("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
+                "gap_resolvent", "gap_strong")
 
 
 def operator_norm(op):
@@ -173,43 +175,34 @@ def resolvent_bounds(t, a, tol=1e-9):
     return n_res, n_ares, c
 
 
-def _block(space, tmat, bi, bj):
-    """The block B_i^H W T B_j of a dense T between two basis matrices."""
-    return bi.conj().T @ space.apply_weight(tmat @ bj)
-
-
 def block_solve(t, a, f, tol=1e-9):
-    """Solve (T + A)u = f by elimination along (ker A, ran A):
+    """Solve (T + A)u = f by elimination along (ker A, ran A). The
+    elimination is the four Schur maps of T for that splitting, read from
+    one :func:`~homlab.schur.schur_maps`:
 
         u1 = (T_S + A~)^{-1} (f1 - T10 T00^{-1} f0)
         u0 = T00^{-1} f0 - T00^{-1} T01 u1.
 
-    The assembled solution is verified against the equation and must agree
-    with the direct solve.
+    The assembled solution is verified against the equation.
     """
     space = t.source
     rep = coercivity_check(t, 1e-300, 1e300)
     if rep.re_min <= 0:
         raise CoercivityError("block solve needs Re T > 0")
     f = space.check_member(np.asarray(f))
-    b0, b1 = a.ker.basis, a.ran.basis
-    tmat = t.to_dense()
+    maps = schur_maps(t, a.dec)
     # an empty kernel or range gives empty blocks, which numpy solves as such
-    f0, f1 = b0.conj().T @ space.apply_weight(f), b1.conj().T @ space.apply_weight(f)
-    t00 = _block(space, tmat, b0, b0)
-    t01 = _block(space, tmat, b0, b1)
-    t10 = _block(space, tmat, b1, b0)
-    t11 = _block(space, tmat, b1, b1)
-    reduced = t11 - t10 @ np.linalg.solve(t00, t01) + a.a_tilde
+    f0, f1 = a.ker.coords(f), a.ran.coords(f)
+    reduced = maps.ms_mat + a.a_tilde
     if a.ran.dim and np.linalg.cond(reduced) > 1e12:
         raise HomlabError(
             "internal inconsistency: T_S + A~ is singular despite the "
             "coercivity and skew-adjointness guards"
         )
-    u1 = np.linalg.solve(reduced, f1 - t10 @ np.linalg.solve(t00, f0))
-    u0 = np.linalg.solve(t00, f0) - np.linalg.solve(t00, t01 @ u1)
-    u = b0 @ u0 + b1 @ u1
-    residual = (tmat + a.matrix()) @ u - f
+    u1 = np.linalg.solve(reduced, f1 - maps.m10_mat @ f0)
+    u0 = maps.m00inv_mat @ f0 - maps.m01_mat @ u1
+    u = a.ker.basis @ u0 + a.ran.basis @ u1
+    residual = (t.to_dense() + a.matrix()) @ u - f
     if np.linalg.norm(residual) > tol * max(1.0, np.linalg.norm(f)):
         raise HomlabError(f"block solve residual {np.linalg.norm(residual):.3e}")
     return u
@@ -248,25 +241,22 @@ def _split_probes(a, probes):
     return p0, p1
 
 
-def _reduced_strong_gap(a, t_n, t_lim, wobble_coords):
-    """Strong gap of the eliminated problem on ran(A): the compact-inverse
-    mechanism turns weak wobbles of the data into vanishing solution gaps."""
-    b0, b1 = a.ker.basis, a.ran.basis
+def _reduced_strong_gap(a, maps_n, maps_lim, wobble_coords):
+    """Strong gap of the eliminated problem on ran(A), solved with the Schur
+    complements of T_n and of the limit: the compact-inverse mechanism turns
+    weak wobbles of the data into vanishing solution gaps."""
     if not a.ran.dim:
         return 0.0
-    space = a.space
-
-    def reduced(tmat):
-        t00, t01, t10, t11 = (_block(space, tmat, bi, bj)
-                              for bi, bj in ((b0, b0), (b0, b1), (b1, b0), (b1, b1)))
-        return t11 - t10 @ np.linalg.solve(t00, t01)
-
     g = np.ones(a.ran.dim) / np.sqrt(a.ran.dim)
-    red_n = reduced(t_n.to_dense()) + a.a_tilde
-    red_l = reduced(t_lim.to_dense()) + a.a_tilde
-    u_n = np.linalg.solve(red_n, g + wobble_coords)
-    u_l = np.linalg.solve(red_l, g)
-    return float(space.norm(b1 @ (u_n - u_l)))
+    u_n = np.linalg.solve(maps_n.ms_mat + a.a_tilde, g + wobble_coords)
+    u_l = np.linalg.solve(maps_lim.ms_mat + a.a_tilde, g)
+    return float(a.space.norm(a.ran.basis @ (u_n - u_l)))
+
+
+def _resolvent(t, amat):
+    """(T + A)^{-1} as a solve with the dense T + A, applied to a block."""
+    return LinearOp(t.source, t.source,
+                    apply=functools.partial(np.linalg.solve, t.to_dense() + amat))
 
 
 def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
@@ -274,7 +264,8 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
     """Joint tracker for a fixed skew splitting: per n, the four block-map
     gaps of T_n against T, the resolvent gap of (T_n + A)^{-1} against
     (T + A)^{-1}, and the strong gap of the eliminated problem under a
-    weakly-wobbling load.
+    weakly-wobbling load. The Schur maps of T are built once and those of
+    each T_n once; the block-map gaps and the strong gap share them.
 
     ``t_seq`` is a list of operators or a callable n -> operator; the wobble
     defaults to a seeded unit vector scaled by 1/n.
@@ -290,32 +281,23 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
         seq = list(enumerate(t_seq, start=1))
     p0, p1 = _split_probes(a, probes)
     amat = a.matrix()
-    lim_mat = t_limit.to_dense()
-    res_lim = LinearOp(space, space, matrix=np.linalg.inv(lim_mat + amat))
+    maps_lim = schur_maps(t_limit, a.dec)
+    res_lim = _resolvent(t_limit, amat)
     rng = np.random.default_rng(seed)
     wobble_base = rng.standard_normal(max(a.ran.dim, 1))
     if a.ran.dim:
         wobble_base /= np.linalg.norm(wobble_base)
     rows = []
     for n, t_n in seq:
-        g00, g01, g10, gs = tau_gap(t_n, t_limit, a.dec, p0, p1)
-        res_n = LinearOp(space, space, matrix=np.linalg.inv(t_n.to_dense() + amat))
-        g_res = wot_gap(res_n, res_lim, probes, probes)
+        maps_n = schur_maps(t_n, a.dec)
+        g00, g01, g10, gs = tau_gap(maps_n, maps_lim, a.dec, p0, p1)
+        g_res = wot_gap(_resolvent(t_n, amat), res_lim, probes, probes)
         wob = wobble(n) if wobble is not None else wobble_base[: a.ran.dim] / n
-        g_strong = _reduced_strong_gap(a, t_n, t_limit, wob)
-        rows.append({
-            "n": n,
-            "gap_m00inv": g00,
-            "gap_m01": g01,
-            "gap_m10": g10,
-            "gap_ms": gs,
-            "gap_resolvent": g_res,
-            "gap_strong": g_strong,
-        })
+        g_strong = _reduced_strong_gap(a, maps_n, maps_lim, wob)
+        rows.append(dict(zip(_EVO_COLUMNS, (n, g00, g01, g10, gs, g_res, g_strong))))
     return ExperimentReport(
         kind="evo",
-        columns=("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
-                 "gap_resolvent", "gap_strong"),
+        columns=_EVO_COLUMNS,
         rows=rows,
         meta={"probe_seed": seed, "ker_dim": a.ker.dim, "ran_dim": a.ran.dim,
               "regime": "synthetic"},
@@ -363,8 +345,7 @@ def two_scale_evo_experiment(instance_factory, n_list):
         rows.append(row)
     return ExperimentReport(
         kind="evo",
-        columns=("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
-                 "gap_resolvent", "gap_strong"),
+        columns=_EVO_COLUMNS,
         rows=rows,
         meta={"regime": "two-scale"},
     )

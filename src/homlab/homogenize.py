@@ -38,7 +38,7 @@ from .errors import (
     VanishingHarmonicMean,
 )
 from .hilbert import LinearOp, ProbeSet, coercivity_check, wot_gap
-from .schur import Decomposition, schur_maps, tau_gap
+from .schur import Decomposition, tau_gap
 
 __all__ = [
     "CoefficientSequence",
@@ -646,9 +646,7 @@ def schur_equiv_check(seq, n_list=None, candidate=None, dim=1, mesh_rule=None,
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         op_n = a_n.operator(grad)
         op_h = cand_field.operator(grad)
-        maps_n = schur_maps(op_n, dec)
-        maps_h = schur_maps(op_h, dec)
-        g00, g01, g10, gs = tau_gap(maps_n, maps_h, dec, p0, p1)
+        g00, g01, g10, gs = tau_gap(op_n, op_h, dec, p0, p1)
         u_n, _ = solve_elliptic(dom, a_n, f)
         u_h, _ = solve_elliptic(dom, cand_field, f)
         gap_sol = _relative_pairing(grad.scalar_space, scalar_probes(grad, seed=probe_seed),

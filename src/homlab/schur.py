@@ -7,7 +7,11 @@ For an operator ``a`` with blocks ``a_jk = i_j* a i_k`` the four maps are
 
 each landing in a weak-operator-topologized operator space; convergence of all
 four against probe families is measured by :func:`tau_gap`, each map applied
-once to a whole probe block. Explicit decompositions carry orthonormal bases
+once to a whole probe block. The four maps are the block elimination: solving
+(T + A)u = f along H0 = ker A, H1 = ran A applies the maps of T, with T_S + A~
+in place of a_S, so :func:`schur_maps` is the one place a Schur complement is
+formed (:func:`homlab.evolution.block_solve` and the evolution experiment's
+strong gap read it from there). Explicit decompositions carry orthonormal bases
 and produce dense coordinate matrices; implicit ones are generator-backed and
 produce matrix-free maps that take blocks. Two solvers serve an implicit
 splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
@@ -98,28 +102,22 @@ def _dense_cond(m):
         return np.inf
 
 
-class _ProjectedSolver:
+def _projected_solver(dec, a_matrix):
     """a00^{-1} on a generator-backed subspace: parametrizing H0 = ran(G)
     turns the projected equation P0 a G u = phi into the Galerkin system
-    (G^H W a G) u = G^H W phi, solved through one sparse factorization
-    (for one load or a block)."""
-
-    def __init__(self, dec, a_matrix):
-        g = dec.h0.generator
-        if g is None:
-            raise ShapeError("implicit Schur maps need a generator-backed h0")
-        if not sp.issparse(a_matrix):
-            a_matrix = sp.csr_matrix(a_matrix)
-        w = dec.space.weight_operator()
-        self._ghw = (g.conj().T @ w).tocsr()
-        self._g = g
-        try:
-            self._solver = _SparseSolver(self._ghw @ (a_matrix @ g))
-        except NotInM as exc:
-            raise NotInM(f"projected block is numerically singular: {exc}") from exc
-
-    def solve(self, phi):
-        return self._g @ self._solver.solve(self._ghw @ phi)
+    (G^H W a G) u = G^H W phi, factorized once; the returned solve maps
+    phi (one load or a block) to G (G^H W a G)^{-1} G^H W phi."""
+    g = dec.h0.generator
+    if g is None:
+        raise ShapeError("implicit Schur maps need a generator-backed h0")
+    if not sp.issparse(a_matrix):
+        a_matrix = sp.csr_matrix(a_matrix)
+    ghw = (g.conj().T @ dec.space.weight_operator()).tocsr()
+    try:
+        solver = _SparseSolver(ghw @ (a_matrix @ g))
+    except NotInM as exc:
+        raise NotInM(f"projected block is numerically singular: {exc}") from exc
+    return lambda phi: g @ solver.solve(ghw @ phi)
 
 
 class SchurMaps:
@@ -200,18 +198,18 @@ def schur_maps(a, dec):
     amat = a.matrix
     if amat is None:
         raise ShapeError("implicit Schur maps need a sparse operator matrix")
-    solver = _ProjectedSolver(dec, amat)
+    solve = _projected_solver(dec, amat)
     p0, p1 = dec.h0.project, dec.h1.project
 
     def apply_ms(v):
         av = a(v)
-        return p1(av - a(solver.solve(p0(av))))
+        return p1(av - a(solve(p0(av))))
 
     return SchurMaps(
         dec.space, dec,
-        apply_m00inv=solver.solve,
-        apply_m01=lambda v: solver.solve(p0(a(v))),
-        apply_m10=lambda v: p1(a(solver.solve(v))),
+        apply_m00inv=solve,
+        apply_m01=lambda v: solve(p0(a(v))),
+        apply_m10=lambda v: p1(a(solve(v))),
         apply_ms=apply_ms,
     )
 

@@ -25,7 +25,7 @@ from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
 from .hilbert import _SparseSolver, _sym_lambda_min
 from .homogenize import ExperimentReport, default_mesh_rule, laminate_limit
 from .homogenize import g0_decomposition, g0_probe_pair
-from .schur import schur_maps, tau_gap
+from .schur import tau_gap
 
 __all__ = [
     "ThermoSystem",
@@ -290,9 +290,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
         p0, p1 = g0_probe_pair(grad, dec, seed=probe_seed)
         op_n = c_n.operator(grad)
         op_lim = c_lim.operator(grad)
-        maps_n = schur_maps(op_n, dec)
-        maps_lim = schur_maps(op_lim, dec)
-        g00, g01, g10, gs = tau_gap(maps_n, maps_lim, dec, p0, p1)
+        g00, g01, g10, gs = tau_gap(op_n, op_lim, dec, p0, p1)
 
         sspace = grad.scalar_space
         smodes = probes.matrix[: sys_n.dims[0]]

@@ -239,6 +239,21 @@ class TestFixtures:
         assert res.exit_code == 2, res.output
         assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("kind, body, key", [
+        ("divcurl", "[run]\nmode = bogus\nn_list = 1\ncells_per_period = 4\n", "[run] mode"),
+        ("evo", "[run]\nmode = bogus\nn_list = 1, 2\n", "[run] mode"),
+        ("divcurl", "[domain]\ncells = 64\n[run]\nmode = counterexample\nn_list = 0, -2\n",
+         "[run] n_list"),
+        ("evo", "[run]\nmode = synthetic\nn_list = 0, 2\n", "[run] n_list"),
+        ("evo", "[run]\nmode = two_scale\nn_list = 0, 2\ncells_per_period = 4\n",
+         "[run] n_list"),
+    ], ids=["divcurl-mode", "evo-mode", "divcurl-counterexample-n_list",
+            "evo-synthetic-n_list", "evo-two_scale-n_list"])
+    def test_bad_mode_or_n_list_exit_2(self, tmp_path, kind, body, key):
+        res = self.run_body(tmp_path, kind, body)
+        assert res.exit_code == 2, res.output
+        assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
+
     def test_strict_warning_exit_1(self, tmp_path):
         # 1 / 5e-324 overflows, which --strict turns into an error
         res = run_tiny_hconv(str(tmp_path), {"low": "5e-324"}, strict=True)

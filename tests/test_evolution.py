@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab import evolution
+from homlab import evolution, schur
 from homlab.elliptic import GridDomain, build_grad
 from homlab.errors import CoercivityError, HomlabError, NotSkew, SingularResolvent
 from homlab.evolution import (
@@ -352,6 +352,42 @@ class TestAbstractSchurExperiment:
                                         n_list=[1, 2, 4, 8], seed=4)
         v = rep.values("gap_strong")
         assert v[-1] < v[0]
+
+    def run_perturbed(self, k):
+        pert = np.random.default_rng(25).standard_normal((10, 10))
+        pert *= 0.1 / np.linalg.norm(pert, 2)
+        t_seq = lambda n: LinearOp(self.space, self.space,
+                                   matrix=self.t.to_dense() + pert / n)
+        return abstract_schur_experiment(self.a, t_seq, self.t,
+                                         n_list=list(range(1, k + 1)), seed=5)
+
+    def test_schur_maps_built_once_per_operator(self, monkeypatch):
+        # the block-map gaps and the strong gap share one SchurMaps per T_n
+        # and one for the limit
+        built = []
+        real = schur.schur_maps
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schur, "schur_maps", counting)
+        monkeypatch.setattr(evolution, "schur_maps", counting, raising=False)
+        k = 4
+        self.run_perturbed(k)
+        assert len(built) == k + 1
+
+    def test_no_ambient_inverse(self, monkeypatch):
+        shapes = []
+        real = np.linalg.inv
+
+        def recording(m):
+            shapes.append(np.shape(m))
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        self.run_perturbed(3)
+        assert (10, 10) not in shapes, shapes
 
 
 class TestTwoScale:
