@@ -3,9 +3,12 @@
 Every experiment is a subcommand taking an INI-style flat config (sections of
 key = value pairs, no nesting); runs are deterministic for a fixed seed and
 emit CSV tables whose first line carries the schema version and the config
-digest. Exit codes: 0 when every assertion of the selected experiment holds,
-1 on assertion failure (with a machine-readable JSON summary on stdout), 2 on
-usage or configuration errors.
+digest. Each runner reads its keys through one table, ``_KEYS[kind]``, and
+``params`` checks a config against it before any experiment code runs:
+an unknown or unread key and a value that breaks its rule are config errors;
+``homlab describe <kind>`` prints the table. Exit codes: 0 when every
+assertion of the selected experiment holds, 1 on assertion failure (with a
+machine-readable JSON summary on stdout), 2 on usage or configuration errors.
 
 Frozen CSV column schemas (schema version 1; bump on change):
 
@@ -50,23 +53,6 @@ from .serialize import config_digest, dump_solution_csv, write_report_csv
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_ALLOWED_KEYS = {
-    "experiment": {"kind"},
-    "domain": {"dim", "cells", "extents"},
-    "coefficients": {"profile", "low", "high", "cut", "shift", "amplitude",
-                     "frequency", "value", "alpha", "beta", "cell_kind", "path",
-                     "gamma", "lambda", "eps_low", "eps_high", "mu_low",
-                     "mu_high", "sigma_low", "sigma_high",
-                     "c_low", "c_high", "kappa_low", "kappa_high",
-                     "w_low", "w_high", "rho_low", "rho_high"},
-    "run": {"n_list", "cells_per_period", "candidate", "tolerance", "flavor",
-            "rhs", "mode", "min_correlation", "expected", "trials", "dim_max",
-            "space_dim", "slope_tolerance", "gap_floor", "transverse_cells",
-            "res_tolerance"},
-    "probes": {"seed", "count"},
-    "output": {"prefix"},
-}
 
 CATALOGUE = {
     "solve1d": (
@@ -156,13 +142,14 @@ class RunConfig:
             # a bad '%' interpolation carries the section and key
             where = f"[{exc.section}] {exc.option}: " if hasattr(exc, "option") else ""
             raise ConfigError(f"{where}{exc}") from exc
+        known = {name for table in _KEYS.values() for name in table}
         sections = {}
         for name in items:
-            if name not in _ALLOWED_KEYS:
+            if not any(k.startswith(f"{name}.") for k in known):
                 raise ConfigError(f"unknown section [{name}]")
             body = {}
             for key, value in items[name]:
-                if key not in _ALLOWED_KEYS[name]:
+                if f"{name}.{key}" not in known:
                     raise ConfigError(f"[{name}] unknown key '{key}'")
                 body[key] = value.strip()
             sections[name] = body
@@ -188,137 +175,172 @@ class RunConfig:
             lines.append("")
         return "\n".join(lines)
 
-    # typed getters with location-carrying errors
-    def get(self, section, key, default=None, required=False):
-        body = self.sections.get(section, {})
-        if key not in body:
-            if required:
-                raise ConfigError(f"[{section}] missing required key '{key}'")
-            return default
-        return body[key]
 
-    def get_float(self, section, key, default=None, required=False):
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not a number ({raw!r})") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key}: not a finite number ({raw!r})")
-        return value
+# the coefficient classes of the thermo and Maxwell experiments: every
+# coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
+_THERMO_BOUNDS, _MAXWELL_BOUNDS = (0.4, 5.0), (0.4, 10.0)
+POSITIVE = "positive"    # a rule: the value must be above 0
+REQUIRED = "required"    # a default: the key must be set
 
-    def get_int(self, section, key, default=None, required=False):
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not an integer ({raw!r})") from exc
+_PROFILE = {    # the keys of _profile_from
+    "coefficients.profile": (str, "two_phase", ("two_phase", "sin_shift", "constant")),
+    "coefficients.low": (float, 1.0, POSITIVE), "coefficients.high": (float, 4.0, POSITIVE),
+    "coefficients.cut": (float, 0.5, None), "coefficients.shift": (float, 2.0, None),
+    "coefficients.amplitude": (float, 1.0, None), "coefficients.frequency": (int, 1, None),
+    "coefficients.value": (float, None, POSITIVE),    # 1.0; cell's constant cell_kind 2.0
+}
+_LAMINATE = {    # the keys hconv and schur-gap share
+    "domain.dim": (int, 1, (1, 3)), **_PROFILE, "run.n_list": (list, REQUIRED, 1),
+    "run.cells_per_period": (int, None, 2),    # 32 in 1-d, else 16
+    "run.candidate": (str, "laminate", None),    # checked by _candidate_from
+}
+_HCONV = {**_LAMINATE, "run.tolerance": (float, None, POSITIVE),    # 0.02 in 1-d, else 0.05
+          "run.flavor": (str, "dirichlet", elliptic.FLAVORS)}
 
-    def get_int_list(self, section, key, default=None, required=False):
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            values = [int(x) for x in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not an integer list") from exc
-        if not values:
-            raise ConfigError(f"[{section}] {key}: empty list")
-        return values
+# "section.key" -> (type, default, rule) of every key a runner reads. A rule
+# is a tuple of admitted strings, a lower bound, a closed range (lo, hi) or
+# POSITIVE; a list rule holds for every entry. A default of None means unset;
+# where a comment names values, the runner picks one by another key.
+_KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0, 0),
+                "output.prefix": (str, None, None), **keys} for kind, keys in {
+    "solve1d": {"domain.cells": (int, 256, 2), "coefficients.path": (str, None, None),
+                **_PROFILE, "run.flavor": (str, "dirichlet", elliptic.FLAVORS)},
+    "laminate2d": {**_HCONV, "domain.dim": (int, 2, (2, 2))},
+    "cell": {"domain.cells": (int, 64, 1), **_PROFILE, "run.tolerance": (float, 0.02, POSITIVE),
+             "coefficients.cell_kind": (str, "laminate",
+                                        ("laminate", "checkerboard", "constant"))},
+    "hconv": _HCONV,
+    "qdind": {**_PROFILE, "run.n_list": (list, REQUIRED, 1), "run.cells_per_period": (int, 32, 2),
+              "run.tolerance": (float, 1e-2, POSITIVE),
+              "run.min_correlation": (float, 0.9, (-1.0, 1.0))},
+    "schur-gap": {**_LAMINATE, "run.tolerance": (float, 0.05, POSITIVE)},
+    "divcurl": {
+        "run.mode": (str, "compliant", ("compliant", "counterexample")),
+        "run.n_list": (list, [4, 8, 16, 32], 1),
+        # counterexample: the grid and the floor of the pairings
+        "domain.cells": (int, 4096, 2), "run.gap_floor": (float, 0.1, 0),
+        # compliant: the profile and the mesh
+        **_PROFILE, "run.cells_per_period": (int, 64, 2), "run.tolerance": (float, 0.02, POSITIVE),
+    },
+    "divtest": {"domain.cells": (int, 2048, 2), "run.n_list": (list, [4, 8, 16], 1)},
+    "evo": {
+        "run.mode": (str, "synthetic", ("synthetic", "two_scale")),
+        "run.n_list": (list, [1, 2, 4, 8, 16, 32], 1),
+        "run.tolerance": (float, None, POSITIVE),    # 1e-6 synthetic, 5e-2 two_scale
+        "run.cells_per_period": (int, 32, 2),    # two_scale
+        "run.space_dim": (int, 10, 4),    # synthetic; below 4 the forced kernel is all
+        "run.slope_tolerance": (float, 0.1, POSITIVE),    # synthetic
+    },
+    "recover": {"run.trials": (int, 200, 1),
+                "run.dim_max": (int, 10, 3)},    # sizes are drawn from [2, dim_max)
+    "thermo": {
+        "coefficients.gamma": (float, 0.5, None), "coefficients.lambda": (float, 1.0, None),
+        **{f"coefficients.{name}_{phase}": (float, default, _THERMO_BOUNDS)
+           for name in ("c", "kappa", "w", "rho")
+           for phase, default in (("low", 1.0), ("high", 4.0))},
+        "run.n_list": (list, [2, 4, 8, 16], 1), "run.cells_per_period": (int, 32, 2),
+        "run.tolerance": (float, 5e-2, POSITIVE),
+    },
+    "maxwell": {
+        "coefficients.lambda": (float, 1.0, None),    # checked with the phases by _admit
+        **{f"coefficients.{name}": (float, default, POSITIVE) for name, default in
+           (("eps_low", 1.0), ("eps_high", 4.0), ("mu_low", 1.0), ("mu_high", 2.0))},
+        "coefficients.sigma_low": (float, 1.0, 0), "coefficients.sigma_high": (float, 1.0, 0),
+        "run.n_list": (list, [1, 2, 4, 8], 1), "run.tolerance": (float, 1e-1, POSITIVE),
+        "run.transverse_cells": (int, 8, 2),    # the Yee complex's minimum
+    },
+    "helmholtz": {"domain.cells": (int, 4, 2)},    # the Yee complex's minimum
+}.items()}
 
 
-def _at_least(cfg, section, key, default, least):
-    """An integer key that must be at least ``least``."""
-    value = cfg.get_int(section, key, default)
-    if value < least:
-        raise ConfigError(f"[{section}] {key}: must be at least {least} (got {value})")
+def _rule(rule):
+    """The test and the text of a table rule."""
+    if rule is POSITIVE:
+        return (lambda v: v > 0), "positive"
+    if isinstance(rule, tuple) and isinstance(rule[0], str):
+        return (lambda v: v in rule), f"one of {', '.join(rule)}"
+    if isinstance(rule, tuple):
+        return (lambda v: rule[0] <= v <= rule[1]), f"in [{rule[0]}, {rule[1]}]"
+    return (lambda v: v >= rule), f"at least {rule}"
+
+
+def _value(where, typ, raw):
+    """``raw`` as a finite float, an int, a non-empty int list or a string."""
+    try:
+        value = [int(x) for x in raw.replace(",", " ").split()] if typ is list else typ(raw)
+    except ValueError as exc:
+        what = {float: "a number", int: "an integer", list: "an integer list"}[typ]
+        raise ConfigError(f"{where}: not {what} ({raw!r})") from exc
+    if typ is list and not value:
+        raise ConfigError(f"{where}: empty list")
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: not a finite number ({raw!r})")
     return value
 
 
-def _domain_cells(cfg, default, least=1):
-    """[domain] cells, the cell count per axis."""
-    return _at_least(cfg, "domain", "cells", default, least)
+def params(cfg, kind):
+    """Every key the ``kind`` runner reads, by "section.key", coerced and
+    checked against ``_KEYS[kind]``; a key the runner does not read is a
+    config error."""
+    table = _KEYS[kind]
+    p = {}
+    for name, (typ, default, rule) in table.items():
+        section, key = name.split(".")
+        where = f"[{section}] {key}"
+        raw = cfg.sections.get(section, {}).get(key)
+        if raw is not None:
+            value = _value(where, typ, raw)
+        elif default is REQUIRED:
+            raise ConfigError(f"[{section}] missing required key '{key}'")
+        else:
+            value = default
+        if value is not None and rule is not None:
+            holds, text = _rule(rule)
+            for entry in value if typ is list else [value]:
+                if not holds(entry):
+                    raise ConfigError(f"{where}: must be {text} (got {entry!r})")
+        p[name] = value
+    for section, body in cfg.sections.items():
+        for key in body:
+            if f"{section}.{key}" not in table:
+                raise ConfigError(f"[{section}] {key}: not read by {kind}")
+    return p
 
 
-def _run_mode(cfg, modes):
-    """[run] mode, one of ``modes``; the first is the default."""
-    mode = cfg.get("run", "mode", modes[0])
-    if mode not in modes:
-        raise ConfigError(f"[run] mode: must be one of {', '.join(modes)} (got {mode!r})")
-    return mode
-
-
-def _n_list(cfg, default):
-    """[run] n_list, every entry at least 1."""
-    n_list = cfg.get_int_list("run", "n_list", default)
-    if min(n_list) < 1:
-        raise ConfigError(f"[run] n_list: every entry must be at least 1 "
-                          f"(got {min(n_list)})")
-    return n_list
-
-
-def _positive(cfg, key, default, zero_ok=False):
-    """A [coefficients] value that must be positive, or at least 0 when
-    zero_ok."""
-    value = cfg.get_float("coefficients", key, default)
-    if value < 0 or (value == 0 and not zero_ok):
-        rule = "at least 0" if zero_ok else "positive"
-        raise ConfigError(f"[coefficients] {key}: must be {rule} (got {value})")
-    return value
-
-
-def _phases(cfg, prefix, high, zero_ok=False):
-    """[coefficients] {prefix}low and {prefix}high of a two-phase profile."""
-    return (_positive(cfg, prefix + "low", 1.0, zero_ok),
-            _positive(cfg, prefix + "high", high, zero_ok))
-
-
-def _admit(keys, value, bounds, what=None):
-    """Reject a [coefficients] value, or the combination ``what`` of the
-    values of ``keys``, outside the closed coefficient class ``bounds`` that
-    the experiment checks."""
+def _admit(keys, value, bounds, what):
+    """Reject the combination ``what`` of the [coefficients] values of
+    ``keys`` when it lies outside the closed coefficient class ``bounds``
+    that the experiment checks."""
     lo, hi = bounds
     if not lo <= value <= hi:
-        raise ConfigError(f"[coefficients] {keys}: {what or keys} = {value:g} lies "
+        raise ConfigError(f"[coefficients] {keys}: {what} = {value:g} lies "
                           f"outside the admitted range [{lo}, {hi}]")
 
 
-def _two_phase(cfg, prefix="", high=4.0, cut=0.5, zero_ok=False, admitted=None):
-    """Two-phase profile of the fast variable, [coefficients] {prefix}low
-    below the cut and {prefix}high above it, with its bounds. Both values
-    must lie in ``admitted`` when it is given."""
-    lo, hi = _phases(cfg, prefix, high, zero_ok)
-    if admitted is not None:
-        _admit(prefix + "low", lo, admitted)
-        _admit(prefix + "high", hi, admitted)
+def _two_phase(lo, hi, cut=0.5):
+    """Two-phase profile of the fast variable, ``lo`` below the cut and
+    ``hi`` above it, with its bounds."""
     return (lambda y: np.where(np.asarray(y) < cut, lo, hi)), (min(lo, hi), max(lo, hi))
 
 
-def _profile_from(cfg):
+def _profile_from(p):
     """Periodic scalar profile of the fast variable from config keys."""
-    kind = cfg.get("coefficients", "profile", "two_phase")
+    kind = p["coefficients.profile"]
     if kind == "two_phase":
-        return _two_phase(cfg, cut=cfg.get_float("coefficients", "cut", 0.5))
+        return _two_phase(p["coefficients.low"], p["coefficients.high"], p["coefficients.cut"])
     if kind == "sin_shift":
-        shift = cfg.get_float("coefficients", "shift", 2.0)
-        amp = cfg.get_float("coefficients", "amplitude", 1.0)
-        freq = cfg.get_int("coefficients", "frequency", 1)
+        shift, amp = p["coefficients.shift"], p["coefficients.amplitude"]
+        freq = p["coefficients.frequency"]
         if shift - abs(amp) <= 0:
             raise ConfigError("[coefficients] sin_shift profile is not coercive")
         prof = lambda y: shift + amp * np.sin(2 * np.pi * freq * np.asarray(y))
         return prof, (shift - abs(amp), shift + abs(amp))
-    if kind == "constant":
-        value = _positive(cfg, "value", 1.0)
-        return (lambda y: value + 0 * np.asarray(y)), (value, value)
-    raise ConfigError(f"[coefficients] unknown profile {kind!r}")
+    value = p["coefficients.value"] or 1.0
+    return (lambda y: value + 0 * np.asarray(y)), (value, value)
 
 
-def _candidate_from(cfg, profile, dim):
-    name = cfg.get("run", "candidate", "laminate")
+def _candidate_from(p, profile, dim):
+    name = p["run.candidate"]
     a_h, a_m = laminate_limit(profile)
     if name == "harmonic":
         return a_h if dim == 1 else np.diag([a_h] * dim)
@@ -327,9 +349,12 @@ def _candidate_from(cfg, profile, dim):
     if name == "laminate":
         return a_h if dim == 1 else np.diag([a_h] + [a_m] * (dim - 1))
     try:
-        return float(name)
+        value = float(name)
     except ValueError as exc:
         raise ConfigError(f"[run] candidate: unknown value {name!r}") from exc
+    if not 0 < value < math.inf:
+        raise ConfigError(f"[run] candidate: must be a finite positive number (got {name!r})")
+    return value
 
 
 def _emit(out, name, report, digest):
@@ -346,9 +371,9 @@ def _table(kind, columns, rows, meta=None):
 # -- experiment runners: each returns (artifact paths, failure strings) -------
 
 
-def _run_solve1d(cfg, out, seed, digest):
-    coef_path = cfg.get("coefficients", "path")
-    flavor = cfg.get("run", "flavor", "dirichlet")
+def _run_solve1d(p, out, seed, digest):
+    coef_path = p["coefficients.path"]
+    flavor = p["run.flavor"]
     if coef_path:
         from .serialize import load_coefficient_text
 
@@ -357,13 +382,13 @@ def _run_solve1d(cfg, out, seed, digest):
         if dom.dim != 1:
             raise ConfigError("[coefficients] path: solve1d needs a 1-d field")
     else:
-        cells = _domain_cells(cfg, 256)
+        cells = p["domain.cells"]
         elliptic.check_budget((cells,), flavor)    # before the field is sampled
         dom = GridDomain.interval(0, 1, cells)
-        profile, bounds = _profile_from(cfg)
-        a = CoefficientField.from_function(dom, lambda p: profile(p[:, 0] % 1.0),
+        profile, bounds = _profile_from(p)
+        a = CoefficientField.from_function(dom, lambda pts: profile(pts[:, 0] % 1.0),
                                            bounds=bounds)
-    f = RHSFunctional.density(lambda p: np.ones(len(p)))
+    f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
     u, q = elliptic.solve_elliptic(dom, a, f, flavor=flavor)
     grad = elliptic.build_grad(dom, flavor)
     path = os.path.join(out, "solution.csv")
@@ -376,58 +401,50 @@ def _run_solve1d(cfg, out, seed, digest):
     return [path, trip], []
 
 
-def _run_hconv(cfg, out, seed, digest, dim=None):
-    dim = dim or cfg.get_int("domain", "dim", 1)
-    profile, bounds = _profile_from(cfg)
+def _run_hconv(p, out, seed, digest):
+    dim = p["domain.dim"]
+    profile, bounds = _profile_from(p)
     seq = CoefficientSequence.laminate(profile, bounds=bounds)
-    n_list = cfg.get_int_list("run", "n_list", required=True)
-    ppd = cfg.get_int("run", "cells_per_period", 32 if dim == 1 else 16)
-    tol = cfg.get_float("run", "tolerance", 0.02 if dim == 1 else 0.05)
-    cand = _candidate_from(cfg, profile, dim)
-    f = RHSFunctional.density(lambda p: np.ones(len(p)))
+    ppd = p["run.cells_per_period"] or (32 if dim == 1 else 16)
+    tol = p["run.tolerance"] or (0.02 if dim == 1 else 0.05)
+    cand = _candidate_from(p, profile, dim)
+    f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
     rep = homogenize.hconvergence_experiment(
-        seq, f, cand, n_list, dim=dim, mesh_rule=MeshRule(ppd),
-        probe_seed=seed, flavor=cfg.get("run", "flavor", "dirichlet"))
+        seq, f, cand, p["run.n_list"], dim=dim, mesh_rule=MeshRule(ppd),
+        probe_seed=seed, flavor=p["run.flavor"])
     paths = [_emit(out, "hconv", rep, digest)]
     ok, msg = rep.check_decay(("err_solution", "err_flux"), tol)
     return paths, [] if ok else [f"hconv decay: {msg}"]
 
 
-def _run_laminate2d(cfg, out, seed, digest):
-    return _run_hconv(cfg, out, seed, digest, dim=2)
-
-
-def _run_cell(cfg, out, seed, digest):
-    kind = cfg.get("coefficients", "cell_kind", "laminate")
-    cells = _domain_cells(cfg, 64)
+def _run_cell(p, out, seed, digest):
+    kind = p["coefficients.cell_kind"]
+    cells = p["domain.cells"]
     elliptic.check_budget((cells, cells), "periodic")    # before the field is sampled
-    tol = cfg.get_float("run", "tolerance", 0.02)
-    profile, bounds = _profile_from(cfg)
+    tol = p["run.tolerance"]
+    profile, bounds = _profile_from(p)
     if kind == "laminate":
         dom = GridDomain.box((cells, cells))
         field = CoefficientField.from_function(
-            dom, lambda p: profile(p[:, 0] % 1.0), bounds=bounds)
+            dom, lambda pts: profile(pts[:, 0] % 1.0), bounds=bounds)
         a_h, a_m = laminate_limit(profile)
         expected = np.diag([a_h, a_m])
     elif kind == "checkerboard":
-        low = _positive(cfg, "low", 1.0)
-        high = _positive(cfg, "high", 4.0)
+        low, high = p["coefficients.low"], p["coefficients.high"]
         dom = GridDomain.box((cells, cells))
 
-        def cb(p):
-            return np.where(((np.floor(2 * p[:, 0]) + np.floor(2 * p[:, 1])) % 2) == 0,
+        def cb(pts):
+            return np.where(((np.floor(2 * pts[:, 0]) + np.floor(2 * pts[:, 1])) % 2) == 0,
                             low, high)
 
         field = CoefficientField.from_function(dom, cb,
                                                bounds=(min(low, high), max(low, high)))
         expected = np.sqrt(low * high) * np.eye(2)
-    elif kind == "constant":
-        v = _positive(cfg, "value", 2.0)
+    else:
+        v = p["coefficients.value"] or 2.0
         dom = GridDomain.box((cells, cells))
         field = CoefficientField.constant(dom, v, bounds=(v, v))
         expected = v * np.eye(2)
-    else:
-        raise ConfigError(f"[coefficients] unknown cell_kind {kind!r}")
     a_hom = homogenize.homogenized_tensor(field)
     scale = np.abs(expected).max()
     rows = [{"i": i, "j": j, "value": a_hom[i, j].real,
@@ -440,14 +457,11 @@ def _run_cell(cfg, out, seed, digest):
     return paths, [] if err <= tol else [f"cell tensor error {err:.3e} above {tol}"]
 
 
-def _run_qdind(cfg, out, seed, digest):
-    profile, bounds = _profile_from(cfg)
+def _run_qdind(p, out, seed, digest):
+    profile, bounds = _profile_from(p)
     seq = CoefficientSequence.laminate(profile, bounds=bounds)
-    n_list = cfg.get_int_list("run", "n_list", required=True)
-    ppd = cfg.get_int("run", "cells_per_period", 32)
-    tol = cfg.get_float("run", "tolerance", 1e-2)
-    min_corr = cfg.get_float("run", "min_correlation", 0.9)
-    rep = homogenize.qdind_check(seq, n_list, mesh_rule=MeshRule(ppd),
+    n_list, tol, min_corr = p["run.n_list"], p["run.tolerance"], p["run.min_correlation"]
+    rep = homogenize.qdind_check(seq, n_list, mesh_rule=MeshRule(p["run.cells_per_period"]),
                                  probe_seed=seed)
     paths = [_emit(out, "qdind", rep, digest)]
     failures = []
@@ -461,15 +475,14 @@ def _run_qdind(cfg, out, seed, digest):
     return paths, failures
 
 
-def _run_schur_gap(cfg, out, seed, digest):
-    dim = cfg.get_int("domain", "dim", 1)
-    profile, bounds = _profile_from(cfg)
+def _run_schur_gap(p, out, seed, digest):
+    dim = p["domain.dim"]
+    profile, bounds = _profile_from(p)
     seq = CoefficientSequence.laminate(profile, bounds=bounds)
-    n_list = cfg.get_int_list("run", "n_list", required=True)
-    ppd = cfg.get_int("run", "cells_per_period", 32 if dim == 1 else 16)
-    tol = cfg.get_float("run", "tolerance", 0.05)
-    cand = _candidate_from(cfg, profile, dim)
-    rep = homogenize.schur_equiv_check(seq, n_list, cand, dim=dim,
+    ppd = p["run.cells_per_period"] or (32 if dim == 1 else 16)
+    tol = p["run.tolerance"]
+    cand = _candidate_from(p, profile, dim)
+    rep = homogenize.schur_equiv_check(seq, p["run.n_list"], cand, dim=dim,
                                        mesh_rule=MeshRule(ppd), probe_seed=seed)
     paths = [_emit(out, "schur_gap", rep, digest)]
     cols = ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_solution")
@@ -477,14 +490,12 @@ def _run_schur_gap(cfg, out, seed, digest):
     return paths, [] if ok else [f"schur gaps: {msg}"]
 
 
-def _run_divcurl(cfg, out, seed, digest):
-    mode = _run_mode(cfg, ("compliant", "counterexample"))
-    n_list = _n_list(cfg, [4, 8, 16, 32])
+def _run_divcurl(p, out, seed, digest):
+    mode, n_list = p["run.mode"], p["run.n_list"]
     rows = []
     failures = []
     if mode == "counterexample":
-        m = _domain_cells(cfg, 4096)
-        dom = GridDomain.interval(0, 1, m)
+        dom = GridDomain.interval(0, 1, p["domain.cells"])
         phi = elliptic.smooth_bump(dom)
         grad = elliptic.build_grad(dom)
         half_phi = 0.5 * (grad.elem_measure * phi(grad.elem_mid)).sum()
@@ -493,23 +504,23 @@ def _run_divcurl(cfg, out, seed, digest):
         for n, v in zip(n_list, vals):
             rows.append({"n": n, "pairing": v.real, "weak_limit_product": 0.0,
                          "gap": abs(v.real)})
-        floor = cfg.get_float("run", "gap_floor", 0.1)
+        floor = p["run.gap_floor"]
         if not all(r["gap"] > floor * abs(half_phi) / 0.5 * 0.5 for r in rows):
             failures.append("counterexample pairing collapsed toward zero")
         if abs(rows[-1]["pairing"] - half_phi) > 0.05 * abs(half_phi):
             failures.append("counterexample pairing missed half the cutoff mass")
     else:
-        ppd = _at_least(cfg, "run", "cells_per_period", 64, 1)
+        ppd = p["run.cells_per_period"]
         elliptic.check_budget((ppd * max(n_list),), "dirichlet")    # before any field is sampled
-        f = RHSFunctional.density(lambda p: np.ones(len(p)))
-        profile, bounds = _profile_from(cfg)
+        f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
+        profile, bounds = _profile_from(p)
         r_fn = lambda pts: np.stack([np.cos(np.pi * pts[:, 0])], axis=-1)
         a_h, _ = laminate_limit(profile)
         vals = []
         for n in n_list:
             dom = GridDomain.interval(0, 1, ppd * n)
             a = CoefficientField.from_function(
-                dom, lambda p, n=n: profile((n * p[:, 0]) % 1.0), bounds=bounds)
+                dom, lambda pts, n=n: profile((n * pts[:, 0]) % 1.0), bounds=bounds)
             u, _ = elliptic.solve_elliptic(dom, a, f)
             g = elliptic.build_grad(dom)
             vals.append(elliptic.divcurl_pairing(
@@ -523,7 +534,7 @@ def _run_divcurl(cfg, out, seed, digest):
         for n, v in zip(n_list, vals):
             rows.append({"n": n, "pairing": v.real, "weak_limit_product": lim.real,
                          "gap": abs(v - lim)})
-        tol = cfg.get_float("run", "tolerance", 0.02)
+        tol = p["run.tolerance"]
         if not (rows[-1]["gap"] <= tol * abs(lim) and rows[0]["gap"] >= rows[-1]["gap"]):
             failures.append("compliant pairing did not converge to the limit pairing")
     rep = _table("divcurl", ("n", "pairing", "weak_limit_product", "gap"), rows,
@@ -531,9 +542,8 @@ def _run_divcurl(cfg, out, seed, digest):
     return [_emit(out, "divcurl", rep, digest)], failures
 
 
-def _run_divtest(cfg, out, seed, digest):
-    m = _domain_cells(cfg, 2048)
-    dom = GridDomain.interval(0, 1, m)
+def _run_divtest(p, out, seed, digest):
+    dom = GridDomain.interval(0, 1, p["domain.cells"])
     grad = elliptic.build_grad(dom)
     rows = []
     zero = np.zeros(grad.vector_space.dim)
@@ -541,7 +551,7 @@ def _run_divtest(cfg, out, seed, digest):
     d0 = elliptic.divergence_defect(dom, zero, zero)
     rows.append({"case": 0, "n": 0, "projection_gap": d0.projection_gap,
                  "divergence_gap": d0.divergence_gap})
-    for n in cfg.get_int_list("run", "n_list", [4, 8, 16]):
+    for n in p["run.n_list"]:
         r_n = grad.sample_vector(lambda pts, n=n: np.cos(2 * np.pi * n * pts))
         d = elliptic.divergence_defect(dom, r_n, zero)
         rows.append({"case": 1, "n": n, "projection_gap": d.projection_gap,
@@ -556,13 +566,12 @@ def _run_divtest(cfg, out, seed, digest):
     return [_emit(out, "divtest", rep, digest)], failures
 
 
-def _run_evo(cfg, out, seed, digest):
-    mode = _run_mode(cfg, ("synthetic", "two_scale"))
-    n_list = _n_list(cfg, [1, 2, 4, 8, 16, 32])
+def _run_evo(p, out, seed, digest):
+    n_list = p["run.n_list"]
     failures = []
-    if mode == "two_scale":
-        tol = cfg.get_float("run", "tolerance", 5e-2)
-        ppd = cfg.get_int("run", "cells_per_period", 32)
+    if p["run.mode"] == "two_scale":
+        tol = p["run.tolerance"] or 5e-2
+        ppd = p["run.cells_per_period"]
 
         def factory(n):
             dom = GridDomain.interval(0, 1, ppd * n)
@@ -588,8 +597,8 @@ def _run_evo(cfg, out, seed, digest):
             if not (rep.final(col) <= tol and rep.decreasing(col)):
                 failures.append(f"two-scale {col} did not decay below {tol}")
     else:
-        tol = cfg.get_float("run", "tolerance", 1e-6)
-        dim = cfg.get_int("run", "space_dim", 10)
+        tol = p["run.tolerance"] or 1e-6
+        dim = p["run.space_dim"]
         rng = np.random.default_rng(seed)
         space = HilbertSpace(dim)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -608,7 +617,7 @@ def _run_evo(cfg, out, seed, digest):
         t_seq = lambda n: LinearOp(space, space, matrix=base + pert / n)
         rep = evolution.abstract_schur_experiment(a, t_seq, t, n_list=n_list,
                                                   seed=seed)
-        slope_tol = cfg.get_float("run", "slope_tolerance", 0.1)
+        slope_tol = p["run.slope_tolerance"]
         logn = np.log(np.array(n_list, dtype=float))
         for col in ("gap_m00inv", "gap_ms", "gap_resolvent"):
             slope = np.polyfit(logn, np.log(np.maximum(rep.values(col), 1e-300)), 1)[0]
@@ -622,9 +631,8 @@ def _run_evo(cfg, out, seed, digest):
     return [_emit(out, "evo", rep, digest)], failures
 
 
-def _run_recover(cfg, out, seed, digest):
-    trials = cfg.get_int("run", "trials", 200)
-    dim_max = cfg.get_int("run", "dim_max", 10)
+def _run_recover(p, out, seed, digest):
+    trials, dim_max = p["run.trials"], p["run.dim_max"]
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0
@@ -654,55 +662,41 @@ def _run_recover(cfg, out, seed, digest):
     return [_emit(out, "recover", rep, digest)], failures
 
 
-# the coefficient classes of the thermo and Maxwell experiments: every
-# coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
-_THERMO_BOUNDS = (0.4, 5.0)
-_MAXWELL_BOUNDS = (0.4, 10.0)
-
-
-def _run_thermo(cfg, out, seed, digest):
-    gamma = cfg.get_float("coefficients", "gamma", 0.5)
-    lam = cfg.get_float("coefficients", "lambda", 1.0)
-    n_list = cfg.get_int_list("run", "n_list", [2, 4, 8, 16])
-    ppd = cfg.get_int("run", "cells_per_period", 32)
-    tol = cfg.get_float("run", "tolerance", 5e-2)
-    c, kappa, w, rho = (_two_phase(cfg, f"{name}_", admitted=_THERMO_BOUNDS)[0]
-                        for name in ("c", "kappa", "w", "rho"))
+def _run_thermo(p, out, seed, digest):
+    tol = p["run.tolerance"]
+    c, kappa, w, rho = (
+        _two_phase(p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])[0]
+        for name in ("c", "kappa", "w", "rho"))
     rep = thermo_mod.thermo_homogenization_experiment(
-        c, kappa, w, rho, gamma=gamma, lam=lam,
-        n_list=n_list, bounds=_THERMO_BOUNDS, mesh_rule=MeshRule(ppd),
-        probe_seed=seed)
+        c, kappa, w, rho, gamma=p["coefficients.gamma"], lam=p["coefficients.lambda"],
+        n_list=p["run.n_list"], bounds=_THERMO_BOUNDS,
+        mesh_rule=MeshRule(p["run.cells_per_period"]), probe_seed=seed)
     paths = [_emit(out, "thermo", rep, digest)]
     ok = rep.final("gap_resolvent") <= tol and rep.decreasing("gap_resolvent")
     return paths, [] if ok else [
         f"thermo resolvent gap {rep.final('gap_resolvent'):.3e} above {tol}"]
 
 
-def _run_maxwell(cfg, out, seed, digest):
-    lam = cfg.get_float("coefficients", "lambda", 1.0)
-    n_list = cfg.get_int_list("run", "n_list", [1, 2, 4, 8])
-    tol = cfg.get_float("run", "tolerance", 1e-1)
-    tc = _at_least(cfg, "run", "transverse_cells", 8, 2)    # the Yee complex's minimum
-    eps = _two_phase(cfg, "eps_", 4.0)[0]
-    mu = _two_phase(cfg, "mu_", 2.0)[0]
-    sigma = _two_phase(cfg, "sigma_", 1.0, zero_ok=True)[0]
-    for phase, e, m, s in zip(("low", "high"), _phases(cfg, "eps_", 4.0), _phases(cfg, "mu_", 2.0),
-                              _phases(cfg, "sigma_", 1.0, zero_ok=True)):
+def _run_maxwell(p, out, seed, digest):
+    lam, tol = p["coefficients.lambda"], p["run.tolerance"]
+    eps, mu, sigma = ((p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])
+                      for name in ("eps", "mu", "sigma"))
+    for phase, e, m, s in zip(("low", "high"), eps, mu, sigma):
         _admit(f"lambda, eps_{phase}, sigma_{phase}", lam * e + s, _MAXWELL_BOUNDS,
                f"lambda * eps_{phase} + sigma_{phase}")
         _admit(f"mu_{phase}", lam * m, _MAXWELL_BOUNDS, f"lambda * mu_{phase}")
     rep = maxwell_mod.maxwell_homogenization_experiment(
-        eps, mu, sigma, lam=lam,
-        n_list=n_list, bounds=_MAXWELL_BOUNDS, transverse_cells=tc,
-        probe_seed=seed)
+        _two_phase(*eps)[0], _two_phase(*mu)[0], _two_phase(*sigma)[0], lam=lam,
+        n_list=p["run.n_list"], bounds=_MAXWELL_BOUNDS,
+        transverse_cells=p["run.transverse_cells"], probe_seed=seed)
     paths = [_emit(out, "maxwell", rep, digest)]
     ok = rep.final("gap_resolvent") <= tol and rep.decreasing("gap_resolvent")
     return paths, [] if ok else [
         f"maxwell resolvent gap {rep.final('gap_resolvent'):.3e} above {tol}"]
 
 
-def _run_helmholtz(cfg, out, seed, digest):
-    cells = _domain_cells(cfg, 4, least=2)    # the Yee complex's minimum
+def _run_helmholtz(p, out, seed, digest):
+    cells = p["domain.cells"]
     dom = GridDomain.box((cells, cells, cells))
     cx = maxwell_mod.YeeComplex(dom)
     dirichlet, neumann = maxwell_mod.helmholtz_decompose(dom)
@@ -731,7 +725,7 @@ def _run_helmholtz(cfg, out, seed, digest):
 
 _RUNNERS = {
     "solve1d": _run_solve1d,
-    "laminate2d": _run_laminate2d,
+    "laminate2d": _run_hconv,
     "cell": _run_cell,
     "hconv": _run_hconv,
     "qdind": _run_qdind,
@@ -747,29 +741,22 @@ _RUNNERS = {
 
 
 def _execute(kind, config, out, seed, strict):
+    """Run ``kind`` on the config at ``config``: every key is checked against
+    the runner's table before any experiment code runs. ``seed`` overrides
+    [probes] seed when it is not None."""
     try:
         cfg = RunConfig.parse(config)
-    except ConfigError as exc:
-        click.echo(json.dumps({"status": "config-error", "error": str(exc)}))
-        sys.exit(EXIT_USAGE)
-    declared = cfg.get("experiment", "kind")
-    if declared and declared != kind:
-        click.echo(json.dumps({
-            "status": "config-error",
-            "error": f"[experiment] kind={declared!r} does not match subcommand {kind!r}",
-        }))
-        sys.exit(EXIT_USAGE)
-    prefix = cfg.get("output", "prefix")
-    if prefix:
-        out = os.path.join(out, prefix)
-    os.makedirs(out, exist_ok=True)
-    digest = config_digest(cfg.text + f"|seed={seed}")
-    try:
+        p = params(cfg, kind)
         elliptic.unknown_budget()    # a malformed budget is a config error for every run
+        seed = p["probes.seed"] if seed is None else seed
+        if p["output.prefix"]:
+            out = os.path.join(out, p["output.prefix"])
+        os.makedirs(out, exist_ok=True)
+        digest = config_digest(cfg.text + f"|seed={seed}")
         with warnings.catch_warnings():
             if strict:
                 warnings.simplefilter("error")
-            paths, failures = _RUNNERS[kind](cfg, out, seed, digest)
+            paths, failures = _RUNNERS[kind](p, out, seed, digest)
     except ConfigError as exc:
         click.echo(json.dumps({"status": "config-error", "error": str(exc)}))
         sys.exit(EXIT_USAGE)
@@ -797,13 +784,7 @@ def _register(kind):
     @click.option("--seed", default=None, type=int, help="probe seed override")
     @click.option("--strict", is_flag=True, help="treat warnings as errors")
     def _cmd(config, out, seed, strict, _kind=kind):
-        cfg_seed = seed
-        if cfg_seed is None:
-            try:
-                cfg_seed = RunConfig.parse(config).get_int("probes", "seed", 0)
-            except ConfigError:
-                cfg_seed = 0
-        _execute(_kind, config, out, cfg_seed, strict)
+        _execute(_kind, config, out, seed, strict)
 
 
 for _kind in _RUNNERS:
@@ -820,12 +801,19 @@ def list_cmd():
 @main.command()
 @click.argument("name")
 def describe(name):
-    """Describe one experiment and what it verifies."""
+    """Describe one experiment, what it verifies and the config keys it reads."""
     if name not in CATALOGUE:
         raise click.UsageError(f"unknown experiment {name!r}")
     summary, checks = CATALOGUE[name]
     click.echo(f"{name}: {summary}")
     click.echo(f"verifies: {checks}")
+    click.echo("keys (type, default, rule):")
+    for where, (typ, default, rule) in _KEYS[name].items():
+        where = "[{}] {}".format(*where.split("."))
+        typ = "int list" if typ is list else typ.__name__
+        default = ", ".join(map(str, default)) if isinstance(default, list) else default
+        rule = "-" if rule is None else _rule(rule)[1]
+        click.echo(f"  {where:<30} {typ:<8} {'-' if default is None else default:<20} {rule}")
 
 
 if __name__ == "__main__":

@@ -218,10 +218,10 @@ def test_criterion_06_abstract_schur_equivalence():
 def _run_evo_tmp(cfg):
     import tempfile
 
-    from homlab.cli import _run_evo
+    from homlab.cli import _run_evo, params
 
     with tempfile.TemporaryDirectory() as tmp:
-        return _run_evo(cfg, tmp, 7, "digest")
+        return _run_evo(params(cfg, "evo"), tmp, 7, "digest")
 
 
 def test_criterion_07_resolvent_bounds_and_recovery():

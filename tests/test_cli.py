@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homlab
-from homlab.cli import CATALOGUE, RunConfig, main
+from homlab.cli import _KEYS, _RUNNERS, CATALOGUE, POSITIVE, REQUIRED, RunConfig, main, params
 from homlab.errors import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -58,7 +58,7 @@ class TestRunConfig:
     def test_missing_required_key_named(self):
         cfg = RunConfig.parse_text("[run]\ntolerance = 0.1\n")
         with pytest.raises(ConfigError, match="n_list"):
-            cfg.get_int_list("run", "n_list", required=True)
+            params(cfg, "hconv")
 
 
 class TestFixtures:
@@ -176,8 +176,8 @@ class TestFixtures:
         # the experiments check their coefficients against fixed bounds; a
         # value outside them is a config error, not a failed run (exit 1)
         cfg = tmp_path / f"{kind}.cfg"
-        cfg.write_text(f"[experiment]\nkind = {kind}\n[coefficients]\n{body}"
-                       "[run]\nn_list = 1\ntransverse_cells = 2\n")
+        cfg.write_text(f"[experiment]\nkind = {kind}\n[coefficients]\n{body}[run]\nn_list = 1\n"
+                       + "transverse_cells = 2\n" * (kind == "maxwell"))
         res = run_cli([kind, "--config", str(cfg), "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
         error = json.loads(res.output.strip().splitlines()[-1])["error"]
@@ -213,12 +213,55 @@ class TestFixtures:
         assert payload["error"].startswith("BudgetExceeded"), payload
 
     @pytest.mark.parametrize("kind", ["hconv", "laminate2d"])
-    def test_unknown_flavor_exits_1_with_shape_error(self, tmp_path, kind):
+    def test_unknown_flavor_exits_2_naming_the_key(self, tmp_path, kind):
         res = self.run_body(tmp_path, kind, "[run]\nn_list = 1\nflavor = foo\n")
-        assert res.exit_code == 1, res.output
+        assert res.exit_code == 2, res.output
         payload = json.loads(res.output.strip().splitlines()[-1])
-        assert payload["error"].startswith("ShapeError"), payload
+        assert payload["error"].startswith("[run] flavor: "), payload
         assert "foo" in payload["error"], payload
+
+    @pytest.mark.parametrize("kind, body, where", [
+        # n_list entries below 1 ran, or failed a decay check, instead of exit 2
+        ("hconv", "[run]\nn_list = 0, 2\n", "[run] n_list"),
+        ("qdind", "[run]\nn_list = 0, 4\n", "[run] n_list"),
+        ("maxwell", "[run]\nn_list = 0, 1\n", "[run] n_list"),
+        ("divtest", "[run]\nn_list = 0, -3\n", "[run] n_list"),
+        # keys the runner does not read were accepted and ignored
+        ("hconv", "[run]\nn_list = 1\ntransverse_cells = 5\n", "[run] transverse_cells"),
+        ("laminate2d", "[domain]\ndim = 3\n[run]\nn_list = 1\n", "[domain] dim"),
+        ("cell", "[domain]\nextents = 7\n", "[domain] extents"),
+        # a bad seed ran with seed 0
+        ("divtest", "[probes]\nseed = abc\n", "[probes] seed"),
+        ("divtest", "[probes]\nseed = 1.5\n", "[probes] seed"),
+        # raw tracebacks, or nothing run
+        ("recover", "[run]\ndim_max = 2\n", "[run] dim_max"),
+        ("evo", "[run]\nmode = synthetic\nspace_dim = 1\n", "[run] space_dim"),
+        ("evo", "[run]\nmode = synthetic\nspace_dim = 2\n", "[run] space_dim"),
+        ("evo", "[run]\nmode = synthetic\nspace_dim = 3\n", "[run] space_dim"),
+        ("recover", "[run]\ntrials = -5\n", "[run] trials"),
+        # exit 1 on a numerical step instead of exit 2
+        ("hconv", "[run]\nn_list = 1\ncells_per_period = 0\n", "[run] cells_per_period"),
+        ("thermo", "[run]\ncells_per_period = -4\n", "[run] cells_per_period"),
+        ("hconv", "[domain]\ndim = 0\n[run]\nn_list = 1\n", "[domain] dim"),
+        ("hconv", "[domain]\ndim = 4\n[run]\nn_list = 1\n", "[domain] dim"),
+        ("schur-gap", "[run]\nn_list = 1\ntolerance = -1\n", "[run] tolerance"),
+        # a numeric candidate that is not a finite positive number
+        ("hconv", "[run]\nn_list = 1\ncandidate = nan\n", "[run] candidate"),
+        ("hconv", "[run]\nn_list = 1\ncandidate = -1\n", "[run] candidate"),
+        ("hconv", "[run]\nn_list = 1\ncandidate = inf\n", "[run] candidate"),
+    ], ids=["hconv-n_list", "qdind-n_list", "maxwell-n_list", "divtest-n_list",
+            "hconv-transverse_cells", "laminate2d-dim", "cell-extents", "seed-abc", "seed-1.5",
+            "recover-dim_max", "evo-space_dim-1", "evo-space_dim-2", "evo-space_dim-3",
+            "recover-trials", "hconv-cells_per_period", "thermo-cells_per_period",
+            "hconv-dim-0", "hconv-dim-4", "schur-gap-tolerance", "candidate-nan",
+            "candidate-negative", "candidate-inf"])
+    def test_bad_value_or_unread_key_exit_2(self, tmp_path, kind, body, where):
+        res = self.run_body(tmp_path, kind, body)
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        section, key = where.split(" ")
+        assert error.startswith(section) and key in error, error
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("kind, body, key", [
         ("maxwell", "[run]\nn_list = 1\ntransverse_cells = 1\n", "[run] transverse_cells"),
@@ -374,6 +417,57 @@ class TestExitCodeFuzz:
             assert res.exit_code == 2, res.output
 
 
+def _breaking(rule):
+    """A config value that breaks a table rule."""
+    if rule is POSITIVE:
+        return "0"
+    if isinstance(rule, tuple):
+        return "bogus" if isinstance(rule[0], str) else str(rule[1] + 1)
+    return str(rule - 1)
+
+
+class TestKeyTables:
+    def run_key(self, out, kind, name, value):
+        """Run ``kind`` with its required keys set to 1 and "section.key"
+        ``name`` set to ``value``."""
+        sections = {}
+        for key, (_, default, _) in _KEYS[kind].items():
+            if default is REQUIRED:
+                sections.setdefault(key.split(".")[0], {})[key.split(".")[1]] = "1"
+        sections.setdefault(name.split(".")[0], {})[name.split(".")[1]] = value
+        cfg = os.path.join(out, "keys.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(RunConfig(sections).to_text())
+        res = run_cli([kind, "--config", cfg, "--out", out])
+        where = "[{}] {}".format(*name.split("."))
+        assert res.exit_code == 2, (where, value, res.output)
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert error.startswith(where + ": "), (where, value, error)
+        assert not [f for _, _, files in os.walk(out) for f in files if f.endswith(".csv")]
+
+    @pytest.mark.parametrize("kind", sorted(_RUNNERS))
+    def test_broken_rule_or_non_number_exit_2(self, kind):
+        for name, (typ, _, rule) in _KEYS[kind].items():
+            bad = ([_breaking(rule)] if rule is not None else []) + ["abc"] * (typ is not str)
+            for value in bad:
+                with tempfile.TemporaryDirectory() as out:
+                    self.run_key(out, kind, name, value)
+
+    @pytest.mark.parametrize("kind", sorted(_RUNNERS))
+    def test_key_of_another_runner_exit_2(self, kind):
+        foreign = {name for table in _KEYS.values() for name in table} - set(_KEYS[kind])
+        assert foreign
+        for name in sorted(foreign):
+            with tempfile.TemporaryDirectory() as out:
+                self.run_key(out, kind, name, "1")
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_shipped_config_passes_its_table(self, name):
+        cfg = RunConfig.parse(fixture(name))
+        kind = cfg.sections["experiment"]["kind"]
+        assert set(params(cfg, kind)) == set(_KEYS[kind])
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -408,6 +502,12 @@ class TestCatalogue:
         res = run_cli(["describe", "cell"])
         assert res.exit_code == 0
         assert "v_xi" in res.output
+
+    def test_describe_prints_every_key_of_the_table(self):
+        res = run_cli(["describe", "maxwell"])
+        assert res.exit_code == 0
+        for name in _KEYS["maxwell"]:
+            assert "[{}] {} ".format(*name.split(".")) in res.output, name
 
     def test_describe_unknown_is_usage_error(self):
         res = run_cli(["describe", "nope"])
