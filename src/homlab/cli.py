@@ -194,8 +194,11 @@ _LAMINATE = {    # the keys hconv and schur-gap share
     "run.cells_per_period": (int, None, 2),    # 32 in 1-d, else 16
     "run.candidate": (str, "laminate", None),    # checked by _candidate_from
 }
+# solve1d, hconv and laminate2d load with f = 1, which only the Dirichlet
+# problem admits (the others need a load that annihilates constants)
+_FLAVOR = {"run.flavor": (str, "dirichlet", ("dirichlet",))}
 _HCONV = {**_LAMINATE, "run.tolerance": (float, None, POSITIVE),    # 0.02 in 1-d, else 0.05
-          "run.flavor": (str, "dirichlet", elliptic.FLAVORS)}
+          **_FLAVOR}
 
 # "section.key" -> (type, default, rule) of every key a runner reads. A rule
 # is a tuple of admitted strings, a lower bound, a closed range (lo, hi) or
@@ -204,7 +207,7 @@ _HCONV = {**_LAMINATE, "run.tolerance": (float, None, POSITIVE),    # 0.02 in 1-
 _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0, 0),
                 "output.prefix": (str, None, None), **keys} for kind, keys in {
     "solve1d": {"domain.cells": (int, 256, 2), "coefficients.path": (str, None, None),
-                **_PROFILE, "run.flavor": (str, "dirichlet", elliptic.FLAVORS)},
+                **_PROFILE, **_FLAVOR},
     "laminate2d": {**_HCONV, "domain.dim": (int, 2, (2, 2))},
     "cell": {"domain.cells": (int, 64, 1), **_PROFILE, "run.tolerance": (float, 0.02, POSITIVE),
              "coefficients.cell_kind": (str, "laminate",
@@ -234,7 +237,8 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
     "recover": {"run.trials": (int, 200, 1),
                 "run.dim_max": (int, 10, 3)},    # sizes are drawn from [2, dim_max)
     "thermo": {
-        "coefficients.gamma": (float, 0.5, None), "coefficients.lambda": (float, 1.0, None),
+        "coefficients.gamma": (float, 0.5, None),    # checked with c by _run_thermo
+        "coefficients.lambda": (float, 1.0, POSITIVE),
         **{f"coefficients.{name}_{phase}": (float, default, _THERMO_BOUNDS)
            for name in ("c", "kappa", "w", "rho")
            for phase, default in (("low", 1.0), ("high", 4.0))},
@@ -663,12 +667,16 @@ def _run_recover(p, out, seed, digest):
 
 
 def _run_thermo(p, out, seed, digest):
-    tol = p["run.tolerance"]
+    tol, gamma = p["run.tolerance"], p["coefficients.gamma"]
+    # the material block m0 carries gamma^2 C^-1
+    if not math.isfinite(gamma * gamma / min(p["coefficients.c_low"], p["coefficients.c_high"])):
+        raise ConfigError(f"[coefficients] gamma: gamma^2 / min(c_low, c_high) overflows "
+                          f"(gamma = {gamma:g})")
     c, kappa, w, rho = (
         _two_phase(p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])[0]
         for name in ("c", "kappa", "w", "rho"))
     rep = thermo_mod.thermo_homogenization_experiment(
-        c, kappa, w, rho, gamma=p["coefficients.gamma"], lam=p["coefficients.lambda"],
+        c, kappa, w, rho, gamma=gamma, lam=p["coefficients.lambda"],
         n_list=p["run.n_list"], bounds=_THERMO_BOUNDS,
         mesh_rule=MeshRule(p["run.cells_per_period"]), probe_seed=seed)
     paths = [_emit(out, "thermo", rep, digest)]

@@ -161,39 +161,59 @@ class GridDomain:
         return math.prod(self.cells)
 
     def cell_midpoints(self):
-        axes = [lo + (np.arange(c) + 0.5) * h
-                for lo, c, h in zip(self.lo, self.cells, self.spacing)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return _grid_points([lo + (np.arange(c) + 0.5) * h
+                             for lo, c, h in zip(self.lo, self.cells, self.spacing)])
 
 
-def _simplex_tables(d):
-    """Vertex offsets (in node-grid steps) and the count of simplices per
-    cell: segments, two triangles, or the six Kuhn tetrahedra sharing the
-    main diagonal (conforming across cells)."""
-    if d == 1:
-        return [((0,), (1,))]
-    if d == 2:
-        return [((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))]
-    tables = []
-    for perm in itertools.permutations(range(3)):
-        offs = [(0, 0, 0)]
-        cur = [0, 0, 0]
-        for axis in perm:
-            cur = cur.copy()
-            cur[axis] += 1
-            offs.append(tuple(cur))
-        tables.append(tuple(offs))
-    return tables
+def _kuhn_paths(d):
+    """The axis orders of the Kuhn simplices of a cell, in simplex-type
+    order. The simplex of the order sigma has the vertices v_0 = the cell's
+    lower corner and v_k = v_(k-1) + h_sigma(k) e_sigma(k): the segment in
+    1-d, two triangles in 2-d, and in 3-d the six tetrahedra sharing the main
+    diagonal (conforming across cells)."""
+    return list(itertools.permutations(range(d)))
+
+
+def _corners(sigma):
+    """The vertices of the Kuhn simplex of the axis order ``sigma``, as the
+    bitmasks of the axes on which each sits at its cell's upper side."""
+    return list(itertools.accumulate(sigma, lambda mask, a: mask | 1 << a, initial=0))
+
+
+def _grid_points(axes):
+    """The (n, d) points of the product of 1-d coordinate arrays, C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+
+
+def _rows_csr(cols, values, n):
+    """Sparse matrix whose row r holds ``values[r, j]`` in column
+    ``cols[r, j]`` for each ``cols[r, j] >= 0`` (an (.., w) stack of rows
+    of w slots; values broadcast to it), duplicates summed."""
+    width = cols.shape[-1]
+    keep = cols >= 0
+    mat = sp.csr_matrix((np.where(keep, values, 0.0).ravel(), np.maximum(cols, 0).ravel(),
+                         np.arange(0, cols.size + 1, width)), shape=(cols.size // width, n))
+    mat.eliminate_zeros()
+    mat.sum_duplicates()
+    return mat
 
 
 class DiscreteGradient:
     """First-order gradient of one boundary flavor on a grid domain.
 
+    Elements are numbered simplex type by simplex type, cells in C order
+    within a type; vector unknowns are (element, component), component
+    minor, and retained nodes are numbered in C order of ``node_shape``. On
+    the Kuhn simplex of the axis order sigma the gradient along sigma(k) is
+    (u(v_k) - u(v_(k-1))) / h_sigma(k), so each row of ``matrix`` is a
+    two-point difference.
+
     Attributes of note: ``op`` (the sparse gradient as a weighted
     :class:`LinearOp`), ``scalar_space`` / ``vector_space`` (lumped nodal
-    mass / element-measure mass), ``node_coords``, ``elem_mid``,
-    ``elem_cell``, and ``order`` (stencil consistency order, 1).
+    mass / element-measure mass), ``node_coords`` and ``node_axes`` (per
+    axis), ``elem_mid`` and ``mid_axes`` (per simplex type and axis),
+    ``elem_cell``, ``vertex_mean`` and ``order`` (stencil consistency
+    order, 1).
     """
 
     def __init__(self, domain, flavor):
@@ -202,109 +222,77 @@ class DiscreteGradient:
         self.domain = domain
         self.flavor = flavor
         self.order = 1
-        d = domain.dim
-        cells = domain.cells
-        h = domain.spacing
-        lo = domain.lo
+        d, cells, h, lo = domain.dim, domain.cells, domain.spacing, domain.lo
 
         check_budget(cells, flavor)
-        if flavor == "periodic":
-            node_shape = cells
-        else:
-            node_shape = tuple(c + 1 for c in cells)
-        full_ids = np.arange(math.prod(node_shape)).reshape(node_shape)
-        keep = np.ones(node_shape, dtype=bool)
-        if flavor == "dirichlet":
-            for axis in range(d):
-                idx = [slice(None)] * d
-                idx[axis] = 0
-                keep[tuple(idx)] = False
-                idx[axis] = -1
-                keep[tuple(idx)] = False
-        reduced = -np.ones(math.prod(node_shape), dtype=np.int64)
-        reduced[full_ids[keep].ravel()] = np.arange(keep.sum())
-        reduced = reduced.reshape(node_shape)
-        self._node_shape = node_shape
-        self._reduced = reduced
-        n_nodes = int(keep.sum())
+        shift = {"periodic": 0, "neumann": 1, "dirichlet": -1}[flavor]
+        self.node_shape = tuple(c + shift for c in cells)
+        if 0 in self.node_shape:
+            raise ShapeError("a Dirichlet axis of one cell has no interior node")
+        first = 1 if flavor == "dirichlet" else 0
+        self.node_axes = [a + (np.arange(n) + first) * ha
+                          for a, n, ha in zip(lo, self.node_shape, h)]
+        self.node_coords = _grid_points(self.node_axes)
+        paths = _kuhn_paths(d)
+        # the simplex of sigma has its midpoint (d - p)/(d + 1) of a cell up
+        # the axis at position p of sigma
+        self.mid_axes = [[lo[b] + (np.arange(cells[b]) + (d - sigma.index(b)) / (d + 1))
+                          * h[b] for b in range(d)] for sigma in paths]
+        self.elem_mid = np.concatenate([_grid_points(axes) for axes in self.mid_axes])
+        n_cell, n_nodes = domain.n_cells, len(self.node_coords)
+        n_elem = self.n_elem = n_cell * len(paths)
+        self.elem_cell = np.tile(np.arange(n_cell), len(paths))
+        measure = math.prod(h) / math.factorial(d)
+        self.elem_measure = np.full(n_elem, measure)
 
-        tables = _simplex_tables(d)
-        per_cell = len(tables)
-        n_cell = domain.n_cells
-        n_elem = n_cell * per_cell
+        # row (element, a = sigma(k)): -1/h_a at v_(k-1), +1/h_a at v_k
+        ids = self._corner_ids()
+        cols = np.empty((len(paths), n_cell, d, 2), dtype=np.int64)
+        for t, sigma in enumerate(paths):
+            corners = _corners(sigma)
+            for k, a in enumerate(sigma):
+                cols[t, :, a, 0], cols[t, :, a, 1] = ids[corners[k]], ids[corners[k + 1]]
+        if flavor == "periodic":    # one node on a one-cell axis: no difference
+            cols[:, :, np.array(cells) == 1] = -1
+        g_mat = _rows_csr(cols, np.array([[-1.0 / ha, 1.0 / ha] for ha in h]), n_nodes)
 
-        # local constant gradients per simplex type
-        grads = []
-        measures = []
-        for offs in tables:
-            verts = np.array(offs, dtype=float) * np.array(h)
-            m = (verts[1:] - verts[0]).T
-            minv = np.linalg.inv(m)
-            g = np.zeros((d + 1, d))
-            g[1:] = minv
-            g[0] = -minv.sum(axis=0)
-            grads.append(g)
-            measures.append(abs(np.linalg.det(m)) / math.factorial(d))
-        self._type_grads = grads
-
-        cell_index_axes = [np.arange(c) for c in cells]
-        cell_grid = np.meshgrid(*cell_index_axes, indexing="ij")
-        cell_multi = np.stack([g.ravel() for g in cell_grid], axis=-1)  # (n_cell, d)
-
-        ev_list, cellof_list, type_list = [], [], []
-        for t, offs in enumerate(tables):
-            verts = np.empty((n_cell, d + 1), dtype=np.int64)
-            for v, off in enumerate(offs):
-                coords = cell_multi + np.array(off)
-                if flavor == "periodic":
-                    coords = coords % np.array(cells)
-                verts[:, v] = reduced[tuple(coords.T)]
-            ev_list.append(verts)
-            cellof_list.append(np.arange(n_cell))
-            type_list.append(np.full(n_cell, t))
-        ev = np.concatenate(ev_list)            # (n_elem, d+1), -1 = eliminated
-        self.elem_vertices = ev
-        self.elem_cell = np.concatenate(cellof_list)
-        elem_type = np.concatenate(type_list)
-        self.elem_measure = np.array(measures)[elem_type]
-
-        # geometric element midpoints (unwrapped vertex positions)
-        offs_arr = np.array(tables, dtype=float)[elem_type]  # (n_e, d+1, d)
-        base = np.array(lo) + cell_multi * np.array(h)
-        base = np.concatenate([base] * per_cell)
-        self.elem_mid = base[:, None, :] + offs_arr * np.array(h)
-        self.elem_mid = self.elem_mid.mean(axis=1)
-
-        # sparse gradient: rows (element, component), cols reduced nodes
-        gtab = np.stack(grads)[elem_type]   # (n_e, d+1, d)
-        rows = (np.arange(n_elem) * d)[:, None, None] + np.arange(d)[None, None, :]
-        rows = np.broadcast_to(rows, (n_elem, d + 1, d))
-        cols = np.broadcast_to(ev[:, :, None], (n_elem, d + 1, d))
-        mask = cols >= 0
-        g_mat = sp.csr_matrix(
-            (gtab[mask], (rows[mask], cols[mask])), shape=(n_elem * d, n_nodes)
-        )
-
-        w_vec = np.repeat(self.elem_measure, d)
-        w_sc = np.zeros(n_nodes)
-        contrib = np.broadcast_to(
-            (self.elem_measure / (d + 1))[:, None], (n_elem, d + 1)
-        )
-        vm = ev >= 0
-        np.add.at(w_sc, ev[vm], contrib[vm])
+        # lumped mass: measure/(d + 1) from each element at each retained
+        # vertex (measure times the column sums of ``vertex_mean``); the
+        # corner with j upper axes is a vertex of the j! (d - j)! simplices
+        # whose axis order starts with those j axes
+        shares = [math.factorial(j) * math.factorial(d - j)
+                  for j in map(int.bit_count, range(2**d))]
+        w_sc = measure / (d + 1) * np.bincount(
+            np.concatenate(ids) + 1, np.repeat(shares, n_cell), minlength=n_nodes + 1)[1:]
 
         self.scalar_space = HilbertSpace(n_nodes, weight=w_sc)
-        self.vector_space = HilbertSpace(n_elem * d, weight=w_vec)
+        self.vector_space = HilbertSpace(n_elem * d, weight=np.full(n_elem * d, measure))
         self.op = LinearOp(self.scalar_space, self.vector_space, matrix=g_mat)
         self.matrix = g_mat
-        self.n_elem = n_elem
 
-        # retained node coordinates
-        axes = [np.arange(s) for s in node_shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1).astype(float)
-        pts = np.array(lo) + pts * np.array(h)
-        self.node_coords = pts[keep.ravel()]
+    def _corner_ids(self):
+        """Retained index (-1: eliminated) of the corner of each cell, cells
+        in C order, one array per corner bitmask (its upper axes), from one
+        1-d (lower, upper) node map per axis."""
+        maps = [(i - 1, np.where(i < c - 1, i, -1)) if self.flavor == "dirichlet"
+                else (i, (i + 1) % c if self.flavor == "periodic" else i + 1)
+                for c in self.domain.cells for i in [np.arange(c)]]
+        ids = []
+        for mask in range(2 ** self.d):
+            per_axis = np.meshgrid(*(m[mask >> b & 1] for b, m in enumerate(maps)),
+                                   indexing="ij")
+            flat = np.ravel_multi_index(per_axis, self.node_shape, mode="wrap")
+            ids.append(np.where(np.min(per_axis, axis=0) >= 0, flat, -1).ravel())
+        return ids
+
+    @functools.cached_property
+    def vertex_mean(self):
+        """The (n_elem, n_nodes) mean of nodal values over the d + 1 vertices
+        of each element; an eliminated vertex contributes zero."""
+        ids = self._corner_ids()
+        cols = np.stack([np.stack([ids[c] for c in _corners(sigma)], axis=-1)
+                         for sigma in _kuhn_paths(self.d)])
+        return _rows_csr(cols, 1.0 / (self.d + 1), self.scalar_space.dim)
 
     # -- helpers -------------------------------------------------------------
 
@@ -412,17 +400,11 @@ class CoefficientField:
 
     def operator(self, grad):
         """Multiplication operator on the element vector space (sparse)."""
-        d = self.domain.dim
-        blocks = self.values[grad.elem_cell]          # (n_e, d, d)
-        n_e = grad.n_elem
-        rows = (np.arange(n_e) * d)[:, None, None] + np.arange(d)[None, :, None]
-        rows = np.broadcast_to(rows, (n_e, d, d))
-        cols = (np.arange(n_e) * d)[:, None, None] + np.arange(d)[None, None, :]
-        cols = np.broadcast_to(cols, (n_e, d, d))
-        mat = sp.csr_matrix(
-            (blocks.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(n_e * d, n_e * d),
-        )
+        d, n_e = self.domain.dim, grad.n_elem
+        # row (e, i) stores the d entries a_ij at the columns (e, j)
+        cols = np.broadcast_to((np.arange(n_e) * d)[:, None, None] + np.arange(d), (n_e, d, d))
+        mat = sp.csr_matrix((self.values[grad.elem_cell].ravel(), cols.ravel(),
+                             np.arange(0, n_e * d * d + 1, d)), shape=(n_e * d, n_e * d))
         return LinearOp(grad.vector_space, grad.vector_space, matrix=mat)
 
     def apply(self, grad, v):
@@ -501,8 +483,7 @@ class _TransformInverse:
 
         d = grad.d
         self._axes = tuple(range(d))
-        self._shape = tuple(s - 2 for s in grad._node_shape) \
-            if grad.flavor == "dirichlet" else grad._node_shape
+        self._shape = grad.node_shape
         fwd, inv, kind = {"periodic": (scipy.fft.fftn, scipy.fft.ifftn, {}),
                           "dirichlet": (scipy.fft.dstn, scipy.fft.idstn, {"type": 1}),
                           "neumann": (scipy.fft.dctn, scipy.fft.idctn, {"type": 1})}[grad.flavor]
@@ -832,59 +813,75 @@ def divcurl_pairing(domain, q_fields, r_fields, phi=None):
 
 
 def _sine_modes(domain, per_axis, cap):
-    """Lowest tensor-product sine mode index tuples, ordered by |k|^2."""
+    """Lowest tensor-product sine mode indices, ordered by |k|^2, as the
+    rows of an (m, d) array."""
     ks = list(itertools.product(range(1, per_axis + 1), repeat=domain.dim))
     ks.sort(key=lambda k: (sum(x * x for x in k), k))
-    return ks[:cap]
+    return np.array(ks[:cap], dtype=int).reshape(-1, domain.dim)
 
 
-def _eval_mode(domain, k, points):
-    lo = np.array(domain.lo)
-    span = np.array([b - a for a, b in domain.extents])
-    t = (np.atleast_2d(points) - lo) / span
-    out = np.ones(len(t))
-    for axis, ka in enumerate(k):
-        out = out * np.sin(ka * np.pi * t[:, axis])
-    return out
+def _sine_tables(domain, modes, axes):
+    """Per axis b, the tables sin(k_b pi t) and (k_b pi / L_b) cos(k_b pi t)
+    at t = (x - lo_b)/L_b for the coordinates ``axes[b]``, one column per
+    mode. Each sine and cosine is evaluated once per coordinate and per
+    distinct k_b."""
+    tables = []
+    for b, (x, (a, end)) in enumerate(zip(axes, domain.extents)):
+        span = end - a
+        k = np.arange(1, modes[:, b].max(initial=0) + 1)
+        arg = (k * np.pi)[None, :] * ((x - a) / span)[:, None]
+        column = modes[:, b] - 1
+        tables.append((np.sin(arg)[:, column],
+                       ((k * np.pi / span)[None, :] * np.cos(arg))[:, column]))
+    return tables
 
 
-def _eval_mode_grad(domain, k, points):
-    lo = np.array(domain.lo)
-    span = np.array([b - a for a, b in domain.extents])
-    t = (np.atleast_2d(points) - lo) / span
-    sins = [np.sin(ka * np.pi * t[:, a]) for a, ka in enumerate(k)]
-    coss = [np.cos(ka * np.pi * t[:, a]) for a, ka in enumerate(k)]
-    grads = []
-    for a, ka in enumerate(k):
-        g = ka * np.pi / span[a] * coss[a]
-        for b in range(len(k)):
-            if b != a:
-                g = g * sins[b]
-        grads.append(g)
-    return np.stack(grads, axis=-1)
+def _outer_into(out, factors):
+    """out[i_0, ..., i_(d-1), j] = the product of f[i_b, j] over the (b, f)
+    pairs of ``factors``, multiplied in their order."""
+    d = out.ndim - 1
+    views = [f.reshape((1,) * b + (len(f),) + (1,) * (d - 1 - b) + (-1,)) for b, f in factors]
+    if len(views) == 1:
+        out[...] = views[0]
+        return
+    np.multiply(views[0], views[1], out=out)
+    for v in views[2:]:
+        out *= v
 
 
 def scalar_probes(grad, per_axis=5, cap=25, seed=0):
-    """Smooth low-frequency scalar probes (tensor-product sine modes),
-    weight-normalized; they mimic compactly supported test functions."""
+    """Smooth low-frequency scalar probes (tensor-product sine modes) at the
+    nodes, weight-normalized; they mimic compactly supported test functions.
+    Each column is an outer product of 1-d sine tables."""
     modes = _sine_modes(grad.domain, per_axis, cap)
-    vecs = [_eval_mode(grad.domain, k, grad.node_coords) for k in modes]
-    return ProbeSet.from_vectors(grad.scalar_space, vecs, seed=seed)
+    tables = _sine_tables(grad.domain, modes, grad.node_axes)
+    block = np.empty(grad.node_shape + (len(modes),))
+    _outer_into(block, [(b, sines) for b, (sines, _) in enumerate(tables)])
+    return ProbeSet.from_vectors(grad.scalar_space, block.reshape(-1, len(modes)),
+                                 seed=seed, copy=False)
 
 
 def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",), seed=0):
     """Vector probes at element midpoints: per-component sine modes and,
-    optionally, analytic gradient fields of the modes."""
+    optionally, analytic gradient fields of the modes; per mode, the d
+    component columns come before the gradient column, and the first
+    ``count`` columns are kept. Each column is, per simplex type, an outer
+    product of 1-d sine and cosine tables."""
     d = grad.d
     modes = _sine_modes(grad.domain, per_axis, cap)
-    vecs = []
-    for k in modes:
-        if "component" in kinds:
-            scal = _eval_mode(grad.domain, k, grad.elem_mid)
-            for c in range(d):
-                field = np.zeros((grad.n_elem, d))
-                field[:, c] = scal
-                vecs.append(field.ravel())
-        if "gradient" in kinds:
-            vecs.append(_eval_mode_grad(grad.domain, k, grad.elem_mid).ravel())
-    return ProbeSet.from_vectors(grad.vector_space, vecs[:count], seed=seed)
+    comp, grads = "component" in kinds, "gradient" in kinds
+    per_mode = d * comp + grads
+    n_cols = len(range(len(modes) * per_mode)[:count])
+    block = np.zeros((len(grad.mid_axes),) + grad.domain.cells + (d, n_cols))
+    for t, axes in enumerate(grad.mid_axes):
+        tables = _sine_tables(grad.domain, modes, axes)
+        for c in range(d * comp):
+            out = block[t, ..., c, c::per_mode]
+            _outer_into(out, [(b, s[:, :out.shape[-1]]) for b, (s, _) in enumerate(tables)])
+        for a in range(d * grads):
+            out = block[t, ..., a, per_mode - 1::per_mode]
+            m = out.shape[-1]
+            _outer_into(out, [(a, tables[a][1][:, :m])]
+                        + [(b, s[:, :m]) for b, (s, _) in enumerate(tables) if b != a])
+    return ProbeSet.from_vectors(grad.vector_space, block.reshape(grad.n_elem * d, n_cols),
+                                 seed=seed, copy=False)

@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import MissingTranspose, NotInM, ShapeError, SolverDiverged
+from .errors import CoercivityError, MissingTranspose, NotInM, ShapeError, SolverDiverged
 
 __all__ = [
     "HilbertSpace",
@@ -456,11 +456,12 @@ class ProbeSet:
         return cls.from_vectors(space, v.T, seed=seed)
 
     @classmethod
-    def from_vectors(cls, space, vectors, seed=0, drop_tol=1e-10):
-        """Normalize raw vectors, silently dropping near-zero ones."""
-        # normalised in place below, so never in the caller's array
+    def from_vectors(cls, space, vectors, seed=0, drop_tol=1e-10, copy=True):
+        """Normalize raw vectors, silently dropping near-zero ones. The
+        caller's array is left alone unless ``copy`` is False, which hands
+        over a fresh (dim, k) block to be normalised in place."""
         m = _as_columns(space, vectors).astype(complex if space.field == "complex" else float,
-                                               copy=isinstance(vectors, np.ndarray))
+                                               copy=copy and isinstance(vectors, np.ndarray))
         norms = space.column_norms(m)
         keep = norms > drop_tol
         m = m if keep.all() else m[:, keep]
@@ -480,7 +481,7 @@ def _as_columns(space, vectors):
         return space.check_block(vectors)
     if not len(vectors):
         return np.zeros((space.dim, 0))
-    return np.column_stack([space.check_member(v) for v in vectors])
+    return np.stack([space.check_member(v) for v in vectors], axis=1)
 
 
 @dataclass
@@ -540,7 +541,14 @@ def _sym_lambda_min(space, mat):
         L = scipy.linalg.cholesky(space.weight, lower=True)
         mhat = L.conj().T @ m @ scipy.linalg.inv(L.conj().T)
     h = 0.5 * (mhat + mhat.conj().T)
+    _require_finite(h)
     return float(scipy.linalg.eigvalsh(h)[0])
+
+
+def _require_finite(h):
+    """Refuse a Hermitian part whose entries overflowed."""
+    if not np.isfinite(h.data if _is_sparse(h) else h).all():
+        raise CoercivityError("Re T overflows in the weighted frame: no bound can be certified")
 
 
 def _sparse_lambda_min(space, mat):
@@ -550,6 +558,7 @@ def _sparse_lambda_min(space, mat):
     d = np.sqrt(space.weight)
     ahat = sp.diags(d) @ sp.csr_matrix(mat) @ sp.diags(1.0 / d)
     h = (0.5 * (ahat + ahat.conj().T)).tocsr()
+    _require_finite(h)
     h.eliminate_zeros()
     # only the pattern counts; abs() spares csgraph a complex-to-real cast
     n_comp, labels = csgraph.connected_components(abs(h), directed=False)

@@ -303,8 +303,8 @@ def _correctors(a_cell, xis, residual_tol=1e-9):
     grad = build_grad(domain, "periodic")
     xi_fields = [np.tile(xi, grad.n_elem) for xi in xis]
     # G^H W a (G w + xi) = 0  <=>  K_a w = -G^H W a xi
-    loads = np.column_stack([RHSFunctional.flux(a_cell.apply(grad, f)).assemble(grad)
-                             for f in xi_fields])
+    loads = np.stack([RHSFunctional.flux(a_cell.apply(grad, f)).assemble(grad)
+                      for f in xi_fields], axis=1)
     ws = _solve_galerkin(grad, a_cell, loads)
     for xi_field, w in zip(xi_fields, ws.T):
         v = xi_field + grad.matrix @ w

@@ -44,23 +44,9 @@ def _coupling_map(grad, gamma, direction=None):
         direction[0] = 1.0
     direction = np.asarray(direction, dtype=float)
     direction /= np.linalg.norm(direction)
-    ev = grad.elem_vertices
-    n_e = grad.n_elem
-    rows, cols, data = [], [], []
-    for c in range(d):
-        if direction[c] == 0.0:
-            continue
-        for v in range(ev.shape[1]):
-            m = ev[:, v] >= 0
-            rows.append(np.arange(n_e)[m] * d + c)
-            cols.append(ev[m, v])
-            data.append(np.full(m.sum(), gamma * direction[c] / ev.shape[1]))
-    if not rows:
-        return sp.csr_matrix((n_e * d, grad.scalar_space.dim))
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_e * d, grad.scalar_space.dim),
-    )
+    gam = sp.kron(grad.vertex_mean, (gamma * direction)[:, None], format="csr")
+    gam.eliminate_zeros()
+    return gam
 
 
 def _star(grad, m):
@@ -106,6 +92,18 @@ class ThermoSystem:
         return LinearOp(self.space, self.space, matrix=self.a_matrix)
 
 
+def _lam_hint(space, m0, m1, lam):
+    """Name the first lam 2^k, k = 1..40, at which lam m0 + m1 is coercive,
+    if one is before its bound overflows."""
+    for k in range(1, 41):
+        try:
+            if _sym_lambda_min(space, (lam * 2**k * m0 + m1).tocsr()) > 0:
+                return f"lam >= {lam * 2**k} works"
+        except CoercivityError:
+            break
+    return "no lam 2^k for k up to 40 works"
+
+
 def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
                     bounds=None, direction=None):
     """Assemble the coupled system at frequency parameter lam.
@@ -114,8 +112,11 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
     the declared interval; ``c_field`` and ``kappa_field`` are cell-wise
     coefficient fields; ``gamma`` is the constant coupling strength. The
     coercivity constant of lam m0 + m1 is computed and a failure reports a
-    suggested minimal lam.
+    suggested minimal lam. A lam <= 0, or a gamma that overflows m0, raises
+    :class:`CoercivityError`.
     """
+    if not lam > 0:
+        raise CoercivityError("lam must be positive")
     grad = build_grad(domain, "dirichlet")
     ns, nv = grad.scalar_space.dim, grad.vector_space.dim
     rho_vals = _scalar_samples(grad, rho0, bounds, "rho0")
@@ -151,19 +152,14 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
         [None, None, None, kinv],
     ]).tocsr()
 
+    if not np.isfinite(m0.data).all():
+        raise CoercivityError(f"gamma={gamma} makes the material block m0 overflow")
     weight = np.concatenate([grad.scalar_space.weight, grad.vector_space.weight] * 2)
     space = HilbertSpace(2 * (ns + nv), weight=weight)
     c = _sym_lambda_min(space, (lam * m0 + m1).tocsr())
     if c <= 0:
-        suggested = lam
-        for _ in range(40):
-            suggested *= 2
-            if _sym_lambda_min(space, (suggested * m0 + m1).tocsr()) > 0:
-                break
-        raise CoercivityError(
-            f"lam={lam} gives nonpositive material bound {c:.3e}; "
-            f"lam >= {suggested} works"
-        )
+        raise CoercivityError(f"lam={lam} gives nonpositive material bound {c:.3e}; "
+                              + _lam_hint(space, m0, m1, lam))
     return ThermoSystem(domain, grad, space, a_matrix, m0, m1, float(lam),
                         float(c), gam, (ns, nv, ns, nv))
 

@@ -249,12 +249,23 @@ class TestFixtures:
         ("hconv", "[run]\nn_list = 1\ncandidate = nan\n", "[run] candidate"),
         ("hconv", "[run]\nn_list = 1\ncandidate = -1\n", "[run] candidate"),
         ("hconv", "[run]\nn_list = 1\ncandidate = inf\n", "[run] candidate"),
+        # thermo suggested "lam >= -1099511627776.0 works", or died with a
+        # raw ValueError traceback on an overflowed coupling block
+        ("thermo", "[coefficients]\nlambda = -1\n", "[coefficients] lambda"),
+        ("thermo", "[coefficients]\nlambda = 0\n", "[coefficients] lambda"),
+        ("thermo", "[coefficients]\ngamma = 1e300\n", "[coefficients] gamma"),
+        # runners that load with f = 1 exited 1 with CompatibilityError
+        ("solve1d", "[run]\nflavor = neumann\n", "[run] flavor"),
+        ("hconv", "[run]\nn_list = 1\nflavor = periodic\n", "[run] flavor"),
+        ("laminate2d", "[run]\nn_list = 1\nflavor = neumann\n", "[run] flavor"),
     ], ids=["hconv-n_list", "qdind-n_list", "maxwell-n_list", "divtest-n_list",
             "hconv-transverse_cells", "laminate2d-dim", "cell-extents", "seed-abc", "seed-1.5",
             "recover-dim_max", "evo-space_dim-1", "evo-space_dim-2", "evo-space_dim-3",
             "recover-trials", "hconv-cells_per_period", "thermo-cells_per_period",
             "hconv-dim-0", "hconv-dim-4", "schur-gap-tolerance", "candidate-nan",
-            "candidate-negative", "candidate-inf"])
+            "candidate-negative", "candidate-inf", "thermo-lambda-negative",
+            "thermo-lambda-zero", "thermo-gamma-overflow", "solve1d-flavor", "hconv-flavor",
+            "laminate2d-flavor"])
     def test_bad_value_or_unread_key_exit_2(self, tmp_path, kind, body, where):
         res = self.run_body(tmp_path, kind, body)
         assert res.exit_code == 2, res.output

@@ -1,11 +1,20 @@
 """Tests for grids, discrete gradients, and the variational solvers."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homlab import thermo
 from homlab.elliptic import (
+    FLAVORS,
     CoefficientField,
+    DiscreteGradient,
     GridDomain,
     RHSFunctional,
     affine_dual_residual,
@@ -23,6 +32,7 @@ from homlab.elliptic import (
     solve_elliptic,
     vector_probes,
 )
+from homlab.elliptic import _sine_modes
 from homlab.errors import (
     BudgetExceeded,
     CoercivityError,
@@ -544,6 +554,151 @@ class TestProbes:
         assert len(probes) > 0
         for v in probes:
             assert abs(g.vector_space.norm(v) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("cells, hi", [((12,), (1.7,)), ((9, 7), (1.3, 0.7)),
+                                           ((4, 3, 5), (1.1, 0.9, 1.3))])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_separable_probes_match_pointwise_evaluation(self, cells, hi, flavor):
+        dom = GridDomain.box(cells, lo=(-0.3,) * len(cells), hi=hi)
+        g = build_grad(dom, flavor)
+        lo, span = np.array(dom.lo), np.array(hi) - np.array(dom.lo)
+
+        def pointwise(space, cols):
+            cols = np.stack(cols, axis=1)
+            norms = space.column_norms(cols)
+            return cols[:, norms > 1e-10] / norms[norms > 1e-10]
+
+        t_node = (g.node_coords - lo) / span
+        expected = pointwise(g.scalar_space, [np.prod(np.sin(k * np.pi * t_node), axis=1)
+                                              for k in _sine_modes(dom, 5, 25)])
+        np.testing.assert_allclose(scalar_probes(g).matrix, expected, rtol=0, atol=1e-14)
+
+        t = (g.elem_mid - lo) / span
+        d = dom.dim
+        for kinds, count in [(("component",), None), (("gradient",), 4),
+                             (("component", "gradient"), None), (("component", "gradient"), 7)]:
+            cols = []
+            for k in _sine_modes(dom, 3, 25):
+                sines, cosines = np.sin(k * np.pi * t), k * np.pi / span * np.cos(k * np.pi * t)
+                if "component" in kinds:
+                    for c in range(d):
+                        field = np.zeros_like(t)
+                        field[:, c] = np.prod(sines, axis=1)
+                        cols.append(field.ravel())
+                if "gradient" in kinds:
+                    cols.append(np.stack([
+                        cosines[:, a] * np.prod(np.delete(sines, a, axis=1), axis=1)
+                        for a in range(d)], axis=1).ravel())
+            got = vector_probes(g, count=count, kinds=kinds).matrix
+            np.testing.assert_allclose(got, pointwise(g.vector_space, cols[:count]),
+                                       rtol=0, atol=1e-14)
+
+
+def _table_build(domain, flavor, gamma=0.7, direction=None):
+    """The simplex-table construction of a Kuhn gradient grid: vertex index
+    tables, one inverted edge matrix per simplex type, d + 1 stored entries
+    per row. The reference the separable build is pinned against."""
+    d, cells, h, lo = domain.dim, domain.cells, np.array(domain.spacing), np.array(domain.lo)
+    node_shape = cells if flavor == "periodic" else tuple(c + 1 for c in cells)
+    keep = np.ones(node_shape, dtype=bool)
+    if flavor == "dirichlet":
+        for axis in range(d):
+            keep[(slice(None),) * axis + (0,)] = False
+            keep[(slice(None),) * axis + (-1,)] = False
+    reduced = -np.ones(keep.size, dtype=np.int64)
+    reduced[np.flatnonzero(keep)] = np.arange(keep.sum())
+    reduced = reduced.reshape(node_shape)
+    tables = [[(0,) * d] + [tuple(int(b in perm[:k + 1]) for b in range(d)) for k in range(d)]
+              for perm in itertools.permutations(range(d))]
+    cell_multi = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.arange(c) for c in cells], indexing="ij")], axis=-1)
+    n_cell, n_nodes = len(cell_multi), int(keep.sum())
+    verts, grads, mids = [], [], []
+    for offs in tables:
+        coords = [cell_multi + np.array(off) for off in offs]
+        if flavor == "periodic":
+            coords = [c % np.array(cells) for c in coords]
+        verts.append(np.stack([reduced[tuple(c.T)] for c in coords], axis=1))
+        m = ((np.array(offs[1:], dtype=float) - np.array(offs[0])) * h).T
+        minv = np.linalg.inv(m)
+        grads.append(np.vstack([-minv.sum(axis=0), minv]))
+        mids.append((lo + cell_multi * h)[:, None, :] + np.array(offs, dtype=float) * h)
+    ev = np.concatenate(verts)
+    n_elem = len(ev)
+    measure = abs(np.linalg.det(m)) / math.factorial(d)
+    gtab = np.repeat(np.stack(grads), n_cell, axis=0)
+    rows = np.broadcast_to((np.arange(n_elem) * d)[:, None, None] + np.arange(d),
+                           (n_elem, d + 1, d))
+    cols = np.broadcast_to(ev[:, :, None], (n_elem, d + 1, d))
+    mask = cols >= 0
+    g_mat = sp.csr_matrix((gtab[mask], (rows[mask], cols[mask])), shape=(n_elem * d, n_nodes))
+    w_sc = np.zeros(n_nodes)
+    np.add.at(w_sc, ev[ev >= 0], measure / (d + 1))
+    direction = np.eye(d)[0] if direction is None \
+        else np.asarray(direction) / np.linalg.norm(direction)
+    vm = ev >= 0
+    coupling = sp.csr_matrix((
+        np.repeat(gamma * direction[None, :] / (d + 1), vm.sum(), axis=0).ravel(),
+        (((np.nonzero(vm)[0] * d)[:, None] + np.arange(d)).ravel(), np.repeat(ev[vm], d))),
+        shape=(n_elem * d, n_nodes))
+    nodes = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.arange(s) for s in node_shape], indexing="ij")], axis=-1)
+    return {"matrix": g_mat, "elem_mid": np.concatenate(mids).mean(axis=1),
+            "elem_measure": np.full(n_elem, measure), "weight": w_sc,
+            "node_coords": (lo + nodes * h)[keep.ravel()], "coupling": coupling}
+
+
+@st.composite
+def kuhn_grids(draw):
+    d = draw(st.integers(1, 3))
+    flavor = draw(st.sampled_from(FLAVORS))
+    least = 2 if flavor == "dirichlet" else 1
+    cells = tuple(draw(st.integers(least, 7 if d < 3 else 4)) for _ in range(d))
+    lo = [draw(st.floats(-2.0, 2.0)) for _ in range(d)]
+    length = [draw(st.floats(0.1, 3.0)) for _ in range(d)]
+    return GridDomain(tuple(zip(lo, np.add(lo, length))), cells), flavor
+
+
+class TestSeparableGrid:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(grid=kuhn_grids(), data=st.data())
+    def test_matches_the_simplex_table_build(self, grid, data):
+        dom, flavor = grid
+        direction = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dom.dim,
+                                       max_size=dom.dim).filter(lambda v: np.linalg.norm(v) > 0.1))
+        g = DiscreteGradient(dom, flavor)
+        ref = _table_build(dom, flavor, 0.7, direction)
+        scale = max(1.0 / h for h in dom.spacing)
+        assert abs(g.matrix - ref["matrix"]).max() <= 1e-15 * scale
+        np.testing.assert_allclose(g.elem_mid, ref["elem_mid"], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g.elem_measure, ref["elem_measure"], rtol=1e-14)
+        np.testing.assert_allclose(g.scalar_space.weight, ref["weight"], rtol=1e-14)
+        np.testing.assert_array_equal(g.node_coords, ref["node_coords"])
+        coupling = thermo._coupling_map(g, 0.7, direction)
+        assert np.abs((coupling - ref["coupling"]).toarray()).max() <= 1e-15
+
+    @pytest.mark.parametrize("flavor, cells", [
+        (flavor, cells) for flavor in FLAVORS
+        for cells in [(5,), (4, 3), (3, 1), (2, 3, 4), (1, 3, 2)]
+        # a one-cell axis leaves no interior node
+        if flavor != "dirichlet" or 1 not in cells])
+    def test_rows_are_two_point_differences(self, flavor, cells):
+        g = DiscreteGradient(GridDomain.box(cells, hi=[0.7 * (a + 1) for a in range(len(cells))]),
+                             flavor)
+        assert np.diff(g.matrix.indptr).max() <= 2
+        assert np.all(g.matrix.data != 0.0)
+        assert g.matrix.has_canonical_format
+
+    @pytest.mark.parametrize("cells", [(1,), (3, 1), (2, 1, 3)])
+    def test_one_cell_dirichlet_axis_is_a_shape_error(self, cells):
+        with pytest.raises(ShapeError, match="no interior node"):
+            DiscreteGradient(GridDomain.box(cells), "dirichlet")
+
+    def test_3d_dirichlet_unit_stiffness_is_seven_point(self):
+        dom = GridDomain.box((15, 15, 15), hi=(1.0, 0.9, 1.3))
+        k = galerkin_matrix(build_grad(dom), CoefficientField.constant(dom, 1.0)).tocsr()
+        assert np.diff(k.indptr).max() <= 7
+        assert k.nnz == 18032
 
 
 class TestComplexLoads:

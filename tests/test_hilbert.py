@@ -524,6 +524,17 @@ class TestSparseCoercivityBound:
         assert hilbert._sym_lambda_min(space, t) == pytest.approx(ref, rel=1e-12)
         assert sorted(shape[1] for shape in calls) == [2, 3, 5]
 
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_overflowing_hermitian_part_is_a_coercivity_error(self, sparse):
+        # Re T = (T + T^H)/2 overflows; eig_banded and eigvalsh would raise a
+        # raw ValueError on its infinities
+        from homlab import hilbert
+        from homlab.errors import CoercivityError
+
+        t = np.array([[1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+        with pytest.raises(CoercivityError, match="overflows"):
+            hilbert._sym_lambda_min(HilbertSpace(2), sp.csr_matrix(t) if sparse else t)
+
     def test_large_component_falls_back_to_arpack(self, monkeypatch):
         # a 2-d grid block: size^2 x bandwidth is above the cutoff
         from homlab import hilbert

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 from homlab.elliptic import CoefficientField, GridDomain
 from homlab.errors import CoercivityError
 from homlab.evolution import block_solve, resolvent_bounds, skew_split
-from homlab.hilbert import LinearOp
+from homlab.hilbert import HilbertSpace, LinearOp
 from homlab.homogenize import MeshRule
 from homlab.thermo import (
+    _lam_hint,
     assemble_thermo,
     congruence_diagonalize,
     thermo_homogenization_experiment,
@@ -66,12 +67,32 @@ class TestAssembly:
         with pytest.raises(CoercivityError):
             assemble_thermo(dom, 10.0, c, 0.5, 1.0, k, lam=1.0, bounds=(0.5, 4.0))
 
-    def test_degenerate_lambda_suggests_fix(self):
+    def test_nonpositive_lambda_rejected(self):
+        # lam = -0.4 used to report "lam >= -439804651110.4 works"
         dom = GridDomain.interval(0, 1, 8)
         c = CoefficientField.constant(dom, 2.0, bounds=(0.5, 4.0))
         k = CoefficientField.constant(dom, 1.0, bounds=(0.5, 4.0))
-        with pytest.raises(CoercivityError, match="works"):
-            assemble_thermo(dom, 1.0, c, 0.5, 1.0, k, lam=-0.4, bounds=(0.5, 4.0))
+        for lam in (-0.4, 0.0, float("nan")):
+            with pytest.raises(CoercivityError, match="lam must be positive"):
+                assemble_thermo(dom, 1.0, c, 0.5, 1.0, k, lam=lam, bounds=(0.5, 4.0))
+
+    def test_overflowing_gamma_is_a_coercivity_error(self):
+        # it died with a raw ValueError from eig_banded
+        dom = GridDomain.interval(0, 1, 8)
+        c = CoefficientField.constant(dom, 2.0, bounds=(0.5, 4.0))
+        k = CoefficientField.constant(dom, 1.0, bounds=(0.5, 4.0))
+        with pytest.raises(CoercivityError, match=r"gamma=1e\+300 makes the material block m0"):
+            assemble_thermo(dom, 1.0, c, 1e300, 1.0, k, lam=1.0, bounds=(0.5, 4.0))
+
+    def test_lam_hint_names_only_a_certified_lam(self):
+        space = HilbertSpace(2)
+        m0 = sp.csr_matrix(np.eye(2))
+        assert _lam_hint(space, m0, sp.diags([-3.0, 0.0]).tocsr(), 1.0) == "lam >= 4.0 works"
+        # m0 indefinite, so no lam works, and lam 2^k m0 overflows at k = 28:
+        # the hint says so instead of passing infinities to eig_banded
+        indefinite = sp.csr_matrix(1e300 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert _lam_hint(space, indefinite, sp.csr_matrix((2, 2)), 1.0) \
+            == "no lam 2^k for k up to 40 works"
 
     def test_material_block_self_adjoint(self):
         sys = small_system()
