@@ -16,6 +16,7 @@ and ``periodic`` (wrapped nodes, kernel = constants on the torus).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -198,6 +199,19 @@ def _rows_csr(cols, values, n):
     return mat
 
 
+_StiffnessLayout = collections.namedtuple("_StiffnessLayout", "lt adds rolls cols merge")
+
+
+def _runs(node_map):
+    """The (cells, nodes) slice pairs of the maximal runs of a 1-d node map
+    over which both the cell and its retained node step by one."""
+    cell = np.flatnonzero(node_map >= 0)
+    node = node_map[cell]
+    cut = np.flatnonzero((np.diff(cell) != 1) | (np.diff(node) != 1)) + 1
+    return [(slice(c[0], c[-1] + 1), slice(n[0], n[-1] + 1))
+            for c, n in zip(np.split(cell, cut), np.split(node, cut))]
+
+
 class DiscreteGradient:
     """First-order gradient of one boundary flavor on a grid domain.
 
@@ -270,13 +284,18 @@ class DiscreteGradient:
         self.op = LinearOp(self.scalar_space, self.vector_space, matrix=g_mat)
         self.matrix = g_mat
 
+    def _node_maps(self):
+        """Per axis, the (lower, upper) 1-d maps from a cell to the retained
+        node on its lower and upper side (-1: eliminated)."""
+        return [(i - 1, np.where(i < c - 1, i, -1)) if self.flavor == "dirichlet"
+                else (i, (i + 1) % c if self.flavor == "periodic" else i + 1)
+                for c in self.domain.cells for i in [np.arange(c)]]
+
     def _corner_ids(self):
         """Retained index (-1: eliminated) of the corner of each cell, cells
         in C order, one array per corner bitmask (its upper axes), from one
         1-d (lower, upper) node map per axis."""
-        maps = [(i - 1, np.where(i < c - 1, i, -1)) if self.flavor == "dirichlet"
-                else (i, (i + 1) % c if self.flavor == "periodic" else i + 1)
-                for c in self.domain.cells for i in [np.arange(c)]]
+        maps = self._node_maps()
         ids = []
         for mask in range(2 ** self.d):
             per_axis = np.meshgrid(*(m[mask >> b & 1] for b, m in enumerate(maps)),
@@ -293,6 +312,66 @@ class DiscreteGradient:
         cols = np.stack([np.stack([ids[c] for c in _corners(sigma)], axis=-1)
                          for sigma in _kuhn_paths(self.d)])
         return _rows_csr(cols, 1.0 / (self.d + 1), self.scalar_space.dim)
+
+    @functools.cached_property
+    def _stiffness_layout(self):
+        """What :func:`galerkin_matrix` needs of the grid, built once:
+
+        - ``lt``: L, the (4^d, d^2) map from a cell's coefficient (p, q) to
+          its transposed local stiffness block (row corner i, column corner
+          j), corners as C-order tuples of their upper axes;
+        - ``adds``: the slice-adds (blocks, slots) of these blocks into the
+          ``(3,) * d + node_shape`` slots (neighbour offset per axis, row
+          node), one per row corner and run of its 1-d node maps;
+        - ``rolls``: the rolls (axis, node, shift) of the offsets on the
+          first and last node of a periodic axis that put each row's columns
+          in ascending order;
+        - ``cols``: the int32 (n_nodes, 3^d) column of each slot (-1: off
+          the grid or eliminated);
+        - ``merge``: whether two slots of a row share a column (a periodic
+          axis of at most 2 cells)."""
+        d, cells, shape = self.d, self.domain.cells, self.node_shape
+        periodic = self.flavor == "periodic"
+        # D[t, a, corner]: the gradient row along a on the simplex of type t;
+        # a periodic one-cell axis has none
+        diff = np.zeros((math.factorial(d), d) + (2,) * d)
+        for t, sigma in enumerate(_kuhn_paths(d)):
+            corners = [tuple(mask >> b & 1 for b in range(d)) for mask in _corners(sigma)]
+            for k, a in enumerate(sigma):
+                if not (periodic and cells[a] == 1):
+                    diff[(t, a) + corners[k]] = -1.0 / self.domain.spacing[a]
+                    diff[(t, a) + corners[k + 1]] = 1.0 / self.domain.spacing[a]
+        diff = diff.reshape(len(diff), d, 2**d)
+        # row i of the transposed block is column i of the local stiffness
+        # K_loc[r, s] = measure sum_t sum_pq D_t[p, r] a_pq D_t[q, s]
+        lt = self.elem_measure[0] * np.einsum("tqi,tpj->ijpq", diff, diff)
+
+        runs = [[_runs(m) for m in maps] for maps in self._node_maps()]
+        adds = []
+        for i, upper in enumerate(itertools.product((0, 1), repeat=d)):
+            # corner j of the cell is j_b - upper_b nodes away along axis b
+            offsets = tuple(slice(1 - u, 3 - u) for u in upper)
+            for pairs in itertools.product(*(runs[b][u] for b, u in enumerate(upper))):
+                adds.append(((i,) + (slice(None),) * d + tuple(c for c, _ in pairs),
+                             offsets + tuple(n for _, n in pairs)))
+
+        # along axis b, the slot (node i, offset o) reaches node i + o - 1
+        reach = [(np.arange(n)[:, None] + np.arange(-1, 2)).reshape(
+            (1,) * b + (n,) + (1,) * (d - 1) + (3,) + (1,) * (d - 1 - b))
+            for b, n in enumerate(shape)]
+        cols = np.ravel_multi_index(reach, shape, mode="wrap").astype(np.int32)
+        if not periodic:
+            cols[functools.reduce(np.logical_or, [(x < 0) | (x >= n)
+                                                  for x, n in zip(reach, shape)])] = -1
+        # on a periodic axis of n >= 3 nodes, node 0 wraps its offset -1 to
+        # n - 1 and node n - 1 its offset +1 to 0
+        rolls = [(b, node, shift) for b, n in enumerate(shape) if periodic and n >= 3
+                 for node, shift in ((0, -1), (n - 1, 1))]
+        for b, node, shift in rolls:
+            idx = (slice(None),) * b + (node,)
+            cols[idx] = np.roll(cols[idx], shift, axis=d - 1 + b)
+        return _StiffnessLayout(lt.reshape(-1, d * d), adds, rolls, cols.reshape(-1, 3**d),
+                                periodic and min(cells) <= 2)
 
     # -- helpers -------------------------------------------------------------
 
@@ -457,19 +536,50 @@ class RHSFunctional:
         return np.asarray(self.assemble(grad)) @ np.asarray(phi)
 
 
+def _slot_sums(grad, a):
+    """K^T in its (3,) * d + ``node_shape`` slots (neighbour offset per axis,
+    then row node): the sums of the cells' transposed local stiffness blocks
+    a_cell @ L. The offset axes come first, so that every slice-add runs
+    along the grid's last axis."""
+    layout, d = grad._stiffness_layout, grad.d
+    blocks = (layout.lt @ a.values.reshape(-1, d * d).T).reshape(
+        (2**d,) + (2,) * d + grad.domain.cells)
+    slots = np.zeros((3,) * d + grad.node_shape, dtype=blocks.dtype)
+    for src, dst in layout.adds:
+        slots[dst] += blocks[src]
+    for b, node, shift in layout.rolls:
+        idx = (slice(None),) * (d + b) + (node,)
+        slots[idx] = np.roll(slots[idx], shift, axis=b)
+    return slots.reshape(3**d, -1)
+
+
 def galerkin_matrix(grad, a):
-    """Weighted Galerkin matrix G^H W_v M_a G (sparse)."""
-    g = grad.matrix
-    w = sp.diags(grad.vector_space.weight)
-    m = a.operator(grad).matrix
-    return (g.conj().T @ (w @ (m @ g))).tocsc()
+    """Weighted Galerkin matrix G^H W_v M_a G (sparse CSC, canonical, no
+    stored zeros), with no sparse product. All simplices of a cell share its
+    coefficient, so the cell's local stiffness block is linear in a_cell
+    through a fixed map L of the grid; the transposed blocks are summed into
+    (node, neighbour offset) slots of K^T, whose compressed rows are the
+    columns of K."""
+    cols = grad._stiffness_layout.cols
+    n, width = cols.shape
+    slots = np.ascontiguousarray(_slot_sums(grad, a).T)
+    keep = (cols >= 0) & (slots != 0)
+    flat = np.flatnonzero(keep)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep @ np.ones(width, dtype=np.int32), out=indptr[1:])
+    k = sp.csc_matrix((slots.ravel().take(flat), cols.ravel().take(flat), indptr), shape=(n, n))
+    if grad._stiffness_layout.merge:
+        k.sum_duplicates()
+        k.eliminate_zeros()
+    return k
 
 
 class _TransformInverse:
     """Fast-transform inverse of the unit-coefficient stiffness K_1 on a
-    d >= 2 grid: FFT for ``periodic``, DST-I for ``dirichlet`` and DCT-I of
-    D^-1 K_1 for ``neumann``, where D is the tensor product of the 1-d
-    trapezoid weights (1/2, 1, ..., 1, 1/2). The eigenvalues are read off
+    d >= 2 grid: FFT for ``periodic`` (numpy's, real for a real load),
+    DST-I for ``dirichlet`` and DCT-I of D^-1 K_1 for ``neumann`` (scipy's),
+    where D is the tensor product of the 1-d trapezoid weights
+    (1/2, 1, ..., 1, 1/2). The eigenvalues are read off
     K_1 itself, as the transform of its first column over the transform of
     the first unit vector, so the grid spacing needs no special case. The
     zero mode of ``neumann``/``periodic`` is dropped. The inverse is exact
@@ -479,33 +589,47 @@ class _TransformInverse:
     transforming over the grid axes only."""
 
     def __init__(self, grad, k1):
-        import scipy.fft    # only a d >= 2 grid solve needs it
-
         d = grad.d
         self._axes = tuple(range(d))
         self._shape = grad.node_shape
-        fwd, inv, kind = {"periodic": (scipy.fft.fftn, scipy.fft.ifftn, {}),
-                          "dirichlet": (scipy.fft.dstn, scipy.fft.idstn, {"type": 1}),
-                          "neumann": (scipy.fft.dctn, scipy.fft.idctn, {"type": 1})}[grad.flavor]
-        self._fwd = functools.partial(fwd, **kind)
-        self._inv = functools.partial(inv, **kind)
+        self._periodic = grad.flavor == "periodic"
+        col = k1[:, [0]].toarray().reshape(self._shape)
+        if self._periodic:
+            # numpy's FFT; the transform of the first unit vector is all ones
+            self._lam = np.fft.fftn(col).real
+            self._lam[(0,) * d] = np.inf
+            self._half = self._lam[..., :self._shape[-1] // 2 + 1]
+            return
+        import scipy.fft    # only a d >= 2 Dirichlet or Neumann grid solve needs it
+
+        fwd, inv = {"dirichlet": (scipy.fft.dstn, scipy.fft.idstn),
+                    "neumann": (scipy.fft.dctn, scipy.fft.idctn)}[grad.flavor]
+        self._fwd = functools.partial(fwd, type=1)
+        self._inv = functools.partial(inv, type=1)
         self._scale = np.array(1.0)
         if grad.flavor == "neumann":
             trapezoids = [np.r_[0.5, np.ones(n - 2), 0.5] for n in self._shape]
             self._scale = 1.0 / functools.reduce(np.multiply.outer, trapezoids)
         unit = np.zeros(self._shape)
         unit[(0,) * d] = 1.0
-        col = k1[:, [0]].toarray().reshape(self._shape)
         self._lam = (self._fwd(self._scale * col) / self._fwd(unit)).real
-        if grad.flavor != "dirichlet":
+        if grad.flavor == "neumann":
             self._lam[(0,) * d] = np.inf
 
     def __call__(self, r):
         extra = (..., None) if r.ndim == 2 else ...
         grid = r.reshape(self._shape + r.shape[1:])
-        u = self._inv(self._fwd(self._scale[extra] * grid, axes=self._axes)
-                      / self._lam[extra], axes=self._axes)
-        return (u if np.iscomplexobj(r) else u.real).reshape(r.shape)
+        if self._periodic and np.iscomplexobj(r):
+            u = np.fft.ifftn(np.fft.fftn(grid, axes=self._axes) / self._lam[extra],
+                             axes=self._axes)
+        elif self._periodic:
+            u = np.fft.irfftn(np.fft.rfftn(grid, axes=self._axes) / self._half[extra],
+                              s=self._shape, axes=self._axes)
+        else:
+            u = self._inv(self._fwd(self._scale[extra] * grid, axes=self._axes)
+                          / self._lam[extra], axes=self._axes)
+            u = u if np.iscomplexobj(r) else u.real
+        return u.reshape(r.shape)
 
 
 class _GridSolver:
@@ -537,7 +661,7 @@ class _GridSolver:
             self._lu = _SparseSolver(k[1:, 1:] if self._grounded else k)
             return
         self.prec = prec or stiffness_solver(grad.domain, grad.flavor).prec
-        self._hermitian = bool(abs(k - k.conj().T).max() <= 1e-12 * abs(k).max())
+        self._hermitian = _is_hermitian(k)
 
     def solve(self, rhs):
         if self._grounded and np.any(np.abs(np.ones(len(rhs)) @ rhs)
@@ -588,6 +712,17 @@ class _GridSolver:
         if info != 0:
             raise SolverDiverged(f"Krylov solve stopped after {count[0]} iterations (info={info})")
         return u
+
+
+def _is_hermitian(k):
+    """max |K - K^H| <= 1e-12 max |K|, from one transposed copy of K: when K
+    is canonical with a symmetric pattern, the two compare entry by entry."""
+    kt = k.T.asformat(k.format)
+    if (k.format in ("csr", "csc") and k.has_canonical_format
+            and np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)):
+        return bool(np.abs(k.data - kt.data.conj()).max(initial=0.0)
+                    <= 1e-12 * np.abs(k.data).max(initial=0.0))
+    return bool(abs(k - kt.conj()).max() <= 1e-12 * abs(k).max())
 
 
 @lru_cache(maxsize=32)

@@ -199,16 +199,18 @@ def schur_maps(a, dec):
     if amat is None:
         raise ShapeError("implicit Schur maps need a sparse operator matrix")
     solve = _projected_solver(dec, amat)
-    p0, p1 = dec.h0.project, dec.h1.project
+    p1 = dec.h1.project
 
+    # solve reads its load through G^H W, and G^H W P0 = G^H W, so the P0 of
+    # a00^{-1} P0 is implicit
     def apply_ms(v):
         av = a(v)
-        return p1(av - a(solve(p0(av))))
+        return p1(av - a(solve(av)))
 
     return SchurMaps(
         dec.space, dec,
         apply_m00inv=solve,
-        apply_m01=lambda v: solve(p0(a(v))),
+        apply_m01=lambda v: solve(a(v)),
         apply_m10=lambda v: p1(a(solve(v))),
         apply_ms=apply_ms,
     )

@@ -526,15 +526,41 @@ class TestCatalogue:
 
 
 class TestImportPath:
-    def test_cli_import_leaves_out_heavy_scipy_modules(self):
-        # every homlab process pays for what `import homlab.cli` loads
-        heavy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.interpolate",
-                 "scipy.sparse.csgraph", "scipy.fft")
-        code = f"import sys, homlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    @staticmethod
+    def _run(code):
+        """Run ``code`` in a fresh interpreter that imports this homlab."""
         src = os.path.dirname(os.path.dirname(homlab.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+        return res
+
+    def test_cli_import_leaves_out_heavy_scipy_modules(self):
+        # every homlab process pays for what `import homlab.cli` loads
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.interpolate",
+                 "scipy.sparse.csgraph", "scipy.fft")
+        code = f"import sys, homlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        res = self._run(code)
         assert res.stdout.strip() == "[]"
+
+    def test_only_dirichlet_or_neumann_grid_solves_load_scipy_fft(self):
+        # periodic cell problems transform with numpy's FFT; scipy.fft, which
+        # pulls in scipy.special, serves the DST-I and DCT-I alone
+        code = "\n".join([
+            "import sys, numpy as np",
+            "from homlab.elliptic import CoefficientField, GridDomain, RHSFunctional,"
+            " solve_elliptic",
+            "from homlab.homogenize import homogenized_tensor",
+            "heavy = ('scipy.fft', 'scipy.special')",
+            "dom = GridDomain.box((8, 8))",
+            "a = CoefficientField.from_function(dom, lambda p: 1.0 + (p[:, 0] < 0.5)"
+            " + (p[:, 1] < 0.5), bounds=(1.0, 3.0))",
+            "homogenized_tensor(a)",
+            "print([m for m in heavy if m in sys.modules])",
+            "solve_elliptic(dom, a, RHSFunctional.density(lambda x: np.ones(len(x))))",
+            "print([m for m in heavy if m in sys.modules])",
+        ])
+        res = self._run(code)
+        assert res.stdout.split("\n")[:2] == ["[]", "['scipy.fft', 'scipy.special']"]

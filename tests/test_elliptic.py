@@ -822,3 +822,153 @@ class TestGridSolverPath:
             assert solver._hermitian
             counts.append(solver.iterations)
         assert counts[0] > 0 and abs(counts[1] - counts[0]) <= 3
+
+
+def _product_galerkin(grad, a):
+    """G^H W M_a G through sparse products: the assembly that
+    ``galerkin_matrix`` replaces, kept as its reference."""
+    w = sp.diags(grad.vector_space.weight)
+    return (grad.matrix.conj().T @ (w @ (a.operator(grad).matrix @ grad.matrix))).tocsc()
+
+
+def _random_coefficient(dom, seed, field):
+    """A cell-varying full d x d coefficient, non-symmetric, real or complex."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((dom.n_cells, dom.dim, dom.dim))
+    if field == "complex":
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    return CoefficientField(dom, vals, check=False)
+
+
+def _assert_same_assembly(k, ref):
+    ref.sort_indices()
+    assert k.format == "csc" and k.has_canonical_format
+    assert np.all(k.data != 0)
+    np.testing.assert_array_equal(k.indptr, ref.indptr)
+    np.testing.assert_array_equal(k.indices, ref.indices)
+    assert np.abs(k.data - ref.data).max(initial=0.0) <= 1e-13 * np.abs(ref.data).max(initial=0.0)
+
+
+class TestAssembly:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(grid=kuhn_grids(), seed=st.integers(0, 2**32 - 1),
+           field=st.sampled_from(["real", "complex"]))
+    def test_matches_the_sparse_product(self, grid, seed, field):
+        dom, flavor = grid
+        g = DiscreteGradient(dom, flavor)
+        a = _random_coefficient(dom, seed, field)
+        _assert_same_assembly(galerkin_matrix(g, a), _product_galerkin(g, a))
+
+    @pytest.mark.parametrize("cells", [(1,), (2,), (1, 5), (2, 3), (2, 2), (2, 1, 3), (1, 2, 4)])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_periodic_axes_of_one_and_two_cells(self, cells, field):
+        dom = GridDomain.box(cells, hi=[0.3 + 0.45 * a for a in range(len(cells))])
+        g = DiscreteGradient(dom, "periodic")
+        for kind in ("full", "diagonal"):
+            a = _random_coefficient(dom, 11, field)
+            if kind == "diagonal":
+                a = CoefficientField(dom, a.values * np.eye(dom.dim), check=False)
+            _assert_same_assembly(galerkin_matrix(g, a), _product_galerkin(g, a))
+
+    def test_dyadic_1d_grid_matches_bitwise(self):
+        dom = GridDomain.interval(0.0, 1.0, 256)
+        g = build_grad(dom)
+        a = CoefficientField.from_function(dom, two_phase(), bounds=(1.0, 4.0))
+        k, ref = galerkin_matrix(g, a), _product_galerkin(g, a)
+        ref.sort_indices()
+        np.testing.assert_array_equal(k.indices, ref.indices)
+        np.testing.assert_array_equal(k.data, ref.data)
+
+    def test_2d_unit_stiffness_is_five_point(self):
+        dom = GridDomain.box((9, 7), hi=(1.0, 0.6))
+        for flavor in FLAVORS:
+            k = galerkin_matrix(build_grad(dom, flavor), CoefficientField.constant(dom, 1.0))
+            assert np.diff(k.indptr).max() == 5
+
+
+def _old_is_hermitian(k):
+    return bool(abs(k - k.conj().T).max() <= 1e-12 * abs(k).max())
+
+
+class TestHermitianDecision:
+    def test_matches_the_difference_formula(self):
+        from homlab import elliptic
+
+        dom = GridDomain.box((5, 6), hi=(1.0, 1.3))
+        cases = []
+        for flavor in FLAVORS:
+            g = build_grad(dom, flavor)
+            cases += [galerkin_matrix(g, _grid_coefficient(dom, kind))
+                      for kind in ("sym", "nonsym", "complex")]
+        sym = cases[0]
+        rng = np.random.default_rng(4)
+        # skew parts just inside and just outside the tolerance, off and on
+        # the pattern of K
+        tiny, small = (sp.csc_matrix(([scale * abs(sym).max()], ([3], [7])), shape=sym.shape)
+                       for scale in (0.5e-12, 2e-12))
+        bumped = []
+        for scale in (0.5e-12, 2e-12):
+            k = sym.copy()
+            k.data[k.indices != np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))] \
+                *= 1 + scale * rng.choice([-1.0, 1.0], k.nnz - k.shape[1])
+            bumped.append(k)
+        assert _old_is_hermitian(sym + tiny) and not _old_is_hermitian(sym + small)
+        assert _old_is_hermitian(bumped[0]) and not _old_is_hermitian(bumped[1])
+        dense = rng.standard_normal((6, 6))
+        herm = dense + dense.T + 1j * (dense - dense.T)
+        coo = sp.coo_matrix(herm)
+        doubled = sp.coo_matrix((np.r_[coo.data, coo.data], (np.r_[coo.row, coo.row],
+                                                             np.r_[coo.col, coo.col])), (6, 6))
+        cases += [sym + tiny, sym + small, (sym + small).tocsr(), *bumped, sp.csc_matrix(herm),
+                  sp.csc_matrix(np.triu(dense)), doubled.tocsc(), sp.csc_matrix((4, 4))]
+        for k in cases:
+            assert elliptic._is_hermitian(k) is _old_is_hermitian(k)
+
+    @pytest.mark.parametrize("kind, method", [("sym", "cg"), ("nonsym", "gmres"),
+                                              ("complex", "gmres")])
+    def test_krylov_method_follows_the_decision(self, monkeypatch, kind, method):
+        from homlab import elliptic
+
+        called = []
+        for name in ("cg", "gmres"):
+            def record(*args, _name=name, _original=getattr(elliptic.spla, name), **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(elliptic.spla, name, record)
+        dom = GridDomain.box((7, 6))
+        g = build_grad(dom, "periodic")
+        elliptic._GridSolver(g, galerkin_matrix(g, _grid_coefficient(dom, kind))).solve(
+            _compatible_load(g))
+        assert called and set(called) == {method}
+
+
+class TestPeriodicTransform:
+    @pytest.mark.parametrize("cells", [(6, 7), (7, 6), (2, 5), (5, 4, 3), (4, 3, 6)])
+    def test_matches_the_complex_fft_application(self, cells):
+        import scipy.fft
+
+        from homlab import elliptic
+
+        dom = GridDomain.box(cells, hi=(1.0, 1.3, 0.7)[:len(cells)])
+        g = build_grad(dom, "periodic")
+        k1 = galerkin_matrix(g, CoefficientField.constant(dom, 1.0))
+        inverse = elliptic._TransformInverse(g, k1)
+        axes, shape = tuple(range(dom.dim)), g.node_shape
+        lam = scipy.fft.fftn(k1[:, [0]].toarray().reshape(shape)).real
+        lam[(0,) * dom.dim] = np.inf
+
+        def c2c(r):
+            extra = (..., None) if r.ndim == 2 else ...
+            u = scipy.fft.ifftn(scipy.fft.fftn(r.reshape(shape + r.shape[1:]), axes=axes)
+                                / lam[extra], axes=axes)
+            return (u if np.iscomplexobj(r) else u.real).reshape(r.shape)
+
+        rng = np.random.default_rng(8)
+        n = k1.shape[0]
+        for r in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                  rng.standard_normal((n, 2)) * (1 - 2j)):
+            u, ref = inverse(r), c2c(r)
+            assert u.shape == r.shape and u.dtype == ref.dtype
+            assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -153,6 +153,27 @@ class TestSchurMaps:
         np.testing.assert_allclose(maps.m10(v0), 0 * v0, atol=1e-10)
         np.testing.assert_allclose(maps.ms(v1), c * v1, atol=1e-10)
 
+    def test_implicit_maps_match_the_projected_composition(self):
+        # a00^{-1} reads its load through G^H W = G^H W P0, so m01 and ms
+        # need no P0 of their own
+        from homlab.elliptic import CoefficientField, GridDomain, build_grad
+        from homlab.homogenize import g0_decomposition
+
+        dom = GridDomain.box((6, 5), hi=(1.0, 0.8))
+        grad = build_grad(dom)
+        dec = g0_decomposition(grad)
+        rng = np.random.default_rng(9)
+        vals = rng.uniform(1.0, 3.0, dom.n_cells)[:, None, None] * np.eye(2)
+        vals[:, 0, 1] += rng.uniform(-0.5, 0.5, dom.n_cells)
+        a = CoefficientField(dom, vals).operator(grad)
+        maps = schur_maps(a, dec)
+        p0, p1, solve = dec.h0.project, dec.h1.project, maps.m00inv
+        v = rng.standard_normal((dec.space.dim, 3))
+        av = a(v)
+        for new, old in ((maps.m01(v), solve(p0(av))),
+                         (maps.ms(v), p1(av - a(solve(p0(av)))))):
+            assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+
 
 class TestBlockInverse:
     def test_identity(self):
