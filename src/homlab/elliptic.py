@@ -38,7 +38,14 @@ from .errors import (
     SolverDiverged,
     VanishingHarmonicMean,
 )
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, _check_residual, _SparseSolver
+from .hilbert import (
+    HilbertSpace,
+    LinearOp,
+    ProbeSet,
+    _check_residual,
+    _is_hermitian,
+    _SparseSolver,
+)
 
 __all__ = [
     "GridDomain",
@@ -487,8 +494,15 @@ class CoefficientField:
         return LinearOp(grad.vector_space, grad.vector_space, matrix=mat)
 
     def apply(self, grad, v):
-        blocks = self.values[grad.elem_cell]
-        return np.einsum("eij,ej->ei", blocks, grad.field_as_elements(v)).ravel()
+        """a v on the element vector space: elements run over the d! simplex
+        types, cells in C order within a type (``elem_cell``), so the cell
+        values broadcast over the types, one product per column of a."""
+        d = self.domain.dim
+        v = np.asarray(v).reshape(-1, self.domain.n_cells, 1, d)
+        out = self.values[..., 0] * v[..., 0]
+        for j in range(1, d):
+            out += self.values[..., j] * v[..., j]
+        return out.ravel()
 
 
 def _re_lambda_min(m):
@@ -712,17 +726,6 @@ class _GridSolver:
         if info != 0:
             raise SolverDiverged(f"Krylov solve stopped after {count[0]} iterations (info={info})")
         return u
-
-
-def _is_hermitian(k):
-    """max |K - K^H| <= 1e-12 max |K|, from one transposed copy of K: when K
-    is canonical with a symmetric pattern, the two compare entry by entry."""
-    kt = k.T.asformat(k.format)
-    if (k.format in ("csr", "csc") and k.has_canonical_format
-            and np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)):
-        return bool(np.abs(k.data - kt.data.conj()).max(initial=0.0)
-                    <= 1e-12 * np.abs(k.data).max(initial=0.0))
-    return bool(abs(k - kt.conj()).max() <= 1e-12 * abs(k).max())
 
 
 @lru_cache(maxsize=32)

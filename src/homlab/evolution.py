@@ -22,8 +22,10 @@ from .hilbert import (
     HilbertSpace,
     LinearOp,
     ProbeSet,
-    adjoint,
+    _COND_CUTOFF,
+    _dense_lu,
     _ortho_matrix,
+    adjoint,
     coercivity_check,
     kernel_range,
     wot_gap,
@@ -183,7 +185,8 @@ def block_solve(t, a, f, tol=1e-9):
         u1 = (T_S + A~)^{-1} (f1 - T10 T00^{-1} f0)
         u0 = T00^{-1} f0 - T00^{-1} T01 u1.
 
-    The assembled solution is verified against the equation.
+    T_S + A~ is factorised once; its kappa_1 estimate must stay at or below
+    1e12. The assembled solution is verified against the equation.
     """
     space = t.source
     rep = coercivity_check(t, 1e-300, 1e300)
@@ -193,30 +196,33 @@ def block_solve(t, a, f, tol=1e-9):
     maps = schur_maps(t, a.dec)
     # an empty kernel or range gives empty blocks, which numpy solves as such
     f0, f1 = a.ker.coords(f), a.ran.coords(f)
-    reduced = maps.ms_mat + a.a_tilde
-    if a.ran.dim and np.linalg.cond(reduced) > 1e12:
+    solve, cond = _dense_lu(maps.ms_mat + a.a_tilde)
+    if cond > _COND_CUTOFF:
         raise HomlabError(
             "internal inconsistency: T_S + A~ is singular despite the "
             "coercivity and skew-adjointness guards"
         )
-    u1 = np.linalg.solve(reduced, f1 - maps.m10_mat @ f0)
+    u1 = solve(f1 - maps.m10_mat @ f0)
     u0 = maps.m00inv_mat @ f0 - maps.m01_mat @ u1
     u = a.ker.basis @ u0 + a.ran.basis @ u1
-    residual = (t.to_dense() + a.matrix()) @ u - f
-    if np.linalg.norm(residual) > tol * max(1.0, np.linalg.norm(f)):
-        raise HomlabError(f"block solve residual {np.linalg.norm(residual):.3e}")
+    residual = np.linalg.norm((t.to_dense() + a.matrix()) @ u - f)
+    if not residual <= tol * max(1.0, np.linalg.norm(f)):    # a NaN residual fails too
+        raise HomlabError(f"block solve residual {residual:.3e}")
     return u
 
 
 def recover_coefficient(s, a, bounds=None, tol=1e-9):
     """Recover T from a resolvent limit S through K = 1 - A S:
-    T = K S^{-1} = S^{-1} - A. The round trip (T + A)^{-1} = S is verified,
-    and declared coercivity bounds are checked on the recovered operator."""
+    T = K S^{-1} = S^{-1} - A. S^{-1} is read off one LU of S, whose kappa_1
+    estimate must stay at or below 1e12. The round trip (T + A)^{-1} = S is
+    verified, and declared coercivity bounds are checked on the recovered
+    operator."""
     space = s.source
     smat = s.to_dense()
-    if np.linalg.cond(smat) > 1e12:
+    solve, cond = _dense_lu(smat)
+    if cond > _COND_CUTOFF:
         raise SingularResolvent("resolvent limit is numerically singular")
-    sinv = np.linalg.inv(smat)
+    sinv = solve(np.eye(space.dim))
     tmat = sinv - a.matrix()
     rt = np.linalg.inv(tmat + a.matrix())
     if np.abs(rt - smat).max() > tol * max(1.0, np.abs(smat).max()):

@@ -56,6 +56,10 @@ _DENSE_SVD_CUTOFF = 5000
 # a connected block of Re T whose banded eigensolve would cost more than
 # size^2 x bandwidth = this (about 0.25 s) goes to ARPACK instead
 _BANDED_WORK_CUTOFF = 1e8
+# a dense matrix whose kappa_1 estimate exceeds this counts as singular
+_COND_CUTOFF = 1e12
+# SuperLU's suggested diagonal pivot threshold for its symmetric mode
+_SYMMETRIC_PIVOT_THRESH = 1e-3
 
 
 def _is_sparse(m):
@@ -604,12 +608,15 @@ def coercivity_check(op, alpha, beta, tol=0.0):
       diagonal weight that is the minimum over the connected components of
       Re T, each by a banded eigensolve; ARPACK runs only on a component
       above ``_BANDED_WORK_CUTOFF``. A dense T takes a dense ``eigvalsh``.
-    - Re(T^{-1}) up to ``_DENSE_EIG_CUTOFF`` unknowns: T is inverted densely
-      and the inverse goes through :func:`_sym_lambda_min`. Above it, a
-      sparse T is factorised once and ARPACK runs on the Hermitian part of
-      the inverse, two triangular solves per step.
+    - Re(T^{-1}) up to ``_DENSE_EIG_CUTOFF`` unknowns: T is factorised
+      once by :func:`_dense_lu`; when the estimate of kappa_1(T) stays at or
+      below 1e12 the inverse is read off that LU and goes through
+      :func:`_sym_lambda_min`. Above the size cutoff, a sparse T is
+      factorised once and ARPACK runs on the Hermitian part of the inverse,
+      two triangular solves per step.
 
-    A singular T is reported with the inverse check failed and the
+    A singular T (kappa_1 estimate above 1e12, or a factorisation that
+    finds it singular) is reported with the inverse check failed and the
     singularity flagged.
     """
     if not op.square or not op.source.compatible(op.target):
@@ -639,16 +646,11 @@ def coercivity_check(op, alpha, beta, tol=0.0):
             vals = spla.eigsh(opi, k=1, which="SA", return_eigenvectors=False, maxiter=50 * n)
             re_inv_min = float(vals[0].real)
     else:
-        m = mat.toarray() if _is_sparse(mat) else np.asarray(mat)
-        try:
-            cond = np.linalg.cond(m)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if not np.isfinite(cond) or cond > 1e12:
+        solve, cond = _dense_lu(mat.toarray() if _is_sparse(mat) else mat)
+        if cond > _COND_CUTOFF:
             singular = True
         else:
-            minv = np.linalg.inv(m)
-            re_inv_min = _sym_lambda_min(space, minv)
+            re_inv_min = _sym_lambda_min(space, solve(np.eye(n)))
     return CoercivityReport(alpha=alpha, beta=beta, re_min=re_min,
                             re_inv_min=re_inv_min, singular=singular, tol=tol)
 
@@ -742,19 +744,65 @@ def _check_residual(k, x, b, tol):
         raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses {tol:.1e}{where}")
 
 
+def _dense_lu(m):
+    """Factorise a square dense matrix once (LAPACK ``getrf``) and estimate
+    its condition number from that LU.
+
+    Returns ``(solve, cond)``. ``solve(b)`` solves M x = b for a vector or
+    a block on the LU, so ``solve(np.eye(n))`` is M^-1. ``cond`` is the
+    ``?gecon`` (Hager-Higham) estimate of kappa_1 = ||M||_1 ||M^-1||_1,
+    which lies within a factor n of kappa_2. An exactly singular pivot or a
+    non-finite entry gives inf, and an empty matrix 1."""
+    m = np.asarray(m)
+    if not m.size:
+        lu = (m, np.zeros(0, dtype=np.int32))
+        return functools.partial(scipy.linalg.lu_solve, lu, check_finite=False), 1.0
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (m,))
+    lu, piv, info = getrf(m)
+    solve = functools.partial(scipy.linalg.lu_solve, (lu, piv), check_finite=False)
+    if info > 0:    # U[info - 1, info - 1] is exactly zero
+        return solve, np.inf
+    rcond, _ = gecon(lu, np.abs(m).sum(axis=0).max(), norm="1")
+    # a NaN estimate (non-finite entries) fails the test and reads as singular
+    return solve, 1.0 / rcond if rcond > 0 else np.inf
+
+
+def _is_hermitian(k):
+    """max |K - K^H| <= 1e-12 max |K| for a sparse K, from one transposed
+    copy of K: when K is canonical with a symmetric pattern, the two compare
+    entry by entry."""
+    kt = k.T.asformat(k.format)
+    if (k.format in ("csr", "csc") and k.has_canonical_format
+            and np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)):
+        return bool(np.abs(k.data - kt.data.conj()).max(initial=0.0)
+                    <= 1e-12 * np.abs(k.data).max(initial=0.0))
+    return bool(abs(k - kt.conj()).max() <= 1e-12 * abs(k).max())
+
+
 class _SparseSolver:
     """Residual-checked solves of K x = b (K^H x = b for ``trans="H"``) from
     one SuperLU factorisation of a sparse K; a K that SuperLU finds singular
     raises :class:`NotInM`. One right-hand side or an (n, m) block, solved in
     one SuperLU call and checked column by column; a real factorisation
-    solves a complex right-hand side part by part."""
+    solves a complex right-hand side part by part.
+
+    The ordering follows from K alone. A Hermitian K (:func:`_is_hermitian`)
+    is factorised in SuperLU's symmetric mode: minimum degree on the pattern
+    of K^T + K, with the diagonal pivot taken unless it is below 1e-3 of the
+    largest entry of its column. An indefinite Hermitian K thus still pivots
+    off the diagonal where it must, and the residual check catches a
+    factorisation that is not accurate enough. Any other K is ordered by
+    COLAMD with SuperLU's default partial pivoting."""
 
     def __init__(self, k, tol=1e-10):
         self.k = k.tocsc()
         self.tol = tol
         self._real = not np.iscomplexobj(self.k.data)
+        self._hermitian = _is_hermitian(self.k)
+        symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_SYMMETRIC_PIVOT_THRESH,
+                         options=dict(SymmetricMode=True))
         try:
-            self._factor = spla.splu(self.k)
+            self._factor = spla.splu(self.k, **(symmetric if self._hermitian else {}))
         except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
             raise NotInM(f"sparse factorisation failed: {exc}") from exc
 
@@ -770,4 +818,4 @@ class _SparseSolver:
 
     @functools.cached_property
     def _kh(self):
-        return self.k.conj().T
+        return self.k if self._hermitian else self.k.conj().T

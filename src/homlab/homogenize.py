@@ -289,12 +289,14 @@ def cell_problem(a_cell, xi, residual_tol=1e-9):
     """
     if np.shape(xi) != (a_cell.domain.dim,):
         raise ShapeError(f"xi must be a {a_cell.domain.dim}-vector")
-    return next(_correctors(a_cell, [xi], residual_tol))
+    v, w, _ = next(_correctors(a_cell, [xi], residual_tol))
+    return v, w
 
 
 def _correctors(a_cell, xis, residual_tol=1e-9):
-    """Yield (v, w) of :func:`cell_problem` for each direction in ``xis``,
-    from one solver of the periodic cell matrix (one preconditioner for all
+    """Yield (v, w, a v) for each direction in ``xis``: the (v, w) of
+    :func:`cell_problem` and the flux its residual check formed, from one
+    solver of the periodic cell matrix (one preconditioner for all
     directions)."""
     domain = a_cell.domain
     _check_unit_cell(domain)
@@ -313,7 +315,7 @@ def _correctors(a_cell, xis, residual_tol=1e-9):
         scale = max(1.0, grad.vector_space.norm(flux))
         if res > residual_tol * scale:
             raise CoercivityError(f"cell problem residual {res:.3e} misses tolerance")
-        yield v, w
+        yield v, w, flux
 
 
 def homogenized_tensor(a_cell, coercivity_tol=1e-8):
@@ -326,8 +328,8 @@ def homogenized_tensor(a_cell, coercivity_tol=1e-8):
     d = domain.dim
     grad = build_grad(domain, "periodic")
     cols = []
-    for v, _ in _correctors(a_cell, np.eye(d)):
-        flux = grad.field_as_elements(a_cell.apply(grad, v))
+    for _, _, flux in _correctors(a_cell, np.eye(d)):
+        flux = grad.field_as_elements(flux)
         cols.append((grad.elem_measure[:, None] * flux).sum(axis=0) / domain.volume)
     a_hom = np.stack(cols, axis=-1)
     if a_cell.bounds is not None:

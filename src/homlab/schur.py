@@ -34,7 +34,9 @@ from .hilbert import (
     HilbertSpace,
     LinearOp,
     Subspace,
+    _COND_CUTOFF,
     _SparseSolver,
+    _dense_lu,
     coercivity_check,
     wot_gap,
 )
@@ -53,7 +55,6 @@ __all__ = [
     "ClassMembershipReport",
 ]
 
-_COND_CUTOFF = 1e12
 _ORTHO_TOL = 1e-8
 
 
@@ -93,13 +94,6 @@ class Decomposition:
 
     def swap(self):
         return Decomposition(self.space, self.h1, self.h0)
-
-
-def _dense_cond(m):
-    try:
-        return np.linalg.cond(m)
-    except np.linalg.LinAlgError:
-        return np.inf
 
 
 def _projected_solver(dec, a_matrix):
@@ -169,20 +163,23 @@ def schur_maps(a, dec):
     """The four Schur-topology maps of ``a`` for the given decomposition.
 
     Requires ``a`` and its (0,0) block to be continuously invertible;
-    otherwise raises :class:`NotInM`. An explicit decomposition checks the
-    dense condition numbers of ``a`` and a00 against 1e12; an implicit one
-    checks only a00, through the SuperLU factorisation of its Galerkin
-    system, which raises :class:`NotInM` when that system is singular.
+    otherwise raises :class:`NotInM`. An explicit decomposition factorises
+    ``a`` and a00 once each with LAPACK's LU and checks the ``?gecon``
+    estimate of each kappa_1 against 1e12 (kappa_1 lies within a factor n
+    of kappa_2); a00^{-1} is read off the same LU. An implicit one checks
+    only a00, through the SuperLU factorisation of its Galerkin system,
+    which raises :class:`NotInM` when that system is singular.
     """
     if not a.square or not a.source.compatible(dec.space):
         raise ShapeError("operator must be square on the decomposition's space")
     if dec.explicit:
         a00, a01, a10, a11 = blocks(a, dec)
-        if _dense_cond(a.to_dense()) > _COND_CUTOFF:
+        if _dense_lu(a.to_dense())[1] > _COND_CUTOFF:
             raise NotInM("operator condition estimate above cutoff")
-        if a00.size and _dense_cond(a00) > _COND_CUTOFF:
+        solve00, cond00 = _dense_lu(a00)
+        if cond00 > _COND_CUTOFF:
             raise NotInM("a00 condition estimate above cutoff")
-        a00inv = np.linalg.inv(a00)
+        a00inv = solve00(np.eye(dec.h0.dim))
         m01 = a00inv @ a01
         m10 = a10 @ a00inv
         ms = a11 - a10 @ (a00inv @ a01)

@@ -879,6 +879,22 @@ class TestAssembly:
         np.testing.assert_array_equal(k.indices, ref.indices)
         np.testing.assert_array_equal(k.data, ref.data)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(grid=kuhn_grids(), seed=st.integers(0, 2**32 - 1),
+           field=st.sampled_from(["real", "complex"]), complex_v=st.booleans())
+    def test_apply_matches_the_gathered_blocks(self, grid, seed, field, complex_v):
+        # a v with the cell values broadcast over the simplex types against
+        # the (n_elem, d, d) gather through elem_cell
+        dom, flavor = grid
+        g = DiscreteGradient(dom, flavor)
+        a = _random_coefficient(dom, seed, field)
+        v = np.random.default_rng(seed).standard_normal(g.n_elem * dom.dim)
+        v = v * (1 + 1j) if complex_v else v
+        ref = np.einsum("eij,ej->ei", a.values[g.elem_cell], g.field_as_elements(v)).ravel()
+        new = a.apply(g, v)
+        assert new.shape == ref.shape and new.dtype == ref.dtype
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_2d_unit_stiffness_is_five_point(self):
         dom = GridDomain.box((9, 7), hi=(1.0, 0.6))
         for flavor in FLAVORS:

@@ -224,6 +224,14 @@ class TestBlockSolve:
         np.testing.assert_allclose(u, np.linalg.solve(np.diag([1.0, 2, 3]) + mat, f),
                                    atol=1e-12)
 
+    def test_nan_load_misses_the_residual_check(self):
+        space = HilbertSpace(3)
+        mat = np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])
+        a = skew_split(LinearOp(space, space, matrix=mat))
+        t = LinearOp(space, space, matrix=np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(HomlabError, match="residual nan"):
+            block_solve(t, a, np.array([1.0, np.nan, 0.0]))
+
     def test_batch_vs_direct(self):
         rng = np.random.default_rng(8)
         for trial in range(50):
@@ -390,39 +398,60 @@ class TestAbstractSchurExperiment:
         assert (10, 10) not in shapes, shapes
 
 
+def _two_scale_instance(n):
+    """Oscillating multipliers on coupled meshes with the grad/div block."""
+    m = 32 * n
+    dom = GridDomain.interval(0, 1, m)
+    grad = build_grad(dom, "dirichlet")
+    op, space = grid_skew_block(grad)
+    a = skew_split(LinearOp(space, space, matrix=op.to_dense()))
+    x_nodes = grad.node_coords[:, 0]
+    x_cells = grad.elem_mid[:, 0]
+    osc = lambda x: 2.0 + np.sin(2 * np.pi * n * x)
+    t_n = LinearOp(space, space, matrix=np.diag(
+        np.concatenate([osc(x_nodes), osc(x_cells)])))
+    # multiplier limits: arithmetic mean on the kernel part is not
+    # separated here; the full-block limit uses the weak-* limit 2
+    # on nodes and cells alike
+    t_lim = LinearOp(space, space, matrix=2.0 * np.eye(space.dim))
+    mode = np.concatenate([np.sin(np.pi * x_nodes), np.sin(np.pi * x_cells)])
+    probes = ProbeSet.from_vectors(space, [
+        mode,
+        np.concatenate([np.cos(np.pi * x_nodes), 0 * x_cells]),
+        np.concatenate([0 * x_nodes, np.cos(np.pi * x_cells)]),
+    ])
+    wob = np.zeros(a.ran.dim)
+    return a, t_n, t_lim, probes, wob
+
+
 class TestTwoScale:
     def test_grid_backed_oscillatory_family(self):
-        # oscillating multipliers on coupled meshes with the grad/div block:
         # probe gaps decay against the homogenised limit
-        def factory(n):
-            m = 32 * n
-            dom = GridDomain.interval(0, 1, m)
-            grad = build_grad(dom, "dirichlet")
-            op, space = grid_skew_block(grad)
-            a = skew_split(LinearOp(space, space, matrix=op.to_dense()))
-            x_nodes = grad.node_coords[:, 0]
-            x_cells = grad.elem_mid[:, 0]
-            osc = lambda x: 2.0 + np.sin(2 * np.pi * n * x)
-            t_n = LinearOp(space, space, matrix=np.diag(
-                np.concatenate([osc(x_nodes), osc(x_cells)])))
-            # multiplier limits: arithmetic mean on the kernel part is not
-            # separated here; the full-block limit uses the weak-* limit 2
-            # on nodes and cells alike
-            t_lim = LinearOp(space, space, matrix=2.0 * np.eye(space.dim))
-            mode = np.concatenate([np.sin(np.pi * x_nodes), np.sin(np.pi * x_cells)])
-            probes = ProbeSet.from_vectors(space, [
-                mode,
-                np.concatenate([np.cos(np.pi * x_nodes), 0 * x_cells]),
-                np.concatenate([0 * x_nodes, np.cos(np.pi * x_cells)]),
-            ])
-            wob = np.zeros(a.ran.dim)
-            return a, t_n, t_lim, probes, wob
-
-        rep = two_scale_evo_experiment(factory, [2, 4, 8])
+        rep = two_scale_evo_experiment(_two_scale_instance, [2, 4, 8])
         assert rep.meta["regime"] == "two-scale"
         for col in ("gap_m01", "gap_m10", "gap_resolvent"):
             v = rep.values(col)
             assert v[-1] < v[0], col
+
+    def test_svd_only_in_kernel_range(self, monkeypatch):
+        # the condition checks of schur_maps read the LU; the one dense SVD
+        # per index is the kernel/range split of skew_split
+        import sys
+
+        from numpy.linalg import _linalg
+
+        callers = []
+        real = _linalg.svd
+
+        def recording(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        # np.linalg.cond and np.linalg.norm reach the SVD through _linalg
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(_linalg, "svd", recording)
+        two_scale_evo_experiment(_two_scale_instance, [2, 4, 8])
+        assert callers == ["kernel_range"] * 3
 
 
 class TestOperatorNorm:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -453,6 +454,91 @@ class TestSparseSolver:
         k, _ = random_sparse(10, 7)
         with pytest.raises(SolverDiverged, match="nan"):
             _SparseSolver(k, tol=np.inf).solve(np.full(10, np.nan))
+
+
+def _record_splu(monkeypatch):
+    """Wrap ``spla.splu`` to record each call's keyword arguments and the
+    fill L.nnz + U.nnz of its factor."""
+    calls = []
+    original = spla.splu
+
+    def record(k, **kwargs):
+        lu = original(k, **kwargs)
+        calls.append((kwargs, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", record)
+    return calls
+
+
+def _symmetric_mode(kwargs):
+    return (kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+            and kwargs.get("options", {}).get("SymmetricMode") is True)
+
+
+class TestSparseOrderingRule:
+    """A Hermitian K is factorised in SuperLU's symmetric mode with minimum
+    degree on K^T + K; any other K keeps COLAMD. The rule reads K alone."""
+
+    def test_hermitian_k_gets_the_symmetric_ordering(self, monkeypatch):
+        calls = _record_splu(monkeypatch)
+        k, rng = random_sparse(30, 8)
+        solver = _SparseSolver((k + k.T).tocsc())
+        assert len(calls) == 1 and _symmetric_mode(calls[0][0])
+        assert solver._kh is solver.k
+        b = rng.standard_normal(30)
+        assert np.abs(solver.k @ solver.solve(b, trans="H") - b).max() < 1e-12
+
+    def test_non_hermitian_k_keeps_colamd(self, monkeypatch):
+        from homlab.elliptic import CoefficientField, GridDomain
+        from homlab.thermo import assemble_thermo
+
+        dom = GridDomain.interval(0, 1, 8)
+        c = CoefficientField.constant(dom, 2.0, bounds=(0.5, 4.0))
+        kappa = CoefficientField.constant(dom, 1.0, bounds=(0.5, 4.0))
+        system = assemble_thermo(dom, 1.0, c, 0.7, 1.0, kappa, lam=1.0, bounds=(0.5, 4.0))
+        calls = _record_splu(monkeypatch)
+        solver = system.resolvent_solver()
+        assert len(calls) == 1 and calls[0][0] == {}
+        assert solver._kh is not solver.k
+
+    def test_schur_equiv_galerkin_fill(self, monkeypatch):
+        # the K_a = G^H W a G that schur_equiv_check factorises at n = 8
+        # (16129 unknowns); COLAMD gives 1.19M
+        from homlab.elliptic import GridDomain, build_grad
+        from homlab.homogenize import CoefficientSequence, g0_decomposition
+        from homlab.schur import schur_maps
+
+        seq = CoefficientSequence.laminate(
+            lambda y: np.where(np.asarray(y) < 0.5, 1.0, 4.0), bounds=(1.0, 4.0))
+        dom = GridDomain.box((128, 128))
+        grad = build_grad(dom, "dirichlet")
+        dec = g0_decomposition(grad)
+        calls = _record_splu(monkeypatch)
+        schur_maps(seq.field(8, dom).operator(grad), dec)
+        assert len(calls) == 1 and _symmetric_mode(calls[0][0])
+        assert calls[0][1] < 0.8e6
+
+    @pytest.mark.parametrize("case", ["saddle", "swap", "complex"])
+    def test_indefinite_and_complex_hermitian_solve(self, monkeypatch, case):
+        rng = np.random.default_rng(11)
+        if case == "saddle":
+            # [[K, B^T], [B, 0]]: zero diagonal on the constraint block
+            k, _ = random_sparse(20, 9)
+            b = sp.random(5, 20, density=0.3, random_state=10) + sp.eye(5, 20)
+            mat = sp.bmat([[k + k.T, b.T], [b, None]]).tocsc()
+        elif case == "swap":
+            mat = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        else:
+            k, _ = random_sparse(25, 12, complex_=True)
+            mat = (k + k.conj().T).tocsc()
+        calls = _record_splu(monkeypatch)
+        solver = _SparseSolver(mat)
+        assert _symmetric_mode(calls[0][0])
+        rhs = rng.standard_normal((mat.shape[0], 3))
+        for trans in ("N", "H"):
+            x = solver.solve(rhs, trans=trans)   # residual-checked at 1e-10
+            assert np.abs(mat @ x - rhs).max() < 1e-10
 
 
 def _block_structured(sizes, seed, complex_, zero_unknown):

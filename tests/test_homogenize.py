@@ -261,6 +261,22 @@ class TestHomogenizedTensor:
         elliptic.stiffness_solver.cache_clear()
         assert len(built) == 1
 
+    def test_flux_of_each_corrector_is_formed_once(self, monkeypatch):
+        # one product for each load and one for each corrector's residual
+        # check, whose flux is also the one averaged
+        calls = []
+        real = CoefficientField.apply
+
+        def counting(self, grad, v):
+            calls.append(1)
+            return real(self, grad, v)
+
+        monkeypatch.setattr(CoefficientField, "apply", counting)
+        dom = GridDomain.box((12, 10))
+        a = CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0))
+        homogenized_tensor(a)
+        assert len(calls) == 2 * 2
+
     def test_refinement_convergence_smooth_profile(self):
         errs = []
         for m in (16, 32, 64):

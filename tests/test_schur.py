@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab.errors import NotInM
 from homlab.hilbert import (
@@ -10,6 +12,7 @@ from homlab.hilbert import (
     LinearOp,
     ProbeSet,
     Subspace,
+    _dense_lu,
     coercivity_check,
     wot_gap,
 )
@@ -392,3 +395,59 @@ class TestClassMembership:
         dec = Decomposition.from_subspace(space, h0)
         rep = class_membership(op, dec, np.array([[0.1, 1e-6], [1e-6, 100.0]]))
         assert not rep.passed
+
+
+class TestDenseConditionRule:
+    """Dense condition checks read kappa_1 off one LAPACK LU (``?gecon``)
+    instead of taking an SVD; the cutoff stays 1e12."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(["real", "complex"]), st.floats(min_value=0.0, max_value=14.0))
+    def test_estimate_within_factor_n_of_kappa_2(self, n, seed, field, decades):
+        # a random matrix with singular values spread over up to 14 decades
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(g + 1j * rng.standard_normal((n, n)) if field == "complex" else g)
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = u @ np.diag(np.logspace(0.0, -decades, n)) @ v.T
+        solve, cond = _dense_lu(m)
+        kappa_2 = np.linalg.cond(m)
+        assert kappa_2 / n <= cond * (1 + 1e-6) and cond <= n * kappa_2 * (1 + 1e-6)
+        if kappa_2 < 1e10:
+            b = rng.standard_normal(n)
+            assert np.linalg.norm(m @ solve(b) - b) <= 1e-6 * np.linalg.norm(b)
+
+    def test_singular_and_empty(self):
+        assert _dense_lu(np.array([[1.0, 2.0], [2.0, 4.0]]))[1] == np.inf
+        assert _dense_lu(np.array([[np.nan, 1.0], [1.0, 1.0]]))[1] == np.inf
+        solve, cond = _dense_lu(np.zeros((0, 0)))
+        assert cond == 1.0 and solve(np.eye(0)).shape == (0, 0)
+
+    @pytest.mark.parametrize("small, raises", [(1e-13, True), (1e-11, False)])
+    def test_cutoff_on_the_operator(self, small, raises):
+        space = HilbertSpace(2)
+        dec = Decomposition.from_subspace(space, Subspace(space, basis=np.array([[1.0], [0.0]])))
+        a = LinearOp(space, space, matrix=np.diag([1.0, small]))
+        if raises:
+            with pytest.raises(NotInM, match="operator condition"):
+                schur_maps(a, dec)
+        else:
+            maps = schur_maps(a, dec)
+            np.testing.assert_allclose(maps.ms_mat, [[small]])
+            np.testing.assert_allclose(maps.m00inv_mat, [[1.0]])
+
+    def test_a00_inverse_is_read_off_its_lu(self, monkeypatch):
+        # np.linalg.inv and np.linalg.cond are not called on an explicit splitting
+        from homlab import schur
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense inverse or SVD outside the LU")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        space, dec = euclidean_dec(7, 3, seed=40)
+        op = coercive_operator(space, 0.5, 4.0, seed=41)
+        maps = schur.schur_maps(op, dec)
+        a00 = blocks(op, dec)[0]
+        np.testing.assert_allclose(maps.m00inv_mat @ a00, np.eye(3), atol=1e-12)
