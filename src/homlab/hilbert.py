@@ -50,12 +50,16 @@ __all__ = [
     "strong_gap",
 ]
 
-# dense fallbacks engage below these sizes; above, sparse/iterative paths
+# dense eigen- and singular-value solves run up to these sizes; above, the
+# Re(T^-1) certificate of a sparse T, the Re T certificate of a sparse T on
+# a matrix weight, and kernel_range raise ShapeError
 _DENSE_EIG_CUTOFF = 1200
 _DENSE_SVD_CUTOFF = 5000
 # a connected block of Re T whose banded eigensolve would cost more than
-# size^2 x bandwidth = this (about 0.25 s) goes to ARPACK instead
-_BANDED_WORK_CUTOFF = 1e8
+# size^2 x bandwidth = this raises ShapeError; eig_banded takes about 3 ns
+# per unit, so the bound is about 10 s (a bandwidth-2 chain of about 38 000
+# unknowns, the thermo system on about 19 000 cells)
+_BANDED_WORK_CUTOFF = 3e9
 # a dense matrix whose kappa_1 estimate exceeds this counts as singular
 _COND_CUTOFF = 1e12
 # SuperLU's suggested diagonal pivot threshold for its symmetric mode
@@ -527,9 +531,9 @@ def _sym_lambda_min(space, mat):
     smallest eigenvalues are taken one by one. A single unknown is its own
     eigenvalue, read off the diagonal. A larger component is reordered by
     reverse Cuthill-McKee and handed to LAPACK's banded Hermitian solver
-    (``eig_banded``), which costs about size^2 x bandwidth; only a component
+    (``eig_banded``), which costs about size^2 x bandwidth; a component
     above ``_BANDED_WORK_CUTOFF`` by that measure (a large 2-d or 3-d grid)
-    falls back to ARPACK (``eigsh``) on its explicit submatrix. Dense T, and
+    raises :class:`ShapeError`. Dense T, and
     sparse T with a matrix weight up to ``_DENSE_EIG_CUTOFF`` unknowns, take
     a dense ``eigvalsh`` of h.
     """
@@ -588,8 +592,8 @@ def _component_lambda_min(h):
     offsets = lower.row - lower.col
     bandwidth = int(offsets.max())
     if n * n * bandwidth > _BANDED_WORK_CUTOFF:
-        vals = spla.eigsh(h, k=1, which="SA", return_eigenvectors=False, maxiter=50 * n)
-        return float(vals[0].real)
+        raise ShapeError(f"a connected block of Re T with {n} unknowns and bandwidth "
+                         f"{bandwidth} is too large for a banded eigensolve")
     band = np.zeros((bandwidth + 1, n), dtype=h.dtype)
     band[offsets, lower.col] = lower.data
     vals = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
@@ -606,18 +610,16 @@ def coercivity_check(op, alpha, beta, tol=0.0):
 
     - Re T goes through :func:`_sym_lambda_min`. For a sparse T on a
       diagonal weight that is the minimum over the connected components of
-      Re T, each by a banded eigensolve; ARPACK runs only on a component
-      above ``_BANDED_WORK_CUTOFF``. A dense T takes a dense ``eigvalsh``.
-    - Re(T^{-1}) up to ``_DENSE_EIG_CUTOFF`` unknowns: T is factorised
-      once by :func:`_dense_lu`; when the estimate of kappa_1(T) stays at or
-      below 1e12 the inverse is read off that LU and goes through
-      :func:`_sym_lambda_min`. Above the size cutoff, a sparse T is
-      factorised once and ARPACK runs on the Hermitian part of the inverse,
-      two triangular solves per step.
+      Re T, each by a banded eigensolve; a component above
+      ``_BANDED_WORK_CUTOFF`` raises :class:`ShapeError`. A dense T takes a
+      dense ``eigvalsh``.
+    - Re(T^{-1}): T is factorised once by :func:`_dense_lu`; when the
+      estimate of kappa_1(T) stays at or below 1e12 the inverse is read off
+      that LU and goes through :func:`_sym_lambda_min`. A sparse T above
+      ``_DENSE_EIG_CUTOFF`` unknowns raises :class:`ShapeError`.
 
-    A singular T (kappa_1 estimate above 1e12, or a factorisation that
-    finds it singular) is reported with the inverse check failed and the
-    singularity flagged.
+    A singular T (kappa_1 estimate above 1e12) is reported with the inverse
+    check failed and the singularity flagged.
     """
     if not op.square or not op.source.compatible(op.target):
         raise ShapeError("coercivity check needs a square operator on one space")
@@ -625,32 +627,18 @@ def coercivity_check(op, alpha, beta, tol=0.0):
         raise ShapeError("need 0 < alpha <= beta")
     space = op.source
     mat = op.matrix if op.matrix is not None else op.to_dense()
+    n = space.dim
+    if _is_sparse(mat) and n > _DENSE_EIG_CUTOFF:
+        raise ShapeError(f"the Re(T^-1) certificate of a sparse operator with {n} "
+                         f"unknowns needs a dense inverse; at most {_DENSE_EIG_CUTOFF}")
     re_min = _sym_lambda_min(space, mat)
     singular = False
     re_inv_min = -np.inf
-    n = space.dim
-    if _is_sparse(mat) and n > _DENSE_EIG_CUTOFF:
-        try:
-            solver = _SparseSolver(mat)
-        except NotInM:
-            singular = True
-        else:
-            d = np.sqrt(space.weight)
-
-            def mv(x):
-                a = d * solver.solve(x / d)                # Ahat^{-1} x
-                b = solver.solve(d * x, trans="H") / d     # Ahat^{-H} x
-                return 0.5 * (a + b)
-
-            opi = spla.LinearOperator((n, n), matvec=mv, dtype=mat.dtype)
-            vals = spla.eigsh(opi, k=1, which="SA", return_eigenvectors=False, maxiter=50 * n)
-            re_inv_min = float(vals[0].real)
+    solve, cond = _dense_lu(mat.toarray() if _is_sparse(mat) else mat)
+    if cond > _COND_CUTOFF:
+        singular = True
     else:
-        solve, cond = _dense_lu(mat.toarray() if _is_sparse(mat) else mat)
-        if cond > _COND_CUTOFF:
-            singular = True
-        else:
-            re_inv_min = _sym_lambda_min(space, solve(np.eye(n)))
+        re_inv_min = _sym_lambda_min(space, solve(np.eye(n)))
     return CoercivityReport(alpha=alpha, beta=beta, re_min=re_min,
                             re_inv_min=re_inv_min, singular=singular, tol=tol)
 

@@ -92,18 +92,6 @@ class ThermoSystem:
         return LinearOp(self.space, self.space, matrix=self.a_matrix)
 
 
-def _lam_hint(space, m0, m1, lam):
-    """Name the first lam 2^k, k = 1..40, at which lam m0 + m1 is coercive,
-    if one is before its bound overflows."""
-    for k in range(1, 41):
-        try:
-            if _sym_lambda_min(space, (lam * 2**k * m0 + m1).tocsr()) > 0:
-                return f"lam >= {lam * 2**k} works"
-        except CoercivityError:
-            break
-    return "no lam 2^k for k up to 40 works"
-
-
 def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
                     bounds=None, direction=None):
     """Assemble the coupled system at frequency parameter lam.
@@ -111,9 +99,11 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
     ``rho0`` and ``w`` are scalar fields (callable or constant) bounded by
     the declared interval; ``c_field`` and ``kappa_field`` are cell-wise
     coefficient fields; ``gamma`` is the constant coupling strength. The
-    coercivity constant of lam m0 + m1 is computed and a failure reports a
-    suggested minimal lam. A lam <= 0, or a gamma that overflows m0, raises
-    :class:`CoercivityError`.
+    coercivity constant of lam m0 + m1 is computed, and a nonpositive one
+    raises :class:`CoercivityError`. m1 lives only in the heat-flux block,
+    where m0 is zero, so lam m0 + m1 = blockdiag(lam M, K^{-1}) and the sign
+    of that constant does not depend on lam > 0. A lam <= 0, or a gamma that
+    overflows m0, also raises :class:`CoercivityError`.
     """
     if not lam > 0:
         raise CoercivityError("lam must be positive")
@@ -158,8 +148,7 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
     space = HilbertSpace(2 * (ns + nv), weight=weight)
     c = _sym_lambda_min(space, (lam * m0 + m1).tocsr())
     if c <= 0:
-        raise CoercivityError(f"lam={lam} gives nonpositive material bound {c:.3e}; "
-                              + _lam_hint(space, m0, m1, lam))
+        raise CoercivityError(f"lam={lam} gives nonpositive material bound {c:.3e}")
     return ThermoSystem(domain, grad, space, a_matrix, m0, m1, float(lam),
                         float(c), gam, (ns, nv, ns, nv))
 

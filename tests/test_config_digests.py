@@ -43,6 +43,19 @@ def test_relative_change_above_tolerance_fails(digests, tmp_path):
     assert rel == pytest.approx(1e-9, rel=1e-3)
 
 
+def test_roundoff_level_change_passes_without_a_relative_deviation(digests, tmp_path):
+    # a 1e-16 -> 2e-16 cell is within ATOL; its ratio of 1 is not reported
+    ref = REFERENCE.replace("0.25", "1e-16")
+    old = tmp_path / "old.csv"
+    old.write_text(ref)
+    new = tmp_path / "new.csv"
+    new.write_text(ref.replace("1e-16", "2e-16"))
+    dev_abs, rel, ok = digests.compare_csv(new, old)
+    assert ok
+    assert dev_abs == pytest.approx(1e-16)
+    assert rel == 0.0
+
+
 def test_changed_text_cell_fails(digests, tmp_path):
     assert not compare(digests, tmp_path, REFERENCE.replace("2,0.125,ok", "2,0.125,FAIL"))[2]
 

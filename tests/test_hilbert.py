@@ -569,31 +569,57 @@ def _dense_lambda_min(space, t):
     return vals[0], np.abs(vals).max()
 
 
+def _component_sizes(space, t):
+    """Sizes of the connected components of Re T's pattern in the weighted
+    frame, found without homlab."""
+    from scipy.sparse import csgraph
+
+    d = np.sqrt(space.weight)
+    that = d[:, None] * t.toarray() / d[None, :]
+    pattern = sp.csr_matrix(0.5 * (that + that.conj().T) != 0)
+    n_comp, labels = csgraph.connected_components(pattern, directed=False)
+    return np.bincount(labels, minlength=n_comp)
+
+
+@pytest.fixture
+def no_arpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK in a coercivity certificate")
+
+    monkeypatch.setattr(spla, "eigsh", refuse)
+
+
 class TestSparseCoercivityBound:
     """``_sym_lambda_min`` on sparse T: per connected component of Re T,
-    singletons off the diagonal, larger blocks banded or (above the work
-    cutoff) by ARPACK; never through a dense eigvalsh."""
+    singletons off the diagonal and every larger block by ``eig_banded``;
+    never through a dense eigvalsh or ARPACK. A block above the work bound
+    and the Re(T^-1) bound of a large sparse T raise ``ShapeError``."""
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=9),
            seed=st.integers(0, 10**6), complex_=st.booleans(),
-           zero_unknown=st.booleans(), force_arpack=st.booleans())
+           zero_unknown=st.booleans(), small_bound=st.booleans())
     def test_matches_dense_eigvalsh(self, sizes, seed, complex_, zero_unknown,
-                                    force_arpack):
+                                    small_bound):
         from homlab import hilbert
 
         space, t = _block_structured(sizes, seed, complex_, zero_unknown)
         ref, scale = _dense_lambda_min(space, t)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense eigvalsh on a sparse operator")
+            raise AssertionError("dense eigvalsh or ARPACK on a sparse operator")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hilbert.scipy.linalg, "eigvalsh", refuse)
-            if force_arpack:
-                # every block of 4 or more unknowns (ARPACK needs k < n - 1
-                # for complex Hermitian input)
-                mp.setattr(hilbert, "_BANDED_WORK_CUTOFF", 10)
+            mp.setattr(spla, "eigsh", refuse)
+            if small_bound:
+                # size^2 x bandwidth: a pair is 4, any block of 3 or more
+                # unknowns at least 9, so every such block is refused
+                mp.setattr(hilbert, "_BANDED_WORK_CUTOFF", 8)
+                if _component_sizes(space, t).max() >= 3:
+                    with pytest.raises(ShapeError, match="bandwidth"):
+                        hilbert._sym_lambda_min(space, t)
+                    return
             got = hilbert._sym_lambda_min(space, t)
         assert abs(got - ref) <= 1e-12 * max(abs(ref), scale), (got, ref)
 
@@ -621,18 +647,50 @@ class TestSparseCoercivityBound:
         with pytest.raises(CoercivityError, match="overflows"):
             hilbert._sym_lambda_min(HilbertSpace(2), sp.csr_matrix(t) if sparse else t)
 
-    def test_large_component_falls_back_to_arpack(self, monkeypatch):
-        # a 2-d grid block: size^2 x bandwidth is above the cutoff
+    def test_large_component_is_banded(self, no_arpack):
+        # a 2-d grid block of 3600 unknowns and bandwidth 60 after RCM:
+        # size^2 x bandwidth is 7.8e8, below the work bound
         from homlab import hilbert
 
         m = 60
         lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
         t = (sp.kronsum(lap, lap) + 0.5 * sp.eye(m * m)).tocsr()
-        called = []
-        eigsh = hilbert.spla.eigsh
-        monkeypatch.setattr(hilbert.spla, "eigsh",
-                            lambda *a, **k: called.append(True) or eigsh(*a, **k))
         got = hilbert._sym_lambda_min(HilbertSpace(m * m), t)
-        assert called
         exact = 0.5 + 2 * (4 * np.sin(np.pi / (2 * (m + 1))) ** 2)
         assert got == pytest.approx(exact, rel=1e-10)
+
+    def test_long_chain_is_banded(self, no_arpack):
+        # 12000^2 x 1 = 1.44e8 units of banded work: a 1-d chain longer
+        # than any shipped config builds
+        from homlab import hilbert
+
+        n = 12000
+        t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        got = hilbert._sym_lambda_min(HilbertSpace(n), t)
+        exact = 4 * np.sin(np.pi / (2 * (n + 1))) ** 2
+        assert abs(got - exact) <= 1e-12 * 4.0
+
+    def test_component_above_the_work_bound_is_refused(self, monkeypatch, no_arpack):
+        from homlab import hilbert
+
+        monkeypatch.setattr(hilbert, "_BANDED_WORK_CUTOFF", 1e4)
+        n = 30   # 30^2 x 1 = 900 passes, a 2-d 30 x 30 block does not
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        assert hilbert._sym_lambda_min(HilbertSpace(n), lap) > 0
+        grid = sp.kronsum(lap, lap).tocsr()
+        with pytest.raises(ShapeError, match=r"900 unknowns and bandwidth 30\b"):
+            hilbert._sym_lambda_min(HilbertSpace(n * n), grid)
+
+    def test_inverse_bound_of_a_large_sparse_operator_is_refused(self, no_arpack):
+        from homlab import hilbert
+
+        n = hilbert._DENSE_EIG_CUTOFF + 1
+        space = HilbertSpace(n, weight=np.full(n, 0.5))
+        t = sp.diags([-1.0, 3.0, 0.5], [-1, 0, 1], shape=(n, n), format="csr")
+        with pytest.raises(ShapeError, match=f"{n} unknowns"):
+            coercivity_check(LinearOp(space, space, matrix=t), 0.1, 10.0)
+        # the same operator one unknown smaller is certified
+        k = hilbert._DENSE_EIG_CUTOFF
+        small = HilbertSpace(k, weight=np.full(k, 0.5))
+        rep = coercivity_check(LinearOp(small, small, matrix=t[:k, :k]), 0.1, 10.0)
+        assert rep.re_min > 0 and not rep.singular

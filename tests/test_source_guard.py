@@ -1,8 +1,11 @@
-"""Source-level guards: one dense condition rule in homlab.
+"""Source-level guards: one dense condition rule and one coercivity
+certificate in homlab.
 
 Dense condition checks read kappa_1 off one LU (``hilbert._dense_lu``).
 A dense SVD or ``cond`` belongs only where the singular values are the
 answer: the kernel/range split and the public kappa_2 of ``SkewOp``.
+Eigenvalue bounds are banded or dense LAPACK solves: no ARPACK entry point
+(``eigsh``, ``eigs``, ``svds``) appears anywhere.
 """
 
 import ast
@@ -12,6 +15,7 @@ import homlab
 
 _ALLOWED = {"hilbert.kernel_range", "evolution.SkewOp.a_tilde_cond"}
 _FORBIDDEN = {"cond", "svd"}
+_ARPACK = {"eigsh", "eigs", "svds"}
 
 
 def _dotted(node):
@@ -24,10 +28,9 @@ def _dotted(node):
     return ".".join(reversed(parts))
 
 
-def _svd_and_cond_sites(path):
-    """Qualified names of the functions in which ``<x>.linalg.svd`` or
-    ``<x>.linalg.cond`` appears, or that import ``svd``/``cond`` from a
-    ``linalg`` module."""
+def _sites(path, matches):
+    """Qualified names of the functions (or the module) holding a node for
+    which ``matches`` is true."""
     sites = []
 
     def visit(node, scope):
@@ -35,16 +38,38 @@ def _svd_and_cond_sites(path):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
-            if isinstance(child, ast.Attribute) and child.attr in _FORBIDDEN \
-                    and _dotted(child.value).endswith("linalg"):
-                sites.append(".".join([path.stem] + scope))
-            if isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg") \
-                    and any(alias.name in _FORBIDDEN for alias in child.names):
+            if matches(child):
                 sites.append(".".join([path.stem] + scope))
             visit(child, inner)
 
     visit(ast.parse(path.read_text()), [])
     return sites
+
+
+def _svd_and_cond_sites(path):
+    """Where ``<x>.linalg.svd`` or ``<x>.linalg.cond`` appears, or ``svd``/
+    ``cond`` is imported from a ``linalg`` module."""
+    def matches(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in _FORBIDDEN and _dotted(node.value).endswith("linalg")
+        return isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") \
+            and any(alias.name in _FORBIDDEN for alias in node.names)
+
+    return _sites(path, matches)
+
+
+def _arpack_sites(path):
+    """Where an ARPACK entry point is named: as an attribute, a bare name or
+    an import."""
+    def matches(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in _ARPACK
+        if isinstance(node, ast.Name):
+            return node.id in _ARPACK
+        return isinstance(node, (ast.Import, ast.ImportFrom)) \
+            and any(alias.name.rpartition(".")[2] in _ARPACK for alias in node.names)
+
+    return _sites(path, matches)
 
 
 def test_dense_svd_and_cond_only_where_singular_values_are_the_answer():
@@ -60,3 +85,19 @@ def test_scan_sees_a_forbidden_site(tmp_path):
                    "        return np.linalg.cond(m)\n\n"
                    "def g(m):\n    from scipy.linalg import svd\n    return svd(m)\n")
     assert _svd_and_cond_sites(src) == ["mod.A.f", "mod.g"]
+
+
+def test_no_arpack_in_homlab():
+    package = Path(homlab.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py")) for s in _arpack_sites(path)]
+    assert not sites, sorted(set(sites))
+
+
+def test_scan_sees_an_arpack_site(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import scipy.sparse.linalg as spla\n"
+                   "from scipy.sparse.linalg import svds\n\n"
+                   "class A:\n    def f(self, m):\n"
+                   "        return spla.eigsh(m, k=1)\n\n"
+                   "def g(m):\n    return scipy.sparse.linalg.eigs(m)\n")
+    assert _arpack_sites(src) == ["mod", "mod.A.f", "mod.g"]

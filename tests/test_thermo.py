@@ -7,10 +7,9 @@ import scipy.sparse as sp
 from homlab.elliptic import CoefficientField, GridDomain
 from homlab.errors import CoercivityError
 from homlab.evolution import block_solve, resolvent_bounds, skew_split
-from homlab.hilbert import HilbertSpace, LinearOp
+from homlab.hilbert import LinearOp
 from homlab.homogenize import MeshRule
 from homlab.thermo import (
-    _lam_hint,
     assemble_thermo,
     congruence_diagonalize,
     thermo_homogenization_experiment,
@@ -84,15 +83,29 @@ class TestAssembly:
         with pytest.raises(CoercivityError, match=r"gamma=1e\+300 makes the material block m0"):
             assemble_thermo(dom, 1.0, c, 1e300, 1.0, k, lam=1.0, bounds=(0.5, 4.0))
 
-    def test_lam_hint_names_only_a_certified_lam(self):
-        space = HilbertSpace(2)
-        m0 = sp.csr_matrix(np.eye(2))
-        assert _lam_hint(space, m0, sp.diags([-3.0, 0.0]).tocsr(), 1.0) == "lam >= 4.0 works"
-        # m0 indefinite, so no lam works, and lam 2^k m0 overflows at k = 28:
-        # the hint says so instead of passing infinities to eig_banded
-        indefinite = sp.csr_matrix(1e300 * np.array([[1.0, 1.0], [1.0, -1.0]]))
-        assert _lam_hint(space, indefinite, sp.csr_matrix((2, 2)), 1.0) \
-            == "no lam 2^k for k up to 40 works"
+    def test_fine_interval_certifies_without_arpack(self, monkeypatch):
+        # 4096 cells: Re(lam m0 + m1) holds one chain of 8191 unknowns and
+        # bandwidth 2 (size^2 x bandwidth 1.3e8), solved banded
+        import scipy.sparse.linalg as spla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh in the thermo coercivity bound")
+
+        monkeypatch.setattr(spla, "eigsh", refuse)
+        sys = small_system(GridDomain.interval(0, 1, 4096))
+        assert sys.space.dim == 2 * (4095 + 4096)
+        assert sys.coercivity > 0
+
+    def test_nonpositive_bound_is_refused_without_a_lam_search(self):
+        # lam m0 + m1 = blockdiag(lam M, K^-1): a lam that fails, fails for
+        # every lam > 0, so the error names only the bound that failed. At
+        # gamma = 1e8 the bound of M is below roundoff, about -7e-15 here
+        dom = GridDomain.interval(0, 1, 64)
+        c = CoefficientField.constant(dom, 2.0, bounds=(0.5, 4.0))
+        k = CoefficientField.constant(dom, 1.0, bounds=(0.5, 4.0))
+        with pytest.raises(CoercivityError, match=r"^lam=1.0 gives nonpositive material bound "
+                                                  r"-?[0-9.e+-]+$"):
+            assemble_thermo(dom, 1.0, c, 1e8, 1.0, k, lam=1.0)
 
     def test_material_block_self_adjoint(self):
         sys = small_system()

@@ -25,8 +25,12 @@ match exactly. It prints one line per CSV,
     <largest absolute deviation>  <largest relative deviation>  ok|FAIL  <stem>/<path>
 
 which is the gate for a change of solver, where byte-identical output
-cannot be expected. A run that exits with a status other than 0, or a
-comparison that fails, is reported, and the script then exits 1.
+cannot be expected. The relative deviation is taken only over the values
+whose reference exceeds ``ATOL`` in magnitude, the ones the tolerance treats
+relatively: a roundoff-level value such as 1e-16 against 2e-16 passes on
+``ATOL`` and leaves the column at 0. A run that exits with a status other
+than 0, or a comparison that fails, is reported, and the script then exits
+1.
 
 ``--save`` also records the ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``
 and ``MKL_NUM_THREADS`` settings in ``DIR/threads.json``, and ``--compare``
@@ -89,7 +93,8 @@ def _number(text):
 
 def compare_csv(new, old):
     """(largest absolute deviation, largest relative deviation, ok) over the
-    cells of two CSV files; the relative deviation skips zero references."""
+    cells of two CSV files; the relative deviation skips references of
+    magnitude ``ATOL`` or less."""
     new_rows = [line.split(",") for line in new.read_text().splitlines()]
     old_rows = [line.split(",") for line in old.read_text().splitlines()]
     if [len(r) for r in new_rows] != [len(r) for r in old_rows]:
@@ -104,7 +109,7 @@ def compare_csv(new, old):
                 continue
             dev = abs(got - ref)
             worst_abs = max(worst_abs, dev)
-            if ref:
+            if abs(ref) > ATOL:
                 worst_rel = max(worst_rel, dev / abs(ref))
             ok &= dev <= RTOL * abs(ref) + ATOL
     return worst_abs, worst_rel, ok
