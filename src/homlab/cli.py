@@ -46,7 +46,7 @@ import numpy as np
 from . import elliptic, evolution, homogenize, maxwell as maxwell_mod, thermo as thermo_mod
 from .elliptic import CoefficientField, GridDomain, RHSFunctional
 from .errors import ConfigError, HomlabError
-from .hilbert import HilbertSpace, LinearOp
+from .hilbert import _BANDED_WORK_CUTOFF, _DENSE_SVD_CUTOFF, HilbertSpace, LinearOp
 from .homogenize import CoefficientSequence, MeshRule, laminate_limit
 from .serialize import config_digest, dump_solution_csv, write_report_csv
 
@@ -110,18 +110,22 @@ CATALOGUE = {
     ),
     "thermo": (
         "thermoelastic block system homogenisation",
-        "congruence identities plus resolvent convergence under laminate "
-        "material oscillations",
+        "resolvent convergence under laminate material oscillations: the "
+        "resolvent probe gap at the last n is at most [run] tolerance and "
+        "no larger than at the first",
     ),
     "maxwell": (
         "staggered Maxwell homogenisation",
-        "exact complex identities plus laminate resolvent convergence toward "
-        "the lambda-dependent effective permittivity",
+        "laminate resolvent convergence toward the lambda-dependent effective "
+        "permittivity: the resolvent probe gap at the last n is at most "
+        "[run] tolerance and no larger than at the first",
     ),
     "helmholtz": (
         "discrete Helmholtz decomposition",
-        "gradient/curl/harmonic splitting with exact dimension bookkeeping; "
-        "harmonic dimensions vanish on boxes",
+        "gradient/curl/harmonic splittings of edge and face fields from one "
+        "SVD of curl0: each gradient range lies in its curl kernel, the three "
+        "dimensions sum to the space dimension, both harmonic dimensions "
+        "vanish on the box, and gradients and curls are orthogonal to 1e-8",
     ),
 }
 
@@ -179,6 +183,14 @@ class RunConfig:
 # the coefficient classes of the thermo and Maxwell experiments: every
 # coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
 _THERMO_BOUNDS, _MAXWELL_BOUNDS = (0.4, 5.0), (0.4, 10.0)
+# the most thermo cells m whose material certificate runs: its Re T is one
+# chain of 2m - 1 unknowns and bandwidth 2, and a banded eigensolve of n
+# unknowns and bandwidth b is admitted while n^2 b <= _BANDED_WORK_CUTOFF
+_THERMO_CELLS = (math.isqrt(int(_BANDED_WORK_CUTOFF) // 2) + 1) // 2
+# the most cells per axis m whose box keeps its 3 m^2 (m - 1) faces within
+# the one dense SVD (of curl0) that helmholtz_decompose takes
+_HELMHOLTZ_CELLS = next(m for m in range(2, _DENSE_SVD_CUTOFF)
+                        if 3 * (m + 1) ** 2 * m > _DENSE_SVD_CUTOFF)
 POSITIVE = "positive"    # a rule: the value must be above 0
 REQUIRED = "required"    # a default: the key must be set
 
@@ -242,6 +254,7 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
         **{f"coefficients.{name}_{phase}": (float, default, _THERMO_BOUNDS)
            for name in ("c", "kappa", "w", "rho")
            for phase, default in (("low", 1.0), ("high", 4.0))},
+        # cells_per_period x max(n_list) is checked by _run_thermo
         "run.n_list": (list, [2, 4, 8, 16], 1), "run.cells_per_period": (int, 32, 2),
         "run.tolerance": (float, 5e-2, POSITIVE),
     },
@@ -253,7 +266,8 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
         "run.n_list": (list, [1, 2, 4, 8], 1), "run.tolerance": (float, 1e-1, POSITIVE),
         "run.transverse_cells": (int, 8, 2),    # the Yee complex's minimum
     },
-    "helmholtz": {"domain.cells": (int, 4, 2)},    # the Yee complex's minimum
+    # 2 is the Yee complex's minimum
+    "helmholtz": {"domain.cells": (int, 4, (2, _HELMHOLTZ_CELLS))},
 }.items()}
 
 
@@ -672,6 +686,10 @@ def _run_thermo(p, out, seed, digest):
     if not math.isfinite(gamma * gamma / min(p["coefficients.c_low"], p["coefficients.c_high"])):
         raise ConfigError(f"[coefficients] gamma: gamma^2 / min(c_low, c_high) overflows "
                           f"(gamma = {gamma:g})")
+    cells = p["run.cells_per_period"] * max(p["run.n_list"])
+    if cells > _THERMO_CELLS:
+        raise ConfigError(f"[run] n_list: cells_per_period x max(n_list) = {cells} cells; "
+                          f"the material certificate admits at most {_THERMO_CELLS}")
     c, kappa, w, rho = (
         _two_phase(p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])[0]
         for name in ("c", "kappa", "w", "rho"))

@@ -395,9 +395,7 @@ class Subspace:
         """Orthogonal complement, explicit when the ambient is small."""
         amb = sub.ambient
         if sub.basis is not None and amb.dim <= _DENSE_SVD_CUTOFF:
-            scaled = amb.scale_to_ortho(sub.basis)
-            q = scipy.linalg.null_space(scaled.conj().T) if sub.dim else np.eye(amb.dim)
-            return cls(amb, basis=amb.scale_from_ortho(q))
+            return cls(amb, basis=_complement_basis(amb, sub.basis))
         dim = None if sub.dim is None else amb.dim - sub.dim
         return cls(amb, project=lambda v: v - sub.project(v), dim=dim)
 
@@ -433,6 +431,22 @@ class Subspace:
     def __repr__(self):
         mode = "explicit" if self.basis is not None else "implicit"
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim}, {mode})"
+
+
+def _complement_basis(space, basis, frame=None):
+    """W-orthonormal basis of span(frame) (None: the whole space) less
+    span(basis), both W-orthonormal: the rank is known, so a complete QR
+    needs no rank decision. A basis that leaves span(frame) by more than
+    1e-8 raises :class:`ShapeError`."""
+    if frame is None:
+        coords = space.scale_to_ortho(basis)
+    else:
+        coords = space.gram(frame, basis)
+        outside = space.column_norms(basis - frame @ coords).max(initial=0.0)
+        if outside > 1e-8:
+            raise ShapeError(f"subspace leaves the frame it should lie in by {outside:.3e}")
+    rest = np.linalg.qr(coords, mode="complete")[0][:, basis.shape[1]:]
+    return space.scale_from_ortho(rest) if frame is None else frame @ rest
 
 
 class ProbeSet:

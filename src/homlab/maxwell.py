@@ -8,11 +8,13 @@ faces, charges on cells). The identities curl0 grad0 = 0 and div curl0 = 0
 hold at machine precision by construction, and curl is literally the weighted
 adjoint of curl0, so the block operator [[0, -curl], [curl0, 0]] is
 structurally skew-adjoint. On a box the harmonic spaces of both Helmholtz
-flavors are trivial, verified here by rank bookkeeping; the kernel splitting
-used by the homogenisation experiment is generator-backed (one Dirichlet-type
-nodal solve and one grounded Neumann-type cell solve -- the latter is exactly
-the natural-boundary variational problem of the coefficient convergence
-theory under no boundary conditions).
+flavors are trivial; :func:`helmholtz_decompose` finds them with one rank
+decision, the SVD of curl0, and checks that each gradient range lies in its
+curl kernel. The kernel splitting used by the homogenisation experiment is
+generator-backed (one Dirichlet-type nodal solve and one grounded
+Neumann-type cell solve -- the latter is exactly the natural-boundary
+variational problem of the coefficient convergence theory under no boundary
+conditions).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 from .elliptic import GridDomain, check_budget
 from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
-from .hilbert import _check_residual, _rows
+from .hilbert import _check_residual, _complement_basis, _rows
 from .hilbert import adjoint, kernel_range, wot_gap
 from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
 from .schur import Decomposition, tau_gap
@@ -278,30 +280,26 @@ def helmholtz_decompose(domain):
     edge fields  = ran(grad0) (+) ran(curl) (+) harmonic (Dirichlet flavor),
     face fields  = ran(dual gradient) (+) ran(curl0) (+) harmonic (Neumann).
 
-    Dimensions are certified by dense rank bookkeeping, so this is meant for
-    small boxes; on any box both harmonic dimensions come out zero.
+    One dense SVD of curl0 is the only rank decision: it gives ker curl0 and
+    ran curl0, and their complements are ran curl and ker curl. The gradient
+    ranges are QR bases of the injective generators grad0 and the grounded
+    dual gradient. Each harmonic part is the curl kernel less its gradient
+    range, and a gradient range that leaves its kernel (a broken chain
+    identity) raises :class:`ShapeError`. This is meant for small boxes:
+    ``kernel_range`` caps the face count. On any box both harmonic
+    dimensions come out zero.
     """
-    curl0, curl, cx = build_curl(domain)
-    grad0 = LinearOp(cx.node_space, cx.edge_space, matrix=cx.grad0)
-    _, ran_grad = kernel_range(grad0)
-    _, ran_curl = kernel_range(curl)
-    harmonic_e = _triple_complement(cx.edge_space, ran_grad, ran_curl)
-    dirichlet = HelmholtzSplit("dirichlet", ran_grad, ran_curl, harmonic_e)
-
-    grounded_cells = HilbertSpace(
-        cx.n_cells - 1, weight=np.full(cx.n_cells - 1, cx.cell_space.weight[0])
-    )
-    gdual = LinearOp(grounded_cells, cx.face_space, matrix=cx.dual_gradient_matrix())
-    _, ran_gdual = kernel_range(gdual)
-    _, ran_curl0 = kernel_range(curl0)
-    harmonic_f = _triple_complement(cx.face_space, ran_gdual, ran_curl0)
-    neumann = HelmholtzSplit("neumann", ran_gdual, ran_curl0, harmonic_f)
-    return dirichlet, neumann
-
-
-def _triple_complement(space, sub_a, sub_b):
-    span = Subspace.from_span(space, np.hstack([sub_a.basis, sub_b.basis]))
-    return Subspace.complement(span)
+    curl0, _, cx = build_curl(domain)
+    ker_curl0, ran_curl0 = kernel_range(curl0)
+    ker_curl = Subspace.complement(ran_curl0)
+    ran_grad = Subspace.from_span(cx.edge_space, cx.grad0.toarray())
+    ran_gdual = Subspace.from_span(cx.face_space, cx.dual_gradient_matrix().toarray())
+    harmonic_e = _complement_basis(cx.edge_space, ran_grad.basis, ker_curl0.basis)
+    harmonic_f = _complement_basis(cx.face_space, ran_gdual.basis, ker_curl.basis)
+    return (HelmholtzSplit("dirichlet", ran_grad, Subspace.complement(ker_curl0),
+                           Subspace(cx.edge_space, basis=harmonic_e)),
+            HelmholtzSplit("neumann", ran_gdual, ran_curl0,
+                           Subspace(cx.face_space, basis=harmonic_f)))
 
 
 def _maxwell_probes(cx, count=6, seed=0):

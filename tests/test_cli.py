@@ -258,6 +258,10 @@ class TestFixtures:
         ("solve1d", "[run]\nflavor = neumann\n", "[run] flavor"),
         ("hconv", "[run]\nn_list = 1\nflavor = periodic\n", "[run] flavor"),
         ("laminate2d", "[run]\nn_list = 1\nflavor = neumann\n", "[run] flavor"),
+        # sizes the solvers refuse exited 1 with ShapeError after assembling:
+        # 32 768 thermo cells, and a 13^3 box above the SVD of curl0
+        ("thermo", "[run]\nn_list = 1024\n", "[run] n_list"),
+        ("helmholtz", "[domain]\ncells = 13\n", "[domain] cells"),
     ], ids=["hconv-n_list", "qdind-n_list", "maxwell-n_list", "divtest-n_list",
             "hconv-transverse_cells", "laminate2d-dim", "cell-extents", "seed-abc", "seed-1.5",
             "recover-dim_max", "evo-space_dim-1", "evo-space_dim-2", "evo-space_dim-3",
@@ -265,7 +269,8 @@ class TestFixtures:
             "hconv-dim-0", "hconv-dim-4", "schur-gap-tolerance", "candidate-nan",
             "candidate-negative", "candidate-inf", "thermo-lambda-negative",
             "thermo-lambda-zero", "thermo-gamma-overflow", "solve1d-flavor", "hconv-flavor",
-            "laminate2d-flavor"])
+            "laminate2d-flavor", "thermo-cells-above-certificate",
+            "helmholtz-cells-above-svd"])
     def test_bad_value_or_unread_key_exit_2(self, tmp_path, kind, body, where):
         res = self.run_body(tmp_path, kind, body)
         assert res.exit_code == 2, res.output

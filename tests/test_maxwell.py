@@ -223,6 +223,27 @@ class TestHelmholtz:
             dirichlet.gradients.project(v) + dirichlet.curls.project(v)
         np.testing.assert_allclose(total, v, atol=1e-9)
 
+    def test_one_svd_decides_every_rank(self, monkeypatch):
+        # the SVD of curl0 is the only rank decision: complements and
+        # gradient ranges are QRs
+        import scipy.linalg
+        from numpy.linalg import _linalg
+        from scipy.linalg import _decomp_svd
+
+        calls = []
+
+        def counting(real):
+            def svd(*args, **kwargs):
+                calls.append(args[0].shape)
+                return real(*args, **kwargs)
+            return svd
+
+        for module in (np.linalg, _linalg, scipy.linalg, _decomp_svd):
+            monkeypatch.setattr(module, "svd", counting(module.svd))
+        cx = YeeComplex(GridDomain.box((4, 4, 4)))
+        helmholtz_decompose(cx.domain)
+        assert calls == [cx.curl0.shape]
+
 
 class TestMaxwellSystem:
     def test_membership_enforced(self):

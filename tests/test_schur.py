@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import NotInM
+from homlab.errors import NotInM, ShapeError
 from homlab.hilbert import (
     HilbertSpace,
     LinearOp,
@@ -324,6 +324,13 @@ class TestFiniteShuffle:
         k = Subspace(space, basis=np.zeros((6, 0)))
         dec2 = finite_shuffle(dec, k)
         assert dec2.h0.dim == 2 and dec2.h1.dim == 4
+
+    def test_subspace_outside_h1_refused(self):
+        space = HilbertSpace(3)
+        dec = Decomposition.from_subspace(space, Subspace(space, basis=np.eye(3)[:, :1]))
+        k = Subspace.from_span(space, np.array([[1.0], [1.0], [0.0]]))
+        with pytest.raises(ShapeError, match="leaves"):
+            finite_shuffle(dec, k)
 
     def test_dim1_shuffle_in_r3(self):
         space = HilbertSpace(3)

@@ -4,6 +4,8 @@ certificate in homlab.
 Dense condition checks read kappa_1 off one LU (``hilbert._dense_lu``).
 A dense SVD or ``cond`` belongs only where the singular values are the
 answer: the kernel/range split and the public kappa_2 of ``SkewOp``.
+Complements of bases whose rank is known are complete QRs, so scipy's
+SVD-based ``null_space`` and ``orth`` appear nowhere.
 Eigenvalue bounds are banded or dense LAPACK solves: no ARPACK entry point
 (``eigsh``, ``eigs``, ``svds``) appears anywhere.
 """
@@ -14,7 +16,7 @@ from pathlib import Path
 import homlab
 
 _ALLOWED = {"hilbert.kernel_range", "evolution.SkewOp.a_tilde_cond"}
-_FORBIDDEN = {"cond", "svd"}
+_FORBIDDEN = {"cond", "svd", "null_space", "orth"}
 _ARPACK = {"eigsh", "eigs", "svds"}
 
 
@@ -47,8 +49,8 @@ def _sites(path, matches):
 
 
 def _svd_and_cond_sites(path):
-    """Where ``<x>.linalg.svd`` or ``<x>.linalg.cond`` appears, or ``svd``/
-    ``cond`` is imported from a ``linalg`` module."""
+    """Where ``<x>.linalg.<name>`` appears for a name in ``_FORBIDDEN``, or
+    such a name is imported from a ``linalg`` module."""
     def matches(node):
         if isinstance(node, ast.Attribute):
             return node.attr in _FORBIDDEN and _dotted(node.value).endswith("linalg")
@@ -83,8 +85,9 @@ def test_scan_sees_a_forbidden_site(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("import numpy as np\n\nclass A:\n    def f(self, m):\n"
                    "        return np.linalg.cond(m)\n\n"
-                   "def g(m):\n    from scipy.linalg import svd\n    return svd(m)\n")
-    assert _svd_and_cond_sites(src) == ["mod.A.f", "mod.g"]
+                   "def g(m):\n    from scipy.linalg import svd\n    return svd(m)\n\n"
+                   "def h(m):\n    return scipy.linalg.null_space(m)\n")
+    assert _svd_and_cond_sites(src) == ["mod.A.f", "mod.g", "mod.h"]
 
 
 def test_no_arpack_in_homlab():
