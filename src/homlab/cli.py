@@ -46,7 +46,7 @@ import numpy as np
 from . import elliptic, evolution, homogenize, maxwell as maxwell_mod, thermo as thermo_mod
 from .elliptic import CoefficientField, GridDomain, RHSFunctional
 from .errors import ConfigError, HomlabError
-from .hilbert import _BANDED_WORK_CUTOFF, _DENSE_SVD_CUTOFF, HilbertSpace, LinearOp
+from .hilbert import _DENSE_SVD_CUTOFF, HilbertSpace, LinearOp, _dense_lu
 from .homogenize import CoefficientSequence, MeshRule, laminate_limit
 from .serialize import config_digest, dump_solution_csv, write_report_csv
 
@@ -183,10 +183,13 @@ class RunConfig:
 # the coefficient classes of the thermo and Maxwell experiments: every
 # coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
 _THERMO_BOUNDS, _MAXWELL_BOUNDS = (0.4, 5.0), (0.4, 10.0)
-# the most thermo cells m whose material certificate runs: its Re T is one
-# chain of 2m - 1 unknowns and bandwidth 2, and a banded eigensolve of n
-# unknowns and bandwidth b is admitted while n^2 b <= _BANDED_WORK_CUTOFF
-_THERMO_CELLS = (math.isqrt(int(_BANDED_WORK_CUTOFF) // 2) + 1) // 2
+# the most thermo cells whose solves meet their 1e-10 residual check, set by
+# the 1-d Galerkin solve of the elastic block in the Schur maps. Its largest
+# relative residual in a run (2 to 256 cells per period; kappa, w, rho, the
+# seed, gamma <= 30 and lambda in [1e-3, 1e3] do not move it): c 0.4 | 5.0,
+# the ends of _THERMO_BOUNDS, 4.6e-11 at 3072 cells, 6.8e-11 at 4096,
+# 1.3e-10 at 6144; c 1 | 4, as shipped, 2.5e-11 at 4096, 1.16e-10 at 12 800
+_THERMO_CELLS = 4096
 # the most cells per axis m whose box keeps its 3 m^2 (m - 1) faces within
 # the one dense SVD (of curl0) that helmholtz_decompose takes
 _HELMHOLTZ_CELLS = next(m for m in range(2, _DENSE_SVD_CUTOFF)
@@ -666,7 +669,7 @@ def _run_recover(p, out, seed, digest):
         askew = rng.standard_normal((n, n))
         askew = askew - askew.T
         a = evolution.skew_split(LinearOp(space, space, matrix=askew))
-        s = LinearOp(space, space, matrix=np.linalg.inv(t0.to_dense() + a.matrix()))
+        s = LinearOp(space, space, matrix=_dense_lu(t0.to_dense() + a.matrix())[0](np.eye(n)))
         try:
             t = evolution.recover_coefficient(s, a, bounds=(0.5, 4.0))
         except HomlabError as exc:
@@ -689,7 +692,7 @@ def _run_thermo(p, out, seed, digest):
     cells = p["run.cells_per_period"] * max(p["run.n_list"])
     if cells > _THERMO_CELLS:
         raise ConfigError(f"[run] n_list: cells_per_period x max(n_list) = {cells} cells; "
-                          f"the material certificate admits at most {_THERMO_CELLS}")
+                          f"the solves meet their residual check up to {_THERMO_CELLS} cells")
     c, kappa, w, rho = (
         _two_phase(p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])[0]
         for name in ("c", "kappa", "w", "rho"))

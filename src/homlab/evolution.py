@@ -2,6 +2,9 @@
 splitting, resolvent bounds, Schur-elimination block solves, coefficient
 recovery from resolvent limits, and the finite-dimensional equivalence
 experiment between block-map convergence and resolvent convergence.
+Block solves, resolvent bounds and the experiment take (T + A)^{-1} as the
+elimination along (ker A, ran A) with the Schur maps of T, on one LU of
+T_S + A~; only the round trip of coefficient recovery factorises T + A.
 
 In finite dimension the weak operator topology collapses to the norm
 topology, so the equivalence is tested honestly as joint decay of gap
@@ -24,7 +27,9 @@ from .hilbert import (
     ProbeSet,
     _COND_CUTOFF,
     _dense_lu,
+    _check_residual,
     _ortho_matrix,
+    _sym_lambda_min,
     adjoint,
     coercivity_check,
     kernel_range,
@@ -146,29 +151,45 @@ class MaterialLaw:
         self.lam = float(lam)
         t = LinearOp(m0.source, m0.source,
                      matrix=self.lam * m0.to_dense() + m1.to_dense())
-        rep = coercivity_check(t, 1e-300, 1e300)
-        if rep.re_min <= 0:
-            raise CoercivityError(
-                f"Re(lambda m0 + m1) not positive at lambda={lam}: {rep.re_min:.3e}"
-            )
-        self.coercivity = rep.re_min
+        c = _sym_lambda_min(t.source, t.matrix)
+        if c <= 0:
+            raise CoercivityError(f"Re(lambda m0 + m1) not positive at lambda={lam}: {c:.3e}")
+        self.coercivity = c
         self.op = t
+
+
+def _eliminated_resolvent(maps, a):
+    """(T + A)^{-1} as the elimination of :func:`block_solve`, read from the
+    Schur maps ``maps`` of T. Returns it as an operator on a vector or a
+    block, and the solve with T_S + A~ on its one LU, whose kappa_1
+    estimate must stay at or below 1e12."""
+    solve_s, cond = _dense_lu(maps.ms_mat + a.a_tilde)
+    if cond > _COND_CUTOFF:
+        raise HomlabError("internal inconsistency: T_S + A~ is singular despite the "
+                          "coercivity and skew-adjointness guards")
+    ker, ran = a.ker, a.ran
+
+    # an empty kernel or range gives empty blocks, which numpy solves as such
+    def apply(f):
+        f0, f1 = ker.coords(f), ran.coords(f)
+        u1 = solve_s(f1 - maps.m10_mat @ f0)
+        return ker.basis @ (maps.m00inv_mat @ f0 - maps.m01_mat @ u1) + ran.basis @ u1
+
+    return LinearOp(a.space, a.space, apply=apply), solve_s
 
 
 def resolvent_bounds(t, a, tol=1e-9):
     """Norms of (T+A)^{-1} and A (T+A)^{-1} together with the coercivity
     constant c of Re T; both must obey the a priori bounds
-    ||(T+A)^{-1}|| <= 1/c and ||A (T+A)^{-1}|| <= (c + ||T||)/c."""
+    ||(T+A)^{-1}|| <= 1/c and ||A (T+A)^{-1}|| <= (c + ||T||)/c. The
+    resolvent is the elimination of :func:`block_solve`."""
     space = t.source
-    c = coercivity_check(t, 1e-300, 1e300).re_min
+    c = _sym_lambda_min(space, t.to_dense())
     if c <= 0:
         raise CoercivityError(f"Re T has nonpositive lower bound {c:.3e}")
-    tmat = t.to_dense()
-    amat = a.matrix()
-    res = np.linalg.inv(tmat + amat)
-    res_op = LinearOp(space, space, matrix=res)
-    n_res = operator_norm(res_op)
-    n_ares = operator_norm(LinearOp(space, space, matrix=amat @ res))
+    res = _eliminated_resolvent(schur_maps(t, a.dec), a)[0].to_dense()
+    n_res = operator_norm(LinearOp(space, space, matrix=res))
+    n_ares = operator_norm(LinearOp(space, space, matrix=a(res)))
     t_norm = operator_norm(t)
     if n_res > 1.0 / c + tol:
         raise HomlabError(f"resolvent norm {n_res} exceeds 1/c = {1.0 / c}")
@@ -188,26 +209,11 @@ def block_solve(t, a, f, tol=1e-9):
     T_S + A~ is factorised once; its kappa_1 estimate must stay at or below
     1e12. The assembled solution is verified against the equation.
     """
-    space = t.source
-    rep = coercivity_check(t, 1e-300, 1e300)
-    if rep.re_min <= 0:
+    if _sym_lambda_min(t.source, t.to_dense()) <= 0:
         raise CoercivityError("block solve needs Re T > 0")
-    f = space.check_member(np.asarray(f))
-    maps = schur_maps(t, a.dec)
-    # an empty kernel or range gives empty blocks, which numpy solves as such
-    f0, f1 = a.ker.coords(f), a.ran.coords(f)
-    solve, cond = _dense_lu(maps.ms_mat + a.a_tilde)
-    if cond > _COND_CUTOFF:
-        raise HomlabError(
-            "internal inconsistency: T_S + A~ is singular despite the "
-            "coercivity and skew-adjointness guards"
-        )
-    u1 = solve(f1 - maps.m10_mat @ f0)
-    u0 = maps.m00inv_mat @ f0 - maps.m01_mat @ u1
-    u = a.ker.basis @ u0 + a.ran.basis @ u1
-    residual = np.linalg.norm((t.to_dense() + a.matrix()) @ u - f)
-    if not residual <= tol * max(1.0, np.linalg.norm(f)):    # a NaN residual fails too
-        raise HomlabError(f"block solve residual {residual:.3e}")
+    f = t.source.check_member(np.asarray(f))
+    u = _eliminated_resolvent(schur_maps(t, a.dec), a)[0](f)
+    _check_residual(t.to_dense() + a.matrix(), u, f, tol)
     return u
 
 
@@ -224,8 +230,8 @@ def recover_coefficient(s, a, bounds=None, tol=1e-9):
         raise SingularResolvent("resolvent limit is numerically singular")
     sinv = solve(np.eye(space.dim))
     tmat = sinv - a.matrix()
-    rt = np.linalg.inv(tmat + a.matrix())
-    if np.abs(rt - smat).max() > tol * max(1.0, np.abs(smat).max()):
+    rt = _dense_lu(tmat + a.matrix())[0](np.eye(space.dim))
+    if not np.abs(rt - smat).max() <= tol * max(1.0, np.abs(smat).max()):
         raise SingularResolvent("round trip (T + A)^{-1} != S")
     t = LinearOp(space, space, matrix=tmat)
     if bounds is not None:
@@ -247,22 +253,14 @@ def _split_probes(a, probes):
     return p0, p1
 
 
-def _reduced_strong_gap(a, maps_n, maps_lim, wobble_coords):
-    """Strong gap of the eliminated problem on ran(A), solved with the Schur
-    complements of T_n and of the limit: the compact-inverse mechanism turns
-    weak wobbles of the data into vanishing solution gaps."""
+def _reduced_strong_gap(a, solve_n, solve_lim, wobble_coords):
+    """Strong gap of the eliminated problem on ran(A), solved with T_S + A~
+    for T_n and for the limit: the compact-inverse mechanism turns weak
+    wobbles of the data into vanishing solution gaps."""
     if not a.ran.dim:
         return 0.0
     g = np.ones(a.ran.dim) / np.sqrt(a.ran.dim)
-    u_n = np.linalg.solve(maps_n.ms_mat + a.a_tilde, g + wobble_coords)
-    u_l = np.linalg.solve(maps_lim.ms_mat + a.a_tilde, g)
-    return float(a.space.norm(a.ran.basis @ (u_n - u_l)))
-
-
-def _resolvent(t, amat):
-    """(T + A)^{-1} as a solve with the dense T + A, applied to a block."""
-    return LinearOp(t.source, t.source,
-                    apply=functools.partial(np.linalg.solve, t.to_dense() + amat))
+    return float(a.space.norm(a.ran.basis @ (solve_n(g + wobble_coords) - solve_lim(g))))
 
 
 def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
@@ -271,7 +269,8 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
     gaps of T_n against T, the resolvent gap of (T_n + A)^{-1} against
     (T + A)^{-1}, and the strong gap of the eliminated problem under a
     weakly-wobbling load. The Schur maps of T are built once and those of
-    each T_n once; the block-map gaps and the strong gap share them.
+    each T_n once. All three kinds of gap share them: (T_n + A)^{-1} is
+    their elimination, and the strong gap solves on its LU of T_S + A~.
 
     ``t_seq`` is a list of operators or a callable n -> operator; the wobble
     defaults to a seeded unit vector scaled by 1/n.
@@ -286,9 +285,8 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
     else:
         seq = list(enumerate(t_seq, start=1))
     p0, p1 = _split_probes(a, probes)
-    amat = a.matrix()
     maps_lim = schur_maps(t_limit, a.dec)
-    res_lim = _resolvent(t_limit, amat)
+    res_lim, solve_lim = _eliminated_resolvent(maps_lim, a)
     rng = np.random.default_rng(seed)
     wobble_base = rng.standard_normal(max(a.ran.dim, 1))
     if a.ran.dim:
@@ -297,9 +295,10 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
     for n, t_n in seq:
         maps_n = schur_maps(t_n, a.dec)
         g00, g01, g10, gs = tau_gap(maps_n, maps_lim, a.dec, p0, p1)
-        g_res = wot_gap(_resolvent(t_n, amat), res_lim, probes, probes)
+        res_n, solve_n = _eliminated_resolvent(maps_n, a)
+        g_res = wot_gap(res_n, res_lim, probes, probes)
         wob = wobble(n) if wobble is not None else wobble_base[: a.ran.dim] / n
-        g_strong = _reduced_strong_gap(a, maps_n, maps_lim, wob)
+        g_strong = _reduced_strong_gap(a, solve_n, solve_lim, wob)
         rows.append(dict(zip(_EVO_COLUMNS, (n, g00, g01, g10, gs, g_res, g_strong))))
     return ExperimentReport(
         kind="evo",

@@ -336,8 +336,7 @@ class Subspace:
     _ORTHO_TOL = 1e-10
     _PROJ_TOL = 1e-8
 
-    def __init__(self, ambient, basis=None, project=None, dim=None, generator=None,
-                 _verify=True):
+    def __init__(self, ambient, basis=None, project=None, dim=None, generator=None):
         self.ambient = ambient
         self.generator = generator
         if basis is not None:
@@ -347,19 +346,16 @@ class Subspace:
             self.basis = basis
             self.dim = basis.shape[1]
             self._project = None
-            if _verify and self.dim > 0:
-                g = ambient.gram(basis, basis)
-                err = np.abs(g - np.eye(self.dim)).max()
-                if err > self._ORTHO_TOL:
-                    raise ShapeError(f"basis not weighted-orthonormal: deviation {err:.3e}")
+            err = np.abs(ambient.gram(basis, basis) - np.eye(self.dim)).max(initial=0.0)
+            if err > self._ORTHO_TOL:
+                raise ShapeError(f"basis not weighted-orthonormal: deviation {err:.3e}")
         else:
             if project is None:
                 raise ShapeError("subspace needs a basis or a projector applicator")
             self.basis = None
             self.dim = dim
             self._project = project
-            if _verify:
-                self._verify_projector()
+            self._verify_projector()
 
     # -- constructors -------------------------------------------------------
 
@@ -560,8 +556,7 @@ def _sym_lambda_min(space, mat):
         d = np.sqrt(space.weight)
         mhat = (m * (1.0 / d)[None, :]) * d[:, None]
     else:
-        L = scipy.linalg.cholesky(space.weight, lower=True)
-        mhat = L.conj().T @ m @ scipy.linalg.inv(L.conj().T)
+        mhat = _ortho_matrix(LinearOp(space, space, matrix=m))
     h = 0.5 * (mhat + mhat.conj().T)
     _require_finite(h)
     return float(scipy.linalg.eigvalsh(h)[0])

@@ -10,10 +10,11 @@ four against probe families is measured by :func:`tau_gap`, each map applied
 once to a whole probe block. The four maps are the block elimination: solving
 (T + A)u = f along H0 = ker A, H1 = ran A applies the maps of T, with T_S + A~
 in place of a_S, so :func:`schur_maps` is the one place a Schur complement is
-formed (:func:`homlab.evolution.block_solve` and the evolution experiment's
-strong gap read it from there). Explicit decompositions carry orthonormal bases
-and produce dense coordinate matrices; implicit ones are generator-backed and
-produce matrix-free maps that take blocks. Two solvers serve an implicit
+formed (the elimination (T + A)^{-1} of :mod:`homlab.evolution` reads it there).
+Dense inverses run on the one LU of ``hilbert._dense_lu``. Explicit
+decompositions carry orthonormal bases and produce dense coordinate matrices;
+implicit ones are generator-backed and produce matrix-free maps that take
+blocks. Two solvers serve an implicit
 splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
 Gram matrix through the solver the splitting was built with (on a d >= 2 grid
 gradient range, the cached fast-transform inverse of the unit stiffness;
@@ -227,7 +228,7 @@ def block_inverse(a, dec, verify_tol=1e-8, rng_seed=7):
         raise ShapeError("block_inverse needs an explicit decomposition")
     maps = schur_maps(a, dec)
     a00inv, m01, m10, ms = maps.m00inv_mat, maps.m01_mat, maps.m10_mat, maps.ms_mat
-    msinv = np.linalg.inv(ms)
+    msinv = _dense_lu(ms)[0](np.eye(dec.h1.dim))
     top_left = a00inv + m01 @ msinv @ m10
     top_right = -m01 @ msinv
     bot_left = -msinv @ m10
@@ -286,7 +287,8 @@ def inversion_swap_check(a, dec, tol=1e-9):
     if not dec.explicit:
         raise ShapeError("inversion swap check needs an explicit decomposition")
     maps = schur_maps(a, dec)
-    a_inv = LinearOp(dec.space, dec.space, matrix=np.linalg.inv(a.to_dense()))
+    a_inv = LinearOp(dec.space, dec.space,
+                     matrix=_dense_lu(a.to_dense())[0](np.eye(dec.space.dim)))
     maps_swapped = schur_maps(a_inv, dec.swap())
     pairs = [
         (maps_swapped.m00inv_mat, maps.ms_mat),
@@ -359,7 +361,7 @@ def class_membership(a, dec, alpha):
     k0, k1 = dec.h0.dim, dec.h1.dim
     s0 = HilbertSpace(max(k0, 1), field=dec.space.field)
     s1 = HilbertSpace(max(k1, 1), field=dec.space.field)
-    a00 = np.linalg.inv(maps.m00inv_mat) if k0 else np.zeros((0, 0))
+    a00 = blocks(a, dec)[0]
     rep00 = coercivity_check(LinearOp(s0, s0, matrix=a00), alpha[0, 0], alpha[1, 1]) \
         if k0 else CoercivityReport(alpha[0, 0], alpha[1, 1], np.inf, np.inf, False)
     reps = coercivity_check(LinearOp(s1, s1, matrix=maps.ms_mat), alpha[0, 0], alpha[1, 1]) \

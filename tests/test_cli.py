@@ -288,6 +288,23 @@ class TestFixtures:
         assert res.exit_code == 2, res.output
         assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("body", [
+        # 12 800 cells exited 1: a Galerkin solve missed 1e-10 at 1.158e-10
+        "[run]\nn_list = 400\n",
+        "[run]\nn_list = 2, 241\ncells_per_period = 17\n",    # 4097 cells
+    ], ids=["n_list-400", "one-cell-above"])
+    def test_thermo_size_beyond_the_residual_check_exit_2(self, tmp_path, body):
+        res = self.run_body(tmp_path, "thermo", body)
+        assert res.exit_code == 2, res.output
+        assert "[run] n_list" in json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_largest_thermo_size_meets_the_residual_check(self, tmp_path):
+        # the worst case measured: c at both ends of the bounds, 2 cells per period
+        res = self.run_body(tmp_path, "thermo", "[coefficients]\nc_low = 0.4\nc_high = 5.0\n"
+                                                "[run]\nn_list = 2048\ncells_per_period = 2\n")
+        assert res.exit_code == 0, res.output
+
     @pytest.mark.parametrize("body, key", [
         ("[run]\nn_list = 1\ncells_per_period = 0\n", "[run] cells_per_period"),
         ("[run]\nn_list = 2, 0\ncells_per_period = 4\n", "[run] n_list"),

@@ -28,7 +28,9 @@ def random_skew(space, seed, rank_deficit=0):
     rng = np.random.default_rng(seed)
     n = space.dim
     r = rng.standard_normal((n, n))
-    s = r - r.T
+    if space.field == "complex":
+        r = r + 1j * rng.standard_normal((n, n))
+    s = r - r.conj().T
     if rank_deficit:
         # conjugate a block with a zero corner into the weighted frame
         s[:rank_deficit, :] = 0.0
@@ -46,6 +48,9 @@ def coercive(space, seed, alpha=0.5, beta=4.0):
     r = rng.standard_normal((n, n))
     sk = r - r.T
     sk *= 0.1 * alpha / max(np.linalg.norm(sk, 2), 1e-12)
+    if space.field == "complex":    # a W-Hermitian imaginary part leaves Re T alone
+        h = rng.standard_normal((n, n))
+        m = m + 0.5j * (h + h.T)
     d = np.sqrt(space.weight)
     return LinearOp(space, space, matrix=((m + sk) * d[None, :]) / d[:, None])
 
@@ -313,6 +318,24 @@ class TestMaterialLaw:
             MaterialLaw(m0, m1, lam=2.0)
 
 
+def test_re_t_bounds_form_no_inverse_certificate(monkeypatch):
+    # MaterialLaw, resolvent_bounds and block_solve need only Re T's bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("Re(T^-1) certificate formed")
+
+    monkeypatch.setattr(evolution, "coercivity_check", refuse)
+    space = HilbertSpace(6, weight=np.linspace(0.5, 2.0, 6))
+    t = coercive(space, 50)
+    a = skew_split(random_skew(space, 51, rank_deficit=2))
+    m0 = LinearOp(space, space, matrix=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    m1 = LinearOp(space, space, matrix=np.diag([0.0, 0.0, 0.0, 2.0, 2.0, 2.0]))
+    assert MaterialLaw(m0, m1, lam=1.5).coercivity == pytest.approx(1.5)
+    assert resolvent_bounds(t, a)[2] > 0
+    f = np.ones(6)
+    np.testing.assert_allclose(block_solve(t, a, f),
+                               np.linalg.solve(t.to_dense() + a.matrix(), f), atol=1e-12)
+
+
 class TestAbstractSchurExperiment:
     def setup_method(self):
         self.space = HilbertSpace(10)
@@ -396,6 +419,62 @@ class TestAbstractSchurExperiment:
         monkeypatch.setattr(np.linalg, "inv", recording)
         self.run_perturbed(3)
         assert (10, 10) not in shapes, shapes
+
+
+class TestEliminatedResolvent:
+    """``gap_resolvent`` and ``gap_strong`` come from the block elimination
+    of (T + A)^{-1}; they match the dense-solve formulas, kept here as the
+    reference, to 1e-12 relative, and no dense ``solve`` runs."""
+
+    @staticmethod
+    def reference(a, t_n, t_lim, probes, wob):
+        space, amat = a.space, a.matrix()
+        d = (np.linalg.solve(t_n.to_dense() + amat, probes.matrix)
+             - np.linalg.solve(t_lim.to_dense() + amat, probes.matrix))
+        g_res = float(np.abs(space.gram(probes.matrix, d)).max())
+        if not a.ran.dim:
+            return g_res, 0.0
+        g = np.ones(a.ran.dim) / np.sqrt(a.ran.dim)
+        ms_n, ms_lim = (schur.schur_maps(t, a.dec).ms_mat for t in (t_n, t_lim))
+        u_n = np.linalg.solve(ms_n + a.a_tilde, g + wob)
+        u_l = np.linalg.solve(ms_lim + a.a_tilde, g)
+        return g_res, float(space.norm(a.ran.basis @ (u_n - u_l)))
+
+    @staticmethod
+    def no_dense_solve(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_synthetic_splitting_with_a_kernel(self, monkeypatch, field):
+        rng = np.random.default_rng(40)
+        space = HilbertSpace(12, weight=rng.uniform(0.5, 2.0, 12), field=field)
+        a = skew_split(random_skew(space, 41, rank_deficit=4))
+        assert a.ker.dim == 4 and a.ran.dim == 8
+        t = coercive(space, 42)
+        pert = rng.standard_normal((12, 12))
+        pert *= 0.2 / np.linalg.norm(pert, 2)
+        t_seq = lambda n: LinearOp(space, space, matrix=t.to_dense() + pert / n)
+        probes = ProbeSet.random(space, count=6, seed=43)
+        wob = rng.standard_normal(a.ran.dim)
+        n_list = [1, 2, 4, 8]
+        refs = [self.reference(a, t_seq(n), t, probes, wob / n) for n in n_list]
+        self.no_dense_solve(monkeypatch)
+        rep = abstract_schur_experiment(a, t_seq, t, probes=probes, n_list=n_list,
+                                        wobble=lambda n: wob / n)
+        for row, (g_res, g_strong) in zip(rep.rows, refs):
+            assert row["gap_resolvent"] == pytest.approx(g_res, rel=1e-12, abs=0)
+            assert row["gap_strong"] == pytest.approx(g_strong, rel=1e-12, abs=0)
+
+    def test_two_scale_instance(self, monkeypatch):
+        a, t_n, t_lim, probes, wob = _two_scale_instance(2)
+        g_res, g_strong = self.reference(a, t_n, t_lim, probes, wob)
+        self.no_dense_solve(monkeypatch)
+        row = two_scale_evo_experiment(_two_scale_instance, [2]).rows[0]
+        assert row["gap_resolvent"] == pytest.approx(g_res, rel=1e-12, abs=0)
+        assert row["gap_strong"] == pytest.approx(g_strong, rel=1e-12, abs=0)
 
 
 def _two_scale_instance(n):

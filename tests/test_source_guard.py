@@ -8,6 +8,10 @@ Complements of bases whose rank is known are complete QRs, so scipy's
 SVD-based ``null_space`` and ``orth`` appear nowhere.
 Eigenvalue bounds are banded or dense LAPACK solves: no ARPACK entry point
 (``eigsh``, ``eigs``, ``svds``) appears anywhere.
+Dense inverses and solves run on the one LU of ``hilbert._dense_lu``, which
+also gives the kappa_1 estimate. Elsewhere only the public inverse of
+``SkewOp`` and the per-cell d x d inverses of a coefficient field call a
+``linalg`` inverse.
 """
 
 import ast
@@ -18,6 +22,10 @@ import homlab
 _ALLOWED = {"hilbert.kernel_range", "evolution.SkewOp.a_tilde_cond"}
 _FORBIDDEN = {"cond", "svd", "null_space", "orth"}
 _ARPACK = {"eigsh", "eigs", "svds"}
+_DENSE_SOLVE_ALLOWED = {"hilbert._dense_lu", "evolution.SkewOp.a_tilde_inv",
+                        "elliptic.CoefficientField.coercivity_margins",
+                        "elliptic.CoefficientField.inverse_field"}
+_DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
 
 
 def _dotted(node):
@@ -48,14 +56,14 @@ def _sites(path, matches):
     return sites
 
 
-def _svd_and_cond_sites(path):
-    """Where ``<x>.linalg.<name>`` appears for a name in ``_FORBIDDEN``, or
-    such a name is imported from a ``linalg`` module."""
+def _linalg_sites(path, names):
+    """Where ``<x>.linalg.<name>`` appears for a name in ``names``, or such a
+    name is imported from a ``linalg`` module."""
     def matches(node):
         if isinstance(node, ast.Attribute):
-            return node.attr in _FORBIDDEN and _dotted(node.value).endswith("linalg")
+            return node.attr in names and _dotted(node.value).endswith("linalg")
         return isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") \
-            and any(alias.name in _FORBIDDEN for alias in node.names)
+            and any(alias.name in names for alias in node.names)
 
     return _sites(path, matches)
 
@@ -76,7 +84,7 @@ def _arpack_sites(path):
 
 def test_dense_svd_and_cond_only_where_singular_values_are_the_answer():
     package = Path(homlab.__file__).parent
-    sites = [s for path in sorted(package.glob("*.py")) for s in _svd_and_cond_sites(path)]
+    sites = [s for path in sorted(package.glob("*.py")) for s in _linalg_sites(path, _FORBIDDEN)]
     assert set(sites) <= _ALLOWED, sorted(set(sites) - _ALLOWED)
     assert _ALLOWED <= set(sites)    # the scan still sees the two allowed sites
 
@@ -87,7 +95,7 @@ def test_scan_sees_a_forbidden_site(tmp_path):
                    "        return np.linalg.cond(m)\n\n"
                    "def g(m):\n    from scipy.linalg import svd\n    return svd(m)\n\n"
                    "def h(m):\n    return scipy.linalg.null_space(m)\n")
-    assert _svd_and_cond_sites(src) == ["mod.A.f", "mod.g", "mod.h"]
+    assert _linalg_sites(src, _FORBIDDEN) == ["mod.A.f", "mod.g", "mod.h"]
 
 
 def test_no_arpack_in_homlab():
@@ -104,3 +112,20 @@ def test_scan_sees_an_arpack_site(tmp_path):
                    "        return spla.eigsh(m, k=1)\n\n"
                    "def g(m):\n    return scipy.sparse.linalg.eigs(m)\n")
     assert _arpack_sites(src) == ["mod", "mod.A.f", "mod.g"]
+
+
+def test_dense_inverses_and_solves_only_on_the_one_lu():
+    package = Path(homlab.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py")) for s in _linalg_sites(path, _DENSE_SOLVES)]
+    assert set(sites) <= _DENSE_SOLVE_ALLOWED, sorted(set(sites) - _DENSE_SOLVE_ALLOWED)
+    assert _DENSE_SOLVE_ALLOWED <= set(sites)    # the scan still sees every allowed site
+
+
+def test_scan_sees_a_dense_solve_site(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\nimport scipy.linalg\n\nclass A:\n    def f(self, m):\n"
+                   "        return np.linalg.inv(m)\n\n"
+                   "def g(m, b):\n    from numpy.linalg import solve\n    return solve(m, b)\n\n"
+                   "def h(m, b):\n    return scipy.linalg.solve(m, b)\n\n"
+                   "def k(m, b):\n    return m.solve(b) + scipy.linalg.solve_triangular(m, b)\n")
+    assert _linalg_sites(src, _DENSE_SOLVES) == ["mod.A.f", "mod.g", "mod.h"]
