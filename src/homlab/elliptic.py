@@ -874,20 +874,10 @@ class DivergenceDefect:
     """Strong gradient-range projection gap of a field difference and the
     dual-norm gap of its distributional divergence. In the energy dual the
     divergence composed with the range embedding is an exact isometry, so the
-    two routes agree; both are computed independently and the ratio is
-    reported."""
+    two routes agree; both are computed independently."""
 
     projection_gap: float
     divergence_gap: float
-
-    @property
-    def ratio(self):
-        if self.projection_gap == 0.0:
-            return float("nan") if self.divergence_gap else 1.0
-        return self.divergence_gap / self.projection_gap
-
-    ratio_lower: float = 1.0
-    ratio_upper: float = 1.0
 
 
 def divergence_defect(domain, r_n, r):

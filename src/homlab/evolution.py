@@ -18,17 +18,16 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CoercivityError, HomlabError, NotSkew, ShapeError, SingularResolvent
 from .hilbert import (
-    HilbertSpace,
     LinearOp,
     ProbeSet,
     _COND_CUTOFF,
     _dense_lu,
     _check_residual,
     _ortho_matrix,
+    _skew_pair,
     _sym_lambda_min,
     adjoint,
     coercivity_check,
@@ -323,15 +322,11 @@ def check_joint_decay(report, tau_tol, res_tol):
 
 def grid_skew_block(grad):
     """Skew block [[0, div], [grad, 0]] on scalar (+) vector from a discrete
-    gradient; the divergence is minus the weighted adjoint, so
-    skew-adjointness is structural."""
-    ns, nv = grad.scalar_space.dim, grad.vector_space.dim
-    g = grad.matrix
-    div = -adjoint(LinearOp(grad.scalar_space, grad.vector_space, matrix=g)).matrix
-    block = sp.bmat([[None, div], [g, None]]).tocsr()
-    weight = np.concatenate([grad.scalar_space.weight, grad.vector_space.weight])
-    space = HilbertSpace(ns + nv, weight=weight)
-    return LinearOp(space, space, matrix=block), space
+    gradient, as ``(operator, space)``: :func:`hilbert._skew_pair` of grad,
+    so div is minus the weighted adjoint of grad and skew-adjointness is
+    structural."""
+    op = _skew_pair(grad.op)
+    return op, op.source
 
 
 def two_scale_evo_experiment(instance_factory, n_list):

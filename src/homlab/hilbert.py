@@ -322,6 +322,17 @@ def adjoint(op):
     )
 
 
+def _skew_pair(c):
+    """A = [[0, -C*], [C, 0]] on S (+) V for a sparse C : S -> V on diagonal
+    weights, as a CSR-backed operator on the product space. C* is
+    :func:`adjoint`, so A is skew-adjoint by construction; every
+    evolutionary system's spatial block is built here."""
+    src, tgt = c.source, c.target
+    space = HilbertSpace(src.dim + tgt.dim, weight=np.concatenate([src.weight, tgt.weight]))
+    mat = sp.bmat([[None, -adjoint(c).matrix], [c.matrix, None]]).tocsr()
+    return LinearOp(space, space, matrix=mat)
+
+
 class Subspace:
     """Closed subspace of a weighted space.
 
@@ -777,11 +788,11 @@ def _is_hermitian(k):
 
 
 class _SparseSolver:
-    """Residual-checked solves of K x = b (K^H x = b for ``trans="H"``) from
-    one SuperLU factorisation of a sparse K; a K that SuperLU finds singular
-    raises :class:`NotInM`. One right-hand side or an (n, m) block, solved in
-    one SuperLU call and checked column by column; a real factorisation
-    solves a complex right-hand side part by part.
+    """Residual-checked solves of K x = b from one SuperLU factorisation of
+    a sparse K; a K that SuperLU finds singular raises :class:`NotInM`. One
+    right-hand side or an (n, m) block, solved in one SuperLU call and
+    checked column by column; a real factorisation solves a complex
+    right-hand side part by part.
 
     The ordering follows from K alone. A Hermitian K (:func:`_is_hermitian`)
     is factorised in SuperLU's symmetric mode: minimum degree on the pattern
@@ -795,24 +806,19 @@ class _SparseSolver:
         self.k = k.tocsc()
         self.tol = tol
         self._real = not np.iscomplexobj(self.k.data)
-        self._hermitian = _is_hermitian(self.k)
         symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_SYMMETRIC_PIVOT_THRESH,
                          options=dict(SymmetricMode=True))
         try:
-            self._factor = spla.splu(self.k, **(symmetric if self._hermitian else {}))
+            self._factor = spla.splu(self.k, **(symmetric if _is_hermitian(self.k) else {}))
         except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
             raise NotInM(f"sparse factorisation failed: {exc}") from exc
 
-    def solve(self, rhs, trans="N"):
+    def solve(self, rhs):
         rhs = np.asarray(rhs)
         if self._real and np.iscomplexobj(rhs):
-            x = self._factor.solve(np.ascontiguousarray(rhs.real), trans=trans) \
-                + 1j * self._factor.solve(np.ascontiguousarray(rhs.imag), trans=trans)
+            x = self._factor.solve(np.ascontiguousarray(rhs.real)) \
+                + 1j * self._factor.solve(np.ascontiguousarray(rhs.imag))
         else:
-            x = self._factor.solve(rhs, trans=trans)
-        _check_residual(self.k if trans == "N" else self._kh, x, rhs, self.tol)
+            x = self._factor.solve(rhs)
+        _check_residual(self.k, x, rhs, self.tol)
         return x
-
-    @functools.cached_property
-    def _kh(self):
-        return self.k if self._hermitian else self.k.conj().T

@@ -6,15 +6,17 @@ The complex is the classic staggered one (scalars on nodes, electric
 components on edges with tangential-zero boundary, magnetic components on
 faces, charges on cells). The identities curl0 grad0 = 0 and div curl0 = 0
 hold at machine precision by construction, and curl is literally the weighted
-adjoint of curl0, so the block operator [[0, -curl], [curl0, 0]] is
-structurally skew-adjoint. On a box the harmonic spaces of both Helmholtz
-flavors are trivial; :func:`helmholtz_decompose` finds them with one rank
-decision, the SVD of curl0, and checks that each gradient range lies in its
-curl kernel. The kernel splitting used by the homogenisation experiment is
-generator-backed (one Dirichlet-type nodal solve and one grounded
-Neumann-type cell solve -- the latter is exactly the natural-boundary
-variational problem of the coefficient convergence theory under no boundary
-conditions).
+adjoint of curl0, so the block operator [[0, -curl], [curl0, 0]], the
+:func:`hilbert._skew_pair` of curl0, is skew-adjoint by construction; its
+space carries the resolvent probes, one (dim, 12) block of two sine modes
+on the edges and faces of each axis. On a box the harmonic spaces of both
+Helmholtz flavors are trivial; :func:`helmholtz_decompose` finds them with
+one rank decision, the SVD of curl0, and checks that each gradient range
+lies in its curl kernel. The kernel splitting used by the homogenisation
+experiment is generator-backed (one Dirichlet-type nodal solve and one
+grounded Neumann-type cell solve -- the latter is exactly the
+natural-boundary variational problem of the coefficient convergence theory
+under no boundary conditions).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import scipy.sparse as sp
 from .elliptic import GridDomain, check_budget
 from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
-from .hilbert import _check_residual, _complement_basis, _rows
+from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
 from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
 from .schur import Decomposition, tau_gap
@@ -210,11 +212,8 @@ class MaxwellSystem:
         _diag_bounds_check(self.lam * self.eps + self.sigma, alpha, beta,
                            "lambda eps + sigma")
         _diag_bounds_check(self.lam * self.mu, alpha, beta, "lambda mu")
-        weight = np.concatenate([cx.edge_space.weight, cx.face_space.weight])
-        self.space = HilbertSpace(cx.n_edges + cx.n_faces, weight=weight)
-        curl = cx.curl_adjoint_matrix()
-        self.a_matrix = sp.bmat([[None, -curl], [cx.curl0, None]]).tocsr()
-        self.a_op = LinearOp(self.space, self.space, matrix=self.a_matrix)
+        self.a_op = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=cx.curl0))
+        self.space, self.a_matrix = self.a_op.source, self.a_op.matrix
 
     def t_matrix(self, eps_vals=None, mu_vals=None, sigma_vals=None):
         e = self.eps if eps_vals is None else eps_vals
@@ -302,32 +301,23 @@ def helmholtz_decompose(domain):
                            Subspace(cx.face_space, basis=harmonic_f)))
 
 
-def _maxwell_probes(cx, count=6, seed=0):
-    """Tangential sine-mode probes on the combined edge (+) face space."""
-    space_dim = cx.n_edges + cx.n_faces
-    weight = np.concatenate([cx.edge_space.weight, cx.face_space.weight])
-    space = HilbertSpace(space_dim, weight=weight)
-    vecs = []
-    modes = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2)]
-
-    def mode_val(points, k):
-        out = np.ones(len(points))
+def _maxwell_probes(system, seed=0):
+    """Tangential sine-mode probes on the edge (+) face space: the modes
+    (1, 1, 1) and (2, 1, 1), each on the edges and then on the faces of one
+    axis in turn, as one (dim, 12) block."""
+    cx = system.complex
+    dim = system.space.dim
+    mids = np.concatenate([cx.edge_mid, cx.face_mid])
+    # column 6 i + 2 axis + (0 on an edge, 1 on a face) holds mode i
+    col = 2 * np.concatenate([cx.edge_axis, cx.face_axis]) + (np.arange(dim) >= cx.n_edges)
+    block = np.zeros((dim, 12))
+    for i, k in enumerate(((1, 1, 1), (2, 1, 1))):
+        val = np.ones(dim)
         for a in range(3):
             lo, hi = cx.domain.extents[a]
-            out *= np.sin(k[a] * np.pi * (points[:, a] - lo) / (hi - lo))
-        return out
-
-    for k in modes[:count]:
-        for axis in range(3):
-            ve = np.zeros(cx.n_edges)
-            m = cx.edge_axis == axis
-            ve[m] = mode_val(cx.edge_mid[m], k)
-            vf = np.zeros(cx.n_faces)
-            mf = cx.face_axis == axis
-            vf[mf] = mode_val(cx.face_mid[mf], k)
-            vecs.append(np.concatenate([ve, np.zeros(cx.n_faces)]))
-            vecs.append(np.concatenate([np.zeros(cx.n_edges), vf]))
-    return ProbeSet.from_vectors(space, vecs[: 2 * count], seed=seed), space
+            val *= np.sin(k[a] * np.pi * (mids[:, a] - lo) / (hi - lo))
+        block[np.arange(dim), 6 * i + col] = val
+    return ProbeSet.from_vectors(system.space, block, seed=seed, copy=False)
 
 
 def _kernel_decomposition(cx, space):
@@ -390,9 +380,10 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         eps_lim = cx.sample_edges(eps_lambda_fns) / lam
         mu_lim = cx.sample_faces(mu_fns)
         t_n = sys_n.t_matrix()
-        t_lim = sp.diags(np.concatenate([lam * eps_lim, lam * mu_lim]))
+        t_lim = sys_n.t_matrix(eps_lim, mu_lim, 0.0)
 
-        probes, space = _maxwell_probes(cx, seed=probe_seed)
+        space = sys_n.space
+        probes = _maxwell_probes(sys_n, seed=probe_seed)
         gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
                           LinearOp(space, space, apply=sys_n.resolvent_solver(t_lim).solve),
                           probes, probes)

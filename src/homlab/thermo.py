@@ -3,13 +3,15 @@ material blocks, the congruence transform that decouples the thermal stress,
 and the resolvent homogenisation experiment.
 
 Fields are (velocity, stress, heat, heat flux) with clamped velocity and
-zero-temperature boundary; the spatial block pairs two div/grad couples and
-is structurally skew-adjoint. The zeroth-order material block carries the
+zero-temperature boundary; the spatial block is two copies of the skew pair
+[[0, div], [grad, 0]] of :func:`hilbert._skew_pair` side by side, so it is
+skew-adjoint by construction. The zeroth-order material block carries the
 thermo-elastic coupling through a constant coupling operator mapping the
 scalar heat field into the stress slot; a unit-triangular congruence removes
 the coupling exactly, block-diagonalising the material while preserving the
 dissipative block and the skew-adjointness of the transformed spatial
-operator.
+operator. The resolvent probes are one (dim, 12) block of sine modes along
+x1, each mode alone in one field.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 from .elliptic import CoefficientField, GridDomain, build_grad
 from .errors import CoercivityError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
-from .hilbert import _SparseSolver, _sym_lambda_min
+from .hilbert import _SparseSolver, _skew_pair, _sym_lambda_min
 from .homogenize import ExperimentReport, default_mesh_rule, laminate_limit
 from .homogenize import g0_decomposition, g0_probe_pair
 from .schur import tau_gap
@@ -116,15 +118,8 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
             if not f.is_member(*bounds):
                 raise CoercivityError(f"{name} violates the declared bounds")
 
-    g = grad.matrix
-    div = -_star(grad, g)
-    a_matrix = sp.bmat([
-        [None, div, None, None],
-        [g, None, None, None],
-        [None, None, None, div],
-        [None, None, g, None],
-    ]).tocsr()
-
+    pair = _skew_pair(grad.op)
+    a_matrix = sp.block_diag([pair.matrix, pair.matrix], format="csr")
     cinv = c_field.inverse_field().operator(grad).matrix
     kinv = kappa_field.inverse_field().operator(grad).matrix
     gam = _coupling_map(grad, gamma, direction)
@@ -135,17 +130,11 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
         [None, gam_star @ cinv, sp.diags(w_vals) + gam_star @ (cinv @ gam), None],
         [None, None, None, sp.csr_matrix((nv, nv))],
     ]).tocsr()
-    m1 = sp.bmat([
-        [sp.csr_matrix((ns, ns)), None, None, None],
-        [None, sp.csr_matrix((nv, nv)), None, None],
-        [None, None, sp.csr_matrix((ns, ns)), None],
-        [None, None, None, kinv],
-    ]).tocsr()
+    m1 = sp.block_diag([sp.csr_matrix((2 * ns + nv, 2 * ns + nv)), kinv], format="csr")
 
     if not np.isfinite(m0.data).all():
         raise CoercivityError(f"gamma={gamma} makes the material block m0 overflow")
-    weight = np.concatenate([grad.scalar_space.weight, grad.vector_space.weight] * 2)
-    space = HilbertSpace(2 * (ns + nv), weight=weight)
+    space = HilbertSpace(2 * (ns + nv), weight=np.tile(pair.source.weight, 2))
     c = _sym_lambda_min(space, (lam * m0 + m1).tocsr())
     if c <= 0:
         raise CoercivityError(f"lam={lam} gives nonpositive material bound {c:.3e}")
@@ -215,23 +204,24 @@ def congruence_diagonalize(sys, tol=1e-9):
     return LinearOp(sys.space, sys.space, matrix=s_mat), checks
 
 
-def _thermo_probes(sys, count=8, seed=0):
+def _thermo_probes(sys, seed=0):
+    """Sine modes k = 1, 2, 3 along x1, each alone in one of the four fields
+    in turn (on the first component of a flux): one (dim, 12) block."""
     grad = sys.grad
     ns, nv = sys.dims[0], sys.dims[1]
-    x_n = grad.node_coords[:, 0]
-    x_e = grad.elem_mid[:, 0]
     lo, hi = sys.domain.extents[0]
     span = hi - lo
-    vecs = []
-    for k in (1, 2, 3):
-        s_mode = np.sin(k * np.pi * (x_n - lo) / span)
-        v_mode = np.zeros(nv)
-        v_mode[::grad.d] = np.sin(k * np.pi * (x_e - lo) / span)
-        for slot in range(4):
-            parts = [np.zeros(ns), np.zeros(nv), np.zeros(ns), np.zeros(nv)]
-            parts[slot] = s_mode if slot % 2 == 0 else v_mode
-            vecs.append(np.concatenate(parts))
-    return ProbeSet.from_vectors(sys.space, vecs[:count * 2], seed=seed)
+    ks = np.arange(1, 4)
+    s_modes = np.sin(ks * np.pi * (grad.node_coords[:, 0] - lo)[:, None] / span)
+    v_modes = np.sin(ks * np.pi * (grad.elem_mid[:, 0] - lo)[:, None] / span)
+    block = np.zeros((sys.space.dim, 12))
+    # column 4 (k - 1) + slot holds mode k in field slot
+    for slot, start in enumerate((0, ns, ns + nv, 2 * ns + nv)):
+        if slot % 2 == 0:
+            block[start:start + ns, slot::4] = s_modes
+        else:
+            block[start:start + nv:grad.d, slot::4] = v_modes
+    return ProbeSet.from_vectors(sys.space, block, seed=seed, copy=False)
 
 
 def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,

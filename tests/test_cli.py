@@ -305,6 +305,25 @@ class TestFixtures:
                                                 "[run]\nn_list = 2048\ncells_per_period = 2\n")
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("gamma", ["30.5", "-31", "3e3", "1e8"])
+    def test_thermo_gamma_beyond_the_residual_check_exit_2(self, tmp_path, gamma):
+        # 3e3 exited 1 with SolverDiverged, 1e8 with CoercivityError
+        res = self.run_body(tmp_path, "thermo", f"[coefficients]\ngamma = {gamma}\n"
+                                                "[run]\nn_list = 2, 4\n")
+        assert res.exit_code == 2, res.output
+        assert "[coefficients] gamma" in json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("gamma", ["30", "-30"])
+    def test_largest_thermo_gamma_meets_the_residual_check(self, tmp_path, gamma):
+        # the worst case measured: every coefficient at 0.4, lambda 1e3, 4096 cells
+        coefficients = "".join(f"{name}_{phase} = 0.4\n" for name in ("c", "kappa", "w", "rho")
+                               for phase in ("low", "high"))
+        res = self.run_body(tmp_path, "thermo", f"[coefficients]\n{coefficients}gamma = {gamma}\n"
+                                                "lambda = 1e3\n[run]\nn_list = 2048\n"
+                                                "cells_per_period = 2\n")
+        assert res.exit_code == 0, res.output
+
     @pytest.mark.parametrize("body, key", [
         ("[run]\nn_list = 1\ncells_per_period = 0\n", "[run] cells_per_period"),
         ("[run]\nn_list = 2, 0\ncells_per_period = 4\n", "[run] n_list"),
