@@ -15,8 +15,6 @@ pairings genuinely decay before norms do) are driven by
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import CoercivityError, HomlabError, NotSkew, ShapeError, SingularResolvent
@@ -65,8 +63,7 @@ class SkewOp:
 
     The block form with respect to (ker, ran) is [[0, 0], [0, A~]] with A~
     skew-adjoint and invertible on the range; invertibility is the
-    finite-dimensional surrogate of the compact-inverse property. The
-    condition number and inverse of A~ are computed on first access."""
+    finite-dimensional surrogate of the compact-inverse property."""
 
     def __init__(self, op, ker, ran, a_tilde, dec):
         self.op = op
@@ -75,14 +72,6 @@ class SkewOp:
         self.ran = ran
         self.a_tilde = a_tilde
         self.dec = dec
-
-    @functools.cached_property
-    def a_tilde_cond(self):
-        return float(np.linalg.cond(self.a_tilde)) if self.a_tilde.size else 1.0
-
-    @functools.cached_property
-    def a_tilde_inv(self):
-        return np.linalg.inv(self.a_tilde) if self.a_tilde.size else self.a_tilde
 
     def __call__(self, x):
         return self.op(x)

@@ -1,11 +1,11 @@
 """Weighted finite-dimensional Hilbert spaces, operators, and operator-gap
 diagnostics.
 
-Every space carries an explicit quadrature weight (the discrete L2 mass
-matrix, usually diagonal). Inner products are linear in the second slot and
-anti-linear in the first, and all adjoints are taken with respect to the
-weighted inner products: for ``A : S -> T`` the adjoint is
-``A* = W_S^{-1} A^H W_T``.
+Every space carries a quadrature weight: the strictly positive diagonal
+entries of its lumped discrete L2 mass matrix W, never a full matrix. Inner
+products are linear in the second slot and anti-linear in the first, and all
+adjoints are taken with respect to the weighted inner products: for
+``A : S -> T`` the adjoint is ``A* = W_S^{-1} A^H W_T``.
 
 Vectors are 1-d arrays; a family of vectors is one (dim, k) array whose
 columns are the members. Every operator applies to a single vector or to such
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 # dense eigen- and singular-value solves run up to these sizes; above, the
-# Re(T^-1) certificate of a sparse T, the Re T certificate of a sparse T on
-# a matrix weight, and kernel_range raise ShapeError
+# Re(T^-1) certificate of a sparse T and kernel_range raise ShapeError
 _DENSE_EIG_CUTOFF = 1200
 _DENSE_SVD_CUTOFF = 5000
 # a connected block of Re T whose banded eigensolve would cost more than
@@ -64,10 +63,6 @@ _BANDED_WORK_CUTOFF = 3e9
 _COND_CUTOFF = 1e12
 # SuperLU's suggested diagonal pivot threshold for its symmetric mode
 _SYMMETRIC_PIVOT_THRESH = 1e-3
-
-
-def _is_sparse(m):
-    return sp.issparse(m)
 
 
 def _rows(d, v):
@@ -84,9 +79,9 @@ class HilbertSpace:
     dim : int
         Dimension, strictly positive.
     weight : array_like, optional
-        Either a 1-d array of strictly positive diagonal mass entries (the
-        common grid-backed case) or a small dense Hermitian positive-definite
-        matrix. Defaults to the identity weight.
+        The ``(dim,)`` strictly positive diagonal mass entries: lumped
+        quadrature weights of grid nodes, elements, edges or faces, or ones
+        for a coordinate space. Defaults to the identity weight.
     field : {"real", "complex"}
         Scalar field flag. Real is the default; ``Re T`` always means
         ``(T + T*)/2`` with the weighted adjoint in either mode.
@@ -103,27 +98,11 @@ class HilbertSpace:
         if weight is None:
             weight = np.ones(dim)
         weight = np.asarray(weight)
-        if weight.ndim == 1:
-            if weight.shape != (dim,):
-                raise ShapeError(f"diagonal weight has shape {weight.shape}, expected ({dim},)")
-            if not np.all(weight.real > 0) or np.any(weight.imag != 0):
-                raise ShapeError("diagonal weight entries must be strictly positive reals")
-            self.weight = weight.real.astype(float)
-            self._diagonal = True
-            self._w_chol = None
-        elif weight.ndim == 2:
-            if weight.shape != (dim, dim):
-                raise ShapeError(f"weight has shape {weight.shape}, expected ({dim},{dim})")
-            if not np.allclose(weight, weight.conj().T, rtol=0, atol=1e-12 * max(1.0, abs(weight).max())):
-                raise ShapeError("weight matrix must be Hermitian")
-            evals = scipy.linalg.eigvalsh(weight)
-            if evals[0] <= 0:
-                raise ShapeError("weight matrix must be positive definite")
-            self.weight = weight
-            self._diagonal = False
-            self._w_chol = scipy.linalg.cho_factor(weight)
-        else:
-            raise ShapeError("weight must be a vector of diagonal entries or a matrix")
+        if weight.shape != (dim,):
+            raise ShapeError(f"diagonal weight has shape {weight.shape}, expected ({dim},)")
+        if not np.all(weight.real > 0) or np.any(weight.imag != 0):
+            raise ShapeError("diagonal weight entries must be strictly positive reals")
+        self.weight = weight.real.astype(float)
 
     # -- basic algebra ------------------------------------------------------
 
@@ -141,14 +120,10 @@ class HilbertSpace:
         return v
 
     def apply_weight(self, v):
-        if self._diagonal:
-            return _rows(self.weight, v) * v
-        return self.weight @ v
+        return _rows(self.weight, v) * v
 
     def solve_weight(self, v):
-        if self._diagonal:
-            return v / _rows(self.weight, v)
-        return scipy.linalg.cho_solve(self._w_chol, v)
+        return v / _rows(self.weight, v)
 
     def inner(self, x, y):
         """<x, y> = conj(x)^T W y, anti-linear in x."""
@@ -165,43 +140,29 @@ class HilbertSpace:
         return float(np.sqrt(max(self.inner(x, x).real, 0.0)))
 
     def column_norms(self, block):
-        """Weighted norms of the columns of a (dim, k) block; a diagonal
-        weight makes no temporary of the block's size."""
-        if self._diagonal:
-            sq = np.einsum("ij,ij,i->j", block.conj(), block, self.weight).real
-        else:
-            sq = np.einsum("ij,ij->j", block.conj(), self.weight @ block).real
+        """Weighted norms of the columns of a (dim, k) block, with no
+        temporary of the block's size."""
+        sq = np.einsum("ij,ij,i->j", block.conj(), block, self.weight).real
         return np.sqrt(np.maximum(sq, 0.0))
 
     def scale_to_ortho(self, v):
         """Coordinates of v in the W-orthonormal frame (W^{1/2} v)."""
-        if self._diagonal:
-            return _rows(np.sqrt(self.weight), v) * v
-        L = scipy.linalg.cholesky(self.weight, lower=True)
-        return L.conj().T @ v
+        return _rows(np.sqrt(self.weight), v) * v
 
     def scale_from_ortho(self, v):
         """Inverse of :meth:`scale_to_ortho`."""
-        if self._diagonal:
-            return v / _rows(np.sqrt(self.weight), v)
-        L = scipy.linalg.cholesky(self.weight, lower=True)
-        return scipy.linalg.solve_triangular(L.conj().T, v, lower=False)
+        return v / _rows(np.sqrt(self.weight), v)
 
     def weight_operator(self):
-        if self._diagonal:
-            return sp.diags(self.weight)
-        return self.weight
+        return sp.diags(self.weight)
 
     def compatible(self, other):
         if self.dim != other.dim:
             return False
-        if self._diagonal != other._diagonal:
-            return False
         return np.allclose(self.weight, other.weight, rtol=1e-12, atol=0)
 
     def __repr__(self):
-        kind = "diag" if self._diagonal else "dense"
-        return f"HilbertSpace(dim={self.dim}, weight={kind}, field={self.field})"
+        return f"HilbertSpace(dim={self.dim}, weight=diag, field={self.field})"
 
 
 class LinearOp:
@@ -245,7 +206,7 @@ class LinearOp:
     def to_dense(self):
         if self.matrix is None:
             return self(np.eye(self.source.dim))
-        if _is_sparse(self.matrix):
+        if sp.issparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix)
 
@@ -279,7 +240,8 @@ class LinearOp:
         return self._rmatvec
 
     def __repr__(self):
-        kind = "matrix-free" if self.matrix is None else ("sparse" if _is_sparse(self.matrix) else "dense")
+        kind = "matrix-free" if self.matrix is None else (
+            "sparse" if sp.issparse(self.matrix) else "dense")
         return f"LinearOp({self.source.dim} -> {self.target.dim}, {kind})"
 
 
@@ -298,17 +260,10 @@ def adjoint(op):
     src, tgt = op.source, op.target
     if op.matrix is not None:
         m = op.matrix
-        if _is_sparse(m):
-            ws_inv = sp.diags(1.0 / src.weight) if src._diagonal else None
-            wt = sp.diags(tgt.weight) if tgt._diagonal else None
-            if ws_inv is not None and wt is not None:
-                return LinearOp(tgt, src, matrix=(ws_inv @ (m.conj().T @ wt)).tocsr())
-            m = m.toarray()
-        mh = np.asarray(m).conj().T
-        if src._diagonal and tgt._diagonal:
-            mat = (mh * tgt.weight[None, :]) / src.weight[:, None]
+        if sp.issparse(m):
+            mat = (sp.diags(1.0 / src.weight) @ (m.conj().T @ sp.diags(tgt.weight))).tocsr()
         else:
-            mat = src.solve_weight(mh @ tgt.apply_weight(np.eye(tgt.dim)))
+            mat = (np.asarray(m).conj().T * tgt.weight[None, :]) / src.weight[:, None]
         return LinearOp(tgt, src, matrix=mat)
     rmv = op._raw_rmatvec()
     if rmv is None:
@@ -323,10 +278,10 @@ def adjoint(op):
 
 
 def _skew_pair(c):
-    """A = [[0, -C*], [C, 0]] on S (+) V for a sparse C : S -> V on diagonal
-    weights, as a CSR-backed operator on the product space. C* is
-    :func:`adjoint`, so A is skew-adjoint by construction; every
-    evolutionary system's spatial block is built here."""
+    """A = [[0, -C*], [C, 0]] on S (+) V for a sparse C : S -> V, as a
+    CSR-backed operator on the product space. C* is :func:`adjoint`, so A is
+    skew-adjoint by construction; every evolutionary system's spatial block
+    is built here."""
     src, tgt = c.source, c.target
     space = HilbertSpace(src.dim + tgt.dim, weight=np.concatenate([src.weight, tgt.weight]))
     mat = sp.bmat([[None, -adjoint(c).matrix], [c.matrix, None]]).tocsr()
@@ -385,7 +340,7 @@ class Subspace:
         ``solver`` solves the Gram system G^H W G x = b for a vector or a
         block through its ``solve`` method; by default G^H W G is factorised
         with SuperLU."""
-        g = generator.tocsr() if _is_sparse(generator) else sp.csr_matrix(generator)
+        g = generator.tocsr() if sp.issparse(generator) else sp.csr_matrix(generator)
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
         w = ambient.weight_operator()
@@ -547,27 +502,19 @@ def _sym_lambda_min(space, mat):
     Works in the orthonormal frame z = W^{1/2} x, where the pencil becomes the
     Hermitian part h = (Ahat + Ahat^H)/2 of Ahat = W^{1/2} T W^{-1/2}.
 
-    A sparse T on a space with a diagonal weight never goes dense: h is formed
-    as a sparse matrix and split into its connected components, whose
-    smallest eigenvalues are taken one by one. A single unknown is its own
+    A sparse T never goes dense: h is formed as a sparse matrix and split
+    into its connected components, whose smallest eigenvalues are taken one
+    by one. A single unknown is its own
     eigenvalue, read off the diagonal. A larger component is reordered by
     reverse Cuthill-McKee and handed to LAPACK's banded Hermitian solver
     (``eig_banded``), which costs about size^2 x bandwidth; a component
     above ``_BANDED_WORK_CUTOFF`` by that measure (a large 2-d or 3-d grid)
-    raises :class:`ShapeError`. Dense T, and
-    sparse T with a matrix weight up to ``_DENSE_EIG_CUTOFF`` unknowns, take
-    a dense ``eigvalsh`` of h.
+    raises :class:`ShapeError`. A dense T takes a dense ``eigvalsh`` of h.
     """
-    if _is_sparse(mat) and space._diagonal:
+    if sp.issparse(mat):
         return _sparse_lambda_min(space, mat)
-    if _is_sparse(mat) and space.dim > _DENSE_EIG_CUTOFF:
-        raise ShapeError("large sparse coercivity check needs a diagonal weight")
-    m = mat.toarray() if _is_sparse(mat) else np.asarray(mat)
-    if space._diagonal:
-        d = np.sqrt(space.weight)
-        mhat = (m * (1.0 / d)[None, :]) * d[:, None]
-    else:
-        mhat = _ortho_matrix(LinearOp(space, space, matrix=m))
+    d = np.sqrt(space.weight)
+    mhat = (np.asarray(mat) * (1.0 / d)[None, :]) * d[:, None]
     h = 0.5 * (mhat + mhat.conj().T)
     _require_finite(h)
     return float(scipy.linalg.eigvalsh(h)[0])
@@ -575,12 +522,12 @@ def _sym_lambda_min(space, mat):
 
 def _require_finite(h):
     """Refuse a Hermitian part whose entries overflowed."""
-    if not np.isfinite(h.data if _is_sparse(h) else h).all():
+    if not np.isfinite(h.data if sp.issparse(h) else h).all():
         raise CoercivityError("Re T overflows in the weighted frame: no bound can be certified")
 
 
 def _sparse_lambda_min(space, mat):
-    """The sparse, diagonal-weight branch of :func:`_sym_lambda_min`."""
+    """The sparse branch of :func:`_sym_lambda_min`."""
     from scipy.sparse import csgraph
 
     d = np.sqrt(space.weight)
@@ -628,11 +575,10 @@ def coercivity_check(op, alpha, beta, tol=0.0):
     Computes the smallest eigenvalue of Re T = (T + T*)/2 and of Re(T^{-1})
     in the weighted inner product and reports pass/fail per bound.
 
-    - Re T goes through :func:`_sym_lambda_min`. For a sparse T on a
-      diagonal weight that is the minimum over the connected components of
-      Re T, each by a banded eigensolve; a component above
-      ``_BANDED_WORK_CUTOFF`` raises :class:`ShapeError`. A dense T takes a
-      dense ``eigvalsh``.
+    - Re T goes through :func:`_sym_lambda_min`. For a sparse T that is the
+      minimum over the connected components of Re T, each by a banded
+      eigensolve; a component above ``_BANDED_WORK_CUTOFF`` raises
+      :class:`ShapeError`. A dense T takes a dense ``eigvalsh``.
     - Re(T^{-1}): T is factorised once by :func:`_dense_lu`; when the
       estimate of kappa_1(T) stays at or below 1e12 the inverse is read off
       that LU and goes through :func:`_sym_lambda_min`. A sparse T above
@@ -648,13 +594,13 @@ def coercivity_check(op, alpha, beta, tol=0.0):
     space = op.source
     mat = op.matrix if op.matrix is not None else op.to_dense()
     n = space.dim
-    if _is_sparse(mat) and n > _DENSE_EIG_CUTOFF:
+    if sp.issparse(mat) and n > _DENSE_EIG_CUTOFF:
         raise ShapeError(f"the Re(T^-1) certificate of a sparse operator with {n} "
                          f"unknowns needs a dense inverse; at most {_DENSE_EIG_CUTOFF}")
     re_min = _sym_lambda_min(space, mat)
     singular = False
     re_inv_min = -np.inf
-    solve, cond = _dense_lu(mat.toarray() if _is_sparse(mat) else mat)
+    solve, cond = _dense_lu(mat.toarray() if sp.issparse(mat) else mat)
     if cond > _COND_CUTOFF:
         singular = True
     else:
@@ -687,11 +633,7 @@ def kernel_range(op, tol=None):
 def _ortho_matrix(op):
     """Dense matrix of ``op`` in the W-orthonormal frames, Wt^{1/2} A Ws^{-1/2},
     where W^{1/2} is the frame map of :meth:`HilbertSpace.scale_to_ortho`."""
-    ahat = op.target.scale_to_ortho(op.to_dense())
-    src = op.source
-    if src._diagonal:
-        return ahat / np.sqrt(src.weight)
-    return ahat @ src.scale_from_ortho(np.eye(src.dim))
+    return op.target.scale_to_ortho(op.to_dense()) / np.sqrt(op.source.weight)
 
 
 def check_linear(op, trials=3, tol=1e-10, seed=0):

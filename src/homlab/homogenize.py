@@ -68,12 +68,11 @@ class CoefficientSequence:
     in n and every generated field is checked against them.
     """
 
-    def __init__(self, kind, generator, bounds, profile=None, cell_fn=None):
+    def __init__(self, kind, generator, bounds, profile=None):
         self.kind = kind
         self._generator = generator
         self.bounds = bounds
         self.profile = profile
-        self.cell_fn = cell_fn
 
     @classmethod
     def laminate(cls, profile, bounds):
@@ -102,9 +101,7 @@ class CoefficientSequence:
 
             return CoefficientField.from_function(domain, fn, bounds=bounds)
 
-        seq = cls("laminate_x1_modulated", gen, bounds)
-        seq.modulated_profile = profile
-        return seq
+        return cls("laminate_x1_modulated", gen, bounds)
 
     @classmethod
     def periodic(cls, cell_fn, bounds):
@@ -116,7 +113,7 @@ class CoefficientSequence:
 
             return CoefficientField.from_function(domain, fn, bounds=bounds)
 
-        return cls("periodic_rescale", gen, bounds, cell_fn=cell_fn)
+        return cls("periodic_rescale", gen, bounds)
 
     @classmethod
     def explicit(cls, generator, bounds):

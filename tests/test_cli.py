@@ -253,6 +253,9 @@ class TestFixtures:
         # raw ValueError traceback on an overflowed coupling block
         ("thermo", "[coefficients]\nlambda = -1\n", "[coefficients] lambda"),
         ("thermo", "[coefficients]\nlambda = 0\n", "[coefficients] lambda"),
+        # 1e8 exited 1 with SolverDiverged at 4096 cells (see cli._THERMO_LAMBDA)
+        ("thermo", "[coefficients]\nlambda = 1e8\n", "[coefficients] lambda"),
+        ("thermo", "[coefficients]\nlambda = 1.5e6\n", "[coefficients] lambda"),
         ("thermo", "[coefficients]\ngamma = 1e300\n", "[coefficients] gamma"),
         # runners that load with f = 1 exited 1 with CompatibilityError
         ("solve1d", "[run]\nflavor = neumann\n", "[run] flavor"),
@@ -268,7 +271,8 @@ class TestFixtures:
             "recover-trials", "hconv-cells_per_period", "thermo-cells_per_period",
             "hconv-dim-0", "hconv-dim-4", "schur-gap-tolerance", "candidate-nan",
             "candidate-negative", "candidate-inf", "thermo-lambda-negative",
-            "thermo-lambda-zero", "thermo-gamma-overflow", "solve1d-flavor", "hconv-flavor",
+            "thermo-lambda-zero", "thermo-lambda-1e8", "thermo-lambda-above-range",
+            "thermo-gamma-overflow", "solve1d-flavor", "hconv-flavor",
             "laminate2d-flavor", "thermo-cells-above-certificate",
             "helmholtz-cells-above-svd"])
     def test_bad_value_or_unread_key_exit_2(self, tmp_path, kind, body, where):
@@ -321,6 +325,16 @@ class TestFixtures:
                                for phase in ("low", "high"))
         res = self.run_body(tmp_path, "thermo", f"[coefficients]\n{coefficients}gamma = {gamma}\n"
                                                 "lambda = 1e3\n[run]\nn_list = 2048\n"
+                                                "cells_per_period = 2\n")
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("lam", ["1e-6", "1e6"])
+    def test_thermo_lambda_range_ends_meet_the_residual_check(self, tmp_path, lam):
+        # the worst case measured: every coefficient at 0.4 | 5.0, gamma 30, 4096 cells
+        coefficients = "".join(f"{name}_low = 0.4\n{name}_high = 5.0\n"
+                               for name in ("c", "kappa", "w", "rho"))
+        res = self.run_body(tmp_path, "thermo", f"[coefficients]\n{coefficients}gamma = 30\n"
+                                                f"lambda = {lam}\n[run]\nn_list = 2048\n"
                                                 "cells_per_period = 2\n")
         assert res.exit_code == 0, res.output
 

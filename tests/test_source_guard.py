@@ -3,15 +3,16 @@ certificate in homlab.
 
 Dense condition checks read kappa_1 off one LU (``hilbert._dense_lu``).
 A dense SVD or ``cond`` belongs only where the singular values are the
-answer: the kernel/range split and the public kappa_2 of ``SkewOp``.
-Complements of bases whose rank is known are complete QRs, so scipy's
-SVD-based ``null_space`` and ``orth`` appear nowhere.
+answer: the kernel/range split. Complements of bases whose rank is known
+are complete QRs, so scipy's SVD-based ``null_space`` and ``orth`` appear
+nowhere.
 Eigenvalue bounds are banded or dense LAPACK solves: no ARPACK entry point
 (``eigsh``, ``eigs``, ``svds``) appears anywhere.
 Dense inverses and solves run on the one LU of ``hilbert._dense_lu``, which
-also gives the kappa_1 estimate. Elsewhere only the public inverse of
-``SkewOp`` and the per-cell d x d inverses of a coefficient field call a
-``linalg`` inverse.
+also gives the kappa_1 estimate. Elsewhere only the per-cell d x d inverses
+of a coefficient field call a ``linalg`` inverse.
+Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
+``cho_solve``, ``cholesky``) appears anywhere.
 """
 
 import ast
@@ -19,13 +20,13 @@ from pathlib import Path
 
 import homlab
 
-_ALLOWED = {"hilbert.kernel_range", "evolution.SkewOp.a_tilde_cond"}
+_ALLOWED = {"hilbert.kernel_range"}
 _FORBIDDEN = {"cond", "svd", "null_space", "orth"}
 _ARPACK = {"eigsh", "eigs", "svds"}
-_DENSE_SOLVE_ALLOWED = {"hilbert._dense_lu", "evolution.SkewOp.a_tilde_inv",
-                        "elliptic.CoefficientField.coercivity_margins",
+_DENSE_SOLVE_ALLOWED = {"hilbert._dense_lu", "elliptic.CoefficientField.coercivity_margins",
                         "elliptic.CoefficientField.inverse_field"}
 _DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
+_CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
 
 
 def _dotted(node):
@@ -86,7 +87,7 @@ def test_dense_svd_and_cond_only_where_singular_values_are_the_answer():
     package = Path(homlab.__file__).parent
     sites = [s for path in sorted(package.glob("*.py")) for s in _linalg_sites(path, _FORBIDDEN)]
     assert set(sites) <= _ALLOWED, sorted(set(sites) - _ALLOWED)
-    assert _ALLOWED <= set(sites)    # the scan still sees the two allowed sites
+    assert _ALLOWED <= set(sites)    # the scan still sees the allowed site
 
 
 def test_scan_sees_a_forbidden_site(tmp_path):
@@ -129,3 +130,20 @@ def test_scan_sees_a_dense_solve_site(tmp_path):
                    "def h(m, b):\n    return scipy.linalg.solve(m, b)\n\n"
                    "def k(m, b):\n    return m.solve(b) + scipy.linalg.solve_triangular(m, b)\n")
     assert _linalg_sites(src, _DENSE_SOLVES) == ["mod.A.f", "mod.g", "mod.h"]
+
+
+def test_no_cholesky_in_homlab():
+    package = Path(homlab.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py")) for s in _linalg_sites(path, _CHOLESKY)]
+    assert not sites, sorted(set(sites))
+
+
+def test_scan_sees_a_cholesky_site(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\nimport scipy.linalg\n\nclass A:\n    def f(self, m):\n"
+                   "        return np.linalg.cholesky(m)\n\n"
+                   "def g(m, b):\n    from scipy.linalg import cho_factor, cho_solve\n"
+                   "    return cho_solve(cho_factor(m), b)\n\n"
+                   "def h(m):\n    return scipy.linalg.cho_factor(m)\n\n"
+                   "def k(w):\n    return w.cholesky\n")
+    assert _linalg_sites(src, _CHOLESKY) == ["mod.A.f", "mod.g", "mod.h"]
