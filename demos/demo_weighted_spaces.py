@@ -27,7 +27,7 @@ print("adjoint pairing defect:",
 
 # low-frequency sine probes stand in for smooth test functions
 probes = ProbeSet.from_vectors(space, [np.sin((k + 1) * np.pi * x) for k in range(5)])
-zero = LinearOp(space, space, apply=lambda v: 0 * v, rmatvec=lambda v: 0 * v)
+zero = LinearOp(space, space, apply=lambda v: 0 * v)
 
 print(f"{'n':>5} {'weak gap':>12} {'strong gap':>12}")
 for n in (4, 16, 64, 256):

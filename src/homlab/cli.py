@@ -1,14 +1,17 @@
 """Config-driven experiment runner.
 
 Every experiment is a subcommand taking an INI-style flat config (sections of
-key = value pairs, no nesting); runs are deterministic for a fixed seed and
-emit CSV tables whose first line carries the schema version and the config
-digest. Each runner reads its keys through one table, ``_KEYS[kind]``, and
-``params`` checks a config against it before any experiment code runs:
-an unknown or unread key and a value that breaks its rule are config errors;
-``homlab describe <kind>`` prints the table. Exit codes: 0 when every
-assertion of the selected experiment holds, 1 on assertion failure (with a
-machine-readable JSON summary on stdout), 2 on usage or configuration errors.
+key = value pairs, no nesting); runs are deterministic and emit CSV tables
+whose first line carries the schema version and the config digest, seed
+included. Only the synthetic ``evo`` mode and ``recover`` draw random numbers
+from the probe seed; the grid experiments probe with fixed sine modes, so
+their rows do not depend on it. Each runner reads its keys through one
+table, ``_KEYS[kind]``, and ``params`` checks a config against it before any
+experiment code runs: an unknown or unread key and a value that breaks its
+rule are config errors; ``homlab describe <kind>`` prints the table. Exit
+codes: 0 when every assertion of the selected experiment holds, 1 on
+assertion failure (with a machine-readable JSON summary on stdout), 2 on usage
+or configuration errors.
 
 Frozen CSV column schemas (schema version 1; bump on change):
 

@@ -9,11 +9,6 @@ class ShapeError(HomlabError):
     """Dimension or space mismatch between operators, vectors, or probes."""
 
 
-class MissingTranspose(HomlabError):
-    """A matrix-free operator was asked for its adjoint but carries no
-    transpose applicator."""
-
-
 class NotInM(HomlabError):
     """Operator is outside the admissible class: the operator itself or its
     leading block is numerically singular (condition estimate above cutoff)."""

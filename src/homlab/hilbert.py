@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CoercivityError, MissingTranspose, NotInM, ShapeError, SolverDiverged
+from .errors import CoercivityError, NotInM, ShapeError, SolverDiverged
 
 __all__ = [
     "HilbertSpace",
@@ -168,14 +168,13 @@ class HilbertSpace:
 class LinearOp:
     """Bounded operator between two weighted spaces.
 
-    Backed either by a dense/sparse matrix or by a pair of applicators
-    ``(apply, rmatvec)`` where ``rmatvec(y) = A^H y`` is the plain
-    conjugate-transpose action (the weighted adjoint is assembled on top).
-    The operator maps a vector or a (dim, k) block of columns, and so must
-    both applicators: a block goes to them in one call.
+    Backed either by a dense/sparse matrix or by a block applicator
+    ``apply``. The operator maps a vector or a (dim, k) block of columns, and
+    so must the applicator: a block goes to it in one call. The weighted
+    adjoint of a matrix-free operator is that of its dense matrix.
     """
 
-    def __init__(self, source, target, matrix=None, apply=None, rmatvec=None):
+    def __init__(self, source, target, matrix=None, apply=None):
         self.source = source
         self.target = target
         if matrix is not None:
@@ -185,13 +184,11 @@ class LinearOp:
                 )
             self.matrix = matrix
             self._apply = None
-            self._rmatvec = None
         else:
             if apply is None:
                 raise ShapeError("need a matrix or an apply callable")
             self.matrix = None
             self._apply = apply
-            self._rmatvec = rmatvec
 
     @classmethod
     def identity(cls, space):
@@ -224,20 +221,7 @@ class LinearOp:
         _check_same_spaces(self, other)
         if self.matrix is not None and other.matrix is not None:
             return LinearOp(self.source, self.target, matrix=self.matrix + sign * other.matrix)
-        ra, rb = self._raw_rmatvec(), other._raw_rmatvec()
-        return LinearOp(
-            self.source,
-            self.target,
-            apply=lambda x: self(x) + sign * other(x),
-            rmatvec=None if ra is None or rb is None else lambda y: ra(y) + sign * rb(y),
-        )
-
-    def _raw_rmatvec(self):
-        """A^H y as a callable, or None when unavailable."""
-        if self.matrix is not None:
-            m = self.matrix
-            return lambda y: (m.conj().T @ y)
-        return self._rmatvec
+        return LinearOp(self.source, self.target, apply=lambda x: self(x) + sign * other(x))
 
     def __repr__(self):
         kind = "matrix-free" if self.matrix is None else (
@@ -253,28 +237,17 @@ def _check_same_spaces(a, b):
 def adjoint(op):
     """Weighted adjoint A* = W_s^{-1} A^H W_t.
 
-    For all x, y: <y, A x>_target == <A* y, x>_source. Raises
-    :class:`MissingTranspose` for a matrix-free operator without a transpose
-    applicator.
+    For all x, y: <y, A x>_target == <A* y, x>_source. The result is backed
+    by a matrix: sparse for a sparse operator, dense otherwise; a matrix-free
+    operator is densified first, so its adjoint is that of its dense matrix.
     """
     src, tgt = op.source, op.target
-    if op.matrix is not None:
-        m = op.matrix
-        if sp.issparse(m):
-            mat = (sp.diags(1.0 / src.weight) @ (m.conj().T @ sp.diags(tgt.weight))).tocsr()
-        else:
-            mat = (np.asarray(m).conj().T * tgt.weight[None, :]) / src.weight[:, None]
-        return LinearOp(tgt, src, matrix=mat)
-    rmv = op._raw_rmatvec()
-    if rmv is None:
-        raise MissingTranspose("matrix-free operator has no transpose applicator")
-    fwd = op._apply
-    return LinearOp(
-        tgt,
-        src,
-        apply=lambda y: src.solve_weight(rmv(tgt.apply_weight(y))),
-        rmatvec=lambda x: tgt.solve_weight(fwd(src.apply_weight(x))),
-    )
+    m = op.matrix if op.matrix is not None else op.to_dense()
+    if sp.issparse(m):
+        mat = (sp.diags(1.0 / src.weight) @ (m.conj().T @ sp.diags(tgt.weight))).tocsr()
+    else:
+        mat = (np.asarray(m).conj().T * tgt.weight[None, :]) / src.weight[:, None]
+    return LinearOp(tgt, src, matrix=mat)
 
 
 def _skew_pair(c):
@@ -514,8 +487,9 @@ def _sym_lambda_min(space, mat):
     if sp.issparse(mat):
         return _sparse_lambda_min(space, mat)
     d = np.sqrt(space.weight)
-    mhat = (np.asarray(mat) * (1.0 / d)[None, :]) * d[:, None]
-    h = 0.5 * (mhat + mhat.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mhat = (np.asarray(mat) * (1.0 / d)[None, :]) * d[:, None]
+        h = 0.5 * (mhat + mhat.conj().T)
     _require_finite(h)
     return float(scipy.linalg.eigvalsh(h)[0])
 

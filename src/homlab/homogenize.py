@@ -183,7 +183,8 @@ def _unit_integral(fn, tol):
         half = 0.5 * (hi - lo)[:, None]
         pts = np.clip(lo[:, None] + half * (nodes + 1.0),
                       np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None])
-        sums = half[:, 0] * (np.asarray(fn(pts.ravel())).reshape(pts.shape) @ weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = half[:, 0] * (np.asarray(fn(pts.ravel())).reshape(pts.shape) @ weights)
         if not np.isfinite(sums).all():
             raise QuadratureError("integrand or its integral is not finite")
         return sums

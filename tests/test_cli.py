@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -28,16 +29,27 @@ def run_cli(args):
     return CliRunner().invoke(main, args)
 
 
-def run_tiny_hconv(out, coefficients, strict=False):
-    """A 1-d hconv run at n = 1, 2 with 8 cells per period and the given
-    [coefficients] keys."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports this homlab."""
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def tiny_hconv_args(out, coefficients, strict=False):
+    """CLI arguments of a 1-d hconv run at n = 1, 2 with 8 cells per period
+    and the given [coefficients] keys; the config is written into ``out``."""
     body = "".join(f"{key} = {value}\n" for key, value in coefficients.items())
     cfg = os.path.join(out, "tiny.cfg")
     with open(cfg, "w") as fh:
         fh.write("[experiment]\nkind = hconv\n[coefficients]\n" + body
                  + "[run]\nn_list = 1, 2\ncells_per_period = 8\n"
                  "candidate = harmonic\ntolerance = 0.5\n")
-    return run_cli(["hconv", "--config", cfg, "--out", out] + ["--strict"] * strict)
+    return ["hconv", "--config", cfg, "--out", out] + ["--strict"] * strict
+
+
+def run_tiny_hconv(out, coefficients, strict=False):
+    return run_cli(tiny_hconv_args(out, coefficients, strict))
 
 
 class TestRunConfig:
@@ -363,12 +375,33 @@ class TestFixtures:
         assert res.exit_code == 2, res.output
         assert key in json.loads(res.output.strip().splitlines()[-1])["error"]
 
-    def test_strict_warning_exit_1(self, tmp_path):
-        # 1 / 5e-324 overflows, which --strict turns into an error
+    def test_strict_warning_exit_1(self, tmp_path, monkeypatch):
+        # 1 / 5e-324 overflows: the quadrature's finiteness check names it,
+        # never the numpy warning on the way there
         res = run_tiny_hconv(str(tmp_path), {"low": "5e-324"}, strict=True)
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
+        assert "QuadratureError" in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+        # --strict turns any warning a runner emits into an error
+        def warns(p, out, seed, digest):
+            warnings.warn("stand-in warning", RuntimeWarning)
+            return [], []
+
+        monkeypatch.setitem(_RUNNERS, "hconv", warns)
+        res = run_tiny_hconv(str(tmp_path), {"low": "1"}, strict=True)
+        assert res.exit_code == 1
         assert "RuntimeWarning" in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_overflow_is_the_error_not_a_warning(self, tmp_path, strict):
+        # a fresh process, so a numpy warning would reach its stderr
+        args = tiny_hconv_args(str(tmp_path), {"low": "1e308", "high": "1e308"}, strict)
+        res = subprocess.run([sys.executable, "-m", "homlab.cli"] + args, env=fresh_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "QuadratureError" in json.loads(res.stdout.strip().splitlines()[-1])["error"]
+        assert res.stderr == ""
 
     def test_kind_mismatch_exit_2(self, tmp_path):
         res = run_cli(["qdind", "--config", fixture("1d_harmonic.cfg"),
@@ -584,10 +617,7 @@ class TestImportPath:
     @staticmethod
     def _run(code):
         """Run ``code`` in a fresh interpreter that imports this homlab."""
-        src = os.path.dirname(os.path.dirname(homlab.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        res = subprocess.run([sys.executable, "-c", code], env=env,
+        res = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         return res

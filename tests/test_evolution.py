@@ -363,6 +363,24 @@ class TestAbstractSchurExperiment:
         v = rep.values("gap_strong")
         assert v[-1] < v[0]
 
+    def test_probe_seed_moves_only_random_probes(self):
+        # grid probes are deterministic sine modes, so the seed leaves the
+        # schur-gap rows alone; the synthetic experiment's probes and wobble
+        # are drawn from it
+        from homlab.homogenize import CoefficientSequence, MeshRule, schur_equiv_check
+
+        seq = CoefficientSequence.laminate(lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y)),
+                                           bounds=(1.0, 3.0))
+        grid = [schur_equiv_check(seq, [2, 4], np.sqrt(3.0), mesh_rule=MeshRule(8),
+                                  probe_seed=seed).rows for seed in (0, 7)]
+        assert grid[0] == grid[1]
+        pert = np.random.default_rng(26).standard_normal((10, 10))
+        pert *= 0.1 / np.linalg.norm(pert, 2)
+        t_seq = lambda n: LinearOp(self.space, self.space, matrix=self.t.to_dense() + pert / n)
+        synthetic = [abstract_schur_experiment(self.a, t_seq, self.t, n_list=[1, 2],
+                                               seed=seed).rows for seed in (0, 7)]
+        assert synthetic[0] != synthetic[1]
+
     def run_perturbed(self, k):
         pert = np.random.default_rng(25).standard_normal((10, 10))
         pert *= 0.1 / np.linalg.norm(pert, 2)
