@@ -18,17 +18,14 @@ from .elliptic import (
     divcurl_pairing,
     divergence_defect,
     hminus_norm,
-    poincare_constant,
     projected_inverse_1d,
     solve_affine,
     solve_elliptic,
 )
 from .errors import HomlabError
 from .evolution import (
-    MaterialLaw,
     SkewOp,
     abstract_schur_experiment,
-    block_solve,
     recover_coefficient,
     resolvent_bounds,
     skew_split,

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import elliptic, evolution, homogenize, maxwell as maxwell_mod, thermo as thermo_mod
 from .elliptic import CoefficientField, GridDomain, RHSFunctional
-from .errors import ConfigError, HomlabError
+from .errors import ConfigError, HomlabError, ShapeError
 from .hilbert import _DENSE_SVD_CUTOFF, HilbertSpace, LinearOp, _dense_lu
 from .homogenize import CoefficientSequence, MeshRule, laminate_limit
 from .serialize import config_digest, dump_solution_csv, write_report_csv
@@ -172,15 +172,6 @@ class RunConfig:
         cfg = cls.parse_text(text)
         cfg.text = text
         return cfg
-
-    def to_text(self):
-        lines = []
-        for name in sorted(self.sections):
-            lines.append(f"[{name}]")
-            for key in sorted(self.sections[name]):
-                lines.append(f"{key} = {self.sections[name][key]}")
-            lines.append("")
-        return "\n".join(lines)
 
 
 # the coefficient classes of the thermo and Maxwell experiments: every
@@ -318,6 +309,12 @@ def _value(where, typ, raw):
     return value
 
 
+def _check_rule(where, rule, value):
+    holds, text = _rule(rule)
+    if not holds(value):
+        raise ConfigError(f"{where}: must be {text} (got {value!r})")
+
+
 def params(cfg, kind):
     """Every key the ``kind`` runner reads, by "section.key", coerced and
     checked against ``_KEYS[kind]``; a key the runner does not read is a
@@ -335,10 +332,8 @@ def params(cfg, kind):
         else:
             value = default
         if value is not None and rule is not None:
-            holds, text = _rule(rule)
             for entry in value if typ is list else [value]:
-                if not holds(entry):
-                    raise ConfigError(f"{where}: must be {text} (got {entry!r})")
+                _check_rule(where, rule, entry)
         p[name] = value
     for section, body in cfg.sections.items():
         for key in body:
@@ -417,7 +412,10 @@ def _run_solve1d(p, out, seed, digest):
     if coef_path:
         from .serialize import load_coefficient_text
 
-        a = load_coefficient_text(coef_path)
+        try:
+            a = load_coefficient_text(coef_path)
+        except (OSError, UnicodeDecodeError, ShapeError) as exc:
+            raise ConfigError(f"[coefficients] path: {exc}") from exc
         dom = a.domain
         if dom.dim != 1:
             raise ConfigError("[coefficients] path: solve1d needs a 1-d field")
@@ -790,7 +788,10 @@ def _execute(kind, config, out, seed, strict):
         cfg = RunConfig.parse(config)
         p = params(cfg, kind)
         elliptic.unknown_budget()    # a malformed budget is a config error for every run
-        seed = p["probes.seed"] if seed is None else seed
+        if seed is None:
+            seed = p["probes.seed"]
+        else:
+            _check_rule("--seed", _KEYS[kind]["probes.seed"][2], seed)
         if p["output.prefix"]:
             out = os.path.join(out, p["output.prefix"])
         os.makedirs(out, exist_ok=True)

@@ -53,7 +53,6 @@ __all__ = [
     "CoefficientField",
     "RHSFunctional",
     "build_grad",
-    "poincare_constant",
     "solve_elliptic",
     "projected_inverse_1d",
     "solve_affine",
@@ -546,9 +545,6 @@ class RHSFunctional:
         r = grad.sample_vector(self.data) if callable(self.data) else np.asarray(self.data)
         return -(grad.matrix.conj().T @ grad.vector_space.apply_weight(r))
 
-    def __call__(self, grad, phi):
-        return np.asarray(self.assemble(grad)) @ np.asarray(phi)
-
 
 def _slot_sums(grad, a):
     """K^T in its (3,) * d + ``node_shape`` slots (neighbour offset per axis,
@@ -797,34 +793,17 @@ def _complement_project(grad, v):
 
 
 def affine_dual_residual(domain, a, z_vec, p, flavor="dirichlet", count=8, seed=0):
-    """max over complement probes q of |<a^{-1} p - z, q>| (normalized)."""
+    """max over complement probes q of |<a^{-1} p - z, q>| (normalized). The
+    probes are fixed sine modes: ``seed`` is accepted, as the acceptance
+    suite passes it, and read by nothing."""
     grad = build_grad(domain, flavor)
     space = grad.vector_space
-    q = _complement_project(grad, vector_probes(grad, count=count, seed=seed).matrix)
+    q = _complement_project(grad, vector_probes(grad, count=count).matrix)
     nq = space.column_norms(q)
     keep = nq >= 1e-12
     mism = a.inverse_field().apply(grad, p) - z_vec
     pairs = space.gram(q[:, keep] / nq[keep], mism)
     return float(np.abs(pairs).max(initial=0.0)) / max(1.0, space.norm(z_vec))
-
-
-def poincare_constant(domain):
-    """Smallest singular value of the Dirichlet gradient in the weighted
-    norms; always at least 1/(2R) where R bounds |x_1| on the domain.
-
-    On a box the unit Dirichlet stiffness and the lumped mass are tensor
-    products (the Kuhn split gives the 2d + 1 point stencil), so the
-    smallest eigenvalue of the pencil is sum_a (4/h_a^2) sin^2(pi/(2 m_a))
-    for m_a cells of width h_a on axis a."""
-    gamma = math.sqrt(sum(4.0 / h**2 * math.sin(math.pi / (2 * m)) ** 2
-                          for h, m in zip(domain.spacing, domain.cells)))
-    r_bound = max(abs(domain.extents[0][0]), abs(domain.extents[0][1]))
-    if gamma < 1.0 / (2.0 * r_bound):
-        raise SolverDiverged(
-            f"computed Poincare constant {gamma:.6g} below the slab bound "
-            f"{1.0 / (2.0 * r_bound):.6g}"
-        )
-    return gamma
 
 
 def projected_inverse_1d(a, phi, extent=(0.0, 1.0)):
@@ -977,7 +956,7 @@ def _outer_into(out, factors):
         out *= v
 
 
-def scalar_probes(grad, per_axis=5, cap=25, seed=0):
+def scalar_probes(grad, per_axis=5, cap=25):
     """Smooth low-frequency scalar probes (tensor-product sine modes) at the
     nodes, weight-normalized; they mimic compactly supported test functions.
     Each column is an outer product of 1-d sine tables."""
@@ -985,11 +964,10 @@ def scalar_probes(grad, per_axis=5, cap=25, seed=0):
     tables = _sine_tables(grad.domain, modes, grad.node_axes)
     block = np.empty(grad.node_shape + (len(modes),))
     _outer_into(block, [(b, sines) for b, (sines, _) in enumerate(tables)])
-    return ProbeSet.from_vectors(grad.scalar_space, block.reshape(-1, len(modes)),
-                                 seed=seed, copy=False)
+    return ProbeSet.from_vectors(grad.scalar_space, block.reshape(-1, len(modes)), copy=False)
 
 
-def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",), seed=0):
+def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",)):
     """Vector probes at element midpoints: per-component sine modes and,
     optionally, analytic gradient fields of the modes; per mode, the d
     component columns come before the gradient column, and the first
@@ -1012,4 +990,4 @@ def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",), se
             _outer_into(out, [(a, tables[a][1][:, :m])]
                         + [(b, s[:, :m]) for b, (s, _) in enumerate(tables) if b != a])
     return ProbeSet.from_vectors(grad.vector_space, block.reshape(grad.n_elem * d, n_cols),
-                                 seed=seed, copy=False)
+                                 copy=False)

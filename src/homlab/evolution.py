@@ -1,10 +1,10 @@
 """Operator equations (T + A)u = f with skew-adjoint A: kernel/range
-splitting, resolvent bounds, Schur-elimination block solves, coefficient
-recovery from resolvent limits, and the finite-dimensional equivalence
-experiment between block-map convergence and resolvent convergence.
-Block solves, resolvent bounds and the experiment take (T + A)^{-1} as the
-elimination along (ker A, ran A) with the Schur maps of T, on one LU of
-T_S + A~; only the round trip of coefficient recovery factorises T + A.
+splitting, resolvent bounds, coefficient recovery from resolvent limits, and
+the finite-dimensional equivalence experiment between block-map convergence
+and resolvent convergence. Resolvent bounds and the experiment take
+(T + A)^{-1} as the elimination along (ker A, ran A) with the Schur maps of
+T, on one LU of T_S + A~; only the round trip of coefficient recovery
+factorises T + A.
 
 In finite dimension the weak operator topology collapses to the norm
 topology, so the equivalence is tested honestly as joint decay of gap
@@ -23,7 +23,6 @@ from .hilbert import (
     ProbeSet,
     _COND_CUTOFF,
     _dense_lu,
-    _check_residual,
     _ortho_matrix,
     _skew_pair,
     _sym_lambda_min,
@@ -37,10 +36,8 @@ from .schur import Decomposition, schur_maps, tau_gap
 
 __all__ = [
     "SkewOp",
-    "MaterialLaw",
     "skew_split",
     "resolvent_bounds",
-    "block_solve",
     "recover_coefficient",
     "abstract_schur_experiment",
     "two_scale_evo_experiment",
@@ -127,30 +124,16 @@ def skew_split(a, tol=_SKEW_TOL):
     return SkewOp(a, ker, ran, a_tilde, dec)
 
 
-class MaterialLaw:
-    """Frequency-domain material pairing: T(lambda) = lambda m0 + m1, valid
-    whenever the real part is uniformly positive at the chosen lambda."""
-
-    def __init__(self, m0, m1, lam):
-        if not m0.source.compatible(m1.source):
-            raise ShapeError("material blocks live on different spaces")
-        self.m0 = m0
-        self.m1 = m1
-        self.lam = float(lam)
-        t = LinearOp(m0.source, m0.source,
-                     matrix=self.lam * m0.to_dense() + m1.to_dense())
-        c = _sym_lambda_min(t.source, t.matrix)
-        if c <= 0:
-            raise CoercivityError(f"Re(lambda m0 + m1) not positive at lambda={lam}: {c:.3e}")
-        self.coercivity = c
-        self.op = t
-
-
 def _eliminated_resolvent(maps, a):
-    """(T + A)^{-1} as the elimination of :func:`block_solve`, read from the
-    Schur maps ``maps`` of T. Returns it as an operator on a vector or a
-    block, and the solve with T_S + A~ on its one LU, whose kappa_1
-    estimate must stay at or below 1e12."""
+    """(T + A)^{-1} as the elimination along (ker A, ran A), read from the
+    Schur maps ``maps`` of T:
+
+        u1 = (T_S + A~)^{-1} (f1 - T10 T00^{-1} f0)
+        u0 = T00^{-1} f0 - T00^{-1} T01 u1.
+
+    Returns it as an operator on a vector or a block, and the solve with
+    T_S + A~ on its one LU, whose kappa_1 estimate must stay at or below
+    1e12."""
     solve_s, cond = _dense_lu(maps.ms_mat + a.a_tilde)
     if cond > _COND_CUTOFF:
         raise HomlabError("internal inconsistency: T_S + A~ is singular despite the "
@@ -170,7 +153,7 @@ def resolvent_bounds(t, a, tol=1e-9):
     """Norms of (T+A)^{-1} and A (T+A)^{-1} together with the coercivity
     constant c of Re T; both must obey the a priori bounds
     ||(T+A)^{-1}|| <= 1/c and ||A (T+A)^{-1}|| <= (c + ||T||)/c. The
-    resolvent is the elimination of :func:`block_solve`."""
+    resolvent is the elimination of :func:`_eliminated_resolvent`."""
     space = t.source
     c = _sym_lambda_min(space, t.to_dense())
     if c <= 0:
@@ -184,25 +167,6 @@ def resolvent_bounds(t, a, tol=1e-9):
     if n_ares > (c + t_norm) / c + tol:
         raise HomlabError(f"A-resolvent norm {n_ares} exceeds (c + |T|)/c = {(c + t_norm) / c}")
     return n_res, n_ares, c
-
-
-def block_solve(t, a, f, tol=1e-9):
-    """Solve (T + A)u = f by elimination along (ker A, ran A). The
-    elimination is the four Schur maps of T for that splitting, read from
-    one :func:`~homlab.schur.schur_maps`:
-
-        u1 = (T_S + A~)^{-1} (f1 - T10 T00^{-1} f0)
-        u0 = T00^{-1} f0 - T00^{-1} T01 u1.
-
-    T_S + A~ is factorised once; its kappa_1 estimate must stay at or below
-    1e12. The assembled solution is verified against the equation.
-    """
-    if _sym_lambda_min(t.source, t.to_dense()) <= 0:
-        raise CoercivityError("block solve needs Re T > 0")
-    f = t.source.check_member(np.asarray(f))
-    u = _eliminated_resolvent(schur_maps(t, a.dec), a)[0](f)
-    _check_residual(t.to_dense() + a.matrix(), u, f, tol)
-    return u
 
 
 def recover_coefficient(s, a, bounds=None, tol=1e-9):

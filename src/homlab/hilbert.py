@@ -45,7 +45,6 @@ __all__ = [
     "adjoint",
     "kernel_range",
     "coercivity_check",
-    "check_linear",
     "wot_gap",
     "strong_gap",
 ]
@@ -122,9 +121,6 @@ class HilbertSpace:
     def apply_weight(self, v):
         return _rows(self.weight, v) * v
 
-    def solve_weight(self, v):
-        return v / _rows(self.weight, v)
-
     def inner(self, x, y):
         """<x, y> = conj(x)^T W y, anti-linear in x."""
         return np.vdot(self.check_member(x), self.apply_weight(self.check_member(y)))
@@ -161,9 +157,6 @@ class HilbertSpace:
             return False
         return np.allclose(self.weight, other.weight, rtol=1e-12, atol=0)
 
-    def __repr__(self):
-        return f"HilbertSpace(dim={self.dim}, weight=diag, field={self.field})"
-
 
 class LinearOp:
     """Bounded operator between two weighted spaces.
@@ -190,10 +183,6 @@ class LinearOp:
             self.matrix = None
             self._apply = apply
 
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, matrix=sp.eye(space.dim, format="csr"))
-
     def __call__(self, x):
         x = self.source.check_block(x)
         if self.matrix is not None:
@@ -210,23 +199,6 @@ class LinearOp:
     @property
     def square(self):
         return self.source.dim == self.target.dim
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def _combine(self, other, sign):
-        _check_same_spaces(self, other)
-        if self.matrix is not None and other.matrix is not None:
-            return LinearOp(self.source, self.target, matrix=self.matrix + sign * other.matrix)
-        return LinearOp(self.source, self.target, apply=lambda x: self(x) + sign * other(x))
-
-    def __repr__(self):
-        kind = "matrix-free" if self.matrix is None else (
-            "sparse" if sp.issparse(self.matrix) else "dense")
-        return f"LinearOp({self.source.dim} -> {self.target.dim}, {kind})"
 
 
 def _check_same_spaces(a, b):
@@ -363,10 +335,6 @@ class Subspace:
         if np.any(asym > self._PROJ_TOL * scale * np.maximum(1.0, amb.column_norms(u))):
             raise ShapeError("projector is not weighted-self-adjoint at tolerance")
 
-    def __repr__(self):
-        mode = "explicit" if self.basis is not None else "implicit"
-        return f"Subspace(dim={self.dim}, ambient={self.ambient.dim}, {mode})"
-
 
 def _complement_basis(space, basis, frame=None):
     """W-orthonormal basis of span(frame) (None: the whole space) less
@@ -394,7 +362,7 @@ class ProbeSet:
     vectors or a (dim, k) array.
     """
 
-    def __init__(self, space, vectors, seed=0):
+    def __init__(self, space, vectors):
         m = _as_columns(space, vectors)
         if m.shape[1] == 0:
             raise ShapeError("probe set must be nonempty")
@@ -402,7 +370,6 @@ class ProbeSet:
         if dev.max() > 1e-12:
             raise ShapeError(f"probe norm {1.0 + dev.max()} deviates from 1 beyond 1e-12")
         self.space = space
-        self.seed = seed
         self.matrix = m
 
     @classmethod
@@ -410,10 +377,10 @@ class ProbeSet:
         rng = np.random.default_rng(seed)
         parts = rng.standard_normal((count, 2 if space.field == "complex" else 1, space.dim))
         v = parts[:, 0] + 1j * parts[:, 1] if space.field == "complex" else parts[:, 0]
-        return cls.from_vectors(space, v.T, seed=seed)
+        return cls.from_vectors(space, v.T)
 
     @classmethod
-    def from_vectors(cls, space, vectors, seed=0, drop_tol=1e-10, copy=True):
+    def from_vectors(cls, space, vectors, drop_tol=1e-10, copy=True):
         """Normalize raw vectors, silently dropping near-zero ones. The
         caller's array is left alone unless ``copy`` is False, which hands
         over a fresh (dim, k) block to be normalised in place."""
@@ -423,13 +390,10 @@ class ProbeSet:
         keep = norms > drop_tol
         m = m if keep.all() else m[:, keep]
         m /= norms[keep]
-        return cls(space, m, seed=seed)
+        return cls(space, m)
 
     def __len__(self):
         return self.matrix.shape[1]
-
-    def __iter__(self):
-        return iter(self.matrix.T)
 
 
 def _as_columns(space, vectors):
@@ -464,9 +428,6 @@ class CoercivityReport:
     @property
     def passed(self):
         return self.alpha_ok and self.beta_ok
-
-    def __bool__(self):
-        return self.passed
 
 
 def _sym_lambda_min(space, mat):
@@ -608,25 +569,6 @@ def _ortho_matrix(op):
     """Dense matrix of ``op`` in the W-orthonormal frames, Wt^{1/2} A Ws^{-1/2},
     where W^{1/2} is the frame map of :meth:`HilbertSpace.scale_to_ortho`."""
     return op.target.scale_to_ortho(op.to_dense()) / np.sqrt(op.source.weight)
-
-
-def check_linear(op, trials=3, tol=1e-10, seed=0):
-    """Verify op(x + c y) = op(x) + c op(y) on random probes (relative
-    tolerance); the guard for user-supplied matrix-free applicators."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = rng.standard_normal(op.source.dim)
-        y = rng.standard_normal(op.source.dim)
-        c = rng.standard_normal()
-        if op.source.field == "complex":
-            x = x + 1j * rng.standard_normal(op.source.dim)
-            c = c + 1j * rng.standard_normal()
-        lhs = op(x + c * y)
-        rhs = op(x) + c * op(y)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        if np.abs(lhs - rhs).max() > tol * scale:
-            raise ShapeError("applicator is not linear at tolerance")
-    return True
 
 
 def _check_gap_args(s, t, probes_src, probes_tgt):

@@ -45,8 +45,6 @@ __all__ = [
     "MeshRule",
     "ExperimentReport",
     "laminate_limit",
-    "modulated_laminate_limit",
-    "modulated_candidate",
     "cell_problem",
     "homogenized_tensor",
     "hconvergence_experiment",
@@ -63,9 +61,10 @@ class CoefficientSequence:
     """n-indexed oscillation family producing a coefficient field per mesh.
 
     Kinds: ``laminate_x1`` (profile of the first coordinate times the
-    identity), ``periodic_rescale`` (a unit-cell field evaluated at n times
-    the position), and ``explicit`` (arbitrary generator). Bounds are uniform
-    in n and every generated field is checked against them.
+    identity) and ``periodic_rescale`` (a unit-cell field evaluated at n
+    times the position); the constructor takes any generator
+    ``(n, domain) -> field``. Bounds are uniform in n and every generated
+    field is checked against them.
     """
 
     def __init__(self, kind, generator, bounds, profile=None):
@@ -87,23 +86,6 @@ class CoefficientSequence:
         return cls("laminate_x1", gen, bounds, profile=profile)
 
     @classmethod
-    def laminate_modulated(cls, profile, bounds):
-        """a_n(x) = profile(x_1, n x_1 mod 1) times the identity: slow
-        modulation in the first coordinate on top of the fast oscillation.
-        The effective limit is then a field of the slow variable (harmonic
-        mean across the layers, arithmetic along), see
-        :func:`modulated_laminate_limit`."""
-
-        def gen(n, domain):
-            def fn(points):
-                x1 = points[:, 0]
-                return profile(x1, (n * x1) % 1.0)
-
-            return CoefficientField.from_function(domain, fn, bounds=bounds)
-
-        return cls("laminate_x1_modulated", gen, bounds)
-
-    @classmethod
     def periodic(cls, cell_fn, bounds):
         """a_n(x) = A(n x mod 1) for a unit-cell field A."""
 
@@ -114,21 +96,6 @@ class CoefficientSequence:
             return CoefficientField.from_function(domain, fn, bounds=bounds)
 
         return cls("periodic_rescale", gen, bounds)
-
-    @classmethod
-    def explicit(cls, generator, bounds):
-        """Arbitrary family: a callable (n, domain) -> field, or a dict
-        mapping each index n to such a callable."""
-        if isinstance(generator, dict):
-            table = dict(generator)
-
-            def gen(n, domain):
-                if n not in table:
-                    raise ShapeError(f"explicit sequence has no member n={n}")
-                return table[n](domain)
-
-            return cls("explicit_list", gen, bounds)
-        return cls("explicit", generator, bounds)
 
     def field(self, n, domain):
         f = self._generator(n, domain)
@@ -229,49 +196,6 @@ def laminate_limit(profile, tol=1e-10):
     return _harmonic_mean(inv_mean, tol), mean
 
 
-def modulated_laminate_limit(profile, tol=1e-10):
-    """Slow-variable mean functions of a modulated profile(x, y): returns
-    callables (alpha_h, alpha_m) with the fast variable integrated out at
-    each requested slow position."""
-
-    prof = np.vectorize(profile)
-
-    def a_h(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([
-            _harmonic_mean(_unit_integral(lambda y, xx=xx: 1.0 / prof(xx, y), tol), tol)
-            for xx in x
-        ])
-
-    def a_m(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([
-            _unit_integral(lambda y, xx=xx: prof(xx, y), tol) for xx in x
-        ])
-
-    return a_h, a_m
-
-
-def modulated_candidate(profile, d, bounds=None, tol=1e-8):
-    """Candidate effective field for a modulated laminate: per-cell
-    diag(alpha_h(x1), alpha_m(x1), ...) as a domain -> field factory."""
-    a_h, a_m = modulated_laminate_limit(profile, tol)
-
-    def factory(domain):
-        mids = domain.cell_midpoints()
-        x1 = mids[:, 0]
-        uniq, inverse = np.unique(x1, return_inverse=True)
-        h_vals = a_h(uniq)[inverse]
-        m_vals = a_m(uniq)[inverse]
-        vals = np.zeros((domain.n_cells, d, d), dtype=h_vals.dtype)
-        vals[:, 0, 0] = h_vals
-        for c in range(1, d):
-            vals[:, c, c] = m_vals
-        return CoefficientField(domain, vals, bounds=bounds, check=False)
-
-    return factory
-
-
 def _check_unit_cell(domain):
     for a, b in domain.extents:
         if abs(a) > 1e-14 or abs(b - 1.0) > 1e-14:
@@ -362,28 +286,18 @@ class MeshRule:
         return max(self.cells_per_period * n, base)
 
 
-def default_mesh_rule(d):
-    return MeshRule(32 if d == 1 else 16)
-
-
-def default_n_list(d):
-    return [1, 2, 4, 8, 16, 32] if d == 1 else [1, 2, 4, 8, 16]
-
-
 @dataclass
 class ExperimentReport:
     """Per-n experiment table with a frozen column schema.
 
     Rows are dicts keyed by the column names; metadata records mesh rule,
-    probe seed, and the candidate limit. Fitted limits produced without a
-    candidate are estimates, flagged as such, never asserted as truth.
+    probe seed, and the candidate limit.
     """
 
     kind: str
     columns: tuple
     rows: list
     meta: dict = field(default_factory=dict)
-    estimates: dict | None = None
 
     def values(self, col):
         return np.array([row[col] for row in self.rows])
@@ -411,72 +325,43 @@ class ExperimentReport:
 
 
 def _as_candidate_field(candidate, domain, bounds):
-    if candidate is None:
-        return None
-    if isinstance(candidate, CoefficientField):
-        return candidate
-    if callable(candidate):
-        return candidate(domain)
+    """The constant field of a candidate limit: a scalar (times the
+    identity) or a d x d matrix."""
     cand = np.asarray(candidate, dtype=complex if np.iscomplexobj(candidate) else float)
     if cand.ndim == 0:
         cand = cand[()] * np.eye(domain.dim)
     return CoefficientField.constant(domain, cand, bounds=bounds, check=False)
 
 
-def _guarded_domain(n, mesh_rule, d, extents=None, flavor="dirichlet"):
+def _guarded_domain(n, mesh_rule, d, flavor="dirichlet"):
     cells = (mesh_rule.cells(n),) * d
     check_budget(cells, flavor, MeshRuleViolation)
-    return GridDomain(extents, cells) if extents else GridDomain.box(cells)
+    return GridDomain.box(cells)
 
 
-def _aitken(values):
-    """Richardson-style limit estimate from the last three values."""
-    if len(values) < 3:
-        return None
-    p0, p1, p2 = values[-3:]
-    denom = p2 - 2 * p1 + p0
-    if abs(denom) < 1e-300:
-        return p2
-    return p2 - (p2 - p1) ** 2 / denom
-
-
-def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=None,
-                            probe_seed=0, flavor="dirichlet", extents=None):
+def hconvergence_experiment(seq, f, candidate, n_list, mesh_rule, dim=1,
+                            probe_seed=0, flavor="dirichlet"):
     """Dirichlet (or mean-free Neumann) solves along the oscillation family,
     probe-paired against the candidate effective solve on the same mesh.
 
     For each n, records the maximal normalized probe pairing of the solution
-    difference and of the flux difference. Without a candidate, extrapolated
-    pairing limits are attached as estimates.
+    difference and of the flux difference.
     """
     probes_cache = {}
     rows = []
-    first_u, first_q = [], []
-    d = len(extents) if extents else dim
-    n_list = n_list or default_n_list(d)
-    mesh_rule = mesh_rule or default_mesh_rule(d)
-
     for n in n_list:
-        dom = _guarded_domain(n, mesh_rule, d, extents, flavor)
+        dom = _guarded_domain(n, mesh_rule, dim, flavor)
         grad = build_grad(dom, flavor)
         a_n = seq.field(n, dom)
         u_n, q_n = solve_elliptic(dom, a_n, f, flavor=flavor)
         key = dom.cells
         if key not in probes_cache:
-            probes_cache[key] = (
-                scalar_probes(grad, seed=probe_seed),
-                vector_probes(grad, seed=probe_seed),
-            )
+            probes_cache[key] = (scalar_probes(grad), vector_probes(grad))
         sp_probes, vp_probes = probes_cache[key]
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
-        if cand_field is not None:
-            u_h, q_h = solve_elliptic(dom, cand_field, f, flavor=flavor)
-            err_u = _relative_pairing(grad.scalar_space, sp_probes, u_n, u_h)
-            err_q = _relative_pairing(grad.vector_space, vp_probes, q_n, q_h)
-        else:
-            err_u = err_q = float("nan")
-            first_u.append(grad.scalar_space.inner(sp_probes.matrix[:, 0], u_n))
-            first_q.append(grad.vector_space.inner(vp_probes.matrix[:, 0], q_n))
+        u_h, q_h = solve_elliptic(dom, cand_field, f, flavor=flavor)
+        err_u = _relative_pairing(grad.scalar_space, sp_probes, u_n, u_h)
+        err_q = _relative_pairing(grad.vector_space, vp_probes, q_n, q_h)
         rows.append({
             "n": n,
             "cells_per_axis": dom.cells[0],
@@ -484,13 +369,6 @@ def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=Non
             "err_solution": err_u,
             "err_flux": err_q,
         })
-    estimates = None
-    if candidate is None and len(n_list) >= 3:
-        estimates = {
-            "pairing_limit_solution": _aitken(first_u),
-            "pairing_limit_flux": _aitken(first_q),
-            "estimate_only": True,
-        }
     return ExperimentReport(
         kind="hconv",
         columns=("n", "cells_per_axis", "unknowns", "err_solution", "err_flux"),
@@ -499,11 +377,8 @@ def hconvergence_experiment(seq, f, candidate, n_list=None, dim=1, mesh_rule=Non
             "mesh_rule": mesh_rule.cells_per_period,
             "probe_seed": probe_seed,
             "flavor": flavor,
-            "candidate": None if candidate is None else np.asarray(
-                candidate if not callable(candidate) else "callable", dtype=object
-            ),
+            "candidate": np.asarray(candidate, dtype=object),
         },
-        estimates=estimates,
     )
 
 
@@ -527,7 +402,7 @@ def g0_decomposition(grad):
 _KEEP_FRAC = 0.05
 
 
-def _projected_probes(base, project, count, seed):
+def _projected_probes(base, project, count):
     """Project the unit probes of ``base`` into a subspace, keeping the first
     ``count`` that retain at least ``_KEEP_FRAC`` of their norm;
     near-annihilated modes would normalize into mesh-scale noise with no
@@ -539,20 +414,20 @@ def _projected_probes(base, project, count, seed):
         kept.append(p[:, base.space.column_norms(p) >= _KEEP_FRAC])
         if sum(k.shape[1] for k in kept) >= count:
             break
-    return ProbeSet.from_vectors(base.space, np.hstack(kept)[:, :count], seed=seed)
+    return ProbeSet.from_vectors(base.space, np.hstack(kept)[:, :count])
 
 
-def g0_probe_pair(grad, dec=None, count=8, seed=0):
+def g0_probe_pair(grad, dec=None, count=8):
     """Probes of the gradient range and of its complement, ``(p0, p1)``: one
     base family of component and gradient probes projected by
     ``dec.h0.project`` and ``dec.h1.project``."""
     dec = dec or g0_decomposition(grad)
-    base = vector_probes(grad, kinds=("component", "gradient"), seed=seed)
-    return (_projected_probes(base, dec.h0.project, count, seed),
-            _projected_probes(base, dec.h1.project, count, seed))
+    base = vector_probes(grad, kinds=("component", "gradient"))
+    return (_projected_probes(base, dec.h0.project, count),
+            _projected_probes(base, dec.h1.project, count))
 
 
-def qdind_check(seq, n_list, candidate=None, mesh_rule=None, probe_seed=0):
+def qdind_check(seq, n_list, mesh_rule, candidate=None, probe_seed=0):
     """One-dimensional equivalence tracker: the inverse-multiplier gaps and
     the two gradient-range compression gaps must vanish together.
 
@@ -562,7 +437,6 @@ def qdind_check(seq, n_list, candidate=None, mesh_rule=None, probe_seed=0):
     """
     from .elliptic import projected_inverse_1d
 
-    mesh_rule = mesh_rule or default_mesh_rule(1)
     n_max = max(n_list)
     dom = _guarded_domain(n_max, mesh_rule, 1)
     grad = build_grad(dom, "dirichlet")
@@ -574,9 +448,9 @@ def qdind_check(seq, n_list, candidate=None, mesh_rule=None, probe_seed=0):
             raise ShapeError("need a candidate limit for non-laminate sequences")
         candidate = float(np.real(lim[0, 0])) if not np.iscomplexobj(lim) else lim[0, 0]
 
-    full = vector_probes(grad, seed=probe_seed)
+    full = vector_probes(grad)
     mean_free = ProbeSet.from_vectors(
-        space, full.matrix - grad.elem_measure @ full.matrix / dom.volume, seed=probe_seed)
+        space, full.matrix - grad.elem_measure @ full.matrix / dom.volume)
 
     # every operator here takes a vector or a block; a cell array a scales
     # the rows of a block x as (x.T / a).T
@@ -620,28 +494,18 @@ def log_gap_correlation(report, col_a, col_b):
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def schur_equiv_check(seq, n_list=None, candidate=None, dim=1, mesh_rule=None,
-                      probe_seed=0, f=None, extents=None):
+def schur_equiv_check(seq, n_list, candidate, mesh_rule, dim=1, probe_seed=0):
     """Per-n table of the four block-map gaps on the gradient-range splitting
     against the candidate limit, next to the solution-operator pairing gap of
-    the corresponding variational problems; the two families must decay
-    jointly."""
-    d = len(extents) if extents else dim
-    n_list = n_list or default_n_list(d)
-    if candidate is None:
-        lim = seq.predicted_laminate_limit(d)
-        if lim is None:
-            raise ShapeError("need a candidate limit for non-laminate sequences")
-        candidate = lim
-    mesh_rule = mesh_rule or default_mesh_rule(d)
-    if f is None:
-        f = RHSFunctional.density(lambda p: np.ones(len(p)))
+    the corresponding variational problems (load f = 1); the two families
+    must decay jointly."""
+    f = RHSFunctional.density(lambda p: np.ones(len(p)))
     rows = []
     for n in n_list:
-        dom = _guarded_domain(n, mesh_rule, d, extents)
+        dom = _guarded_domain(n, mesh_rule, dim)
         grad = build_grad(dom, "dirichlet")
         dec = g0_decomposition(grad)
-        p0, p1 = g0_probe_pair(grad, dec, seed=probe_seed)
+        p0, p1 = g0_probe_pair(grad, dec)
         a_n = seq.field(n, dom)
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         op_n = a_n.operator(grad)
@@ -649,8 +513,7 @@ def schur_equiv_check(seq, n_list=None, candidate=None, dim=1, mesh_rule=None,
         g00, g01, g10, gs = tau_gap(op_n, op_h, dec, p0, p1)
         u_n, _ = solve_elliptic(dom, a_n, f)
         u_h, _ = solve_elliptic(dom, cand_field, f)
-        gap_sol = _relative_pairing(grad.scalar_space, scalar_probes(grad, seed=probe_seed),
-                                    u_n, u_h)
+        gap_sol = _relative_pairing(grad.scalar_space, scalar_probes(grad), u_n, u_h)
         rows.append({
             "n": n,
             "cells_per_axis": dom.cells[0],
@@ -673,8 +536,5 @@ def adjoint_symmetry_check(seq, n_list, candidate, **kwargs):
     """Run the block-map tracker on the adjoint family against the adjoint
     candidate; decay of the primal run must be matched by the adjoint run."""
     primal = schur_equiv_check(seq, n_list, candidate, **kwargs)
-    cand_adj = np.conj(np.asarray(candidate)).T if not callable(candidate) else None
-    if cand_adj is None:
-        raise ShapeError("adjoint check needs an explicit candidate matrix")
-    adj = schur_equiv_check(seq.adjoint(), n_list, cand_adj, **kwargs)
+    adj = schur_equiv_check(seq.adjoint(), n_list, np.conj(np.asarray(candidate)).T, **kwargs)
     return primal, adj

@@ -301,7 +301,7 @@ def helmholtz_decompose(domain):
                            Subspace(cx.face_space, basis=harmonic_f)))
 
 
-def _maxwell_probes(system, seed=0):
+def _maxwell_probes(system):
     """Tangential sine-mode probes on the edge (+) face space: the modes
     (1, 1, 1) and (2, 1, 1), each on the edges and then on the faces of one
     axis in turn, as one (dim, 12) block."""
@@ -317,7 +317,7 @@ def _maxwell_probes(system, seed=0):
             lo, hi = cx.domain.extents[a]
             val *= np.sin(k[a] * np.pi * (mids[:, a] - lo) / (hi - lo))
         block[np.arange(dim), 6 * i + col] = val
-    return ProbeSet.from_vectors(system.space, block, seed=seed, copy=False)
+    return ProbeSet.from_vectors(system.space, block, copy=False)
 
 
 def _kernel_decomposition(cx, space):
@@ -383,14 +383,14 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         t_lim = sys_n.t_matrix(eps_lim, mu_lim, 0.0)
 
         space = sys_n.space
-        probes = _maxwell_probes(sys_n, seed=probe_seed)
+        probes = _maxwell_probes(sys_n)
         gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
                           LinearOp(space, space, apply=sys_n.resolvent_solver(t_lim).solve),
                           probes, probes)
 
         dec = _kernel_decomposition(cx, space)
-        p0 = _projected_probes(probes, dec.h0.project, 6, probe_seed)
-        p1 = _projected_probes(probes, dec.h1.project, 6, probe_seed)
+        p0 = _projected_probes(probes, dec.h0.project, 6)
+        p1 = _projected_probes(probes, dec.h1.project, 6)
         op_n = LinearOp(space, space, matrix=t_n.tocsr())
         op_lim = LinearOp(space, space, matrix=t_lim.tocsr())
         g00, g01, g10, gs = tau_gap(op_n, op_lim, dec, p0, p1)

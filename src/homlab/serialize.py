@@ -19,8 +19,6 @@ from .errors import ShapeError
 
 __all__ = [
     "save_triplet",
-    "load_triplet",
-    "save_coefficient_text",
     "load_coefficient_text",
     "write_report_csv",
     "write_schur_gaps",
@@ -51,63 +49,35 @@ def save_triplet(path, matrix):
             fh.write(f"{r} {c} {_fmt(v)}\n")
 
 
-def load_triplet(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) < 4 or header[0] != "#" or header[1] != "triplet":
-            raise ShapeError(f"{path}: not a triplet file")
-        rows, cols, nnz = int(header[2]), int(header[3]), int(header[4])
-        r, c, v = [], [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            r.append(int(parts[0]))
-            c.append(int(parts[1]))
-            v.append(complex(parts[2]))
-        if len(v) != nnz:
-            raise ShapeError(f"{path}: expected {nnz} entries, found {len(v)}")
-    data = np.array(v)
-    if np.all(data.imag == 0):
-        data = data.real
-    return sp.csr_matrix((data, (r, c)), shape=(rows, cols))
-
-
-def save_coefficient_text(path, field):
-    """Cell-grid coefficient format: a header line with the dimension and the
-    cells per axis (plus extents), then one row-major line of d*d entries per
-    cell."""
-    dom = field.domain
-    d = dom.dim
-    with open(path, "w") as fh:
-        cells = " ".join(str(c) for c in dom.cells)
-        ext = " ".join(f"{_fmt(a)} {_fmt(b)}" for a, b in dom.extents)
-        fh.write(f"# coefficient d={d} cells {cells} extents {ext}\n")
-        for cell in field.values:
-            fh.write(" ".join(_fmt(v) for v in np.asarray(cell).ravel()) + "\n")
-
-
 def load_coefficient_text(path, bounds=None):
+    """Read the cell-grid coefficient format: a header line
+    ``# coefficient d=<d> cells <cells per axis> extents <a_1 b_1 ...>``,
+    then one row-major line of d*d entries per cell. A file that breaks the
+    format or holds a non-finite entry raises :class:`ShapeError`."""
     with open(path) as fh:
         header = fh.readline().split()
-        if "coefficient" not in header:
-            raise ShapeError(f"{path}: not a coefficient file")
+        lines = [line.split() for line in fh if line.strip()]
+    try:
         d = int(header[2].split("=")[1])
         cells = tuple(int(x) for x in header[4:4 + d])
-        ext_vals = [float(complex(x).real) for x in header[5 + d:5 + 3 * d]]
-        extents = tuple((ext_vals[2 * i], ext_vals[2 * i + 1]) for i in range(d))
-        vals = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != d * d:
-                raise ShapeError(f"{path}: cell line with {len(parts)} entries")
-            vals.append(np.array([complex(x) for x in parts]).reshape(d, d))
-    arr = np.array(vals)
+        ext = [float(complex(x).real) for x in header[5 + d:5 + 3 * d]]
+    except (IndexError, ValueError) as exc:
+        raise ShapeError(f"{path}: not a coefficient file header") from exc
+    if "coefficient" not in header or not np.isfinite(ext).all():
+        raise ShapeError(f"{path}: not a coefficient file header")
+    dom = GridDomain(tuple(zip(ext[0::2], ext[1::2])), cells)
+    if len(lines) != dom.n_cells:
+        raise ShapeError(f"{path}: {len(lines)} cell lines for {dom.n_cells} cells")
+    if any(len(parts) != d * d for parts in lines):
+        raise ShapeError(f"{path}: a cell line does not hold {d * d} entries")
+    try:
+        arr = np.array(lines, dtype=complex).reshape(-1, d, d)
+    except ValueError as exc:
+        raise ShapeError(f"{path}: an entry is not a number") from exc
+    if not np.isfinite(arr).all():
+        raise ShapeError(f"{path}: an entry is not finite")
     if np.all(arr.imag == 0):
         arr = arr.real
-    dom = GridDomain(extents, cells)
     return CoefficientField(dom, arr, bounds=bounds)
 
 

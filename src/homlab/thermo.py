@@ -25,7 +25,7 @@ from .elliptic import CoefficientField, GridDomain, build_grad
 from .errors import CoercivityError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
 from .hilbert import _SparseSolver, _skew_pair, _sym_lambda_min
-from .homogenize import ExperimentReport, default_mesh_rule, laminate_limit
+from .homogenize import ExperimentReport, laminate_limit
 from .homogenize import g0_decomposition, g0_probe_pair
 from .schur import tau_gap
 
@@ -89,9 +89,6 @@ class ThermoSystem:
 
     def resolvent_solver(self):
         return _SparseSolver(self.evolution_matrix())
-
-    def a_op(self):
-        return LinearOp(self.space, self.space, matrix=self.a_matrix)
 
 
 def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
@@ -204,7 +201,7 @@ def congruence_diagonalize(sys, tol=1e-9):
     return LinearOp(sys.space, sys.space, matrix=s_mat), checks
 
 
-def _thermo_probes(sys, seed=0):
+def _thermo_probes(sys):
     """Sine modes k = 1, 2, 3 along x1, each alone in one of the four fields
     in turn (on the first component of a flux): one (dim, 12) block."""
     grad = sys.grad
@@ -221,12 +218,12 @@ def _thermo_probes(sys, seed=0):
             block[start:start + ns, slot::4] = s_modes
         else:
             block[start:start + nv:grad.d, slot::4] = v_modes
-    return ProbeSet.from_vectors(sys.space, block, seed=seed, copy=False)
+    return ProbeSet.from_vectors(sys.space, block, copy=False)
 
 
 def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
                                      rho_profile, gamma, lam, n_list,
-                                     bounds, mesh_rule=None, probe_seed=0):
+                                     bounds, mesh_rule, probe_seed=0):
     """Resolvent convergence of the oscillating 1-d system toward the limit
     built from the effective coefficients: harmonic means for the two flux
     coefficients, weak-star (arithmetic) means for the two state multipliers.
@@ -235,7 +232,6 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
     elastic coefficient on the gradient splitting and the plain multiplier
     gaps of the state coefficients.
     """
-    mesh_rule = mesh_rule or default_mesh_rule(1)
     c_h, _ = laminate_limit(c_profile)
     k_h, _ = laminate_limit(kappa_profile)
     _, w_m = laminate_limit(w_profile)
@@ -254,7 +250,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
         k_lim = CoefficientField.constant(dom, k_h, bounds=bounds, check=False)
         sys_lim = assemble_thermo(dom, rho_m, c_lim, gamma, w_m, k_lim, lam,
                                   bounds=None)
-        probes = _thermo_probes(sys_n, seed=probe_seed)
+        probes = _thermo_probes(sys_n)
         space = sys_n.space
         gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
                           LinearOp(space, space, apply=sys_lim.resolvent_solver().solve),
@@ -262,7 +258,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
 
         grad = sys_n.grad
         dec = g0_decomposition(grad)
-        p0, p1 = g0_probe_pair(grad, dec, seed=probe_seed)
+        p0, p1 = g0_probe_pair(grad, dec)
         op_n = c_n.operator(grad)
         op_lim = c_lim.operator(grad)
         g00, g01, g10, gs = tau_gap(op_n, op_lim, dec, p0, p1)

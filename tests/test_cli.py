@@ -53,12 +53,6 @@ def run_tiny_hconv(out, coefficients, strict=False):
 
 
 class TestRunConfig:
-    def test_round_trip_lossless(self):
-        cfg = RunConfig.parse(fixture("1d_harmonic.cfg"))
-        again = RunConfig.parse_text(cfg.to_text())
-        assert again.sections == cfg.sections
-        assert RunConfig.parse_text(again.to_text()).sections == cfg.sections
-
     def test_unknown_key_located(self):
         with pytest.raises(ConfigError, match=r"\[run\] unknown key 'bogus'"):
             RunConfig.parse_text("[run]\nbogus = 1\n")
@@ -295,6 +289,28 @@ class TestFixtures:
         assert error.startswith(section) and key in error, error
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("kind, config, args, where", [
+        # --seed=-1 exited 1 with a numpy ValueError (evo, recover) or ran (two-scale evo)
+        ("evo", "evo_perturbation.cfg", ["--seed=-1"], "--seed"),
+        ("recover", "recover.cfg", ["--seed=-1"], "--seed"),
+        ("evo", "evo_two_scale.cfg", ["--seed=-1"], "--seed"),
+        ("evo", None, [], "[probes] seed"),
+    ], ids=["evo-perturbation", "recover", "evo-two-scale", "probes-seed"])
+    def test_negative_seed_exit_2(self, tmp_path, kind, config, args, where):
+        if config is None:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text(open(fixture("evo_two_scale.cfg")).read()
+                           + "\n[probes]\nseed = -1\n")
+            config = str(cfg)
+        else:
+            config = fixture(config)
+        res = run_cli([kind, "--config", config, "--out", str(tmp_path)] + args)
+        assert res.exit_code == 2, res.output
+        payload = json.loads(res.output.strip().splitlines()[-1])
+        assert payload["status"] == "config-error", payload
+        assert payload["error"].startswith(where + ": must be at least 0"), payload
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("kind, body, key", [
         ("maxwell", "[run]\nn_list = 1\ntransverse_cells = 1\n", "[run] transverse_cells"),
         ("helmholtz", "[domain]\ncells = 1\n", "[domain] cells"),
@@ -440,25 +456,42 @@ class TestFixtures:
         assert any(line.startswith("node,") for line in text)
         assert any(line.startswith("element,") for line in text)
         # the assembled system ships as a triplet fixture too
-        from homlab.serialize import load_triplet
+        header = (tmp_path / "galerkin.triplet").read_text().splitlines()[0].split()
+        assert header[:4] == ["#", "triplet", "255", "255"]
 
-        k = load_triplet(tmp_path / "galerkin.triplet")
-        assert k.shape == (255, 255)
-
-    def test_solve1d_accepts_coefficient_file(self, tmp_path):
-        from homlab.elliptic import CoefficientField, GridDomain
-        from homlab.serialize import save_coefficient_text
-
-        dom = GridDomain.interval(0, 1, 32)
-        field = CoefficientField.from_function(dom, lambda p: 2.0 + p[:, 0],
-                                               bounds=(1.0, 4.0))
+    def run_coefficient_file(self, tmp_path, text):
+        """solve1d on a [coefficients] path file holding ``text``; None
+        leaves the file missing."""
         coef = tmp_path / "field.coef"
-        save_coefficient_text(coef, field)
+        if text is not None:
+            coef.write_text(text)
         cfg = tmp_path / "file.cfg"
         cfg.write_text(f"[experiment]\nkind = solve1d\n"
                        f"[coefficients]\npath = {coef}\n")
-        res = run_cli(["solve1d", "--config", str(cfg), "--out", str(tmp_path)])
+        return run_cli(["solve1d", "--config", str(cfg), "--out", str(tmp_path)])
+
+    def test_solve1d_accepts_coefficient_file(self, tmp_path):
+        cells = "".join(f"{2.0 + (i + 0.5) / 32!r}\n" for i in range(32))
+        res = self.run_coefficient_file(
+            tmp_path, "# coefficient d=1 cells 32 extents 0 1\n" + cells)
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("text", [
+        None,
+        "# coefficient\n2\n2\n",
+        "# coefficient d=1 cells 2 extents 0 1\n2\ntwo\n",
+        "# coefficient d=1 cells 3 extents 0 1\n2\n2\n",
+        "# coefficient d=1 cells 2 extents 0 1\n2\nnan\n",
+    ], ids=["missing", "header-only", "non-numeric", "cell-count", "nan"])
+    def test_bad_coefficient_file_exit_2(self, tmp_path, text):
+        # each exited 1: FileNotFoundError, IndexError, ValueError,
+        # ShapeError, and NotInM from a singular factor
+        res = self.run_coefficient_file(tmp_path, text)
+        assert res.exit_code == 2, res.output
+        payload = json.loads(res.output.strip().splitlines()[-1])
+        assert payload["status"] == "config-error", payload
+        assert payload["error"].startswith("[coefficients] path: "), payload
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_failing_tolerance_exit_1(self, tmp_path):
         cfg = tmp_path / "tight.cfg"
@@ -536,7 +569,8 @@ class TestKeyTables:
         sections.setdefault(name.split(".")[0], {})[name.split(".")[1]] = value
         cfg = os.path.join(out, "keys.cfg")
         with open(cfg, "w") as fh:
-            fh.write(RunConfig(sections).to_text())
+            for section, body in sections.items():
+                fh.write(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()))
         res = run_cli([kind, "--config", cfg, "--out", out])
         where = "[{}] {}".format(*name.split("."))
         assert res.exit_code == 2, (where, value, res.output)

@@ -130,17 +130,6 @@ class TestAdjoint:
         y = rng.standard_normal(5)
         assert abs(space.inner(y, op(x)) - space.inner(astar(y), x)) < 1e-12
 
-    def test_linearity_guard(self):
-        from homlab.hilbert import check_linear
-
-        space = HilbertSpace(4)
-        rng = np.random.default_rng(16)
-        m = rng.standard_normal((4, 4))
-        assert check_linear(LinearOp(space, space, apply=lambda x: m @ x))
-        crooked = LinearOp(space, space, apply=lambda x: m @ x + 0.01)
-        with pytest.raises(ShapeError):
-            check_linear(crooked)
-
 
 class TestKernelRange:
     def test_zero_operator(self):
@@ -292,8 +281,7 @@ class TestProbeSet:
         space = random_space(6, 50)
         a = ProbeSet.random(space, count=5, seed=7)
         b = ProbeSet.random(space, count=5, seed=7)
-        for va, vb in zip(a, b):
-            np.testing.assert_array_equal(va, vb)
+        np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
 class TestGaps:

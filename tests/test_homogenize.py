@@ -24,13 +24,18 @@ from homlab.homogenize import (
     homogenized_tensor,
     laminate_limit,
     log_gap_correlation,
-    modulated_laminate_limit,
     qdind_check,
     schur_equiv_check,
 )
 
 TWO_PHASE = lambda y: np.where(np.asarray(y) < 0.5, 1.0, 4.0)
 SIN_PROFILE = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y))
+
+
+def constant_sequence(value, bounds):
+    """The family a_n = value for every n."""
+    return CoefficientSequence(
+        "constant", lambda n, dom: CoefficientField.constant(dom, value, bounds=bounds), bounds)
 
 
 def checkerboard(points):
@@ -58,15 +63,14 @@ class TestLaminateLimit:
         assert np.isclose(a_m, 2.0, atol=1e-9)
 
     def test_modulated_profile_closed_form(self):
-        # oracle: the fast average of 1/(c + a sin) is 1/sqrt(c^2 - a^2)
-        from homlab.homogenize import modulated_laminate_limit
-
-        profile = lambda x, y: (2.0 + x) + 0.8 * np.sin(2 * np.pi * y)
-        a_h, a_m = modulated_laminate_limit(profile)
-        xs = np.array([0.0, 0.3, 0.9])
-        np.testing.assert_allclose(a_h(xs), np.sqrt((2.0 + xs) ** 2 - 0.64),
-                                   atol=1e-9)
-        np.testing.assert_allclose(a_m(xs), 2.0 + xs, atol=1e-9)
+        # a slowly modulated profile(x, y) has, at each slow position x, the
+        # laminate limit of y -> profile(x, y); oracle: the fast average of
+        # 1/(c + a sin) is 1/sqrt(c^2 - a^2)
+        profile = lambda x, y: (2.0 + x) + 0.8 * np.sin(2 * np.pi * np.asarray(y))
+        for x in (0.0, 0.3, 0.9):
+            a_h, a_m = laminate_limit(lambda y: profile(x, y))
+            assert abs(a_h - np.sqrt((2.0 + x) ** 2 - 0.64)) <= 1e-9
+            assert abs(a_m - (2.0 + x)) <= 1e-9
 
     def test_mean_inequality(self):
         rng = np.random.default_rng(0)
@@ -156,9 +160,6 @@ class TestLaminateQuadratureOracle:
         sign_change = lambda y: np.where(np.asarray(y) < 0.5, -2.0, 2.0)
         with pytest.raises(VanishingHarmonicMean):
             laminate_limit(sign_change)
-        a_h, _ = modulated_laminate_limit(lambda x, y: sign_change(y))
-        with pytest.raises(VanishingHarmonicMean):
-            a_h(0.3)
 
 
 class TestCellProblem:
@@ -312,24 +313,10 @@ class TestCoefficientSequence:
         fa = seq.adjoint().field(2, GridDomain.interval(0, 1, 32))
         np.testing.assert_allclose(fa.values, f.values.conj().transpose(0, 2, 1))
 
-    def test_explicit_list_kind(self):
-        table = {
-            1: lambda dom: CoefficientField.constant(dom, 1.0, bounds=(0.5, 2.0)),
-            2: lambda dom: CoefficientField.constant(dom, 1.5, bounds=(0.5, 2.0)),
-        }
-        seq = CoefficientSequence.explicit(table, bounds=(0.5, 2.0))
-        dom = GridDomain.interval(0, 1, 8)
-        assert seq.field(2, dom).values[0, 0, 0] == 1.5
-        with pytest.raises(ShapeError):
-            seq.field(3, dom)
-
 
 class TestHConvergence:
     def test_constant_sequence_at_solver_tolerance(self):
-        seq = CoefficientSequence.explicit(
-            lambda n, dom: CoefficientField.constant(dom, 2.0, bounds=(1.0, 3.0)),
-            bounds=(1.0, 3.0),
-        )
+        seq = constant_sequence(2.0, (1.0, 3.0))
         f = RHSFunctional.density(lambda p: np.ones(len(p)))
         rep = hconvergence_experiment(seq, f, 2.0, [1, 2, 4], mesh_rule=MeshRule(16))
         assert rep.values("err_solution").max() < 1e-9
@@ -357,28 +344,6 @@ class TestHConvergence:
         with pytest.raises(MeshRuleViolation):
             hconvergence_experiment(seq, f, np.sqrt(3.0), [512], mesh_rule=MeshRule(32))
 
-    def test_fitted_limit_is_estimate(self):
-        seq = CoefficientSequence.laminate(SIN_PROFILE, bounds=(1.0, 3.0))
-        f = RHSFunctional.density(lambda p: np.ones(len(p)))
-        rep = hconvergence_experiment(seq, f, None, [2, 4, 8], mesh_rule=MeshRule(32))
-        assert rep.estimates is not None
-        assert rep.estimates["estimate_only"] is True
-        assert np.isnan(rep.final("err_solution"))
-
-    def test_modulated_laminate_converges_to_field_limit(self):
-        # slow modulation on top of the oscillation: the limit is a genuine
-        # coefficient field of the slow variable
-        from homlab.homogenize import modulated_candidate
-
-        profile = lambda x, y: (2.0 + x) + 0.8 * np.sin(2 * np.pi * y)
-        seq = CoefficientSequence.laminate_modulated(profile, bounds=(1.1, 3.9))
-        f = RHSFunctional.density(lambda p: np.ones(len(p)))
-        cand = modulated_candidate(profile, d=1)
-        rep = hconvergence_experiment(seq, f, cand, [2, 4, 8, 16],
-                                      mesh_rule=MeshRule(32))
-        ok, msg = rep.check_decay(("err_solution",), 0.03)
-        assert ok, msg
-
     def test_neumann_flavor_boundary_condition_independence(self):
         # the same family converges to the same limit under the mean-free
         # natural-boundary problem
@@ -392,10 +357,7 @@ class TestHConvergence:
 
 class TestQdind:
     def test_constant_all_zero(self):
-        seq = CoefficientSequence.explicit(
-            lambda n, dom: CoefficientField.constant(dom, 2.0, bounds=(1.0, 3.0)),
-            bounds=(1.0, 3.0),
-        )
+        seq = constant_sequence(2.0, (1.0, 3.0))
         rep = qdind_check(seq, [1, 2, 4], candidate=2.0, mesh_rule=MeshRule(16))
         for col in ("gap_inverse", "gap_projected", "gap_flux"):
             assert rep.values(col).max() < 1e-12
@@ -418,10 +380,7 @@ class TestQdind:
 
 class TestSchurEquiv:
     def test_constant_trivial(self):
-        seq = CoefficientSequence.explicit(
-            lambda n, dom: CoefficientField.constant(dom, 2.0, bounds=(1.0, 3.0)),
-            bounds=(1.0, 3.0),
-        )
+        seq = constant_sequence(2.0, (1.0, 3.0))
         rep = schur_equiv_check(seq, [1, 2], 2.0, mesh_rule=MeshRule(16))
         for col in ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_solution"):
             assert rep.values(col).max() < 1e-9
@@ -462,10 +421,7 @@ class TestAdjointSymmetry:
 
     def test_nonsymmetric_constant_field(self):
         mat = np.array([[2.0, 0.5], [-0.5, 2.0]])
-        seq = CoefficientSequence.explicit(
-            lambda n, dom: CoefficientField.constant(dom, mat, bounds=(1.0, 4.0)),
-            bounds=(1.0, 4.0),
-        )
+        seq = constant_sequence(mat, (1.0, 4.0))
         primal, adj = adjoint_symmetry_check(seq, [1, 2], mat, dim=2,
                                              mesh_rule=MeshRule(8))
         assert primal.values("gap_solution").max() < 1e-9

@@ -251,10 +251,10 @@ class TestTauGap:
     def test_equal_operators(self):
         space, dec = euclidean_dec(8, 3, seed=14)
         op = coercive_operator(space, 0.5, 4.0, seed=15)
-        p0 = ProbeSet.from_vectors(space, [dec.h0.project(v)
-                                           for v in ProbeSet.random(space, 4, seed=16)])
-        p1 = ProbeSet.from_vectors(space, [dec.h1.project(v)
-                                           for v in ProbeSet.random(space, 4, seed=17)])
+        p0 = ProbeSet.from_vectors(
+            space, dec.h0.project(ProbeSet.random(space, 4, seed=16).matrix))
+        p1 = ProbeSet.from_vectors(
+            space, dec.h1.project(ProbeSet.random(space, 4, seed=17).matrix))
         assert tau_gap(op, op, dec, p0, p1) == (0.0, 0.0, 0.0, 0.0)
 
     def test_trivial_decompositions(self):
@@ -280,10 +280,10 @@ class TestTauGap:
         a = coercive_operator(space, 0.5, 4.0, seed=22)
         rng = np.random.default_rng(23)
         pert = 0.05 * rng.standard_normal((9, 9))
-        p0 = ProbeSet.from_vectors(space, [dec.h0.project(v)
-                                           for v in ProbeSet.random(space, 4, seed=24)])
-        p1 = ProbeSet.from_vectors(space, [dec.h1.project(v)
-                                           for v in ProbeSet.random(space, 4, seed=25)])
+        p0 = ProbeSet.from_vectors(
+            space, dec.h0.project(ProbeSet.random(space, 4, seed=24).matrix))
+        p1 = ProbeSet.from_vectors(
+            space, dec.h1.project(ProbeSet.random(space, 4, seed=25).matrix))
         gaps = []
         for n in (1, 2, 4, 8, 16):
             an = LinearOp(space, space, matrix=a.to_dense() + pert / n)
@@ -353,10 +353,10 @@ class TestFiniteShuffle:
         pert = 0.05 * rng.standard_normal((8, 8))
 
         def probe_pair(d, seed):
-            p0 = ProbeSet.from_vectors(space, [d.h0.project(v)
-                                               for v in ProbeSet.random(space, 4, seed=seed)])
-            p1 = ProbeSet.from_vectors(space, [d.h1.project(v)
-                                               for v in ProbeSet.random(space, 4, seed=seed + 1)])
+            p0 = ProbeSet.from_vectors(
+                space, d.h0.project(ProbeSet.random(space, 4, seed=seed).matrix))
+            p1 = ProbeSet.from_vectors(
+                space, d.h1.project(ProbeSet.random(space, 4, seed=seed + 1).matrix))
             return p0, p1
 
         for d, seed in ((dec, 32), (dec2, 34)):

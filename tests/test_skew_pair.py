@@ -101,7 +101,7 @@ def test_maxwell_block_matches_the_hand_built_one():
     assert sys.a_op.matrix is sys.a_matrix and sys.a_op.source is sys.space
 
 
-def old_thermo_probes(sys, count=8, seed=0):
+def old_thermo_probes(sys, count=8):
     grad = sys.grad
     ns, nv = sys.dims[0], sys.dims[1]
     x_n = grad.node_coords[:, 0]
@@ -117,10 +117,10 @@ def old_thermo_probes(sys, count=8, seed=0):
             parts = [np.zeros(ns), np.zeros(nv), np.zeros(ns), np.zeros(nv)]
             parts[slot] = s_mode if slot % 2 == 0 else v_mode
             vecs.append(np.concatenate(parts))
-    return ProbeSet.from_vectors(sys.space, vecs[:count * 2], seed=seed)
+    return ProbeSet.from_vectors(sys.space, vecs[:count * 2])
 
 
-def old_maxwell_probes(cx, count=6, seed=0):
+def old_maxwell_probes(cx, count=6):
     weight = np.concatenate([cx.edge_space.weight, cx.face_space.weight])
     space = HilbertSpace(cx.n_edges + cx.n_faces, weight=weight)
     vecs = []
@@ -143,24 +143,24 @@ def old_maxwell_probes(cx, count=6, seed=0):
             vf[mf] = mode_val(cx.face_mid[mf], k)
             vecs.append(np.concatenate([ve, np.zeros(cx.n_faces)]))
             vecs.append(np.concatenate([np.zeros(cx.n_edges), vf]))
-    return ProbeSet.from_vectors(space, vecs[: 2 * count], seed=seed), space
+    return ProbeSet.from_vectors(space, vecs[: 2 * count]), space
 
 
 @pytest.mark.parametrize("dom", [GridDomain.interval(0, 1, 64), GridDomain.interval(-0.3, 2.1, 40),
                                  GridDomain.box((5, 4))])
 def test_thermo_probe_block_matches_the_loop(dom):
     sys = thermo_system(dom)
-    probes = _thermo_probes(sys, seed=3)
-    ref = old_thermo_probes(sys, seed=3)
+    probes = _thermo_probes(sys)
+    ref = old_thermo_probes(sys)
     assert probes.matrix.shape == (sys.space.dim, 12)
-    assert np.array_equal(probes.matrix, ref.matrix) and probes.seed == 3
+    assert np.array_equal(probes.matrix, ref.matrix)
 
 
 @pytest.mark.parametrize("cells", [(4, 3, 3), (6, 2, 3)])
 def test_maxwell_probe_block_matches_the_loop(cells):
     sys = maxwell_system(cells)
-    probes = _maxwell_probes(sys, seed=2)
-    ref, space = old_maxwell_probes(sys.complex, seed=2)
+    probes = _maxwell_probes(sys)
+    ref, space = old_maxwell_probes(sys.complex)
     assert probes.space is sys.space and space.compatible(sys.space)
     assert probes.matrix.shape == (sys.space.dim, 12)
     assert np.array_equal(probes.matrix, ref.matrix)
