@@ -239,17 +239,19 @@ class Subspace:
     Explicit mode stores a weighted-orthonormal basis matrix ``B`` with
     ``B^H W B = I`` (checked to 1e-10). Implicit mode stores an orthogonal
     projector applicator, typically ``P = G (G^H W G)^{-1} G^H W`` for an
-    injective generator ``G``; idempotency and weighted self-adjointness are
-    verified on a block of random probes at 1e-8. Either mode projects a
-    vector or a (dim, k) block.
+    injective generator ``G``, whose subspace keeps G as ``generator`` and
+    the solver of G^H W G as ``gram``; idempotency and weighted
+    self-adjointness are verified on a block of random probes at 1e-8.
+    Either mode projects a vector or a (dim, k) block.
     """
 
     _ORTHO_TOL = 1e-10
     _PROJ_TOL = 1e-8
 
-    def __init__(self, ambient, basis=None, project=None, dim=None, generator=None):
+    def __init__(self, ambient, basis=None, project=None, dim=None, generator=None, gram=None):
         self.ambient = ambient
         self.generator = generator
+        self.gram = gram
         if basis is not None:
             basis = np.asarray(basis)
             if basis.ndim != 2 or basis.shape[0] != ambient.dim:
@@ -283,8 +285,9 @@ class Subspace:
         """Implicit subspace ran(G) for an injective sparse generator G.
 
         ``solver`` solves the Gram system G^H W G x = b for a vector or a
-        block through its ``solve`` method; by default G^H W G is factorised
-        with SuperLU."""
+        block through its ``solve`` method, and its ``for_matrix`` gives the
+        solver of another matrix on the same unknowns; by default G^H W G is
+        factorised with SuperLU."""
         g = generator.tocsr() if sp.issparse(generator) else sp.csr_matrix(generator)
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
@@ -295,7 +298,7 @@ class Subspace:
         def project(v):
             return g @ gram.solve(gh_w @ v)
 
-        return cls(ambient, project=project, dim=g.shape[1], generator=g)
+        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram=gram)
 
     @classmethod
     def complement(cls, sub):
@@ -670,6 +673,10 @@ class _SparseSolver:
             self._factor = spla.splu(self.k, **(symmetric if _is_hermitian(self.k) else {}))
         except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
             raise NotInM(f"sparse factorisation failed: {exc}") from exc
+
+    def for_matrix(self, k):
+        """The solver of another matrix K: its own SuperLU factorisation."""
+        return _SparseSolver(k, self.tol)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)

@@ -19,7 +19,9 @@ splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
 Gram matrix through the solver the splitting was built with (on a d >= 2 grid
 gradient range, the cached fast-transform inverse of the unit stiffness;
 otherwise a SuperLU factorisation), while a00^{-1} solves the Galerkin
-system G^H W a G through one SuperLU factorisation per operator.
+system G^H W a G once per operator with a solver of the same kind: on a grid,
+the exact transform solver of a system that separates (a laminate), else one
+SuperLU factorisation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .hilbert import (
     LinearOp,
     Subspace,
     _COND_CUTOFF,
-    _SparseSolver,
     _complement_basis,
     _dense_lu,
     coercivity_check,
@@ -101,8 +102,11 @@ class Decomposition:
 def _projected_solver(dec, a_matrix):
     """a00^{-1} on a generator-backed subspace: parametrizing H0 = ran(G)
     turns the projected equation P0 a G u = phi into the Galerkin system
-    (G^H W a G) u = G^H W phi, factorized once; the returned solve maps
-    phi (one load or a block) to G (G^H W a G)^{-1} G^H W phi."""
+    (G^H W a G) u = G^H W phi, solved by the kind of solver the splitting
+    solves its Gram matrix with (``gram.for_matrix``): on a grid gradient
+    range, the exact transform solver when the system separates, and
+    otherwise one SuperLU factorisation. The returned solve maps phi (one
+    load or a block) to G (G^H W a G)^{-1} G^H W phi."""
     g = dec.h0.generator
     if g is None:
         raise ShapeError("implicit Schur maps need a generator-backed h0")
@@ -110,7 +114,7 @@ def _projected_solver(dec, a_matrix):
         a_matrix = sp.csr_matrix(a_matrix)
     ghw = (g.conj().T @ dec.space.weight_operator()).tocsr()
     try:
-        solver = _SparseSolver(ghw @ (a_matrix @ g))
+        solver = dec.h0.gram.for_matrix(ghw @ (a_matrix @ g))
     except NotInM as exc:
         raise NotInM(f"projected block is numerically singular: {exc}") from exc
     return lambda phi: g @ solver.solve(ghw @ phi)
@@ -169,8 +173,9 @@ def schur_maps(a, dec):
     ``a`` and a00 once each with LAPACK's LU and checks the ``?gecon``
     estimate of each kappa_1 against 1e12 (kappa_1 lies within a factor n
     of kappa_2); a00^{-1} is read off the same LU. An implicit one checks
-    only a00, through the SuperLU factorisation of its Galerkin system,
-    which raises :class:`NotInM` when that system is singular.
+    only a00, through the factorisation of its Galerkin system (SuperLU's,
+    or the mode systems' of the exact transform solver), which raises
+    :class:`NotInM` when that system is singular.
     """
     if not a.square or not a.source.compatible(dec.space):
         raise ShapeError("operator must be square on the decomposition's space")

@@ -493,6 +493,20 @@ class TestFixtures:
         assert payload["error"].startswith("[coefficients] path: "), payload
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_overflowing_coefficient_file_is_a_coercivity_error(self, tmp_path):
+        # a finite entry whose Galerkin matrix overflows exited 1 with
+        # SolverDiverged and leaked numpy warnings to stderr
+        coef = tmp_path / "field.coef"
+        coef.write_text("# coefficient d=1 cells 2 extents 0 1\n1\n1e308\n")
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"[experiment]\nkind = solve1d\n[coefficients]\npath = {coef}\n")
+        res = subprocess.run([sys.executable, "-m", "homlab.cli", "solve1d", "--config", str(cfg),
+                              "--out", str(tmp_path)], env=fresh_env(), capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "CoercivityError" in json.loads(res.stdout.strip().splitlines()[-1])["error"]
+        assert res.stderr == ""
+
     def test_failing_tolerance_exit_1(self, tmp_path):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text(

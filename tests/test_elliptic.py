@@ -33,6 +33,7 @@ from homlab.elliptic import (
     vector_probes,
 )
 from homlab.elliptic import _sine_modes
+from homlab.homogenize import CoefficientSequence
 from homlab.errors import (
     BudgetExceeded,
     CoercivityError,
@@ -842,6 +843,190 @@ class TestGridSolverPath:
             assert solver._hermitian
             counts.append(solver.iterations)
         assert counts[0] > 0 and abs(counts[1] - counts[0]) <= 3
+
+
+def _laminate(dom, kind, axis=0):
+    """A field varying along ``axis`` only: a real two-phase laminate with a
+    diagonal anisotropic tensor, a complex one, or the constant diagonal
+    anisotropic candidate of a laminate."""
+    d = dom.dim
+    x = dom.cell_midpoints()[:, axis]
+    stretch = np.diag(np.linspace(1.0, 1.6, d))
+    if kind == "real":
+        vals = np.where(x % 0.5 < 0.25, 1.0, 4.0)[:, None, None] * stretch
+    elif kind == "complex":
+        vals = (2.0 + np.sin(7 * x) + 0.5j * np.cos(5 * x))[:, None, None] * stretch
+    else:
+        vals = np.diag([1.6, 2.5, 1.9][:d])
+    return CoefficientField(dom, vals)
+
+
+def _two_phase_profile(y):
+    return np.where(np.asarray(y) < 0.5, 1.0, 4.0)
+
+
+def _checkerboard(dom):
+    return CoefficientField.from_function(
+        dom, lambda p: np.where((np.floor(2 * p[:, 0]) + np.floor(2 * p[:, 1])) % 2 == 0,
+                                1.0, 4.0), bounds=(1.0, 4.0))
+
+
+_BOXES = {2: ((9, 12), (1.0, 1.7)), 3: ((5, 6, 7), (1.0, 1.7, 0.8))}
+
+
+class TestExactSeparableSolver:
+    """A K that separates (a laminate, or a constant diagonal tensor) is
+    solved by the transverse transforms and one tridiagonal solve per mode,
+    with no Krylov step; any other K keeps the Krylov path."""
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex", "constant"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dirichlet_laminates_are_solved_exactly(self, d, kind, block):
+        from homlab import elliptic
+
+        cells, hi = _BOXES[d]
+        dom = GridDomain.box(cells, hi=hi)
+        g = build_grad(dom)
+        k = galerkin_matrix(g, _laminate(dom, kind))
+        solver = elliptic._GridSolver(g, k)
+        assert isinstance(solver.prec, elliptic._TransformInverse)
+        assert solver.prec._axis == (None if kind == "constant" else 0)
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal((k.shape[0], 4) if block else k.shape[0])
+        u = solver.solve(rhs)
+        assert solver.iterations == 0
+        res = np.linalg.norm(k @ u - rhs, axis=0)
+        assert np.all(res <= 1e-12 * np.maximum(1.0, np.linalg.norm(rhs, axis=0)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_varying_axis_is_read_off_k(self, d):
+        from homlab import elliptic
+
+        cells, hi = _BOXES[d]
+        dom = GridDomain.box(cells, hi=hi)
+        g = build_grad(dom)
+        for axis in range(d):
+            k = galerkin_matrix(g, _laminate(dom, "real", axis))
+            inverse = elliptic._TransformInverse.exact(g, k)
+            assert inverse._axis == axis
+            rhs = _compatible_load(g)
+            assert np.linalg.norm(k @ inverse(rhs) - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "constant"])
+    def test_2d_neumann_laminates_are_solved_exactly(self, kind):
+        from homlab import elliptic
+        from homlab.hilbert import _SparseSolver
+
+        dom = GridDomain.box((9, 12), hi=(1.0, 1.7))
+        g = build_grad(dom, "neumann")
+        k = galerkin_matrix(g, _laminate(dom, kind))
+        solver = elliptic._GridSolver(g, k)
+        rhs = _compatible_load(g)
+        u = solver.solve(rhs)
+        assert solver.iterations == 0
+        ref = g.mean_center(np.concatenate([[0.0], _SparseSolver(k[1:, 1:]).solve(rhs[1:])]))
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["checkerboard", "off-diagonal", "3-d neumann",
+                                      "periodic laminate"])
+    def test_k_that_does_not_separate_keeps_krylov(self, case):
+        from homlab import elliptic
+
+        flavor = {"3-d neumann": "neumann", "periodic laminate": "periodic"}.get(case, "dirichlet")
+        cells, hi = _BOXES[3 if case == "3-d neumann" else 2]
+        dom = GridDomain.box(cells, hi=hi)
+        g = build_grad(dom, flavor)
+        if case == "checkerboard":
+            a = _checkerboard(dom)
+        elif case == "off-diagonal":
+            a = CoefficientField.constant(dom, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        else:
+            a = _laminate(dom, "real")
+        k = galerkin_matrix(g, a)
+        assert elliptic._TransformInverse.exact(g, k) is None
+        solver = elliptic._GridSolver(g, k)
+        assert solver.prec is elliptic.stiffness_solver(dom, flavor).prec
+        solver.solve(_compatible_load(g))
+        assert solver.iterations > 0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_coupling_across_the_grid_edge_does_not_separate(self, d):
+        # a laminate along the last-but-one axis plus a coupling that wraps
+        # that axis: its flat index step is a neighbour's, but the
+        # neighbour is off the grid
+        from homlab import elliptic
+
+        cells, hi = _BOXES[d]
+        dom = GridDomain.box(cells, hi=hi)
+        g = build_grad(dom)
+        axis = d - 2
+        k = galerkin_matrix(g, _laminate(dom, "real", axis))
+        nodes = np.arange(k.shape[0]).reshape(g.node_shape)
+        first = np.take(nodes, 0, axis=axis).ravel()
+        last = np.take(nodes, -1, axis=axis).ravel()
+        wrap = sp.csc_matrix((np.full(len(first), -0.1), (first, last)), shape=k.shape)
+        assert elliptic._TransformInverse.exact(g, k) is not None
+        assert elliptic._TransformInverse.exact(g, (k + wrap + wrap.T).tocsc()) is None
+
+    @pytest.mark.parametrize("flavor, d", [("dirichlet", 2), ("dirichlet", 3), ("neumann", 2)])
+    def test_matches_the_sparse_lu_solve(self, flavor, d):
+        from homlab import elliptic
+        from homlab.hilbert import _SparseSolver
+
+        cells, hi = _BOXES[d]
+        dom = GridDomain.box(cells, hi=hi)
+        g = build_grad(dom, flavor)
+        a = CoefficientSequence.laminate(_two_phase_profile, bounds=(1.0, 4.0)).field(2, dom)
+        k = galerkin_matrix(g, a)
+        rhs = np.stack([_compatible_load(g, seed) for seed in range(3)], axis=1)
+        u = elliptic._GridSolver(g, k).solve(rhs)
+        if flavor == "dirichlet":
+            ref = _SparseSolver(k).solve(rhs)
+        else:
+            ref = g.mean_center(np.concatenate([np.zeros((1, 3)),
+                                                _SparseSolver(k[1:, 1:]).solve(rhs[1:])]))
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_a_singular_mode_system_is_not_in_m(self):
+        # a vanishes on the first two cell columns, so the first interior
+        # node column has zero rows and every mode's system a zero column
+        from homlab.errors import NotInM
+        from homlab.homogenize import g0_decomposition
+        from homlab.schur import schur_maps
+
+        dom = GridDomain.box((8, 6))
+        grad = build_grad(dom)
+        a = CoefficientField.from_function(dom, lambda p: np.where(p[:, 0] < 0.25, 0.0, 1.0),
+                                           check=False)
+        with pytest.raises(NotInM, match="mode system"):
+            schur_maps(a.operator(grad), g0_decomposition(grad))
+
+    def test_laminate_runs_need_no_sparse_lu_and_no_cg(self, monkeypatch):
+        from homlab import elliptic
+        from homlab.homogenize import (
+            CoefficientSequence,
+            MeshRule,
+            hconvergence_experiment,
+            schur_equiv_check,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU or CG on a 2-d Dirichlet laminate")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", refuse)
+        elliptic.stiffness_solver.cache_clear()
+        seq = CoefficientSequence.laminate(_two_phase_profile, bounds=(1.0, 4.0))
+        candidate = np.diag([1.6, 2.5])
+        f = RHSFunctional.density(lambda p: np.ones(len(p)))
+        dom = GridDomain.box((16, 24), hi=(1.0, 1.5))
+        u, _ = solve_elliptic(dom, seq.field(2, dom), f)
+        assert np.isfinite(u).all()
+        rep = hconvergence_experiment(seq, f, candidate, [1, 2], MeshRule(8), dim=2)
+        assert rep.values("err_flux")[-1] < rep.values("err_flux")[0]
+        rep = schur_equiv_check(seq, [1, 2], candidate, MeshRule(8), dim=2)
+        assert rep.values("gap_m00inv")[-1] < rep.values("gap_m00inv")[0]
 
 
 def _product_galerkin(grad, a):

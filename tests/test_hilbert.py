@@ -465,9 +465,9 @@ class TestSparseOrderingRule:
         system.resolvent_solver()
         assert len(calls) == 1 and calls[0][0] == {}
 
-    def test_schur_equiv_galerkin_fill(self, monkeypatch):
-        # the K_a = G^H W a G that schur_equiv_check factorises at n = 8
-        # (16129 unknowns); COLAMD gives 1.19M
+    def test_schur_maps_of_a_laminate_factorise_no_grid_matrix(self, monkeypatch):
+        # the K_a = G^H W a G of schur_equiv_check at n = 8 (16129 unknowns)
+        # separates, so the exact transform solver serves it
         from homlab.elliptic import GridDomain, build_grad
         from homlab.homogenize import CoefficientSequence, g0_decomposition
         from homlab.schur import schur_maps
@@ -477,10 +477,34 @@ class TestSparseOrderingRule:
         dom = GridDomain.box((128, 128))
         grad = build_grad(dom, "dirichlet")
         dec = g0_decomposition(grad)
+        shapes = []
+        original = spla.splu
+
+        def record(k, **kwargs):
+            shapes.append(k.shape)
+            return original(k, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", record)
+        maps = schur_maps(seq.field(8, dom).operator(grad), dec)
+        maps.m00inv(np.random.default_rng(13).standard_normal((grad.vector_space.dim, 2)))
+        n = grad.scalar_space.dim
+        assert (n, n) not in shapes
+
+    def test_checkerboard_galerkin_matrix_keeps_the_symmetric_ordering(self, monkeypatch):
+        # a checkerboard K_a does not separate and goes to SuperLU
+        from homlab.elliptic import CoefficientField, GridDomain, build_grad
+        from homlab.homogenize import g0_decomposition
+        from homlab.schur import schur_maps
+
+        dom = GridDomain.box((16, 16))
+        grad = build_grad(dom, "dirichlet")
+        a = CoefficientField.from_function(
+            dom, lambda p: np.where((np.floor(2 * p[:, 0]) + np.floor(2 * p[:, 1])) % 2 == 0,
+                                    1.0, 4.0), bounds=(1.0, 4.0))
+        dec = g0_decomposition(grad)
         calls = _record_splu(monkeypatch)
-        schur_maps(seq.field(8, dom).operator(grad), dec)
+        schur_maps(a.operator(grad), dec)
         assert len(calls) == 1 and _symmetric_mode(calls[0][0])
-        assert calls[0][1] < 0.8e6
 
     @pytest.mark.parametrize("case", ["saddle", "swap", "complex"])
     def test_indefinite_and_complex_hermitian_solve(self, monkeypatch, case):

@@ -13,6 +13,9 @@ also gives the kappa_1 estimate. Elsewhere only the per-cell d x d inverses
 of a coefficient field call a ``linalg`` inverse.
 Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
 ``cho_solve``, ``cholesky``) appears anywhere.
+There is one solver layer: SuperLU (``splu``) is called only in
+``hilbert._SparseSolver`` and the Krylov solvers (``cg``, ``gmres``) only in
+``elliptic._GridSolver``.
 """
 
 import ast
@@ -27,6 +30,9 @@ _DENSE_SOLVE_ALLOWED = {"hilbert._dense_lu", "elliptic.CoefficientField.coercivi
                         "elliptic.CoefficientField.inverse_field"}
 _DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
 _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
+# solver entry point -> the one class that may call it
+_SOLVER_OWNERS = {"splu": "hilbert._SparseSolver", "cg": "elliptic._GridSolver",
+                  "gmres": "elliptic._GridSolver"}
 
 
 def _dotted(node):
@@ -69,16 +75,16 @@ def _linalg_sites(path, names):
     return _sites(path, matches)
 
 
-def _arpack_sites(path):
-    """Where an ARPACK entry point is named: as an attribute, a bare name or
-    an import."""
+def _named_sites(path, names):
+    """Where a name in ``names`` is named: as an attribute, a bare name or an
+    import."""
     def matches(node):
         if isinstance(node, ast.Attribute):
-            return node.attr in _ARPACK
+            return node.attr in names
         if isinstance(node, ast.Name):
-            return node.id in _ARPACK
+            return node.id in names
         return isinstance(node, (ast.Import, ast.ImportFrom)) \
-            and any(alias.name.rpartition(".")[2] in _ARPACK for alias in node.names)
+            and any(alias.name.rpartition(".")[2] in names for alias in node.names)
 
     return _sites(path, matches)
 
@@ -101,7 +107,7 @@ def test_scan_sees_a_forbidden_site(tmp_path):
 
 def test_no_arpack_in_homlab():
     package = Path(homlab.__file__).parent
-    sites = [s for path in sorted(package.glob("*.py")) for s in _arpack_sites(path)]
+    sites = [s for path in sorted(package.glob("*.py")) for s in _named_sites(path, _ARPACK)]
     assert not sites, sorted(set(sites))
 
 
@@ -112,7 +118,7 @@ def test_scan_sees_an_arpack_site(tmp_path):
                    "class A:\n    def f(self, m):\n"
                    "        return spla.eigsh(m, k=1)\n\n"
                    "def g(m):\n    return scipy.sparse.linalg.eigs(m)\n")
-    assert _arpack_sites(src) == ["mod", "mod.A.f", "mod.g"]
+    assert _named_sites(src, _ARPACK) == ["mod", "mod.A.f", "mod.g"]
 
 
 def test_dense_inverses_and_solves_only_on_the_one_lu():
@@ -147,3 +153,21 @@ def test_scan_sees_a_cholesky_site(tmp_path):
                    "def h(m):\n    return scipy.linalg.cho_factor(m)\n\n"
                    "def k(w):\n    return w.cholesky\n")
     assert _linalg_sites(src, _CHOLESKY) == ["mod.A.f", "mod.g", "mod.h"]
+
+
+def test_one_solver_layer():
+    package = Path(homlab.__file__).parent
+    for name, owner in _SOLVER_OWNERS.items():
+        sites = {s for path in sorted(package.glob("*.py")) for s in _named_sites(path, {name})}
+        assert all(s == owner or s.startswith(owner + ".") for s in sites), (name, sorted(sites))
+        assert sites, name    # the scan still sees the allowed site
+
+
+def test_scan_sees_a_solver_site(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import scipy.sparse.linalg as spla\n\nclass A:\n    def f(self, k):\n"
+                   "        return spla.splu(k)\n\n"
+                   "def g(k, b):\n    from scipy.sparse.linalg import cg\n    return cg(k, b)\n\n"
+                   "def h(k, b):\n    return scipy.sparse.linalg.gmres(k, b)\n")
+    assert _named_sites(src, {"splu"}) == ["mod.A.f"]
+    assert _named_sites(src, {"cg", "gmres"}) == ["mod.g", "mod.g", "mod.h"]
