@@ -46,6 +46,7 @@ from .hilbert import (
     ProbeSet,
     _check_residual,
     _is_hermitian,
+    _require_residual,
     _SparseSolver,
 )
 
@@ -63,7 +64,9 @@ __all__ = [
     "divergence_defect",
     "divcurl_pairing",
     "scalar_probes",
+    "scalar_probe_pairs",
     "vector_probes",
+    "vector_probe_pairs",
     "smooth_bump",
     "galerkin_matrix",
     "stiffness_solver",
@@ -813,6 +816,11 @@ class _TransformInverse:
         return u.reshape(r.shape)
 
 
+def _columns(x):
+    """A vector as a one-column block, a block as itself."""
+    return x.reshape(len(x), -1)
+
+
 class _GridSolver:
     """Residual-checked solver of a grid system K u = F (one load or an
     (n, m) block). Flavors with constant kernels need compatible loads and
@@ -831,9 +839,10 @@ class _GridSolver:
     inverse's does, it is the solution, with no Krylov step; elsewhere CG
     (K Hermitian) or GMRES, preconditioned with ``prec``, runs from it for
     at most 10 n steps. The returned solution is checked at 1e-10, column by
-    column for a block. A block goes through ``prec`` in one batched
-    transform, and only the columns whose image misses the Krylov stop run a
-    Krylov solve of their own. ``iterations`` holds the largest Krylov
+    column for a block; on a ``dirichlet`` grid a column returned as the
+    image is checked with the residual the Krylov stop has formed. A block
+    goes through ``prec`` in one batched transform, and only the columns
+    whose image misses the Krylov stop run a Krylov solve of their own. ``iterations`` holds the largest Krylov
     iteration count over the columns of the last solve."""
 
     _KRYLOV_TOL = 1e-12
@@ -866,28 +875,39 @@ class _GridSolver:
                                      > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
             raise CompatibilityError("load does not annihilate constants")
         if self._grad.d > 1:
-            u = self._krylov(rhs)
+            u, ran, res, load = self._krylov(rhs)
         elif self._grounded:
             u = np.concatenate([np.zeros((1,) + rhs.shape[1:]), self._lu.solve(rhs[1:])])
         else:
             return self._lu.solve(rhs)
         if self._grounded:
             u = self._grad.mean_center(u)
-        _check_residual(self.k, u, rhs, 1e-10)
+            _check_residual(self.k, u, rhs, 1e-10)
+            return u
+        # a column whose preconditioner image met the Krylov stop is returned
+        # unchanged, and its residual, already formed, meets the rule
+        if ran.any():
+            res[ran] = np.linalg.norm(self.k @ _columns(u)[:, ran] - _columns(rhs)[:, ran],
+                                      axis=0)
+        _require_residual(res, load, 1e-10, rhs.ndim == 2)
         return u
 
     def _krylov(self, rhs):
+        """The preconditioner's image of the load, with a Krylov solve from
+        it for each column whose image misses the Krylov stop; also the mask
+        of those columns, the residual norms of the image and the load
+        norms."""
         self.iterations = 0
         u = self.prec(rhs).astype(np.result_type(self.k.dtype, rhs.dtype), copy=False)
         # where the preconditioner's image of a column already meets the
         # Krylov stop, CG and GMRES would return it unchanged
-        res = np.linalg.norm(self.k @ u - rhs, axis=0)
-        stop = self._KRYLOV_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-        if rhs.ndim == 1:
-            return u if res < stop else self._krylov_column(rhs, u)
-        for j in np.flatnonzero(res >= stop):
-            u[:, j] = self._krylov_column(rhs[:, j], u[:, j])
-        return u
+        res = np.atleast_1d(np.linalg.norm(self.k @ u - rhs, axis=0))
+        load = np.linalg.norm(rhs, axis=0)
+        ran = res >= self._KRYLOV_TOL * np.maximum(1.0, load)
+        u_cols, rhs_cols = _columns(u), _columns(rhs)
+        for j in np.flatnonzero(ran):
+            u_cols[:, j] = self._krylov_column(rhs_cols[:, j], u_cols[:, j])
+        return u_cols.reshape(rhs.shape), ran, res, load
 
     def _krylov_column(self, rhs, x0):
         n = self.k.shape[0]
@@ -1148,15 +1168,83 @@ def _outer_into(out, factors):
         out *= v
 
 
+def _contract(field, factors):
+    """The (j, m) sums over the grid of field[i_0, ..., i_(d-1), m] times
+    the outer product that :func:`_outer_into` writes from ``factors``, one
+    axis at a time and with no array of the grid's size per column j."""
+    (_, first), *rest = sorted(factors, key=lambda bf: bf[0])
+    x = np.tensordot(first, field, axes=(0, 0))
+    for _, f in rest:
+        x = np.einsum("jn...,nj->j...", x, f)
+    return x
+
+
+def _normalised_pairs(pairs, sq, block):
+    """Pairings with the unit-norm probes from the pairings ``pairs`` with
+    the raw ones and their squared weighted norms ``sq``, dropping the
+    probes :meth:`ProbeSet.from_vectors` drops; shaped as
+    ``space.gram(probes.matrix, block)``."""
+    norms = np.sqrt(np.maximum(sq, 0.0))
+    keep = norms > ProbeSet.DROP_TOL
+    out = pairs[keep] / norms[keep, None]
+    return out if np.ndim(block) == 2 else out[:, 0]
+
+
+def _scalar_factors(grad, per_axis, cap):
+    """The scalar probe family as one outer product of 1-d sine tables,
+    one (b, table) per axis, one table column per probe."""
+    modes = _sine_modes(grad.domain, per_axis, cap)
+    tables = _sine_tables(grad.domain, modes, grad.node_axes)
+    return [(b, sines) for b, (sines, _) in enumerate(tables)]
+
+
 def scalar_probes(grad, per_axis=5, cap=25):
     """Smooth low-frequency scalar probes (tensor-product sine modes) at the
     nodes, weight-normalized; they mimic compactly supported test functions.
     Each column is an outer product of 1-d sine tables."""
+    factors = _scalar_factors(grad, per_axis, cap)
+    block = np.empty(grad.node_shape + (factors[0][1].shape[1],))
+    _outer_into(block, factors)
+    return ProbeSet.from_vectors(grad.scalar_space, block.reshape(-1, block.shape[-1]),
+                                 copy=False)
+
+
+def scalar_probe_pairs(grad, block, per_axis=5, cap=25):
+    """``space.gram(scalar_probes(grad, per_axis, cap).matrix, block)`` for a
+    vector or an (n, m) block on the nodes, with no probe formed: W times
+    the block, on the node grid, is contracted with the 1-d sine tables one
+    axis at a time, and W with their squares gives the probe norms."""
+    space = grad.scalar_space
+    b2 = space.check_block(block).reshape(space.dim, -1)
+    factors = _scalar_factors(grad, per_axis, cap)
+    wv = space.apply_weight(b2).reshape(grad.node_shape + b2.shape[1:])
+    sq = _contract(space.weight.reshape(grad.node_shape + (1,)),
+                   [(b, f * f) for b, f in factors])[:, 0]
+    return _normalised_pairs(_contract(wv, factors), sq, block)
+
+
+def _vector_terms(grad, per_axis, cap, count, kinds):
+    """The vector probe family as outer products of 1-d tables: the column
+    count and the terms (t, a, columns, factors), each the outer product of
+    ``factors`` in component a of the simplex type t of the ``columns``."""
+    d = grad.d
     modes = _sine_modes(grad.domain, per_axis, cap)
-    tables = _sine_tables(grad.domain, modes, grad.node_axes)
-    block = np.empty(grad.node_shape + (len(modes),))
-    _outer_into(block, [(b, sines) for b, (sines, _) in enumerate(tables)])
-    return ProbeSet.from_vectors(grad.scalar_space, block.reshape(-1, len(modes)), copy=False)
+    comp, grads = "component" in kinds, "gradient" in kinds
+    per_mode = d * comp + grads
+    n_cols = len(range(len(modes) * per_mode)[:count])
+    terms = []
+    for t, axes in enumerate(grad.mid_axes):
+        tables = _sine_tables(grad.domain, modes, axes)
+        for c in range(d * comp):
+            m = len(range(c, n_cols, per_mode))
+            terms.append((t, c, slice(c, None, per_mode),
+                          [(b, s[:, :m]) for b, (s, _) in enumerate(tables)]))
+        for a in range(d * grads):
+            m = len(range(per_mode - 1, n_cols, per_mode))
+            terms.append((t, a, slice(per_mode - 1, None, per_mode),
+                          [(a, tables[a][1][:, :m])]
+                          + [(b, s[:, :m]) for b, (s, _) in enumerate(tables) if b != a]))
+    return n_cols, terms
 
 
 def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",)):
@@ -1165,21 +1253,29 @@ def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",)):
     component columns come before the gradient column, and the first
     ``count`` columns are kept. Each column is, per simplex type, an outer
     product of 1-d sine and cosine tables."""
-    d = grad.d
-    modes = _sine_modes(grad.domain, per_axis, cap)
-    comp, grads = "component" in kinds, "gradient" in kinds
-    per_mode = d * comp + grads
-    n_cols = len(range(len(modes) * per_mode)[:count])
-    block = np.zeros((len(grad.mid_axes),) + grad.domain.cells + (d, n_cols))
-    for t, axes in enumerate(grad.mid_axes):
-        tables = _sine_tables(grad.domain, modes, axes)
-        for c in range(d * comp):
-            out = block[t, ..., c, c::per_mode]
-            _outer_into(out, [(b, s[:, :out.shape[-1]]) for b, (s, _) in enumerate(tables)])
-        for a in range(d * grads):
-            out = block[t, ..., a, per_mode - 1::per_mode]
-            m = out.shape[-1]
-            _outer_into(out, [(a, tables[a][1][:, :m])]
-                        + [(b, s[:, :m]) for b, (s, _) in enumerate(tables) if b != a])
-    return ProbeSet.from_vectors(grad.vector_space, block.reshape(grad.n_elem * d, n_cols),
+    n_cols, terms = _vector_terms(grad, per_axis, cap, count, kinds)
+    block = np.zeros((len(grad.mid_axes),) + grad.domain.cells + (grad.d, n_cols))
+    for t, a, cols, factors in terms:
+        _outer_into(block[t, ..., a, cols], factors)
+    return ProbeSet.from_vectors(grad.vector_space, block.reshape(grad.n_elem * grad.d, n_cols),
                                  copy=False)
+
+
+def vector_probe_pairs(grad, block, per_axis=3, cap=25):
+    """``space.gram(vector_probes(grad, per_axis, cap).matrix, block)`` for a
+    vector or an (n, m) block at the element midpoints, with no probe
+    formed: per simplex type and component, W times the block is contracted
+    with the 1-d sine tables one axis at a time, and W with their squares
+    gives the probe norms."""
+    space = grad.vector_space
+    b2 = space.check_block(block).reshape(space.dim, -1)
+    n_cols, terms = _vector_terms(grad, per_axis, cap, None, ("component",))
+    shape = (len(grad.mid_axes),) + grad.domain.cells + (grad.d,)
+    wv = space.apply_weight(b2).reshape(shape + b2.shape[1:])
+    w = space.weight.reshape(shape)
+    pairs = np.zeros((n_cols, b2.shape[1]), dtype=wv.dtype)
+    sq = np.zeros(n_cols)
+    for t, a, cols, factors in terms:
+        pairs[cols] += _contract(wv[t, ..., a, :], factors)
+        sq[cols] += _contract(w[t, ..., a, None], [(b, f * f) for b, f in factors])[:, 0]
+    return _normalised_pairs(pairs, sq, block)

@@ -239,19 +239,22 @@ class Subspace:
     Explicit mode stores a weighted-orthonormal basis matrix ``B`` with
     ``B^H W B = I`` (checked to 1e-10). Implicit mode stores an orthogonal
     projector applicator, typically ``P = G (G^H W G)^{-1} G^H W`` for an
-    injective generator ``G``, whose subspace keeps G as ``generator`` and
-    the solver of G^H W G as ``gram``; idempotency and weighted
-    self-adjointness are verified on a block of random probes at 1e-8.
+    injective generator ``G``, whose subspace keeps G as ``generator``,
+    the solver of G^H W G as ``gram`` and G^H W as ``gh_w``; idempotency
+    and weighted self-adjointness are verified on a block of random probes
+    at 1e-8.
     Either mode projects a vector or a (dim, k) block.
     """
 
     _ORTHO_TOL = 1e-10
     _PROJ_TOL = 1e-8
 
-    def __init__(self, ambient, basis=None, project=None, dim=None, generator=None, gram=None):
+    def __init__(self, ambient, basis=None, project=None, dim=None, generator=None, gram=None,
+                 gh_w=None):
         self.ambient = ambient
         self.generator = generator
         self.gram = gram
+        self.gh_w = gh_w
         if basis is not None:
             basis = np.asarray(basis)
             if basis.ndim != 2 or basis.shape[0] != ambient.dim:
@@ -298,7 +301,7 @@ class Subspace:
         def project(v):
             return g @ gram.solve(gh_w @ v)
 
-        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram=gram)
+        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram=gram, gh_w=gh_w)
 
     @classmethod
     def complement(cls, sub):
@@ -365,6 +368,8 @@ class ProbeSet:
     vectors or a (dim, k) array.
     """
 
+    DROP_TOL = 1e-10
+
     def __init__(self, space, vectors):
         m = _as_columns(space, vectors)
         if m.shape[1] == 0:
@@ -383,14 +388,15 @@ class ProbeSet:
         return cls.from_vectors(space, v.T)
 
     @classmethod
-    def from_vectors(cls, space, vectors, drop_tol=1e-10, copy=True):
-        """Normalize raw vectors, silently dropping near-zero ones. The
-        caller's array is left alone unless ``copy`` is False, which hands
-        over a fresh (dim, k) block to be normalised in place."""
+    def from_vectors(cls, space, vectors, copy=True):
+        """Normalize raw vectors, silently dropping those of norm at most
+        ``DROP_TOL``. The caller's array is left alone unless ``copy`` is
+        False, which hands over a fresh (dim, k) block to be normalised in
+        place."""
         m = _as_columns(space, vectors).astype(complex if space.field == "complex" else float,
                                                copy=copy and isinstance(vectors, np.ndarray))
         norms = space.column_norms(m)
-        keep = norms > drop_tol
+        keep = norms > cls.DROP_TOL
         m = m if keep.all() else m[:, keep]
         m /= norms[keep]
         return cls(space, m)
@@ -606,10 +612,17 @@ def _check_residual(k, x, b, tol):
     """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)
     for the solution and load, or for every column of a block of them; a
     NaN residual misses every tolerance."""
-    res = np.atleast_1d(np.linalg.norm(k @ x - b, axis=0))
-    bad = ~(res <= tol * np.maximum(1.0, np.linalg.norm(b, axis=0)))
+    _require_residual(np.linalg.norm(k @ x - b, axis=0), np.linalg.norm(b, axis=0), tol,
+                      np.ndim(b) == 2)
+
+
+def _require_residual(res, load, tol, block):
+    """The rule of :func:`_check_residual` on the residual norms ``res`` and
+    load norms ``load`` already formed, per column when ``block``."""
+    res = np.atleast_1d(res)
+    bad = ~(res <= tol * np.maximum(1.0, load))
     if np.any(bad):
-        where = f" in column {np.flatnonzero(bad)[0]}" if np.ndim(b) == 2 else ""
+        where = f" in column {np.flatnonzero(bad)[0]}" if block else ""
         raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses {tol:.1e}{where}")
 
 

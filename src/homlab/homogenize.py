@@ -25,9 +25,10 @@ from .elliptic import (
     _solve_galerkin,
     build_grad,
     check_budget,
-    scalar_probes,
+    scalar_probe_pairs,
     solve_elliptic,
     stiffness_solver,
+    vector_probe_pairs,
     vector_probes,
 )
 from .errors import (
@@ -347,21 +348,16 @@ def hconvergence_experiment(seq, f, candidate, n_list, mesh_rule, dim=1,
     For each n, records the maximal normalized probe pairing of the solution
     difference and of the flux difference.
     """
-    probes_cache = {}
     rows = []
     for n in n_list:
         dom = _guarded_domain(n, mesh_rule, dim, flavor)
         grad = build_grad(dom, flavor)
         a_n = seq.field(n, dom)
         u_n, q_n = solve_elliptic(dom, a_n, f, flavor=flavor)
-        key = dom.cells
-        if key not in probes_cache:
-            probes_cache[key] = (scalar_probes(grad), vector_probes(grad))
-        sp_probes, vp_probes = probes_cache[key]
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         u_h, q_h = solve_elliptic(dom, cand_field, f, flavor=flavor)
-        err_u = _relative_pairing(grad.scalar_space, sp_probes, u_n, u_h)
-        err_q = _relative_pairing(grad.vector_space, vp_probes, q_n, q_h)
+        err_u = _probe_gap(scalar_probe_pairs, grad, u_n, u_h)
+        err_q = _probe_gap(vector_probe_pairs, grad, q_n, q_h)
         rows.append({
             "n": n,
             "cells_per_axis": dom.cells[0],
@@ -382,10 +378,11 @@ def hconvergence_experiment(seq, f, candidate, n_list, mesh_rule, dim=1,
     )
 
 
-def _relative_pairing(space, probes, u_n, u_h):
-    """max_i |<g_i, u_n - u_h>| / max_i |<g_i, u_h>| over a probe family,
-    both from one weighted product."""
-    pairs = np.abs(space.gram(probes.matrix, np.stack([u_n - u_h, u_h], axis=1))).max(axis=0)
+def _probe_gap(probe_pairs, grad, u_n, u_h):
+    """max_i |<g_i, u_n - u_h>| / max_i |<g_i, u_h>| over the probe family
+    of ``probe_pairs`` (:func:`scalar_probe_pairs` or
+    :func:`vector_probe_pairs`), both from one pairing call."""
+    pairs = np.abs(probe_pairs(grad, np.stack([u_n - u_h, u_h], axis=1))).max(axis=0)
     return float(pairs[0] / max(pairs[1], 1e-300))
 
 
@@ -407,14 +404,16 @@ def _projected_probes(base, project, count):
     ``count`` that retain at least ``_KEEP_FRAC`` of their norm;
     near-annihilated modes would normalize into mesh-scale noise with no
     continuum meaning. The probes are projected ``count`` at a time, one
-    block per projector call."""
-    kept = []
+    block per projector call, and the kept columns are stacked into one
+    fresh block that is normalised in place."""
+    kept, have = [], 0
     for start in range(0, len(base), count):
         p = project(base.matrix[:, start:start + count])
-        kept.append(p[:, base.space.column_norms(p) >= _KEEP_FRAC])
-        if sum(k.shape[1] for k in kept) >= count:
+        kept.append(p[:, base.space.column_norms(p) >= _KEEP_FRAC][:, :count - have])
+        have += kept[-1].shape[1]
+        if have >= count:
             break
-    return ProbeSet.from_vectors(base.space, np.hstack(kept)[:, :count])
+    return ProbeSet.from_vectors(base.space, np.hstack(kept), copy=False)
 
 
 def g0_probe_pair(grad, dec=None, count=8):
@@ -513,7 +512,7 @@ def schur_equiv_check(seq, n_list, candidate, mesh_rule, dim=1, probe_seed=0):
         g00, g01, g10, gs = tau_gap(op_n, op_h, dec, p0, p1)
         u_n, _ = solve_elliptic(dom, a_n, f)
         u_h, _ = solve_elliptic(dom, cand_field, f)
-        gap_sol = _relative_pairing(grad.scalar_space, scalar_probes(grad), u_n, u_h)
+        gap_sol = _probe_gap(scalar_probe_pairs, grad, u_n, u_h)
         rows.append({
             "n": n,
             "cells_per_axis": dom.cells[0],

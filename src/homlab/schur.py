@@ -112,7 +112,7 @@ def _projected_solver(dec, a_matrix):
         raise ShapeError("implicit Schur maps need a generator-backed h0")
     if not sp.issparse(a_matrix):
         a_matrix = sp.csr_matrix(a_matrix)
-    ghw = (g.conj().T @ dec.space.weight_operator()).tocsr()
+    ghw = dec.h0.gh_w
     try:
         solver = dec.h0.gram.for_matrix(ghw @ (a_matrix @ g))
     except NotInM as exc:

@@ -354,6 +354,41 @@ class TestHConvergence:
         ok, msg = rep.check_decay(("err_solution",), 0.05)
         assert ok, msg
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pairs_with_no_dense_probe_block(self, monkeypatch, dim):
+        from homlab import elliptic, homogenize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense probe block on the H-convergence path")
+
+        for module in (elliptic, homogenize):
+            for name in ("scalar_probes", "vector_probes"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
+        f = RHSFunctional.density(lambda p: np.ones(len(p)))
+        candidate = 1.6 if dim == 1 else np.diag([1.6, 2.5])
+        rep = hconvergence_experiment(seq, f, candidate, [1, 4], MeshRule(8), dim=dim)
+        for col in ("err_solution", "err_flux"):
+            assert rep.values(col)[-1] < rep.values(col)[0]
+
+    def test_2d_peak_memory(self):
+        # the dense (dim, k) probe blocks took the peak to 85.6 MB
+        import tracemalloc
+
+        from homlab import elliptic
+
+        elliptic.build_grad.cache_clear()
+        elliptic.stiffness_solver.cache_clear()
+        seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
+        f = RHSFunctional.density(lambda p: np.ones(len(p)))
+        tracemalloc.start()
+        try:
+            hconvergence_experiment(seq, f, np.diag([1.6, 2.5]), [16], MeshRule(16), dim=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestQdind:
     def test_constant_all_zero(self):
@@ -400,6 +435,18 @@ class TestSchurEquiv:
         for col in ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_solution"):
             v = rep.values(col)
             assert v[-1] < v[0], col
+
+    def test_2d_solution_gap_pairs_with_no_dense_probe_block(self, monkeypatch):
+        from homlab import elliptic, homogenize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense scalar probe block on the Schur path")
+
+        for module in (elliptic, homogenize):
+            monkeypatch.setattr(module, "scalar_probes", refuse, raising=False)
+        seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
+        rep = schur_equiv_check(seq, [1, 4], np.diag([1.6, 2.5]), dim=2, mesh_rule=MeshRule(8))
+        assert rep.values("gap_solution")[-1] < rep.values("gap_solution")[0]
 
 
 class TestAdjointSymmetry:
