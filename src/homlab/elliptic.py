@@ -46,7 +46,6 @@ from .hilbert import (
     ProbeSet,
     _check_residual,
     _is_hermitian,
-    _require_residual,
     _SparseSolver,
 )
 
@@ -816,11 +815,6 @@ class _TransformInverse:
         return u.reshape(r.shape)
 
 
-def _columns(x):
-    """A vector as a one-column block, a block as itself."""
-    return x.reshape(len(x), -1)
-
-
 class _GridSolver:
     """Residual-checked solver of a grid system K u = F (one load or an
     (n, m) block). Flavors with constant kernels need compatible loads and
@@ -839,10 +833,9 @@ class _GridSolver:
     inverse's does, it is the solution, with no Krylov step; elsewhere CG
     (K Hermitian) or GMRES, preconditioned with ``prec``, runs from it for
     at most 10 n steps. The returned solution is checked at 1e-10, column by
-    column for a block; on a ``dirichlet`` grid a column returned as the
-    image is checked with the residual the Krylov stop has formed. A block
-    goes through ``prec`` in one batched transform, and only the columns
-    whose image misses the Krylov stop run a Krylov solve of their own. ``iterations`` holds the largest Krylov
+    column for a block. A block goes through ``prec`` in one batched
+    transform, and only the columns whose image misses the Krylov stop run a
+    Krylov solve of their own. ``iterations`` holds the largest Krylov
     iteration count over the columns of the last solve."""
 
     _KRYLOV_TOL = 1e-12
@@ -875,39 +868,28 @@ class _GridSolver:
                                      > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
             raise CompatibilityError("load does not annihilate constants")
         if self._grad.d > 1:
-            u, ran, res, load = self._krylov(rhs)
+            u = self._krylov(rhs)
         elif self._grounded:
             u = np.concatenate([np.zeros((1,) + rhs.shape[1:]), self._lu.solve(rhs[1:])])
         else:
             return self._lu.solve(rhs)
         if self._grounded:
             u = self._grad.mean_center(u)
-            _check_residual(self.k, u, rhs, 1e-10)
-            return u
-        # a column whose preconditioner image met the Krylov stop is returned
-        # unchanged, and its residual, already formed, meets the rule
-        if ran.any():
-            res[ran] = np.linalg.norm(self.k @ _columns(u)[:, ran] - _columns(rhs)[:, ran],
-                                      axis=0)
-        _require_residual(res, load, 1e-10, rhs.ndim == 2)
+        _check_residual(self.k, u, rhs, 1e-10)
         return u
 
     def _krylov(self, rhs):
-        """The preconditioner's image of the load, with a Krylov solve from
-        it for each column whose image misses the Krylov stop; also the mask
-        of those columns, the residual norms of the image and the load
-        norms."""
         self.iterations = 0
         u = self.prec(rhs).astype(np.result_type(self.k.dtype, rhs.dtype), copy=False)
         # where the preconditioner's image of a column already meets the
         # Krylov stop, CG and GMRES would return it unchanged
-        res = np.atleast_1d(np.linalg.norm(self.k @ u - rhs, axis=0))
-        load = np.linalg.norm(rhs, axis=0)
-        ran = res >= self._KRYLOV_TOL * np.maximum(1.0, load)
-        u_cols, rhs_cols = _columns(u), _columns(rhs)
-        for j in np.flatnonzero(ran):
-            u_cols[:, j] = self._krylov_column(rhs_cols[:, j], u_cols[:, j])
-        return u_cols.reshape(rhs.shape), ran, res, load
+        res = np.linalg.norm(self.k @ u - rhs, axis=0)
+        stop = self._KRYLOV_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+        if rhs.ndim == 1:
+            return u if res < stop else self._krylov_column(rhs, u)
+        for j in np.flatnonzero(res >= stop):
+            u[:, j] = self._krylov_column(rhs[:, j], u[:, j])
+        return u
 
     def _krylov_column(self, rhs, x0):
         n = self.k.shape[0]
@@ -1130,6 +1112,11 @@ def divcurl_pairing(domain, q_fields, r_fields, phi=None):
 
 # -- probe construction ------------------------------------------------------
 
+# (per_axis, cap) of the two sine-mode probe families, read by the builders
+# and the pairings alike, so both always see one family
+_SCALAR_MODES = (5, 25)
+_VECTOR_MODES = (3, 25)
+
 
 def _sine_modes(domain, per_axis, cap):
     """Lowest tensor-product sine mode indices, ordered by |k|^2, as the
@@ -1190,45 +1177,45 @@ def _normalised_pairs(pairs, sq, block):
     return out if np.ndim(block) == 2 else out[:, 0]
 
 
-def _scalar_factors(grad, per_axis, cap):
+def _scalar_factors(grad):
     """The scalar probe family as one outer product of 1-d sine tables,
     one (b, table) per axis, one table column per probe."""
-    modes = _sine_modes(grad.domain, per_axis, cap)
+    modes = _sine_modes(grad.domain, *_SCALAR_MODES)
     tables = _sine_tables(grad.domain, modes, grad.node_axes)
     return [(b, sines) for b, (sines, _) in enumerate(tables)]
 
 
-def scalar_probes(grad, per_axis=5, cap=25):
+def scalar_probes(grad):
     """Smooth low-frequency scalar probes (tensor-product sine modes) at the
     nodes, weight-normalized; they mimic compactly supported test functions.
     Each column is an outer product of 1-d sine tables."""
-    factors = _scalar_factors(grad, per_axis, cap)
+    factors = _scalar_factors(grad)
     block = np.empty(grad.node_shape + (factors[0][1].shape[1],))
     _outer_into(block, factors)
     return ProbeSet.from_vectors(grad.scalar_space, block.reshape(-1, block.shape[-1]),
                                  copy=False)
 
 
-def scalar_probe_pairs(grad, block, per_axis=5, cap=25):
-    """``space.gram(scalar_probes(grad, per_axis, cap).matrix, block)`` for a
-    vector or an (n, m) block on the nodes, with no probe formed: W times
-    the block, on the node grid, is contracted with the 1-d sine tables one
-    axis at a time, and W with their squares gives the probe norms."""
+def scalar_probe_pairs(grad, block):
+    """``space.gram(scalar_probes(grad).matrix, block)`` for a vector or an
+    (n, m) block on the nodes, with no probe formed: W times the block, on
+    the node grid, is contracted with the 1-d sine tables one axis at a
+    time, and W with their squares gives the probe norms."""
     space = grad.scalar_space
     b2 = space.check_block(block).reshape(space.dim, -1)
-    factors = _scalar_factors(grad, per_axis, cap)
+    factors = _scalar_factors(grad)
     wv = space.apply_weight(b2).reshape(grad.node_shape + b2.shape[1:])
     sq = _contract(space.weight.reshape(grad.node_shape + (1,)),
                    [(b, f * f) for b, f in factors])[:, 0]
     return _normalised_pairs(_contract(wv, factors), sq, block)
 
 
-def _vector_terms(grad, per_axis, cap, count, kinds):
+def _vector_terms(grad, count, kinds):
     """The vector probe family as outer products of 1-d tables: the column
     count and the terms (t, a, columns, factors), each the outer product of
     ``factors`` in component a of the simplex type t of the ``columns``."""
     d = grad.d
-    modes = _sine_modes(grad.domain, per_axis, cap)
+    modes = _sine_modes(grad.domain, *_VECTOR_MODES)
     comp, grads = "component" in kinds, "gradient" in kinds
     per_mode = d * comp + grads
     n_cols = len(range(len(modes) * per_mode)[:count])
@@ -1247,13 +1234,13 @@ def _vector_terms(grad, per_axis, cap, count, kinds):
     return n_cols, terms
 
 
-def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",)):
+def vector_probes(grad, count=None, kinds=("component",)):
     """Vector probes at element midpoints: per-component sine modes and,
     optionally, analytic gradient fields of the modes; per mode, the d
     component columns come before the gradient column, and the first
     ``count`` columns are kept. Each column is, per simplex type, an outer
     product of 1-d sine and cosine tables."""
-    n_cols, terms = _vector_terms(grad, per_axis, cap, count, kinds)
+    n_cols, terms = _vector_terms(grad, count, kinds)
     block = np.zeros((len(grad.mid_axes),) + grad.domain.cells + (grad.d, n_cols))
     for t, a, cols, factors in terms:
         _outer_into(block[t, ..., a, cols], factors)
@@ -1261,15 +1248,15 @@ def vector_probes(grad, per_axis=3, cap=25, count=None, kinds=("component",)):
                                  copy=False)
 
 
-def vector_probe_pairs(grad, block, per_axis=3, cap=25):
-    """``space.gram(vector_probes(grad, per_axis, cap).matrix, block)`` for a
-    vector or an (n, m) block at the element midpoints, with no probe
-    formed: per simplex type and component, W times the block is contracted
-    with the 1-d sine tables one axis at a time, and W with their squares
-    gives the probe norms."""
+def vector_probe_pairs(grad, block):
+    """``space.gram(vector_probes(grad).matrix, block)`` for a vector or an
+    (n, m) block at the element midpoints, with no probe formed: per simplex
+    type and component, W times the block is contracted with the 1-d sine
+    tables one axis at a time, and W with their squares gives the probe
+    norms."""
     space = grad.vector_space
     b2 = space.check_block(block).reshape(space.dim, -1)
-    n_cols, terms = _vector_terms(grad, per_axis, cap, None, ("component",))
+    n_cols, terms = _vector_terms(grad, None, ("component",))
     shape = (len(grad.mid_axes),) + grad.domain.cells + (grad.d,)
     wv = space.apply_weight(b2).reshape(shape + b2.shape[1:])
     w = space.weight.reshape(shape)

@@ -612,17 +612,10 @@ def _check_residual(k, x, b, tol):
     """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)
     for the solution and load, or for every column of a block of them; a
     NaN residual misses every tolerance."""
-    _require_residual(np.linalg.norm(k @ x - b, axis=0), np.linalg.norm(b, axis=0), tol,
-                      np.ndim(b) == 2)
-
-
-def _require_residual(res, load, tol, block):
-    """The rule of :func:`_check_residual` on the residual norms ``res`` and
-    load norms ``load`` already formed, per column when ``block``."""
-    res = np.atleast_1d(res)
-    bad = ~(res <= tol * np.maximum(1.0, load))
+    res = np.atleast_1d(np.linalg.norm(k @ x - b, axis=0))
+    bad = ~(res <= tol * np.maximum(1.0, np.linalg.norm(b, axis=0)))
     if np.any(bad):
-        where = f" in column {np.flatnonzero(bad)[0]}" if block else ""
+        where = f" in column {np.flatnonzero(bad)[0]}" if np.ndim(b) == 2 else ""
         raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses {tol:.1e}{where}")
 
 

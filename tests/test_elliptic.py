@@ -617,7 +617,6 @@ class TestProbes:
             np.testing.assert_allclose(got, pointwise(g.vector_space, cols[:count]),
                                        rtol=0, atol=1e-14)
 
-
     @pytest.mark.parametrize("cells, lo, hi", [((12,), (-0.3,), (1.7,)), ((2,), (0.0,), (1.0,)),
                                                ((9, 7), (-0.3, 0.2), (1.3, 0.7)),
                                                ((4, 3, 5), (0.0, -1.0, 0.5), (1.1, 0.9, 1.3))])
@@ -639,12 +638,8 @@ class TestProbes:
         for shape in [(), (3,)]:
             v = load(g.scalar_space, shape)
             assert_close(scalar_probe_pairs(g, v), g.scalar_space.gram(scalar_probes(g).matrix, v))
-            assert_close(scalar_probe_pairs(g, v, per_axis=2, cap=3),
-                         g.scalar_space.gram(scalar_probes(g, per_axis=2, cap=3).matrix, v))
             q = load(g.vector_space, shape)
             assert_close(vector_probe_pairs(g, q), g.vector_space.gram(vector_probes(g).matrix, q))
-            assert_close(vector_probe_pairs(g, q, per_axis=2, cap=3),
-                         g.vector_space.gram(vector_probes(g, per_axis=2, cap=3).matrix, q))
 
 
 def _table_build(domain, flavor, gamma=0.7, direction=None):
@@ -983,8 +978,8 @@ class TestExactSeparableSolver:
         assert solver.iterations > 0
 
     def test_a_krylov_column_is_checked_against_its_own_residual(self, monkeypatch):
-        # a CG that returns its start x0 = prec(F) with info = 0: that column
-        # missed the Krylov stop, so its residual has to be formed again
+        # a CG that returns its start x0 = prec(F) with info = 0: the check
+        # of the returned solution, not CG's own report, decides
         from homlab import elliptic
 
         monkeypatch.setattr(elliptic.spla, "cg", lambda k, rhs, x0=None, **kw: (x0, 0))
@@ -998,25 +993,6 @@ class TestExactSeparableSolver:
         block = np.stack([rhs, 2.0 * rhs], axis=1)
         with pytest.raises(SolverDiverged, match=r"misses 1\.0e-10 in column 0$"):
             solver.solve(block)
-
-    def test_a_krylov_column_is_not_passed_on_the_residual_of_its_start(self, monkeypatch):
-        # a start between the Krylov stop and the 1e-10 rule, and a CG that
-        # returns something else: the start's residual would pass the rule
-        from homlab import elliptic
-        from homlab.hilbert import _SparseSolver
-
-        monkeypatch.setattr(elliptic.spla, "cg", lambda k, rhs, x0=None, **kw: (x0 + 1.0, 0))
-        cells, hi = _BOXES[2]
-        dom = GridDomain.box(cells, hi=hi)
-        g = build_grad(dom)
-        k = galerkin_matrix(g, _checkerboard(dom))
-        rhs = _compatible_load(g)
-        exact = _SparseSolver(k).solve(rhs)
-        bump = np.random.default_rng(3).standard_normal(len(rhs))
-        bump *= 1e-11 * np.linalg.norm(rhs) / np.linalg.norm(k @ bump)
-        solver = elliptic._GridSolver(g, k, prec=lambda r: exact + bump)
-        with pytest.raises(SolverDiverged, match="misses 1\\.0e-10"):
-            solver.solve(rhs)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_a_coupling_across_the_grid_edge_does_not_separate(self, d):

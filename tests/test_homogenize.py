@@ -372,7 +372,7 @@ class TestHConvergence:
             assert rep.values(col)[-1] < rep.values(col)[0]
 
     def test_2d_peak_memory(self):
-        # the dense (dim, k) probe blocks took the peak to 85.6 MB
+        # the dense (dim, k) probe blocks took this peak to 89.8 MB
         import tracemalloc
 
         from homlab import elliptic
