@@ -957,7 +957,7 @@ def solve_elliptic(domain, a, f, flavor="dirichlet"):
     return u, q
 
 
-def solve_affine(domain, a, z, f, flavor="dirichlet", dual_check=True):
+def solve_affine(domain, a, z, f, flavor="dirichlet"):
     """Affine-source problem: find u with
     <a (grad u + z), grad phi> = f(phi); returns (u, p) with
     p = a (grad u + z).
@@ -973,10 +973,9 @@ def solve_affine(domain, a, z, f, flavor="dirichlet", dual_check=True):
     )
     u = _solve_galerkin(grad, a, rhs)
     p = a.apply(grad, grad.matrix @ u + z_vec)
-    if dual_check:
-        err = affine_dual_residual(domain, a, z_vec, p, flavor=flavor, count=3)
-        if err > 1e-8:
-            raise SolverDiverged(f"dual residual {err:.3e} for the affine problem")
+    err = affine_dual_residual(domain, a, z_vec, p, flavor=flavor, count=3)
+    if err > 1e-8:
+        raise SolverDiverged(f"dual residual {err:.3e} for the affine problem")
     return u, p
 
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SKEW_TOL = 1e-10
+_ROUND_TRIP_TOL = 1e-9
 _EVO_COLUMNS = ("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
                 "gap_resolvent", "gap_strong")
 
@@ -169,12 +170,12 @@ def resolvent_bounds(t, a, tol=1e-9):
     return n_res, n_ares, c
 
 
-def recover_coefficient(s, a, bounds=None, tol=1e-9):
+def recover_coefficient(s, a, bounds=None):
     """Recover T from a resolvent limit S through K = 1 - A S:
     T = K S^{-1} = S^{-1} - A. S^{-1} is read off one LU of S, whose kappa_1
     estimate must stay at or below 1e12. The round trip (T + A)^{-1} = S is
-    verified, and declared coercivity bounds are checked on the recovered
-    operator."""
+    verified at ``_ROUND_TRIP_TOL``, and declared coercivity bounds are
+    checked on the recovered operator."""
     space = s.source
     smat = s.to_dense()
     solve, cond = _dense_lu(smat)
@@ -183,7 +184,7 @@ def recover_coefficient(s, a, bounds=None, tol=1e-9):
     sinv = solve(np.eye(space.dim))
     tmat = sinv - a.matrix()
     rt = _dense_lu(tmat + a.matrix())[0](np.eye(space.dim))
-    if not np.abs(rt - smat).max() <= tol * max(1.0, np.abs(smat).max()):
+    if not np.abs(rt - smat).max() <= _ROUND_TRIP_TOL * max(1.0, np.abs(smat).max()):
         raise SingularResolvent("round trip (T + A)^{-1} != S")
     t = LinearOp(space, space, matrix=tmat)
     if bounds is not None:

@@ -62,6 +62,8 @@ _BANDED_WORK_CUTOFF = 3e9
 _COND_CUTOFF = 1e12
 # SuperLU's suggested diagonal pivot threshold for its symmetric mode
 _SYMMETRIC_PIVOT_THRESH = 1e-3
+# kernel_range's rank cutoff, relative to the largest singular value
+_RANK_TOL = 1e-10
 
 
 def _rows(d, v):
@@ -240,14 +242,16 @@ class Subspace:
     ``B^H W B = I`` (checked to 1e-10). Implicit mode stores an orthogonal
     projector applicator, typically ``P = G (G^H W G)^{-1} G^H W`` for an
     injective generator ``G``, whose subspace keeps G as ``generator``,
-    the solver of G^H W G as ``gram`` and G^H W as ``gh_w``; idempotency
-    and weighted self-adjointness are verified on a block of random probes
-    at 1e-8.
+    the solver of G^H W G as ``gram`` and G^H W as ``gh_w``. Only
+    :meth:`from_generator` checks a projector (idempotency and weighted
+    self-adjointness on random probes, at 1e-8); a ``project`` passed in
+    directly is a contract, as ``LinearOp(apply=f)`` is. A NaN fails a check.
     Either mode projects a vector or a (dim, k) block.
     """
 
     _ORTHO_TOL = 1e-10
     _PROJ_TOL = 1e-8
+    _SPAN_TOL = 1e-12
 
     def __init__(self, ambient, basis=None, project=None, dim=None, generator=None, gram=None,
                  gh_w=None):
@@ -263,7 +267,7 @@ class Subspace:
             self.dim = basis.shape[1]
             self._project = None
             err = np.abs(ambient.gram(basis, basis) - np.eye(self.dim)).max(initial=0.0)
-            if err > self._ORTHO_TOL:
+            if not err <= self._ORTHO_TOL:
                 raise ShapeError(f"basis not weighted-orthonormal: deviation {err:.3e}")
         else:
             if project is None:
@@ -271,16 +275,16 @@ class Subspace:
             self.basis = None
             self.dim = dim
             self._project = project
-            self._verify_projector()
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_span(cls, ambient, vectors, tol=1e-12):
+    def from_span(cls, ambient, vectors):
         """Weighted-orthonormalize the span of the given vectors (a list or
-        the columns of a (dim, k) array)."""
+        the columns of a (dim, k) array), dropping the QR columns at or below
+        ``_SPAN_TOL``."""
         q, r = np.linalg.qr(ambient.scale_to_ortho(_as_columns(ambient, vectors)))
-        keep = np.abs(np.diag(r)) > tol * np.abs(np.diag(r)).max(initial=1.0)
+        keep = np.abs(np.diag(r)) > cls._SPAN_TOL * np.abs(np.diag(r)).max(initial=1.0)
         return cls(ambient, basis=ambient.scale_from_ortho(q[:, keep]))
 
     @classmethod
@@ -301,11 +305,14 @@ class Subspace:
         def project(v):
             return g @ gram.solve(gh_w @ v)
 
-        return cls(ambient, project=project, dim=g.shape[1], generator=g, gram=gram, gh_w=gh_w)
+        sub = cls(ambient, project=project, dim=g.shape[1], generator=g, gram=gram, gh_w=gh_w)
+        sub._verify_projector()
+        return sub
 
     @classmethod
     def complement(cls, sub):
-        """Orthogonal complement, explicit when the ambient is small."""
+        """Orthogonal complement, explicit when the ambient is small. An
+        implicit I - P is not checked: it passes or fails P's checks."""
         amb = sub.ambient
         if sub.basis is not None and amb.dim <= _DENSE_SVD_CUTOFF:
             return cls(amb, basis=_complement_basis(amb, sub.basis))
@@ -335,10 +342,10 @@ class Subspace:
         u = rng.standard_normal((amb.dim, 3))
         pv, pu = np.split(self._project(np.hstack([v, u])), 2, axis=1)
         scale = np.maximum(1.0, amb.column_norms(v))
-        if np.any(amb.column_norms(self._project(pv) - pv) > self._PROJ_TOL * scale):
+        if not np.all(amb.column_norms(self._project(pv) - pv) <= self._PROJ_TOL * scale):
             raise ShapeError("projector is not idempotent at tolerance")
         asym = np.abs(np.diag(amb.gram(u, pv)) - np.diag(amb.gram(pu, v)))
-        if np.any(asym > self._PROJ_TOL * scale * np.maximum(1.0, amb.column_norms(u))):
+        if not np.all(asym <= self._PROJ_TOL * scale * np.maximum(1.0, amb.column_norms(u))):
             raise ShapeError("projector is not weighted-self-adjoint at tolerance")
 
 
@@ -375,7 +382,7 @@ class ProbeSet:
         if m.shape[1] == 0:
             raise ShapeError("probe set must be nonempty")
         dev = np.abs(space.column_norms(m) - 1.0)
-        if dev.max() > 1e-12:
+        if not dev.max() <= 1e-12:
             raise ShapeError(f"probe norm {1.0 + dev.max()} deviates from 1 beyond 1e-12")
         self.space = space
         self.matrix = m
@@ -553,12 +560,12 @@ def coercivity_check(op, alpha, beta, tol=0.0):
                             re_inv_min=re_inv_min, singular=singular, tol=tol)
 
 
-def kernel_range(op, tol=None):
+def kernel_range(op):
     """Weighted-orthonormal bases of ker(op) and ran(op) via dense SVD.
 
-    The rank cutoff defaults to 1e-10 times the largest singular value. Large
-    grid-backed operators should build their subspaces from known sparse
-    generators instead (see :meth:`Subspace.from_generator`).
+    The rank counts the singular values above ``_RANK_TOL`` times the
+    largest. Large grid-backed operators should build their subspaces from
+    known sparse generators instead (see :meth:`Subspace.from_generator`).
     """
     src, tgt = op.source, op.target
     if max(src.dim, tgt.dim) > _DENSE_SVD_CUTOFF:
@@ -567,8 +574,7 @@ def kernel_range(op, tol=None):
             "from a sparse generator for large operators"
         )
     u, s, vh = np.linalg.svd(_ortho_matrix(op), full_matrices=True)
-    tol = 1e-10 * s.max(initial=0.0) if tol is None else tol
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > _RANK_TOL * s.max(initial=0.0)))
     ker_basis = src.scale_from_ortho(vh.conj().T[:, rank:])
     ran_basis = tgt.scale_from_ortho(u[:, :rank])
     return Subspace(src, basis=ker_basis), Subspace(tgt, basis=ran_basis)

@@ -129,6 +129,9 @@ _LOBATTO = (_LOBATTO_X, 2.0 / (110.0 * _P10(_LOBATTO_X) ** 2))
 # partition cap; 10-point intervals resolve about half what quad's 21-point
 # Gauss-Kronrod ones do, so this matches quad's limit=400
 _MAX_INTERVALS = 1000
+_QUAD_TOL = 1e-10
+_CELL_RESIDUAL_TOL = 1e-9
+_HOM_COERCIVITY_TOL = 1e-8
 
 
 def _unit_integral(fn, tol):
@@ -179,22 +182,17 @@ def _unit_integral(fn, tol):
                           f"within {_MAX_INTERVALS} intervals")
 
 
-def _harmonic_mean(inv_mean, tol):
-    """1 / mean(1/a) from the quadrature value of mean(1/a), which must not
-    vanish within the quadrature tolerance."""
-    if abs(inv_mean) <= tol:
-        raise VanishingHarmonicMean(f"mean of 1/a is {inv_mean:.3e}, zero within "
-                                    f"the quadrature tolerance {tol:g}")
-    return 1.0 / inv_mean
-
-
-def laminate_limit(profile, tol=1e-10):
+def laminate_limit(profile):
     """Harmonic and arithmetic means of a periodic scalar profile by adaptive
-    quadrature: (1 / mean(1/a), mean(a))."""
+    quadrature at ``_QUAD_TOL``: (1 / mean(1/a), mean(a)). A mean(1/a) that
+    vanishes within that tolerance raises :class:`VanishingHarmonicMean`."""
     prof = np.vectorize(profile)
-    inv_mean = _unit_integral(lambda x: 1.0 / prof(x), tol)
-    mean = _unit_integral(prof, tol)
-    return _harmonic_mean(inv_mean, tol), mean
+    inv_mean = _unit_integral(lambda x: 1.0 / prof(x), _QUAD_TOL)
+    mean = _unit_integral(prof, _QUAD_TOL)
+    if abs(inv_mean) <= _QUAD_TOL:
+        raise VanishingHarmonicMean(f"mean of 1/a is {inv_mean:.3e}, zero within "
+                                    f"the quadrature tolerance {_QUAD_TOL:g}")
+    return 1.0 / inv_mean, mean
 
 
 def _check_unit_cell(domain):
@@ -203,20 +201,20 @@ def _check_unit_cell(domain):
             raise ShapeError("cell problems live on the unit cell (0,1)^d")
 
 
-def cell_problem(a_cell, xi, residual_tol=1e-9):
+def cell_problem(a_cell, xi):
     """Periodic corrector field for direction xi: the unique v with
     v - xi in the periodic gradient range and a v weakly divergence-free.
 
     Returns (v, w) with v = xi + grad_# w and w the mean-free corrector
-    potential; both defining residuals are verified at tolerance.
+    potential; both defining residuals are verified at ``_CELL_RESIDUAL_TOL``.
     """
     if np.shape(xi) != (a_cell.domain.dim,):
         raise ShapeError(f"xi must be a {a_cell.domain.dim}-vector")
-    v, w, _ = next(_correctors(a_cell, [xi], residual_tol))
+    v, w, _ = next(_correctors(a_cell, [xi]))
     return v, w
 
 
-def _correctors(a_cell, xis, residual_tol=1e-9):
+def _correctors(a_cell, xis):
     """Yield (v, w, a v) for each direction in ``xis``: the (v, w) of
     :func:`cell_problem` and the flux its residual check formed, from one
     solver of the periodic cell matrix (one preconditioner for all
@@ -236,17 +234,17 @@ def _correctors(a_cell, xis, residual_tol=1e-9):
         flux = a_cell.apply(grad, v)
         res = np.linalg.norm(grad.matrix.conj().T @ grad.vector_space.apply_weight(flux))
         scale = max(1.0, grad.vector_space.norm(flux))
-        if res > residual_tol * scale:
+        if res > _CELL_RESIDUAL_TOL * scale:
             raise CoercivityError(f"cell problem residual {res:.3e} misses tolerance")
         yield v, w, flux
 
 
-def homogenized_tensor(a_cell, coercivity_tol=1e-8):
+def homogenized_tensor(a_cell):
     """Effective tensor of a periodic unit-cell coefficient: column j is the
     cell average of a v_{e_j} over the corrector fields.
 
-    Inherits the coercivity bounds of the cell coefficient (checked when the
-    cell field declares bounds)."""
+    Inherits the coercivity bounds of the cell coefficient (checked, with
+    slack ``_HOM_COERCIVITY_TOL``, when the cell field declares bounds)."""
     domain = a_cell.domain
     d = domain.dim
     grad = build_grad(domain, "periodic")
@@ -261,7 +259,7 @@ def homogenized_tensor(a_cell, coercivity_tol=1e-8):
 
         space = HilbertSpace(d, field="complex" if np.iscomplexobj(a_hom) else "real")
         rep = coercivity_check(LinearOp(space, space, matrix=a_hom), alpha, beta,
-                               tol=coercivity_tol)
+                               tol=_HOM_COERCIVITY_TOL)
         if not rep.passed:
             raise CoercivityError(
                 f"effective tensor lost the declared bounds: Re min {rep.re_min:.6g}, "
@@ -397,6 +395,7 @@ def g0_decomposition(grad):
 
 
 _KEEP_FRAC = 0.05
+_G0_PROBES = 8
 
 
 def _projected_probes(base, project, count):
@@ -416,14 +415,13 @@ def _projected_probes(base, project, count):
     return ProbeSet.from_vectors(base.space, np.hstack(kept), copy=False)
 
 
-def g0_probe_pair(grad, dec=None, count=8):
+def g0_probe_pair(grad, dec):
     """Probes of the gradient range and of its complement, ``(p0, p1)``: one
     base family of component and gradient probes projected by
-    ``dec.h0.project`` and ``dec.h1.project``."""
-    dec = dec or g0_decomposition(grad)
+    ``dec.h0.project`` and ``dec.h1.project``, ``_G0_PROBES`` on each side."""
     base = vector_probes(grad, kinds=("component", "gradient"))
-    return (_projected_probes(base, dec.h0.project, count),
-            _projected_probes(base, dec.h1.project, count))
+    return (_projected_probes(base, dec.h0.project, _G0_PROBES),
+            _projected_probes(base, dec.h1.project, _G0_PROBES))
 
 
 def qdind_check(seq, n_list, mesh_rule, candidate=None, probe_seed=0):

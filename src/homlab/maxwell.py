@@ -343,8 +343,7 @@ def _laminate_tensor_fns(profile_combined):
 
 
 def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
-                                      lam, n_list, bounds, mesh_rule=None,
-                                      transverse_cells=8, probe_seed=0):
+                                      lam, n_list, bounds, transverse_cells=8, probe_seed=0):
     """Resolvent convergence of oscillating laminate Maxwell systems toward
     the limit built from the lambda-dependent effective permittivity.
 
@@ -354,11 +353,11 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     into a lambda-independent pair. Emits the four block-map gaps on the
     kernel splitting of the curl block next to the resolvent gap.
 
-    Laminate profiles must be exactly representable on the meshes the rule
-    produces (the default pairs 2 cells per period with piecewise-constant
-    two-phase profiles).
+    Laminate profiles must be exactly representable on the meshes of the
+    rule ``MeshRule(2, min_cells=transverse_cells)``, which pairs 2 cells per
+    period with piecewise-constant two-phase profiles.
     """
-    mesh_rule = mesh_rule or MeshRule(2, min_cells=transverse_cells)
+    mesh_rule = MeshRule(2, min_cells=transverse_cells)
     combined = lambda y: lam * eps_profile(y) + sigma_profile(y)
     eps_lambda_fns = _laminate_tensor_fns(combined)
     mu_fns = _laminate_tensor_fns(mu_profile)

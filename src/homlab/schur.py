@@ -59,12 +59,14 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-8
+_BLOCK_INVERSE_TOL = 1e-8
+_BLOCK_INVERSE_SEED = 7
 
 
 class Decomposition:
     """Orthogonal splitting of a space into a closed subspace and its
     complement. Explicit mode requires h0 perp h1 and dim h0 + dim h1 = dim;
-    implicit mode verifies P0 + P1 = I on random probes."""
+    implicit mode verifies P0 + P1 = I on random probes (a NaN fails)."""
 
     def __init__(self, space, h0, h1):
         self.space = space
@@ -80,8 +82,8 @@ class Decomposition:
                 raise ShapeError("h0 and h1 are not orthogonal")
         else:
             v = np.random.default_rng(99).standard_normal((space.dim, 3))
-            r = h0.project(v) + h1.project(v) - v
-            if np.any(space.column_norms(r) > _ORTHO_TOL * np.maximum(1.0, space.column_norms(v))):
+            r = space.column_norms(h0.project(v) + h1.project(v) - v)
+            if not np.all(r <= _ORTHO_TOL * np.maximum(1.0, space.column_norms(v))):
                 raise ShapeError("projectors do not sum to the identity")
 
     @classmethod
@@ -92,8 +94,7 @@ class Decomposition:
     def from_generator(cls, space, generator, solver=None):
         """Splitting along ran(G); ``solver`` solves with G^H W G (see
         :meth:`Subspace.from_generator`)."""
-        h0 = Subspace.from_generator(space, generator, solver)
-        return cls(space, h0, Subspace.complement(h0))
+        return cls.from_subspace(space, Subspace.from_generator(space, generator, solver))
 
     def swap(self):
         return Decomposition(self.space, self.h1, self.h0)
@@ -220,32 +221,27 @@ def schur_maps(a, dec):
     )
 
 
-def block_inverse(a, dec, verify_tol=1e-8, rng_seed=7):
+def block_inverse(a, dec):
     """Assemble a^{-1} from the 2x2 block formula
 
         [[a00^{-1} + a00^{-1} a01 a_S^{-1} a10 a00^{-1}, -a00^{-1} a01 a_S^{-1}],
          [-a_S^{-1} a10 a00^{-1},                          a_S^{-1}]]
 
     (explicit decompositions only). The result is verified against the
-    identity on random probes before being returned.
+    identity on random probes at ``_BLOCK_INVERSE_TOL`` before being returned.
     """
     if not dec.explicit:
         raise ShapeError("block_inverse needs an explicit decomposition")
     maps = schur_maps(a, dec)
     a00inv, m01, m10, ms = maps.m00inv_mat, maps.m01_mat, maps.m10_mat, maps.ms_mat
     msinv = _dense_lu(ms)[0](np.eye(dec.h1.dim))
-    top_left = a00inv + m01 @ msinv @ m10
-    top_right = -m01 @ msinv
-    bot_left = -msinv @ m10
-    bot_right = msinv
-    b0, b1 = dec.h0.basis, dec.h1.basis
-    emb = np.hstack([b0, b1])
-    coord = np.block([[top_left, top_right], [bot_left, bot_right]])
+    emb = np.hstack([dec.h0.basis, dec.h1.basis])
+    coord = np.block([[a00inv + m01 @ msinv @ m10, -m01 @ msinv], [-msinv @ m10, msinv]])
     inv_mat = emb @ coord @ dec.space.apply_weight(emb).conj().T
     result = LinearOp(dec.space, dec.space, matrix=inv_mat)
-    v = np.random.default_rng(rng_seed).standard_normal((dec.space.dim, 3))
+    v = np.random.default_rng(_BLOCK_INVERSE_SEED).standard_normal((dec.space.dim, 3))
     err = np.abs(a(result(v)) - v).max(axis=0)
-    if np.any(err > verify_tol * np.maximum(1.0, np.abs(v).max(axis=0))):
+    if np.any(err > _BLOCK_INVERSE_TOL * np.maximum(1.0, np.abs(v).max(axis=0))):
         raise SolverDiverged(f"block inverse verification failed: {err.max():.3e}")
     return result
 

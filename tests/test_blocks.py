@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab import elliptic
+from homlab import elliptic, homogenize
 from homlab.elliptic import (
     CoefficientField,
     GridDomain,
@@ -232,6 +232,21 @@ class TestGradientProjectorOnTheTransformInverse:
         dec = g0_decomposition(grad)
         for got in (dec.h0.project(block), block - dec.h1.project(block)):
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_checks_take_fifteen_gram_columns(self, monkeypatch):
+        grad = build_grad(GridDomain.box((6, 5)))
+        solver = elliptic.stiffness_solver(grad.domain, grad.flavor)
+        columns = []
+
+        class Counting:
+            def solve(self, rhs):
+                columns.append(rhs.shape[1] if np.ndim(rhs) == 2 else 1)
+                return solver.solve(rhs)
+
+        monkeypatch.setattr(homogenize, "stiffness_solver", lambda domain, flavor: Counting())
+        g0_decomposition(grad)
+        # the projector's own check, 6 + 3 columns, and the sum check, 3 + 3
+        assert sum(columns) == 15
 
 
 class TestClosedFormMargins:

@@ -269,6 +269,52 @@ class TestSubspace:
         np.testing.assert_allclose(sub.project(v) + comp.project(v), v, atol=1e-12)
 
 
+class GramSolver:
+    """A Gram solver for ``Subspace.from_generator`` that returns ``f`` of
+    the exact solution of G^H W G x = b."""
+
+    def __init__(self, g, weight, f):
+        self.gram, self.f = (g.T * weight) @ g, f
+
+    def solve(self, rhs):
+        return self.f(np.linalg.solve(self.gram, rhs))
+
+
+class TestProjectorChecks:
+    """``Subspace.from_generator`` checks its projector, and every check
+    fails on NaN."""
+
+    def test_solver_that_doubles_its_load_is_not_idempotent(self):
+        space = random_space(6, 47)
+        g = np.random.default_rng(48).standard_normal((6, 2))
+        with pytest.raises(ShapeError, match="not idempotent"):
+            Subspace.from_generator(space, g, GramSolver(g, space.weight, lambda x: 2 * x))
+
+    def test_idempotent_non_symmetric_projector_is_refused(self):
+        space = HilbertSpace(4)
+        g = np.eye(4)[:, :2]
+        skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ShapeError, match="not weighted-self-adjoint"):
+            Subspace.from_generator(space, g, GramSolver(g, space.weight, lambda x: skew @ x))
+
+    def test_nan_projector_fails(self):
+        space = random_space(6, 49)
+        g = np.random.default_rng(50).standard_normal((6, 2))
+        with pytest.raises(ShapeError, match="not idempotent"):
+            Subspace.from_generator(space, g, GramSolver(g, space.weight, lambda x: x * np.nan))
+
+    def test_nan_basis_is_not_orthonormal(self):
+        with pytest.raises(ShapeError, match="not weighted-orthonormal"):
+            Subspace(HilbertSpace(3), basis=np.full((3, 1), np.nan))
+
+    def test_implicit_complement_runs_no_check(self, monkeypatch):
+        space = random_space(6, 51)
+        sub = Subspace.from_generator(space, np.random.default_rng(52).standard_normal((6, 2)))
+        monkeypatch.setattr(Subspace, "_verify_projector", lambda self: pytest.fail("checked"))
+        comp = Subspace.complement(sub)
+        assert comp.basis is None and comp.dim == 4
+
+
 class TestProbeSet:
     def test_unit_norm_enforced(self):
         space = HilbertSpace(4)
@@ -276,6 +322,10 @@ class TestProbeSet:
             ProbeSet(space, [np.array([2.0, 0, 0, 0])])
         with pytest.raises(ShapeError):
             ProbeSet(space, [])
+
+    def test_nan_probes_are_not_unit_norm(self):
+        with pytest.raises(ShapeError, match="deviates from 1"):
+            ProbeSet(HilbertSpace(3), np.full((3, 2), np.nan))
 
     def test_random_reproducible(self):
         space = random_space(6, 50)

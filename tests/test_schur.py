@@ -58,6 +58,28 @@ def coercive_operator(space, alpha, beta, seed):
     return op
 
 
+class TestImplicitSumCheck:
+    def test_projectors_that_do_not_sum_to_the_identity(self):
+        space = HilbertSpace(4)
+        e = np.eye(4)
+        with pytest.raises(ShapeError, match="do not sum to the identity"):
+            Decomposition(space, Subspace.from_generator(space, e[:, :2]),
+                          Subspace.from_generator(space, e[:, 1:3]))
+
+    def test_nan_projectors_do_not_sum_to_the_identity(self):
+        space = HilbertSpace(4)
+        nan = Subspace(space, project=lambda v: v * np.nan, dim=2)
+        with pytest.raises(ShapeError, match="do not sum to the identity"):
+            Decomposition(space, nan, nan)
+
+        class NanGram:
+            def solve(self, rhs):
+                return np.full(np.shape(rhs), np.nan)
+
+        with pytest.raises(ShapeError):
+            Decomposition.from_generator(space, np.eye(4)[:, :2], NanGram())
+
+
 class TestBlocks:
     def test_identity(self):
         space, dec = euclidean_dec(5, 2, seed=1)

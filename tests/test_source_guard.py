@@ -16,6 +16,8 @@ Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
 There is one solver layer: SuperLU (``splu``) is called only in
 ``hilbert._SparseSolver`` and the Krylov solvers (``cg``, ``gmres``) only in
 ``elliptic._GridSolver``.
+A parameter with a default is a setting, so some call in the repository sets
+it; a numerical setting that no caller changes is a module constant.
 """
 
 import ast
@@ -33,6 +35,12 @@ _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
 # solver entry point -> the one class that may call it
 _SOLVER_OWNERS = {"splu": "hilbert._SparseSolver", "cg": "elliptic._GridSolver",
                   "gmres": "elliptic._GridSolver"}
+# where the calls that set homlab's defaulted parameters may be
+_CALLERS = ("src/homlab", "demos", "perfbench", "tools", "tests")
+# defaulted parameters that no call needs to set: problem parameters with one
+# value every caller wants, and click's binding of a command's kind
+_UNSET_ALLOWED = {"elliptic.solve_affine:flavor", "elliptic.projected_inverse_1d:extent",
+                  "thermo.assemble_thermo:direction", "cli._register._cmd:_kind"}
 
 
 def _dotted(node):
@@ -171,3 +179,77 @@ def test_scan_sees_a_solver_site(tmp_path):
                    "def h(k, b):\n    return scipy.sparse.linalg.gmres(k, b)\n")
     assert _named_sites(src, {"splu"}) == ["mod.A.f"]
     assert _named_sites(src, {"cg", "gmres"}) == ["mod.g", "mod.g", "mod.h"]
+
+
+def _defaulted_parameters(path):
+    """(qualified name, called name, parameter, position) of every parameter
+    with a default on every function and method of a module. The position
+    counts what a call passes (no self or cls), None for a keyword-only
+    parameter; a call names an ``__init__`` by its class or as ``cls``."""
+    found = []
+
+    def visit(node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = ".".join([path.stem] + scope + [child.name])
+                called = {cls, "cls"} if child.name == "__init__" else {child.name}
+                static = any(_dotted(d) == "staticmethod" for d in child.decorator_list)
+                bound = 1 if cls is not None and not static else 0
+                args = child.args.posonlyargs + child.args.args
+                first = len(args) - len(child.args.defaults)
+                for i, arg in enumerate(args[first:], first):
+                    found.append((qual, called, arg.arg, i - bound))
+                for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
+                    if default is not None:
+                        found.append((qual, called, arg.arg, None))
+                visit(child, scope + [child.name], None)
+            else:
+                visit(child, scope, cls)
+
+    visit(ast.parse(path.read_text()), [], None)
+    return found
+
+
+def _unset_parameters(modules, callers):
+    """``module.function:parameter`` for each defaulted parameter of the given
+    modules that no call in the caller files passes, by keyword (or a
+    ``**`` mapping) or by position (or a ``*`` sequence). Calls are matched
+    by the called name alone."""
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_dotted(node.func).rpartition(".")[2], []).append(node)
+
+    def passes(call, param, position):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return position is not None and (len(call.args) > position or any(
+            isinstance(a, ast.Starred) for a in call.args))
+
+    return sorted(f"{qual}:{param}" for path in modules
+                  for qual, called, param, position in _defaulted_parameters(path)
+                  if not any(passes(c, param, position) for n in called for c in calls.get(n, ())))
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    package = Path(homlab.__file__).parent
+    root = package.parents[1]
+    callers = [p for d in _CALLERS for p in sorted((root / d).rglob("*.py"))]
+    unset = _unset_parameters(sorted(package.glob("*.py")), callers)
+    assert set(unset) <= _UNSET_ALLOWED, sorted(set(unset) - _UNSET_ALLOWED)
+    assert _UNSET_ALLOWED <= set(unset)    # each allowed setting is still unset
+
+
+def test_scan_sees_an_unset_parameter(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class A:\n    def __init__(self, x, y=1, *, z=2):\n        pass\n\n"
+                   "    @classmethod\n    def make(cls, x, tol=1e-9):\n        return cls(x, 3)\n\n"
+                   "    @staticmethod\n    def s(a, b=0):\n        return a\n\n"
+                   "def f(a, b=None, c=3):\n    return A.make(a, **{})\n\n"
+                   "def g(*args, seed=7):\n    return f(*args)\n")
+    caller = tmp_path / "use.py"
+    caller.write_text("import mod\n\nmod.A.s(1)\nmod.g(1, 2)\n")
+    assert _unset_parameters([src], [src, caller]) == ["mod.A.__init__:z", "mod.A.s:b", "mod.g:seed"]
