@@ -178,11 +178,13 @@ class RunConfig:
 # coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
 _THERMO_BOUNDS, _MAXWELL_BOUNDS = (0.4, 5.0), (0.4, 10.0)
 # the most thermo cells whose solves meet their 1e-10 residual check, set by
-# the 1-d Galerkin solve of the elastic block in the Schur maps. Its largest
-# relative residual in a run (2 to 256 cells per period; kappa, w, rho, the
-# seed, gamma <= 30 and lambda in [1e-3, 1e3] do not move it): c 0.4 | 5.0,
-# the ends of _THERMO_BOUNDS, 4.6e-11 at 3072 cells, 6.8e-11 at 4096,
-# 1.3e-10 at 6144; c 1 | 4, as shipped, 2.5e-11 at 4096, 1.16e-10 at 12 800
+# the 1-d Galerkin solve of the elastic block in the Schur maps (one LAPACK
+# gttrf tridiagonal solve). Its largest relative residual in a run, with
+# c 0.4 | 5.0 (the ends of _THERMO_BOUNDS), 2 cells per period, gamma 0.5 and
+# lambda 1: 4.66e-11 at 3072 cells, 6.87e-11 at 4096, 1.32e-10 at 6144. At
+# 4096 cells gamma 0.5 or 30 and lambda 1e-3 or 1e3 do not move it, and 16 or
+# 256 cells per period give at most 7.04e-11; c 1 | 4, as shipped, 2.8e-11 at
+# 4096 and 1.36e-10 at 12 800
 _THERMO_CELLS = 4096
 # the largest |gamma| whose resolvent solve meets its 1e-10 residual check.
 # The solve of lambda m0 + m1 + A loses accuracy as gamma^2 / c grows in m0.
@@ -794,7 +796,10 @@ def _execute(kind, config, out, seed, strict):
             _check_rule("--seed", _KEYS[kind]["probes.seed"][2], seed)
         if p["output.prefix"]:
             out = os.path.join(out, p["output.prefix"])
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create {out!r}: {exc.strerror}") from exc
         digest = config_digest(cfg.text + f"|seed={seed}")
         with warnings.catch_warnings():
             if strict:

@@ -46,7 +46,6 @@ from .hilbert import (
     ProbeSet,
     _check_residual,
     _is_hermitian,
-    _SparseSolver,
 )
 
 __all__ = [
@@ -681,10 +680,11 @@ def _mode_factors(grad, stencil, axis):
 
 
 class _TransformInverse:
-    """Exact inverse of a grid stiffness K on a d >= 2 grid that separates:
-    a 1-d fast transform along every axis on which K's weights are constant
+    """Exact inverse of a grid stiffness K that separates: a 1-d fast
+    transform along every axis on which K's weights are constant
     diagonalises K there, and what is left is one tridiagonal system along
-    the remaining axis per transverse mode.
+    the remaining axis per transverse mode. On a 1-d grid no axis is
+    transformed and K is that one tridiagonal system.
 
     The transforms are the FFT for ``periodic`` (numpy's, real for a real
     load), DST-I for ``dirichlet`` and DCT-I of D^-1 K for ``neumann``
@@ -725,17 +725,20 @@ class _TransformInverse:
             self._lam[(0,) * d] = np.inf
             self._half = self._lam[..., :self._shape[-1] // 2 + 1]
             return
-        import scipy.fft    # only a d >= 2 Dirichlet or Neumann grid solve needs it
-
-        fwd, inv = {"dirichlet": (scipy.fft.dstn, scipy.fft.idstn),
-                    "neumann": (scipy.fft.dctn, scipy.fft.idctn)}[grad.flavor]
-        self._fwd = functools.partial(fwd, type=1, axes=self._axes)
-        self._inv = functools.partial(inv, type=1, axes=self._axes)
         self._scale = np.array(1.0)
         if grad.flavor == "neumann":
             trapezoids = [_trapezoid(n) if b != axis else np.ones(n)
                           for b, n in enumerate(self._shape)]
             self._scale = 1.0 / functools.reduce(np.multiply.outer, trapezoids)
+        if self._axes:
+            import scipy.fft    # loaded only when an axis is transformed
+
+            fwd, inv = {"dirichlet": (scipy.fft.dstn, scipy.fft.idstn),
+                        "neumann": (scipy.fft.dctn, scipy.fft.idctn)}[grad.flavor]
+            self._fwd = functools.partial(fwd, type=1, axes=self._axes)
+            self._inv = functools.partial(inv, type=1, axes=self._axes)
+        else:
+            self._fwd = self._inv = np.asarray    # a 1-d grid: no axis to transform
         if axis is not None:
             self._factor_modes(grad, factors)
             return
@@ -751,15 +754,16 @@ class _TransformInverse:
     def exact(cls, grad, k):
         """The inverse of K when K separates (:func:`_mode_factors`), with
         every axis transformed when it can be and else the first axis that
-        leaves the others transformable; None when K does not separate, and
-        on 1-d and ``periodic`` grids and grids of fewer than 3 nodes (scipy's
-        ``gttrf`` takes no fewer unknowns)."""
-        if grad.d == 1 or grad.flavor == "periodic" or k.shape[0] < 3:
+        leaves the others transformable; on a 1-d grid, where every
+        tridiagonal K separates, no axis is transformed. None when K does not
+        separate, and on ``periodic`` grids and grids of fewer than 3 nodes
+        (scipy's ``gttrf`` takes no fewer unknowns)."""
+        if grad.flavor == "periodic" or k.shape[0] < 3:
             return None
         stencil = _stencil(grad, k)
         if stencil is None:
             return None
-        for axis in (None,) + tuple(range(grad.d)):
+        for axis in ((None,) if grad.d > 1 else ()) + tuple(range(grad.d)):
             factors = _mode_factors(grad, stencil, axis)
             if factors is not None:
                 return cls(grad, k, axis, factors)
@@ -817,26 +821,24 @@ class _TransformInverse:
 
 class _GridSolver:
     """Residual-checked solver of a grid system K u = F (one load or an
-    (n, m) block). Flavors with constant kernels need compatible loads and
-    return mean-centred solutions.
+    (n, m) block) in any dimension. Flavors with constant kernels need
+    compatible loads and return mean-centred solutions.
 
-    1-d grids factorise K (tridiagonal, so there is no fill), grounded at
-    node 0 for ``neumann``/``periodic``. On grids with d >= 2, ``prec`` is
-    picked from K: the exact inverse of a K that separates
-    (:meth:`_TransformInverse.exact`: every laminate and constant
-    coefficient with a diagonal tensor on a ``dirichlet`` grid, and on a 2-d
-    ``neumann`` one), else the fast-transform inverse of the
-    unit-coefficient stiffness of the same (domain, flavor), which is
-    spectrally equivalent to K with condition number at most beta/alpha.
-    The solve starts from the image of the load under ``prec``. Where that
-    image meets the Krylov stop ||r|| <= 1e-12 max(1, ||F||), as the exact
-    inverse's does, it is the solution, with no Krylov step; elsewhere CG
-    (K Hermitian) or GMRES, preconditioned with ``prec``, runs from it for
-    at most 10 n steps. The returned solution is checked at 1e-10, column by
-    column for a block. A block goes through ``prec`` in one batched
-    transform, and only the columns whose image misses the Krylov stop run a
-    Krylov solve of their own. ``iterations`` holds the largest Krylov
-    iteration count over the columns of the last solve."""
+    The route is picked from K alone. A K that separates
+    (:meth:`_TransformInverse.exact`: every tridiagonal K of a 1-d
+    ``dirichlet`` or ``neumann`` grid, and every laminate and constant
+    coefficient with a diagonal tensor on a 2-d or 3-d ``dirichlet`` grid
+    and on a 2-d ``neumann`` one) is solved by one application of its exact
+    inverse. Any other K runs CG (K Hermitian) or GMRES for at most 10 n
+    steps, column by column, to ||r|| <= 1e-12 max(1, ||F||), preconditioned
+    with the fast-transform inverse of the unit-coefficient stiffness of the
+    same (domain, flavor), which is spectrally equivalent to K with
+    condition number at most beta/alpha; each column starts from the image
+    of its load under that preconditioner, and a block goes through it in
+    one batched transform. That stiffness itself (:func:`stiffness_solver`)
+    builds its preconditioner as ``prec(grad, K)``. Either way the solution is checked once at 1e-10, column by column for a
+    block. ``iterations`` holds the largest Krylov iteration count over the
+    columns of the last solve."""
 
     _KRYLOV_TOL = 1e-12
 
@@ -845,11 +847,9 @@ class _GridSolver:
         self.iterations = 0
         self._grad = grad
         self._grounded = grad.flavor != "dirichlet"
-        if grad.d == 1:
-            self._lu = _SparseSolver(k[1:, 1:] if self._grounded else k)
-            return
-        self.prec = (prec or _TransformInverse.exact(grad, k)
-                     or stiffness_solver(grad.domain, grad.flavor).prec)
+        self._exact = _TransformInverse.exact(grad, k)
+        self.prec = self._exact or (prec(grad, k) if prec else
+                                    stiffness_solver(grad.domain, grad.flavor).prec)
 
     @functools.cached_property
     def _hermitian(self):
@@ -857,22 +857,14 @@ class _GridSolver:
         return _is_hermitian(self.k)
 
     def for_matrix(self, k):
-        """A direct solver of another matrix K on this grid's nodes: the
-        exact inverse of a K that separates, else one SuperLU
-        factorisation of K."""
-        exact = _TransformInverse.exact(self._grad, k)
-        return _SparseSolver(k) if exact is None else _GridSolver(self._grad, k, prec=exact)
+        """The solver of another matrix K on this grid's nodes."""
+        return _GridSolver(self._grad, k)
 
     def solve(self, rhs):
         if self._grounded and np.any(np.abs(np.ones(len(rhs)) @ rhs)
                                      > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
             raise CompatibilityError("load does not annihilate constants")
-        if self._grad.d > 1:
-            u = self._krylov(rhs)
-        elif self._grounded:
-            u = np.concatenate([np.zeros((1,) + rhs.shape[1:]), self._lu.solve(rhs[1:])])
-        else:
-            return self._lu.solve(rhs)
+        u = self._exact(rhs) if self._exact else self._krylov(rhs)
         if self._grounded:
             u = self._grad.mean_center(u)
         _check_residual(self.k, u, rhs, 1e-10)
@@ -881,13 +873,9 @@ class _GridSolver:
     def _krylov(self, rhs):
         self.iterations = 0
         u = self.prec(rhs).astype(np.result_type(self.k.dtype, rhs.dtype), copy=False)
-        # where the preconditioner's image of a column already meets the
-        # Krylov stop, CG and GMRES would return it unchanged
-        res = np.linalg.norm(self.k @ u - rhs, axis=0)
-        stop = self._KRYLOV_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
         if rhs.ndim == 1:
-            return u if res < stop else self._krylov_column(rhs, u)
-        for j in np.flatnonzero(res >= stop):
+            return self._krylov_column(rhs, u)
+        for j in range(rhs.shape[1]):
             u[:, j] = self._krylov_column(rhs[:, j], u[:, j])
         return u
 
@@ -900,7 +888,8 @@ class _GridSolver:
         def step(_):
             count[0] += 1
 
-        # x0 = prec(rhs) is the exact solution when K is the unit stiffness
+        # x0 = prec(rhs) is the exact solution when K is the unit stiffness,
+        # which CG and GMRES then return with no step
         tols = dict(x0=x0, rtol=self._KRYLOV_TOL, atol=self._KRYLOV_TOL, M=prec,
                     callback=step)
         if self._hermitian:
@@ -916,13 +905,13 @@ class _GridSolver:
 
 @lru_cache(maxsize=32)
 def stiffness_solver(domain, flavor="dirichlet"):
-    """Cached solver of the unit-coefficient stiffness matrix. On d >= 2 grids
-    its ``prec`` is the fast-transform inverse that preconditions every grid
-    solve on the same (domain, flavor) whose K does not separate; where that
-    inverse is exact, the solve is its one application, residual-checked."""
+    """Cached solver of the unit-coefficient stiffness matrix K_1. Its
+    ``prec`` preconditions every grid solve on the same (domain, flavor)
+    whose K does not separate: the exact inverse of K_1 where K_1 separates,
+    else the fast-transform inverse of K_1 itself."""
     grad = build_grad(domain, flavor)
     k1 = galerkin_matrix(grad, CoefficientField.constant(domain, 1.0))
-    return _GridSolver(grad, k1, prec=_TransformInverse(grad, k1) if domain.dim > 1 else None)
+    return _GridSolver(grad, k1, prec=_TransformInverse)
 
 
 def _solve_galerkin(grad, a, rhs):

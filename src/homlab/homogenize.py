@@ -388,8 +388,7 @@ def g0_decomposition(grad):
     """Splitting of the vector space along the gradient range (implicit,
     generator-backed). The projector solves with the Gram matrix G^H W G,
     the unit stiffness, through the cached :func:`stiffness_solver` of the
-    grid: the fast-transform inverse on d >= 2 grids, one tridiagonal
-    factorisation in 1-d."""
+    grid, whose ``for_matrix`` also serves the a00^-1 of the Schur maps."""
     return Decomposition.from_generator(grad.vector_space, grad.matrix,
                                         stiffness_solver(grad.domain, grad.flavor))
 

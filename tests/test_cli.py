@@ -93,6 +93,21 @@ class TestFixtures:
         payload = json.loads(res.output.strip().splitlines()[-1])
         assert "n_list" in payload["error"]
 
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_out_that_cannot_be_created_exit_2(self, tmp_path, prefix):
+        # os.makedirs raised NotADirectoryError: a traceback, exit 1 and no
+        # JSON summary
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "solve1d.cfg"
+        cfg.write_text("[experiment]\nkind = solve1d\n" + "[output]\nprefix = sub\n" * prefix)
+        out = blocker if prefix else blocker / "x"
+        res = run_cli(["solve1d", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        payload = json.loads(res.output.strip().splitlines()[-1])
+        assert payload["status"] == "config-error"
+        assert payload["error"].startswith("--out: "), payload
+
     def test_jobs_option_removed(self, tmp_path):
         res = run_cli(["hconv", "--config", fixture("1d_harmonic.cfg"),
                        "--out", str(tmp_path), "--jobs", "2"])
@@ -447,6 +462,21 @@ class TestFixtures:
             assert vals[1] + vals[2] + vals[3] == vals[4]
             assert vals[3] == 0
 
+    @pytest.mark.parametrize("name", ["1d_harmonic", "schur_identity", "solve1d", "divtest",
+                                      "divcurl_compliant", "laminate2d"])
+    def test_grid_configs_run_without_sparse_lu(self, tmp_path, monkeypatch, name):
+        # their grid systems go to the exact transform inverse or to PCG;
+        # SuperLU factorises only systems that are not grid stiffness matrices
+        import scipy.sparse.linalg as spla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU on a grid stiffness matrix")
+
+        monkeypatch.setattr(spla, "splu", refuse)
+        kind = RunConfig.parse(fixture(f"{name}.cfg")).sections["experiment"]["kind"]
+        res = run_cli([kind, "--config", fixture(f"{name}.cfg"), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
     def test_solve1d_emits_solution(self, tmp_path):
         res = run_cli(["solve1d", "--config", fixture("solve1d.cfg"),
                        "--out", str(tmp_path)])
@@ -677,6 +707,24 @@ class TestImportPath:
         code = f"import sys, homlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
         res = self._run(code)
         assert res.stdout.strip() == "[]"
+
+    def test_1d_configs_leave_out_scipy_fft(self):
+        # a 1-d grid system is one tridiagonal solve, with no axis transformed
+        names = ("1d_harmonic", "schur_identity", "solve1d", "divtest", "divcurl_compliant",
+                 "thermo_laminate")
+        code = "\n".join([
+            "import sys, tempfile",
+            "from click.testing import CliRunner",
+            "from homlab.cli import RunConfig, main",
+            f"for name in {names!r}:",
+            f"    path = {CONFIG_DIR!r} + '/' + name + '.cfg'",
+            "    kind = RunConfig.parse(path).sections['experiment']['kind']",
+            "    with tempfile.TemporaryDirectory() as out:",
+            "        res = CliRunner().invoke(main, [kind, '--config', path, '--out', out])",
+            "    print(name, res.exit_code, 'scipy.fft' in sys.modules)",
+        ])
+        res = self._run(code)
+        assert res.stdout.splitlines() == [f"{name} 0 False" for name in names]
 
     def test_only_dirichlet_or_neumann_grid_solves_load_scipy_fft(self):
         # periodic cell problems transform with numpy's FFT; scipy.fft, which

@@ -809,6 +809,29 @@ class TestGridSolverPath:
         hminus_norm(dom, RHSFunctional.density(np.ones(build_grad(dom).scalar_space.dim)))
         homogenized_tensor(a)
 
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])
+    def test_1d_solves_call_no_sparse_lu_and_match_it(self, monkeypatch, flavor):
+        # Dirichlet and Neumann K are tridiagonal and solved exactly; the
+        # periodic K wraps and runs preconditioned CG
+        from homlab.hilbert import _SparseSolver
+
+        dom = GridDomain.interval(0.0, 1.3, 96)
+        a = _grid_coefficient(dom, "sym")
+        g = build_grad(dom, flavor)
+        f = RHSFunctional.flux(np.random.default_rng(8).standard_normal(g.vector_space.dim))
+        k, rhs = galerkin_matrix(g, a), f.assemble(g)
+        if flavor == "dirichlet":
+            ref = _SparseSolver(k).solve(rhs)
+        else:
+            ref = g.mean_center(np.concatenate([[0.0], _SparseSolver(k[1:, 1:]).solve(rhs[1:])]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU on a 1-d grid")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        u, _ = solve_elliptic(dom, a, f, flavor)
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("kind", ["sym", "nonsym", "complex"])
     @pytest.mark.parametrize("cells", [(9, 12), (5, 6, 7)])
     @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])

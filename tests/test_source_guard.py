@@ -15,7 +15,8 @@ Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
 ``cho_solve``, ``cholesky``) appears anywhere.
 There is one solver layer: SuperLU (``splu``) is called only in
 ``hilbert._SparseSolver`` and the Krylov solvers (``cg``, ``gmres``) only in
-``elliptic._GridSolver``.
+``elliptic._GridSolver``. Grid stiffness matrices never reach SuperLU, so
+``elliptic`` names neither ``splu`` nor ``_SparseSolver``.
 A parameter with a default is a setting, so some call in the repository sets
 it; a numerical setting that no caller changes is a module constant.
 """
@@ -35,6 +36,8 @@ _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
 # solver entry point -> the one class that may call it
 _SOLVER_OWNERS = {"splu": "hilbert._SparseSolver", "cg": "elliptic._GridSolver",
                   "gmres": "elliptic._GridSolver"}
+# what the grid solver module may not name
+_GRID_FREE = {"splu", "_SparseSolver"}
 # where the calls that set homlab's defaulted parameters may be
 _CALLERS = ("src/homlab", "demos", "perfbench", "tools", "tests")
 # defaulted parameters that no call needs to set: problem parameters with one
@@ -179,6 +182,19 @@ def test_scan_sees_a_solver_site(tmp_path):
                    "def h(k, b):\n    return scipy.sparse.linalg.gmres(k, b)\n")
     assert _named_sites(src, {"splu"}) == ["mod.A.f"]
     assert _named_sites(src, {"cg", "gmres"}) == ["mod.g", "mod.g", "mod.h"]
+
+
+def test_grid_solves_name_no_sparse_lu():
+    elliptic = Path(homlab.__file__).parent / "elliptic.py"
+    assert _named_sites(elliptic, _GRID_FREE) == []
+
+
+def test_scan_sees_a_sparse_lu_in_a_grid_module(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .hilbert import _SparseSolver\n\nclass A:\n    def f(self, k):\n"
+                   "        return _SparseSolver(k)\n\n"
+                   "def g(k):\n    return spla.splu(k)\n")
+    assert _named_sites(src, _GRID_FREE) == ["mod", "mod.A.f", "mod.g"]
 
 
 def _defaulted_parameters(path):
