@@ -17,18 +17,29 @@ experiment is generator-backed (one Dirichlet-type nodal solve and one
 grounded Neumann-type cell solve -- the latter is exactly the
 natural-boundary variational problem of the coefficient convergence theory
 under no boundary conditions).
+
+The systems of the experiment -- the eliminated edge system of the
+resolvent and the Gram and a00 systems of the kernel splitting -- have
+coefficients that are constant along y and z. The orthonormal DST-I on
+interior-node axes and DCT-II on cell axes, dense 1-d tables, split each of
+them along y and z into one band system along x per transverse mode
+(Hockney's method), and one LAPACK band LU solves all modes
+(:class:`_TransverseModes`). A system that does not separate keeps one
+SuperLU factorisation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .elliptic import GridDomain, check_budget
-from .errors import CoercivityError, ShapeError
+from .elliptic import _SEPARATION_TOL, GridDomain, check_budget
+from .errors import CoercivityError, NotInM, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
 from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
@@ -86,22 +97,12 @@ class YeeComplex:
                          shape=(c, c - 1), format="coo") for c, s in zip(m, h)]
         inner = [sp.identity(c - 1, format="coo") for c in m]
         whole = [sp.identity(c, format="coo") for c in m]
+        self._factors = diff, inner, whole
 
-        def kron3(x, y, z):
-            return sp.kron(sp.kron(x, y, format="coo"), z, format="coo")
-
-        self.grad0 = sp.vstack([kron3(*[diff[t] if t == a else inner[t] for t in range(3)])
+        self.grad0 = sp.vstack([_kron3(*[diff[t] if t == a else inner[t] for t in range(3)])
                                 for a in range(3)], format="csr")
-        # (curl E)_a = d_b E_c - d_c E_b with (a, b, c) cyclic: the block of
-        # face axis a and edge axis e differences along the third axis d
-        blocks = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for e, sign in (((a + 2) % 3, 1.0), ((a + 1) % 3, -1.0)):
-                d = 3 - a - e
-                blocks[a][e] = sign * kron3(*[diff[t] if t == d else inner[t] if t == a
-                                              else whole[t] for t in range(3)])
-        self.curl0 = sp.bmat(blocks, format="csr")
-        self.div_faces = sp.hstack([kron3(*[diff[t] if t == a else whole[t] for t in range(3)])
+        self.curl0 = _curl(diff, inner, whole)
+        self.div_faces = sp.hstack([_kron3(*[diff[t] if t == a else whole[t] for t in range(3)])
                                     for a in range(3)], format="csr")
         self.n_faces, self.n_edges = self.curl0.shape
         self.n_nodes = self.grad0.shape[1]
@@ -132,6 +133,18 @@ class YeeComplex:
 
     # -- derived operators ------------------------------------------------------
 
+    @functools.cached_property
+    def _mode_curl0(self):
+        """curl0 in the transverse modes of :class:`_TransverseModes`: the
+        assembly of ``curl0`` with D_y and D_z replaced by their mode forms,
+        which hold sigma_k = (2/h) sin(k pi/2m) at (cell mode k, node mode k)
+        on one subdiagonal."""
+        diff, inner, whole = self._factors
+        m, h = self.domain.cells, self.domain.spacing
+        modal = [diff[0]] + [sp.diags(2.0 / h[t] * np.sin(np.arange(1, m[t]) * np.pi / (2 * m[t])),
+                                      -1, shape=(m[t], m[t] - 1), format="coo") for t in (1, 2)]
+        return _curl(modal, inner, whole)
+
     def curl_adjoint_matrix(self):
         """curl = curl0^* : faces -> edges as an explicit sparse matrix."""
         return adjoint(LinearOp(self.edge_space, self.face_space, matrix=self.curl0)).matrix
@@ -161,6 +174,24 @@ class YeeComplex:
             m = self.face_axis == axis
             vals[m] = fn[axis](self.face_mid[m])
         return vals
+
+
+def _kron3(x, y, z):
+    return sp.kron(sp.kron(x, y, format="coo"), z, format="coo")
+
+
+def _curl(diff, inner, whole):
+    """curl0 from one 1-d difference per axis and the interior-node and cell
+    identities (see :class:`YeeComplex`)."""
+    # (curl E)_a = d_b E_c - d_c E_b with (a, b, c) cyclic: the block of
+    # face axis a and edge axis e differences along the third axis d
+    blocks = [[None] * 3 for _ in range(3)]
+    for a in range(3):
+        for e, sign in (((a + 2) % 3, 1.0), ((a + 1) % 3, -1.0)):
+            d = 3 - a - e
+            blocks[a][e] = sign * _kron3(*[diff[t] if t == d else inner[t] if t == a
+                                           else whole[t] for t in range(3)])
+    return sp.bmat(blocks, format="csr")
 
 
 def build_curl(domain):
@@ -199,7 +230,8 @@ class MaxwellSystem:
         (W_e te + curl0^H W_f tf^-1 curl0) e = W_e f + curl0^H W_f tf^-1 g,
 
     which is real symmetric positive definite for real coefficients and has
-    n_edges unknowns instead of n_edges + n_faces."""
+    n_edges unknowns instead of n_edges + n_faces (see :class:`_EdgeResolvent`
+    for how it is solved)."""
 
     def __init__(self, domain, eps, mu, sigma, lam, bounds):
         self.complex = YeeComplex(domain)
@@ -227,10 +259,136 @@ class MaxwellSystem:
         return _EdgeResolvent(self, self.t_matrix() if t is None else t)
 
 
+def _block_shape(cells, kinds):
+    """The index grid of one block of Yee unknowns: m_a cells or m_a - 1
+    interior nodes on axis a, as ``kinds[a]`` says cells or not."""
+    return tuple(c if k else c - 1 for c, k in zip(cells, kinds))
+
+
+def _constant_across(cells, parts, v):
+    """Whether v, laid out block by block as ``parts`` says (see
+    :class:`_TransverseModes`), is exactly constant along y and z in every
+    block."""
+    start = 0
+    for kinds in parts:
+        shape = _block_shape(cells, kinds)
+        u = v[start:start + math.prod(shape)].reshape(shape)
+        if not np.array_equal(u, np.broadcast_to(u[:, :1, :1], shape)):
+            return False
+        start += math.prod(shape)
+    return True
+
+
+def _transverse_table(m, cells):
+    """The orthonormal 1-d transform along an axis of m cells, as columns:
+    DCT-II on the m cells or DST-I on the m - 1 interior nodes. Returns the
+    table and the frequency k of each column; the unit 1-d Laplacian (the
+    h^2-scaled D D^T on cells, D^T D on nodes) has the eigenvalue
+    4 sin^2(k pi/2m) on column k."""
+    freq = np.arange(1 - cells, m)    # from 0 on cells, from 1 on nodes
+    if cells:
+        table = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(np.arange(m) + 0.5, freq) / m)
+        table[:, 0] /= np.sqrt(2.0)
+    else:
+        table = np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(freq, freq) / m)
+    return table, freq
+
+
+def _along_yz(v, shape, qy, qz):
+    """qy^T u qz over the y and z axes of the grid u of the given shape that
+    the vector v holds, or of each column of an (n, k) block, laid out as v."""
+    u = v.reshape(shape + v.shape[1:])
+    if v.ndim == 2:
+        return np.moveaxis(qy.T @ np.moveaxis(u, 3, 0) @ qz, 0, 3).reshape(v.shape)
+    return (qy.T @ u @ qz).reshape(v.shape)
+
+
+class _TransverseModes:
+    """Solves of K x = b, one load or an (n, k) block, for a K on blocks of
+    Yee unknowns that the transforms along y and z split into one banded
+    system per transverse mode (Hockney's method).
+
+    ``parts`` lists the blocks in the order of the unknowns; each says, per
+    axis, whether the block sits on cells or on interior nodes there (see
+    :func:`_block_shape`). Each block is transformed along y and z with the
+    dense tables of :func:`_transverse_table`: the orthonormal DST-I on
+    interior-node axes and the DCT-II on cell axes. ``k_hat`` is K in these
+    coordinates, laid out as the unknowns are. Its unknowns are ordered by
+    transverse mode, then by x position, then by block, so each mode is one
+    band along x. All modes are stacked into one band matrix that LAPACK
+    factorises once (``gbtrf``, partial pivoting) and solves for every load
+    (``gbtrs``); a zero pivot raises :class:`NotInM`. The row of the unknown
+    ``ground``, if given, is replaced by the identity and its load by 0."""
+
+    def __init__(self, cells, parts, k_hat, ground=None):
+        self._parts, keys, start = [], [], 0
+        for block, kinds in enumerate(parts):
+            shape = _block_shape(cells, kinds)
+            size = math.prod(shape)
+            (qy, fy), (qz, fz) = (_transverse_table(cells[t], kinds[t]) for t in (1, 2))
+            self._parts.append((slice(start, start + size), shape, qy, qz))
+            start += size
+            # cells sit at the odd and interior nodes at the even half-steps in x
+            x = 2 * np.arange(shape[0]) + (1 if kinds[0] else 2)
+            keys.append((np.broadcast_to(np.add.outer(fy * cells[2], fz), shape).ravel(),
+                         np.broadcast_to(x[:, None, None], shape).ravel(), np.full(size, block)))
+        mode, x, block = (np.concatenate(k) for k in zip(*keys))
+        self._order = np.lexsort((block, x, mode))
+        self._pos = np.empty_like(self._order)
+        self._pos[self._order] = np.arange(len(self._order))
+
+        k_hat = k_hat.tocoo()
+        keep = k_hat.data != 0
+        if ground is not None:
+            keep &= k_hat.row != ground
+        rows, cols = self._pos[k_hat.row[keep]], self._pos[k_hat.col[keep]]
+        vals = k_hat.data[keep]
+        self._ground = None if ground is None else self._pos[ground]
+        if ground is not None:
+            rows, cols = np.r_[rows, self._ground], np.r_[cols, self._ground]
+            vals = np.r_[vals, 1.0]
+        self._kl, self._ku = (int(d.max(initial=0)) for d in (rows - cols, cols - rows))
+        band = np.zeros((2 * self._kl + self._ku + 1, len(self._order)), dtype=vals.dtype)
+        band[self._kl + self._ku + rows - cols, cols] = vals
+        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+        self._lu, self._piv, info = gbtrf(band, self._kl, self._ku)
+        if info > 0:
+            raise NotInM(f"transverse-mode system is singular at unknown {info - 1}")
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs)
+        hat = np.concatenate([_along_yz(rhs[sl], shape, qy, qz)
+                              for sl, shape, qy, qz in self._parts])[self._order]
+        if self._ground is not None:
+            hat[self._ground] = 0.0
+        b = hat.reshape(len(hat), -1)
+        band = (self._lu, self._kl, self._ku)
+        if np.iscomplexobj(b) and not np.iscomplexobj(self._lu):
+            x = self._gbtrs(*band, b.real, self._piv)[0] \
+                + 1j * self._gbtrs(*band, b.imag, self._piv)[0]
+        else:
+            x = self._gbtrs(*band, b.astype(self._lu.dtype, copy=False), self._piv)[0]
+        x = x.reshape(hat.shape)[self._pos]
+        return np.concatenate([_along_yz(x[sl], shape, qy.T, qz.T)
+                               for sl, shape, qy, qz in self._parts])
+
+
+# edges along a sit on cells on axis a, faces normal to a on interior nodes
+_EDGES = tuple(tuple(t == a for t in range(3)) for a in range(3))
+_FACES = tuple(tuple(t != a for t in range(3)) for a in range(3))
+
+
 class _EdgeResolvent:
     """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block from
     one factorisation of the edge system (see :class:`MaxwellSystem`), with
-    every column's residual checked on the full system."""
+    every column's residual checked on the full system at 1e-10.
+
+    When every component of W_e T_e and of W_f T_f^-1 is constant along y
+    and z, compared exactly, as for the oscillating laminates and their
+    axis-wise limits, the transforms of :class:`_TransverseModes` carry the
+    edge system to the mode coordinates unchanged but for curl0, which
+    becomes ``YeeComplex._mode_curl0``, and one band LU solves it. Any other
+    T keeps one SuperLU factorisation of the edge system."""
 
     def __init__(self, system, t):
         cx = system.complex
@@ -241,10 +399,15 @@ class _EdgeResolvent:
         self._wf_tf = cx.face_space.weight / self._tf
         self._curl0 = cx.curl0
         self._curl0h = cx.curl0.T.tocsr()    # curl0 is real
-        edge = sp.diags(self._we * diag[:self._ne]) \
-            + self._curl0h @ sp.diags(self._wf_tf) @ self._curl0
+        mass = self._we * diag[:self._ne]
+        cells = cx.domain.cells
+        modes = _constant_across(cells, _EDGES, mass) and _constant_across(cells, _FACES,
+                                                                          self._wf_tf)
+        curl, curl_h = (cx._mode_curl0, cx._mode_curl0.T) if modes else (cx.curl0, self._curl0h)
+        edge = sp.diags(mass) + curl_h @ sp.diags(self._wf_tf) @ curl
         # the residual is checked below, on the full system
-        self._edge = _SparseSolver(edge, tol=np.inf)
+        self._edge = _TransverseModes(cells, _EDGES, edge) if modes \
+            else _SparseSolver(edge, tol=np.inf)
         self._full = (t + system.a_matrix).tocsr()
 
     def solve(self, rhs):
@@ -255,6 +418,124 @@ class _EdgeResolvent:
         h = (g - self._curl0 @ e) / _rows(self._tf, g)
         x = np.concatenate([e, h])
         _check_residual(self._full, x, rhs, 1e-10)
+        return x
+
+
+def _unit_laplacian(n, cells):
+    """The unit 1-d Laplacian on n cells (D D^T h^2, Neumann ends) or n
+    interior nodes (D^T D h^2) as (diagonal, off-diagonal with a trailing 0)."""
+    diag = np.full(n, 2.0)
+    if cells:
+        diag[[0, -1]] = 1.0
+    return diag, np.r_[-np.ones(n - 1), 0.0]
+
+
+def _seven_point(shape, m0, u, my, mz, ly, lz):
+    """The diagonals, by offset, of M0 (x) I (x) I + My (x) Ly (x) I +
+    Mz (x) I (x) Lz on an (nx, ny, nz) grid in C order: M0 symmetric
+    tridiagonal with diagonal ``m0`` and off-diagonal ``u``, My and Mz
+    diagonal, and Ly, Lz symmetric tridiagonal as (diagonal, off-diagonal
+    with a trailing 0). An offset whose factor has no off-diagonal is left
+    out."""
+    nx, ny, nz = shape
+    col = lambda v: v[:, None, None]
+    grids = {0: col(m0) + col(my) * ly[0][:, None] + col(mz) * lz[0]}
+    if lz[1].any():
+        grids[1] = col(mz) * lz[1]
+    if ly[1].any():
+        grids[nz] = col(my) * ly[1][:, None]
+    if nx > 1:
+        grids[ny * nz] = col(np.r_[u, 0.0])
+    n = nx * ny * nz
+    return {o: np.broadcast_to(g, shape).ravel()[:n - o] for o, g in grids.items()}
+
+
+def _seven_point_factors(k, shape, cells):
+    """The factors (m0, u, my, mz) of :func:`_seven_point` with the unit
+    Laplacians of :func:`_unit_laplacian` for a 7-point K on the interior
+    nodes or, grounded at cell 0 (its row and column dropped), on the cells
+    of a Yee complex; None when K is not of that form.
+
+    The x-profiles are read off the line (x, ny - 1, nz - 1). On cells the
+    diagonal of M0 is minus its off-diagonal row sums, so that the
+    ungrounded K has the constants as kernel. K has the form when the
+    rebuild from the factors matches every entry of K to
+    ``_SEPARATION_TOL`` of its largest one."""
+    nx, ny, nz = shape
+    grounded = int(cells)
+    ly, lz = _unit_laplacian(ny, cells), _unit_laplacian(nz, cells)
+    line = np.arange(1, nx + 1) * ny * nz - 1 - grounded
+    my = -k.diagonal(nz)[line - nz] if ny > 1 else np.zeros(nx)
+    mz = -k.diagonal(1)[line - 1] if nz > 1 else np.zeros(nx)
+    u = k.diagonal(ny * nz)[line[:-1]]
+    m0 = -(np.r_[u, 0.0] + np.r_[0.0, u]) if cells \
+        else k.diagonal()[line] - my * ly[0][-1] - mz * lz[0][-1]
+    bound = _SEPARATION_TOL * np.abs(k.data).max(initial=0.0)
+    found = 0
+    for o, model in _seven_point(shape, m0, u, my, mz, ly, lz).items():
+        for s in {o, -o}:
+            entries = k.diagonal(s)
+            if not np.abs(entries - model[grounded:]).max(initial=0.0) <= bound:
+                return None
+            found += np.count_nonzero(entries)
+    return (m0, u, my, mz) if found == k.count_nonzero() else None
+
+
+def _kernel_gram(cx, k):
+    """The solver of a matrix K on the unknowns of the kernel generator of
+    :func:`_kernel_decomposition`: a :class:`_KernelGram` when K is a node
+    block beside a grounded cell block, each of the form of
+    :func:`_seven_point_factors` (so G^H W T G for a T whose components
+    are constant along y and z), else one SuperLU factorisation."""
+    cells = cx.domain.cells
+    k = k.tocsr()
+    nn = cx.n_nodes
+    blocks = k[:nn, :nn], k[nn:, nn:]
+    factors = [_seven_point_factors(b, _block_shape(cells, (c,) * 3), c)
+               for b, c in zip(blocks, (False, True))]
+    if None in factors or sum(b.count_nonzero() for b in blocks) != k.count_nonzero():
+        return _SparseSolver(k)
+    return _KernelGram(cx, k, factors)
+
+
+class _KernelGram:
+    """Residual-checked solves with G^H W T G on the kernel generator's
+    unknowns, T constant along y and z (see :func:`_kernel_gram`), in the
+    transverse modes of :class:`_TransverseModes`, where each mode of the
+    node and of the cell block is tridiagonal along x.
+
+    The cell block is grounded at cell 0. Its load b is solved as the load
+    [-sum b; b] of the ungrounded cell Laplacian, whose mode (0, 0) is
+    grounded at its first cell, and the solution is u[1:] - u[0]."""
+
+    def __init__(self, cx, k, factors):
+        self.k = k
+        self._cx = cx
+        self._nodes = cx.n_nodes
+        cells = cx.domain.cells
+        hats = []
+        for c, (m0, u, my, mz) in zip((False, True), factors):
+            shape = _block_shape(cells, (c,) * 3)
+            # the tables diagonalise the unit Laplacians along y and z
+            lam = [((2.0 * np.sin(np.arange(1 - c, m) * np.pi / (2 * m))) ** 2, np.zeros(n))
+                   for m, n in zip(cells[1:], shape[1:])]
+            diagonals = _seven_point(shape, m0, u, my, mz, *lam)
+            diagonals.update({-o: d for o, d in diagonals.items() if o})
+            hats.append(sp.diags(list(diagonals.values()), list(diagonals)))
+        self._modes = _TransverseModes(cells, ((False,) * 3, (True,) * 3),
+                                       sp.block_diag(hats), ground=self._nodes)
+
+    def for_matrix(self, k):
+        """The solver of another matrix K on the same unknowns."""
+        return _kernel_gram(self._cx, k)
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs)
+        nn = self._nodes
+        u = self._modes.solve(np.concatenate(
+            [rhs[:nn], -rhs[nn:].sum(axis=0, keepdims=True), rhs[nn:]]))
+        x = np.concatenate([u[:nn], u[nn + 1:] - u[nn]])
+        _check_residual(self.k, x, rhs, 1e-10)
         return x
 
 
@@ -325,12 +606,18 @@ def _kernel_decomposition(cx, space):
     on a box the two kernels are exactly the gradient ranges of the nodal
     Dirichlet potential and the grounded cell potential (harmonic parts are
     trivial, so the finite-dimensional shuffle across the splitting is the
-    identity and is omitted)."""
+    identity and is omitted).
+
+    The splitting solves its Gram matrix G^H W G, and through ``for_matrix``
+    the a00 = G^H W T G of the Schur maps, with :func:`_kernel_gram`: in
+    transverse modes when the matrix separates along y and z, as it does
+    for every T whose components are constant there, else with SuperLU."""
     gen = sp.bmat([
         [cx.grad0, None],
         [None, cx.dual_gradient_matrix()],
     ]).tocsr()
-    return Decomposition.from_generator(space, gen)
+    gram = _kernel_gram(cx, gen.T @ space.weight_operator() @ gen)
+    return Decomposition.from_generator(space, gen, gram)
 
 
 def _laminate_tensor_fns(profile_combined):

@@ -726,6 +726,19 @@ class TestImportPath:
         res = self._run(code)
         assert res.stdout.splitlines() == [f"{name} 0 False" for name in names]
 
+    def test_maxwell_experiment_leaves_out_scipy_fft(self):
+        # the transverse-mode solves transform with dense 1-d tables
+        code = "\n".join([
+            "import sys, numpy as np",
+            "from homlab.maxwell import maxwell_homogenization_experiment",
+            "two = lambda lo, hi: (lambda y: np.where(np.asarray(y) < 0.5, lo, hi))",
+            "maxwell_homogenization_experiment(two(1.0, 4.0), two(1.0, 2.0), two(0.5, 1.0),"
+            " lam=1.0, n_list=[1, 2], bounds=(0.4, 10.0), transverse_cells=4)",
+            "print('scipy.fft' in sys.modules)",
+        ])
+        res = self._run(code)
+        assert res.stdout.strip() == "False"
+
     def test_only_dirichlet_or_neumann_grid_solves_load_scipy_fft(self):
         # periodic cell problems transform with numpy's FFT; scipy.fft, which
         # pulls in scipy.special, serves the DST-I and DCT-I alone

@@ -1,26 +1,34 @@
 """Tests for the staggered Maxwell system and Helmholtz decompositions."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlab.cli import main
 from homlab.elliptic import GridDomain, grid_unknowns
 from homlab.errors import CoercivityError, SolverDiverged
 from homlab.evolution import resolvent_bounds, skew_split
 from homlab.hilbert import LinearOp, _SparseSolver
-from homlab.homogenize import MeshRule, laminate_limit
+from homlab.homogenize import laminate_limit
 from homlab.maxwell import (
     MaxwellSystem,
     YeeComplex,
+    _KernelGram,
+    _TransverseModes,
+    _kernel_decomposition,
+    _transverse_table,
     build_curl,
     helmholtz_decompose,
     maxwell_homogenization_experiment,
 )
+from homlab.schur import schur_maps
 
 TWO_PHASE = lambda lo, hi: (lambda y: np.where(np.asarray(y) < 0.5, lo, hi))
 
@@ -339,7 +347,111 @@ class TestEliminatedResolvent:
         with pytest.raises(SolverDiverged, match="column 1"):
             sys.resolvent_solver().solve(rhs)
 
-    def test_only_the_edge_system_is_factorised(self, monkeypatch):
+    def test_maxwell_runs_without_sparse_lu(self, tmp_path, monkeypatch):
+        # every system of the experiment separates in y and z, so none of
+        # them reaches SuperLU
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU on the Maxwell path")
+
+        monkeypatch.setattr(spla, "splu", refuse)
+        rep = maxwell_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
+            lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
+        assert rep.values("gap_resolvent").max() > 0
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "maxwell_laminate.cfg")
+        res = CliRunner().invoke(main, ["maxwell", "--config", config, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
+
+def _dst1(m):
+    """Orthonormal DST-I on the m - 1 interior nodes of m cells, from its
+    closed form; column k has frequency k + 1."""
+    k = np.arange(1, m)
+    return np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(k, k) / m)
+
+
+def _dct2(m):
+    """Orthonormal DCT-II on m cells, from its closed form; column k has
+    frequency k."""
+    c = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(np.arange(m) + 0.5, np.arange(m)) / m)
+    c[:, 0] /= np.sqrt(2.0)
+    return c
+
+
+def _edge_transform(cells):
+    """The orthogonal map Q from mode to physical edge coordinates (DCT-II
+    along y or z where an edge block sits on cells, DST-I on interior
+    nodes), with each edge's transverse mode and x position."""
+    blocks, modes, xs = [], [], []
+    for a in range(3):
+        on_cells = [t == a for t in range(3)]
+        tables = [_dct2(cells[t]) if on_cells[t] else _dst1(cells[t]) for t in (1, 2)]
+        freqs = [np.arange(cells[t]) if on_cells[t] else np.arange(1, cells[t]) for t in (1, 2)]
+        nx = cells[0] if on_cells[0] else cells[0] - 1
+        x = 2 * np.arange(nx) + (1 if on_cells[0] else 2)
+        blocks.append(sp.kron(sp.identity(nx), np.kron(*tables)))
+        grid = np.meshgrid(x, freqs[0], freqs[1], indexing="ij")
+        xs.append(grid[0].ravel())
+        modes.append((grid[1] * cells[2] + grid[2]).ravel())
+    return sp.block_diag(blocks).tocsr(), np.concatenate(modes), np.concatenate(xs)
+
+
+class TestTransverseModes:
+    """The transverse-mode route of the edge system and of the kernel
+    splitting's Gram solves, against transforms built here from their closed
+    forms and against SuperLU."""
+
+    @staticmethod
+    def laminate(cells, eps=None):
+        dom = GridDomain.box(cells)
+        osc = lambda lo, hi: (lambda p: np.where(p[:, 0] % 0.25 < 0.125, lo, hi))
+        return MaxwellSystem(dom, eps or osc(1.0, 4.0), osc(1.0, 2.0), osc(0.5, 1.0),
+                             lam=1.0, bounds=(0.4, 10.0))
+
+    def test_tables_carry_the_difference_to_one_subdiagonal(self):
+        m, h = 8, 0.3
+        d = sp.diags([np.full(m - 1, 1.0 / h), np.full(m - 1, -1.0 / h)], [0, -1],
+                     shape=(m, m - 1)).toarray()
+        (s, fs), (c, fc) = _transverse_table(m, False), _transverse_table(m, True)
+        np.testing.assert_allclose(s, _dst1(m), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c, _dct2(m), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(fs, np.arange(1, m))
+        np.testing.assert_array_equal(fc, np.arange(m))
+        sigma = 2.0 / h * np.sin(np.arange(1, m) * np.pi / (2 * m))
+        hat = c.T @ d @ s
+        np.testing.assert_allclose(hat, np.diag(sigma, -1)[:, :-1], rtol=0,
+                                   atol=1e-14 * sigma.max())
+
+    def test_laminate_edge_matrix_separates_with_bandwidth_3(self):
+        sys = self.laminate((16, 8, 8))
+        cx = sys.complex
+        ne = cx.n_edges
+        diag = sys.t_matrix().diagonal()
+        mass = cx.edge_space.weight * diag[:ne]
+        wf_tf = cx.face_space.weight / diag[ne:]
+        k = sp.diags(mass) + cx.curl0.T @ sp.diags(wf_tf) @ cx.curl0
+        q, mode, x = _edge_transform(cx.domain.cells)
+        k_hat = (q.T @ k @ q).tocoo()
+        big = np.abs(k_hat.data).max()
+        across = mode[k_hat.row] != mode[k_hat.col]
+        assert np.abs(k_hat.data[across]).max() <= 1e-14 * big
+        order = np.lexsort((np.repeat(np.arange(3), [np.sum(cx.edge_axis == a) for a in range(3)]),
+                            x, mode))
+        pos = np.empty_like(order)
+        pos[order] = np.arange(ne)
+        kept = np.abs(k_hat.data) > 1e-14 * big
+        assert np.abs(pos[k_hat.row[kept]] - pos[k_hat.col[kept]]).max() == 3
+        # the mode-space assembly is the transformed matrix, and its band is
+        # the one factorised
+        modal = sp.diags(mass) + cx._mode_curl0.T @ sp.diags(wf_tf) @ cx._mode_curl0
+        assert np.abs(modal - k_hat).max() <= 1e-13 * big
+        edge = sys.resolvent_solver()._edge
+        assert isinstance(edge, _TransverseModes) and (edge._kl, edge._ku) == (3, 3)
+
+    def test_y_varying_coefficient_takes_superlu(self, monkeypatch):
+        sys = self.laminate((6, 4, 5), eps=lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5))
+        t = sys.t_matrix()
+        ref = _SparseSolver(t + sys.a_matrix)
         shapes = []
         splu = spla.splu
 
@@ -348,15 +460,74 @@ class TestEliminatedResolvent:
             return splu(k, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", recording)
-        rep = maxwell_homogenization_experiment(
-            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
-            lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
-        assert rep.values("gap_resolvent").max() > 0
-        full = set()
-        for n in (1, 2):
-            cx = YeeComplex(GridDomain.box((MeshRule(2, min_cells=3).cells(n), 3, 3)))
-            full.add(cx.n_edges + cx.n_faces)
-        assert shapes and not any(rows in full for rows, _ in shapes)
+        solver = sys.resolvent_solver()
+        assert shapes == [(sys.complex.n_edges,) * 2]
+        rhs = np.random.default_rng(5).standard_normal((sys.space.dim, 3))
+        x, x_ref = solver.solve(rhs), ref.solve(rhs)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    @pytest.mark.parametrize("cells", [(3, 3, 2), (3, 2, 2), (2, 2, 2)])
+    def test_thin_boxes(self, cells, monkeypatch):
+        sys = self.laminate(cells)
+        cx = sys.complex
+        t = sys.t_matrix()
+        ref = _SparseSolver(t + sys.a_matrix)
+        gen = sp.bmat([[cx.grad0, None], [None, cx.dual_gradient_matrix()]]).tocsr()
+        ghw = gen.T @ sp.diags(sys.space.weight)
+        grams = [_SparseSolver(ghw @ gen), _SparseSolver(ghw @ t @ gen)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU on the Maxwell path")
+
+        monkeypatch.setattr(spla, "splu", refuse)
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal((sys.space.dim, 3))
+        x, x_ref = sys.resolvent_solver().solve(rhs), ref.solve(rhs)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        gram = _kernel_decomposition(cx, sys.space).h0.gram
+        load = rng.standard_normal((gen.shape[1], 3))
+        for solver, oracle in zip((gram, gram.for_matrix(ghw @ t @ gen)), grams):
+            assert isinstance(solver, _KernelGram)
+            y, y_ref = solver.solve(load), oracle.solve(load)
+            assert np.abs(y - y_ref).max() <= 1e-10 * np.abs(y_ref).max()
+
+    def test_kernel_projectors_and_a00_match_superlu(self):
+        sys = self.laminate((8, 4, 5))
+        cx, space = sys.complex, sys.space
+        dec = _kernel_decomposition(cx, space)
+        g, ghw = dec.h0.generator, dec.h0.gh_w
+        gram = _SparseSolver(ghw @ g)
+        v = np.random.default_rng(7).standard_normal((space.dim, 4))
+        p0 = dec.h0.project(v)
+        p0_ref = g @ gram.solve(ghw @ v)
+        assert np.abs(p0 - p0_ref).max() <= 1e-10 * np.abs(p0_ref).max()
+        np.testing.assert_allclose(dec.h1.project(v), v - p0_ref, rtol=0,
+                                   atol=1e-10 * np.abs(v).max())
+        limit = sys.t_matrix(sys.complex.sample_edges(axiswise(1.5, 2.0, 2.0)),
+                             sys.complex.sample_faces(axiswise(1.2, 1.7, 1.7)), 0.0)
+        for t in (sys.t_matrix(), limit):
+            k = ghw @ t @ g
+            assert isinstance(dec.h0.gram.for_matrix(k), _KernelGram)
+            maps = schur_maps(LinearOp(space, space, matrix=t.tocsr()), dec)
+            ref = g @ _SparseSolver(k).solve(ghw @ p0)
+            assert np.abs(maps.m00inv(p0) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ["y-varying", "off-stencil", "node-cell"])
+    def test_kernel_gram_that_does_not_separate_takes_superlu(self, case):
+        eps = (lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5)) if case == "y-varying" else None
+        sys = self.laminate((6, 4, 5), eps=eps)
+        dec = _kernel_decomposition(sys.complex, sys.space)
+        g, ghw = dec.h0.generator, dec.h0.gh_w
+        k = ghw @ sys.t_matrix() @ g
+        # an entry two nodes apart along z, off the 7-point stencil, or one
+        # coupling the node and cell blocks
+        far = {"y-varying": None, "off-stencil": 2, "node-cell": sys.complex.n_nodes}[case]
+        if far is not None:
+            k = k + sp.coo_matrix(([0.1, 0.1], ([0, far], [far, 0])), shape=k.shape)
+        solver = dec.h0.gram.for_matrix(k)
+        assert isinstance(solver, _SparseSolver)
+        load = np.random.default_rng(8).standard_normal(g.shape[1])
+        assert np.abs(k @ solver.solve(load) - load).max() <= 1e-10 * np.abs(load).max()
 
 
 class TestHomogenizationExperiment:

@@ -14,8 +14,12 @@ of a coefficient field call a ``linalg`` inverse.
 Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
 ``cho_solve``, ``cholesky``) appears anywhere.
 There is one solver layer: SuperLU (``splu``) is called only in
-``hilbert._SparseSolver`` and the Krylov solvers (``cg``, ``gmres``) only in
-``elliptic._GridSolver``. Grid stiffness matrices never reach SuperLU, so
+``hilbert._SparseSolver``, the Krylov solvers (``cg``, ``gmres``) only in
+``elliptic._GridSolver``, LAPACK's tridiagonal LU (``gttrf``) only in
+``elliptic._TransformInverse`` and its band LU (``gbtrf``) only in
+``maxwell._TransverseModes``. A name counts where it is an attribute, a bare
+name, an import or a string constant, such as the routine names passed to
+``get_lapack_funcs``. Grid stiffness matrices never reach SuperLU, so
 ``elliptic`` names neither ``splu`` nor ``_SparseSolver``.
 A parameter with a default is a setting, so some call in the repository sets
 it; a numerical setting that no caller changes is a module constant.
@@ -35,7 +39,10 @@ _DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
 _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
 # solver entry point -> the one class that may call it
 _SOLVER_OWNERS = {"splu": "hilbert._SparseSolver", "cg": "elliptic._GridSolver",
-                  "gmres": "elliptic._GridSolver"}
+                  "gmres": "elliptic._GridSolver", "gttrf": "elliptic._TransformInverse",
+                  "gbtrf": "maxwell._TransverseModes"}
+# LAPACK routines are also named with their type prefix (``dgbtrf``)
+_LAPACK = {"gttrf", "gbtrf"}
 # what the grid solver module may not name
 _GRID_FREE = {"splu", "_SparseSolver"}
 # where the calls that set homlab's defaulted parameters may be
@@ -87,13 +94,15 @@ def _linalg_sites(path, names):
 
 
 def _named_sites(path, names):
-    """Where a name in ``names`` is named: as an attribute, a bare name or an
-    import."""
+    """Where a name in ``names`` is named: as an attribute, a bare name, an
+    import or a string constant."""
     def matches(node):
         if isinstance(node, ast.Attribute):
             return node.attr in names
         if isinstance(node, ast.Name):
             return node.id in names
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str) and node.value in names
         return isinstance(node, (ast.Import, ast.ImportFrom)) \
             and any(alias.name.rpartition(".")[2] in names for alias in node.names)
 
@@ -169,7 +178,8 @@ def test_scan_sees_a_cholesky_site(tmp_path):
 def test_one_solver_layer():
     package = Path(homlab.__file__).parent
     for name, owner in _SOLVER_OWNERS.items():
-        sites = {s for path in sorted(package.glob("*.py")) for s in _named_sites(path, {name})}
+        names = {name} | ({p + name for p in "sdcz"} if name in _LAPACK else set())
+        sites = {s for path in sorted(package.glob("*.py")) for s in _named_sites(path, names)}
         assert all(s == owner or s.startswith(owner + ".") for s in sites), (name, sorted(sites))
         assert sites, name    # the scan still sees the allowed site
 
@@ -182,6 +192,16 @@ def test_scan_sees_a_solver_site(tmp_path):
                    "def h(k, b):\n    return scipy.sparse.linalg.gmres(k, b)\n")
     assert _named_sites(src, {"splu"}) == ["mod.A.f"]
     assert _named_sites(src, {"cg", "gmres"}) == ["mod.g", "mod.g", "mod.h"]
+
+
+def test_scan_sees_a_lapack_routine_named_by_string(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import scipy.linalg\n\nclass A:\n    def f(self, d):\n"
+                   "        return scipy.linalg.get_lapack_funcs(('gttrf', 'gttrs'), (d,))\n\n"
+                   "def g(ab):\n    return scipy.linalg.get_lapack_funcs('gbtrf', (ab,))\n\n"
+                   "def h():\n    return scipy.linalg.lapack.dgbtrf\n")
+    assert _named_sites(src, {"gttrf"}) == ["mod.A.f"]
+    assert _named_sites(src, {"gbtrf", "dgbtrf"}) == ["mod.g", "mod.h"]
 
 
 def test_grid_solves_name_no_sparse_lu():
