@@ -40,13 +40,7 @@ from .errors import (
     SolverDiverged,
     VanishingHarmonicMean,
 )
-from .hilbert import (
-    HilbertSpace,
-    LinearOp,
-    ProbeSet,
-    _check_residual,
-    _is_hermitian,
-)
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, _check_residual
 
 __all__ = [
     "GridDomain",
@@ -817,6 +811,18 @@ class _TransformInverse:
         else:
             u = self._inv(self._solve_modes(self._fwd(self._scale[extra] * grid)))
         return u.reshape(r.shape)
+
+
+def _is_hermitian(k):
+    """max |K - K^H| <= 1e-12 max |K| for a sparse K, from one transposed
+    copy of K: when K is canonical with a symmetric pattern, the two compare
+    entry by entry."""
+    kt = k.T.asformat(k.format)
+    if (k.format in ("csr", "csc") and k.has_canonical_format
+            and np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)):
+        return bool(np.abs(k.data - kt.data.conj()).max(initial=0.0)
+                    <= 1e-12 * np.abs(k.data).max(initial=0.0))
+    return bool(abs(k - kt.conj()).max() <= 1e-12 * abs(k).max())
 
 
 class _GridSolver:

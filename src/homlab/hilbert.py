@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CoercivityError, NotInM, ShapeError, SolverDiverged
 
@@ -60,8 +59,6 @@ _DENSE_SVD_CUTOFF = 5000
 _BANDED_WORK_CUTOFF = 3e9
 # a dense matrix whose kappa_1 estimate exceeds this counts as singular
 _COND_CUTOFF = 1e12
-# SuperLU's suggested diagonal pivot threshold for its symmetric mode
-_SYMMETRIC_PIVOT_THRESH = 1e-3
 # kernel_range's rank cutoff, relative to the largest singular value
 _RANK_TOL = 1e-10
 
@@ -294,7 +291,7 @@ class Subspace:
         ``solver`` solves the Gram system G^H W G x = b for a vector or a
         block through its ``solve`` method, and its ``for_matrix`` gives the
         solver of another matrix on the same unknowns; by default G^H W G is
-        factorised with SuperLU."""
+        factorised by :func:`_band_lu`."""
         g = generator.tocsr() if sp.issparse(generator) else sp.csr_matrix(generator)
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
@@ -648,54 +645,59 @@ def _dense_lu(m):
     return solve, 1.0 / rcond if rcond > 0 else np.inf
 
 
-def _is_hermitian(k):
-    """max |K - K^H| <= 1e-12 max |K| for a sparse K, from one transposed
-    copy of K: when K is canonical with a symmetric pattern, the two compare
-    entry by entry."""
-    kt = k.T.asformat(k.format)
-    if (k.format in ("csr", "csc") and k.has_canonical_format
-            and np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)):
-        return bool(np.abs(k.data - kt.data.conj()).max(initial=0.0)
-                    <= 1e-12 * np.abs(k.data).max(initial=0.0))
-    return bool(abs(k - kt.conj()).max() <= 1e-12 * abs(k).max())
+def _band_lu(k, order=None):
+    """Factorise a sparse square K once with LAPACK's band LU (``gbtrf``,
+    partial pivoting), its unknowns taken in the order ``order``: by default
+    reverse Cuthill-McKee on the pattern of K + K^H. A zero pivot raises
+    :class:`NotInM`.
+
+    Returns ``solve``, which solves K x = b for one load or an (n, k) block
+    (``gbtrs``) and returns x C-ordered; a real factor solves a complex load
+    part by part."""
+    from scipy.sparse import csgraph
+
+    k = k.tocsr().tocoo()    # the CSR step sums duplicate entries
+    if order is None:
+        order = csgraph.reverse_cuthill_mckee(abs(k) + abs(k.T), symmetric_mode=True)
+    pos = np.argsort(order)
+    keep = k.data != 0
+    rows, cols, vals = pos[k.row[keep]], pos[k.col[keep]], k.data[keep]
+    kl, ku = (int(d.max(initial=0)) for d in (rows - cols, cols - rows))
+    band = np.zeros((2 * kl + ku + 1, k.shape[0]), dtype=np.result_type(vals, float))
+    band[kl + ku + rows - cols, cols] = vals
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    lu, piv, info = gbtrf(band, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise NotInM(f"sparse factorisation is singular: zero pivot at unknown {order[info - 1]}")
+
+    def solve(rhs):
+        b = np.asarray(rhs)[order]
+        if np.iscomplexobj(b) and not np.iscomplexobj(lu):
+            x = gbtrs(lu, kl, ku, b.real, piv)[0] + 1j * gbtrs(lu, kl, ku, b.imag, piv)[0]
+        else:
+            x = gbtrs(lu, kl, ku, b.astype(lu.dtype, copy=False), piv)[0]
+        return x[pos]
+
+    return solve
 
 
 class _SparseSolver:
-    """Residual-checked solves of K x = b from one SuperLU factorisation of
-    a sparse K; a K that SuperLU finds singular raises :class:`NotInM`. One
-    right-hand side or an (n, m) block, solved in one SuperLU call and
-    checked column by column; a real factorisation solves a complex
-    right-hand side part by part.
+    """Residual-checked solves of K x = b from one :func:`_band_lu` of a
+    sparse K, its unknowns taken in the order ``order`` (by default reverse
+    Cuthill-McKee); a zero pivot raises :class:`NotInM`. One right-hand side
+    or an (n, m) block, solved in one call and checked column by column."""
 
-    The ordering follows from K alone. A Hermitian K (:func:`_is_hermitian`)
-    is factorised in SuperLU's symmetric mode: minimum degree on the pattern
-    of K^T + K, with the diagonal pivot taken unless it is below 1e-3 of the
-    largest entry of its column. An indefinite Hermitian K thus still pivots
-    off the diagonal where it must, and the residual check catches a
-    factorisation that is not accurate enough. Any other K is ordered by
-    COLAMD with SuperLU's default partial pivoting."""
-
-    def __init__(self, k, tol=1e-10):
-        self.k = k.tocsc()
+    def __init__(self, k, tol=1e-10, order=None):
+        self.k = k.tocsr()
         self.tol = tol
-        self._real = not np.iscomplexobj(self.k.data)
-        symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_SYMMETRIC_PIVOT_THRESH,
-                         options=dict(SymmetricMode=True))
-        try:
-            self._factor = spla.splu(self.k, **(symmetric if _is_hermitian(self.k) else {}))
-        except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
-            raise NotInM(f"sparse factorisation failed: {exc}") from exc
+        self._solve = _band_lu(self.k, order)
 
     def for_matrix(self, k):
-        """The solver of another matrix K: its own SuperLU factorisation."""
+        """The solver of another matrix K: its own band LU."""
         return _SparseSolver(k, self.tol)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
-        if self._real and np.iscomplexobj(rhs):
-            x = self._factor.solve(np.ascontiguousarray(rhs.real)) \
-                + 1j * self._factor.solve(np.ascontiguousarray(rhs.imag))
-        else:
-            x = self._factor.solve(rhs)
+        x = self._solve(rhs)
         _check_residual(self.k, x, rhs, self.tol)
         return x

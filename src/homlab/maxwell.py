@@ -23,9 +23,9 @@ resolvent and the Gram and a00 systems of the kernel splitting -- have
 coefficients that are constant along y and z. The orthonormal DST-I on
 interior-node axes and DCT-II on cell axes, dense 1-d tables, split each of
 them along y and z into one band system along x per transverse mode
-(Hockney's method), and one LAPACK band LU solves all modes
-(:class:`_TransverseModes`). A system that does not separate keeps one
-SuperLU factorisation.
+(Hockney's method), and one band LU solves all modes
+(:class:`_TransverseModes`). A system that does not separate keeps one band
+LU in the default order of ``hilbert._band_lu``.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .elliptic import _SEPARATION_TOL, GridDomain, check_budget
-from .errors import CoercivityError, NotInM, ShapeError
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
+from .errors import CoercivityError, ShapeError
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver, _band_lu
 from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
 from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
@@ -313,12 +312,11 @@ class _TransverseModes:
     :func:`_block_shape`). Each block is transformed along y and z with the
     dense tables of :func:`_transverse_table`: the orthonormal DST-I on
     interior-node axes and the DCT-II on cell axes. ``k_hat`` is K in these
-    coordinates, laid out as the unknowns are. Its unknowns are ordered by
-    transverse mode, then by x position, then by block, so each mode is one
-    band along x. All modes are stacked into one band matrix that LAPACK
-    factorises once (``gbtrf``, partial pivoting) and solves for every load
-    (``gbtrs``); a zero pivot raises :class:`NotInM`. The row of the unknown
-    ``ground``, if given, is replaced by the identity and its load by 0."""
+    coordinates, laid out as the unknowns are. :func:`hilbert._band_lu`
+    factorises it once, its unknowns ordered by transverse mode, then by x
+    position, then by block, so that each mode is one band along x. The row
+    of the unknown ``ground``, if given, is replaced by the identity and its
+    load by 0."""
 
     def __init__(self, cells, parts, k_hat, ground=None):
         self._parts, keys, start = [], [], 0
@@ -333,42 +331,21 @@ class _TransverseModes:
             keys.append((np.broadcast_to(np.add.outer(fy * cells[2], fz), shape).ravel(),
                          np.broadcast_to(x[:, None, None], shape).ravel(), np.full(size, block)))
         mode, x, block = (np.concatenate(k) for k in zip(*keys))
-        self._order = np.lexsort((block, x, mode))
-        self._pos = np.empty_like(self._order)
-        self._pos[self._order] = np.arange(len(self._order))
-
-        k_hat = k_hat.tocoo()
-        keep = k_hat.data != 0
+        self._ground = ground
         if ground is not None:
-            keep &= k_hat.row != ground
-        rows, cols = self._pos[k_hat.row[keep]], self._pos[k_hat.col[keep]]
-        vals = k_hat.data[keep]
-        self._ground = None if ground is None else self._pos[ground]
-        if ground is not None:
-            rows, cols = np.r_[rows, self._ground], np.r_[cols, self._ground]
-            vals = np.r_[vals, 1.0]
-        self._kl, self._ku = (int(d.max(initial=0)) for d in (rows - cols, cols - rows))
-        band = np.zeros((2 * self._kl + self._ku + 1, len(self._order)), dtype=vals.dtype)
-        band[self._kl + self._ku + rows - cols, cols] = vals
-        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
-        self._lu, self._piv, info = gbtrf(band, self._kl, self._ku)
-        if info > 0:
-            raise NotInM(f"transverse-mode system is singular at unknown {info - 1}")
+            k_hat = k_hat.tocoo()
+            keep = k_hat.row != ground
+            rows, cols = (np.r_[i[keep], ground] for i in (k_hat.row, k_hat.col))
+            k_hat = sp.coo_matrix((np.r_[k_hat.data[keep], 1.0], (rows, cols)), shape=k_hat.shape)
+        self._solve = _band_lu(k_hat, np.lexsort((block, x, mode)))
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         hat = np.concatenate([_along_yz(rhs[sl], shape, qy, qz)
-                              for sl, shape, qy, qz in self._parts])[self._order]
+                              for sl, shape, qy, qz in self._parts])
         if self._ground is not None:
             hat[self._ground] = 0.0
-        b = hat.reshape(len(hat), -1)
-        band = (self._lu, self._kl, self._ku)
-        if np.iscomplexobj(b) and not np.iscomplexobj(self._lu):
-            x = self._gbtrs(*band, b.real, self._piv)[0] \
-                + 1j * self._gbtrs(*band, b.imag, self._piv)[0]
-        else:
-            x = self._gbtrs(*band, b.astype(self._lu.dtype, copy=False), self._piv)[0]
-        x = x.reshape(hat.shape)[self._pos]
+        x = self._solve(hat)
         return np.concatenate([_along_yz(x[sl], shape, qy.T, qz.T)
                                for sl, shape, qy, qz in self._parts])
 
@@ -388,7 +365,7 @@ class _EdgeResolvent:
     axis-wise limits, the transforms of :class:`_TransverseModes` carry the
     edge system to the mode coordinates unchanged but for curl0, which
     becomes ``YeeComplex._mode_curl0``, and one band LU solves it. Any other
-    T keeps one SuperLU factorisation of the edge system."""
+    T keeps one band LU of the edge system in the default order."""
 
     def __init__(self, system, t):
         cx = system.complex
@@ -486,7 +463,7 @@ def _kernel_gram(cx, k):
     :func:`_kernel_decomposition`: a :class:`_KernelGram` when K is a node
     block beside a grounded cell block, each of the form of
     :func:`_seven_point_factors` (so G^H W T G for a T whose components
-    are constant along y and z), else one SuperLU factorisation."""
+    are constant along y and z), else one band LU in the default order."""
     cells = cx.domain.cells
     k = k.tocsr()
     nn = cx.n_nodes
@@ -611,7 +588,8 @@ def _kernel_decomposition(cx, space):
     The splitting solves its Gram matrix G^H W G, and through ``for_matrix``
     the a00 = G^H W T G of the Schur maps, with :func:`_kernel_gram`: in
     transverse modes when the matrix separates along y and z, as it does
-    for every T whose components are constant there, else with SuperLU."""
+    for every T whose components are constant there, else with one band LU
+    in the default order."""
     gen = sp.bmat([
         [cx.grad0, None],
         [None, cx.dual_gradient_matrix()],

@@ -19,12 +19,12 @@ splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
 Gram matrix through the solver the splitting was built with (on a grid
 gradient range, the cached grid solver of the unit stiffness; on the kernel
 splitting of the Maxwell curl block, the transverse-mode solver of
-:mod:`homlab.maxwell`; otherwise a SuperLU factorisation), while a00^{-1}
+:mod:`homlab.maxwell`; otherwise one band LU), while a00^{-1}
 solves the Galerkin system G^H W a G once per operator with a solver of the
 same kind: on a grid, the exact inverse of a system that separates (every
 1-d system, and a laminate), else preconditioned CG or GMRES; on the
 Maxwell kernel splitting, transverse modes when the system separates along
-y and z, else SuperLU.
+y and z, else the band LU.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def _projected_solver(dec, a_matrix):
     solves its Gram matrix with (``gram.for_matrix``): on a grid gradient
     range, the grid solver of the system; on the Maxwell kernel splitting,
     the transverse-mode solver when the system separates along y and z; and
-    otherwise one SuperLU factorisation. The returned solve maps phi (one
-    load or a block) to G (G^H W a G)^{-1} G^H W phi."""
+    otherwise one band LU (``hilbert._band_lu``). The returned solve maps
+    phi (one load or a block) to G (G^H W a G)^{-1} G^H W phi."""
     g = dec.h0.generator
     if g is None:
         raise ShapeError("implicit Schur maps need a generator-backed h0")
@@ -178,8 +178,8 @@ def schur_maps(a, dec):
     ``a`` and a00 once each with LAPACK's LU and checks the ``?gecon``
     estimate of each kappa_1 against 1e12 (kappa_1 lies within a factor n
     of kappa_2); a00^{-1} is read off the same LU. An implicit one checks
-    only a00, through the factorisation of its Galerkin system (SuperLU's,
-    or the mode systems' of a grid or Maxwell kernel system that
+    only a00, through the factorisation of its Galerkin system (one band
+    LU, or the mode systems of a grid or Maxwell kernel system that
     separates), which raises :class:`NotInM` when that system is singular;
     a grid system that does not separate is checked only by the residuals
     of its solves.

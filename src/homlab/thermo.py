@@ -88,7 +88,13 @@ class ThermoSystem:
         return (self.lam * self.m0 + self.m1 + self.a_matrix).tocsc()
 
     def resolvent_solver(self):
-        return _SparseSolver(self.evolution_matrix())
+        """Solver of the evolution matrix, its unknowns ordered by their x1
+        position and the four fields in turn at a tie; on a 1-d grid that
+        makes it banded with bandwidth (4, 4)."""
+        x_nodes = self.grad.node_coords[:, 0]
+        x_elems = np.repeat(self.grad.elem_mid[:, 0], self.grad.d)
+        order = np.argsort(np.concatenate([x_nodes, x_elems, x_nodes, x_elems]), kind="stable")
+        return _SparseSolver(self.evolution_matrix(), order=order)
 
 
 def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,

@@ -464,18 +464,13 @@ class TestFixtures:
 
     @pytest.mark.parametrize("name", ["1d_harmonic", "schur_identity", "solve1d", "divtest",
                                       "divcurl_compliant", "laminate2d"])
-    def test_grid_configs_run_without_sparse_lu(self, tmp_path, monkeypatch, name):
-        # their grid systems go to the exact transform inverse or to PCG;
-        # SuperLU factorises only systems that are not grid stiffness matrices
-        import scipy.sparse.linalg as spla
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse LU on a grid stiffness matrix")
-
-        monkeypatch.setattr(spla, "splu", refuse)
+    def test_grid_configs_run_without_sparse_lu(self, tmp_path, band_lu_calls, name):
+        # their grid systems go to the exact transform inverse or to PCG; the
+        # band LU factorises only systems that are not grid stiffness matrices
         kind = RunConfig.parse(fixture(f"{name}.cfg")).sections["experiment"]["kind"]
         res = run_cli([kind, "--config", fixture(f"{name}.cfg"), "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
+        assert band_lu_calls == []
 
     def test_solve1d_emits_solution(self, tmp_path):
         res = run_cli(["solve1d", "--config", fixture("solve1d.cfg"),

@@ -789,16 +789,9 @@ def _compatible_load(g, seed=5):
 
 class TestGridSolverPath:
     @pytest.mark.parametrize("cells", [(6, 7), (4, 3, 5)])
-    def test_grids_with_d_at_least_2_call_no_sparse_lu(self, monkeypatch, cells):
-        import scipy.sparse.linalg as spla
-
+    def test_grids_with_d_at_least_2_call_no_sparse_lu(self, band_lu_calls, cells):
         from homlab.homogenize import homogenized_tensor
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse LU on a d >= 2 grid")
-
-        monkeypatch.setattr(spla, "splu", refuse)
-        monkeypatch.setattr(spla, "spilu", refuse)
         dom = GridDomain.box(cells)
         a = _grid_coefficient(dom, "sym")
         rng = np.random.default_rng(2)
@@ -808,9 +801,10 @@ class TestGridSolverPath:
                            flavor)
         hminus_norm(dom, RHSFunctional.density(np.ones(build_grad(dom).scalar_space.dim)))
         homogenized_tensor(a)
+        assert band_lu_calls == []
 
     @pytest.mark.parametrize("flavor", ["dirichlet", "neumann", "periodic"])
-    def test_1d_solves_call_no_sparse_lu_and_match_it(self, monkeypatch, flavor):
+    def test_1d_solves_call_no_sparse_lu_and_match_it(self, band_lu_calls, flavor):
         # Dirichlet and Neumann K are tridiagonal and solved exactly; the
         # periodic K wraps and runs preconditioned CG
         from homlab.hilbert import _SparseSolver
@@ -824,12 +818,9 @@ class TestGridSolverPath:
             ref = _SparseSolver(k).solve(rhs)
         else:
             ref = g.mean_center(np.concatenate([[0.0], _SparseSolver(k[1:, 1:]).solve(rhs[1:])]))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse LU on a 1-d grid")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        band_lu_calls.clear()
         u, _ = solve_elliptic(dom, a, f, flavor)
+        assert band_lu_calls == []
         assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("kind", ["sym", "nonsym", "complex"])
@@ -1069,7 +1060,7 @@ class TestExactSeparableSolver:
         with pytest.raises(NotInM, match="mode system"):
             schur_maps(a.operator(grad), g0_decomposition(grad))
 
-    def test_laminate_runs_need_no_sparse_lu_and_no_cg(self, monkeypatch):
+    def test_laminate_runs_need_no_sparse_lu_and_no_cg(self, monkeypatch, band_lu_calls):
         from homlab import elliptic
         from homlab.homogenize import (
             CoefficientSequence,
@@ -1079,9 +1070,8 @@ class TestExactSeparableSolver:
         )
 
         def refuse(*args, **kwargs):
-            raise AssertionError("SuperLU or CG on a 2-d Dirichlet laminate")
+            raise AssertionError("CG on a 2-d Dirichlet laminate")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
         monkeypatch.setattr(scipy.sparse.linalg, "cg", refuse)
         elliptic.stiffness_solver.cache_clear()
         seq = CoefficientSequence.laminate(_two_phase_profile, bounds=(1.0, 4.0))
@@ -1094,6 +1084,7 @@ class TestExactSeparableSolver:
         assert rep.values("err_flux")[-1] < rep.values("err_flux")[0]
         rep = schur_equiv_check(seq, [1, 2], candidate, MeshRule(8), dim=2)
         assert rep.values("gap_m00inv")[-1] < rep.values("gap_m00inv")[0]
+        assert band_lu_calls == []
 
 
 def _product_galerkin(grad, a):

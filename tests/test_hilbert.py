@@ -16,6 +16,7 @@ from homlab.hilbert import (
     ProbeSet,
     Subspace,
     _SparseSolver,
+    _band_lu,
     adjoint,
     coercivity_check,
     kernel_range,
@@ -473,49 +474,47 @@ class TestSparseSolver:
             _SparseSolver(k, tol=np.inf).solve(np.full(10, np.nan))
 
 
-def _record_splu(monkeypatch):
-    """Wrap ``spla.splu`` to record each call's keyword arguments and the
-    fill L.nnz + U.nnz of its factor."""
-    calls = []
-    original = spla.splu
+class TestBandLU:
+    """``_band_lu`` against SuperLU as an independent oracle."""
 
-    def record(k, **kwargs):
-        lu = original(k, **kwargs)
-        calls.append((kwargs, lu.L.nnz + lu.U.nnz))
-        return lu
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_non_hermitian_solve_matches_superlu(self, complex_, ordered):
+        k, rng = random_sparse(40, 15, complex_)
+        assert abs(k - k.conj().T).max() > 0.1
+        order = rng.permutation(40) if ordered else None
+        b = rng.standard_normal((40, 3))
+        x, ref = _band_lu(k, order)(b), spla.splu(k).solve(b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    monkeypatch.setattr(spla, "splu", record)
-    return calls
+    def test_real_factor_takes_a_complex_load(self):
+        k, rng = random_sparse(30, 16)
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        x, ref = _band_lu(k)(b), spla.splu(k.astype(complex)).solve(b)
+        assert np.iscomplexobj(x)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_zero_pivot_raises_not_in_m(self):
+        k = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 3.0]]))
+        with pytest.raises(NotInM, match="singular"):
+            _band_lu(k, np.arange(3))
 
-def _symmetric_mode(kwargs):
-    return (kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
-            and kwargs.get("options", {}).get("SymmetricMode") is True)
+    @pytest.mark.parametrize("complex_rhs", [False, True])
+    def test_block_comes_back_c_ordered(self, complex_rhs):
+        k, rng = random_sparse(30, 17)
+        b = rng.standard_normal((30, 4))
+        if complex_rhs:
+            b = b + 1j * rng.standard_normal((30, 4))
+        assert _band_lu(k)(b).flags.c_contiguous
+        assert _SparseSolver(k).solve(b).flags.c_contiguous
 
 
 class TestSparseOrderingRule:
-    """A Hermitian K is factorised in SuperLU's symmetric mode with minimum
-    degree on K^T + K; any other K keeps COLAMD. The rule reads K alone."""
+    """K is factorised by one band LU, its unknowns taken in the caller's
+    order or by reverse Cuthill-McKee; grid matrices that a grid solver
+    serves never reach it."""
 
-    def test_hermitian_k_gets_the_symmetric_ordering(self, monkeypatch):
-        calls = _record_splu(monkeypatch)
-        k, _ = random_sparse(30, 8)
-        _SparseSolver((k + k.T).tocsc())
-        assert len(calls) == 1 and _symmetric_mode(calls[0][0])
-
-    def test_non_hermitian_k_keeps_colamd(self, monkeypatch):
-        from homlab.elliptic import CoefficientField, GridDomain
-        from homlab.thermo import assemble_thermo
-
-        dom = GridDomain.interval(0, 1, 8)
-        c = CoefficientField.constant(dom, 2.0, bounds=(0.5, 4.0))
-        kappa = CoefficientField.constant(dom, 1.0, bounds=(0.5, 4.0))
-        system = assemble_thermo(dom, 1.0, c, 0.7, 1.0, kappa, lam=1.0, bounds=(0.5, 4.0))
-        calls = _record_splu(monkeypatch)
-        system.resolvent_solver()
-        assert len(calls) == 1 and calls[0][0] == {}
-
-    def test_schur_maps_of_a_laminate_factorise_no_grid_matrix(self, monkeypatch):
+    def test_schur_maps_of_a_laminate_factorise_no_grid_matrix(self, band_lu_calls):
         # the K_a = G^H W a G of schur_equiv_check at n = 8 (16129 unknowns)
         # separates, so the exact transform solver serves it
         from homlab.elliptic import GridDomain, build_grad
@@ -527,22 +526,14 @@ class TestSparseOrderingRule:
         dom = GridDomain.box((128, 128))
         grad = build_grad(dom, "dirichlet")
         dec = g0_decomposition(grad)
-        shapes = []
-        original = spla.splu
-
-        def record(k, **kwargs):
-            shapes.append(k.shape)
-            return original(k, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", record)
         maps = schur_maps(seq.field(8, dom).operator(grad), dec)
         maps.m00inv(np.random.default_rng(13).standard_normal((grad.vector_space.dim, 2)))
         n = grad.scalar_space.dim
-        assert (n, n) not in shapes
+        assert (n, n) not in [shape for shape, _, _ in band_lu_calls]
 
-    def test_checkerboard_galerkin_matrix_is_solved_without_splu(self, monkeypatch):
+    def test_checkerboard_galerkin_matrix_is_solved_without_splu(self, band_lu_calls):
         # a checkerboard K_a does not separate and runs preconditioned CG,
-        # which matches one SuperLU solve of the same Galerkin system
+        # which matches one band LU solve of the same Galerkin system
         from homlab.elliptic import CoefficientField, GridDomain, build_grad, galerkin_matrix
         from homlab.homogenize import g0_decomposition
         from homlab.schur import schur_maps
@@ -557,14 +548,14 @@ class TestSparseOrderingRule:
         oracle = _SparseSolver(galerkin_matrix(grad, a))
         phi = np.random.default_rng(14).standard_normal((grad.vector_space.dim, 3))
         ref = g @ oracle.solve(ghw @ phi)
-        calls = _record_splu(monkeypatch)
+        band_lu_calls.clear()
         maps = schur_maps(a.operator(grad), g0_decomposition(grad))
         got = maps.m00inv(phi)
-        assert calls == []
+        assert band_lu_calls == []
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("case", ["saddle", "swap", "complex"])
-    def test_indefinite_and_complex_hermitian_solve(self, monkeypatch, case):
+    def test_indefinite_and_complex_hermitian_solve(self, case):
         rng = np.random.default_rng(11)
         if case == "saddle":
             # [[K, B^T], [B, 0]]: zero diagonal on the constraint block
@@ -576,9 +567,7 @@ class TestSparseOrderingRule:
         else:
             k, _ = random_sparse(25, 12, complex_=True)
             mat = (k + k.conj().T).tocsc()
-        calls = _record_splu(monkeypatch)
         solver = _SparseSolver(mat)
-        assert _symmetric_mode(calls[0][0])
         rhs = rng.standard_normal((mat.shape[0], 3))
         x = solver.solve(rhs)   # residual-checked at 1e-10
         assert np.abs(mat @ x - rhs).max() < 1e-10

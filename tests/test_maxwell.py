@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,13 +346,9 @@ class TestEliminatedResolvent:
         with pytest.raises(SolverDiverged, match="column 1"):
             sys.resolvent_solver().solve(rhs)
 
-    def test_maxwell_runs_without_sparse_lu(self, tmp_path, monkeypatch):
-        # every system of the experiment separates in y and z, so none of
-        # them reaches SuperLU
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse LU on the Maxwell path")
-
-        monkeypatch.setattr(spla, "splu", refuse)
+    def test_maxwell_runs_without_sparse_lu(self, tmp_path, band_lu_calls):
+        # every system of the experiment separates in y and z, so each band
+        # LU factorises transverse modes, at most 3 unknowns wide
         rep = maxwell_homogenization_experiment(
             TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
             lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
@@ -361,6 +356,7 @@ class TestEliminatedResolvent:
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "maxwell_laminate.cfg")
         res = CliRunner().invoke(main, ["maxwell", "--config", config, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
+        assert band_lu_calls and all(max(kl, ku) <= 3 for _, kl, ku in band_lu_calls)
 
 
 def _dst1(m):
@@ -399,7 +395,7 @@ def _edge_transform(cells):
 class TestTransverseModes:
     """The transverse-mode route of the edge system and of the kernel
     splitting's Gram solves, against transforms built here from their closed
-    forms and against SuperLU."""
+    forms and against ``_SparseSolver`` in its default order."""
 
     @staticmethod
     def laminate(cells, eps=None):
@@ -422,7 +418,7 @@ class TestTransverseModes:
         np.testing.assert_allclose(hat, np.diag(sigma, -1)[:, :-1], rtol=0,
                                    atol=1e-14 * sigma.max())
 
-    def test_laminate_edge_matrix_separates_with_bandwidth_3(self):
+    def test_laminate_edge_matrix_separates_with_bandwidth_3(self, band_lu_calls):
         sys = self.laminate((16, 8, 8))
         cx = sys.complex
         ne = cx.n_edges
@@ -445,29 +441,25 @@ class TestTransverseModes:
         # the one factorised
         modal = sp.diags(mass) + cx._mode_curl0.T @ sp.diags(wf_tf) @ cx._mode_curl0
         assert np.abs(modal - k_hat).max() <= 1e-13 * big
+        band_lu_calls.clear()
         edge = sys.resolvent_solver()._edge
-        assert isinstance(edge, _TransverseModes) and (edge._kl, edge._ku) == (3, 3)
+        assert isinstance(edge, _TransverseModes) and band_lu_calls == [((ne, ne), 3, 3)]
 
-    def test_y_varying_coefficient_takes_superlu(self, monkeypatch):
+    def test_y_varying_coefficient_takes_the_general_band_route(self, band_lu_calls):
         sys = self.laminate((6, 4, 5), eps=lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5))
         t = sys.t_matrix()
         ref = _SparseSolver(t + sys.a_matrix)
-        shapes = []
-        splu = spla.splu
-
-        def recording(k, *args, **kwargs):
-            shapes.append(k.shape)
-            return splu(k, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", recording)
+        band_lu_calls.clear()
         solver = sys.resolvent_solver()
-        assert shapes == [(sys.complex.n_edges,) * 2]
+        assert isinstance(solver._edge, _SparseSolver)
+        [(shape, kl, ku)] = band_lu_calls
+        assert shape == (sys.complex.n_edges,) * 2 and max(kl, ku) > 3
         rhs = np.random.default_rng(5).standard_normal((sys.space.dim, 3))
         x, x_ref = solver.solve(rhs), ref.solve(rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
     @pytest.mark.parametrize("cells", [(3, 3, 2), (3, 2, 2), (2, 2, 2)])
-    def test_thin_boxes(self, cells, monkeypatch):
+    def test_thin_boxes(self, cells, band_lu_calls):
         sys = self.laminate(cells)
         cx = sys.complex
         t = sys.t_matrix()
@@ -475,11 +467,7 @@ class TestTransverseModes:
         gen = sp.bmat([[cx.grad0, None], [None, cx.dual_gradient_matrix()]]).tocsr()
         ghw = gen.T @ sp.diags(sys.space.weight)
         grams = [_SparseSolver(ghw @ gen), _SparseSolver(ghw @ t @ gen)]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse LU on the Maxwell path")
-
-        monkeypatch.setattr(spla, "splu", refuse)
+        band_lu_calls.clear()
         rng = np.random.default_rng(6)
         rhs = rng.standard_normal((sys.space.dim, 3))
         x, x_ref = sys.resolvent_solver().solve(rhs), ref.solve(rhs)
@@ -490,6 +478,7 @@ class TestTransverseModes:
             assert isinstance(solver, _KernelGram)
             y, y_ref = solver.solve(load), oracle.solve(load)
             assert np.abs(y - y_ref).max() <= 1e-10 * np.abs(y_ref).max()
+        assert len(band_lu_calls) == 3 and all(max(kl, ku) <= 3 for _, kl, ku in band_lu_calls)
 
     def test_kernel_projectors_and_a00_match_superlu(self):
         sys = self.laminate((8, 4, 5))

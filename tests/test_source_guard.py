@@ -13,14 +13,14 @@ also gives the kappa_1 estimate. Elsewhere only the per-cell d x d inverses
 of a coefficient field call a ``linalg`` inverse.
 Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
 ``cho_solve``, ``cholesky``) appears anywhere.
-There is one solver layer: SuperLU (``splu``) is called only in
-``hilbert._SparseSolver``, the Krylov solvers (``cg``, ``gmres``) only in
-``elliptic._GridSolver``, LAPACK's tridiagonal LU (``gttrf``) only in
-``elliptic._TransformInverse`` and its band LU (``gbtrf``) only in
-``maxwell._TransverseModes``. A name counts where it is an attribute, a bare
+There is one solver layer: the Krylov solvers (``cg``, ``gmres``) are
+called only in ``elliptic._GridSolver``, LAPACK's tridiagonal LU (``gttrf``)
+only in ``elliptic._TransformInverse`` and its band LU (``gbtrf``) only in
+``hilbert._band_lu``, the one sparse direct solver: SuperLU (``splu``,
+``spilu``) appears nowhere. A name counts where it is an attribute, a bare
 name, an import or a string constant, such as the routine names passed to
-``get_lapack_funcs``. Grid stiffness matrices never reach SuperLU, so
-``elliptic`` names neither ``splu`` nor ``_SparseSolver``.
+``get_lapack_funcs``. Grid stiffness matrices never reach the band LU, so
+``elliptic`` names neither ``_band_lu`` nor ``_SparseSolver``.
 A parameter with a default is a setting, so some call in the repository sets
 it; a numerical setting that no caller changes is a module constant.
 """
@@ -33,18 +33,18 @@ import homlab
 _ALLOWED = {"hilbert.kernel_range"}
 _FORBIDDEN = {"cond", "svd", "null_space", "orth"}
 _ARPACK = {"eigsh", "eigs", "svds"}
+_SUPERLU = {"splu", "spilu"}
 _DENSE_SOLVE_ALLOWED = {"hilbert._dense_lu", "elliptic.CoefficientField.coercivity_margins",
                         "elliptic.CoefficientField.inverse_field"}
 _DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
 _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
 # solver entry point -> the one class that may call it
-_SOLVER_OWNERS = {"splu": "hilbert._SparseSolver", "cg": "elliptic._GridSolver",
-                  "gmres": "elliptic._GridSolver", "gttrf": "elliptic._TransformInverse",
-                  "gbtrf": "maxwell._TransverseModes"}
+_SOLVER_OWNERS = {"cg": "elliptic._GridSolver", "gmres": "elliptic._GridSolver",
+                  "gttrf": "elliptic._TransformInverse", "gbtrf": "hilbert._band_lu"}
 # LAPACK routines are also named with their type prefix (``dgbtrf``)
 _LAPACK = {"gttrf", "gbtrf"}
 # what the grid solver module may not name
-_GRID_FREE = {"splu", "_SparseSolver"}
+_GRID_FREE = {"_SparseSolver", "_band_lu"}
 # where the calls that set homlab's defaulted parameters may be
 _CALLERS = ("src/homlab", "demos", "perfbench", "tools", "tests")
 # defaulted parameters that no call needs to set: problem parameters with one
@@ -141,6 +141,21 @@ def test_scan_sees_an_arpack_site(tmp_path):
     assert _named_sites(src, _ARPACK) == ["mod", "mod.A.f", "mod.g"]
 
 
+def test_no_superlu_in_homlab():
+    package = Path(homlab.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py")) for s in _named_sites(path, _SUPERLU)]
+    assert not sites, sorted(set(sites))
+
+
+def test_scan_sees_a_superlu_site(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import scipy.sparse.linalg as spla\n\nclass A:\n    def f(self, k):\n"
+                   "        return spla.splu(k)\n\n"
+                   "def g(k):\n    from scipy.sparse.linalg import spilu\n    return spilu(k)\n\n"
+                   "def h(k):\n    return getattr(spla, 'splu')(k)\n")
+    assert _named_sites(src, _SUPERLU) == ["mod.A.f", "mod.g", "mod.g", "mod.h"]
+
+
 def test_dense_inverses_and_solves_only_on_the_one_lu():
     package = Path(homlab.__file__).parent
     sites = [s for path in sorted(package.glob("*.py")) for s in _linalg_sites(path, _DENSE_SOLVES)]
@@ -213,7 +228,7 @@ def test_scan_sees_a_sparse_lu_in_a_grid_module(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from .hilbert import _SparseSolver\n\nclass A:\n    def f(self, k):\n"
                    "        return _SparseSolver(k)\n\n"
-                   "def g(k):\n    return spla.splu(k)\n")
+                   "def g(k):\n    return hilbert._band_lu(k)\n")
     assert _named_sites(src, _GRID_FREE) == ["mod", "mod.A.f", "mod.g"]
 
 
