@@ -57,6 +57,9 @@ _DENSE_SVD_CUTOFF = 5000
 # per unit, so the bound is about 10 s (a bandwidth-2 chain of about 38 000
 # unknowns, the thermo system on about 19 000 cells)
 _BANDED_WORK_CUTOFF = 3e9
+# a band LU whose band storage, n (2 kl + ku + 1) entries, would exceed this
+# raises ShapeError before allocating it (2 GiB of real entries)
+_BAND_LU_ENTRIES = 2 ** 28
 # a dense matrix whose kappa_1 estimate exceeds this counts as singular
 _COND_CUTOFF = 1e12
 # kernel_range's rank cutoff, relative to the largest singular value
@@ -291,7 +294,8 @@ class Subspace:
         ``solver`` solves the Gram system G^H W G x = b for a vector or a
         block through its ``solve`` method, and its ``for_matrix`` gives the
         solver of another matrix on the same unknowns; by default G^H W G is
-        factorised by :func:`_band_lu`."""
+        factorised by a :class:`_SparseSolver` in the default order, as is the
+        other matrix (the Maxwell kernel splitting, in transverse modes)."""
         g = generator.tocsr() if sp.issparse(generator) else sp.csr_matrix(generator)
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
@@ -648,8 +652,11 @@ def _dense_lu(m):
 def _band_lu(k, order=None):
     """Factorise a sparse square K once with LAPACK's band LU (``gbtrf``,
     partial pivoting), its unknowns taken in the order ``order``: by default
-    reverse Cuthill-McKee on the pattern of K + K^H. A zero pivot raises
-    :class:`NotInM`.
+    reverse Cuthill-McKee on the pattern of K + K^H. A caller passes an
+    order only where it knows a better band: the thermo chain in x1 order
+    and the Maxwell edge system in transverse modes. A band of more than
+    ``_BAND_LU_ENTRIES`` stored entries raises :class:`ShapeError` before
+    it is allocated, and a zero pivot raises :class:`NotInM`.
 
     Returns ``solve``, which solves K x = b for one load or an (n, k) block
     (``gbtrs``) and returns x C-ordered; a real factor solves a complex load
@@ -663,6 +670,9 @@ def _band_lu(k, order=None):
     keep = k.data != 0
     rows, cols, vals = pos[k.row[keep]], pos[k.col[keep]], k.data[keep]
     kl, ku = (int(d.max(initial=0)) for d in (rows - cols, cols - rows))
+    if k.shape[0] * (2 * kl + ku + 1) > _BAND_LU_ENTRIES:
+        raise ShapeError(f"a band LU of {k.shape[0]} unknowns with band ({kl}, {ku}) would "
+                         f"store more than {_BAND_LU_ENTRIES} entries")
     band = np.zeros((2 * kl + ku + 1, k.shape[0]), dtype=np.result_type(vals, float))
     band[kl + ku + rows - cols, cols] = vals
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))

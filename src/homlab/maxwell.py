@@ -18,14 +18,18 @@ grounded Neumann-type cell solve -- the latter is exactly the
 natural-boundary variational problem of the coefficient convergence theory
 under no boundary conditions).
 
-The systems of the experiment -- the eliminated edge system of the
-resolvent and the Gram and a00 systems of the kernel splitting -- have
-coefficients that are constant along y and z. The orthonormal DST-I on
-interior-node axes and DCT-II on cell axes, dense 1-d tables, split each of
-them along y and z into one band system along x per transverse mode
-(Hockney's method), and one band LU solves all modes
-(:class:`_TransverseModes`). A system that does not separate keeps one band
-LU in the default order of ``hilbert._band_lu``.
+Every coefficient of the homogenisation experiment depends on x alone, so
+the experiment changes basis once, to transverse-mode coordinates: the
+orthonormal DST-I on interior-node axes and DCT-II on cell axes, dense 1-d
+tables, transform every block of unknowns along y and z
+(:class:`_TransverseModes`, Hockney's method). There the 1-d differences
+along y and z sit on one subdiagonal, the complex's operators come from the
+same assembly (``YeeComplex._mode_operators``), the diagonal T is left as
+it is, and each system of the experiment -- the eliminated edge system of
+the resolvent and the Gram and a00 systems of the kernel splitting -- is
+one band along x per transverse mode, which the generic band LU of
+``hilbert._SparseSolver`` factorises. ``MaxwellSystem.resolvent_solver``
+takes the same route for a T constant along y and z, with physical loads.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elliptic import _SEPARATION_TOL, GridDomain, check_budget
+from .elliptic import GridDomain, check_budget
 from .errors import CoercivityError, ShapeError
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver, _band_lu
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
 from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
 from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
@@ -97,12 +101,7 @@ class YeeComplex:
         inner = [sp.identity(c - 1, format="coo") for c in m]
         whole = [sp.identity(c, format="coo") for c in m]
         self._factors = diff, inner, whole
-
-        self.grad0 = sp.vstack([_kron3(*[diff[t] if t == a else inner[t] for t in range(3)])
-                                for a in range(3)], format="csr")
-        self.curl0 = _curl(diff, inner, whole)
-        self.div_faces = sp.hstack([_kron3(*[diff[t] if t == a else whole[t] for t in range(3)])
-                                    for a in range(3)], format="csr")
+        self.grad0, self.curl0, self.div_faces = _operators(diff, inner, whole)
         self.n_faces, self.n_edges = self.curl0.shape
         self.n_nodes = self.grad0.shape[1]
         self.n_cells = domain.n_cells
@@ -133,16 +132,21 @@ class YeeComplex:
     # -- derived operators ------------------------------------------------------
 
     @functools.cached_property
-    def _mode_curl0(self):
-        """curl0 in the transverse modes of :class:`_TransverseModes`: the
-        assembly of ``curl0`` with D_y and D_z replaced by their mode forms,
+    def _mode_operators(self):
+        """(grad0, curl0, grounded dual gradient) in transverse-mode
+        coordinates: Q^T op Q for the orthogonal Q that transforms each
+        block of unknowns along y and z by the tables of
+        :func:`_transverse_table`. They come from the assembly of the
+        physical operators with D_y and D_z replaced by their mode forms,
         which hold sigma_k = (2/h) sin(k pi/2m) at (cell mode k, node mode k)
-        on one subdiagonal."""
+        on one subdiagonal. The dual gradient is grounded at mode (0, 0) of
+        the first cell layer in x, where the constants have an entry."""
         diff, inner, whole = self._factors
         m, h = self.domain.cells, self.domain.spacing
         modal = [diff[0]] + [sp.diags(2.0 / h[t] * np.sin(np.arange(1, m[t]) * np.pi / (2 * m[t])),
                                       -1, shape=(m[t], m[t] - 1), format="coo") for t in (1, 2)]
-        return _curl(modal, inner, whole)
+        grad0, curl0, div = _operators(modal, inner, whole)
+        return grad0, curl0, div.T.tocsr()[:, 1:]
 
     def curl_adjoint_matrix(self):
         """curl = curl0^* : faces -> edges as an explicit sparse matrix."""
@@ -150,9 +154,10 @@ class YeeComplex:
 
     def dual_gradient_matrix(self):
         """Cells -> faces generator of ker(curl): the weighted adjoint of the
-        face divergence, grounded at cell 0 to make it injective."""
-        div = LinearOp(self.face_space, self.cell_space, matrix=self.div_faces)
-        return adjoint(div).matrix[:, 1:]
+        face divergence, grounded at cell 0 to make it injective. Faces and
+        cells carry the same uniform weight, so the adjoint is the
+        transpose."""
+        return self.div_faces.T.tocsr()[:, 1:]
 
     def sample_edges(self, fn):
         """Diagonal edge coefficient from a scalar callable or an axis-wise
@@ -179,9 +184,11 @@ def _kron3(x, y, z):
     return sp.kron(sp.kron(x, y, format="coo"), z, format="coo")
 
 
-def _curl(diff, inner, whole):
-    """curl0 from one 1-d difference per axis and the interior-node and cell
-    identities (see :class:`YeeComplex`)."""
+def _operators(diff, inner, whole):
+    """grad0, curl0 and div_faces (see :class:`YeeComplex`) from one 1-d
+    difference per axis and the interior-node and cell identities."""
+    grad0 = sp.vstack([_kron3(*[diff[t] if t == a else inner[t] for t in range(3)])
+                       for a in range(3)], format="csr")
     # (curl E)_a = d_b E_c - d_c E_b with (a, b, c) cyclic: the block of
     # face axis a and edge axis e differences along the third axis d
     blocks = [[None] * 3 for _ in range(3)]
@@ -190,7 +197,9 @@ def _curl(diff, inner, whole):
             d = 3 - a - e
             blocks[a][e] = sign * _kron3(*[diff[t] if t == d else inner[t] if t == a
                                            else whole[t] for t in range(3)])
-    return sp.bmat(blocks, format="csr")
+    div = sp.hstack([_kron3(*[diff[t] if t == a else whole[t] for t in range(3)])
+                     for a in range(3)], format="csr")
+    return grad0, sp.bmat(blocks, format="csr"), div
 
 
 def build_curl(domain):
@@ -254,8 +263,16 @@ class MaxwellSystem:
 
     def resolvent_solver(self, t=None):
         """Solver of (T + A) x = b for a diagonal T, by default
-        ``t_matrix()``, through the eliminated edge system."""
-        return _EdgeResolvent(self, self.t_matrix() if t is None else t)
+        ``t_matrix()``, through the eliminated edge system: in transverse
+        modes when every component of T is exactly constant along y and z,
+        as for the oscillating laminates and their axis-wise limits, else in
+        physical coordinates (see :class:`_EdgeResolvent`)."""
+        t = self.t_matrix() if t is None else t
+        cx = self.complex
+        cells = cx.domain.cells
+        modes = _TransverseModes(cells, _EDGES) \
+            if _constant_across(cells, _EDGES + _FACES, t.diagonal()) else None
+        return _EdgeResolvent(cx, cx.curl0, self.a_matrix, t, modes)
 
 
 def _block_shape(cells, kinds):
@@ -281,9 +298,7 @@ def _constant_across(cells, parts, v):
 def _transverse_table(m, cells):
     """The orthonormal 1-d transform along an axis of m cells, as columns:
     DCT-II on the m cells or DST-I on the m - 1 interior nodes. Returns the
-    table and the frequency k of each column; the unit 1-d Laplacian (the
-    h^2-scaled D D^T on cells, D^T D on nodes) has the eigenvalue
-    4 sin^2(k pi/2m) on column k."""
+    table and the frequency k of each column."""
     freq = np.arange(1 - cells, m)    # from 0 on cells, from 1 on nodes
     if cells:
         table = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(np.arange(m) + 0.5, freq) / m)
@@ -303,22 +318,20 @@ def _along_yz(v, shape, qy, qz):
 
 
 class _TransverseModes:
-    """Solves of K x = b, one load or an (n, k) block, for a K on blocks of
-    Yee unknowns that the transforms along y and z split into one banded
-    system per transverse mode (Hockney's method).
+    """The orthogonal change of basis Q from transverse-mode to physical
+    coordinates of blocks of Yee unknowns (Hockney's method), applied to one
+    vector or an (n, k) block.
 
     ``parts`` lists the blocks in the order of the unknowns; each says, per
     axis, whether the block sits on cells or on interior nodes there (see
     :func:`_block_shape`). Each block is transformed along y and z with the
     dense tables of :func:`_transverse_table`: the orthonormal DST-I on
-    interior-node axes and the DCT-II on cell axes. ``k_hat`` is K in these
-    coordinates, laid out as the unknowns are. :func:`hilbert._band_lu`
-    factorises it once, its unknowns ordered by transverse mode, then by x
-    position, then by block, so that each mode is one band along x. The row
-    of the unknown ``ground``, if given, is replaced by the identity and its
-    load by 0."""
+    interior-node axes and the DCT-II on cell axes. ``order`` takes the
+    unknowns by transverse mode, then by x position, then by block, so that
+    a system whose coefficients are constant along y and z is, in mode
+    coordinates, one band along x per mode."""
 
-    def __init__(self, cells, parts, k_hat, ground=None):
+    def __init__(self, cells, parts):
         self._parts, keys, start = [], [], 0
         for block, kinds in enumerate(parts):
             shape = _block_shape(cells, kinds)
@@ -331,22 +344,16 @@ class _TransverseModes:
             keys.append((np.broadcast_to(np.add.outer(fy * cells[2], fz), shape).ravel(),
                          np.broadcast_to(x[:, None, None], shape).ravel(), np.full(size, block)))
         mode, x, block = (np.concatenate(k) for k in zip(*keys))
-        self._ground = ground
-        if ground is not None:
-            k_hat = k_hat.tocoo()
-            keep = k_hat.row != ground
-            rows, cols = (np.r_[i[keep], ground] for i in (k_hat.row, k_hat.col))
-            k_hat = sp.coo_matrix((np.r_[k_hat.data[keep], 1.0], (rows, cols)), shape=k_hat.shape)
-        self._solve = _band_lu(k_hat, np.lexsort((block, x, mode)))
+        self.order = np.lexsort((block, x, mode))
 
-    def solve(self, rhs):
-        rhs = np.asarray(rhs)
-        hat = np.concatenate([_along_yz(rhs[sl], shape, qy, qz)
-                              for sl, shape, qy, qz in self._parts])
-        if self._ground is not None:
-            hat[self._ground] = 0.0
-        x = self._solve(hat)
-        return np.concatenate([_along_yz(x[sl], shape, qy.T, qz.T)
+    def to_modes(self, v):
+        """Q^T v."""
+        return np.concatenate([_along_yz(v[sl], shape, qy, qz)
+                               for sl, shape, qy, qz in self._parts])
+
+    def to_physical(self, v):
+        """Q v."""
+        return np.concatenate([_along_yz(v[sl], shape, qy.T, qz.T)
                                for sl, shape, qy, qz in self._parts])
 
 
@@ -356,163 +363,44 @@ _FACES = tuple(tuple(t != a for t in range(3)) for a in range(3))
 
 
 class _EdgeResolvent:
-    """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block from
-    one factorisation of the edge system (see :class:`MaxwellSystem`), with
-    every column's residual checked on the full system at 1e-10.
+    """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block, A
+    the skew pair ``a_matrix`` of ``curl0`` (the curl of a
+    :class:`YeeComplex` in physical or in transverse-mode coordinates),
+    from one band LU of the edge system (see :class:`MaxwellSystem`) in the
+    default order, with every column's residual checked on T + A at 1e-10.
 
-    When every component of W_e T_e and of W_f T_f^-1 is constant along y
-    and z, compared exactly, as for the oscillating laminates and their
-    axis-wise limits, the transforms of :class:`_TransverseModes` carry the
-    edge system to the mode coordinates unchanged but for curl0, which
-    becomes ``YeeComplex._mode_curl0``, and one band LU solves it. Any other
-    T keeps one band LU of the edge system in the default order."""
+    ``modes``, a :class:`_TransverseModes` of the edge blocks, is for a
+    physical curl0 and a T whose every component is constant along y and z:
+    the edge system is then factorised in mode coordinates, in the order of
+    ``modes``, where it has band (3, 3), and each edge load goes through
+    the change of basis and back."""
 
-    def __init__(self, system, t):
-        cx = system.complex
+    def __init__(self, cx, curl0, a_matrix, t, modes=None):
         diag = t.diagonal()
         self._ne = cx.n_edges
         self._tf = diag[self._ne:]
         self._we = cx.edge_space.weight
         self._wf_tf = cx.face_space.weight / self._tf
-        self._curl0 = cx.curl0
-        self._curl0h = cx.curl0.T.tocsr()    # curl0 is real
-        mass = self._we * diag[:self._ne]
-        cells = cx.domain.cells
-        modes = _constant_across(cells, _EDGES, mass) and _constant_across(cells, _FACES,
-                                                                          self._wf_tf)
-        curl, curl_h = (cx._mode_curl0, cx._mode_curl0.T) if modes else (cx.curl0, self._curl0h)
-        edge = sp.diags(mass) + curl_h @ sp.diags(self._wf_tf) @ curl
+        self._curl0 = curl0
+        self._curl0h = curl0.T.tocsr()    # curl0 is real
+        self._modes = modes
+        curl = curl0 if modes is None else cx._mode_operators[1]
+        edge = sp.diags(self._we * diag[:self._ne]) + curl.T @ sp.diags(self._wf_tf) @ curl
         # the residual is checked below, on the full system
-        self._edge = _TransverseModes(cells, _EDGES, edge) if modes \
-            else _SparseSolver(edge, tol=np.inf)
-        self._full = (t + system.a_matrix).tocsr()
+        self._edge = _SparseSolver(edge, tol=np.inf, order=None if modes is None else modes.order)
+        self._full = (t + a_matrix).tocsr()
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         f, g = rhs[:self._ne], rhs[self._ne:]
-        e = self._edge.solve(_rows(self._we, f) * f
-                             + self._curl0h @ (_rows(self._wf_tf, g) * g))
+        load = _rows(self._we, f) * f + self._curl0h @ (_rows(self._wf_tf, g) * g)
+        if self._modes is None:
+            e = self._edge.solve(load)
+        else:
+            e = self._modes.to_physical(self._edge.solve(self._modes.to_modes(load)))
         h = (g - self._curl0 @ e) / _rows(self._tf, g)
         x = np.concatenate([e, h])
         _check_residual(self._full, x, rhs, 1e-10)
-        return x
-
-
-def _unit_laplacian(n, cells):
-    """The unit 1-d Laplacian on n cells (D D^T h^2, Neumann ends) or n
-    interior nodes (D^T D h^2) as (diagonal, off-diagonal with a trailing 0)."""
-    diag = np.full(n, 2.0)
-    if cells:
-        diag[[0, -1]] = 1.0
-    return diag, np.r_[-np.ones(n - 1), 0.0]
-
-
-def _seven_point(shape, m0, u, my, mz, ly, lz):
-    """The diagonals, by offset, of M0 (x) I (x) I + My (x) Ly (x) I +
-    Mz (x) I (x) Lz on an (nx, ny, nz) grid in C order: M0 symmetric
-    tridiagonal with diagonal ``m0`` and off-diagonal ``u``, My and Mz
-    diagonal, and Ly, Lz symmetric tridiagonal as (diagonal, off-diagonal
-    with a trailing 0). An offset whose factor has no off-diagonal is left
-    out."""
-    nx, ny, nz = shape
-    col = lambda v: v[:, None, None]
-    grids = {0: col(m0) + col(my) * ly[0][:, None] + col(mz) * lz[0]}
-    if lz[1].any():
-        grids[1] = col(mz) * lz[1]
-    if ly[1].any():
-        grids[nz] = col(my) * ly[1][:, None]
-    if nx > 1:
-        grids[ny * nz] = col(np.r_[u, 0.0])
-    n = nx * ny * nz
-    return {o: np.broadcast_to(g, shape).ravel()[:n - o] for o, g in grids.items()}
-
-
-def _seven_point_factors(k, shape, cells):
-    """The factors (m0, u, my, mz) of :func:`_seven_point` with the unit
-    Laplacians of :func:`_unit_laplacian` for a 7-point K on the interior
-    nodes or, grounded at cell 0 (its row and column dropped), on the cells
-    of a Yee complex; None when K is not of that form.
-
-    The x-profiles are read off the line (x, ny - 1, nz - 1). On cells the
-    diagonal of M0 is minus its off-diagonal row sums, so that the
-    ungrounded K has the constants as kernel. K has the form when the
-    rebuild from the factors matches every entry of K to
-    ``_SEPARATION_TOL`` of its largest one."""
-    nx, ny, nz = shape
-    grounded = int(cells)
-    ly, lz = _unit_laplacian(ny, cells), _unit_laplacian(nz, cells)
-    line = np.arange(1, nx + 1) * ny * nz - 1 - grounded
-    my = -k.diagonal(nz)[line - nz] if ny > 1 else np.zeros(nx)
-    mz = -k.diagonal(1)[line - 1] if nz > 1 else np.zeros(nx)
-    u = k.diagonal(ny * nz)[line[:-1]]
-    m0 = -(np.r_[u, 0.0] + np.r_[0.0, u]) if cells \
-        else k.diagonal()[line] - my * ly[0][-1] - mz * lz[0][-1]
-    bound = _SEPARATION_TOL * np.abs(k.data).max(initial=0.0)
-    found = 0
-    for o, model in _seven_point(shape, m0, u, my, mz, ly, lz).items():
-        for s in {o, -o}:
-            entries = k.diagonal(s)
-            if not np.abs(entries - model[grounded:]).max(initial=0.0) <= bound:
-                return None
-            found += np.count_nonzero(entries)
-    return (m0, u, my, mz) if found == k.count_nonzero() else None
-
-
-def _kernel_gram(cx, k):
-    """The solver of a matrix K on the unknowns of the kernel generator of
-    :func:`_kernel_decomposition`: a :class:`_KernelGram` when K is a node
-    block beside a grounded cell block, each of the form of
-    :func:`_seven_point_factors` (so G^H W T G for a T whose components
-    are constant along y and z), else one band LU in the default order."""
-    cells = cx.domain.cells
-    k = k.tocsr()
-    nn = cx.n_nodes
-    blocks = k[:nn, :nn], k[nn:, nn:]
-    factors = [_seven_point_factors(b, _block_shape(cells, (c,) * 3), c)
-               for b, c in zip(blocks, (False, True))]
-    if None in factors or sum(b.count_nonzero() for b in blocks) != k.count_nonzero():
-        return _SparseSolver(k)
-    return _KernelGram(cx, k, factors)
-
-
-class _KernelGram:
-    """Residual-checked solves with G^H W T G on the kernel generator's
-    unknowns, T constant along y and z (see :func:`_kernel_gram`), in the
-    transverse modes of :class:`_TransverseModes`, where each mode of the
-    node and of the cell block is tridiagonal along x.
-
-    The cell block is grounded at cell 0. Its load b is solved as the load
-    [-sum b; b] of the ungrounded cell Laplacian, whose mode (0, 0) is
-    grounded at its first cell, and the solution is u[1:] - u[0]."""
-
-    def __init__(self, cx, k, factors):
-        self.k = k
-        self._cx = cx
-        self._nodes = cx.n_nodes
-        cells = cx.domain.cells
-        hats = []
-        for c, (m0, u, my, mz) in zip((False, True), factors):
-            shape = _block_shape(cells, (c,) * 3)
-            # the tables diagonalise the unit Laplacians along y and z
-            lam = [((2.0 * np.sin(np.arange(1 - c, m) * np.pi / (2 * m))) ** 2, np.zeros(n))
-                   for m, n in zip(cells[1:], shape[1:])]
-            diagonals = _seven_point(shape, m0, u, my, mz, *lam)
-            diagonals.update({-o: d for o, d in diagonals.items() if o})
-            hats.append(sp.diags(list(diagonals.values()), list(diagonals)))
-        self._modes = _TransverseModes(cells, ((False,) * 3, (True,) * 3),
-                                       sp.block_diag(hats), ground=self._nodes)
-
-    def for_matrix(self, k):
-        """The solver of another matrix K on the same unknowns."""
-        return _kernel_gram(self._cx, k)
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs)
-        nn = self._nodes
-        u = self._modes.solve(np.concatenate(
-            [rhs[:nn], -rhs[nn:].sum(axis=0, keepdims=True), rhs[nn:]]))
-        x = np.concatenate([u[:nn], u[nn + 1:] - u[nn]])
-        _check_residual(self.k, x, rhs, 1e-10)
         return x
 
 
@@ -578,26 +466,6 @@ def _maxwell_probes(system):
     return ProbeSet.from_vectors(system.space, block, copy=False)
 
 
-def _kernel_decomposition(cx, space):
-    """Generator-backed splitting along ker(A) = ker(curl0) (+) ker(curl);
-    on a box the two kernels are exactly the gradient ranges of the nodal
-    Dirichlet potential and the grounded cell potential (harmonic parts are
-    trivial, so the finite-dimensional shuffle across the splitting is the
-    identity and is omitted).
-
-    The splitting solves its Gram matrix G^H W G, and through ``for_matrix``
-    the a00 = G^H W T G of the Schur maps, with :func:`_kernel_gram`: in
-    transverse modes when the matrix separates along y and z, as it does
-    for every T whose components are constant there, else with one band LU
-    in the default order."""
-    gen = sp.bmat([
-        [cx.grad0, None],
-        [None, cx.dual_gradient_matrix()],
-    ]).tocsr()
-    gram = _kernel_gram(cx, gen.T @ space.weight_operator() @ gen)
-    return Decomposition.from_generator(space, gen, gram)
-
-
 def _laminate_tensor_fns(profile_combined):
     """Axis-wise diagonal limit of a laminate in the first coordinate:
     harmonic mean across, arithmetic along."""
@@ -621,6 +489,17 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     Laminate profiles must be exactly representable on the meshes of the
     rule ``MeshRule(2, min_cells=transverse_cells)``, which pairs 2 cells per
     period with piecewise-constant two-phase profiles.
+
+    Every coefficient depends on x alone, so each system runs in the
+    transverse-mode coordinates of :class:`_TransverseModes`: the complex's
+    mode operators (``YeeComplex._mode_operators``) replace curl0, grad0 and
+    the dual gradient, and the 12 probes are transformed once per n. T_n
+    and T_lim are left as they are, since the change of basis is orthogonal
+    in every Yee space (each carries the uniform weight vol) and each of
+    their components is constant along y and z, which is checked exactly
+    (a :class:`ShapeError` if not). The gaps are those of the physical
+    coordinates, up to rounding, and every system is one band along x per
+    mode.
     """
     mesh_rule = MeshRule(2, min_cells=transverse_cells)
     combined = lambda y: lam * eps_profile(y) + sigma_profile(y)
@@ -645,14 +524,23 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         mu_lim = cx.sample_faces(mu_fns)
         t_n = sys_n.t_matrix()
         t_lim = sys_n.t_matrix(eps_lim, mu_lim, 0.0)
+        parts = _EDGES + _FACES
+        if not all(_constant_across(cx_cells, parts, t.diagonal()) for t in (t_n, t_lim)):
+            raise ShapeError(f"at oscillation index n={n}: a coefficient varies along y or z, "
+                             "so it has no transverse modes")
 
         space = sys_n.space
-        probes = _maxwell_probes(sys_n)
-        gap_res = wot_gap(LinearOp(space, space, apply=sys_n.resolvent_solver().solve),
-                          LinearOp(space, space, apply=sys_n.resolvent_solver(t_lim).solve),
+        grad0, curl0, dual_gradient = cx._mode_operators
+        a_matrix = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0)).matrix
+        probes = ProbeSet(space, _TransverseModes(cx_cells, parts).to_modes(
+            _maxwell_probes(sys_n).matrix))
+        resolvents = [_EdgeResolvent(cx, curl0, a_matrix, t) for t in (t_n, t_lim)]
+        gap_res = wot_gap(*(LinearOp(space, space, apply=r.solve) for r in resolvents),
                           probes, probes)
 
-        dec = _kernel_decomposition(cx, space)
+        # ker(A) = ker(curl0) (+) ker(curl): on a box the gradient ranges of
+        # the nodal and the grounded cell potential (no harmonic parts)
+        dec = Decomposition.from_generator(space, sp.block_diag((grad0, dual_gradient), "csr"))
         p0 = _projected_probes(probes, dec.h0.project, 6)
         p1 = _projected_probes(probes, dec.h1.project, 6)
         op_n = LinearOp(space, space, matrix=t_n.tocsr())

@@ -17,14 +17,12 @@ implicit ones are generator-backed and produce matrix-free maps that take
 blocks. Two solvers serve an implicit
 splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
 Gram matrix through the solver the splitting was built with (on a grid
-gradient range, the cached grid solver of the unit stiffness; on the kernel
-splitting of the Maxwell curl block, the transverse-mode solver of
-:mod:`homlab.maxwell`; otherwise one band LU), while a00^{-1}
-solves the Galerkin system G^H W a G once per operator with a solver of the
-same kind: on a grid, the exact inverse of a system that separates (every
-1-d system, and a laminate), else preconditioned CG or GMRES; on the
-Maxwell kernel splitting, transverse modes when the system separates along
-y and z, else the band LU.
+gradient range, the cached grid solver of the unit stiffness; otherwise,
+as on the kernel splitting of the Maxwell curl block in transverse modes,
+one band LU), while a00^{-1} solves the Galerkin system G^H W a G once per
+operator with a solver of the same kind: on a grid, the exact inverse of a
+system that separates (every 1-d system, and a laminate), else
+preconditioned CG or GMRES; otherwise the band LU.
 """
 
 from __future__ import annotations
@@ -108,9 +106,8 @@ def _projected_solver(dec, a_matrix):
     turns the projected equation P0 a G u = phi into the Galerkin system
     (G^H W a G) u = G^H W phi, solved by the kind of solver the splitting
     solves its Gram matrix with (``gram.for_matrix``): on a grid gradient
-    range, the grid solver of the system; on the Maxwell kernel splitting,
-    the transverse-mode solver when the system separates along y and z; and
-    otherwise one band LU (``hilbert._band_lu``). The returned solve maps
+    range, the grid solver of the system, and otherwise one band LU
+    (``hilbert._SparseSolver``). The returned solve maps
     phi (one load or a block) to G (G^H W a G)^{-1} G^H W phi."""
     g = dec.h0.generator
     if g is None:
@@ -179,8 +176,8 @@ def schur_maps(a, dec):
     estimate of each kappa_1 against 1e12 (kappa_1 lies within a factor n
     of kappa_2); a00^{-1} is read off the same LU. An implicit one checks
     only a00, through the factorisation of its Galerkin system (one band
-    LU, or the mode systems of a grid or Maxwell kernel system that
-    separates), which raises :class:`NotInM` when that system is singular;
+    LU, or the mode systems of a grid system that separates), which raises
+    :class:`NotInM` when that system is singular;
     a grid system that does not separate is checked only by the residuals
     of its solves.
     """

@@ -499,6 +499,16 @@ class TestBandLU:
         with pytest.raises(NotInM, match="singular"):
             _band_lu(k, np.arange(3))
 
+    def test_band_that_cannot_fit_raises_before_allocating(self, monkeypatch):
+        # corner entries in natural order make the band n - 1 wide: 2^14
+        # unknowns would store about 8e8 entries (6.4 GB)
+        n = 2 ** 14
+        k = sp.identity(n, format="csr") + sp.csr_matrix(([0.5, 0.5], ([0, n - 1], [n - 1, 0])),
+                                                         shape=(n, n))
+        monkeypatch.setattr(np, "zeros", None)    # no band is allocated
+        with pytest.raises(ShapeError, match=r"band \(16383, 16383\)"):
+            _SparseSolver(k, order=np.arange(n))
+
     @pytest.mark.parametrize("complex_rhs", [False, True])
     def test_block_comes_back_c_ordered(self, complex_rhs):
         k, rng = random_sparse(30, 17)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -10,24 +11,26 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlab import maxwell
 from homlab.cli import main
 from homlab.elliptic import GridDomain, grid_unknowns
-from homlab.errors import CoercivityError, SolverDiverged
+from homlab.errors import CoercivityError, ShapeError, SolverDiverged
 from homlab.evolution import resolvent_bounds, skew_split
-from homlab.hilbert import LinearOp, _SparseSolver
-from homlab.homogenize import laminate_limit
+from homlab.hilbert import LinearOp, _SparseSolver, wot_gap
+from homlab.homogenize import _projected_probes, laminate_limit
 from homlab.maxwell import (
     MaxwellSystem,
     YeeComplex,
-    _KernelGram,
+    _EdgeResolvent,
     _TransverseModes,
-    _kernel_decomposition,
+    _laminate_tensor_fns,
+    _maxwell_probes,
     _transverse_table,
     build_curl,
     helmholtz_decompose,
     maxwell_homogenization_experiment,
 )
-from homlab.schur import schur_maps
+from homlab.schur import Decomposition, schur_maps, tau_gap
 
 TWO_PHASE = lambda lo, hi: (lambda y: np.where(np.asarray(y) < 0.5, lo, hi))
 
@@ -374,13 +377,19 @@ def _dct2(m):
     return c
 
 
-def _edge_transform(cells):
-    """The orthogonal map Q from mode to physical edge coordinates (DCT-II
-    along y or z where an edge block sits on cells, DST-I on interior
-    nodes), with each edge's transverse mode and x position."""
+# edges along a sit on cells on axis a, faces normal to a on interior nodes
+EDGES = [[t == a for t in range(3)] for a in range(3)]
+FACES = [[t != a for t in range(3)] for a in range(3)]
+NODES, CELLS = [[False] * 3], [[True] * 3]
+
+
+def _edge_transform(cells, parts=EDGES):
+    """The orthogonal map Q from mode to physical coordinates of the blocks
+    of Yee unknowns that ``parts`` lists, each saying per axis whether the
+    block sits on cells (DCT-II along y or z) or on interior nodes (DST-I),
+    with each unknown's transverse mode and x position."""
     blocks, modes, xs = [], [], []
-    for a in range(3):
-        on_cells = [t == a for t in range(3)]
+    for on_cells in parts:
         tables = [_dct2(cells[t]) if on_cells[t] else _dst1(cells[t]) for t in (1, 2)]
         freqs = [np.arange(cells[t]) if on_cells[t] else np.arange(1, cells[t]) for t in (1, 2)]
         nx = cells[0] if on_cells[0] else cells[0] - 1
@@ -392,10 +401,16 @@ def _edge_transform(cells):
     return sp.block_diag(blocks).tocsr(), np.concatenate(modes), np.concatenate(xs)
 
 
+def _kernel_decomposition(space, grad0, dual_gradient):
+    """The experiment's splitting along ker(curl0) (+) ker(curl)."""
+    return Decomposition.from_generator(space, sp.block_diag((grad0, dual_gradient), "csr"))
+
+
 class TestTransverseModes:
-    """The transverse-mode route of the edge system and of the kernel
-    splitting's Gram solves, against transforms built here from their closed
-    forms and against ``_SparseSolver`` in its default order."""
+    """The transverse-mode coordinates of the Maxwell systems, against
+    transforms built here from their closed forms, against physical
+    ``_SparseSolver`` oracles carried through them, and against the
+    monolithic solve of T + A."""
 
     @staticmethod
     def laminate(cells, eps=None):
@@ -418,6 +433,28 @@ class TestTransverseModes:
         np.testing.assert_allclose(hat, np.diag(sigma, -1)[:, :-1], rtol=0,
                                    atol=1e-14 * sigma.max())
 
+    @pytest.mark.parametrize("cells", [(4, 3, 5), (2, 2, 2), (3, 6, 2)])
+    def test_mode_operators_are_the_transformed_operators(self, cells):
+        cx = YeeComplex(GridDomain.box(cells, hi=(1.0, 0.7, 1.3)))
+        grad0, curl0, dual = cx._mode_operators
+        qn, qe, qf, qc = (_edge_transform(cells, p)[0] for p in (NODES, EDGES, FACES, CELLS))
+        # the weighted adjoint of div, ungrounded
+        ungrounded = sp.diags(1.0 / cx.face_space.weight) @ cx.div_faces.T \
+            @ sp.diags(cx.cell_space.weight)
+        for mode, physical in ((grad0, qe.T @ cx.grad0 @ qn), (curl0, qf.T @ cx.curl0 @ qe),
+                               (dual, (qf.T @ ungrounded @ qc)[:, 1:])):
+            assert mode.shape == physical.shape
+            assert abs(mode - physical).max() <= 1e-13 * abs(physical).max()
+        # the chain identities hold exactly, as in physical coordinates
+        for chain in (curl0 @ grad0, curl0.T @ dual):
+            assert chain.nnz == 0 or np.abs(chain.data).max() == 0.0
+        # the transform of the library route is Q^T and its inverse Q
+        v = np.random.default_rng(9).standard_normal((cx.n_edges + cx.n_faces, 2))
+        modes = _TransverseModes(cells, EDGES + FACES)
+        q = sp.block_diag((qe, qf))
+        np.testing.assert_allclose(modes.to_modes(v), q.T @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(modes.to_physical(v), q @ v, rtol=0, atol=1e-13)
+
     def test_laminate_edge_matrix_separates_with_bandwidth_3(self, band_lu_calls):
         sys = self.laminate((16, 8, 8))
         cx = sys.complex
@@ -437,86 +474,89 @@ class TestTransverseModes:
         pos[order] = np.arange(ne)
         kept = np.abs(k_hat.data) > 1e-14 * big
         assert np.abs(pos[k_hat.row[kept]] - pos[k_hat.col[kept]]).max() == 3
-        # the mode-space assembly is the transformed matrix, and its band is
-        # the one factorised
-        modal = sp.diags(mass) + cx._mode_curl0.T @ sp.diags(wf_tf) @ cx._mode_curl0
-        assert np.abs(modal - k_hat).max() <= 1e-13 * big
-        band_lu_calls.clear()
-        edge = sys.resolvent_solver()._edge
-        assert isinstance(edge, _TransverseModes) and band_lu_calls == [((ne, ne), 3, 3)]
-
-    def test_y_varying_coefficient_takes_the_general_band_route(self, band_lu_calls):
-        sys = self.laminate((6, 4, 5), eps=lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5))
-        t = sys.t_matrix()
-        ref = _SparseSolver(t + sys.a_matrix)
+        # the library route factorises the mode edge matrix, which is the
+        # transformed one, in that order, with band (3, 3)
         band_lu_calls.clear()
         solver = sys.resolvent_solver()
-        assert isinstance(solver._edge, _SparseSolver)
+        assert solver._modes is not None
+        np.testing.assert_array_equal(solver._modes.order, order)
+        assert abs(solver._edge.k - k_hat).max() <= 1e-13 * big
+        assert band_lu_calls == [((ne, ne), 3, 3)]
+
+    def test_y_varying_coefficient_takes_the_general_band_route(self, band_lu_calls):
+        self.check_general_band_route((6, 4, 5), band_lu_calls)
+
+    def test_y_varying_16_cubed_is_admitted_and_matches_the_monolithic_solve(self, band_lu_calls):
+        self.check_general_band_route((16, 16, 16), band_lu_calls)
+
+    def check_general_band_route(self, cells, band_lu_calls):
+        sys = self.laminate(cells, eps=lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5))
+        band_lu_calls.clear()
+        solver = sys.resolvent_solver()
+        assert solver._modes is None
         [(shape, kl, ku)] = band_lu_calls
         assert shape == (sys.complex.n_edges,) * 2 and max(kl, ku) > 3
         rhs = np.random.default_rng(5).standard_normal((sys.space.dim, 3))
-        x, x_ref = solver.solve(rhs), ref.solve(rhs)
+        x = solver.solve(rhs)
+        x_ref = _SparseSolver(sys.t_matrix() + sys.a_matrix).solve(rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_y_varying_band_that_cannot_fit_raises_before_allocating(self):
+        # the edge system of 32^3 would store about 6.2e8 band entries (5 GB)
+        sys = self.laminate((32, 32, 32), eps=lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5))
+        start = time.perf_counter()
+        with pytest.raises(ShapeError, match="band"):
+            sys.resolvent_solver()
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("cells", [(3, 3, 2), (3, 2, 2), (2, 2, 2)])
     def test_thin_boxes(self, cells, band_lu_calls):
         sys = self.laminate(cells)
-        cx = sys.complex
+        cx, space = sys.complex, sys.space
         t = sys.t_matrix()
         ref = _SparseSolver(t + sys.a_matrix)
-        gen = sp.bmat([[cx.grad0, None], [None, cx.dual_gradient_matrix()]]).tocsr()
-        ghw = gen.T @ sp.diags(sys.space.weight)
-        grams = [_SparseSolver(ghw @ gen), _SparseSolver(ghw @ t @ gen)]
+        phys = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
+        g, ghw = phys.h0.generator, phys.h0.gh_w
+        m00inv = _SparseSolver(ghw @ t @ g)
+        q = _edge_transform(cells, EDGES + FACES)[0]
+        grad0, curl0, dual = cx._mode_operators
+        a_mode = sp.bmat([[None, -curl0.T], [curl0, None]])
         band_lu_calls.clear()
         rng = np.random.default_rng(6)
-        rhs = rng.standard_normal((sys.space.dim, 3))
+        rhs = rng.standard_normal((space.dim, 3))
         x, x_ref = sys.resolvent_solver().solve(rhs), ref.solve(rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
-        gram = _kernel_decomposition(cx, sys.space).h0.gram
-        load = rng.standard_normal((gen.shape[1], 3))
-        for solver, oracle in zip((gram, gram.for_matrix(ghw @ t @ gen)), grams):
-            assert isinstance(solver, _KernelGram)
-            y, y_ref = solver.solve(load), oracle.solve(load)
-            assert np.abs(y - y_ref).max() <= 1e-10 * np.abs(y_ref).max()
-        assert len(band_lu_calls) == 3 and all(max(kl, ku) <= 3 for _, kl, ku in band_lu_calls)
+        x = _EdgeResolvent(cx, curl0, a_mode, t).solve(q.T @ rhs)
+        assert np.abs(x - q.T @ x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        dec = _kernel_decomposition(space, grad0, dual)
+        p0, p0_ref = dec.h0.project(q.T @ rhs), q.T @ (g @ phys.h0.gram.solve(ghw @ rhs))
+        assert np.abs(p0 - p0_ref).max() <= 1e-10 * np.abs(p0_ref).max()
+        maps = schur_maps(LinearOp(space, space, matrix=t.tocsr()), dec)
+        y, y_ref = maps.m00inv(p0), q.T @ (g @ m00inv.solve(ghw @ (q @ p0)))
+        assert np.abs(y - y_ref).max() <= 1e-10 * np.abs(y_ref).max()
+        # library edge, mode edge, mode Gram, mode a00
+        assert len(band_lu_calls) == 4 and all(max(kl, ku) <= 3 for _, kl, ku in band_lu_calls)
 
     def test_kernel_projectors_and_a00_match_superlu(self):
         sys = self.laminate((8, 4, 5))
         cx, space = sys.complex, sys.space
-        dec = _kernel_decomposition(cx, space)
-        g, ghw = dec.h0.generator, dec.h0.gh_w
+        phys = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
+        g, ghw = phys.h0.generator, phys.h0.gh_w
         gram = _SparseSolver(ghw @ g)
+        q = _edge_transform(cx.domain.cells, EDGES + FACES)[0]
+        dec = _kernel_decomposition(space, *cx._mode_operators[::2])
         v = np.random.default_rng(7).standard_normal((space.dim, 4))
-        p0 = dec.h0.project(v)
-        p0_ref = g @ gram.solve(ghw @ v)
+        p0 = dec.h0.project(q.T @ v)
+        p0_ref = q.T @ (g @ gram.solve(ghw @ v))
         assert np.abs(p0 - p0_ref).max() <= 1e-10 * np.abs(p0_ref).max()
-        np.testing.assert_allclose(dec.h1.project(v), v - p0_ref, rtol=0,
+        np.testing.assert_allclose(dec.h1.project(q.T @ v), q.T @ v - p0_ref, rtol=0,
                                    atol=1e-10 * np.abs(v).max())
-        limit = sys.t_matrix(sys.complex.sample_edges(axiswise(1.5, 2.0, 2.0)),
-                             sys.complex.sample_faces(axiswise(1.2, 1.7, 1.7)), 0.0)
+        limit = sys.t_matrix(cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
+                             cx.sample_faces(axiswise(1.2, 1.7, 1.7)), 0.0)
         for t in (sys.t_matrix(), limit):
-            k = ghw @ t @ g
-            assert isinstance(dec.h0.gram.for_matrix(k), _KernelGram)
             maps = schur_maps(LinearOp(space, space, matrix=t.tocsr()), dec)
-            ref = g @ _SparseSolver(k).solve(ghw @ p0)
+            ref = q.T @ (g @ _SparseSolver(ghw @ t @ g).solve(ghw @ (q @ p0)))
             assert np.abs(maps.m00inv(p0) - ref).max() <= 1e-10 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("case", ["y-varying", "off-stencil", "node-cell"])
-    def test_kernel_gram_that_does_not_separate_takes_superlu(self, case):
-        eps = (lambda p: 1.0 + 0.5 * (p[:, 1] < 0.5)) if case == "y-varying" else None
-        sys = self.laminate((6, 4, 5), eps=eps)
-        dec = _kernel_decomposition(sys.complex, sys.space)
-        g, ghw = dec.h0.generator, dec.h0.gh_w
-        k = ghw @ sys.t_matrix() @ g
-        # an entry two nodes apart along z, off the 7-point stencil, or one
-        # coupling the node and cell blocks
-        far = {"y-varying": None, "off-stencil": 2, "node-cell": sys.complex.n_nodes}[case]
-        if far is not None:
-            k = k + sp.coo_matrix(([0.1, 0.1], ([0, far], [far, 0])), shape=k.shape)
-        solver = dec.h0.gram.for_matrix(k)
-        assert isinstance(solver, _SparseSolver)
-        load = np.random.default_rng(8).standard_normal(g.shape[1])
-        assert np.abs(k @ solver.solve(load) - load).max() <= 1e-10 * np.abs(load).max()
 
 
 class TestHomogenizationExperiment:
@@ -551,3 +591,42 @@ class TestHomogenizationExperiment:
             bounds=(0.5, 10.0), transverse_cells=4)
         v = rep.values("gap_resolvent")
         assert v[-1] < v[0]
+
+    def test_rows_match_a_physical_coordinate_oracle(self):
+        # the experiment runs in transverse modes; here every row is rebuilt
+        # in physical coordinates: the monolithic solve of T + A, the
+        # physical kernel splitting and the physical probes
+        eps, mu, sigma = TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0)
+        lam, bounds, n_list = 1.0, (0.5, 10.0), [1, 2, 4]
+        rep = maxwell_homogenization_experiment(eps, mu, sigma, lam=lam, n_list=n_list,
+                                                bounds=bounds, transverse_cells=4)
+        for n, row in zip(n_list, rep.rows):
+            osc = lambda fn: (lambda p: fn((n * p[:, 0]) % 1.0))
+            cells = (max(2 * n, 4), 4, 4)
+            sys = MaxwellSystem(GridDomain.box(cells), osc(eps), osc(mu), osc(sigma), lam, bounds)
+            cx, space = sys.complex, sys.space
+            t_n = sys.t_matrix()
+            t_lim = sys.t_matrix(
+                cx.sample_edges(_laminate_tensor_fns(lambda y: lam * eps(y) + sigma(y))) / lam,
+                cx.sample_faces(_laminate_tensor_fns(mu)), 0.0)
+            probes = _maxwell_probes(sys)
+            gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + sys.a_matrix).solve)
+                                for t in (t_n, t_lim)), probes, probes)
+            dec = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
+            p0 = _projected_probes(probes, dec.h0.project, 6)
+            p1 = _projected_probes(probes, dec.h1.project, 6)
+            gaps = tau_gap(LinearOp(space, space, matrix=t_n.tocsr()),
+                           LinearOp(space, space, matrix=t_lim.tocsr()), dec, p0, p1)
+            assert row["cells_x"] == cells[0]
+            for col, ref in zip(("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_resolvent"),
+                                (*gaps, gap_res)):
+                assert abs(row[col] - ref) <= 1e-12 * abs(ref), (n, col)
+
+    def test_coefficient_varying_along_y_has_no_transverse_modes(self, monkeypatch):
+        y_varying = lambda pts: 1.0 + 0.5 * (pts[:, 1] < 0.5)
+        monkeypatch.setattr(maxwell, "_laminate_tensor_fns",
+                            lambda profile: (y_varying,) * 3)
+        with pytest.raises(ShapeError, match="n=1: a coefficient varies along y or z"):
+            maxwell_homogenization_experiment(
+                TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
+                lam=1.0, n_list=[1], bounds=(0.5, 10.0), transverse_cells=4)

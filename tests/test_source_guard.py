@@ -16,10 +16,11 @@ Every weight is diagonal, so no Cholesky factorisation (``cho_factor``,
 There is one solver layer: the Krylov solvers (``cg``, ``gmres``) are
 called only in ``elliptic._GridSolver``, LAPACK's tridiagonal LU (``gttrf``)
 only in ``elliptic._TransformInverse`` and its band LU (``gbtrf``) only in
-``hilbert._band_lu``, the one sparse direct solver: SuperLU (``splu``,
-``spilu``) appears nowhere. A name counts where it is an attribute, a bare
-name, an import or a string constant, such as the routine names passed to
-``get_lapack_funcs``. Grid stiffness matrices never reach the band LU, so
+``hilbert._band_lu``, the one sparse direct solver, which only
+``hilbert._SparseSolver`` calls, so that every band factorisation is
+residual-checked: SuperLU (``splu``, ``spilu``) appears nowhere. A name
+counts where it is an attribute, a bare name, an import or a string
+constant, such as the routine names passed to ``get_lapack_funcs``. Grid stiffness matrices never reach the band LU, so
 ``elliptic`` names neither ``_band_lu`` nor ``_SparseSolver``.
 A parameter with a default is a setting, so some call in the repository sets
 it; a numerical setting that no caller changes is a module constant.
@@ -40,7 +41,8 @@ _DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
 _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
 # solver entry point -> the one class that may call it
 _SOLVER_OWNERS = {"cg": "elliptic._GridSolver", "gmres": "elliptic._GridSolver",
-                  "gttrf": "elliptic._TransformInverse", "gbtrf": "hilbert._band_lu"}
+                  "gttrf": "elliptic._TransformInverse", "gbtrf": "hilbert._band_lu",
+                  "_band_lu": "hilbert._SparseSolver"}
 # LAPACK routines are also named with their type prefix (``dgbtrf``)
 _LAPACK = {"gttrf", "gbtrf"}
 # what the grid solver module may not name
@@ -217,6 +219,16 @@ def test_scan_sees_a_lapack_routine_named_by_string(tmp_path):
                    "def h():\n    return scipy.linalg.lapack.dgbtrf\n")
     assert _named_sites(src, {"gttrf"}) == ["mod.A.f"]
     assert _named_sites(src, {"gbtrf", "dgbtrf"}) == ["mod.g", "mod.h"]
+
+
+def test_scan_sees_a_band_lu_outside_its_solver(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .hilbert import _band_lu\n\nclass _SparseSolver:\n"
+                   "    def __init__(self, k):\n        self._solve = _band_lu(k)\n\n"
+                   "class _Modes:\n    def __init__(self, k):\n"
+                   "        self._solve = hilbert._band_lu(k)\n")
+    assert _named_sites(src, {"_band_lu"}) == ["mod", "mod._SparseSolver.__init__",
+                                               "mod._Modes.__init__"]
 
 
 def test_grid_solves_name_no_sparse_lu():
