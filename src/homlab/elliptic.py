@@ -1204,37 +1204,40 @@ def scalar_probe_pairs(grad, block):
     return _normalised_pairs(_contract(wv, factors), sq, block)
 
 
-def _vector_terms(grad, count, kinds):
-    """The vector probe family as outer products of 1-d tables: the column
-    count and the terms (t, a, columns, factors), each the outer product of
-    ``factors`` in component a of the simplex type t of the ``columns``."""
+def _vector_terms(grad, cols, kinds):
+    """The columns ``cols`` (a slice) of the vector probe family, in which
+    column j holds kind j % per_mode of mode j // per_mode, as outer products
+    of 1-d tables: their count and the terms (t, a, columns, factors), each
+    the outer product of ``factors`` in component a of simplex type t."""
     d = grad.d
     modes = _sine_modes(grad.domain, *_VECTOR_MODES)
-    comp, grads = "component" in kinds, "gradient" in kinds
-    per_mode = d * comp + grads
-    n_cols = len(range(len(modes) * per_mode)[:count])
+    per_mode = d * ("component" in kinds) + ("gradient" in kinds)
+    r = range(len(modes) * per_mode)[cols]
+
+    def place(kind):    # the columns of r holding ``kind``, from its start, and their modes
+        first = (kind - r.start) % per_mode
+        m = (r.start + first) // per_mode
+        return slice(first, None, per_mode), slice(m, m + len(r[first::per_mode]))
     terms = []
     for t, axes in enumerate(grad.mid_axes):
         tables = _sine_tables(grad.domain, modes, axes)
-        for c in range(d * comp):
-            m = len(range(c, n_cols, per_mode))
-            terms.append((t, c, slice(c, None, per_mode),
-                          [(b, s[:, :m]) for b, (s, _) in enumerate(tables)]))
-        for a in range(d * grads):
-            m = len(range(per_mode - 1, n_cols, per_mode))
-            terms.append((t, a, slice(per_mode - 1, None, per_mode),
-                          [(a, tables[a][1][:, :m])]
-                          + [(b, s[:, :m]) for b, (s, _) in enumerate(tables) if b != a]))
-    return n_cols, terms
+        for c in range(d * ("component" in kinds)):
+            local, m = place(c)
+            terms.append((t, c, local, [(b, s[:, m]) for b, (s, _) in enumerate(tables)]))
+        for a in range(d * ("gradient" in kinds)):
+            local, m = place(per_mode - 1)
+            terms.append((t, a, local, [(a, tables[a][1][:, m])]
+                          + [(b, s[:, m]) for b, (s, _) in enumerate(tables) if b != a]))
+    return len(r), terms
 
 
-def vector_probes(grad, count=None, kinds=("component",)):
+def vector_probes(grad, count=None, kinds=("component",), start=0):
     """Vector probes at element midpoints: per-component sine modes and,
     optionally, analytic gradient fields of the modes; per mode, the d
-    component columns come before the gradient column, and the first
-    ``count`` columns are kept. Each column is, per simplex type, an outer
-    product of 1-d sine and cosine tables."""
-    n_cols, terms = _vector_terms(grad, count, kinds)
+    component columns come before the gradient column, and the columns
+    ``start`` to ``count`` are built. Each column is, per simplex type, an
+    outer product of 1-d sine and cosine tables."""
+    n_cols, terms = _vector_terms(grad, slice(start, count), kinds)
     block = np.zeros((len(grad.mid_axes),) + grad.domain.cells + (grad.d, n_cols))
     for t, a, cols, factors in terms:
         _outer_into(block[t, ..., a, cols], factors)
@@ -1250,7 +1253,7 @@ def vector_probe_pairs(grad, block):
     norms."""
     space = grad.vector_space
     b2 = space.check_block(block).reshape(space.dim, -1)
-    n_cols, terms = _vector_terms(grad, None, ("component",))
+    n_cols, terms = _vector_terms(grad, slice(None), ("component",))
     shape = (len(grad.mid_axes),) + grad.domain.cells + (grad.d,)
     wv = space.apply_weight(b2).reshape(shape + b2.shape[1:])
     w = space.weight.reshape(shape)

@@ -14,8 +14,8 @@ call.
 
 Weak-operator-topology statements are operationalised against finite probe
 families, each held as one (dim, k) matrix: :func:`wot_gap` measures
-``max |<phi_i, (S-T) psi_j>|`` over a fixed probe set as the one weighted
-product ``max |Phi^H W (S Psi - T Psi)|``, and :func:`strong_gap` the
+``max |<phi_i, (S-T) psi_j>|`` over a fixed probe set as weighted products
+``max |Phi^H W (S Psi - T Psi)|`` over column chunks Psi, and :func:`strong_gap` the
 corresponding maximal image-norm gap. These two functions are the package's
 only operator probe-pairing code: every operator gap the experiment modules
 report is one of them applied to two :class:`LinearOp` instances. Probe gaps
@@ -64,6 +64,19 @@ _BAND_LU_ENTRIES = 2 ** 28
 _COND_CUTOFF = 1e12
 # kernel_range's rank cutoff, relative to the largest singular value
 _RANK_TOL = 1e-10
+# the most entries in one column chunk of a probe block (2 MiB of reals)
+_BLOCK_ENTRIES = 2 ** 18
+
+
+def _difference(x, y, *inputs):
+    """x - y, written into x or else y if it can hold it and shares no memory with
+    the other or with ``inputs`` (an operator may return its input), else fresh."""
+    for into, other in ((x, y), (y, x)):
+        if (isinstance(into, np.ndarray) and into.flags.writeable and into.shape == np.shape(other)
+                and into.dtype == np.result_type(x, y)
+                and not any(np.may_share_memory(into, z) for z in (other, *inputs))):
+            return np.subtract(x, y, out=into)
+    return x - y
 
 
 def _rows(d, v):
@@ -313,12 +326,12 @@ class Subspace:
     @classmethod
     def complement(cls, sub):
         """Orthogonal complement, explicit when the ambient is small. An
-        implicit I - P is not checked: it passes or fails P's checks."""
+        implicit I - P, written into P v, is not checked: it passes or fails P's checks."""
         amb = sub.ambient
         if sub.basis is not None and amb.dim <= _DENSE_SVD_CUTOFF:
             return cls(amb, basis=_complement_basis(amb, sub.basis))
         dim = None if sub.dim is None else amb.dim - sub.dim
-        return cls(amb, project=lambda v: v - sub.project(v), dim=dim)
+        return cls(amb, project=lambda v: _difference(v, sub.project(v), v), dim=dim)
 
     # -- operations ---------------------------------------------------------
 
@@ -595,24 +608,30 @@ def _check_gap_args(s, t, probes_src, probes_tgt):
         raise ShapeError("left probes live on the wrong space")
 
 
+def _chunk_gap(s, t, probes, measure):
+    """max of ``measure(s Psi - t Psi)`` over chunks Psi of ``_BLOCK_ENTRIES`` entries."""
+    width = max(1, _BLOCK_ENTRIES // max(s.source.dim, s.target.dim))
+    return max(measure(_difference(s(psi), t(psi), psi))
+               for psi in (probes.matrix[:, j:j + width] for j in range(0, len(probes), width)))
+
+
 def wot_gap(s, t, left, right):
-    """max over probe pairs of |<phi_i, (s - t) psi_j>|, taken as the one
-    weighted product max |Phi^H W (s Psi - t Psi)| with one block
-    application of each operator.
+    """max over probe pairs of |<phi_i, (s - t) psi_j>|, taken as the
+    weighted products max |Phi^H W (s Psi - t Psi)| over byte-bounded column
+    chunks Psi of the right probes (one chunk while they fit).
 
     Zero iff s = t on the span of the probes; restricted to a fixed probe
     family this is a pseudo-metric on operators (symmetry and triangle
     inequality hold exactly).
     """
     _check_gap_args(s, t, right, left)
-    d = s(right.matrix) - t(right.matrix)
-    return float(np.abs(s.target.gram(left.matrix, d)).max())
+    return _chunk_gap(s, t, right, lambda d: float(np.abs(s.target.gram(left.matrix, d)).max()))
 
 
 def strong_gap(s, t, right):
-    """max over probes of the weighted norm of (s - t) psi_j."""
+    """max over probes of the weighted norm of (s - t) psi_j, chunked as in :func:`wot_gap`."""
     _check_gap_args(s, t, right, None)
-    return float(s.target.column_norms(s(right.matrix) - t(right.matrix)).max())
+    return _chunk_gap(s, t, right, lambda d: float(s.target.column_norms(d).max()))
 
 
 def _check_residual(k, x, b, tol):

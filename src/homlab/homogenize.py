@@ -23,6 +23,7 @@ from .elliptic import (
     RHSFunctional,
     _require_coercive,
     _solve_galerkin,
+    _vector_terms,
     build_grad,
     check_budget,
     scalar_probe_pairs,
@@ -38,7 +39,7 @@ from .errors import (
     ShapeError,
     VanishingHarmonicMean,
 )
-from .hilbert import LinearOp, ProbeSet, coercivity_check, wot_gap
+from .hilbert import _BLOCK_ENTRIES, LinearOp, ProbeSet, _difference, coercivity_check, wot_gap
 from .schur import Decomposition, tau_gap
 
 __all__ = [
@@ -397,30 +398,36 @@ _KEEP_FRAC = 0.05
 _G0_PROBES = 8
 
 
-def _projected_probes(base, project, count):
-    """Project the unit probes of ``base`` into a subspace, keeping the first
-    ``count`` that retain at least ``_KEEP_FRAC`` of their norm;
-    near-annihilated modes would normalize into mesh-scale noise with no
-    continuum meaning. The probes are projected ``count`` at a time, one
-    block per projector call, and the kept columns are stacked into one
-    fresh block that is normalised in place."""
-    kept, have = [], 0
-    for start in range(0, len(base), count):
-        p = project(base.matrix[:, start:start + count])
-        kept.append(p[:, base.space.column_norms(p) >= _KEEP_FRAC][:, :count - have])
-        have += kept[-1].shape[1]
-        if have >= count:
+def _probe_pair(dec, block, size, count):
+    """Probes of h0 and of h1, ``(p0, p1)``, from ``size`` unit probes that
+    ``block(start, stop)`` builds afresh in chunks of at most ``count`` columns
+    and ``_BLOCK_ENTRIES`` entries: P0 projects each chunk once, chunk - P0
+    chunk is taken in place, and each side keeps in a column-major block the
+    first ``count`` that retain ``_KEEP_FRAC`` of their norm (near-annihilated
+    modes would normalize into mesh-scale noise with no continuum meaning)."""
+    space = dec.space
+    width = min(count, max(1, _BLOCK_ENTRIES // space.dim))
+    dtype = complex if space.field == "complex" else float
+    kept, have = [np.empty((space.dim, count), dtype, "F") for _ in range(2)], [0, 0]
+    for start in range(0, size, width):
+        chunk = block(start, start + width)
+        part0 = dec.h0.project(chunk)
+        for side, part in enumerate((part0, _difference(chunk, part0))):
+            cols = np.flatnonzero(space.column_norms(part) >= _KEEP_FRAC)[:count - have[side]]
+            kept[side][:, have[side]:have[side] + len(cols)] = part[:, cols]
+            have[side] += len(cols)
+        del chunk, part0, part    # before the next chunk is built
+        if min(have) == count:
             break
-    return ProbeSet.from_vectors(base.space, np.hstack(kept), copy=False)
+    return tuple(ProbeSet.from_vectors(space, p[:, :n], copy=False) for p, n in zip(kept, have))
 
 
 def g0_probe_pair(grad, dec):
-    """Probes of the gradient range and of its complement, ``(p0, p1)``: one
-    base family of component and gradient probes projected by
-    ``dec.h0.project`` and ``dec.h1.project``, ``_G0_PROBES`` on each side."""
-    base = vector_probes(grad, kinds=("component", "gradient"))
-    return (_projected_probes(base, dec.h0.project, _G0_PROBES),
-            _projected_probes(base, dec.h1.project, _G0_PROBES))
+    """Probes of the gradient range and of its complement, ``(p0, p1)``, from
+    the component and gradient probes, built and projected in column chunks."""
+    kinds = ("component", "gradient")
+    return _probe_pair(dec, lambda start, stop: vector_probes(grad, stop, kinds, start).matrix,
+                       _vector_terms(grad, slice(None), kinds)[0], _G0_PROBES)
 
 
 def qdind_check(seq, n_list, mesh_rule, candidate=None, probe_seed=0):

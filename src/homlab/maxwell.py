@@ -46,7 +46,7 @@ from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
 from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
-from .homogenize import ExperimentReport, MeshRule, _projected_probes, laminate_limit
+from .homogenize import ExperimentReport, MeshRule, _probe_pair, laminate_limit
 from .schur import Decomposition, tau_gap
 
 __all__ = [
@@ -541,8 +541,8 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         # ker(A) = ker(curl0) (+) ker(curl): on a box the gradient ranges of
         # the nodal and the grounded cell potential (no harmonic parts)
         dec = Decomposition.from_generator(space, sp.block_diag((grad0, dual_gradient), "csr"))
-        p0 = _projected_probes(probes, dec.h0.project, 6)
-        p1 = _projected_probes(probes, dec.h1.project, 6)
+        p0, p1 = _probe_pair(dec, lambda start, stop: probes.matrix[:, start:stop].copy(),
+                             len(probes), 6)
         op_n = LinearOp(space, space, matrix=t_n.tocsr())
         op_lim = LinearOp(space, space, matrix=t_lim.tocsr())
         g00, g01, g10, gs = tau_gap(op_n, op_lim, dec, p0, p1)

@@ -7,7 +7,7 @@ For an operator ``a`` with blocks ``a_jk = i_j* a i_k`` the four maps are
 
 each landing in a weak-operator-topologized operator space; convergence of all
 four against probe families is measured by :func:`tau_gap`, each map applied
-once to a whole probe block. The four maps are the block elimination: solving
+once per column chunk of a probe block. The four maps are the block elimination: solving
 (T + A)u = f along H0 = ker A, H1 = ran A applies the maps of T, with T_S + A~
 in place of a_S, so :func:`schur_maps` is the one place a Schur complement is
 formed (the elimination (T + A)^{-1} of :mod:`homlab.evolution` reads it there).
@@ -41,6 +41,7 @@ from .hilbert import (
     _COND_CUTOFF,
     _complement_basis,
     _dense_lu,
+    _difference,
     coercivity_check,
     wot_gap,
 )
@@ -213,7 +214,7 @@ def schur_maps(a, dec):
     # a00^{-1} P0 is implicit
     def apply_ms(v):
         av = a(v)
-        return p1(av - a(solve(av)))
+        return p1(_difference(av, a(solve(av)), v))
 
     return SchurMaps(
         dec.space, dec,

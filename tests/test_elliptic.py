@@ -599,8 +599,10 @@ class TestProbes:
 
         t = (g.elem_mid - lo) / span
         d = dom.dim
-        for kinds, count in [(("component",), None), (("gradient",), 4),
-                             (("component", "gradient"), None), (("component", "gradient"), 7)]:
+        for kinds, start, count in [(("component",), 0, None), (("gradient",), 0, 4),
+                                    (("component", "gradient"), 0, None),
+                                    (("component", "gradient"), 0, 7), (("gradient",), 2, None),
+                                    (("component", "gradient"), 5, 13), (("component",), 1, 3)]:
             cols = []
             for k in _sine_modes(dom, 3, 25):
                 sines, cosines = np.sin(k * np.pi * t), k * np.pi / span * np.cos(k * np.pi * t)
@@ -613,8 +615,8 @@ class TestProbes:
                     cols.append(np.stack([
                         cosines[:, a] * np.prod(np.delete(sines, a, axis=1), axis=1)
                         for a in range(d)], axis=1).ravel())
-            got = vector_probes(g, count=count, kinds=kinds).matrix
-            np.testing.assert_allclose(got, pointwise(g.vector_space, cols[:count]),
+            got = vector_probes(g, count=count, kinds=kinds, start=start).matrix
+            np.testing.assert_allclose(got, pointwise(g.vector_space, cols[start:count]),
                                        rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("cells, lo, hi", [((12,), (-0.3,), (1.7,)), ((2,), (0.0,), (1.0,)),

@@ -308,6 +308,31 @@ class TestProjectorChecks:
         with pytest.raises(ShapeError, match="not weighted-orthonormal"):
             Subspace(HilbertSpace(3), basis=np.full((3, 1), np.nan))
 
+    @pytest.mark.parametrize("contract", [lambda v: v, lambda v: v[:], np.zeros_like])
+    def test_implicit_complement_leaves_its_input_alone(self, contract):
+        # a projector contract may return its input or a view of it
+        space = random_space(6, 53, "complex")
+        comp = Subspace.complement(Subspace(space, project=contract))
+        v = np.random.default_rng(54).standard_normal((6, 3)) * (1 + 2j)
+        before = v.copy()
+        out = comp.project(v)
+        np.testing.assert_array_equal(v, before)
+        np.testing.assert_array_equal(out, before - contract(before))
+
+    def test_implicit_complement_of_a_real_projector_keeps_a_complex_input(self):
+        space = random_space(6, 55, "complex")
+        comp = Subspace.complement(Subspace(space, project=lambda v: np.zeros(v.shape), dim=0))
+        v = np.random.default_rng(56).standard_normal(6) * (1 - 1j)
+        np.testing.assert_array_equal(comp.project(v), v)
+
+    def test_implicit_complement_is_i_minus_p(self):
+        space = random_space(6, 57)
+        sub = Subspace.from_generator(space, np.random.default_rng(58).standard_normal((6, 2)))
+        v = np.random.default_rng(59).standard_normal((6, 3))
+        before = v.copy()
+        np.testing.assert_array_equal(Subspace.complement(sub).project(v), v - sub.project(v))
+        np.testing.assert_array_equal(v, before)
+
     def test_implicit_complement_runs_no_check(self, monkeypatch):
         space = random_space(6, 51)
         sub = Subspace.from_generator(space, np.random.default_rng(52).standard_normal((6, 2)))
@@ -388,6 +413,44 @@ class TestGaps:
         assert gaps_w[0] > gaps_w[1] > gaps_w[2]
         assert gaps_w[2] < 5e-3
         assert all(g > 0.5 for g in gaps_s)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_operators_that_return_their_input_leave_the_probes_alone(self, field):
+        space = random_space(12, 64, field)
+        probes = ProbeSet.random(space, count=6, seed=65)
+        before = probes.matrix.copy()
+        other = LinearOp(space, space, matrix=np.random.default_rng(66).standard_normal((12, 12)))
+        for same in (lambda v: v, lambda v: v[:]):
+            ident = LinearOp(space, space, apply=same)
+            for s, t in [(ident, other), (other, ident), (ident, ident)]:
+                ref = s(before) - t(before)
+                assert wot_gap(s, t, probes, probes) == np.abs(space.gram(before, ref)).max()
+                assert strong_gap(s, t, probes) == space.column_norms(ref).max()
+                np.testing.assert_array_equal(probes.matrix, before)
+
+    def test_chunked_gaps_match_the_one_block_formula(self):
+        from homlab import hilbert
+
+        # 8 probes on this space exceed the block budget: two chunks
+        dim = hilbert._BLOCK_ENTRIES // 8 + 4096
+        space = random_space(dim, 67, "complex")
+        right = ProbeSet.random(space, count=8, seed=68)
+        left = ProbeSet.random(space, count=5, seed=69)
+        rng = np.random.default_rng(70)
+        mats = [sp.diags([rng.standard_normal(dim - 1), rng.standard_normal(dim)], [1, 0])
+                for _ in range(2)]
+        widths = []
+
+        def traced(m):
+            return LinearOp(space, space, apply=lambda v: widths.append(v.shape[1]) or m @ v)
+
+        s, t = traced(mats[0]), traced(mats[1])
+        d = mats[0] @ right.matrix - mats[1] @ right.matrix
+        ref_wot = np.abs(space.gram(left.matrix, d)).max()
+        ref_strong = space.column_norms(d).max()
+        assert abs(wot_gap(s, t, left, right) - ref_wot) <= 1e-12 * ref_wot
+        assert abs(strong_gap(s, t, right) - ref_strong) <= 1e-12 * ref_strong
+        assert widths == [7, 7, 1, 1] * 2    # s and t on 7 columns, then on 1, per gap
 
     def test_dimension_mismatch(self):
         other = HilbertSpace(5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from homlab.elliptic import CoefficientField, GridDomain, RHSFunctional, build_grad
+from homlab.elliptic import CoefficientField, GridDomain, RHSFunctional, build_grad, vector_probes
 from homlab.errors import (
     CoercivityError,
     HomlabError,
@@ -20,6 +20,8 @@ from homlab.homogenize import (
     MeshRule,
     adjoint_symmetry_check,
     cell_problem,
+    g0_decomposition,
+    g0_probe_pair,
     hconvergence_experiment,
     homogenized_tensor,
     laminate_limit,
@@ -447,6 +449,75 @@ class TestSchurEquiv:
         seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
         rep = schur_equiv_check(seq, [1, 4], np.diag([1.6, 2.5]), dim=2, mesh_rule=MeshRule(8))
         assert rep.values("gap_solution")[-1] < rep.values("gap_solution")[0]
+
+
+def _traced_peak(run):
+    """Bytes that ``run()`` allocates at its peak under tracemalloc, above
+    what is live when it starts."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestProbePair:
+    @pytest.mark.parametrize("cells, hi", [((40,), (1.3,)), ((12, 10), (1.0, 0.7)),
+                                           ((5, 4, 6), (1.1, 0.9, 1.3))])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_streamed_pair_matches_the_dense_reference(self, cells, hi, budget, monkeypatch):
+        from homlab import homogenize
+
+        grad = build_grad(GridDomain.box(cells, hi=hi), "dirichlet")
+        space = grad.vector_space
+        dec = g0_decomposition(grad)
+        base = vector_probes(grad, kinds=("component", "gradient")).matrix
+        refs = []
+        for project in (dec.h0.project, dec.h1.project):
+            q = project(base)
+            q = q[:, space.column_norms(q) >= 0.05][:, :8]
+            refs.append(q / space.column_norms(q))
+        if budget is not None:    # one-column chunks
+            monkeypatch.setattr(homogenize, "_BLOCK_ENTRIES", budget)
+        widths, project0 = [], dec.h0.project
+        monkeypatch.setattr(dec.h0, "project", lambda v: widths.append(v.shape[1]) or project0(v))
+        monkeypatch.setattr(dec.h1, "project", lambda v: pytest.fail("chunk projected twice"))
+        for probes, ref in zip(g0_probe_pair(grad, dec), refs):
+            assert probes.matrix.shape == ref.shape
+            assert np.abs(probes.matrix - ref).max() <= 1e-12
+        width = 8 if budget is None else 1
+        assert widths and all(w == width for w in widths[:-1]) and 0 < widths[-1] <= width
+
+    def test_probe_pair_and_gaps_memory_at_128_squared(self):
+        # with whole probe families and their projected copies these took
+        # 34.1, 23.7 and 44.0 MB
+        import scipy.fft  # noqa: F401  (the grid solver's first import)
+
+        from homlab import elliptic
+        from homlab.schur import tau_gap
+
+        seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
+        candidate = np.diag([1.6, 2.5])
+        dom = GridDomain.box((128, 128))
+        grad = build_grad(dom, "dirichlet")
+        dec = g0_decomposition(grad)
+        pair = g0_probe_pair(grad, dec)
+        ops = [field.operator(grad) for field in (
+            seq.field(8, dom), CoefficientField.constant(dom, candidate, bounds=(0.5, 5.0)))]
+        tau_gap(*ops, dec, *pair)
+        added = _traced_peak(lambda: g0_probe_pair(grad, dec))
+        assert added <= 20e6, f"g0_probe_pair adds {added / 1e6:.1f} MB"
+        added = _traced_peak(lambda: tau_gap(*ops, dec, *pair))
+        assert added <= 14e6, f"tau_gap adds {added / 1e6:.1f} MB"
+        del grad, dec, pair, ops
+        elliptic.build_grad.cache_clear()
+        elliptic.stiffness_solver.cache_clear()
+        peak = _traced_peak(lambda: schur_equiv_check(seq, [8], candidate, MeshRule(16), dim=2))
+        assert peak <= 34e6, f"schur_equiv_check peaks at {peak / 1e6:.1f} MB"
 
 
 class TestAdjointSymmetry:

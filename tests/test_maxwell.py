@@ -17,7 +17,7 @@ from homlab.elliptic import GridDomain, grid_unknowns
 from homlab.errors import CoercivityError, ShapeError, SolverDiverged
 from homlab.evolution import resolvent_bounds, skew_split
 from homlab.hilbert import LinearOp, _SparseSolver, wot_gap
-from homlab.homogenize import _projected_probes, laminate_limit
+from homlab.homogenize import _probe_pair, laminate_limit
 from homlab.maxwell import (
     MaxwellSystem,
     YeeComplex,
@@ -613,8 +613,8 @@ class TestHomogenizationExperiment:
             gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + sys.a_matrix).solve)
                                 for t in (t_n, t_lim)), probes, probes)
             dec = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
-            p0 = _projected_probes(probes, dec.h0.project, 6)
-            p1 = _projected_probes(probes, dec.h1.project, 6)
+            p0, p1 = _probe_pair(dec, lambda start, stop: probes.matrix[:, start:stop].copy(),
+                                 len(probes), 6)
             gaps = tau_gap(LinearOp(space, space, matrix=t_n.tocsr()),
                            LinearOp(space, space, matrix=t_lim.tocsr()), dec, p0, p1)
             assert row["cells_x"] == cells[0]

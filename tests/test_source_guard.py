@@ -24,6 +24,8 @@ constant, such as the routine names passed to ``get_lapack_funcs``. Grid stiffne
 ``elliptic`` names neither ``_band_lu`` nor ``_SparseSolver``.
 A parameter with a default is a setting, so some call in the repository sets
 it; a numerical setting that no caller changes is a module constant.
+A check raises an error: no ``assert`` statement appears in homlab, because
+``python -O`` removes them and the check with them.
 """
 
 import ast
@@ -242,6 +244,22 @@ def test_scan_sees_a_sparse_lu_in_a_grid_module(tmp_path):
                    "        return _SparseSolver(k)\n\n"
                    "def g(k):\n    return hilbert._band_lu(k)\n")
     assert _named_sites(src, _GRID_FREE) == ["mod", "mod.A.f", "mod.g"]
+
+
+def test_no_assert_in_homlab():
+    package = Path(homlab.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py"))
+             for s in _sites(path, lambda node: isinstance(node, ast.Assert))]
+    assert not sites, sorted(set(sites))
+
+
+def test_scan_sees_an_assert(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("assert True\n\nclass A:\n    def f(self, x):\n"
+                   "        assert x > 0, 'x'\n        return x\n\n"
+                   "def g(x):\n    return 'assert x'  # assert x\n\n"
+                   "def h(x):\n    if x:\n        assert x, x\n")
+    assert _sites(src, lambda node: isinstance(node, ast.Assert)) == ["mod", "mod.A.f", "mod.h"]
 
 
 def _defaulted_parameters(path):
