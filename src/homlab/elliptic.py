@@ -230,7 +230,9 @@ class DiscreteGradient:
     mass / element-measure mass), ``node_coords`` and ``node_axes`` (per
     axis), ``elem_mid`` and ``mid_axes`` (per simplex type and axis),
     ``elem_cell``, ``vertex_mean`` and ``order`` (stencil consistency
-    order, 1).
+    order, 1). ``matrix`` is real; ``elem_measure`` and the vector-space
+    weight are read-only views of one constant, and ``node_coords``,
+    ``elem_mid``, ``elem_cell`` and ``vertex_mean`` are built on first use.
     """
 
     def __init__(self, domain, flavor):
@@ -249,18 +251,15 @@ class DiscreteGradient:
         first = 1 if flavor == "dirichlet" else 0
         self.node_axes = [a + (np.arange(n) + first) * ha
                           for a, n, ha in zip(lo, self.node_shape, h)]
-        self.node_coords = _grid_points(self.node_axes)
         paths = _kuhn_paths(d)
         # the simplex of sigma has its midpoint (d - p)/(d + 1) of a cell up
         # the axis at position p of sigma
         self.mid_axes = [[lo[b] + (np.arange(cells[b]) + (d - sigma.index(b)) / (d + 1))
                           * h[b] for b in range(d)] for sigma in paths]
-        self.elem_mid = np.concatenate([_grid_points(axes) for axes in self.mid_axes])
-        n_cell, n_nodes = domain.n_cells, len(self.node_coords)
+        n_cell, n_nodes = domain.n_cells, math.prod(self.node_shape)
         n_elem = self.n_elem = n_cell * len(paths)
-        self.elem_cell = np.tile(np.arange(n_cell), len(paths))
         measure = math.prod(h) / math.factorial(d)
-        self.elem_measure = np.full(n_elem, measure)
+        self.elem_measure = np.broadcast_to(measure, n_elem)
 
         # row (element, a = sigma(k)): -1/h_a at v_(k-1), +1/h_a at v_k
         ids = self._corner_ids()
@@ -283,7 +282,7 @@ class DiscreteGradient:
             np.concatenate(ids) + 1, np.repeat(shares, n_cell), minlength=n_nodes + 1)[1:]
 
         self.scalar_space = HilbertSpace(n_nodes, weight=w_sc)
-        self.vector_space = HilbertSpace(n_elem * d, weight=np.full(n_elem * d, measure))
+        self.vector_space = HilbertSpace(n_elem * d, weight=np.broadcast_to(measure, n_elem * d))
         self.op = LinearOp(self.scalar_space, self.vector_space, matrix=g_mat)
         self.matrix = g_mat
 
@@ -307,6 +306,12 @@ class DiscreteGradient:
             ids.append(np.where(np.min(per_axis, axis=0) >= 0, flat, -1).ravel())
         return ids
 
+    node_coords = functools.cached_property(lambda self: _grid_points(self.node_axes))
+    elem_mid = functools.cached_property(
+        lambda self: np.concatenate([_grid_points(axes) for axes in self.mid_axes]))
+    elem_cell = functools.cached_property(
+        lambda self: np.tile(np.arange(self.domain.n_cells), math.factorial(self.d)))
+
     @functools.cached_property
     def vertex_mean(self):
         """The (n_elem, n_nodes) mean of nodal values over the d + 1 vertices
@@ -320,12 +325,12 @@ class DiscreteGradient:
     def _stiffness_layout(self):
         """What :func:`galerkin_matrix` needs of the grid, built once:
 
-        - ``lt``: L, the (4^d, d^2) map from a cell's coefficient (p, q) to
-          its transposed local stiffness block (row corner i, column corner
-          j), corners as C-order tuples of their upper axes;
-        - ``adds``: the slice-adds (blocks, slots) of these blocks into the
-          ``(3,) * d + node_shape`` slots (neighbour offset per axis, row
-          node), one per row corner and run of its 1-d node maps;
+        - ``lt``: L, the (2^d, 2^d, d^2) map from a cell's coefficient
+          (p, q) to its transposed local stiffness block (row corner i,
+          column corner j), corners as C-order tuples of their upper axes;
+        - ``adds``: per row corner, the slice-adds (blocks, slots) of its
+          blocks into the ``(3,) * d + node_shape`` slots (neighbour offset
+          per axis, row node), one per run of its 1-d node maps;
         - ``rolls``: the rolls (axis, node, shift) of the offsets on the
           first and last node of a periodic axis that put each row's columns
           in ascending order;
@@ -350,13 +355,13 @@ class DiscreteGradient:
         lt = self.elem_measure[0] * np.einsum("tqi,tpj->ijpq", diff, diff)
 
         runs = [[_runs(m) for m in maps] for maps in self._node_maps()]
-        adds = []
+        adds = [[] for _ in range(2**d)]
         for i, upper in enumerate(itertools.product((0, 1), repeat=d)):
             # corner j of the cell is j_b - upper_b nodes away along axis b
             offsets = tuple(slice(1 - u, 3 - u) for u in upper)
             for pairs in itertools.product(*(runs[b][u] for b, u in enumerate(upper))):
-                adds.append(((i,) + (slice(None),) * d + tuple(c for c, _ in pairs),
-                             offsets + tuple(n for _, n in pairs)))
+                adds[i].append(((slice(None),) * d + tuple(c for c, _ in pairs),
+                                offsets + tuple(n for _, n in pairs)))
 
         # along axis b, the slot (node i, offset o) reaches node i + o - 1
         reach = [(np.arange(n)[:, None] + np.arange(-1, 2)).reshape(
@@ -373,8 +378,8 @@ class DiscreteGradient:
         for b, node, shift in rolls:
             idx = (slice(None),) * b + (node,)
             cols[idx] = np.roll(cols[idx], shift, axis=d - 1 + b)
-        return _StiffnessLayout(lt.reshape(-1, d * d), adds, rolls, cols.reshape(-1, 3**d),
-                                periodic and min(cells) <= 2)
+        return _StiffnessLayout(lt.reshape(2**d, 2**d, d * d), adds, rolls,
+                                cols.reshape(-1, 3**d), periodic and min(cells) <= 2)
 
     # -- helpers -------------------------------------------------------------
 
@@ -540,20 +545,20 @@ class RHSFunctional:
             g = np.broadcast_to(g, (grad.scalar_space.dim,))
             return grad.scalar_space.apply_weight(g)
         r = grad.sample_vector(self.data) if callable(self.data) else np.asarray(self.data)
-        return -(grad.matrix.conj().T @ grad.vector_space.apply_weight(r))
+        return -(grad.matrix.T @ grad.vector_space.apply_weight(r))
 
 
 def _slot_sums(grad, a):
     """K^T in its (3,) * d + ``node_shape`` slots (neighbour offset per axis,
     then row node): the sums of the cells' transposed local stiffness blocks
-    a_cell @ L. The offset axes come first, so that every slice-add runs
-    along the grid's last axis."""
+    a_cell @ L, one row corner's blocks at a time. The offset axes come
+    first, so that every slice-add runs along the grid's last axis."""
     layout, d = grad._stiffness_layout, grad.d
-    blocks = (layout.lt @ a.values.reshape(-1, d * d).T).reshape(
-        (2**d,) + (2,) * d + grad.domain.cells)
-    slots = np.zeros((3,) * d + grad.node_shape, dtype=blocks.dtype)
-    for src, dst in layout.adds:
-        slots[dst] += blocks[src]
+    slots = np.zeros((3,) * d + grad.node_shape, dtype=np.result_type(layout.lt, a.values))
+    for lt, adds in zip(layout.lt, layout.adds):
+        blocks = (lt @ a.values.reshape(-1, d * d).T).reshape((2,) * d + grad.domain.cells)
+        for src, dst in adds:
+            slots[dst] += blocks[src]
     for b, node, shift in layout.rolls:
         idx = (slice(None),) * (d + b) + (node,)
         slots[idx] = np.roll(slots[idx], shift, axis=b)
@@ -686,12 +691,12 @@ class _TransformInverse:
     (1/2, 1, ..., 1, 1/2) of the transformed axes.
 
     - ``axis=None`` transforms every axis; this is the inverse of a constant
-      K, such as the unit stiffness K_1. The eigenvalues are read off K
-      itself, as the transform of its first column over the transform of
-      the first unit vector, so the grid spacing needs no special case. The
-      zero mode of ``neumann``/``periodic`` is dropped. The inverse is exact
-      except for ``neumann`` in 3-d, where the Kuhn tetrahedra make K_1
-      differ from a tensor product on the boundary edges; there it is a
+      K, such as the unit stiffness K_1 (``k=None``). The eigenvalues are
+      the transform of K's first column (:func:`_unit_column` for K_1) over
+      that of the first unit vector, so the grid spacing needs no special
+      case. The zero mode of ``neumann``/``periodic`` is dropped. The inverse
+      is exact except for ``neumann`` in 3-d, where the Kuhn tetrahedra make
+      K_1 differ from a tensor product on the boundary edges; there it is a
       spectrally equivalent preconditioner only.
     - ``axis=b`` (``dirichlet`` or ``neumann``, with the ``factors`` of
       :func:`_mode_factors`) transforms every other axis. Mode k's system
@@ -706,13 +711,14 @@ class _TransformInverse:
     does not separate. The inverse maps one vector or an (n, k) block,
     transforming over the grid axes only."""
 
-    def __init__(self, grad, k, axis=None, factors=None):
+    def __init__(self, grad, k=None, axis=None, factors=None):
         d = grad.d
         self._axis = axis
         self._axes = tuple(b for b in range(d) if b != axis)
         self._shape = grad.node_shape
         self._periodic = grad.flavor == "periodic"
-        col = k[:, [0]].toarray().reshape(self._shape) if axis is None else None
+        col = None if axis is not None else _unit_column(grad) if k is None \
+            else k[:, [0]].toarray().reshape(self._shape)
         if self._periodic:
             # numpy's FFT; the transform of the first unit vector is all ones
             self._lam = np.fft.fftn(col).real
@@ -739,7 +745,7 @@ class _TransformInverse:
         unit = np.zeros(self._shape)
         unit[(0,) * d] = 1.0
         self._lam = self._fwd(self._scale * col) / self._fwd(unit)
-        if not np.iscomplexobj(k.data):
+        if not np.iscomplexobj(col):
             self._lam = self._lam.real
         if grad.flavor == "neumann":
             self._lam[(0,) * d] = np.inf
@@ -813,6 +819,24 @@ class _TransformInverse:
         return u.reshape(r.shape)
 
 
+def _unit_column(grad):
+    """Column 0 of the unit stiffness K_1, bit for bit from K_1 of a grid of
+    the same flavor and spacing with at most 4 cells per axis (4 h divides
+    back to h exactly, 3 h need not): node 0 couples only to its neighbours,
+    whose slot sums run in the same order on both grids."""
+    dom = grad.domain
+    sub = DiscreteGradient(GridDomain(
+        [e if c <= 3 else (0.0, 4 * h) for e, c, h in zip(dom.extents, dom.cells, dom.spacing)],
+        [min(c, 4) for c in dom.cells]), grad.flavor)
+    k1 = galerkin_matrix(sub, CoefficientField.constant(sub.domain, 1.0))
+    # along a longer axis, the nodes 0, 1 and the last (-1 on a periodic one)
+    near = np.ix_(*[np.arange(n) if n == m else np.array([0, 1, -1])
+                    for n, m in zip(grad.node_shape, sub.node_shape)])
+    col = np.zeros(grad.node_shape)
+    col[near] = k1[:, [0]].toarray().reshape(sub.node_shape)[near]
+    return col
+
+
 def _is_hermitian(k):
     """max |K - K^H| <= 1e-12 max |K| for a sparse K, from one transposed
     copy of K: when K is canonical with a symmetric pattern, the two compare
@@ -837,25 +861,24 @@ class _GridSolver:
     and on a 2-d ``neumann`` one) is solved by one application of its exact
     inverse. Any other K runs CG (K Hermitian) or GMRES for at most 10 n
     steps, column by column, to ||r|| <= 1e-12 max(1, ||F||), preconditioned
-    with the fast-transform inverse of the unit-coefficient stiffness of the
-    same (domain, flavor), which is spectrally equivalent to K with
-    condition number at most beta/alpha; each column starts from the image
-    of its load under that preconditioner, and a block goes through it in
-    one batched transform. That stiffness itself (:func:`stiffness_solver`)
-    builds its preconditioner as ``prec(grad, K)``. Either way the solution is checked once at 1e-10, column by column for a
-    block. ``iterations`` holds the largest Krylov iteration count over the
-    columns of the last solve."""
+    with the fast-transform inverse of the unit-coefficient stiffness K_1 of
+    the same (domain, flavor), read off a grid of at most 4 cells per axis,
+    which is spectrally equivalent to K with condition number at most
+    beta/alpha; each column starts from the image of its load under that
+    preconditioner, and a block goes through it in one batched transform.
+    Either way the solution is checked once at 1e-10, column by column for
+    a block. ``iterations`` holds the largest Krylov iteration count over
+    the columns of the last solve."""
 
     _KRYLOV_TOL = 1e-12
 
-    def __init__(self, grad, k, prec=None):
+    def __init__(self, grad, k):
         self.k = k
         self.iterations = 0
         self._grad = grad
         self._grounded = grad.flavor != "dirichlet"
         self._exact = _TransformInverse.exact(grad, k)
-        self.prec = self._exact or (prec(grad, k) if prec else
-                                    stiffness_solver(grad.domain, grad.flavor).prec)
+        self.prec = self._exact or _TransformInverse(grad)
 
     @functools.cached_property
     def _hermitian(self):
@@ -911,13 +934,12 @@ class _GridSolver:
 
 @lru_cache(maxsize=32)
 def stiffness_solver(domain, flavor="dirichlet"):
-    """Cached solver of the unit-coefficient stiffness matrix K_1. Its
-    ``prec`` preconditions every grid solve on the same (domain, flavor)
-    whose K does not separate: the exact inverse of K_1 where K_1 separates,
-    else the fast-transform inverse of K_1 itself."""
+    """Cached solver of the unit-coefficient stiffness matrix K_1, which the
+    projections onto the gradient range solve with. Other grid solves do
+    not use it: their preconditioner reads K_1 off a small grid."""
     grad = build_grad(domain, flavor)
     k1 = galerkin_matrix(grad, CoefficientField.constant(domain, 1.0))
-    return _GridSolver(grad, k1, prec=_TransformInverse)
+    return _GridSolver(grad, k1)
 
 
 def _solve_galerkin(grad, a, rhs):
@@ -963,9 +985,7 @@ def solve_affine(domain, a, z, f, flavor="dirichlet"):
     """
     grad = build_grad(domain, flavor)
     z_vec = grad.sample_vector(z) if callable(z) else np.asarray(z)
-    rhs = f.assemble(grad) - grad.matrix.conj().T @ grad.vector_space.apply_weight(
-        a.apply(grad, z_vec)
-    )
+    rhs = f.assemble(grad) - grad.matrix.T @ grad.vector_space.apply_weight(a.apply(grad, z_vec))
     u = _solve_galerkin(grad, a, rhs)
     p = a.apply(grad, grad.matrix @ u + z_vec)
     err = affine_dual_residual(domain, a, z_vec, p, flavor=flavor, count=3)
@@ -977,7 +997,7 @@ def solve_affine(domain, a, z, f, flavor="dirichlet"):
 def _complement_project(grad, v):
     """(I - P) v with P the weighted projector onto ran(grad), for a vector
     or a block."""
-    rhs = grad.matrix.conj().T @ grad.vector_space.apply_weight(v)
+    rhs = grad.matrix.T @ grad.vector_space.apply_weight(v)
     return v - grad.matrix @ stiffness_solver(grad.domain, grad.flavor).solve(rhs)
 
 

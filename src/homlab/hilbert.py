@@ -95,7 +95,8 @@ class HilbertSpace:
     weight : array_like, optional
         The ``(dim,)`` strictly positive diagonal mass entries: lumped
         quadrature weights of grid nodes, elements, edges or faces, or ones
-        for a coordinate space. Defaults to the identity weight.
+        for a coordinate space. Defaults to the identity weight. Kept as
+        given when a read-only float array, such as a broadcast constant.
     field : {"real", "complex"}
         Scalar field flag. Real is the default; ``Re T`` always means
         ``(T + T*)/2`` with the weighted adjoint in either mode.
@@ -109,14 +110,12 @@ class HilbertSpace:
             raise ShapeError(f"field must be 'real' or 'complex', got {field!r}")
         self.dim = dim
         self.field = field
-        if weight is None:
-            weight = np.ones(dim)
-        weight = np.asarray(weight)
+        weight = np.ones(dim) if weight is None else np.asarray(weight)
         if weight.shape != (dim,):
             raise ShapeError(f"diagonal weight has shape {weight.shape}, expected ({dim},)")
         if not np.all(weight.real > 0) or np.any(weight.imag != 0):
             raise ShapeError("diagonal weight entries must be strictly positive reals")
-        self.weight = weight.real.astype(float)
+        self.weight = weight.real.astype(float, copy=weight.flags.writeable)
 
     # -- basic algebra ------------------------------------------------------
 
@@ -168,9 +167,8 @@ class HilbertSpace:
         return sp.diags(self.weight)
 
     def compatible(self, other):
-        if self.dim != other.dim:
-            return False
-        return np.allclose(self.weight, other.weight, rtol=1e-12, atol=0)
+        return self.dim == other.dim and (other.weight is self.weight or np.allclose(
+            self.weight, other.weight, rtol=1e-12, atol=0))
 
 
 class LinearOp:
@@ -714,7 +712,9 @@ class _SparseSolver:
     """Residual-checked solves of K x = b from one :func:`_band_lu` of a
     sparse K, its unknowns taken in the order ``order`` (by default reverse
     Cuthill-McKee); a zero pivot raises :class:`NotInM`. One right-hand side
-    or an (n, m) block, solved in one call and checked column by column."""
+    or an (n, m) block, solved in one call and checked column by column. At
+    ``tol=inf`` a non-finite x fails, with no product by K: a residual that
+    misses inf is NaN, from a non-finite load or K, which make x so too."""
 
     def __init__(self, k, tol=1e-10, order=None):
         self.k = k.tocsr()
@@ -728,5 +728,9 @@ class _SparseSolver:
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         x = self._solve(rhs)
-        _check_residual(self.k, x, rhs, self.tol)
+        if self.tol < np.inf:
+            _check_residual(self.k, x, rhs, self.tol)
+        elif not np.isfinite(x).all():
+            where = f" in column {np.isfinite(x).all(axis=0).argmin()}" if x.ndim == 2 else ""
+            raise SolverDiverged(f"solve returned nan or inf{where}")
         return x

@@ -219,21 +219,22 @@ def _correctors(a_cell, xis):
     """Yield (v, w, a v) for each direction in ``xis``: the (v, w) of
     :func:`cell_problem` and the flux its residual check formed, from one
     solver of the periodic cell matrix (one preconditioner for all
-    directions)."""
+    directions), with no xi tiled over the elements."""
     domain = a_cell.domain
     _check_unit_cell(domain)
     _require_coercive(a_cell)
     xis = np.asarray(xis, dtype=complex if np.iscomplexobj(a_cell.values) else float)
     grad = build_grad(domain, "periodic")
-    xi_fields = [np.tile(xi, grad.n_elem) for xi in xis]
+    shape = (grad.n_elem, domain.dim)
     # G^H W a (G w + xi) = 0  <=>  K_a w = -G^H W a xi
-    loads = np.stack([RHSFunctional.flux(a_cell.apply(grad, f)).assemble(grad)
-                      for f in xi_fields], axis=1)
+    loads = np.stack([RHSFunctional.flux(a_cell.apply(grad, np.broadcast_to(xi, shape)))
+                      .assemble(grad) for xi in xis], axis=1)
     ws = _solve_galerkin(grad, a_cell, loads)
-    for xi_field, w in zip(xi_fields, ws.T):
-        v = xi_field + grad.matrix @ w
+    for xi, w in zip(xis, ws.T):
+        v = grad.matrix @ w
+        v.reshape(shape)[...] += xi
         flux = a_cell.apply(grad, v)
-        res = np.linalg.norm(grad.matrix.conj().T @ grad.vector_space.apply_weight(flux))
+        res = np.linalg.norm(grad.matrix.T @ grad.vector_space.apply_weight(flux))
         scale = max(1.0, grad.vector_space.norm(flux))
         if res > _CELL_RESIDUAL_TOL * scale:
             raise CoercivityError(f"cell problem residual {res:.3e} misses tolerance")

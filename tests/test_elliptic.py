@@ -118,6 +118,18 @@ class TestBuildGrad:
             np.testing.assert_allclose(g.matrix @ u, lam * u, atol=1e-11 / h)
             assert np.isclose(abs(lam), 2 * np.sin(np.pi * k * h) / h)
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_constants_are_views_and_coordinates_lazy(self, flavor):
+        g = DiscreteGradient(GridDomain.box((4, 3)), flavor)
+        for constant in (g.elem_measure, g.vector_space.weight):
+            assert constant.strides == (0,) and not constant.flags.writeable
+        assert g.vector_space.weight[0] == g.elem_measure[0] == 1.0 / 24
+        lazy = ("node_coords", "elem_mid", "elem_cell")
+        assert not set(lazy) & set(vars(g))
+        np.testing.assert_array_equal(g.elem_cell, np.tile(np.arange(12), 2))
+        assert g.node_coords.shape == (g.scalar_space.dim, 2)
+        assert g.elem_mid.shape == (g.n_elem, 2)
+
     def test_2d_dirichlet_injective(self):
         g = build_grad(GridDomain.box((6, 6)), "dirichlet")
         ker, _ = kernel_range(g.op)
@@ -989,7 +1001,10 @@ class TestExactSeparableSolver:
         k = galerkin_matrix(g, a)
         assert elliptic._TransformInverse.exact(g, k) is None
         solver = elliptic._GridSolver(g, k)
-        assert solver.prec is elliptic.stiffness_solver(dom, flavor).prec
+        # the inverse of K_1 read off a small grid, the same as the cached one
+        unit = elliptic.stiffness_solver(dom, flavor).prec
+        assert solver.prec is not unit and solver.prec._axis is None
+        assert np.array_equal(solver.prec._lam, unit._lam)
         solver.solve(_compatible_load(g))
         assert solver.iterations > 0
 
@@ -1160,6 +1175,26 @@ class TestAssembly:
         assert new.shape == ref.shape and new.dtype == ref.dtype
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_24_cubed_peak_is_a_few_matrices(self, flavor):
+        # all 4^d local blocks at once took the peak to 8.0 to 9.5 times
+        # the bytes of K
+        import tracemalloc
+
+        dom = GridDomain.box((24, 24, 24))
+        g = DiscreteGradient(dom, flavor)
+        g._stiffness_layout    # built once per grid, outside the pin
+        a = CoefficientField(dom, np.random.default_rng(4).uniform(1.0, 4.0, dom.n_cells))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            k = galerkin_matrix(g, a)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+        assert peak <= 6 * size, f"peak {peak / size:.2f} times the bytes of K"
+
     def test_2d_unit_stiffness_is_five_point(self):
         dom = GridDomain.box((9, 7), hi=(1.0, 0.6))
         for flavor in FLAVORS:
@@ -1222,6 +1257,52 @@ class TestHermitianDecision:
         elliptic._GridSolver(g, galerkin_matrix(g, _grid_coefficient(dom, kind))).solve(
             _compatible_load(g))
         assert called and set(called) == {method}
+
+
+class TestUnitInverseFromASmallGrid:
+    """The preconditioner of a grid solve reads K_1 off a grid of at most 4
+    cells per axis, and its eigenvalues are those of the full-size K_1 bit
+    for bit; 1.0 / c cells give a spacing h with 3 h / 3 != h at c = 5, 10,
+    11 and 17, which 4 cells on 4 h keep."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("cells", [(1,), (2,), (3,), (17,), (1, 5), (2, 3), (3, 10),
+                                       (11, 4), (1, 2, 3), (3, 1, 2), (5, 2, 10), (6, 5, 3)])
+    def test_eigenvalues_equal_those_of_the_full_unit_stiffness(self, flavor, cells):
+        from homlab import elliptic
+
+        if flavor == "dirichlet":   # a Dirichlet axis of one cell has no interior node
+            cells = tuple(max(c, 2) for c in cells)
+        dom = GridDomain.box(cells, lo=(0.1,) * len(cells), hi=(1.1, 1.0, 1.7)[:len(cells)])
+        g = DiscreteGradient(dom, flavor)
+        k1 = galerkin_matrix(g, CoefficientField.constant(dom, 1.0))
+        col = k1[:, [0]].toarray().reshape(g.node_shape)
+        if flavor == "periodic":
+            lam = np.fft.fftn(col).real
+            lam[(0,) * dom.dim] = np.inf
+        else:
+            lam = elliptic._TransformInverse(g, k1)._lam
+        np.testing.assert_array_equal(elliptic._unit_column(g), col)
+        assert np.array_equal(elliptic._TransformInverse(g)._lam, lam)
+
+    def test_grid_solve_builds_no_full_size_unit_stiffness(self, monkeypatch):
+        from homlab import elliptic
+
+        built = []
+        real = elliptic.galerkin_matrix
+
+        def recording(grad, a):
+            built.append(grad.domain.cells)
+            return real(grad, a)
+
+        monkeypatch.setattr(elliptic, "galerkin_matrix", recording)
+        elliptic.stiffness_solver.cache_clear()
+        for flavor in FLAVORS:
+            dom = GridDomain.box((9, 12))
+            solver = elliptic._GridSolver(build_grad(dom, flavor), real(build_grad(dom, flavor),
+                                                                        _checkerboard(dom)))
+            assert solver.prec._axis is None
+        assert built == [(4, 4)] * 3
 
 
 class TestPeriodicTransform:

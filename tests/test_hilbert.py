@@ -31,6 +31,30 @@ def random_space(dim, seed, field="real"):
 
 
 class TestHilbertSpace:
+    def test_read_only_float_weight_is_kept_and_others_copied(self):
+        constant = np.broadcast_to(0.25, 6)
+        assert HilbertSpace(6, weight=constant).weight is constant
+        writable = np.full(6, 0.25)
+        space = HilbertSpace(6, weight=writable)
+        writable[0] = 9.0
+        assert space.weight[0] == 0.25
+        ints = np.ones(6, dtype=int)
+        ints.flags.writeable = False
+        assert HilbertSpace(6, weight=ints).weight.dtype == float
+
+    def test_compatible_without_a_comparison_for_a_shared_weight(self, monkeypatch):
+        a = random_space(5, 1)
+        b = HilbertSpace(5, weight=np.broadcast_to(0.5, 5))
+        c = HilbertSpace(5, weight=b.weight)
+        assert a.compatible(HilbertSpace(5, weight=a.weight.copy()))
+
+        def no_comparison(*args, **kwargs):
+            raise AssertionError("weights compared")
+
+        monkeypatch.setattr(np, "allclose", no_comparison)
+        assert a.compatible(a) and b.compatible(c) and c.compatible(b)
+        assert not b.compatible(HilbertSpace(4, weight=np.broadcast_to(0.5, 4)))
+
     def test_inner_antilinear_first_slot(self):
         space = HilbertSpace(3, weight=np.array([1.0, 2.0, 3.0]), field="complex")
         x = np.array([1.0 + 1j, 0.0, 2.0])
@@ -535,6 +559,25 @@ class TestSparseSolver:
         k, _ = random_sparse(10, 7)
         with pytest.raises(SolverDiverged, match="nan"):
             _SparseSolver(k, tol=np.inf).solve(np.full(10, np.nan))
+
+    def test_infinite_tolerance_tests_x_with_no_product(self, monkeypatch):
+        # a caller that checks a larger system: only a non-finite x fails
+        from homlab import hilbert
+
+        def no_residual(*args):
+            raise AssertionError("a residual was formed")
+
+        k, rng = random_sparse(10, 7)
+        rhs = rng.standard_normal((10, 3))
+        ref = _SparseSolver(k).solve(rhs)
+        solver = _SparseSolver(k, tol=np.inf)
+        monkeypatch.setattr(hilbert, "_check_residual", no_residual)
+        np.testing.assert_array_equal(solver.solve(rhs), ref)
+        with pytest.raises(SolverDiverged, match="nan"):
+            solver.solve(np.full(10, np.nan))
+        rhs[4, 1] = np.inf
+        with pytest.raises(SolverDiverged, match="column 1"):
+            solver.solve(rhs)
 
 
 class TestBandLU:

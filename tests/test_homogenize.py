@@ -264,6 +264,35 @@ class TestHomogenizedTensor:
         elliptic.stiffness_solver.cache_clear()
         assert len(built) == 1
 
+    def test_no_full_size_unit_stiffness(self, monkeypatch):
+        from homlab import elliptic
+
+        built = []
+        real = elliptic.galerkin_matrix
+
+        def recording(grad, a):
+            built.append((grad.domain.cells, bool(np.all(a.values == np.eye(grad.d)))))
+            return real(grad, a)
+
+        monkeypatch.setattr(elliptic, "galerkin_matrix", recording)
+        elliptic.stiffness_solver.cache_clear()
+        dom = GridDomain.box((12, 12))
+        homogenized_tensor(CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0)))
+        # the cell matrix, and K_1 of a 4 x 4 grid for the preconditioner
+        assert built == [((12, 12), False), ((4, 4), True)]
+
+    def test_256_squared_traced_memory(self):
+        # d tiled copies of xi, a cached full-size unit stiffness, a copy of
+        # G^H per product and full-size grid arrays took this to 45.4 MB
+        from homlab import elliptic
+
+        dom = GridDomain.box((256, 256))
+        a = CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0))
+        elliptic.build_grad.cache_clear()
+        elliptic.stiffness_solver.cache_clear()
+        added = _traced_peak(lambda: homogenized_tensor(a))
+        assert added <= 32e6, f"homogenized_tensor adds {added / 1e6:.1f} MB"
+
     def test_flux_of_each_corrector_is_formed_once(self, monkeypatch):
         # one product for each load and one for each corrector's residual
         # check, whose flux is also the one averaged

@@ -26,12 +26,18 @@ A parameter with a default is a setting, so some call in the repository sets
 it; a numerical setting that no caller changes is a module constant.
 A check raises an error: no ``assert`` statement appears in homlab, because
 ``python -O`` removes them and the check with them.
+A grid gradient is real, so G^H is ``matrix.T``: no ``.matrix.conj()``
+copy appears in homlab.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import homlab
+from homlab.elliptic import FLAVORS, DiscreteGradient, GridDomain
 
 _ALLOWED = {"hilbert.kernel_range"}
 _FORBIDDEN = {"cond", "svd", "null_space", "orth"}
@@ -334,3 +340,29 @@ def test_scan_sees_an_unset_parameter(tmp_path):
     caller = tmp_path / "use.py"
     caller.write_text("import mod\n\nmod.A.s(1)\nmod.g(1, 2)\n")
     assert _unset_parameters([src], [src, caller]) == ["mod.A.__init__:z", "mod.A.s:b", "mod.g:seed"]
+
+
+def _matrix_conj(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "conj"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "matrix")
+
+
+def test_no_conjugate_copy_of_a_matrix_in_homlab():
+    package = Path(homlab.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py")) for s in _sites(path, _matrix_conj)]
+    assert not sites, sorted(set(sites))
+
+
+def test_scan_sees_a_conjugate_copy_of_a_matrix(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(grad, r):\n    return grad.matrix.conj().T @ r\n\n"
+                   "def g(m, r):\n    return m.conj().T @ r + m.matrix.T @ r\n\n"
+                   "class A:\n    def h(self):\n        return self.op.matrix.conj()\n")
+    assert _sites(src, _matrix_conj) == ["mod.f", "mod.A.h"]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("cells", [(5,), (4, 3), (3, 2, 4)])
+def test_gradient_matrix_is_real(flavor, cells):
+    # what lets every G^H product take matrix.T
+    assert DiscreteGradient(GridDomain.box(cells), flavor).matrix.dtype == np.float64
