@@ -192,17 +192,20 @@ def _grid_points(axes):
 def _rows_csr(cols, values, n):
     """Sparse matrix whose row r holds ``values[r, j]`` in column
     ``cols[r, j]`` for each ``cols[r, j] >= 0`` (an (.., w) stack of rows
-    of w slots; values broadcast to it), duplicates summed."""
-    width = cols.shape[-1]
+    of w slots; values broadcast to it), columns sorted and duplicates
+    summed. Only the kept slots are copied; the indices keep the dtype of
+    ``cols``."""
     keep = cols >= 0
-    mat = sp.csr_matrix((np.where(keep, values, 0.0).ravel(), np.maximum(cols, 0).ravel(),
-                         np.arange(0, cols.size + 1, width)), shape=(cols.size // width, n))
-    mat.eliminate_zeros()
+    width = cols.shape[-1]
+    indptr = np.zeros(keep.size // width + 1, dtype=np.int32)
+    np.cumsum(keep.reshape(-1, width) @ np.ones(width, dtype=np.int32), out=indptr[1:])
+    mat = sp.csr_matrix((np.broadcast_to(values, cols.shape)[keep], cols[keep], indptr),
+                        shape=(len(indptr) - 1, n))
     mat.sum_duplicates()
     return mat
 
 
-_StiffnessLayout = collections.namedtuple("_StiffnessLayout", "lt adds rolls cols merge")
+_StiffnessLayout = collections.namedtuple("_StiffnessLayout", "lt adds rolls cols valid merge")
 
 
 def _runs(node_map):
@@ -263,7 +266,7 @@ class DiscreteGradient:
 
         # row (element, a = sigma(k)): -1/h_a at v_(k-1), +1/h_a at v_k
         ids = self._corner_ids()
-        cols = np.empty((len(paths), n_cell, d, 2), dtype=np.int64)
+        cols = np.empty((len(paths), n_cell, d, 2), dtype=np.int32)
         for t, sigma in enumerate(paths):
             corners = _corners(sigma)
             for k, a in enumerate(sigma):
@@ -271,15 +274,16 @@ class DiscreteGradient:
         if flavor == "periodic":    # one node on a one-cell axis: no difference
             cols[:, :, np.array(cells) == 1] = -1
         g_mat = _rows_csr(cols, np.array([[-1.0 / ha, 1.0 / ha] for ha in h]), n_nodes)
+        del cols    # before the mass sums, which would otherwise peak 2 MB higher at 256^2
 
         # lumped mass: measure/(d + 1) from each element at each retained
         # vertex (measure times the column sums of ``vertex_mean``); the
         # corner with j upper axes is a vertex of the j! (d - j)! simplices
         # whose axis order starts with those j axes
-        shares = [math.factorial(j) * math.factorial(d - j)
-                  for j in map(int.bit_count, range(2**d))]
-        w_sc = measure / (d + 1) * np.bincount(
-            np.concatenate(ids) + 1, np.repeat(shares, n_cell), minlength=n_nodes + 1)[1:]
+        counts = sum(math.factorial(j) * math.factorial(d - j)
+                     * np.bincount(i + 1, minlength=n_nodes + 1)[1:]
+                     for j, i in zip(map(int.bit_count, range(2**d)), ids))
+        w_sc = measure / (d + 1) * counts
 
         self.scalar_space = HilbertSpace(n_nodes, weight=w_sc)
         self.vector_space = HilbertSpace(n_elem * d, weight=np.broadcast_to(measure, n_elem * d))
@@ -294,16 +298,17 @@ class DiscreteGradient:
                 for c in self.domain.cells for i in [np.arange(c)]]
 
     def _corner_ids(self):
-        """Retained index (-1: eliminated) of the corner of each cell, cells
-        in C order, one array per corner bitmask (its upper axes), from one
-        1-d (lower, upper) node map per axis."""
+        """Retained int32 index (-1: eliminated) of the corner of each cell,
+        cells in C order, one array per corner bitmask (its upper axes), from
+        one 1-d (lower, upper) node map per axis."""
         maps = self._node_maps()
         ids = []
         for mask in range(2 ** self.d):
             per_axis = np.meshgrid(*(m[mask >> b & 1] for b, m in enumerate(maps)),
-                                   indexing="ij")
+                                   indexing="ij", sparse=True)
             flat = np.ravel_multi_index(per_axis, self.node_shape, mode="wrap")
-            ids.append(np.where(np.min(per_axis, axis=0) >= 0, flat, -1).ravel())
+            kept = functools.reduce(np.logical_and, [m >= 0 for m in per_axis])
+            ids.append(np.where(kept, flat, -1).astype(np.int32).ravel())
         return ids
 
     node_coords = functools.cached_property(lambda self: _grid_points(self.node_axes))
@@ -336,6 +341,8 @@ class DiscreteGradient:
           in ascending order;
         - ``cols``: the int32 (n_nodes, 3^d) column of each slot (-1: off
           the grid or eliminated);
+        - ``valid``: the (3^d, n_nodes) mask of the slots with a column,
+          offsets first like the slots;
         - ``merge``: whether two slots of a row share a column (a periodic
           axis of at most 2 cells)."""
         d, cells, shape = self.d, self.domain.cells, self.node_shape
@@ -378,8 +385,9 @@ class DiscreteGradient:
         for b, node, shift in rolls:
             idx = (slice(None),) * b + (node,)
             cols[idx] = np.roll(cols[idx], shift, axis=d - 1 + b)
-        return _StiffnessLayout(lt.reshape(2**d, 2**d, d * d), adds, rolls,
-                                cols.reshape(-1, 3**d), periodic and min(cells) <= 2)
+        cols = cols.reshape(-1, 3**d)
+        return _StiffnessLayout(lt.reshape(2**d, 2**d, d * d), adds, rolls, cols,
+                                np.ascontiguousarray((cols >= 0).T), periodic and min(cells) <= 2)
 
     # -- helpers -------------------------------------------------------------
 
@@ -402,9 +410,11 @@ class DiscreteGradient:
         return u - (w @ u) / w.sum()
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def build_grad(domain, flavor="dirichlet"):
-    """Construct (and cache) the discrete gradient of the given flavor."""
+    """The discrete gradient of the given flavor. The cache keeps the last
+    grid built, so the calls of one experiment step share it, and no grid
+    outlives the next one built."""
     return DiscreteGradient(domain, flavor)
 
 
@@ -565,22 +575,54 @@ def _slot_sums(grad, a):
     return slots.reshape(3**d, -1)
 
 
+# entries per chunk of the loops over a grid matrix's slots or stored
+# entries: chunk copies of 256 KiB are reused by the allocator from chunk to
+# chunk and call to call, where 2 MiB ones were mapped afresh each time
+# (3455 page faults and twice the time of a 256^2 galerkin_matrix)
+_CHUNK_ENTRIES = 2**15
+
+
+def _entry_chunks(k):
+    """The stored entries of a CSR or CSC matrix, about ``_CHUNK_ENTRIES``
+    at a time in whole compressed lines: per chunk, the major and minor
+    index of each entry (in K's index dtype) and the slice of ``k.data``
+    that holds them."""
+    n_lines = len(k.indptr) - 1
+    lines = max(1, _CHUNK_ENTRIES * n_lines // max(k.nnz, 1))
+    for start in range(0, n_lines, lines):
+        stop = min(start + lines, n_lines)
+        entries = slice(k.indptr[start], k.indptr[stop])
+        major = np.repeat(np.arange(start, stop, dtype=k.indices.dtype),
+                          np.diff(k.indptr[start:stop + 1]))
+        yield major, k.indices[entries], entries
+
+
 def galerkin_matrix(grad, a):
     """Weighted Galerkin matrix G^H W_v M_a G (sparse CSC, canonical, no
     stored zeros), with no sparse product. All simplices of a cell share its
     coefficient, so the cell's local stiffness block is linear in a_cell
     through a fixed map L of the grid; the transposed blocks are summed into
     (node, neighbour offset) slots of K^T, whose compressed rows are the
-    columns of K."""
-    cols = grad._stiffness_layout.cols
-    n, width = cols.shape
-    slots = np.ascontiguousarray(_slot_sums(grad, a).T)
-    keep = (cols >= 0) & (slots != 0)
-    flat = np.flatnonzero(keep)
+    columns of K. They are compressed a chunk of ``_CHUNK_ENTRIES`` slots at
+    a time, through a node-major copy of the chunk, so that no full-size
+    copy of the slots is formed."""
+    layout = grad._stiffness_layout
+    n, width = layout.cols.shape
+    slots = _slot_sums(grad, a)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep @ np.ones(width, dtype=np.int32), out=indptr[1:])
-    k = sp.csc_matrix((slots.ravel().take(flat), cols.ravel().take(flat), indptr), shape=(n, n))
-    if grad._stiffness_layout.merge:
+    np.cumsum((layout.valid & (slots != 0)).sum(axis=0, dtype=np.int32), out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=slots.dtype)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    step = max(1, _CHUNK_ENTRIES // width)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        nodes, kept = slice(start, stop), slice(indptr[start], indptr[stop])
+        values, cols = slots[:, nodes].T.ravel(), layout.cols[nodes].ravel()
+        chosen = np.flatnonzero((cols >= 0) & (values != 0))
+        np.take(values, chosen, out=data[kept], mode="clip")
+        np.take(cols, chosen, out=indices[kept], mode="clip")
+    k = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    if layout.merge:
         k.sum_duplicates()
         k.eliminate_zeros()
     return k
@@ -601,7 +643,9 @@ def _stencil(grad, k):
     for the neighbour offset o (one entry in {-1, 0, 1} per axis), or None
     when K has an entry that no offset's flat index step reaches, or the
     grid is too thin for the steps to be distinct (an axis after the first
-    with at most 2 nodes). Dirichlet and Neumann grids only.
+    with at most 2 nodes). Dirichlet and Neumann grids only. K's entries are
+    placed a chunk at a time (:func:`_entry_chunks`), so no index array of
+    K's length is formed.
 
     An entry is placed by its flat step j - i alone, so one that couples
     nodes which are not neighbours lands where i + o is off the grid;
@@ -617,21 +661,22 @@ def _stencil(grad, k):
     if not k.has_canonical_format:
         k = k.copy()
         k.sum_duplicates()
-    # index arithmetic in the dtype of K's indices, which needs no casts
-    lookup = np.full(2 * reach + 1, -1, dtype=k.indices.dtype)
-    lookup[steps + reach] = np.arange(len(steps))
+    # index arithmetic in the dtype of K's indices, which needs no casts; a
+    # step beyond +-reach clips onto one of the -1 ends of the lookup
+    lookup = np.full(2 * reach + 3, -1, dtype=k.indices.dtype)
+    lookup[steps + reach + 1] = np.arange(len(steps))
     n = k.shape[0]
-    major = np.repeat(np.arange(n, dtype=k.indices.dtype), np.diff(k.indptr))
-    rows, cols = (major, k.indices) if k.format == "csr" else (k.indices, major)
-    step = cols - rows
-    step += reach
-    if step.min(initial=0) < 0 or step.max(initial=0) > 2 * reach:
-        return None
-    slot = lookup[step]
-    if slot.min(initial=0) < 0:
-        return None
     out = np.zeros(len(steps) * n, dtype=k.dtype)
-    out[slot * n + rows] = k.data
+    for major, minor, entries in _entry_chunks(k):
+        rows, cols = (major, minor) if k.format == "csr" else (minor, major)
+        step = cols - rows
+        step += reach + 1
+        slot = lookup.take(step, mode="clip")
+        if slot.min(initial=0) < 0:
+            return None
+        slot *= n
+        slot += rows
+        out[slot] = k.data[entries]
     return out.reshape((3,) * d + shape)
 
 
@@ -662,7 +707,10 @@ def _mode_factors(grad, stencil, axis):
     for b in moved:     # undo the D_b(0) of the offset-0 coefficients read on node 0
         factors[(slice(None),) * b + (0,)] /= weights[b][0]
     along = tuple(n if b == axis else 1 for b, n in enumerate(shape))
-    bound = _SEPARATION_TOL * np.abs(stencil).max(initial=0.0)
+    # the largest |entry|, with no |stencil| copy for a real K
+    top = np.abs(stencil).max(initial=0.0) if np.iscomplexobj(stencil) \
+        else max(stencil.max(initial=0.0), -stencil.min(initial=0.0))
+    bound = _SEPARATION_TOL * top
     for o in itertools.product(range(3), repeat=d):
         # o_b = -1, 0, +1 on a transformed axis share the coefficients of
         # |o_b| = 1, 0, 1
@@ -838,15 +886,22 @@ def _unit_column(grad):
 
 
 def _is_hermitian(k):
-    """max |K - K^H| <= 1e-12 max |K| for a sparse K, from one transposed
-    copy of K: when K is canonical with a symmetric pattern, the two compare
-    entry by entry."""
-    kt = k.T.asformat(k.format)
-    if (k.format in ("csr", "csc") and k.has_canonical_format
-            and np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)):
-        return bool(np.abs(k.data - kt.data.conj()).max(initial=0.0)
-                    <= 1e-12 * np.abs(k.data).max(initial=0.0))
-    return bool(abs(k - kt.conj()).max() <= 1e-12 * abs(k).max())
+    """max |K - K^H| <= 1e-12 max |K| for a square sparse K, compared
+    diagonal by diagonal: at index i, the diagonals s and -s of K hold
+    K[i, i + s] and K[i + s, i]. Only the distances |j - i| of K's stored
+    entries are read, found a chunk of entries at a time, so neither a
+    transposed copy of K nor an array of its length is formed."""
+    if k.format not in ("csr", "csc"):
+        k = k.tocsr()
+    occupied = np.zeros(k.shape[0], dtype=bool)
+    for major, minor, _ in _entry_chunks(k):
+        occupied[np.abs(minor - major)] = True
+    gaps, tops = [0.0], [0.0]
+    for s in np.flatnonzero(occupied).tolist():
+        upper, lower = k.diagonal(s), k.diagonal(-s)
+        gaps.append(np.abs(upper - lower.conj()).max())
+        tops += [np.abs(upper).max(), np.abs(lower).max()]
+    return bool(np.max(gaps) <= 1e-12 * np.max(tops))
 
 
 class _GridSolver:
@@ -932,11 +987,13 @@ class _GridSolver:
         return u
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def stiffness_solver(domain, flavor="dirichlet"):
-    """Cached solver of the unit-coefficient stiffness matrix K_1, which the
-    projections onto the gradient range solve with. Other grid solves do
-    not use it: their preconditioner reads K_1 off a small grid."""
+    """Solver of the unit-coefficient stiffness matrix K_1, which the
+    projections onto the gradient range solve with. The cache keeps the
+    solver of the last grid asked for, with its K_1 and its grid, until
+    another grid's is built. Other grid solves do not use it: their
+    preconditioner reads K_1 off a small grid."""
     grad = build_grad(domain, flavor)
     k1 = galerkin_matrix(grad, CoefficientField.constant(domain, 1.0))
     return _GridSolver(grad, k1)

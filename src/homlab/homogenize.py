@@ -389,8 +389,10 @@ def _probe_gap(probe_pairs, grad, u_n, u_h):
 def g0_decomposition(grad):
     """Splitting of the vector space along the gradient range (implicit,
     generator-backed). The projector solves with the Gram matrix G^H W G,
-    the unit stiffness, through the cached :func:`stiffness_solver` of the
-    grid, whose ``for_matrix`` also serves the a00^-1 of the Schur maps."""
+    the unit stiffness, through the :func:`stiffness_solver` of the grid,
+    whose ``for_matrix`` also serves the a00^-1 of the Schur maps. That
+    cache keeps one grid's solver, so the decomposition holds the only
+    reference to it once another grid's solver is built."""
     return Decomposition.from_generator(grad.vector_space, grad.matrix,
                                         stiffness_solver(grad.domain, grad.flavor))
 

@@ -28,6 +28,8 @@ A check raises an error: no ``assert`` statement appears in homlab, because
 ``python -O`` removes them and the check with them.
 A grid gradient is real, so G^H is ``matrix.T``: no ``.matrix.conj()``
 copy appears in homlab.
+A module-level cache keeps one entry (``lru_cache(maxsize=1)``), so no grid
+or solver outlives the next one built.
 """
 
 import ast
@@ -359,6 +361,66 @@ def test_scan_sees_a_conjugate_copy_of_a_matrix(tmp_path):
                    "def g(m, r):\n    return m.conj().T @ r + m.matrix.T @ r\n\n"
                    "class A:\n    def h(self):\n        return self.op.matrix.conj()\n")
     assert _sites(src, _matrix_conj) == ["mod.f", "mod.A.h"]
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _is_cache(node):
+    return isinstance(node, (ast.Name, ast.Attribute)) \
+        and _dotted(node).rpartition(".")[2] in _CACHES
+
+
+def _cache_bounds(path):
+    """(site, maxsize) of every ``lru_cache`` and ``cache`` of a module, as a
+    decorator or a call: the literal bound, 128 for ``lru_cache`` with none
+    given, None for an unbounded cache and "?" for a bound that is not a
+    literal."""
+    found = []
+
+    def bound(node):
+        if isinstance(node, ast.Call):
+            given = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if given:
+                return given[0].value if isinstance(given[0], ast.Constant) else "?"
+            node = node.func
+        return 128 if _dotted(node).endswith("lru_cache") else None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                found.extend((".".join([path.stem] + inner), bound(dec))
+                             for dec in child.decorator_list if _is_cache(dec))
+            if isinstance(child, ast.Call) and _is_cache(child.func):
+                found.append((".".join([path.stem] + inner), bound(child)))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_every_lru_cache_keeps_one_entry():
+    package = Path(homlab.__file__).parent
+    bounds = [b for path in sorted(package.glob("*.py")) for b in _cache_bounds(path)]
+    assert all(size == 1 for _, size in bounds), bounds
+    # the scan still sees the grid and unit-stiffness caches
+    assert {"elliptic.build_grad", "elliptic.stiffness_solver"} <= {site for site, _ in bounds}
+
+
+def test_scan_sees_every_cache_bound(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import functools\nfrom functools import cache, lru_cache\n\n"
+                   "@lru_cache(maxsize=1)\ndef a(x):\n    return x\n\n"
+                   "@functools.lru_cache(32)\ndef b(x):\n    return x\n\n"
+                   "@lru_cache\ndef c(x):\n    return x\n\n"
+                   "@functools.cache\ndef d(x):\n    return x\n\n"
+                   "@lru_cache(maxsize=SIZE)\ndef e(x):\n    return x\n\n"
+                   "class A:\n    def f(self):\n        return lru_cache(maxsize=None)(len)\n\n"
+                   "    @functools.cached_property\n    def g(self):\n        return 1\n")
+    assert _cache_bounds(src) == [("mod.a", 1), ("mod.b", 32), ("mod.c", 128), ("mod.d", None),
+                                  ("mod.e", "?"), ("mod.A.f", None)]
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
