@@ -221,11 +221,7 @@ _LAMINATE = {    # the keys hconv and schur-gap share
     "run.cells_per_period": (int, None, 2),    # 32 in 1-d, else 16
     "run.candidate": (str, "laminate", None),    # checked by _candidate_from
 }
-# solve1d, hconv and laminate2d load with f = 1, which only the Dirichlet
-# problem admits (the others need a load that annihilates constants)
-_FLAVOR = {"run.flavor": (str, "dirichlet", ("dirichlet",))}
-_HCONV = {**_LAMINATE, "run.tolerance": (float, None, POSITIVE),    # 0.02 in 1-d, else 0.05
-          **_FLAVOR}
+_HCONV = {**_LAMINATE, "run.tolerance": (float, None, POSITIVE)}    # 0.02 in 1-d, else 0.05
 
 # "section.key" -> (type, default, rule) of every key a runner reads. A rule
 # is a tuple of admitted strings, a lower bound, a closed range (lo, hi) or
@@ -234,7 +230,7 @@ _HCONV = {**_LAMINATE, "run.tolerance": (float, None, POSITIVE),    # 0.02 in 1-
 _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0, 0),
                 "output.prefix": (str, None, None), **keys} for kind, keys in {
     "solve1d": {"domain.cells": (int, 256, 2), "coefficients.path": (str, None, None),
-                **_PROFILE, **_FLAVOR},
+                **_PROFILE},
     "laminate2d": {**_HCONV, "domain.dim": (int, 2, (2, 2))},
     "cell": {"domain.cells": (int, 64, 1), **_PROFILE, "run.tolerance": (float, 0.02, POSITIVE),
              "coefficients.cell_kind": (str, "laminate",
@@ -410,7 +406,6 @@ def _table(kind, columns, rows, meta=None):
 
 def _run_solve1d(p, out, seed, digest):
     coef_path = p["coefficients.path"]
-    flavor = p["run.flavor"]
     if coef_path:
         from .serialize import load_coefficient_text
 
@@ -423,14 +418,14 @@ def _run_solve1d(p, out, seed, digest):
             raise ConfigError("[coefficients] path: solve1d needs a 1-d field")
     else:
         cells = p["domain.cells"]
-        elliptic.check_budget((cells,), flavor)    # before the field is sampled
+        elliptic.check_budget((cells,), "dirichlet")    # before the field is sampled
         dom = GridDomain.interval(0, 1, cells)
         profile, bounds = _profile_from(p)
         a = CoefficientField.from_function(dom, lambda pts: profile(pts[:, 0] % 1.0),
                                            bounds=bounds)
     f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
-    u, q = elliptic.solve_elliptic(dom, a, f, flavor=flavor)
-    grad = elliptic.build_grad(dom, flavor)
+    u, q = elliptic.solve_elliptic(dom, a, f)
+    grad = elliptic.build_grad(dom)
     path = os.path.join(out, "solution.csv")
     dump_solution_csv(path, grad, u, q, digest=digest)
     # matrix fixtures in the sparse triplet format
@@ -451,7 +446,7 @@ def _run_hconv(p, out, seed, digest):
     f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
     rep = homogenize.hconvergence_experiment(
         seq, f, cand, p["run.n_list"], dim=dim, mesh_rule=MeshRule(ppd),
-        probe_seed=seed, flavor=p["run.flavor"])
+        probe_seed=seed)
     paths = [_emit(out, "hconv", rep, digest)]
     ok, msg = rep.check_decay(("err_solution", "err_flux"), tol)
     return paths, [] if ok else [f"hconv decay: {msg}"]

@@ -987,13 +987,10 @@ class _GridSolver:
         return u
 
 
-@lru_cache(maxsize=1)
 def stiffness_solver(domain, flavor="dirichlet"):
     """Solver of the unit-coefficient stiffness matrix K_1, which the
-    projections onto the gradient range solve with. The cache keeps the
-    solver of the last grid asked for, with its K_1 and its grid, until
-    another grid's is built. Other grid solves do not use it: their
-    preconditioner reads K_1 off a small grid."""
+    projections onto the gradient range solve with. Other grid solves do not
+    use it: their preconditioner reads K_1 off a small grid."""
     grad = build_grad(domain, flavor)
     k1 = galerkin_matrix(grad, CoefficientField.constant(domain, 1.0))
     return _GridSolver(grad, k1)

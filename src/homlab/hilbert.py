@@ -670,10 +670,10 @@ def _band_lu(k, order=None):
     """Factorise a sparse square K once with LAPACK's band LU (``gbtrf``,
     partial pivoting), its unknowns taken in the order ``order``: by default
     reverse Cuthill-McKee on the pattern of K + K^H. A caller passes an
-    order only where it knows a better band: the thermo chain in x1 order
-    and the Maxwell edge system in transverse modes. A band of more than
-    ``_BAND_LU_ENTRIES`` stored entries raises :class:`ShapeError` before
-    it is allocated, and a zero pivot raises :class:`NotInM`.
+    order only where it knows a better band, as thermo does with its chain
+    in x1 order. A band of more than ``_BAND_LU_ENTRIES`` stored entries
+    raises :class:`ShapeError` before it is allocated, and a zero pivot
+    raises :class:`NotInM`.
 
     Returns ``solve``, which solves K x = b for one load or an (n, k) block
     (``gbtrs``) and returns x C-ordered; a real factor solves a complex load

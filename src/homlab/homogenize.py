@@ -390,9 +390,8 @@ def g0_decomposition(grad):
     """Splitting of the vector space along the gradient range (implicit,
     generator-backed). The projector solves with the Gram matrix G^H W G,
     the unit stiffness, through the :func:`stiffness_solver` of the grid,
-    whose ``for_matrix`` also serves the a00^-1 of the Schur maps. That
-    cache keeps one grid's solver, so the decomposition holds the only
-    reference to it once another grid's solver is built."""
+    whose ``for_matrix`` also serves the a00^-1 of the Schur maps. The
+    decomposition holds the only reference to that solver."""
     return Decomposition.from_generator(grad.vector_space, grad.matrix,
                                         stiffness_solver(grad.domain, grad.flavor))
 

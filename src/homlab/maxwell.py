@@ -22,14 +22,14 @@ Every coefficient of the homogenisation experiment depends on x alone, so
 the experiment changes basis once, to transverse-mode coordinates: the
 orthonormal DST-I on interior-node axes and DCT-II on cell axes, dense 1-d
 tables, transform every block of unknowns along y and z
-(:class:`_TransverseModes`, Hockney's method). There the 1-d differences
-along y and z sit on one subdiagonal, the complex's operators come from the
-same assembly (``YeeComplex._mode_operators``), the diagonal T is left as
-it is, and each system of the experiment -- the eliminated edge system of
-the resolvent and the Gram and a00 systems of the kernel splitting -- is
-one band along x per transverse mode, which the generic band LU of
-``hilbert._SparseSolver`` factorises. ``MaxwellSystem.resolvent_solver``
-takes the same route for a T constant along y and z, with physical loads.
+(:func:`_to_modes`, Hockney's method). There the 1-d differences along y
+and z sit on one subdiagonal, the complex's operators come from the same
+assembly (``YeeComplex._mode_operators``), the diagonal T is left as it is,
+and each system of the experiment -- the eliminated edge system of the
+resolvent (:class:`_EdgeResolvent`) and the Gram and a00 systems of the
+kernel splitting -- is one band along x per transverse mode, which the
+generic band LU of ``hilbert._SparseSolver`` factorises. This is the only
+route by which homlab solves a Maxwell resolvent.
 """
 
 from __future__ import annotations
@@ -238,8 +238,9 @@ class MaxwellSystem:
         (W_e te + curl0^H W_f tf^-1 curl0) e = W_e f + curl0^H W_f tf^-1 g,
 
     which is real symmetric positive definite for real coefficients and has
-    n_edges unknowns instead of n_edges + n_faces (see :class:`_EdgeResolvent`
-    for how it is solved)."""
+    n_edges unknowns instead of n_edges + n_faces. The homogenisation
+    experiment solves it in transverse-mode coordinates, with an
+    :class:`_EdgeResolvent` on the complex's mode operators."""
 
     def __init__(self, domain, eps, mu, sigma, lam, bounds):
         self.complex = YeeComplex(domain)
@@ -261,121 +262,70 @@ class MaxwellSystem:
         s = self.sigma if sigma_vals is None else sigma_vals
         return sp.diags(np.concatenate([self.lam * e + s, self.lam * m]))
 
-    def resolvent_solver(self, t=None):
-        """Solver of (T + A) x = b for a diagonal T, by default
-        ``t_matrix()``, through the eliminated edge system: in transverse
-        modes when every component of T is exactly constant along y and z,
-        as for the oscillating laminates and their axis-wise limits, else in
-        physical coordinates (see :class:`_EdgeResolvent`)."""
-        t = self.t_matrix() if t is None else t
-        cx = self.complex
-        cells = cx.domain.cells
-        modes = _TransverseModes(cells, _EDGES) \
-            if _constant_across(cells, _EDGES + _FACES, t.diagonal()) else None
-        return _EdgeResolvent(cx, cx.curl0, self.a_matrix, t, modes)
-
-
-def _block_shape(cells, kinds):
-    """The index grid of one block of Yee unknowns: m_a cells or m_a - 1
-    interior nodes on axis a, as ``kinds[a]`` says cells or not."""
-    return tuple(c if k else c - 1 for c, k in zip(cells, kinds))
-
-
-def _constant_across(cells, parts, v):
-    """Whether v, laid out block by block as ``parts`` says (see
-    :class:`_TransverseModes`), is exactly constant along y and z in every
-    block."""
-    start = 0
-    for kinds in parts:
-        shape = _block_shape(cells, kinds)
-        u = v[start:start + math.prod(shape)].reshape(shape)
-        if not np.array_equal(u, np.broadcast_to(u[:, :1, :1], shape)):
-            return False
-        start += math.prod(shape)
-    return True
-
-
-def _transverse_table(m, cells):
-    """The orthonormal 1-d transform along an axis of m cells, as columns:
-    DCT-II on the m cells or DST-I on the m - 1 interior nodes. Returns the
-    table and the frequency k of each column."""
-    freq = np.arange(1 - cells, m)    # from 0 on cells, from 1 on nodes
-    if cells:
-        table = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(np.arange(m) + 0.5, freq) / m)
-        table[:, 0] /= np.sqrt(2.0)
-    else:
-        table = np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(freq, freq) / m)
-    return table, freq
-
-
-def _along_yz(v, shape, qy, qz):
-    """qy^T u qz over the y and z axes of the grid u of the given shape that
-    the vector v holds, or of each column of an (n, k) block, laid out as v."""
-    u = v.reshape(shape + v.shape[1:])
-    if v.ndim == 2:
-        return np.moveaxis(qy.T @ np.moveaxis(u, 3, 0) @ qz, 0, 3).reshape(v.shape)
-    return (qy.T @ u @ qz).reshape(v.shape)
-
-
-class _TransverseModes:
-    """The orthogonal change of basis Q from transverse-mode to physical
-    coordinates of blocks of Yee unknowns (Hockney's method), applied to one
-    vector or an (n, k) block.
-
-    ``parts`` lists the blocks in the order of the unknowns; each says, per
-    axis, whether the block sits on cells or on interior nodes there (see
-    :func:`_block_shape`). Each block is transformed along y and z with the
-    dense tables of :func:`_transverse_table`: the orthonormal DST-I on
-    interior-node axes and the DCT-II on cell axes. ``order`` takes the
-    unknowns by transverse mode, then by x position, then by block, so that
-    a system whose coefficients are constant along y and z is, in mode
-    coordinates, one band along x per mode."""
-
-    def __init__(self, cells, parts):
-        self._parts, keys, start = [], [], 0
-        for block, kinds in enumerate(parts):
-            shape = _block_shape(cells, kinds)
-            size = math.prod(shape)
-            (qy, fy), (qz, fz) = (_transverse_table(cells[t], kinds[t]) for t in (1, 2))
-            self._parts.append((slice(start, start + size), shape, qy, qz))
-            start += size
-            # cells sit at the odd and interior nodes at the even half-steps in x
-            x = 2 * np.arange(shape[0]) + (1 if kinds[0] else 2)
-            keys.append((np.broadcast_to(np.add.outer(fy * cells[2], fz), shape).ravel(),
-                         np.broadcast_to(x[:, None, None], shape).ravel(), np.full(size, block)))
-        mode, x, block = (np.concatenate(k) for k in zip(*keys))
-        self.order = np.lexsort((block, x, mode))
-
-    def to_modes(self, v):
-        """Q^T v."""
-        return np.concatenate([_along_yz(v[sl], shape, qy, qz)
-                               for sl, shape, qy, qz in self._parts])
-
-    def to_physical(self, v):
-        """Q v."""
-        return np.concatenate([_along_yz(v[sl], shape, qy.T, qz.T)
-                               for sl, shape, qy, qz in self._parts])
-
 
 # edges along a sit on cells on axis a, faces normal to a on interior nodes
 _EDGES = tuple(tuple(t == a for t in range(3)) for a in range(3))
 _FACES = tuple(tuple(t != a for t in range(3)) for a in range(3))
 
 
+def _yee_blocks(cells):
+    """The edge+face unknowns of a :class:`YeeComplex` block by block, each
+    block as its slice of the unknowns, the index grid it fills (m_a cells
+    or m_a - 1 interior nodes on axis a) and whether it sits on cells on
+    each axis."""
+    start = 0
+    for kinds in _EDGES + _FACES:
+        shape = tuple(c if k else c - 1 for c, k in zip(cells, kinds))
+        yield slice(start, start + math.prod(shape)), shape, kinds
+        start += math.prod(shape)
+
+
+def _constant_across(cells, v):
+    """Whether the edge+face vector v is exactly constant along y and z in
+    every block."""
+    for sl, shape, _ in _yee_blocks(cells):
+        u = v[sl].reshape(shape)
+        if not np.array_equal(u, np.broadcast_to(u[:, :1, :1], shape)):
+            return False
+    return True
+
+
+def _transverse_table(m, cells):
+    """The orthonormal 1-d transform along an axis of m cells, as columns:
+    DCT-II on the m cells (column k has frequency k) or DST-I on the m - 1
+    interior nodes (frequency k + 1)."""
+    freq = np.arange(1 - cells, m)    # from 0 on cells, from 1 on nodes
+    if cells:
+        table = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(np.arange(m) + 0.5, freq) / m)
+        table[:, 0] /= np.sqrt(2.0)
+    else:
+        table = np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(freq, freq) / m)
+    return table
+
+
+def _to_modes(cells, v):
+    """Q^T v for an (n, k) block v of edge+face unknowns, Q the orthogonal
+    change of basis from transverse-mode to physical coordinates (Hockney's
+    method): each block of unknowns is transformed along y and z with the
+    dense tables of :func:`_transverse_table`, the orthonormal DST-I on
+    interior-node axes and the DCT-II on cell axes."""
+    out = []
+    for sl, shape, kinds in _yee_blocks(cells):
+        qy, qz = (_transverse_table(cells[t], kinds[t]) for t in (1, 2))
+        u = np.moveaxis(v[sl].reshape(shape + v.shape[1:]), 3, 0)
+        out.append(np.moveaxis(qy.T @ u @ qz, 0, 3).reshape(v[sl].shape))
+    return np.concatenate(out)
+
+
 class _EdgeResolvent:
     """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block, A
-    the skew pair ``a_matrix`` of ``curl0`` (the curl of a
-    :class:`YeeComplex` in physical or in transverse-mode coordinates),
-    from one band LU of the edge system (see :class:`MaxwellSystem`) in the
-    default order, with every column's residual checked on T + A at 1e-10.
+    the skew pair ``a_matrix`` of ``curl0``, from one band LU of the edge
+    system (see :class:`MaxwellSystem`) in reverse Cuthill-McKee order, with
+    every column's residual checked on T + A at 1e-10. The experiment
+    passes the transverse-mode curl0 of ``YeeComplex._mode_operators`` and
+    a T constant along y and z, for which the edge system has band (3, 3)."""
 
-    ``modes``, a :class:`_TransverseModes` of the edge blocks, is for a
-    physical curl0 and a T whose every component is constant along y and z:
-    the edge system is then factorised in mode coordinates, in the order of
-    ``modes``, where it has band (3, 3), and each edge load goes through
-    the change of basis and back."""
-
-    def __init__(self, cx, curl0, a_matrix, t, modes=None):
+    def __init__(self, cx, curl0, a_matrix, t):
         diag = t.diagonal()
         self._ne = cx.n_edges
         self._tf = diag[self._ne:]
@@ -383,21 +333,16 @@ class _EdgeResolvent:
         self._wf_tf = cx.face_space.weight / self._tf
         self._curl0 = curl0
         self._curl0h = curl0.T.tocsr()    # curl0 is real
-        self._modes = modes
-        curl = curl0 if modes is None else cx._mode_operators[1]
-        edge = sp.diags(self._we * diag[:self._ne]) + curl.T @ sp.diags(self._wf_tf) @ curl
+        edge = sp.diags(self._we * diag[:self._ne]) + curl0.T @ sp.diags(self._wf_tf) @ curl0
         # the residual is checked below, on the full system
-        self._edge = _SparseSolver(edge, tol=np.inf, order=None if modes is None else modes.order)
+        self._edge = _SparseSolver(edge, tol=np.inf)
         self._full = (t + a_matrix).tocsr()
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         f, g = rhs[:self._ne], rhs[self._ne:]
         load = _rows(self._we, f) * f + self._curl0h @ (_rows(self._wf_tf, g) * g)
-        if self._modes is None:
-            e = self._edge.solve(load)
-        else:
-            e = self._modes.to_physical(self._edge.solve(self._modes.to_modes(load)))
+        e = self._edge.solve(load)
         h = (g - self._curl0 @ e) / _rows(self._tf, g)
         x = np.concatenate([e, h])
         _check_residual(self._full, x, rhs, 1e-10)
@@ -491,7 +436,7 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     period with piecewise-constant two-phase profiles.
 
     Every coefficient depends on x alone, so each system runs in the
-    transverse-mode coordinates of :class:`_TransverseModes`: the complex's
+    transverse-mode coordinates of :func:`_to_modes`: the complex's
     mode operators (``YeeComplex._mode_operators``) replace curl0, grad0 and
     the dual gradient, and the 12 probes are transformed once per n. T_n
     and T_lim are left as they are, since the change of basis is orthogonal
@@ -524,16 +469,14 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         mu_lim = cx.sample_faces(mu_fns)
         t_n = sys_n.t_matrix()
         t_lim = sys_n.t_matrix(eps_lim, mu_lim, 0.0)
-        parts = _EDGES + _FACES
-        if not all(_constant_across(cx_cells, parts, t.diagonal()) for t in (t_n, t_lim)):
+        if not all(_constant_across(cx_cells, t.diagonal()) for t in (t_n, t_lim)):
             raise ShapeError(f"at oscillation index n={n}: a coefficient varies along y or z, "
                              "so it has no transverse modes")
 
         space = sys_n.space
         grad0, curl0, dual_gradient = cx._mode_operators
         a_matrix = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0)).matrix
-        probes = ProbeSet(space, _TransverseModes(cx_cells, parts).to_modes(
-            _maxwell_probes(sys_n).matrix))
+        probes = ProbeSet(space, _to_modes(cx_cells, _maxwell_probes(sys_n).matrix))
         resolvents = [_EdgeResolvent(cx, curl0, a_matrix, t) for t in (t_n, t_lim)]
         gap_res = wot_gap(*(LinearOp(space, space, apply=r.solve) for r in resolvents),
                           probes, probes)

@@ -17,7 +17,7 @@ implicit ones are generator-backed and produce matrix-free maps that take
 blocks. Two solvers serve an implicit
 splitting H0 = ran(G): the projector G (G^H W G)^{-1} G^H W solves with the
 Gram matrix through the solver the splitting was built with (on a grid
-gradient range, the cached grid solver of the unit stiffness; otherwise,
+gradient range, the grid solver of the unit stiffness; otherwise,
 as on the kernel splitting of the Maxwell curl block in transverse modes,
 one band LU), while a00^{-1} solves the Galerkin system G^H W a G once per
 operator with a solver of the same kind: on a grid, the exact inverse of a

@@ -163,7 +163,7 @@ class TestApplicatorsTakeBlocks:
         assert_column_stack(lambda x: projected_inverse_1d(a, x), phi)
 
     def test_thermo_and_maxwell_resolvent_solves(self):
-        from homlab.maxwell import MaxwellSystem
+        from homlab.maxwell import MaxwellSystem, _EdgeResolvent
         from homlab.thermo import assemble_thermo
 
         dom = GridDomain.interval(0, 1, 12)
@@ -176,8 +176,15 @@ class TestApplicatorsTakeBlocks:
         const = lambda v: (lambda p: np.full(len(p), v))
         maxwell = MaxwellSystem(GridDomain.box((3, 2, 2)), const(2.0), const(1.0), const(0.5),
                                 lam=1.0, bounds=(0.5, 5.0))
-        assert_column_stack(maxwell.resolvent_solver().solve,
-                            random_block(rng, maxwell.space.dim, 3, "complex"), rtol=1e-10)
+        # the experiment's resolvent, on the complex's transverse-mode curl
+        cx, t = maxwell.complex, maxwell.t_matrix()
+        curl0 = cx._mode_operators[1]
+        a_mode = sp.bmat([[None, -curl0.T], [curl0, None]], format="csr")
+        solver = _EdgeResolvent(cx, curl0, a_mode, t)
+        block = random_block(rng, maxwell.space.dim, 3, "complex")
+        assert_column_stack(solver.solve, block, rtol=1e-10)
+        ref = _SparseSolver(t + a_mode).solve(block)
+        assert np.abs(solver.solve(block) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestBlockSolves:
@@ -223,7 +230,6 @@ class TestGradientProjectorOnTheTransformInverse:
         block = np.random.default_rng(20).standard_normal((grad.vector_space.dim, 5))
         gram = spla.splu((g.T @ w @ g).tocsc())
         ref = g @ gram.solve(g.T @ (w @ block))
-        elliptic.stiffness_solver.cache_clear()
         dec = g0_decomposition(grad)
         for got in (dec.h0.project(block), block - dec.h1.project(block)):
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()

@@ -233,14 +233,6 @@ class TestFixtures:
         payload = json.loads(res.output.strip().splitlines()[-1])
         assert payload["error"].startswith("BudgetExceeded"), payload
 
-    @pytest.mark.parametrize("kind", ["hconv", "laminate2d"])
-    def test_unknown_flavor_exits_2_naming_the_key(self, tmp_path, kind):
-        res = self.run_body(tmp_path, kind, "[run]\nn_list = 1\nflavor = foo\n")
-        assert res.exit_code == 2, res.output
-        payload = json.loads(res.output.strip().splitlines()[-1])
-        assert payload["error"].startswith("[run] flavor: "), payload
-        assert "foo" in payload["error"], payload
-
     @pytest.mark.parametrize("kind, body, where", [
         # n_list entries below 1 ran, or failed a decay check, instead of exit 2
         ("hconv", "[run]\nn_list = 0, 2\n", "[run] n_list"),

@@ -1090,7 +1090,6 @@ class TestExactSeparableSolver:
             raise AssertionError("CG on a 2-d Dirichlet laminate")
 
         monkeypatch.setattr(scipy.sparse.linalg, "cg", refuse)
-        elliptic.stiffness_solver.cache_clear()
         seq = CoefficientSequence.laminate(_two_phase_profile, bounds=(1.0, 4.0))
         candidate = np.diag([1.6, 2.5])
         f = RHSFunctional.density(lambda p: np.ones(len(p)))
@@ -1504,7 +1503,6 @@ class TestUnitInverseFromASmallGrid:
             return real(grad, a)
 
         monkeypatch.setattr(elliptic, "galerkin_matrix", recording)
-        elliptic.stiffness_solver.cache_clear()
         for flavor in FLAVORS:
             dom = GridDomain.box((9, 12))
             solver = elliptic._GridSolver(build_grad(dom, flavor), real(build_grad(dom, flavor),

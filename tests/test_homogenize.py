@@ -257,11 +257,9 @@ class TestHomogenizedTensor:
                 super().__init__(*args)
 
         monkeypatch.setattr(elliptic, "_TransformInverse", Counting)
-        elliptic.stiffness_solver.cache_clear()
         dom = GridDomain.box((12, 12))
         a = CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0))
         homogenized_tensor(a)
-        elliptic.stiffness_solver.cache_clear()
         assert len(built) == 1
 
     def test_no_full_size_unit_stiffness(self, monkeypatch):
@@ -275,7 +273,6 @@ class TestHomogenizedTensor:
             return real(grad, a)
 
         monkeypatch.setattr(elliptic, "galerkin_matrix", recording)
-        elliptic.stiffness_solver.cache_clear()
         dom = GridDomain.box((12, 12))
         homogenized_tensor(CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0)))
         # the cell matrix, and K_1 of a 4 x 4 grid for the preconditioner
@@ -290,7 +287,6 @@ class TestHomogenizedTensor:
         dom = GridDomain.box((256, 256))
         a = CoefficientField.from_function(dom, checkerboard, bounds=(0.5, 5.0))
         elliptic.build_grad.cache_clear()
-        elliptic.stiffness_solver.cache_clear()
         added = _traced_peak(lambda: homogenized_tensor(a))
         assert added <= 25e6, f"homogenized_tensor adds {added / 1e6:.1f} MB"
 
@@ -414,7 +410,6 @@ class TestHConvergence:
         from homlab import elliptic
 
         elliptic.build_grad.cache_clear()
-        elliptic.stiffness_solver.cache_clear()
         seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
         f = RHSFunctional.density(lambda p: np.ones(len(p)))
         tracemalloc.start()
@@ -437,7 +432,6 @@ class TestHConvergence:
         from homlab import elliptic
 
         elliptic.build_grad.cache_clear()
-        elliptic.stiffness_solver.cache_clear()
         seq = CoefficientSequence.laminate(TWO_PHASE, bounds=(0.5, 5.0))
         f = RHSFunctional.density(lambda p: np.ones(len(p)))
         candidate = np.diag([1.6, 2.5])
@@ -453,8 +447,7 @@ class TestHConvergence:
             tracemalloc.stop()
         gc.collect()
         assert last() is None
-        for cache in (elliptic.build_grad, elliptic.stiffness_solver):
-            assert cache.cache_info().currsize <= 1
+        assert elliptic.build_grad.cache_info().currsize <= 1
         assert peak <= 34e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -581,7 +574,6 @@ class TestProbePair:
         assert added <= 14e6, f"tau_gap adds {added / 1e6:.1f} MB"
         del grad, dec, pair, ops
         elliptic.build_grad.cache_clear()
-        elliptic.stiffness_solver.cache_clear()
         peak = _traced_peak(lambda: schur_equiv_check(seq, [8], candidate, MeshRule(16), dim=2))
         assert peak <= 34e6, f"schur_equiv_check peaks at {peak / 1e6:.1f} MB"
 

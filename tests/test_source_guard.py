@@ -405,8 +405,8 @@ def test_every_lru_cache_keeps_one_entry():
     package = Path(homlab.__file__).parent
     bounds = [b for path in sorted(package.glob("*.py")) for b in _cache_bounds(path)]
     assert all(size == 1 for _, size in bounds), bounds
-    # the scan still sees the grid and unit-stiffness caches
-    assert {"elliptic.build_grad", "elliptic.stiffness_solver"} <= {site for site, _ in bounds}
+    # the scan still sees the grid cache
+    assert "elliptic.build_grad" in {site for site, _ in bounds}
 
 
 def test_scan_sees_every_cache_bound(tmp_path):
