@@ -441,6 +441,38 @@ class TestTransverseModes:
         np.testing.assert_allclose(hat, np.diag(sigma, -1)[:, :-1], rtol=0,
                                    atol=1e-14 * sigma.max())
 
+    @pytest.mark.parametrize("cells", [(4, 3, 5), (2, 2, 2)])
+    def test_yee_blocks_tile_the_unknowns_in_the_complex_layout(self, cells):
+        cx = YeeComplex(GridDomain.box(cells, hi=(1.0, 0.7, 1.3)))
+        mids = np.concatenate([cx.edge_mid, cx.face_mid])
+        axes = np.concatenate([cx.edge_axis, 3 + cx.face_axis])
+        start = 0
+        for block, (sl, shape, kinds) in enumerate(maxwell._yee_blocks(cells)):
+            assert sl.start == start and list(kinds) == (EDGES + FACES)[block]
+            start = sl.stop
+            assert shape == tuple(c if k else c - 1 for c, k in zip(cells, kinds))
+            np.testing.assert_array_equal(axes[sl], block)
+            # the C-order reshape puts axis t of the grid on coordinate t
+            pts = mids[sl].reshape(shape + (3,))
+            for t in range(3):
+                coord = np.moveaxis(pts[..., t], t, 0)
+                np.testing.assert_array_equal(coord, np.broadcast_to(coord[:, :1, :1],
+                                                                     coord.shape))
+                assert np.all(np.diff(coord[:, 0, 0]) > 0)
+        assert start == cx.n_edges + cx.n_faces
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_constant_across_sees_a_variation_in_every_block(self, block):
+        cells = (4, 3, 3)
+        cx = YeeComplex(GridDomain.box(cells))
+        x_only = lambda p: 1.0 + p[:, 0] ** 2
+        v = np.concatenate([cx.sample_edges((x_only,) * 3), cx.sample_faces((x_only,) * 3)])
+        assert maxwell._constant_across(cells, v)
+        # one ulp at the block's last unknown, which sits off y = z = 0
+        last = list(maxwell._yee_blocks(cells))[block][0].stop - 1
+        v[last] = np.nextafter(v[last], np.inf)
+        assert not maxwell._constant_across(cells, v)
+
     @pytest.mark.parametrize("cells", [(4, 3, 5), (2, 2, 2), (3, 6, 2)])
     def test_mode_operators_are_the_transformed_operators(self, cells):
         cx = YeeComplex(GridDomain.box(cells, hi=(1.0, 0.7, 1.3)))
