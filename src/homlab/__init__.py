@@ -56,7 +56,6 @@ from .homogenize import (
 )
 from .maxwell import (
     HelmholtzSplit,
-    MaxwellSystem,
     YeeComplex,
     build_curl,
     helmholtz_decompose,

@@ -232,10 +232,10 @@ class DiscreteGradient:
     :class:`LinearOp`), ``scalar_space`` / ``vector_space`` (lumped nodal
     mass / element-measure mass), ``node_coords`` and ``node_axes`` (per
     axis), ``elem_mid`` and ``mid_axes`` (per simplex type and axis),
-    ``elem_cell``, ``vertex_mean`` and ``order`` (stencil consistency
-    order, 1). ``matrix`` is real; ``elem_measure`` and the vector-space
-    weight are read-only views of one constant, and ``node_coords``,
-    ``elem_mid``, ``elem_cell`` and ``vertex_mean`` are built on first use.
+    ``elem_cell`` and ``vertex_mean``. ``matrix`` is real; ``elem_measure``
+    and the vector-space weight are read-only views of one constant, and
+    ``node_coords``, ``elem_mid``, ``elem_cell`` and ``vertex_mean`` are
+    built on first use.
     """
 
     def __init__(self, domain, flavor):
@@ -243,7 +243,6 @@ class DiscreteGradient:
             raise ShapeError(f"unknown flavor {flavor!r}")
         self.domain = domain
         self.flavor = flavor
-        self.order = 1
         d, cells, h, lo = domain.dim, domain.cells, domain.spacing, domain.lo
 
         check_budget(cells, flavor)
@@ -1028,8 +1027,8 @@ def solve_elliptic(domain, a, f, flavor="dirichlet"):
     return u, q
 
 
-def solve_affine(domain, a, z, f, flavor="dirichlet"):
-    """Affine-source problem: find u with
+def solve_affine(domain, a, z, f):
+    """Dirichlet affine-source problem: find u with
     <a (grad u + z), grad phi> = f(phi); returns (u, p) with
     p = a (grad u + z).
 
@@ -1037,12 +1036,12 @@ def solve_affine(domain, a, z, f, flavor="dirichlet"):
     the orthogonal complement of the gradient range:
     <a^{-1} p, q> = <z, q> for q in that complement.
     """
-    grad = build_grad(domain, flavor)
+    grad = build_grad(domain, "dirichlet")
     z_vec = grad.sample_vector(z) if callable(z) else np.asarray(z)
     rhs = f.assemble(grad) - grad.matrix.T @ grad.vector_space.apply_weight(a.apply(grad, z_vec))
     u = _solve_galerkin(grad, a, rhs)
     p = a.apply(grad, grad.matrix @ u + z_vec)
-    err = affine_dual_residual(domain, a, z_vec, p, flavor=flavor, count=3)
+    err = affine_dual_residual(domain, a, z_vec, p, count=3)
     if err > 1e-8:
         raise SolverDiverged(f"dual residual {err:.3e} for the affine problem")
     return u, p
@@ -1055,10 +1054,10 @@ def _complement_project(grad, v):
     return v - grad.matrix @ stiffness_solver(grad.domain, grad.flavor).solve(rhs)
 
 
-def affine_dual_residual(domain, a, z_vec, p, flavor="dirichlet", count=8):
-    """max over complement probes q of |<a^{-1} p - z, q>| (normalized). The
-    probes are fixed sine modes."""
-    grad = build_grad(domain, flavor)
+def affine_dual_residual(domain, a, z_vec, p, count=8):
+    """max over complement probes q of |<a^{-1} p - z, q>| (normalized), for
+    the Dirichlet gradient of ``domain``. The probes are fixed sine modes."""
+    grad = build_grad(domain, "dirichlet")
     space = grad.vector_space
     q = _complement_project(grad, vector_probes(grad, count=count).matrix)
     nq = space.column_norms(q)
@@ -1068,21 +1067,21 @@ def affine_dual_residual(domain, a, z_vec, p, flavor="dirichlet", count=8):
     return float(np.abs(pairs).max(initial=0.0)) / max(1.0, space.norm(z_vec))
 
 
-def projected_inverse_1d(a, phi, extent=(0.0, 1.0)):
+def projected_inverse_1d(a, phi):
     """Closed-form inverse of the gradient-range compression of a 1-d
     multiplier: for mean-free phi,
 
         psi = a^{-1} phi - a^{-1} <1, a^{-1} phi> / <a^{-1}>,
 
     which is again mean-free. ``a`` holds cell values on a uniform grid of
-    the interval, ``phi`` the same for one function or, as the columns of
-    an (m, k) block, for k of them.
+    the unit interval, ``phi`` the same for one function or, as the columns
+    of an (m, k) block, for k of them.
     """
     a = np.asarray(a)
     phi = np.asarray(phi)
     if a.ndim != 1 or phi.ndim not in (1, 2) or phi.shape[0] != a.size:
         raise ShapeError("need matching 1-d cell arrays")
-    h = (extent[1] - extent[0]) / a.size
+    h = 1.0 / a.size
     pt = phi.T      # one function per row, so that a scales the last axis
     mean_phi = h * pt.sum(-1)
     if np.any(np.abs(mean_phi) > 1e-10 * np.maximum(1.0, np.sqrt(h) * np.linalg.norm(pt, axis=-1))):
@@ -1093,7 +1092,7 @@ def projected_inverse_1d(a, phi, extent=(0.0, 1.0)):
     ainv_phi = pt / a
     correction = (h * ainv_phi.sum(-1)) / ainv_mean
     psi = ainv_phi - correction[..., None] / a
-    return (psi - (h * psi.sum(-1) / (extent[1] - extent[0]))[..., None]).T
+    return (psi - (h * psi.sum(-1))[..., None]).T
 
 
 def hminus_norm(domain, f):

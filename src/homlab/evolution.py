@@ -32,7 +32,7 @@ from .hilbert import (
     wot_gap,
 )
 from .homogenize import ExperimentReport
-from .schur import Decomposition, schur_maps, tau_gap
+from .schur import Decomposition, blocks, schur_maps, tau_gap
 
 __all__ = [
     "SkewOp",
@@ -47,6 +47,7 @@ __all__ = [
 
 _SKEW_TOL = 1e-10
 _ROUND_TRIP_TOL = 1e-9
+_BOUND_TOL = 1e-9
 _EVO_COLUMNS = ("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
                 "gap_resolvent", "gap_strong")
 
@@ -106,22 +107,13 @@ def skew_split(a, tol=_SKEW_TOL):
     if np.abs(astar + mat).max() > tol * scale:
         raise NotSkew(f"adjoint deviates from -A by {np.abs(astar + mat).max():.3e}")
     ker, ran = kernel_range(a)
-    space = a.source
-    dec = Decomposition(space, ker, ran)
-    b1 = ran.basis
+    dec = Decomposition(a.source, ker, ran)
+    # A~ = B1^H W A B1; the kernel rows and columns must vanish
+    a00, a01, a10, a_tilde = blocks(a, dec)
+    if max(np.abs(b).max(initial=0.0) for b in (a00, a01, a10)) > 1e-9 * scale:
+        raise NotSkew("block form of the splitting is not [[0,0],[0,A~]]")
     if ran.dim:
-        # A~ = B1^H W A B1
-        a_cols, wb1 = mat @ b1, space.apply_weight(b1)
-        a_tilde = wb1.conj().T @ a_cols
-        # block form sanity: kernel rows/columns vanish
-        if ker.dim:
-            wb0, a_k = space.apply_weight(ker.basis), mat @ ker.basis
-            if max(np.abs(wb0.conj().T @ a_cols).max(), np.abs(wb1.conj().T @ a_k).max(),
-                   np.abs(wb0.conj().T @ a_k).max()) > 1e-9 * scale:
-                raise NotSkew("block form of the splitting is not [[0,0],[0,A~]]")
         _certify_imaginary_spectrum(a_tilde)
-    else:
-        a_tilde = np.zeros((0, 0))
     return SkewOp(a, ker, ran, a_tilde, dec)
 
 
@@ -150,11 +142,11 @@ def _eliminated_resolvent(maps, a):
     return LinearOp(a.space, a.space, apply=apply), solve_s
 
 
-def resolvent_bounds(t, a, tol=1e-9):
+def resolvent_bounds(t, a):
     """Norms of (T+A)^{-1} and A (T+A)^{-1} together with the coercivity
     constant c of Re T; both must obey the a priori bounds
-    ||(T+A)^{-1}|| <= 1/c and ||A (T+A)^{-1}|| <= (c + ||T||)/c. The
-    resolvent is the elimination of :func:`_eliminated_resolvent`."""
+    ||(T+A)^{-1}|| <= 1/c and ||A (T+A)^{-1}|| <= (c + ||T||)/c, up to 1e-9.
+    The resolvent is the elimination of :func:`_eliminated_resolvent`."""
     space = t.source
     c = _sym_lambda_min(space, t.to_dense())
     if c <= 0:
@@ -163,9 +155,9 @@ def resolvent_bounds(t, a, tol=1e-9):
     n_res = operator_norm(LinearOp(space, space, matrix=res))
     n_ares = operator_norm(LinearOp(space, space, matrix=a(res)))
     t_norm = operator_norm(t)
-    if n_res > 1.0 / c + tol:
+    if n_res > 1.0 / c + _BOUND_TOL:
         raise HomlabError(f"resolvent norm {n_res} exceeds 1/c = {1.0 / c}")
-    if n_ares > (c + t_norm) / c + tol:
+    if n_ares > (c + t_norm) / c + _BOUND_TOL:
         raise HomlabError(f"A-resolvent norm {n_ares} exceeds (c + |T|)/c = {(c + t_norm) / c}")
     return n_res, n_ares, c
 

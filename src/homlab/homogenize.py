@@ -155,7 +155,7 @@ def _unit_integral(fn, tol):
         half = 0.5 * (hi - lo)[:, None]
         pts = np.clip(lo[:, None] + half * (nodes + 1.0),
                       np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             sums = half[:, 0] * (np.asarray(fn(pts.ravel())).reshape(pts.shape) @ weights)
         if not np.isfinite(sums).all():
             raise QuadratureError("integrand or its integral is not finite")
@@ -276,15 +276,13 @@ class MeshRule:
     cells per oscillation period per axis."""
 
     cells_per_period: int
-    min_cells: int | None = None
 
     def __post_init__(self):
         if self.cells_per_period < 2:
             raise MeshRuleViolation("need at least 2 cells per oscillation period")
 
     def cells(self, n):
-        base = self.min_cells if self.min_cells else self.cells_per_period
-        return max(self.cells_per_period * n, base)
+        return max(self.cells_per_period * n, self.cells_per_period)
 
 
 @dataclass

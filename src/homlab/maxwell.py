@@ -19,17 +19,20 @@ natural-boundary variational problem of the coefficient convergence theory
 under no boundary conditions).
 
 Every coefficient of the homogenisation experiment depends on x alone, so
-the experiment changes basis once, to transverse-mode coordinates: the
-orthonormal DST-I on interior-node axes and DCT-II on cell axes, dense 1-d
-tables, transform every block of unknowns along y and z
-(:func:`_to_modes`, Hockney's method). There the 1-d differences along y
-and z sit on one subdiagonal, the complex's operators come from the same
-assembly (``YeeComplex._mode_operators``), the diagonal T is left as it is,
-and each system of the experiment -- the eliminated edge system of the
-resolvent (:class:`_EdgeResolvent`) and the Gram and a00 systems of the
-kernel splitting -- is one band along x per transverse mode, which the
-generic band LU of ``hilbert._SparseSolver`` factorises. This is the only
-route by which homlab solves a Maxwell resolvent.
+per oscillation index the experiment samples the diagonal
+T = diag(lambda eps + sigma, lambda mu) at edge and face midpoints and
+changes basis once, to transverse-mode coordinates: the orthonormal DST-I
+on interior-node axes and DCT-II on cell axes, dense 1-d tables, transform
+every block of unknowns along y and z (:func:`_to_modes`, Hockney's
+method). There the 1-d differences along y and z sit on one subdiagonal,
+the complex's operators come from the same assembly
+(``YeeComplex._mode_operators``), the one skew pair is that of the mode
+curl0, T is left as it is, and each system of the experiment -- the
+eliminated edge system of the resolvent (:class:`_EdgeResolvent`) and the
+Gram and a00 systems of the kernel splitting -- is one band along x per
+transverse mode, which the generic band LU of ``hilbert._SparseSolver``
+factorises. This is the only route by which homlab solves a Maxwell
+resolvent.
 """
 
 from __future__ import annotations
@@ -46,12 +49,11 @@ from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
 from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
-from .homogenize import ExperimentReport, MeshRule, _probe_pair, laminate_limit
+from .homogenize import ExperimentReport, _probe_pair, laminate_limit
 from .schur import Decomposition, tau_gap
 
 __all__ = [
     "YeeComplex",
-    "MaxwellSystem",
     "HelmholtzSplit",
     "build_curl",
     "helmholtz_decompose",
@@ -108,7 +110,6 @@ class YeeComplex:
 
         self.edge_space = HilbertSpace(self.n_edges, weight=np.full(self.n_edges, vol))
         self.face_space = HilbertSpace(self.n_faces, weight=np.full(self.n_faces, vol))
-        self.node_space = HilbertSpace(self.n_nodes, weight=np.full(self.n_nodes, vol))
         self.cell_space = HilbertSpace(self.n_cells, weight=np.full(self.n_cells, vol))
 
         # edges along a sit at cell centres on axis a and at interior nodes
@@ -213,54 +214,14 @@ def build_curl(domain):
 
 def _diag_bounds_check(vals, alpha, beta, what):
     re = vals.real
-    re_inv = (1.0 / vals).real
+    # a zero entry fails on Re vals, so its 1/0 is not worth a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        re_inv = (1.0 / vals).real
     if re.min() < alpha - 1e-12 or re_inv.min() < 1.0 / beta - 1e-12:
         raise CoercivityError(
             f"{what}: Re in [{re.min():.4g}, {re.max():.4g}] violates "
             f"({alpha}, {beta})"
         )
-
-
-class MaxwellSystem:
-    """Assembled frequency-domain Maxwell block system
-    (lambda diag(eps, mu) + diag(sigma, 0) + [[0, -curl], [curl0, 0]]).
-
-    Coefficients are diagonal (scalar or axis-wise) multipliers sampled at
-    edge and face midpoints; that keeps the coercivity bounds exact under
-    sampling on the staggered layout. The admissibility requirement is
-    lambda eps + sigma and lambda mu inside the coefficient class at the
-    chosen lambda.
-
-    The resolvent is solved with the magnetic field eliminated: with
-    T = diag(te, tf), the rows te e - curl h = f and curl0 e + tf h = g give
-    h = tf^-1 (g - curl0 e) and the edge system
-
-        (W_e te + curl0^H W_f tf^-1 curl0) e = W_e f + curl0^H W_f tf^-1 g,
-
-    which is real symmetric positive definite for real coefficients and has
-    n_edges unknowns instead of n_edges + n_faces. The homogenisation
-    experiment solves it in transverse-mode coordinates, with an
-    :class:`_EdgeResolvent` on the complex's mode operators."""
-
-    def __init__(self, domain, eps, mu, sigma, lam, bounds):
-        self.complex = YeeComplex(domain)
-        cx = self.complex
-        self.lam = float(lam)
-        self.eps = cx.sample_edges(eps)
-        self.sigma = cx.sample_edges(sigma)
-        self.mu = cx.sample_faces(mu)
-        alpha, beta = bounds
-        _diag_bounds_check(self.lam * self.eps + self.sigma, alpha, beta,
-                           "lambda eps + sigma")
-        _diag_bounds_check(self.lam * self.mu, alpha, beta, "lambda mu")
-        self.a_op = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=cx.curl0))
-        self.space, self.a_matrix = self.a_op.source, self.a_op.matrix
-
-    def t_matrix(self, eps_vals=None, mu_vals=None, sigma_vals=None):
-        e = self.eps if eps_vals is None else eps_vals
-        m = self.mu if mu_vals is None else mu_vals
-        s = self.sigma if sigma_vals is None else sigma_vals
-        return sp.diags(np.concatenate([self.lam * e + s, self.lam * m]))
 
 
 # edges along a sit on cells on axis a, faces normal to a on interior nodes
@@ -319,11 +280,18 @@ def _to_modes(cells, v):
 
 class _EdgeResolvent:
     """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block, A
-    the skew pair ``a_matrix`` of ``curl0``, from one band LU of the edge
-    system (see :class:`MaxwellSystem`) in reverse Cuthill-McKee order, with
-    every column's residual checked on T + A at 1e-10. The experiment
-    passes the transverse-mode curl0 of ``YeeComplex._mode_operators`` and
-    a T constant along y and z, for which the edge system has band (3, 3)."""
+    the skew pair ``a_matrix`` of ``curl0``, with the magnetic field
+    eliminated: with T = diag(te, tf), the rows te e - curl h = f and
+    curl0 e + tf h = g give h = tf^-1 (g - curl0 e) and the edge system
+
+        (W_e te + curl0^H W_f tf^-1 curl0) e = W_e f + curl0^H W_f tf^-1 g,
+
+    which is real symmetric positive definite for real coefficients and has
+    n_edges unknowns instead of n_edges + n_faces. It is solved from one band
+    LU in reverse Cuthill-McKee order, with every column's residual checked
+    on T + A at 1e-10. The experiment passes the transverse-mode curl0 of
+    ``YeeComplex._mode_operators`` and a T constant along y and z, for which
+    the edge system has band (3, 3)."""
 
     def __init__(self, cx, curl0, a_matrix, t):
         diag = t.diagonal()
@@ -392,12 +360,11 @@ def helmholtz_decompose(domain):
                            Subspace(cx.face_space, basis=harmonic_f)))
 
 
-def _maxwell_probes(system):
-    """Tangential sine-mode probes on the edge (+) face space: the modes
-    (1, 1, 1) and (2, 1, 1), each on the edges and then on the faces of one
-    axis in turn, as one (dim, 12) block."""
-    cx = system.complex
-    dim = system.space.dim
+def _maxwell_probes(cx, space):
+    """Tangential sine-mode probes on the edge (+) face space of the complex
+    ``cx``: the modes (1, 1, 1) and (2, 1, 1), each on the edges and then on
+    the faces of one axis in turn, as one (dim, 12) block."""
+    dim = space.dim
     mids = np.concatenate([cx.edge_mid, cx.face_mid])
     # column 6 i + 2 axis + (0 on an edge, 1 on a face) holds mode i
     col = 2 * np.concatenate([cx.edge_axis, cx.face_axis]) + (np.arange(dim) >= cx.n_edges)
@@ -408,7 +375,7 @@ def _maxwell_probes(system):
             lo, hi = cx.domain.extents[a]
             val *= np.sin(k[a] * np.pi * (mids[:, a] - lo) / (hi - lo))
         block[np.arange(dim), 6 * i + col] = val
-    return ProbeSet.from_vectors(system.space, block, copy=False)
+    return ProbeSet.from_vectors(space, block, copy=False)
 
 
 def _laminate_tensor_fns(profile_combined):
@@ -425,15 +392,17 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     """Resolvent convergence of oscillating laminate Maxwell systems toward
     the limit built from the lambda-dependent effective permittivity.
 
-    Per n, the coefficients are eps_n(x) = eps_profile(n x_1 mod 1) etc.; the
-    limit electric tensor is the laminate limit of the combined profile
-    lambda eps + sigma at this lambda -- computed per lambda, never split
-    into a lambda-independent pair. Emits the four block-map gaps on the
-    kernel splitting of the curl block next to the resolvent gap.
+    Per n, the coefficients are eps_n(x) = eps_profile(n x_1 mod 1) etc.,
+    and their midpoint samples lambda eps_n + sigma_n and lambda mu_n must
+    lie in the class ``bounds``; the limit electric tensor is the laminate
+    limit of the combined profile lambda eps + sigma at this lambda --
+    computed per lambda, never split into a lambda-independent pair. Emits
+    the four block-map gaps on the kernel splitting of the curl block next
+    to the resolvent gap.
 
-    Laminate profiles must be exactly representable on the meshes of the
-    rule ``MeshRule(2, min_cells=transverse_cells)``, which pairs 2 cells per
-    period with piecewise-constant two-phase profiles.
+    Laminate profiles must be exactly representable on the meshes of
+    max(2 n, transverse_cells) cells along x, which pair at least 2 cells
+    per period with piecewise-constant two-phase profiles.
 
     Every coefficient depends on x alone, so each system runs in the
     transverse-mode coordinates of :func:`_to_modes`: the complex's
@@ -446,7 +415,6 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     coordinates, up to rounding, and every system is one band along x per
     mode.
     """
-    mesh_rule = MeshRule(2, min_cells=transverse_cells)
     combined = lambda y: lam * eps_profile(y) + sigma_profile(y)
     eps_lambda_fns = _laminate_tensor_fns(combined)
     mu_fns = _laminate_tensor_fns(mu_profile)
@@ -454,30 +422,30 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
 
     rows = []
     for n in n_list:
-        cx_cells = (mesh_rule.cells(n), transverse_cells, transverse_cells)
-        dom = GridDomain.box(cx_cells)
+        cx_cells = (max(2 * n, transverse_cells), transverse_cells, transverse_cells)
+        cx = YeeComplex(GridDomain.box(cx_cells))
         osc = lambda fn: (lambda pts: fn((n * pts[:, 0]) % 1.0))
+        te = lam * cx.sample_edges(osc(eps_profile)) + cx.sample_edges(osc(sigma_profile))
+        tf = lam * cx.sample_faces(osc(mu_profile))
         try:
-            sys_n = MaxwellSystem(dom, osc(eps_profile), osc(mu_profile),
-                                  osc(sigma_profile), lam, bounds)
+            _diag_bounds_check(te, *bounds, "lambda eps + sigma")
+            _diag_bounds_check(tf, *bounds, "lambda mu")
         except CoercivityError as exc:
             raise CoercivityError(f"at oscillation index n={n}: {exc}") from exc
-        cx = sys_n.complex
         # limit system: eps(lambda) tensor entries divided back by lambda so
-        # that lambda * eps_limit + 0 reproduces the lambda-limit exactly
-        eps_lim = cx.sample_edges(eps_lambda_fns) / lam
-        mu_lim = cx.sample_faces(mu_fns)
-        t_n = sys_n.t_matrix()
-        t_lim = sys_n.t_matrix(eps_lim, mu_lim, 0.0)
+        # that lambda * eps_limit reproduces the lambda-limit exactly
+        t_n = sp.diags(np.concatenate([te, tf]))
+        t_lim = sp.diags(np.concatenate([lam * (cx.sample_edges(eps_lambda_fns) / lam),
+                                         lam * cx.sample_faces(mu_fns)]))
         if not all(_constant_across(cx_cells, t.diagonal()) for t in (t_n, t_lim)):
             raise ShapeError(f"at oscillation index n={n}: a coefficient varies along y or z, "
                              "so it has no transverse modes")
 
-        space = sys_n.space
         grad0, curl0, dual_gradient = cx._mode_operators
-        a_matrix = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0)).matrix
-        probes = ProbeSet(space, _to_modes(cx_cells, _maxwell_probes(sys_n).matrix))
-        resolvents = [_EdgeResolvent(cx, curl0, a_matrix, t) for t in (t_n, t_lim)]
+        pair = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0))
+        space = pair.source
+        probes = ProbeSet(space, _to_modes(cx_cells, _maxwell_probes(cx, space).matrix))
+        resolvents = [_EdgeResolvent(cx, curl0, pair.matrix, t) for t in (t_n, t_lim)]
         gap_res = wot_gap(*(LinearOp(space, space, apply=r.solve) for r in resolvents),
                           probes, probes)
 

@@ -63,6 +63,7 @@ __all__ = [
 _ORTHO_TOL = 1e-8
 _BLOCK_INVERSE_TOL = 1e-8
 _BLOCK_INVERSE_SEED = 7
+_SWAP_TOL = 1e-9
 
 
 class Decomposition:
@@ -280,14 +281,14 @@ def tau_gap(a, b, dec, probes0, probes1):
             wot_gap(ma.ms, mb.ms, probes1, probes1))
 
 
-def inversion_swap_check(a, dec, tol=1e-9):
+def inversion_swap_check(a, dec):
     """Check that the Schur maps of a^{-1} for the swapped decomposition are
     the algebraic images of the maps of ``a``:
 
         m00inv' = ms,  m01' = -m10,  m10' = -m01,  ms' = m00inv.
 
     In particular the (1,1) block of a^{-1} inverts back to a_S. Returns True
-    when all four identities hold at tolerance.
+    when all four identities hold at ``_SWAP_TOL`` relative.
     """
     if not dec.explicit:
         raise ShapeError("inversion swap check needs an explicit decomposition")
@@ -303,7 +304,7 @@ def inversion_swap_check(a, dec, tol=1e-9):
     ]
     scale = max(1.0, max(np.abs(m).max() for m in (maps.m00inv_mat, maps.ms_mat) if m.size))
     return all(
-        (x.size == 0 and y.size == 0) or np.abs(x - y).max() <= tol * scale
+        (x.size == 0 and y.size == 0) or np.abs(x - y).max() <= _SWAP_TOL * scale
         for x, y in pairs
     )
 

@@ -97,18 +97,18 @@ class ThermoSystem:
         return _SparseSolver(self.evolution_matrix(), order=order)
 
 
-def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
-                    bounds=None, direction=None):
+def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam, bounds=None):
     """Assemble the coupled system at frequency parameter lam.
 
     ``rho0`` and ``w`` are scalar fields (callable or constant) bounded by
     the declared interval; ``c_field`` and ``kappa_field`` are cell-wise
-    coefficient fields; ``gamma`` is the constant coupling strength. The
-    coercivity constant of lam m0 + m1 is computed, and a nonpositive one
-    raises :class:`CoercivityError`. m1 lives only in the heat-flux block,
-    where m0 is zero, so lam m0 + m1 = blockdiag(lam M, K^{-1}) and the sign
-    of that constant does not depend on lam > 0. A lam <= 0, or a gamma that
-    overflows m0, also raises :class:`CoercivityError`.
+    coefficient fields; ``gamma`` is the constant coupling strength, along
+    x1. The coercivity constant of lam m0 + m1 is computed, and a
+    nonpositive one raises :class:`CoercivityError`. m1 lives only in the
+    heat-flux block, where m0 is zero, so lam m0 + m1 = blockdiag(lam M,
+    K^{-1}) and the sign of that constant does not depend on lam > 0. A
+    lam <= 0, or a gamma that overflows m0, also raises
+    :class:`CoercivityError`.
     """
     if not lam > 0:
         raise CoercivityError("lam must be positive")
@@ -125,7 +125,7 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
     a_matrix = sp.block_diag([pair.matrix, pair.matrix], format="csr")
     cinv = c_field.inverse_field().operator(grad).matrix
     kinv = kappa_field.inverse_field().operator(grad).matrix
-    gam = _coupling_map(grad, gamma, direction)
+    gam = _coupling_map(grad, gamma)
     gam_star = _star(grad, gam)
     m0 = sp.bmat([
         [sp.diags(rho_vals), None, None, None],
@@ -145,12 +145,12 @@ def assemble_thermo(domain, rho0, c_field, gamma, w, kappa_field, lam,
                         float(c), gam, (ns, nv, ns, nv))
 
 
-def congruence_diagonalize(sys, tol=1e-9):
+def congruence_diagonalize(sys):
     """Unit lower-triangular congruence removing the thermal-stress coupling.
 
     Verifies S m0 S* = diag(rho0, C^{-1}, w, 0), S m1 S = m1, and that
     S A S* has the coupled-divergence block pattern while staying
-    skew-adjoint. Returns (S as an operator, residual report).
+    skew-adjoint, to 1e-9. Returns (S as an operator, residual report).
     """
     ns, nv = sys.dims[0], sys.dims[1]
     n = sys.space.dim
@@ -202,7 +202,7 @@ def congruence_diagonalize(sys, tol=1e-9):
         "a_block_pattern": resid(sas, expected_a),
         "a_skewness": resid(sas_adj, -sas),
     }
-    if max(checks.values()) > tol:
+    if max(checks.values()) > 1e-9:
         raise CoercivityError(f"congruence identities violated: {checks}")
     return LinearOp(sys.space, sys.space, matrix=s_mat), checks
 

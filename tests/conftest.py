@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures and the test-side Maxwell system."""
 
 import sys
 
@@ -8,6 +8,8 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from homlab import hilbert
+from homlab.hilbert import LinearOp, _skew_pair
+from homlab.maxwell import YeeComplex
 
 
 def _band_widths(k, order=None):
@@ -41,3 +43,18 @@ def band_lu_calls(monkeypatch):
         if name.partition(".")[0] == "homlab" and getattr(module, "_band_lu", None) is original:
             monkeypatch.setattr(module, "_band_lu", record)
     return calls
+
+
+def maxwell_system(domain, eps, mu, sigma, lam, modes=False):
+    """The Maxwell system (T + A) that the homogenisation experiment forms,
+    on the staggered complex of ``domain``: T = diag(lam eps + sigma, lam mu)
+    from the complex's edge and face samples of ``eps``, ``sigma`` and ``mu``
+    (each a callable or an axis-wise triple), and A the skew pair of the
+    complex's curl0, or of its transverse-mode curl0 with ``modes``.
+    Returns (complex, T as a sparse diagonal, A as an operator on the edge
+    (+) face space)."""
+    cx = YeeComplex(domain)
+    t = sp.diags(np.concatenate([lam * cx.sample_edges(eps) + cx.sample_edges(sigma),
+                                 lam * cx.sample_faces(mu)]))
+    curl0 = cx._mode_operators[1] if modes else cx.curl0
+    return cx, t, _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0))

@@ -238,7 +238,7 @@ def test_criterion_07_resolvent_bounds_and_recovery():
             d = np.sqrt(space.weight)
             a = skew_split(LinearOp(space, space,
                                     matrix=(skew * d[None, :]) / d[:, None]))
-            resolvent_bounds(t, a, tol=1e-9)
+            resolvent_bounds(t, a)
             s = LinearOp(space, space,
                          matrix=np.linalg.inv(t.to_dense() + a.matrix()))
             rec = recover_coefficient(s, a, bounds=(0.5, 4.0))
@@ -359,7 +359,7 @@ def test_criterion_12_thermoelasticity():
         sys = assemble_thermo(dom, lambda p: 1 + 0.5 * p[:, 0], c, 0.8,
                               lambda p: 1 + 0.4 * p[:, 1], k, lam=1.5,
                               bounds=(0.5, 4.0))
-        _, checks = congruence_diagonalize(sys, tol=1e-9)
+        _, checks = congruence_diagonalize(sys)
         assert max(checks.values()) <= 1e-9
 
         two = lambda lo, hi: (lambda y: np.where(np.asarray(y) < 0.5, lo, hi))

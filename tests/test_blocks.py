@@ -163,7 +163,9 @@ class TestApplicatorsTakeBlocks:
         assert_column_stack(lambda x: projected_inverse_1d(a, x), phi)
 
     def test_thermo_and_maxwell_resolvent_solves(self):
-        from homlab.maxwell import MaxwellSystem, _EdgeResolvent
+        from conftest import maxwell_system
+
+        from homlab.maxwell import _EdgeResolvent
         from homlab.thermo import assemble_thermo
 
         dom = GridDomain.interval(0, 1, 12)
@@ -174,16 +176,13 @@ class TestApplicatorsTakeBlocks:
         assert_column_stack(thermo.resolvent_solver().solve,
                             rng.standard_normal((thermo.space.dim, 4)), rtol=1e-10)
         const = lambda v: (lambda p: np.full(len(p), v))
-        maxwell = MaxwellSystem(GridDomain.box((3, 2, 2)), const(2.0), const(1.0), const(0.5),
-                                lam=1.0, bounds=(0.5, 5.0))
         # the experiment's resolvent, on the complex's transverse-mode curl
-        cx, t = maxwell.complex, maxwell.t_matrix()
-        curl0 = cx._mode_operators[1]
-        a_mode = sp.bmat([[None, -curl0.T], [curl0, None]], format="csr")
-        solver = _EdgeResolvent(cx, curl0, a_mode, t)
-        block = random_block(rng, maxwell.space.dim, 3, "complex")
+        cx, t, a_mode = maxwell_system(GridDomain.box((3, 2, 2)), const(2.0), const(1.0),
+                                       const(0.5), lam=1.0, modes=True)
+        solver = _EdgeResolvent(cx, cx._mode_operators[1], a_mode.matrix, t)
+        block = random_block(rng, a_mode.source.dim, 3, "complex")
         assert_column_stack(solver.solve, block, rtol=1e-10)
-        ref = _SparseSolver(t + a_mode).solve(block)
+        ref = _SparseSolver(t + a_mode.matrix).solve(block)
         assert np.abs(solver.solve(block) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

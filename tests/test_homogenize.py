@@ -2,6 +2,7 @@
 experiments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from homlab.errors import (
     CoercivityError,
     HomlabError,
     MeshRuleViolation,
+    QuadratureError,
     ShapeError,
     VanishingHarmonicMean,
 )
@@ -156,6 +158,14 @@ class TestLaminateQuadratureOracle:
     def test_failure_raises(self, profile):
         with pytest.raises(HomlabError):
             laminate_limit(profile)
+
+    def test_zero_phase_raises_without_a_warning(self):
+        # 1/a is infinite on the zero phase: the finiteness check names it,
+        # never a numpy warning on the way there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError):
+                laminate_limit(lambda y: np.where(np.asarray(y) < 0.5, 0.0, 1.0))
 
     def test_vanishing_harmonic_mean_raises(self):
         # 1/a integrates to 0 over a -2/2 two-phase period

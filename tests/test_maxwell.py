@@ -2,11 +2,13 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
+from conftest import maxwell_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +20,9 @@ from homlab.evolution import resolvent_bounds, skew_split
 from homlab.hilbert import LinearOp, _SparseSolver, wot_gap
 from homlab.homogenize import _probe_pair, laminate_limit
 from homlab.maxwell import (
-    MaxwellSystem,
     YeeComplex,
     _EdgeResolvent,
+    _diag_bounds_check,
     _laminate_tensor_fns,
     _maxwell_probes,
     _to_modes,
@@ -186,15 +188,11 @@ class TestComplexStructure:
             assert np.all(mid > np.array(dom.lo)) and np.all(mid < np.array(hi))
 
     def test_block_operator_skew_with_kernel_dims(self):
-        dom = GridDomain.box((3, 3, 3))
-        sys = MaxwellSystem(dom, lambda p: np.full(len(p), 2.0),
-                            lambda p: np.full(len(p), 1.0),
-                            lambda p: np.full(len(p), 0.5),
-                            lam=1.0, bounds=(0.5, 5.0))
-        a = skew_split(sys.a_op)
-        cx = sys.complex
+        cx, _, a_op = maxwell_system(GridDomain.box((3, 3, 3)), const(2.0), const(1.0),
+                                     const(0.5), lam=1.0)
+        a = skew_split(a_op)
         assert a.ker.dim == cx.n_nodes + cx.n_cells - 1
-        assert a.ran.dim == sys.space.dim - a.ker.dim
+        assert a.ran.dim == a_op.source.dim - a.ker.dim
 
 
 class TestHelmholtz:
@@ -256,41 +254,36 @@ class TestHelmholtz:
 
 class TestMaxwellSystem:
     def test_membership_enforced(self):
-        dom = GridDomain.box((3, 3, 3))
-        with pytest.raises(CoercivityError):
-            MaxwellSystem(dom, lambda p: np.full(len(p), 0.1),
-                          lambda p: np.full(len(p), 1.0),
-                          lambda p: np.full(len(p), 0.0),
-                          lam=1.0, bounds=(0.5, 5.0))
+        with pytest.raises(CoercivityError, match="n=1: lambda eps \\+ sigma"):
+            maxwell_homogenization_experiment(
+                TWO_PHASE(0.1, 0.1), TWO_PHASE(1.0, 1.0), TWO_PHASE(0.0, 0.0), lam=1.0,
+                n_list=[1], bounds=(0.5, 5.0), transverse_cells=3)
 
     def test_negative_lambda_fails_the_h_block(self):
         # lambda eps + sigma = 1 is admitted, but the H block lambda mu = -1 is not
-        dom = GridDomain.box((2, 2, 2))
-        with pytest.raises(CoercivityError, match="lambda mu"):
-            MaxwellSystem(dom, lambda p: np.full(len(p), 1.0),
-                          lambda p: np.full(len(p), 1.0),
-                          lambda p: np.full(len(p), 2.0),
-                          lam=-1.0, bounds=(0.4, 10.0))
+        with pytest.raises(CoercivityError, match="n=1: lambda mu"):
+            maxwell_homogenization_experiment(
+                TWO_PHASE(1.0, 1.0), TWO_PHASE(1.0, 1.0), TWO_PHASE(2.0, 2.0), lam=-1.0,
+                n_list=[1], bounds=(0.4, 10.0), transverse_cells=2)
+
+    @pytest.mark.parametrize("vals", [np.array([1.0, 0.0]), np.array([1.0, 0.0j])])
+    def test_zero_entry_fails_without_a_warning(self, vals):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoercivityError, match="lambda mu"):
+                _diag_bounds_check(vals, 0.5, 5.0, "lambda mu")
 
     def test_resolvent_bounds_hold(self):
-        dom = GridDomain.box((3, 3, 3))
-        sys = MaxwellSystem(dom, lambda p: np.full(len(p), 2.0),
-                            lambda p: np.full(len(p), 1.0),
-                            lambda p: np.full(len(p), 0.5),
-                            lam=1.0, bounds=(0.5, 5.0))
-        t = LinearOp(sys.space, sys.space, matrix=sys.t_matrix().toarray())
-        a = skew_split(sys.a_op)
-        resolvent_bounds(t, a)
+        _, t, a_op = maxwell_system(GridDomain.box((3, 3, 3)), const(2.0), const(1.0),
+                                    const(0.5), lam=1.0)
+        resolvent_bounds(LinearOp(a_op.source, a_op.source, matrix=t.toarray()), skew_split(a_op))
 
     def test_axiswise_coefficients(self):
-        dom = GridDomain.box((3, 3, 3))
-        fns = tuple(lambda p, c=c: np.full(len(p), 1.0 + 0.5 * c) for c in range(3))
-        sys = MaxwellSystem(dom, fns, lambda p: np.full(len(p), 1.0),
-                            lambda p: np.full(len(p), 0.0),
-                            lam=1.0, bounds=(0.5, 5.0))
+        cx = YeeComplex(GridDomain.box((3, 3, 3)))
+        eps = cx.sample_edges(tuple(lambda p, c=c: np.full(len(p), 1.0 + 0.5 * c)
+                                    for c in range(3)))
         for axis in range(3):
-            m = sys.complex.edge_axis == axis
-            assert np.allclose(sys.eps[m], 1.0 + 0.5 * axis)
+            assert np.allclose(eps[cx.edge_axis == axis], 1.0 + 0.5 * axis)
 
 
 def const(v):
@@ -301,13 +294,10 @@ def axiswise(*values):
     return tuple(const(v) for v in values)
 
 
-def mode_resolvent(sys, t):
-    """The experiment's resolvent of T + A, A the curl block in the
-    complex's transverse-mode coordinates, and that A."""
-    cx = sys.complex
-    curl0 = cx._mode_operators[1]
-    a_mode = sp.bmat([[None, -curl0.T], [curl0, None]], format="csr")
-    return _EdgeResolvent(cx, curl0, a_mode, t), a_mode
+def mode_resolvent(cx, t, a_mode):
+    """The experiment's resolvent of T + A, A the skew pair ``a_mode`` of
+    the complex's transverse-mode curl0."""
+    return _EdgeResolvent(cx, cx._mode_operators[1], a_mode.matrix, t)
 
 
 class TestEliminatedResolvent:
@@ -318,8 +308,8 @@ class TestEliminatedResolvent:
     def system(self, cells=(4, 3, 3)):
         dom = GridDomain.box(cells, hi=(1.0, 0.7, 1.3))
         osc = lambda lo, hi: (lambda p: np.where(p[:, 0] % 0.5 < 0.25, lo, hi))
-        return MaxwellSystem(dom, axiswise(1.0, 2.0, 3.0), osc(1.0, 2.5),
-                             osc(0.5, 1.5), lam=1.3, bounds=(0.4, 10.0))
+        return maxwell_system(dom, axiswise(1.0, 2.0, 3.0), osc(1.0, 2.5), osc(0.5, 1.5),
+                              lam=1.3, modes=True)
 
     def blocks(self, dim, seed):
         rng = np.random.default_rng(seed)
@@ -328,16 +318,14 @@ class TestEliminatedResolvent:
 
     @pytest.mark.parametrize("limit", [False, True])
     def test_matches_the_monolithic_solve(self, limit):
-        sys = self.system()
-        cx = sys.complex
-        t = sys.t_matrix()
+        cx, t, a_mode = self.system()
         if limit:
             # an axis-wise limit diagonal, as the homogenisation experiment builds
             t = sp.diags(np.concatenate([1.3 * cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
                                          1.3 * cx.sample_faces(axiswise(1.2, 1.7, 1.7))]))
-        solver, a_mode = mode_resolvent(sys, t)
-        ref = _SparseSolver(t + a_mode)
-        for rhs in self.blocks(sys.space.dim, 40):
+        solver = mode_resolvent(cx, t, a_mode)
+        ref = _SparseSolver(t + a_mode.matrix)
+        for rhs in self.blocks(a_mode.source.dim, 40):
             x, x_ref = solver.solve(rhs), ref.solve(rhs)
             assert np.iscomplexobj(x) == np.iscomplexobj(rhs)
             assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
@@ -345,19 +333,20 @@ class TestEliminatedResolvent:
                                        atol=1e-14 * np.abs(x).max())
 
     def test_complex_coefficients(self):
-        sys = self.system((3, 3, 2))
-        t = sys.t_matrix(eps_vals=sys.eps + 0.4j)
-        rhs = self.blocks(sys.space.dim, 41)[1]
-        solver, a_mode = mode_resolvent(sys, t)
-        x, x_ref = solver.solve(rhs), _SparseSolver(t + a_mode).solve(rhs)
+        cx, t, a_mode = self.system((3, 3, 2))
+        # lambda (eps + 0.4 i) + sigma on the edges
+        t = t + sp.diags(np.concatenate([np.full(cx.n_edges, 1.3 * 0.4j), np.zeros(cx.n_faces)]))
+        rhs = self.blocks(a_mode.source.dim, 41)[1]
+        solver = mode_resolvent(cx, t, a_mode)
+        x, x_ref = solver.solve(rhs), _SparseSolver(t + a_mode.matrix).solve(rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
     def test_nan_column_raises(self):
-        sys = self.system()
-        rhs = self.blocks(sys.space.dim, 42)[0]
-        rhs[sys.complex.n_edges + 2, 1] = np.nan
+        cx, t, a_mode = self.system()
+        rhs = self.blocks(a_mode.source.dim, 42)[0]
+        rhs[cx.n_edges + 2, 1] = np.nan
         with pytest.raises(SolverDiverged, match="column 1"):
-            mode_resolvent(sys, sys.t_matrix())[0].solve(rhs)
+            mode_resolvent(cx, t, a_mode).solve(rhs)
 
     def test_maxwell_runs_without_sparse_lu(self, tmp_path, band_lu_calls):
         # every system of the experiment separates in y and z, so each band
@@ -423,11 +412,11 @@ class TestTransverseModes:
     monolithic solve of T + A."""
 
     @staticmethod
-    def laminate(cells):
+    def laminate(cells, modes=False):
         dom = GridDomain.box(cells)
         osc = lambda lo, hi: (lambda p: np.where(p[:, 0] % 0.25 < 0.125, lo, hi))
-        return MaxwellSystem(dom, osc(1.0, 4.0), osc(1.0, 2.0), osc(0.5, 1.0),
-                             lam=1.0, bounds=(0.4, 10.0))
+        return maxwell_system(dom, osc(1.0, 4.0), osc(1.0, 2.0), osc(0.5, 1.0), lam=1.0,
+                              modes=modes)
 
     def test_tables_carry_the_difference_to_one_subdiagonal(self):
         m, h = 8, 0.3
@@ -494,10 +483,9 @@ class TestTransverseModes:
         np.testing.assert_allclose(_to_modes(cells, v), q.T @ v, rtol=0, atol=1e-13)
 
     def test_laminate_edge_matrix_separates_with_bandwidth_3(self, band_lu_calls):
-        sys = self.laminate((16, 8, 8))
-        cx = sys.complex
+        cx, t, a_mode = self.laminate((16, 8, 8), modes=True)
         ne = cx.n_edges
-        diag = sys.t_matrix().diagonal()
+        diag = t.diagonal()
         mass = cx.edge_space.weight * diag[:ne]
         wf_tf = cx.face_space.weight / diag[ne:]
         k = sp.diags(mass) + cx.curl0.T @ sp.diags(wf_tf) @ cx.curl0
@@ -515,16 +503,15 @@ class TestTransverseModes:
         # the experiment's edge resolvent factorises the mode edge matrix,
         # which is the transformed one, with band (3, 3)
         band_lu_calls.clear()
-        solver = mode_resolvent(sys, sys.t_matrix())[0]
+        solver = mode_resolvent(cx, t, a_mode)
         assert abs(solver._edge.k - k_hat).max() <= 1e-13 * big
         assert band_lu_calls == [((ne, ne), 3, 3)]
 
     @pytest.mark.parametrize("cells", [(3, 3, 2), (3, 2, 2), (2, 2, 2)])
     def test_thin_boxes(self, cells, band_lu_calls):
-        sys = self.laminate(cells)
-        cx, space = sys.complex, sys.space
-        t = sys.t_matrix()
-        ref = _SparseSolver(t + sys.a_matrix)
+        cx, t, a_op = self.laminate(cells)
+        space = a_op.source
+        ref = _SparseSolver(t + a_op.matrix)
         phys = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
         g, ghw = phys.h0.generator, phys.h0.gh_w
         m00inv = _SparseSolver(ghw @ t @ g)
@@ -547,8 +534,8 @@ class TestTransverseModes:
         assert len(band_lu_calls) == 3 and all(max(kl, ku) <= 3 for _, kl, ku in band_lu_calls)
 
     def test_kernel_projectors_and_a00_match_superlu(self):
-        sys = self.laminate((8, 4, 5))
-        cx, space = sys.complex, sys.space
+        cx, t_n, a_op = self.laminate((8, 4, 5))
+        space = a_op.source
         phys = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
         g, ghw = phys.h0.generator, phys.h0.gh_w
         gram = _SparseSolver(ghw @ g)
@@ -560,9 +547,9 @@ class TestTransverseModes:
         assert np.abs(p0 - p0_ref).max() <= 1e-10 * np.abs(p0_ref).max()
         np.testing.assert_allclose(dec.h1.project(q.T @ v), q.T @ v - p0_ref, rtol=0,
                                    atol=1e-10 * np.abs(v).max())
-        limit = sys.t_matrix(cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
-                             cx.sample_faces(axiswise(1.2, 1.7, 1.7)), 0.0)
-        for t in (sys.t_matrix(), limit):
+        limit = sp.diags(np.concatenate([cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
+                                         cx.sample_faces(axiswise(1.2, 1.7, 1.7))]))
+        for t in (t_n, limit):
             maps = schur_maps(LinearOp(space, space, matrix=t.tocsr()), dec)
             ref = q.T @ (g @ _SparseSolver(ghw @ t @ g).solve(ghw @ (q @ p0)))
             assert np.abs(maps.m00inv(p0) - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -612,14 +599,14 @@ class TestHomogenizationExperiment:
         for n, row in zip(n_list, rep.rows):
             osc = lambda fn: (lambda p: fn((n * p[:, 0]) % 1.0))
             cells = (max(2 * n, 4), 4, 4)
-            sys = MaxwellSystem(GridDomain.box(cells), osc(eps), osc(mu), osc(sigma), lam, bounds)
-            cx, space = sys.complex, sys.space
-            t_n = sys.t_matrix()
-            t_lim = sys.t_matrix(
-                cx.sample_edges(_laminate_tensor_fns(lambda y: lam * eps(y) + sigma(y))) / lam,
-                cx.sample_faces(_laminate_tensor_fns(mu)), 0.0)
-            probes = _maxwell_probes(sys)
-            gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + sys.a_matrix).solve)
+            cx, t_n, a_op = maxwell_system(GridDomain.box(cells), osc(eps), osc(mu), osc(sigma),
+                                           lam)
+            space = a_op.source
+            eps_lim = cx.sample_edges(_laminate_tensor_fns(lambda y: lam * eps(y) + sigma(y)))
+            t_lim = sp.diags(np.concatenate([lam * (eps_lim / lam),
+                                             lam * cx.sample_faces(_laminate_tensor_fns(mu))]))
+            probes = _maxwell_probes(cx, space)
+            gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + a_op.matrix).solve)
                                 for t in (t_n, t_lim)), probes, probes)
             dec = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
             p0, p1 = _probe_pair(dec, lambda start, stop: probes.matrix[:, start:stop].copy(),
@@ -630,6 +617,24 @@ class TestHomogenizationExperiment:
             for col, ref in zip(("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_resolvent"),
                                 (*gaps, gap_res)):
                 assert abs(row[col] - ref) <= 1e-12 * abs(ref), (n, col)
+
+    def test_one_skew_pair_per_n(self, monkeypatch):
+        # the experiment forms the skew pair of the mode curl0 only
+        curls = []
+
+        def counting(c):
+            curls.append(c.matrix)
+            return pair(c)
+
+        pair = maxwell._skew_pair
+        monkeypatch.setattr(maxwell, "_skew_pair", counting)
+        maxwell_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
+            lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
+        assert len(curls) == 2
+        for n, curl0 in zip([1, 2], curls):
+            cx = YeeComplex(GridDomain.box((max(2 * n, 3), 3, 3)))
+            assert abs(curl0 - cx._mode_operators[1]).max() == 0.0
 
     def test_coefficient_varying_along_y_has_no_transverse_modes(self, monkeypatch):
         y_varying = lambda pts: 1.0 + 0.5 * (pts[:, 1] < 0.5)

@@ -6,11 +6,12 @@ and probe loops it replaced in the two-scale, thermo and Maxwell systems
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import maxwell_system
 
 from homlab.elliptic import CoefficientField, GridDomain, build_grad
 from homlab.evolution import grid_skew_block
 from homlab.hilbert import HilbertSpace, LinearOp, ProbeSet, _skew_pair, adjoint
-from homlab.maxwell import MaxwellSystem, _maxwell_probes
+from homlab.maxwell import _maxwell_probes
 from homlab.thermo import _thermo_probes, assemble_thermo
 
 
@@ -32,11 +33,12 @@ def thermo_system(dom, gamma=0.7):
     return assemble_thermo(dom, 1.5, c, gamma, 0.9, kappa, lam=1.3, bounds=(0.4, 5.0))
 
 
-def maxwell_system(cells=(4, 3, 3)):
+def maxwell_laminate(cells=(4, 3, 3)):
+    """The complex and skew pair of a Maxwell laminate system."""
     dom = GridDomain.box(cells, hi=(1.0, 0.7, 1.3))
     osc = lambda lo, hi: (lambda p: np.where(p[:, 0] % 0.5 < 0.25, lo, hi))
-    return MaxwellSystem(dom, osc(1.0, 2.0), osc(1.0, 2.5), osc(0.5, 1.5),
-                         lam=1.3, bounds=(0.4, 10.0))
+    cx, _, a = maxwell_system(dom, osc(1.0, 2.0), osc(1.0, 2.5), osc(0.5, 1.5), lam=1.3)
+    return cx, a
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -92,13 +94,11 @@ def test_thermo_blocks_match_the_hand_built_ones(cells):
 
 
 def test_maxwell_block_matches_the_hand_built_one():
-    sys = maxwell_system()
-    cx = sys.complex
+    cx, a = maxwell_laminate()
     curl = cx.curl_adjoint_matrix()
-    assert_same_csr(sys.a_matrix, sp.bmat([[None, -curl], [cx.curl0, None]]).tocsr())
-    assert np.array_equal(sys.space.weight,
+    assert_same_csr(a.matrix, sp.bmat([[None, -curl], [cx.curl0, None]]).tocsr())
+    assert np.array_equal(a.source.weight,
                           np.concatenate([cx.edge_space.weight, cx.face_space.weight]))
-    assert sys.a_op.matrix is sys.a_matrix and sys.a_op.source is sys.space
 
 
 def old_thermo_probes(sys, count=8):
@@ -158,9 +158,9 @@ def test_thermo_probe_block_matches_the_loop(dom):
 
 @pytest.mark.parametrize("cells", [(4, 3, 3), (6, 2, 3)])
 def test_maxwell_probe_block_matches_the_loop(cells):
-    sys = maxwell_system(cells)
-    probes = _maxwell_probes(sys)
-    ref, space = old_maxwell_probes(sys.complex)
-    assert probes.space is sys.space and space.compatible(sys.space)
-    assert probes.matrix.shape == (sys.space.dim, 12)
+    cx, a = maxwell_laminate(cells)
+    probes = _maxwell_probes(cx, a.source)
+    ref, space = old_maxwell_probes(cx)
+    assert probes.space is a.source and space.compatible(a.source)
+    assert probes.matrix.shape == (a.source.dim, 12)
     assert np.array_equal(probes.matrix, ref.matrix)

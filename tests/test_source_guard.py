@@ -23,7 +23,8 @@ counts where it is an attribute, a bare name, an import or a string
 constant, such as the routine names passed to ``get_lapack_funcs``. Grid stiffness matrices never reach the band LU, so
 ``elliptic`` names neither ``_band_lu`` nor ``_SparseSolver``.
 A parameter with a default is a setting, so some call in the repository sets
-it; a numerical setting that no caller changes is a module constant.
+it to something else than a literal copy of the default; a numerical setting
+that no caller changes is a module constant.
 A check raises an error: no ``assert`` statement appears in homlab, because
 ``python -O`` removes them and the check with them.
 A grid gradient is real, so G^H is ``matrix.T``: no ``.matrix.conj()``
@@ -59,10 +60,9 @@ _LAPACK = {"gttrf", "gbtrf"}
 _GRID_FREE = {"_SparseSolver", "_band_lu"}
 # where the calls that set homlab's defaulted parameters may be
 _CALLERS = ("src/homlab", "demos", "perfbench", "tools", "tests")
-# defaulted parameters that no call needs to set: problem parameters with one
-# value every caller wants, and click's binding of a command's kind
-_UNSET_ALLOWED = {"elliptic.solve_affine:flavor", "elliptic.projected_inverse_1d:extent",
-                  "thermo.assemble_thermo:direction", "cli._register._cmd:_kind"}
+# the one defaulted parameter that no call needs to set: click's binding of a
+# command's kind
+_UNSET_ALLOWED = {"cli._register._cmd:_kind"}
 
 
 def _dotted(node):
@@ -271,10 +271,11 @@ def test_scan_sees_an_assert(tmp_path):
 
 
 def _defaulted_parameters(path):
-    """(qualified name, called name, parameter, position) of every parameter
-    with a default on every function and method of a module. The position
-    counts what a call passes (no self or cls), None for a keyword-only
-    parameter; a call names an ``__init__`` by its class or as ``cls``."""
+    """(qualified name, called name, parameter, position, default) of every
+    parameter with a default on every function and method of a module. The
+    position counts what a call passes (no self or cls), None for a
+    keyword-only parameter; a call names an ``__init__`` by its class or as
+    ``cls``; the default is its expression node."""
     found = []
 
     def visit(node, scope, cls):
@@ -288,11 +289,11 @@ def _defaulted_parameters(path):
                 bound = 1 if cls is not None and not static else 0
                 args = child.args.posonlyargs + child.args.args
                 first = len(args) - len(child.args.defaults)
-                for i, arg in enumerate(args[first:], first):
-                    found.append((qual, called, arg.arg, i - bound))
+                for i, (arg, default) in enumerate(zip(args[first:], child.args.defaults), first):
+                    found.append((qual, called, arg.arg, i - bound, default))
                 for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
                     if default is not None:
-                        found.append((qual, called, arg.arg, None))
+                        found.append((qual, called, arg.arg, None, default))
                 visit(child, scope + [child.name], None)
             else:
                 visit(child, scope, cls)
@@ -301,26 +302,43 @@ def _defaulted_parameters(path):
     return found
 
 
+def _literal(node):
+    """The value of a literal expression node, with its type, or None."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return type(value), value
+
+
 def _unset_parameters(modules, callers):
     """``module.function:parameter`` for each defaulted parameter of the given
     modules that no call in the caller files passes, by keyword (or a
-    ``**`` mapping) or by position (or a ``*`` sequence). Calls are matched
-    by the called name alone."""
+    ``**`` mapping) or by position (or a ``*`` sequence). A literal equal to
+    the default, of the same type, does not set the parameter. Calls are
+    matched by the called name alone."""
     calls = {}
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 calls.setdefault(_dotted(node.func).rpartition(".")[2], []).append(node)
 
-    def passes(call, param, position):
-        if any(k.arg in (param, None) for k in call.keywords):
+    def passes(call, param, position, default):
+        ref = _literal(default)
+        changes = lambda node: ref is None or _literal(node) != ref
+        if any(k.arg is None or k.arg == param and changes(k.value) for k in call.keywords):
             return True
-        return position is not None and (len(call.args) > position or any(
-            isinstance(a, ast.Starred) for a in call.args))
+        for i, arg in enumerate(call.args if position is not None else ()):
+            if isinstance(arg, ast.Starred):
+                return True    # it may fill the parameter's slot
+            if i == position:
+                return changes(arg)
+        return False
 
     return sorted(f"{qual}:{param}" for path in modules
-                  for qual, called, param, position in _defaulted_parameters(path)
-                  if not any(passes(c, param, position) for n in called for c in calls.get(n, ())))
+                  for qual, called, param, position, default in _defaulted_parameters(path)
+                  if not any(passes(c, param, position, default)
+                             for n in called for c in calls.get(n, ())))
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
@@ -342,6 +360,21 @@ def test_scan_sees_an_unset_parameter(tmp_path):
     caller = tmp_path / "use.py"
     caller.write_text("import mod\n\nmod.A.s(1)\nmod.g(1, 2)\n")
     assert _unset_parameters([src], [src, caller]) == ["mod.A.__init__:z", "mod.A.s:b", "mod.g:seed"]
+
+
+def test_scan_sees_a_default_passed_as_a_literal(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(a, tol=1e-9, flavor='dirichlet', extent=(0.0, 1.0), n=1, *, g=None,"
+                   " h=2):\n    return a\n")
+    caller = tmp_path / "use.py"
+    # a copy of the default sets nothing; another value, a value of another
+    # type or an expression does
+    caller.write_text("import mod\n\nmod.f(1, 1e-9, flavor='dirichlet', extent=(0.0, 1.0),"
+                      " g=None)\nmod.f(1, tol=1e-9, n=1.0, h=len)\nmod.f(1, 1e-9, 'neumann')\n")
+    assert _unset_parameters([src], [caller]) == ["mod.f:extent", "mod.f:g", "mod.f:tol"]
+    # a * sequence may fill every slot from its own on, but no keyword-only one
+    caller.write_text("import mod\n\nmod.f(1, 1e-9, *[2])\n")
+    assert _unset_parameters([src], [caller]) == ["mod.f:g", "mod.f:h", "mod.f:tol"]
 
 
 def _matrix_conj(node):

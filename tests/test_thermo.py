@@ -149,7 +149,7 @@ class TestCongruence:
         sys = assemble_thermo(dom, lambda p: 1 + 0.5 * p[:, 0], c, 0.9,
                               lambda p: 1 + 0.4 * p[:, 1], k, lam=1.5,
                               bounds=(0.5, 4.0))
-        _, checks = congruence_diagonalize(sys, tol=1e-9)
+        _, checks = congruence_diagonalize(sys)
         assert max(checks.values()) <= 1e-9
 
 
