@@ -8,30 +8,13 @@ from the probe seed; the grid experiments probe with fixed sine modes, so
 their rows do not depend on it. Each runner reads its keys through one
 table, ``_KEYS[kind]``, and ``params`` checks a config against it before any
 experiment code runs: an unknown or unread key and a value that breaks its
-rule are config errors; ``homlab describe <kind>`` prints the table. Exit
-codes: 0 when every assertion of the selected experiment holds, 1 on
-assertion failure (with a machine-readable JSON summary on stdout), 2 on usage
-or configuration errors.
-
-Frozen CSV column schemas (schema version 1; bump on change):
-
-    hconv/laminate2d  n, cells_per_axis, unknowns, err_solution, err_flux
-    cell              i, j, value, expected, abs_err
-    qdind             n, cells, gap_inverse, gap_projected, gap_flux
-    schur-gap         n, cells_per_axis, gap_m00inv, gap_m01, gap_m10,
-                      gap_ms, gap_solution
-    divcurl           n, pairing, weak_limit_product, gap
-    divtest           case, n, projection_gap, divergence_gap
-    evo               n, gap_m00inv, gap_m01, gap_m10, gap_ms,
-                      gap_resolvent, gap_strong
-    recover           trials, worst_error
-    thermo            n, cells, gap_resolvent, gap_c_m00inv, gap_c_m01,
-                      gap_c_m10, gap_c_ms, gap_w, gap_rho
-    maxwell           n, cells_x, gap_m00inv, gap_m01, gap_m10, gap_ms,
-                      gap_resolvent
-    helmholtz         flavor, dim_gradients, dim_curls, dim_harmonic,
-                      space_dim
-    solution dumps    entity, x0[, x1[, x2]], value
+rule are config errors; ``homlab describe <kind>`` prints the table. A
+runner then calls one library experiment, writes its report, whose CSV
+columns (schema version 1; bump on change) are its row keys, and returns
+the failures of the experiment's library verdict; the README's CLI table
+lists each kind's function, verdict and columns. Exit codes: 0 when every
+assertion of the selected experiment holds, 1 on assertion failure (with a
+machine-readable JSON summary on stdout), 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -49,9 +32,10 @@ import numpy as np
 from . import elliptic, evolution, homogenize, maxwell as maxwell_mod, thermo as thermo_mod
 from .elliptic import CoefficientField, GridDomain, RHSFunctional
 from .errors import ConfigError, HomlabError, ShapeError
-from .hilbert import _DENSE_SVD_CUTOFF, HilbertSpace, LinearOp, _dense_lu
+from .hilbert import _DENSE_SVD_CUTOFF
 from .homogenize import CoefficientSequence, MeshRule, laminate_limit
-from .serialize import config_digest, dump_solution_csv, write_report_csv
+from .serialize import (config_digest, dump_solution_csv, load_coefficient_text, save_triplet,
+                        write_report_csv)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -232,21 +216,22 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
     "solve1d": {"domain.cells": (int, 256, 2), "coefficients.path": (str, None, None),
                 **_PROFILE},
     "laminate2d": {**_HCONV, "domain.dim": (int, 2, (2, 2))},
-    "cell": {"domain.cells": (int, 64, 1), **_PROFILE, "run.tolerance": (float, 0.02, POSITIVE),
-             "coefficients.cell_kind": (str, "laminate",
-                                        ("laminate", "checkerboard", "constant"))},
+    "cell": {"domain.cells": (int, 64, 1), **_PROFILE,
+             "run.tolerance": (float, homogenize._CELL_TOL, POSITIVE),
+             "coefficients.cell_kind": (str, "laminate", ("laminate", "checkerboard", "constant"))},
     "hconv": _HCONV,
     "qdind": {**_PROFILE, "run.n_list": (list, REQUIRED, 1), "run.cells_per_period": (int, 32, 2),
-              "run.tolerance": (float, 1e-2, POSITIVE),
-              "run.min_correlation": (float, 0.9, (-1.0, 1.0))},
-    "schur-gap": {**_LAMINATE, "run.tolerance": (float, 0.05, POSITIVE)},
+              "run.tolerance": (float, homogenize._QDIND_TOL, POSITIVE),
+              "run.min_correlation": (float, homogenize._QDIND_MIN_CORRELATION, (-1.0, 1.0))},
+    "schur-gap": {**_LAMINATE, "run.tolerance": (float, homogenize._SCHUR_TOL, POSITIVE)},
     "divcurl": {
         "run.mode": (str, "compliant", ("compliant", "counterexample")),
         "run.n_list": (list, [4, 8, 16, 32], 1),
         # counterexample: the grid and the floor of the pairings
-        "domain.cells": (int, 4096, 2), "run.gap_floor": (float, 0.1, 0),
+        "domain.cells": (int, 4096, 2), "run.gap_floor": (float, elliptic._DIVCURL_GAP_FLOOR, 0),
         # compliant: the profile and the mesh
-        **_PROFILE, "run.cells_per_period": (int, 64, 2), "run.tolerance": (float, 0.02, POSITIVE),
+        **_PROFILE, "run.cells_per_period": (int, 64, 2),
+        "run.tolerance": (float, elliptic._DIVCURL_TOL, POSITIVE),
     },
     "divtest": {"domain.cells": (int, 2048, 2), "run.n_list": (list, [4, 8, 16], 1)},
     "evo": {
@@ -255,7 +240,7 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
         "run.tolerance": (float, None, POSITIVE),    # 1e-6 synthetic, 5e-2 two_scale
         "run.cells_per_period": (int, 32, 2),    # two_scale
         "run.space_dim": (int, 10, 4),    # synthetic; below 4 the forced kernel is all
-        "run.slope_tolerance": (float, 0.1, POSITIVE),    # synthetic
+        "run.slope_tolerance": (float, evolution._SLOPE_TOL, POSITIVE),    # synthetic
     },
     "recover": {"run.trials": (int, 200, 1),
                 "run.dim_max": (int, 10, 3)},    # sizes are drawn from [2, dim_max)
@@ -267,14 +252,15 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
            for phase, default in (("low", 1.0), ("high", 4.0))},
         # cells_per_period x max(n_list) is checked by _run_thermo
         "run.n_list": (list, [2, 4, 8, 16], 1), "run.cells_per_period": (int, 32, 2),
-        "run.tolerance": (float, 5e-2, POSITIVE),
+        "run.tolerance": (float, thermo_mod._THERMO_TOL, POSITIVE),
     },
     "maxwell": {
         "coefficients.lambda": (float, 1.0, None),    # checked with the phases by _admit
         **{f"coefficients.{name}": (float, default, POSITIVE) for name, default in
            (("eps_low", 1.0), ("eps_high", 4.0), ("mu_low", 1.0), ("mu_high", 2.0))},
         "coefficients.sigma_low": (float, 1.0, 0), "coefficients.sigma_high": (float, 1.0, 0),
-        "run.n_list": (list, [1, 2, 4, 8], 1), "run.tolerance": (float, 1e-1, POSITIVE),
+        "run.n_list": (list, [1, 2, 4, 8], 1),
+        "run.tolerance": (float, maxwell_mod._MAXWELL_TOL, POSITIVE),
         "run.transverse_cells": (int, 8, 2),    # the Yee complex's minimum
     },
     # 2 is the Yee complex's minimum
@@ -396,19 +382,12 @@ def _emit(out, name, report, digest):
     return path
 
 
-def _table(kind, columns, rows, meta=None):
-    return homogenize.ExperimentReport(kind=kind, columns=tuple(columns),
-                                       rows=rows, meta=meta or {})
-
-
 # -- experiment runners: each returns (artifact paths, failure strings) -------
 
 
 def _run_solve1d(p, out, seed, digest):
     coef_path = p["coefficients.path"]
     if coef_path:
-        from .serialize import load_coefficient_text
-
         try:
             a = load_coefficient_text(coef_path)
         except (OSError, UnicodeDecodeError, ShapeError) as exc:
@@ -429,276 +408,96 @@ def _run_solve1d(p, out, seed, digest):
     path = os.path.join(out, "solution.csv")
     dump_solution_csv(path, grad, u, q, digest=digest)
     # matrix fixtures in the sparse triplet format
-    from .serialize import save_triplet
-
     trip = os.path.join(out, "galerkin.triplet")
     save_triplet(trip, elliptic.galerkin_matrix(grad, a))
     return [path, trip], []
 
 
-def _run_hconv(p, out, seed, digest):
+def _laminate(p):
+    """The laminate family, candidate and mesh rule of hconv and schur-gap."""
     dim = p["domain.dim"]
     profile, bounds = _profile_from(p)
-    seq = CoefficientSequence.laminate(profile, bounds=bounds)
-    ppd = p["run.cells_per_period"] or (32 if dim == 1 else 16)
-    tol = p["run.tolerance"] or (0.02 if dim == 1 else 0.05)
-    cand = _candidate_from(p, profile, dim)
-    f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
+    return (CoefficientSequence.laminate(profile, bounds=bounds), _candidate_from(p, profile, dim),
+            MeshRule(p["run.cells_per_period"] or (32 if dim == 1 else 16)))
+
+
+def _run_hconv(p, out, seed, digest):
+    seq, cand, rule = _laminate(p)
     rep = homogenize.hconvergence_experiment(
-        seq, f, cand, p["run.n_list"], dim=dim, mesh_rule=MeshRule(ppd),
-        probe_seed=seed)
-    paths = [_emit(out, "hconv", rep, digest)]
-    ok, msg = rep.check_decay(("err_solution", "err_flux"), tol)
-    return paths, [] if ok else [f"hconv decay: {msg}"]
+        seq, RHSFunctional.density(lambda pts: np.ones(len(pts))), cand, p["run.n_list"],
+        dim=p["domain.dim"], mesh_rule=rule, probe_seed=seed)
+    return [_emit(out, "hconv", rep, digest)], homogenize.hconv_verdict(rep, p["run.tolerance"])
 
 
 def _run_cell(p, out, seed, digest):
-    kind = p["coefficients.cell_kind"]
-    cells = p["domain.cells"]
+    kind, cells = p["coefficients.cell_kind"], p["domain.cells"]
     elliptic.check_budget((cells, cells), "periodic")    # before the field is sampled
-    tol = p["run.tolerance"]
+    dom = GridDomain.box((cells, cells))
     profile, bounds = _profile_from(p)
     if kind == "laminate":
-        dom = GridDomain.box((cells, cells))
         field = CoefficientField.from_function(
             dom, lambda pts: profile(pts[:, 0] % 1.0), bounds=bounds)
-        a_h, a_m = laminate_limit(profile)
-        expected = np.diag([a_h, a_m])
+        expected = np.diag(laminate_limit(profile))
     elif kind == "checkerboard":
         low, high = p["coefficients.low"], p["coefficients.high"]
-        dom = GridDomain.box((cells, cells))
-
-        def cb(pts):
-            return np.where(((np.floor(2 * pts[:, 0]) + np.floor(2 * pts[:, 1])) % 2) == 0,
-                            low, high)
-
-        field = CoefficientField.from_function(dom, cb,
-                                               bounds=(min(low, high), max(low, high)))
+        cb = lambda pts: np.where((np.floor(2 * pts[:, 0]) + np.floor(2 * pts[:, 1])) % 2 == 0,
+                                  low, high)
+        field = CoefficientField.from_function(dom, cb, bounds=(min(low, high), max(low, high)))
         expected = np.sqrt(low * high) * np.eye(2)
     else:
         v = p["coefficients.value"] or 2.0
-        dom = GridDomain.box((cells, cells))
         field = CoefficientField.constant(dom, v, bounds=(v, v))
         expected = v * np.eye(2)
-    a_hom = homogenize.homogenized_tensor(field)
-    scale = np.abs(expected).max()
-    rows = [{"i": i, "j": j, "value": a_hom[i, j].real,
-             "expected": expected[i, j], "abs_err": abs(a_hom[i, j] - expected[i, j])}
-            for i in range(2) for j in range(2)]
-    rep = _table("cell", ("i", "j", "value", "expected", "abs_err"), rows,
-                 {"cells": cells, "kind": kind})
-    paths = [_emit(out, "cell", rep, digest)]
-    err = max(r["abs_err"] for r in rows) / scale
-    return paths, [] if err <= tol else [f"cell tensor error {err:.3e} above {tol}"]
+    rep = homogenize.cell_experiment(field, expected)
+    return [_emit(out, "cell", rep, digest)], homogenize.cell_verdict(rep, p["run.tolerance"])
 
 
 def _run_qdind(p, out, seed, digest):
-    profile, bounds = _profile_from(p)
-    seq = CoefficientSequence.laminate(profile, bounds=bounds)
-    n_list, tol, min_corr = p["run.n_list"], p["run.tolerance"], p["run.min_correlation"]
-    rep = homogenize.qdind_check(seq, n_list, mesh_rule=MeshRule(p["run.cells_per_period"]),
-                                 probe_seed=seed)
-    paths = [_emit(out, "qdind", rep, digest)]
-    failures = []
-    ok, msg = rep.check_decay(("gap_inverse", "gap_projected", "gap_flux"), tol)
-    if not ok:
-        failures.append(f"qdind decay: {msg}")
-    if len(n_list) > 2:
-        corr = homogenize.log_gap_correlation(rep, "gap_inverse", "gap_projected")
-        if corr < min_corr:
-            failures.append(f"qdind correlation {corr:.3f} below {min_corr}")
-    return paths, failures
+    rep = homogenize.qdind_check(CoefficientSequence.laminate(*_profile_from(p)), p["run.n_list"],
+                                 mesh_rule=MeshRule(p["run.cells_per_period"]), probe_seed=seed)
+    return [_emit(out, "qdind", rep, digest)], homogenize.qdind_verdict(
+        rep, p["run.tolerance"], p["run.min_correlation"])
 
 
 def _run_schur_gap(p, out, seed, digest):
-    dim = p["domain.dim"]
-    profile, bounds = _profile_from(p)
-    seq = CoefficientSequence.laminate(profile, bounds=bounds)
-    ppd = p["run.cells_per_period"] or (32 if dim == 1 else 16)
-    tol = p["run.tolerance"]
-    cand = _candidate_from(p, profile, dim)
-    rep = homogenize.schur_equiv_check(seq, p["run.n_list"], cand, dim=dim,
-                                       mesh_rule=MeshRule(ppd), probe_seed=seed)
-    paths = [_emit(out, "schur_gap", rep, digest)]
-    cols = ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_solution")
-    ok, msg = rep.check_decay(cols, tol)
-    return paths, [] if ok else [f"schur gaps: {msg}"]
+    seq, cand, rule = _laminate(p)
+    rep = homogenize.schur_equiv_check(seq, p["run.n_list"], cand, dim=p["domain.dim"],
+                                       mesh_rule=rule, probe_seed=seed)
+    return [_emit(out, "schur_gap", rep, digest)], homogenize.schur_verdict(
+        rep, p["run.tolerance"])
 
 
 def _run_divcurl(p, out, seed, digest):
-    mode, n_list = p["run.mode"], p["run.n_list"]
-    rows = []
-    failures = []
-    if mode == "counterexample":
-        dom = GridDomain.interval(0, 1, p["domain.cells"])
-        phi = elliptic.smooth_bump(dom)
-        grad = elliptic.build_grad(dom)
-        half_phi = 0.5 * (grad.elem_measure * phi(grad.elem_mid)).sum()
-        fields = [(lambda pts, n=n: np.sin(2 * np.pi * n * pts)) for n in n_list]
-        vals = elliptic.divcurl_pairing(dom, fields, fields, phi=phi)
-        for n, v in zip(n_list, vals):
-            rows.append({"n": n, "pairing": v.real, "weak_limit_product": 0.0,
-                         "gap": abs(v.real)})
-        floor = p["run.gap_floor"]
-        if not all(r["gap"] > floor * abs(half_phi) / 0.5 * 0.5 for r in rows):
-            failures.append("counterexample pairing collapsed toward zero")
-        if abs(rows[-1]["pairing"] - half_phi) > 0.05 * abs(half_phi):
-            failures.append("counterexample pairing missed half the cutoff mass")
+    if p["run.mode"] == "counterexample":
+        rep = elliptic.divcurl_counterexample(p["domain.cells"], p["run.n_list"])
     else:
-        ppd = p["run.cells_per_period"]
-        elliptic.check_budget((ppd * max(n_list),), "dirichlet")    # before any field is sampled
-        f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
-        profile, bounds = _profile_from(p)
-        r_fn = lambda pts: np.stack([np.cos(np.pi * pts[:, 0])], axis=-1)
-        a_h, _ = laminate_limit(profile)
-        vals = []
-        for n in n_list:
-            dom = GridDomain.interval(0, 1, ppd * n)
-            a = CoefficientField.from_function(
-                dom, lambda pts, n=n: profile((n * pts[:, 0]) % 1.0), bounds=bounds)
-            u, _ = elliptic.solve_elliptic(dom, a, f)
-            g = elliptic.build_grad(dom)
-            vals.append(elliptic.divcurl_pairing(
-                dom, [g.matrix @ u], [g.sample_vector(r_fn)])[0])
-        dom = GridDomain.interval(0, 1, ppd * max(n_list))
-        a_lim = CoefficientField.constant(dom, a_h, bounds=bounds, check=False)
-        u, _ = elliptic.solve_elliptic(dom, a_lim, f)
-        g = elliptic.build_grad(dom)
-        lim = elliptic.divcurl_pairing(dom, [g.matrix @ u],
-                                       [g.sample_vector(r_fn)])[0]
-        for n, v in zip(n_list, vals):
-            rows.append({"n": n, "pairing": v.real, "weak_limit_product": lim.real,
-                         "gap": abs(v - lim)})
-        tol = p["run.tolerance"]
-        if not (rows[-1]["gap"] <= tol * abs(lim) and rows[0]["gap"] >= rows[-1]["gap"]):
-            failures.append("compliant pairing did not converge to the limit pairing")
-    rep = _table("divcurl", ("n", "pairing", "weak_limit_product", "gap"), rows,
-                 {"mode": mode})
-    return [_emit(out, "divcurl", rep, digest)], failures
+        rep = elliptic.divcurl_compliant(*_profile_from(p), p["run.cells_per_period"],
+                                         p["run.n_list"])
+    return [_emit(out, "divcurl", rep, digest)], elliptic.divcurl_verdict(
+        rep, p["run.tolerance"], p["run.gap_floor"])
 
 
 def _run_divtest(p, out, seed, digest):
-    dom = GridDomain.interval(0, 1, p["domain.cells"])
-    grad = elliptic.build_grad(dom)
-    rows = []
-    zero = np.zeros(grad.vector_space.dim)
-    # vanishing case: the difference IS zero
-    d0 = elliptic.divergence_defect(dom, zero, zero)
-    rows.append({"case": 0, "n": 0, "projection_gap": d0.projection_gap,
-                 "divergence_gap": d0.divergence_gap})
-    for n in p["run.n_list"]:
-        r_n = grad.sample_vector(lambda pts, n=n: np.cos(2 * np.pi * n * pts))
-        d = elliptic.divergence_defect(dom, r_n, zero)
-        rows.append({"case": 1, "n": n, "projection_gap": d.projection_gap,
-                     "divergence_gap": d.divergence_gap})
-    failures = []
-    for r in rows:
-        small = r["projection_gap"] < 1e-8 and r["divergence_gap"] < 1e-8
-        large = r["projection_gap"] > 1e-3 and r["divergence_gap"] > 1e-3
-        if not (small or large):
-            failures.append(f"divtest row n={r['n']}: gaps did not vanish together")
-    rep = _table("divtest", ("case", "n", "projection_gap", "divergence_gap"), rows)
-    return [_emit(out, "divtest", rep, digest)], failures
+    rep = elliptic.divtest_experiment(p["domain.cells"], p["run.n_list"])
+    return [_emit(out, "divtest", rep, digest)], elliptic.divtest_verdict(rep)
 
 
 def _run_evo(p, out, seed, digest):
-    n_list = p["run.n_list"]
-    failures = []
     if p["run.mode"] == "two_scale":
-        tol = p["run.tolerance"] or 5e-2
-        ppd = p["run.cells_per_period"]
-
-        def factory(n):
-            dom = GridDomain.interval(0, 1, ppd * n)
-            grad = elliptic.build_grad(dom, "dirichlet")
-            op, space = evolution.grid_skew_block(grad)
-            a = evolution.skew_split(LinearOp(space, space, matrix=op.to_dense()))
-            x_n = grad.node_coords[:, 0]
-            x_c = grad.elem_mid[:, 0]
-            osc = lambda x: 2.0 + np.sin(2 * np.pi * n * x)
-            t_n = LinearOp(space, space, matrix=np.diag(
-                np.concatenate([osc(x_n), osc(x_c)])))
-            t_lim = LinearOp(space, space, matrix=2.0 * np.eye(space.dim))
-            from .hilbert import ProbeSet
-
-            probes = ProbeSet.from_vectors(space, [
-                np.concatenate([np.sin(k * np.pi * x_n), np.sin(k * np.pi * x_c)])
-                for k in (1, 2, 3)
-            ])
-            return a, t_n, t_lim, probes, np.zeros(a.ran.dim)
-
-        rep = evolution.two_scale_evo_experiment(factory, n_list)
-        ok, msg = rep.check_decay(("gap_resolvent",), tol)
-        if not ok:
-            failures.append(f"two-scale decay: {msg}")
+        rep = evolution.two_scale_evo_experiment(
+            evolution.grid_two_scale(p["run.cells_per_period"]), p["run.n_list"])
     else:
-        tol = p["run.tolerance"] or 1e-6
-        dim = p["run.space_dim"]
-        rng = np.random.default_rng(seed)
-        space = HilbertSpace(dim)
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        base = q @ np.diag(rng.uniform(0.7, 2.8, dim)) @ q.T
-        t = LinearOp(space, space, matrix=base)
-        skew = rng.standard_normal((dim, dim))
-        skew = skew - skew.T
-        # force a kernel so all four block maps are in play
-        deficit = max(2, dim // 4)
-        skew[:deficit, :] = 0.0
-        skew[:, :deficit] = 0.0
-        skew *= 0.5 / np.linalg.norm(skew, 2)
-        a = evolution.skew_split(LinearOp(space, space, matrix=skew))
-        pert = rng.standard_normal((dim, dim))
-        pert *= 0.1 / np.linalg.norm(pert, 2)
-        t_seq = lambda n: LinearOp(space, space, matrix=base + pert / n)
-        rep = evolution.abstract_schur_experiment(a, t_seq, t, n_list=n_list,
-                                                  seed=seed)
-        slope_tol = p["run.slope_tolerance"]
-        logn = np.log(np.array(n_list, dtype=float))
-        for col in ("gap_m00inv", "gap_ms", "gap_resolvent"):
-            slope = np.polyfit(logn, np.log(np.maximum(rep.values(col), 1e-300)), 1)[0]
-            if abs(slope + 1.0) > slope_tol:
-                failures.append(f"evo {col}: log-log slope {slope:.3f} not -1")
-        equiv, tau_ok, res_ok = evolution.check_joint_decay(
-            rep, max(tol, rep.final("gap_m00inv") * 1.5),
-            max(tol, rep.final("gap_resolvent") * 1.5))
-        if not equiv:
-            failures.append("evo: block-map and resolvent decay disagreed")
-    return [_emit(out, "evo", rep, digest)], failures
+        rep = evolution.synthetic_evo_experiment(p["run.space_dim"], p["run.n_list"], seed)
+    return [_emit(out, "evo", rep, digest)], evolution.evo_verdict(
+        rep, p["run.tolerance"], p["run.slope_tolerance"])
 
 
 def _run_recover(p, out, seed, digest):
-    trials, dim_max = p["run.trials"], p["run.dim_max"]
-    rng = np.random.default_rng(seed)
-    failures = []
-    worst = 0.0
-    for trial in range(trials):
-        n = int(rng.integers(2, dim_max))
-        space = HilbertSpace(n)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        base = q @ np.diag(rng.uniform(0.7, 2.8, n)) @ q.T
-        sk = rng.standard_normal((n, n))
-        sk = sk - sk.T
-        sk *= 0.05 / max(np.linalg.norm(sk, 2), 1e-12)
-        t0 = LinearOp(space, space, matrix=base + sk)
-        askew = rng.standard_normal((n, n))
-        askew = askew - askew.T
-        a = evolution.skew_split(LinearOp(space, space, matrix=askew))
-        s = LinearOp(space, space, matrix=_dense_lu(t0.to_dense() + a.matrix())[0](np.eye(n)))
-        try:
-            t = evolution.recover_coefficient(s, a, bounds=(0.5, 4.0))
-        except HomlabError as exc:
-            failures.append(f"recover trial {trial}: {exc}")
-            continue
-        worst = max(worst, np.abs(t.to_dense() - t0.to_dense()).max())
-    if worst > 1e-10:
-        failures.append(f"recover: worst round-trip error {worst:.3e} above 1e-10")
-    rep = _table("recover", ("trials", "worst_error"),
-                 [{"trials": trials, "worst_error": worst}])
-    return [_emit(out, "recover", rep, digest)], failures
+    rep = evolution.recover_experiment(p["run.trials"], p["run.dim_max"], seed)
+    return [_emit(out, "recover", rep, digest)], evolution.recover_verdict(rep)
 
 
 def _run_thermo(p, out, seed, digest):
-    tol, gamma = p["run.tolerance"], p["coefficients.gamma"]
     cells = p["run.cells_per_period"] * max(p["run.n_list"])
     if cells > _THERMO_CELLS:
         raise ConfigError(f"[run] n_list: cells_per_period x max(n_list) = {cells} cells; "
@@ -707,16 +506,15 @@ def _run_thermo(p, out, seed, digest):
         _two_phase(p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])[0]
         for name in ("c", "kappa", "w", "rho"))
     rep = thermo_mod.thermo_homogenization_experiment(
-        c, kappa, w, rho, gamma=gamma, lam=p["coefficients.lambda"],
+        c, kappa, w, rho, gamma=p["coefficients.gamma"], lam=p["coefficients.lambda"],
         n_list=p["run.n_list"], bounds=_THERMO_BOUNDS,
         mesh_rule=MeshRule(p["run.cells_per_period"]), probe_seed=seed)
-    paths = [_emit(out, "thermo", rep, digest)]
-    ok, msg = rep.check_decay(("gap_resolvent",), tol)
-    return paths, [] if ok else [f"thermo decay: {msg}"]
+    return [_emit(out, "thermo", rep, digest)], thermo_mod.thermo_verdict(
+        rep, p["run.tolerance"])
 
 
 def _run_maxwell(p, out, seed, digest):
-    lam, tol = p["coefficients.lambda"], p["run.tolerance"]
+    lam = p["coefficients.lambda"]
     eps, mu, sigma = ((p[f"coefficients.{name}_low"], p[f"coefficients.{name}_high"])
                       for name in ("eps", "mu", "sigma"))
     for phase, e, m, s in zip(("low", "high"), eps, mu, sigma):
@@ -727,37 +525,13 @@ def _run_maxwell(p, out, seed, digest):
         _two_phase(*eps)[0], _two_phase(*mu)[0], _two_phase(*sigma)[0], lam=lam,
         n_list=p["run.n_list"], bounds=_MAXWELL_BOUNDS,
         transverse_cells=p["run.transverse_cells"], probe_seed=seed)
-    paths = [_emit(out, "maxwell", rep, digest)]
-    ok, msg = rep.check_decay(("gap_resolvent",), tol)
-    return paths, [] if ok else [f"maxwell decay: {msg}"]
+    return [_emit(out, "maxwell", rep, digest)], maxwell_mod.maxwell_verdict(
+        rep, p["run.tolerance"])
 
 
 def _run_helmholtz(p, out, seed, digest):
-    cells = p["domain.cells"]
-    dom = GridDomain.box((cells, cells, cells))
-    cx = maxwell_mod.YeeComplex(dom)
-    dirichlet, neumann = maxwell_mod.helmholtz_decompose(dom)
-    rows = []
-    failures = []
-    for split, total in ((dirichlet, cx.n_edges), (neumann, cx.n_faces)):
-        rows.append({
-            "flavor": 0 if split.flavor == "dirichlet" else 1,
-            "dim_gradients": split.dims[0],
-            "dim_curls": split.dims[1],
-            "dim_harmonic": split.dims[2],
-            "space_dim": total,
-        })
-        if sum(split.dims) != total:
-            failures.append(f"{split.flavor}: dimensions do not sum")
-        if split.dims[2] != 0:
-            failures.append(f"{split.flavor}: nonzero harmonic dimension on a box")
-        cross = split.gradients.ambient.gram(split.gradients.basis, split.curls.basis)
-        if cross.size and np.abs(cross).max() > 1e-8:
-            failures.append(f"{split.flavor}: gradient/curl blocks not orthogonal")
-    rep = _table("helmholtz", ("flavor", "dim_gradients", "dim_curls",
-                               "dim_harmonic", "space_dim"), rows,
-                 {"cells": cells})
-    return [_emit(out, "helmholtz", rep, digest)], failures
+    rep = maxwell_mod.helmholtz_experiment(p["domain.cells"])
+    return [_emit(out, "helmholtz", rep, digest)], maxwell_mod.helmholtz_verdict(rep)
 
 
 _RUNNERS = {

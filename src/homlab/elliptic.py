@@ -69,6 +69,8 @@ __all__ = [
 
 FLAVORS = ("dirichlet", "neumann", "periodic")
 _DEFAULT_BUDGET = 4_000_000
+_DIVCURL_TOL, _DIVCURL_GAP_FLOOR = 0.02, 0.1    # the divcurl verdict's defaults
+_DIVTEST_SMALL, _DIVTEST_LARGE = 1e-8, 1e-3    # both divtest gaps below or above
 
 
 def unknown_budget():
@@ -885,22 +887,38 @@ def _unit_column(grad):
 
 
 def _is_hermitian(k):
-    """max |K - K^H| <= 1e-12 max |K| for a square sparse K, compared
-    diagonal by diagonal: at index i, the diagonals s and -s of K hold
-    K[i, i + s] and K[i + s, i]. Only the distances |j - i| of K's stored
-    entries are read, found a chunk of entries at a time, so neither a
-    transposed copy of K nor an array of its length is formed."""
+    """max |K - K^H| <= 1e-12 max |K| for a square sparse K, in one pass over
+    its stored entries, a chunk at a time: K[i, i + s] adds itself and
+    K[i + s, i] its negated conjugate at (s, i) of a table with a row of n
+    per occupied distance s (in CSC the two swap, which keeps |K - K^H|).
+    There is no transposed copy of K and no array over all its entries."""
     if k.format not in ("csr", "csc"):
         k = k.tocsr()
-    occupied = np.zeros(k.shape[0], dtype=bool)
-    for major, minor, _ in _entry_chunks(k):
-        occupied[np.abs(minor - major)] = True
-    gaps, tops = [0.0], [0.0]
-    for s in np.flatnonzero(occupied).tolist():
-        upper, lower = k.diagonal(s), k.diagonal(-s)
-        gaps.append(np.abs(upper - lower.conj()).max())
-        tops += [np.abs(upper).max(), np.abs(lower).max()]
-    return bool(np.max(gaps) <= 1e-12 * np.max(tops))
+    n = k.shape[0]
+    row = np.full(n, -1)    # distance -> its row of the table
+    table, top = np.zeros(0, dtype=k.dtype), 0.0
+    for major, minor, entries in _entry_chunks(k):
+        dist, vals = minor - major, k.data[entries]
+        far = np.abs(dist)
+        at = row.take(far)
+        if at.min(initial=0) < 0:
+            new = np.zeros(n, dtype=bool)
+            new[far[at < 0]] = True
+            row[new] = np.arange(np.count_nonzero(new)) + table.size // n
+            table, old = np.zeros(n * (row.max() + 1), k.dtype), table
+            table[:old.size] = old
+            at = row.take(far)
+        at *= n
+        at += np.minimum(major, minor)
+        if np.iscomplexobj(vals):
+            signed = np.where(dist >= 0, vals, 0) - np.where(dist <= 0, vals.conj(), 0)
+        else:    # the real diagonal cancels
+            signed = np.sign(dist, dtype=vals.dtype)
+            signed *= vals
+        np.add.at(table, at, signed)
+        top = max(top, np.abs(vals).max(initial=0.0))
+    gap = max((np.abs(line).max() for line in table.reshape(-1, n)), default=0.0)
+    return bool(gap <= 1e-12 * top)
 
 
 class _GridSolver:
@@ -1175,6 +1193,93 @@ def divcurl_pairing(domain, q_fields, r_fields, phi=None):
         val = (grad.elem_measure * phival * np.einsum("ei,ei->e", re.conj(), qe)).sum()
         out.append(val)
     return np.array(out)
+
+
+def divcurl_counterexample(cells, n_list):
+    """Cutoff pairings of q_n = r_n = sin(2 pi n x) per n on ``cells`` cells
+    of [0, 1]: their weak limits pair to 0, but they tend to half the
+    cutoff's mass, the meta's ``half_mass``."""
+    from .homogenize import _report
+
+    dom = GridDomain.interval(0, 1, cells)
+    phi, grad = smooth_bump(dom), build_grad(dom)
+    fields = [(lambda pts, n=n: np.sin(2 * np.pi * n * pts)) for n in n_list]
+    rows = [{"n": n, "pairing": v.real, "weak_limit_product": 0.0, "gap": abs(v.real)}
+            for n, v in zip(n_list, divcurl_pairing(dom, fields, fields, phi=phi))]
+    half = 0.5 * (grad.elem_measure * phi(grad.elem_mid)).sum()
+    return _report("divcurl", rows, {"mode": "counterexample", "half_mass": half})
+
+
+def divcurl_compliant(profile, bounds, cells_per_period, n_list):
+    """Cutoff pairings of G u_n with r = cos(pi x), u_n the Dirichlet solve
+    of load 1 with a_n = profile(n x mod 1) on ``cells_per_period`` n
+    cells, against that of the harmonic-mean solve on the finest grid (the
+    meta's ``limit``)."""
+    from .homogenize import _per_n, laminate_limit
+
+    check_budget((cells_per_period * max(n_list),), "dirichlet")    # before any field is sampled
+    f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
+    r_fn = lambda pts: np.stack([np.cos(np.pi * pts[:, 0])], axis=-1)
+
+    def pairing(cells, field):
+        dom = GridDomain.interval(0, 1, cells)
+        u, _ = solve_elliptic(dom, field(dom), f)
+        g = build_grad(dom)
+        return divcurl_pairing(dom, [g.matrix @ u], [g.sample_vector(r_fn)])[0]
+
+    a_h, _ = laminate_limit(profile)
+    lim = pairing(cells_per_period * max(n_list), lambda dom: CoefficientField.constant(
+        dom, a_h, bounds=bounds, check=False))
+
+    def row(n):
+        v = pairing(cells_per_period * n, lambda dom: CoefficientField.from_function(
+            dom, lambda pts: profile((n * pts[:, 0]) % 1.0), bounds=bounds))
+        return {"n": n, "pairing": v.real, "weak_limit_product": lim.real, "gap": abs(v - lim)}
+
+    return _per_n("divcurl", n_list, row, {"mode": "compliant", "limit": lim})
+
+
+def divcurl_verdict(report, tol=_DIVCURL_TOL, gap_floor=_DIVCURL_GAP_FLOOR):
+    """Compliant: the last gap is at most ``tol`` times the limit pairing and
+    the first. Counterexample: every pairing stays above ``gap_floor`` times
+    half the cutoff's mass, and the last is within 5 % of that half."""
+    first, last, meta = report.rows[0], report.rows[-1], report.meta
+    if meta["mode"] == "compliant":
+        ok = last["gap"] <= tol * abs(meta["limit"]) and first["gap"] >= last["gap"]
+        return [] if ok else ["compliant pairing did not converge to the limit pairing"]
+    half = meta["half_mass"]
+    return [msg for msg, bad in (
+        ("counterexample pairing collapsed toward zero",
+         not all(report.values("gap") > gap_floor * abs(half))),
+        ("counterexample pairing missed half the cutoff mass",
+         abs(last["pairing"] - half) > 0.05 * abs(half))) if bad]
+
+
+def divtest_experiment(cells, n_list):
+    """The two defects of :func:`divergence_defect` on ``cells`` cells of
+    [0, 1]: case 0 (n = 0) of the zero field, then case 1 of cos(2 pi n x)."""
+    from .homogenize import _per_n
+
+    dom = GridDomain.interval(0, 1, cells)
+    grad = build_grad(dom)
+    zero = np.zeros(grad.vector_space.dim)
+
+    def row(n):
+        r_n = grad.sample_vector(lambda pts: np.cos(2 * np.pi * n * pts)) if n else zero
+        d = divergence_defect(dom, r_n, zero)
+        return {"case": int(n > 0), "n": n, "projection_gap": d.projection_gap,
+                "divergence_gap": d.divergence_gap}
+
+    return _per_n("divtest", [0, *n_list], row, {})
+
+
+def divtest_verdict(report):
+    """In every row both gaps are below 1e-8 or both above 1e-3."""
+    def together(gaps):
+        return all(g < _DIVTEST_SMALL for g in gaps) or all(g > _DIVTEST_LARGE for g in gaps)
+
+    return [f"divtest row n={r['n']}: gaps did not vanish together" for r in report.rows
+            if not together((r["projection_gap"], r["divergence_gap"]))]
 
 
 # -- probe construction ------------------------------------------------------

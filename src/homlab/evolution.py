@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .elliptic import GridDomain, build_grad
 from .errors import CoercivityError, HomlabError, NotSkew, ShapeError, SingularResolvent
 from .hilbert import (
+    HilbertSpace,
     LinearOp,
     ProbeSet,
     _COND_CUTOFF,
@@ -31,7 +33,7 @@ from .hilbert import (
     kernel_range,
     wot_gap,
 )
-from .homogenize import ExperimentReport
+from .homogenize import _TAU_COLUMNS, _decay_verdict, _per_n, _report
 from .schur import Decomposition, blocks, schur_maps, tau_gap
 
 __all__ = [
@@ -48,8 +50,10 @@ __all__ = [
 _SKEW_TOL = 1e-10
 _ROUND_TRIP_TOL = 1e-9
 _BOUND_TOL = 1e-9
-_EVO_COLUMNS = ("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
-                "gap_resolvent", "gap_strong")
+# the evo verdict's defaults: the two-scale tolerance, the synthetic
+# round-off floor and how far a synthetic log-log slope may miss -1
+_TWO_SCALE_TOL, _SYNTHETIC_TOL, _SLOPE_TOL = 5e-2, 1e-6, 0.1
+_RECOVER_TOL = 1e-10    # the largest round-trip error of recover
 
 
 def operator_norm(op):
@@ -220,15 +224,14 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
     ``t_seq`` is a list of operators or a callable n -> operator; the wobble
     defaults to a seeded unit vector scaled by 1/n.
     """
-    space = a.space
     if probes is None:
-        probes = ProbeSet.random(space, count=8, seed=seed)
+        probes = ProbeSet.random(a.space, count=8, seed=seed)
     if callable(t_seq):
         if n_list is None:
             raise ShapeError("callable sequences need an explicit n_list")
-        seq = [(n, t_seq(n)) for n in n_list]
+        t_of = t_seq
     else:
-        seq = list(enumerate(t_seq, start=1))
+        n_list, t_of = range(1, len(t_seq) + 1), lambda n: t_seq[n - 1]
     p0, p1 = _split_probes(a, probes)
     maps_lim = schur_maps(t_limit, a.dec)
     res_lim, solve_lim = _eliminated_resolvent(maps_lim, a)
@@ -236,34 +239,73 @@ def abstract_schur_experiment(a, t_seq, t_limit, probes=None, n_list=None,
     wobble_base = rng.standard_normal(max(a.ran.dim, 1))
     if a.ran.dim:
         wobble_base /= np.linalg.norm(wobble_base)
-    rows = []
-    for n, t_n in seq:
-        maps_n = schur_maps(t_n, a.dec)
-        g00, g01, g10, gs = tau_gap(maps_n, maps_lim, a.dec, p0, p1)
+
+    def row(n):
+        maps_n = schur_maps(t_of(n), a.dec)
+        gaps = tau_gap(maps_n, maps_lim, a.dec, p0, p1)
         res_n, solve_n = _eliminated_resolvent(maps_n, a)
-        g_res = wot_gap(res_n, res_lim, probes, probes)
         wob = wobble(n) if wobble is not None else wobble_base[: a.ran.dim] / n
-        g_strong = _reduced_strong_gap(a, solve_n, solve_lim, wob)
-        rows.append(dict(zip(_EVO_COLUMNS, (n, g00, g01, g10, gs, g_res, g_strong))))
-    return ExperimentReport(
-        kind="evo",
-        columns=_EVO_COLUMNS,
-        rows=rows,
-        meta={"probe_seed": seed, "ker_dim": a.ker.dim, "ran_dim": a.ran.dim,
-              "regime": "synthetic"},
-    )
+        return {"n": n, **dict(zip(_TAU_COLUMNS, gaps)),
+                "gap_resolvent": wot_gap(res_n, res_lim, probes, probes),
+                "gap_strong": _reduced_strong_gap(a, solve_n, solve_lim, wob)}
+
+    return _per_n("evo", n_list, row, {"probe_seed": seed, "ker_dim": a.ker.dim,
+                                       "ran_dim": a.ran.dim, "regime": "synthetic"})
+
+
+def synthetic_evo_experiment(space_dim, n_list, seed):
+    """:func:`abstract_schur_experiment` along T_n = T + P / n, all seeded:
+    T symmetric with spectrum in [0.7, 2.8], |P| = 0.1, and |A| = 0.5 with a
+    forced kernel (its first max(2, space_dim // 4) rows and columns)."""
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(space_dim)
+    q, _ = np.linalg.qr(rng.standard_normal((space_dim, space_dim)))
+    base = q @ np.diag(rng.uniform(0.7, 2.8, space_dim)) @ q.T
+    skew = rng.standard_normal((space_dim, space_dim))
+    skew = skew - skew.T
+    deficit = max(2, space_dim // 4)
+    skew[:deficit, :] = skew[:, :deficit] = 0.0
+    skew *= 0.5 / np.linalg.norm(skew, 2)
+    a = skew_split(LinearOp(space, space, matrix=skew))
+    pert = rng.standard_normal((space_dim, space_dim))
+    pert *= 0.1 / np.linalg.norm(pert, 2)
+    return abstract_schur_experiment(a, lambda n: LinearOp(space, space, matrix=base + pert / n),
+                                     LinearOp(space, space, matrix=base), n_list=n_list, seed=seed)
+
+
+def _decays(report, col, tol, floor):
+    """``col`` ends at most ``tol`` and grows only if all of it is at most ``floor``."""
+    v = report.values(col)
+    return bool(v[-1] <= tol and (v[0] >= v[-1] or v.max() <= floor))
 
 
 def check_joint_decay(report, tau_tol, res_tol):
     """Equivalence surrogate: the four block-map gaps decay below tolerance
     precisely when the resolvent gaps do."""
-    tau_cols = ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms")
-    tau_ok = all(report.final(c) <= tau_tol for c in tau_cols) and \
-        all(report.decreasing(c) or report.values(c).max() <= tau_tol for c in tau_cols)
-    res_ok = report.final("gap_resolvent") <= res_tol and \
-        (report.decreasing("gap_resolvent")
-         or report.values("gap_resolvent").max() <= res_tol)
+    tau_ok = all(_decays(report, c, tau_tol, tau_tol) for c in _TAU_COLUMNS)
+    res_ok = _decays(report, "gap_resolvent", res_tol, res_tol)
     return tau_ok == res_ok, tau_ok, res_ok
+
+
+def evo_verdict(report, tol=None, slope_tol=_SLOPE_TOL):
+    """Two-scale: the resolvent gap decays to at most ``tol`` (5e-2).
+    Synthetic: the m00inv, ms and resolvent gaps have log-log slope -1
+    within ``slope_tol``, and the block-map gaps decay exactly when the
+    resolvent gap does, each column held to max(tol, 1.5 x its own final
+    value) with the round-off floor ``tol`` (1e-6)."""
+    if report.meta["regime"] == "two-scale":
+        return _decay_verdict(report, "two-scale decay", ("gap_resolvent",), tol or _TWO_SCALE_TOL)
+    tol = tol or _SYNTHETIC_TOL
+    failures = []
+    logn = np.log(report.values("n").astype(float))
+    for col in ("gap_m00inv", "gap_ms", "gap_resolvent"):
+        slope = np.polyfit(logn, np.log(np.maximum(report.values(col), 1e-300)), 1)[0]
+        if abs(slope + 1.0) > slope_tol:
+            failures.append(f"evo {col}: log-log slope {slope:.3f} not -1")
+    decays = lambda col: _decays(report, col, max(tol, 1.5 * report.final(col)), tol)
+    if all(map(decays, _TAU_COLUMNS)) != decays("gap_resolvent"):
+        failures.append("evo: block-map and resolvent decay disagreed")
+    return failures
 
 
 def grid_skew_block(grad):
@@ -281,17 +323,62 @@ def two_scale_evo_experiment(instance_factory, n_list):
     same columns as the synthetic experiment are emitted. Probe-pairing decay
     here genuinely precedes norm decay, which is the regime the label
     records."""
-    rows = []
-    for n in n_list:
+    def row(n):
         a, t_n, t_lim, probes, wob = instance_factory(n)
-        rep = abstract_schur_experiment(a, [t_n], t_lim, probes=probes,
-                                        wobble=lambda _n: wob)
-        row = dict(rep.rows[0])
-        row["n"] = n
-        rows.append(row)
-    return ExperimentReport(
-        kind="evo",
-        columns=_EVO_COLUMNS,
-        rows=rows,
-        meta={"regime": "two-scale"},
-    )
+        rep = abstract_schur_experiment(a, [t_n], t_lim, probes=probes, wobble=lambda _n: wob)
+        return {**rep.rows[0], "n": n}
+
+    return _per_n("evo", n_list, row, {"regime": "two-scale"})
+
+
+def grid_two_scale(cells_per_period):
+    """The :func:`two_scale_evo_experiment` factory on ``cells_per_period`` n
+    Dirichlet cells of [0, 1]: the dense :func:`grid_skew_block`, T_n =
+    2 + sin(2 pi n x) against 2, probes sin(k pi x), k <= 3, and no wobble."""
+    def factory(n):
+        grad = build_grad(GridDomain.interval(0, 1, cells_per_period * n), "dirichlet")
+        op, space = grid_skew_block(grad)
+        a = skew_split(LinearOp(space, space, matrix=op.to_dense()))
+        x = np.concatenate([grad.node_coords[:, 0], grad.elem_mid[:, 0]])
+        t_n = LinearOp(space, space, matrix=np.diag(2.0 + np.sin(2 * np.pi * n * x)))
+        t_lim = LinearOp(space, space, matrix=2.0 * np.eye(space.dim))
+        probes = ProbeSet.from_vectors(space, [np.sin(k * np.pi * x) for k in (1, 2, 3)])
+        return a, t_n, t_lim, probes, np.zeros(a.ran.dim)
+
+    return factory
+
+
+def recover_experiment(trials, dim_max, seed):
+    """Seeded round trips T -> (T + A)^-1 -> T by :func:`recover_coefficient`
+    in random dimensions in [2, dim_max): one row of the trials and the worst
+    round-trip error, and each trial that raised in the meta's ``failed``."""
+    rng = np.random.default_rng(seed)
+    worst, failed = 0.0, []
+    for trial in range(trials):
+        n = int(rng.integers(2, dim_max))
+        space = HilbertSpace(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        base = q @ np.diag(rng.uniform(0.7, 2.8, n)) @ q.T
+        sk = rng.standard_normal((n, n))
+        sk = sk - sk.T
+        sk *= 0.05 / max(np.linalg.norm(sk, 2), 1e-12)
+        t0 = LinearOp(space, space, matrix=base + sk)
+        askew = rng.standard_normal((n, n))
+        askew = askew - askew.T
+        a = skew_split(LinearOp(space, space, matrix=askew))
+        s = LinearOp(space, space, matrix=_dense_lu(t0.to_dense() + a.matrix())[0](np.eye(n)))
+        try:
+            t = recover_coefficient(s, a, bounds=(0.5, 4.0))
+        except HomlabError as exc:
+            failed.append(f"recover trial {trial}: {exc}")
+            continue
+        worst = max(worst, np.abs(t.to_dense() - t0.to_dense()).max())
+    return _report("recover", [{"trials": trials, "worst_error": worst}], {"failed": failed})
+
+
+def recover_verdict(report):
+    """No trial raised, and the worst round-trip error is at most 1e-10."""
+    worst = report.final("worst_error")
+    if worst > _RECOVER_TOL:
+        return report.meta["failed"] + [f"recover: worst round-trip error {worst:.3e} above 1e-10"]
+    return report.meta["failed"]

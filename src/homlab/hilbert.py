@@ -260,6 +260,7 @@ class Subspace:
     Either mode projects a vector or a (dim, k) block.
     """
 
+    complement_of = None    # what an implicit :meth:`complement` complements
     _ORTHO_TOL = 1e-10
     _PROJ_TOL = 1e-8
     _SPAN_TOL = 1e-12
@@ -329,7 +330,9 @@ class Subspace:
         if sub.basis is not None and amb.dim <= _DENSE_SVD_CUTOFF:
             return cls(amb, basis=_complement_basis(amb, sub.basis))
         dim = None if sub.dim is None else amb.dim - sub.dim
-        return cls(amb, project=lambda v: _difference(v, sub.project(v), v), dim=dim)
+        comp = cls(amb, project=lambda v: _difference(v, sub.project(v), v), dim=dim)
+        comp.complement_of = sub
+        return comp
 
     # -- operations ---------------------------------------------------------
 
@@ -635,9 +638,14 @@ def strong_gap(s, t, right):
 def _check_residual(k, x, b, tol):
     """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)
     for the solution and load, or for every column of a block of them; a
-    NaN residual misses every tolerance."""
-    res = np.atleast_1d(np.linalg.norm(k @ x - b, axis=0))
-    bad = ~(res <= tol * np.maximum(1.0, np.linalg.norm(b, axis=0)))
+    NaN residual misses every tolerance. Its norms form no block-size temporary."""
+    def norms(v):
+        v = np.asarray(v)
+        parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+        return np.sqrt(sum(np.einsum("i...,i...->...", u, u) for u in parts))
+
+    res = np.atleast_1d(norms(k @ x - b))
+    bad = ~(res <= tol * np.maximum(1.0, norms(b)))
     if np.any(bad):
         where = f" in column {np.flatnonzero(bad)[0]}" if np.ndim(b) == 2 else ""
         raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses {tol:.1e}{where}")

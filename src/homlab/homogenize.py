@@ -133,6 +133,10 @@ _MAX_INTERVALS = 1000
 _QUAD_TOL = 1e-10
 _CELL_RESIDUAL_TOL = 1e-9
 _HOM_COERCIVITY_TOL = 1e-8
+# the verdicts' default tolerances, and the least qdind log-gap correlation
+_CELL_TOL, _SCHUR_TOL, _HCONV_TOL_1D, _HCONV_TOL = 0.02, 0.05, 0.02, 0.05
+_QDIND_TOL, _QDIND_MIN_CORRELATION = 1e-2, 0.9
+_TAU_COLUMNS = ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms")    # the four block-map gaps
 
 
 def _unit_integral(fn, tol):
@@ -270,6 +274,20 @@ def homogenized_tensor(a_cell):
     return a_hom
 
 
+def cell_experiment(a_cell, expected):
+    """The effective tensor of a 2-d cell coefficient against ``expected``."""
+    a_hom = homogenized_tensor(a_cell)
+    rows = [{"i": i, "j": j, "value": a_hom[i, j].real, "expected": expected[i, j],
+             "abs_err": abs(a_hom[i, j] - expected[i, j])} for i in range(2) for j in range(2)]
+    return _report("cell", rows, {"cells": a_cell.domain.cells, "scale": np.abs(expected).max()})
+
+
+def cell_verdict(report, tol=_CELL_TOL):
+    """The largest entry error is at most ``tol`` of the largest expected entry."""
+    err = report.values("abs_err").max() / report.meta["scale"]
+    return [] if err <= tol else [f"cell tensor error {err:.3e} above {tol}"]
+
+
 @dataclass(frozen=True)
 class MeshRule:
     """Couples the mesh to the oscillation: at least ``cells_per_period``
@@ -311,16 +329,30 @@ class ExperimentReport:
     def check_decay(self, cols, tol):
         """Final value below tol and first >= last, per column."""
         msgs = []
-        ok = True
         for col in cols:
             v = self.values(col)
             if not v[-1] <= tol:
-                ok = False
                 msgs.append(f"{col}: final {v[-1]:.3e} above {tol:.1e}")
             if len(v) > 1 and not v[0] >= v[-1]:
-                ok = False
                 msgs.append(f"{col}: not decreasing ({v[0]:.3e} -> {v[-1]:.3e})")
-        return ok, "; ".join(msgs) if msgs else "ok"
+        return not msgs, "; ".join(msgs) if msgs else "ok"
+
+
+def _report(kind, rows, meta):
+    """The report of ``rows``, its columns the first row's keys in order."""
+    return ExperimentReport(kind=kind, columns=tuple(rows[0]) if rows else (), rows=rows,
+                            meta=meta)
+
+
+def _per_n(kind, n_list, row, meta):
+    """The experiments' one per-n loop: the report of one row ``row(n)`` per n."""
+    return _report(kind, [row(n) for n in n_list], meta)
+
+
+def _decay_verdict(report, what, cols, tol):
+    """:meth:`ExperimentReport.check_decay` as a list of its one failure."""
+    ok, msg = report.check_decay(cols, tol)
+    return [] if ok else [f"{what}: {msg}"]
 
 
 def _as_candidate_field(candidate, domain, bounds):
@@ -346,34 +378,27 @@ def hconvergence_experiment(seq, f, candidate, n_list, mesh_rule, dim=1,
     For each n, records the maximal normalized probe pairing of the solution
     difference and of the flux difference.
     """
-    rows = []
-    for n in n_list:
+    def row(n):
         dom = _guarded_domain(n, mesh_rule, dim, flavor)
         grad = build_grad(dom, flavor)
         a_n = seq.field(n, dom)
         u_n, q_n = solve_elliptic(dom, a_n, f, flavor=flavor)
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
         u_h, q_h = solve_elliptic(dom, cand_field, f, flavor=flavor)
-        err_u = _probe_gap(scalar_probe_pairs, grad, u_n, u_h)
-        err_q = _probe_gap(vector_probe_pairs, grad, q_n, q_h)
-        rows.append({
-            "n": n,
-            "cells_per_axis": dom.cells[0],
-            "unknowns": grad.scalar_space.dim + grad.vector_space.dim,
-            "err_solution": err_u,
-            "err_flux": err_q,
-        })
-    return ExperimentReport(
-        kind="hconv",
-        columns=("n", "cells_per_axis", "unknowns", "err_solution", "err_flux"),
-        rows=rows,
-        meta={
-            "mesh_rule": mesh_rule.cells_per_period,
-            "probe_seed": probe_seed,
-            "flavor": flavor,
-            "candidate": np.asarray(candidate, dtype=object),
-        },
-    )
+        return {"n": n, "cells_per_axis": dom.cells[0],
+                "unknowns": grad.scalar_space.dim + grad.vector_space.dim,
+                "err_solution": _probe_gap(scalar_probe_pairs, grad, u_n, u_h),
+                "err_flux": _probe_gap(vector_probe_pairs, grad, q_n, q_h)}
+
+    return _per_n("hconv", n_list, row, {
+        "mesh_rule": mesh_rule.cells_per_period, "probe_seed": probe_seed, "flavor": flavor,
+        "candidate": np.asarray(candidate, dtype=object), "dim": dim})
+
+
+def hconv_verdict(report, tol=None):
+    """Both probe gaps decay to at most ``tol`` (0.02 in 1-d, else 0.05)."""
+    return _decay_verdict(report, "hconv decay", ("err_solution", "err_flux"),
+                          tol or (_HCONV_TOL_1D if report.meta["dim"] == 1 else _HCONV_TOL))
 
 
 def _probe_gap(probe_pairs, grad, u_n, u_h):
@@ -467,25 +492,29 @@ def qdind_check(seq, n_list, mesh_rule, candidate=None, probe_seed=0):
     inv_lim = op(lambda x: x / candidate)
     proj_lim = op(limit_compressed)
     flux_lim = op(lambda x: candidate * limit_compressed(x))
-    rows = []
-    for n in n_list:
+
+    def row(n):
         a_vals = seq.field(n, dom).values[:, 0, 0][grad.elem_cell]
         proj_n = op(lambda x: projected_inverse_1d(a_vals, x))
         flux_n = op(lambda x: (a_vals * projected_inverse_1d(a_vals, x).T).T)
-        rows.append({
-            "n": n,
-            "cells": dom.cells[0],
-            "gap_inverse": wot_gap(op(lambda x: (x.T / a_vals).T), inv_lim, full, full),
-            "gap_projected": wot_gap(proj_n, proj_lim, mean_free, mean_free),
-            "gap_flux": wot_gap(flux_n, flux_lim, full, mean_free),
-        })
-    return ExperimentReport(
-        kind="qdind",
-        columns=("n", "cells", "gap_inverse", "gap_projected", "gap_flux"),
-        rows=rows,
-        meta={"candidate": candidate, "probe_seed": probe_seed,
-              "mesh_rule": mesh_rule.cells_per_period},
-    )
+        return {"n": n, "cells": dom.cells[0],
+                "gap_inverse": wot_gap(op(lambda x: (x.T / a_vals).T), inv_lim, full, full),
+                "gap_projected": wot_gap(proj_n, proj_lim, mean_free, mean_free),
+                "gap_flux": wot_gap(flux_n, flux_lim, full, mean_free)}
+
+    return _per_n("qdind", n_list, row, {"candidate": candidate, "probe_seed": probe_seed,
+                                         "mesh_rule": mesh_rule.cells_per_period})
+
+
+def qdind_verdict(report, tol=_QDIND_TOL, min_corr=_QDIND_MIN_CORRELATION):
+    """The three gaps decay to at most ``tol``, and over more than two n the
+    inverse and projected log-gaps correlate at least ``min_corr``."""
+    failures = _decay_verdict(report, "qdind decay",
+                              ("gap_inverse", "gap_projected", "gap_flux"), tol)
+    if len(report.rows) > 2 and (corr := log_gap_correlation(
+            report, "gap_inverse", "gap_projected")) < min_corr:
+        failures.append(f"qdind correlation {corr:.3f} below {min_corr}")
+    return failures
 
 
 def log_gap_correlation(report, col_a, col_b):
@@ -503,36 +532,27 @@ def schur_equiv_check(seq, n_list, candidate, mesh_rule, dim=1, probe_seed=0):
     the corresponding variational problems (load f = 1); the two families
     must decay jointly."""
     f = RHSFunctional.density(lambda p: np.ones(len(p)))
-    rows = []
-    for n in n_list:
+
+    def row(n):
         dom = _guarded_domain(n, mesh_rule, dim)
         grad = build_grad(dom, "dirichlet")
         dec = g0_decomposition(grad)
         p0, p1 = g0_probe_pair(grad, dec)
         a_n = seq.field(n, dom)
         cand_field = _as_candidate_field(candidate, dom, seq.bounds)
-        op_n = a_n.operator(grad)
-        op_h = cand_field.operator(grad)
-        g00, g01, g10, gs = tau_gap(op_n, op_h, dec, p0, p1)
+        gaps = tau_gap(a_n.operator(grad), cand_field.operator(grad), dec, p0, p1)
         u_n, _ = solve_elliptic(dom, a_n, f)
         u_h, _ = solve_elliptic(dom, cand_field, f)
-        gap_sol = _probe_gap(scalar_probe_pairs, grad, u_n, u_h)
-        rows.append({
-            "n": n,
-            "cells_per_axis": dom.cells[0],
-            "gap_m00inv": g00,
-            "gap_m01": g01,
-            "gap_m10": g10,
-            "gap_ms": gs,
-            "gap_solution": gap_sol,
-        })
-    return ExperimentReport(
-        kind="schur",
-        columns=("n", "cells_per_axis", "gap_m00inv", "gap_m01", "gap_m10",
-                 "gap_ms", "gap_solution"),
-        rows=rows,
-        meta={"probe_seed": probe_seed, "mesh_rule": mesh_rule.cells_per_period},
-    )
+        return {"n": n, "cells_per_axis": dom.cells[0], **dict(zip(_TAU_COLUMNS, gaps)),
+                "gap_solution": _probe_gap(scalar_probe_pairs, grad, u_n, u_h)}
+
+    return _per_n("schur", n_list, row, {"probe_seed": probe_seed,
+                                         "mesh_rule": mesh_rule.cells_per_period})
+
+
+def schur_verdict(report, tol=_SCHUR_TOL):
+    """The four block-map gaps and the solution gap decay to at most ``tol``."""
+    return _decay_verdict(report, "schur gaps", (*_TAU_COLUMNS, "gap_solution"), tol)
 
 
 def adjoint_symmetry_check(seq, n_list, candidate, **kwargs):

@@ -49,7 +49,7 @@ from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
 from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
-from .homogenize import ExperimentReport, _probe_pair, laminate_limit
+from .homogenize import _TAU_COLUMNS, _decay_verdict, _per_n, _probe_pair, _report, laminate_limit
 from .schur import Decomposition, tau_gap
 
 __all__ = [
@@ -59,6 +59,10 @@ __all__ = [
     "helmholtz_decompose",
     "maxwell_homogenization_experiment",
 ]
+
+_MAXWELL_TOL = 1e-1    # the verdict's default tolerance
+_HELMHOLTZ_ORTHO_TOL = 1e-8    # the largest gradient/curl Gram entry
+_DIMS = ("dim_gradients", "dim_curls", "dim_harmonic")    # of a helmholtz row
 
 
 class YeeComplex:
@@ -360,6 +364,31 @@ def helmholtz_decompose(domain):
                            Subspace(cx.face_space, basis=harmonic_f)))
 
 
+def helmholtz_experiment(cells):
+    """Both :func:`helmholtz_decompose` splittings of the ``cells``^3 box by
+    their dimensions (flavor 0 Dirichlet, 1 Neumann), with the largest entry
+    of each gradient/curl Gram block in the meta's ``cross``."""
+    rows, cross = [], []
+    for flavor, split in enumerate(helmholtz_decompose(GridDomain.box((cells, cells, cells)))):
+        rows.append({"flavor": flavor, **dict(zip(_DIMS, split.dims)),
+                     "space_dim": split.gradients.ambient.dim})
+        gram = split.gradients.ambient.gram(split.gradients.basis, split.curls.basis)
+        cross.append(np.abs(gram).max(initial=0.0))
+    return _report("helmholtz", rows, {"cells": cells, "cross": cross})
+
+
+def helmholtz_verdict(report):
+    """Per splitting: the three dimensions sum to that of the space, the
+    harmonic one is zero, and gradients and curls are orthogonal to 1e-8."""
+    failures = []
+    for row, cross in zip(report.rows, report.meta["cross"]):
+        failures += [f"{('dirichlet', 'neumann')[row['flavor']]}: {msg}" for msg, bad in (
+            ("dimensions do not sum", sum(row[c] for c in _DIMS) != row["space_dim"]),
+            ("nonzero harmonic dimension on a box", row["dim_harmonic"] != 0),
+            ("gradient/curl blocks not orthogonal", cross > _HELMHOLTZ_ORTHO_TOL)) if bad]
+    return failures
+
+
 def _maxwell_probes(cx, space):
     """Tangential sine-mode probes on the edge (+) face space of the complex
     ``cx``: the modes (1, 1, 1) and (2, 1, 1), each on the edges and then on
@@ -378,13 +407,11 @@ def _maxwell_probes(cx, space):
     return ProbeSet.from_vectors(space, block, copy=False)
 
 
-def _laminate_tensor_fns(profile_combined):
-    """Axis-wise diagonal limit of a laminate in the first coordinate:
-    harmonic mean across, arithmetic along."""
-    a_h, a_m = laminate_limit(profile_combined)
-    fn_h = lambda pts: np.full(len(pts), a_h)
-    fn_m = lambda pts: np.full(len(pts), a_m)
-    return (fn_h, fn_m, fn_m)
+def _laminate_tensor_fns(a_h, a_m):
+    """Axis-wise diagonal limit of a laminate in the first coordinate from
+    its harmonic and arithmetic means: harmonic across, arithmetic along."""
+    full = lambda value: (lambda pts: np.full(len(pts), value))
+    return full(a_h), full(a_m), full(a_m)
 
 
 def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
@@ -404,24 +431,16 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     max(2 n, transverse_cells) cells along x, which pair at least 2 cells
     per period with piecewise-constant two-phase profiles.
 
-    Every coefficient depends on x alone, so each system runs in the
-    transverse-mode coordinates of :func:`_to_modes`: the complex's
-    mode operators (``YeeComplex._mode_operators``) replace curl0, grad0 and
-    the dual gradient, and the 12 probes are transformed once per n. T_n
-    and T_lim are left as they are, since the change of basis is orthogonal
-    in every Yee space (each carries the uniform weight vol) and each of
-    their components is constant along y and z, which is checked exactly
-    (a :class:`ShapeError` if not). The gaps are those of the physical
-    coordinates, up to rounding, and every system is one band along x per
-    mode.
+    Each system runs in the transverse-mode coordinates of the module
+    docstring, with the 12 probes transformed once per n; T_n and T_lim
+    must be exactly constant along y and z (a :class:`ShapeError` if not).
     """
     combined = lambda y: lam * eps_profile(y) + sigma_profile(y)
-    eps_lambda_fns = _laminate_tensor_fns(combined)
-    mu_fns = _laminate_tensor_fns(mu_profile)
+    eps_lambda_fns = _laminate_tensor_fns(*laminate_limit(combined))
     mu_h, mu_m = laminate_limit(mu_profile)
+    mu_fns = _laminate_tensor_fns(mu_h, mu_m)
 
-    rows = []
-    for n in n_list:
+    def row(n):
         cx_cells = (max(2 * n, transverse_cells), transverse_cells, transverse_cells)
         cx = YeeComplex(GridDomain.box(cx_cells))
         osc = lambda fn: (lambda pts: fn((n * pts[:, 0]) % 1.0))
@@ -454,23 +473,15 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         dec = Decomposition.from_generator(space, sp.block_diag((grad0, dual_gradient), "csr"))
         p0, p1 = _probe_pair(dec, lambda start, stop: probes.matrix[:, start:stop].copy(),
                              len(probes), 6)
-        op_n = LinearOp(space, space, matrix=t_n.tocsr())
-        op_lim = LinearOp(space, space, matrix=t_lim.tocsr())
-        g00, g01, g10, gs = tau_gap(op_n, op_lim, dec, p0, p1)
-        rows.append({
-            "n": n,
-            "cells_x": cx_cells[0],
-            "gap_m00inv": g00,
-            "gap_m01": g01,
-            "gap_m10": g10,
-            "gap_ms": gs,
-            "gap_resolvent": gap_res,
-        })
-    return ExperimentReport(
-        kind="maxwell",
-        columns=("n", "cells_x", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
-                 "gap_resolvent"),
-        rows=rows,
-        meta={"lambda": lam, "mu_limit": (mu_h, mu_m),
-              "probe_seed": probe_seed},
-    )
+        gaps = tau_gap(LinearOp(space, space, matrix=t_n.tocsr()),
+                       LinearOp(space, space, matrix=t_lim.tocsr()), dec, p0, p1)
+        return {"n": n, "cells_x": cx_cells[0], **dict(zip(_TAU_COLUMNS, gaps)),
+                "gap_resolvent": gap_res}
+
+    return _per_n("maxwell", n_list, row, {"lambda": lam, "mu_limit": (mu_h, mu_m),
+                                           "probe_seed": probe_seed})
+
+
+def maxwell_verdict(report, tol=_MAXWELL_TOL):
+    """The resolvent gap decays to at most ``tol``."""
+    return _decay_verdict(report, "maxwell decay", ("gap_resolvent",), tol)

@@ -69,7 +69,8 @@ _SWAP_TOL = 1e-9
 class Decomposition:
     """Orthogonal splitting of a space into a closed subspace and its
     complement. Explicit mode requires h0 perp h1 and dim h0 + dim h1 = dim;
-    implicit mode verifies P0 + P1 = I on random probes (a NaN fails)."""
+    implicit mode verifies P0 + P1 = I on random probes (a NaN fails), with
+    P1 v read as v - P0 v when h1 is the implicit complement of h0."""
 
     def __init__(self, space, h0, h1):
         self.space = space
@@ -85,7 +86,8 @@ class Decomposition:
                 raise ShapeError("h0 and h1 are not orthogonal")
         else:
             v = np.random.default_rng(99).standard_normal((space.dim, 3))
-            r = space.column_norms(h0.project(v) + h1.project(v) - v)
+            p0 = h0.project(v)
+            r = space.column_norms(p0 + (v - p0 if h1.complement_of is h0 else h1.project(v)) - v)
             if not np.all(r <= _ORTHO_TOL * np.maximum(1.0, space.column_norms(v))):
                 raise ShapeError("projectors do not sum to the identity")
 

@@ -25,7 +25,7 @@ from .elliptic import CoefficientField, GridDomain, build_grad
 from .errors import CoercivityError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
 from .hilbert import _SparseSolver, _skew_pair, _sym_lambda_min
-from .homogenize import ExperimentReport, laminate_limit
+from .homogenize import _TAU_COLUMNS, _decay_verdict, _per_n, laminate_limit
 from .homogenize import g0_decomposition, g0_probe_pair
 from .schur import tau_gap
 
@@ -35,6 +35,8 @@ __all__ = [
     "congruence_diagonalize",
     "thermo_homogenization_experiment",
 ]
+
+_THERMO_TOL = 5e-2    # the verdict's default tolerance
 
 
 def _coupling_map(grad, gamma, direction=None):
@@ -243,8 +245,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
     _, w_m = laminate_limit(w_profile)
     _, rho_m = laminate_limit(rho_profile)
 
-    rows = []
-    for n in n_list:
+    def row(n):
         m = mesh_rule.cells(n)
         dom = GridDomain.interval(0, 1, m)
         osc = lambda prof: (lambda pts: prof((n * np.atleast_2d(pts)[:, 0]) % 1.0))
@@ -265,9 +266,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
         grad = sys_n.grad
         dec = g0_decomposition(grad)
         p0, p1 = g0_probe_pair(grad, dec)
-        op_n = c_n.operator(grad)
-        op_lim = c_lim.operator(grad)
-        g00, g01, g10, gs = tau_gap(op_n, op_lim, dec, p0, p1)
+        gaps = tau_gap(c_n.operator(grad), c_lim.operator(grad), dec, p0, p1)
 
         sspace = grad.scalar_space
         smodes = probes.matrix[: sys_n.dims[0]]
@@ -278,24 +277,16 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
             dev = np.asarray(osc(profile)(grad.node_coords)) - mean
             return wot_gap(LinearOp(sspace, sspace, matrix=sp.diags(dev)), zero, smodes, smodes)
 
-        gap_w = multiplier_gap(w_profile, w_m)
-        gap_rho = multiplier_gap(rho_profile, rho_m)
-        rows.append({
-            "n": n,
-            "cells": m,
-            "gap_resolvent": gap_res,
-            "gap_c_m00inv": g00,
-            "gap_c_m01": g01,
-            "gap_c_m10": g10,
-            "gap_c_ms": gs,
-            "gap_w": gap_w,
-            "gap_rho": gap_rho,
-        })
-    return ExperimentReport(
-        kind="thermo",
-        columns=("n", "cells", "gap_resolvent", "gap_c_m00inv", "gap_c_m01",
-                 "gap_c_m10", "gap_c_ms", "gap_w", "gap_rho"),
-        rows=rows,
-        meta={"lambda": lam, "gamma": gamma, "probe_seed": probe_seed,
-              "limits": {"C": c_h, "kappa": k_h, "w": w_m, "rho0": rho_m}},
-    )
+        return {"n": n, "cells": m, "gap_resolvent": gap_res,
+                **{col.replace("gap_", "gap_c_"): g for col, g in zip(_TAU_COLUMNS, gaps)},
+                "gap_w": multiplier_gap(w_profile, w_m),
+                "gap_rho": multiplier_gap(rho_profile, rho_m)}
+
+    return _per_n("thermo", n_list, row, {
+        "lambda": lam, "gamma": gamma, "probe_seed": probe_seed,
+        "limits": {"C": c_h, "kappa": k_h, "w": w_m, "rho0": rho_m}})
+
+
+def thermo_verdict(report, tol=_THERMO_TOL):
+    """The resolvent gap decays to at most ``tol``."""
+    return _decay_verdict(report, "thermo decay", ("gap_resolvent",), tol)

@@ -538,6 +538,18 @@ class TestFixtures:
         assert payload["status"] == "fail"
         assert payload["failures"]
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_synthetic_evo_at_the_default_tolerance_exit_0(self, tmp_path, seed):
+        # the shipped fixture without its tolerance line: the block-map
+        # columns are each held to their own final value
+        cfg = tmp_path / "evo.cfg"
+        cfg.write_text("".join(line for line in open(fixture("evo_perturbation.cfg"))
+                               if not line.startswith("tolerance")))
+        res = run_cli(["evo", "--config", str(cfg), "--out", str(tmp_path),
+                       "--seed", str(seed)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output.strip().splitlines()[-1])["status"] == "ok"
+
 
 # keys each profile reads, and the keys whose values must be positive
 PROFILE_KEYS = {"two_phase": ("low", "high", "cut"), "sin_shift": ("shift", "amplitude"),

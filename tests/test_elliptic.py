@@ -20,8 +20,13 @@ from homlab.elliptic import (
     RHSFunctional,
     affine_dual_residual,
     build_grad,
+    divcurl_compliant,
+    divcurl_counterexample,
     divcurl_pairing,
+    divcurl_verdict,
     divergence_defect,
+    divtest_experiment,
+    divtest_verdict,
     galerkin_matrix,
     grid_unknowns,
     hminus_norm,
@@ -574,6 +579,58 @@ class TestDivCurlPairing:
         errs = [abs(v - lim) for v in vals]
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.02 * abs(lim)
+
+
+def _with_rows(rep, **changes):
+    """A copy of ``rep`` whose last row takes ``changes``."""
+    rows = [dict(row) for row in rep.rows]
+    rows[-1].update(changes)
+    return type(rep)(kind=rep.kind, columns=rep.columns, rows=rows, meta=rep.meta)
+
+
+class TestDivCurlExperiments:
+    def test_counterexample_tends_to_half_the_cutoff_mass(self):
+        rep = divcurl_counterexample(1024, [8, 16, 32])
+        assert rep.columns == ("n", "pairing", "weak_limit_product", "gap")
+        dom = GridDomain.interval(0, 1, 1024)
+        g, phi = build_grad(dom), smooth_bump(dom)
+        assert rep.meta["half_mass"] == 0.5 * (g.elem_measure * phi(g.elem_mid)).sum()
+        assert rep.values("n").tolist() == [8, 16, 32]
+        assert not rep.values("weak_limit_product").any()
+        assert np.array_equal(rep.values("gap"), np.abs(rep.values("pairing")))
+        assert divcurl_verdict(rep) == []
+        assert divcurl_verdict(rep, gap_floor=2.0) == [
+            "counterexample pairing collapsed toward zero"]
+        assert divcurl_verdict(_with_rows(rep, pairing=0.9 * rep.meta["half_mass"])) \
+            == ["counterexample pairing missed half the cutoff mass"]
+
+    def test_compliant_tends_to_the_limit_pairing(self):
+        profile = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y))
+        rep = divcurl_compliant(profile, (1.0, 3.0), 32, [2, 4, 8])
+        lim = rep.meta["limit"]
+        assert np.array_equal(rep.values("weak_limit_product"), np.full(3, lim.real))
+        assert np.array_equal(rep.values("gap"), np.abs(rep.values("pairing") - lim))
+        assert rep.final("gap") < 1e-4 * abs(lim)
+        assert divcurl_verdict(rep) == []
+        failed = ["compliant pairing did not converge to the limit pairing"]
+        assert divcurl_verdict(rep, 1e-6) == failed
+        assert divcurl_verdict(_with_rows(rep, gap=1.0)) == failed
+
+
+class TestDivTestExperiment:
+    def test_gaps_vanish_together(self):
+        rep = divtest_experiment(256, [4, 8])
+        assert rep.columns == ("case", "n", "projection_gap", "divergence_gap")
+        assert rep.rows[0] == {"case": 0, "n": 0, "projection_gap": 0.0, "divergence_gap": 0.0}
+        assert [row["n"] for row in rep.rows[1:]] == [4, 8]
+        assert all(abs(row["projection_gap"] - 0.5 ** 0.5) < 1e-12 for row in rep.rows[1:])
+        assert divtest_verdict(rep) == []
+
+    @pytest.mark.parametrize("gaps", [(1e-5, 1e-5), (1e-9, 1.0), (float("nan"), 1e-10)])
+    def test_gaps_that_part_fail(self, gaps):
+        rep = _with_rows(divtest_experiment(64, [2]), projection_gap=gaps[0],
+                         divergence_gap=gaps[1])
+        assert divtest_verdict(rep) == ["divtest row n=2: gaps did not vanish together"]
 
 
 class TestProbes:
@@ -1446,6 +1503,16 @@ class TestHermitianDecision:
                   sp.csc_matrix(np.triu(dense)), doubled.tocsc(), sp.csc_matrix((4, 4))]
         for k in cases:
             assert elliptic._is_hermitian(k) is _old_is_hermitian(k)
+
+    @pytest.mark.parametrize("lower, hermitian", [(3.0, True), (2.5, False)])
+    def test_duplicate_entries_add_up(self, lower, hermitian):
+        from homlab import elliptic
+
+        # K[0, 1] is stored as 1 + 2, against K[1, 0] = lower
+        k = sp.csr_matrix((np.array([1.0, 1.0, 2.0, lower, 1.0]), np.array([0, 1, 1, 0, 1]),
+                           np.array([0, 3, 5])), shape=(2, 2))
+        assert not k.has_canonical_format
+        assert elliptic._is_hermitian(k) is hermitian is _old_is_hermitian(k)
 
     @pytest.mark.parametrize("kind, method", [("sym", "cg"), ("nonsym", "gmres"),
                                               ("complex", "gmres")])

@@ -12,11 +12,16 @@ from homlab.errors import HomlabError, NotSkew, SingularResolvent
 from homlab.evolution import (
     abstract_schur_experiment,
     check_joint_decay,
+    evo_verdict,
     grid_skew_block,
+    grid_two_scale,
     operator_norm,
     recover_coefficient,
+    recover_experiment,
+    recover_verdict,
     resolvent_bounds,
     skew_split,
+    synthetic_evo_experiment,
     two_scale_evo_experiment,
 )
 from homlab.hilbert import HilbertSpace, LinearOp, ProbeSet
@@ -498,6 +503,97 @@ class TestTwoScale:
         monkeypatch.setattr(_linalg, "svd", recording)
         two_scale_evo_experiment(_two_scale_instance, [2, 4, 8])
         assert callers == ["kernel_range"] * 3
+
+
+class TestGridTwoScale:
+    def test_instance_of_each_index(self):
+        a, t_n, t_lim, probes, wob = grid_two_scale(4)(3)
+        grad = build_grad(GridDomain.interval(0, 1, 12), "dirichlet")
+        x = np.concatenate([grad.node_coords[:, 0], grad.elem_mid[:, 0]])
+        assert a.space.dim == len(x) == 23
+        assert np.array_equal(t_n.to_dense(), np.diag(2.0 + np.sin(6 * np.pi * x)))
+        assert np.array_equal(t_lim.to_dense(), 2.0 * np.eye(23))
+        assert len(probes) == 3 and not wob.any() and wob.shape == (a.ran.dim,)
+
+    def test_verdict_at_the_default_tolerance(self):
+        rep = two_scale_evo_experiment(grid_two_scale(32), [2, 4, 8])
+        assert rep.meta["regime"] == "two-scale"
+        assert rep.columns == ("n", "gap_m00inv", "gap_m01", "gap_m10", "gap_ms",
+                               "gap_resolvent", "gap_strong")
+        assert evo_verdict(rep) == []
+        failures = evo_verdict(rep, 1e-6)
+        assert len(failures) == 1 and failures[0].startswith("two-scale decay: gap_resolvent")
+
+
+def _with_column(rep, col, values):
+    rows = [{**row, col: v} for row, v in zip(rep.rows, values)]
+    return type(rep)(kind=rep.kind, columns=rep.columns, rows=rows, meta=rep.meta)
+
+
+class TestSyntheticEvo:
+    N_LIST = [1, 2, 4, 8, 16, 32]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_tolerance_passes(self, seed):
+        # every gap ends near 1e-3, far above the 1e-6 default; each column
+        # is held to its own final value, so m01 and ms ending above 1.5
+        # times the final m00inv no longer fail the joint decay
+        rep = synthetic_evo_experiment(10, self.N_LIST, seed)
+        assert rep.final("gap_m01") > 1.5 * rep.final("gap_m00inv")
+        assert evo_verdict(rep) == []
+
+    def test_rows_come_from_the_seed(self):
+        a, b = (synthetic_evo_experiment(8, [1, 2], seed) for seed in (3, 3))
+        assert a.rows == b.rows and a.meta["ker_dim"] == 2
+        assert a.rows != synthetic_evo_experiment(8, [1, 2], 4).rows
+
+    def test_block_map_gap_that_grows_fails(self):
+        # m01 is not slope-checked; the joint decay catches it
+        rep = synthetic_evo_experiment(10, self.N_LIST, 0)
+        grown = _with_column(rep, "gap_m01", 1e-3 * np.arange(1.0, 7.0))
+        assert evo_verdict(grown) == ["evo: block-map and resolvent decay disagreed"]
+        assert evo_verdict(grown, 1e-2) == []    # all of it within the round-off floor
+
+    def test_sequence_whose_block_maps_do_not_decay_fails(self):
+        rng = np.random.default_rng(5)
+        space = HilbertSpace(10)
+        a = skew_split(random_skew(space, 6, rank_deficit=3))
+        t = coercive(space, 7)
+        pert = rng.standard_normal((10, 10))
+        pert *= 0.1 / np.linalg.norm(pert, 2)
+        rep = abstract_schur_experiment(
+            a, lambda n: LinearOp(space, space, matrix=t.to_dense() + pert * n ** 0.5), t,
+            n_list=self.N_LIST, seed=1)
+        failures = evo_verdict(rep)
+        assert "evo: block-map and resolvent decay disagreed" not in failures
+        assert {f.split(":")[0] for f in failures} == {"evo gap_m00inv", "evo gap_ms",
+                                                        "evo gap_resolvent"}
+        assert evo_verdict(_with_column(rep, "gap_resolvent", 1.0 / np.array(self.N_LIST))) \
+            == [f for f in failures if "gap_resolvent" not in f] \
+            + ["evo: block-map and resolvent decay disagreed"]
+
+
+class TestRecover:
+    def test_round_trips_pass(self):
+        rep = recover_experiment(30, 8, 3)
+        assert rep.columns == ("trials", "worst_error") and rep.rows[0]["trials"] == 30
+        assert 0 < rep.final("worst_error") <= 1e-10
+        assert recover_verdict(rep) == []
+
+    def test_failed_trials_and_large_errors_fail(self, monkeypatch):
+        calls = []
+
+        def flaky(s, a, bounds):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SingularResolvent("round trip (T + A)^{-1} != S")
+            return recover_coefficient(s, a, bounds=bounds)
+
+        monkeypatch.setattr(evolution, "recover_coefficient", flaky)
+        rep = recover_experiment(4, 6, 0)
+        assert recover_verdict(rep) == ["recover trial 1: round trip (T + A)^{-1} != S"]
+        rep.rows[0]["worst_error"] = 2e-10
+        assert recover_verdict(rep)[1] == "recover: worst round-trip error 2.000e-10 above 1e-10"
 
 
 class TestOperatorNorm:

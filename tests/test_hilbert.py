@@ -845,3 +845,44 @@ class TestSparseCoercivityBound:
         small = HilbertSpace(k, weight=np.full(k, 0.5))
         rep = coercivity_check(LinearOp(small, small, matrix=t[:k, :k]), 0.1, 10.0)
         assert rep.re_min > 0 and not rep.singular
+
+
+def _old_check(k, x, b, tol):
+    """The residual test as np.linalg.norm forms it: the columns that miss."""
+    res = np.atleast_1d(np.linalg.norm(k @ x - b, axis=0))
+    return ~(res <= tol * np.maximum(1.0, np.linalg.norm(b, axis=0)))
+
+
+class TestCheckResidual:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(40,), (40, 4)])
+    def test_decides_as_the_2_norm(self, field, shape):
+        from homlab.hilbert import _check_residual
+
+        rng = np.random.default_rng(41)
+        draw = lambda: rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
+                                                     if field == "complex" else 0)
+        k = sp.identity(40, format="csr")
+        b = 3.0 * draw()
+        for scale in (0.5e-10, 0.99e-10, 1.01e-10, 2e-10):
+            r = draw()
+            r *= scale * np.maximum(1.0, np.linalg.norm(b, axis=0)) / np.linalg.norm(r, axis=0)
+            misses = _old_check(k, b + r, b, 1e-10)
+            if misses.any():
+                with pytest.raises(SolverDiverged, match="misses 1.0e-10"):
+                    _check_residual(k, b + r, b, 1e-10)
+            else:
+                _check_residual(k, b + r, b, 1e-10)
+            assert misses.all() == (scale > 1e-10)
+
+    def test_nan_misses_in_its_column(self):
+        from homlab.hilbert import _check_residual
+
+        k = sp.identity(5, format="csr")
+        x = np.ones((5, 3))
+        _check_residual(k, x, x.copy(), 1e-10)
+        x[2, 1] = np.nan
+        with pytest.raises(SolverDiverged, match="in column 1"):
+            _check_residual(k, x, np.ones((5, 3)), 1e-10)
+        with pytest.raises(SolverDiverged):
+            _check_residual(k, np.full(5, np.nan), np.ones(5), 1e-10)

@@ -20,16 +20,23 @@ from homlab.errors import (
 from homlab.homogenize import (
     CoefficientSequence,
     MeshRule,
+    ExperimentReport,
+    _per_n,
     adjoint_symmetry_check,
+    cell_experiment,
     cell_problem,
+    cell_verdict,
     g0_decomposition,
     g0_probe_pair,
+    hconv_verdict,
     hconvergence_experiment,
     homogenized_tensor,
     laminate_limit,
     log_gap_correlation,
     qdind_check,
+    qdind_verdict,
     schur_equiv_check,
+    schur_verdict,
 )
 
 TWO_PHASE = lambda y: np.where(np.asarray(y) < 0.5, 1.0, 4.0)
@@ -612,3 +619,50 @@ class TestAdjointSymmetry:
                                              mesh_rule=MeshRule(8))
         assert primal.values("gap_solution").max() < 1e-9
         assert adj.values("gap_solution").max() < 1e-9
+
+
+def _gaps(cols, values, **meta):
+    """A report of one row per entry of ``values`` (a tuple per n)."""
+    rows = [dict(zip(("n",) + cols, (n,) + v)) for n, v in enumerate(values, 1)]
+    return ExperimentReport(kind="test", columns=("n",) + cols, rows=rows, meta=meta)
+
+
+class TestPerNAndVerdicts:
+    def test_per_n_takes_its_columns_from_the_first_row(self):
+        rep = _per_n("k", [3, 1], lambda n: {"n": n, "b": 2 * n, "a": -n}, {"x": 1})
+        assert rep.columns == ("n", "b", "a") and rep.meta == {"x": 1}
+        assert rep.rows == [{"n": 3, "b": 6, "a": -3}, {"n": 1, "b": 2, "a": -1}]
+        assert _per_n("k", [], lambda n: {"n": n}, {}).columns == ()
+
+    def test_cell_tensor_against_its_expected_value(self):
+        dom = GridDomain.box((8, 8))
+        rep = cell_experiment(CoefficientField.constant(dom, 2.0, bounds=(2.0, 2.0)),
+                              2.0 * np.eye(2))
+        assert rep.columns == ("i", "j", "value", "expected", "abs_err")
+        assert [(r["i"], r["j"]) for r in rep.rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert rep.values("abs_err").max() < 1e-12 and cell_verdict(rep) == []
+        off = cell_experiment(CoefficientField.constant(dom, 2.0, bounds=(2.0, 2.0)),
+                              2.2 * np.eye(2))
+        assert cell_verdict(off) == ["cell tensor error 9.091e-02 above 0.02"]
+        assert cell_verdict(off, 0.1) == []
+
+    @pytest.mark.parametrize("dim, passes", [(1, False), (2, True), (3, True)])
+    def test_hconv_default_tolerance_by_dimension(self, dim, passes):
+        rep = _gaps(("err_solution", "err_flux"), [(0.1, 0.1), (0.03, 0.01)], dim=dim)
+        assert (hconv_verdict(rep) == []) is passes
+        assert hconv_verdict(rep, 0.04) == []
+
+    def test_qdind_decay_and_correlation(self):
+        cols = ("gap_inverse", "gap_projected", "gap_flux")
+        together = _gaps(cols, [(0.4, 0.2, 0.1), (0.1, 0.05, 0.02), (0.01, 0.005, 0.001)])
+        assert qdind_verdict(together) == []
+        apart = _gaps(cols, [(0.4, 0.005, 0.1), (0.1, 0.0001, 0.02), (0.001, 0.004, 0.001)])
+        assert qdind_verdict(apart) == ["qdind correlation -0.247 below 0.9"]
+        assert qdind_verdict(apart, min_corr=-0.5) == []
+        assert qdind_verdict(together, 1e-3)[0].startswith("qdind decay: gap_inverse: final")
+
+    def test_schur_gaps_each_decay(self):
+        cols = ("gap_m00inv", "gap_m01", "gap_m10", "gap_ms", "gap_solution")
+        rep = _gaps(cols, [(0.1,) * 5, (0.01, 0.01, 0.2, 0.01, 0.01)])
+        assert schur_verdict(rep) == ["schur gaps: gap_m10: final 2.000e-01 above 5.0e-02; "
+                                      "gap_m10: not decreasing (1.000e-01 -> 2.000e-01)"]

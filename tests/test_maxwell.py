@@ -29,7 +29,10 @@ from homlab.maxwell import (
     _transverse_table,
     build_curl,
     helmholtz_decompose,
+    helmholtz_experiment,
+    helmholtz_verdict,
     maxwell_homogenization_experiment,
+    maxwell_verdict,
 )
 from homlab.schur import Decomposition, schur_maps, tau_gap
 
@@ -250,6 +253,29 @@ class TestHelmholtz:
         cx = YeeComplex(GridDomain.box((4, 4, 4)))
         helmholtz_decompose(cx.domain)
         assert calls == [cx.curl0.shape]
+
+
+class TestHelmholtzExperiment:
+    def test_rows_and_verdict(self):
+        cx = YeeComplex(GridDomain.box((3, 3, 3)))
+        rep = helmholtz_experiment(3)
+        assert rep.columns == ("flavor", "dim_gradients", "dim_curls", "dim_harmonic",
+                               "space_dim")
+        assert [(r["flavor"], r["dim_gradients"], r["dim_harmonic"], r["space_dim"])
+                for r in rep.rows] == [(0, cx.n_nodes, 0, cx.n_edges),
+                                       (1, cx.n_cells - 1, 0, cx.n_faces)]
+        assert max(rep.meta["cross"]) < 1e-8
+        assert helmholtz_verdict(rep) == []
+
+    def test_each_broken_identity_fails(self):
+        rep = helmholtz_experiment(2)
+        rep.rows[0]["dim_harmonic"] += 1
+        rep.rows[1]["dim_curls"] += 1
+        rep.meta["cross"][1] = 1e-6
+        assert helmholtz_verdict(rep) == ["dirichlet: dimensions do not sum",
+                                          "dirichlet: nonzero harmonic dimension on a box",
+                                          "neumann: dimensions do not sum",
+                                          "neumann: gradient/curl blocks not orthogonal"]
 
 
 class TestMaxwellSystem:
@@ -563,6 +589,22 @@ class TestHomogenizationExperiment:
             transverse_cells=4)
         assert rep.values("gap_resolvent").max() < 1e-9
 
+    def test_each_laminate_limit_is_computed_once(self, monkeypatch):
+        # that of lambda eps + sigma and that of mu, which also fills the meta
+        profiles = []
+
+        def counting(profile):
+            profiles.append(profile)
+            return laminate_limit(profile)
+
+        monkeypatch.setattr(maxwell, "laminate_limit", counting)
+        mu = TWO_PHASE(1.0, 2.0)
+        rep = maxwell_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), mu, TWO_PHASE(0.5, 1.0), lam=1.0, n_list=[1, 2],
+            bounds=(0.5, 10.0), transverse_cells=3)
+        assert len(profiles) == 2 and profiles[1] is mu
+        assert rep.meta["mu_limit"] == laminate_limit(mu)
+
     def test_laminate_resolvent_decay(self):
         rep = maxwell_homogenization_experiment(
             TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
@@ -571,6 +613,9 @@ class TestHomogenizationExperiment:
         assert v[-1] < v[0]
         for col in ("gap_m00inv", "gap_ms"):
             assert rep.final(col) < rep.rows[0][col]
+        assert maxwell_verdict(rep) == []
+        failures = maxwell_verdict(rep, 1e-9)
+        assert len(failures) == 1 and failures[0].startswith("maxwell decay: gap_resolvent: final")
 
     def test_sigma_oscillation_limit_is_not_split(self):
         # the lambda-dependent limit of lam*eps + sigma is a harmonic mean of
@@ -602,9 +647,11 @@ class TestHomogenizationExperiment:
             cx, t_n, a_op = maxwell_system(GridDomain.box(cells), osc(eps), osc(mu), osc(sigma),
                                            lam)
             space = a_op.source
-            eps_lim = cx.sample_edges(_laminate_tensor_fns(lambda y: lam * eps(y) + sigma(y)))
-            t_lim = sp.diags(np.concatenate([lam * (eps_lim / lam),
-                                             lam * cx.sample_faces(_laminate_tensor_fns(mu))]))
+            eps_lim = cx.sample_edges(
+                _laminate_tensor_fns(*laminate_limit(lambda y: lam * eps(y) + sigma(y))))
+            t_lim = sp.diags(np.concatenate([
+                lam * (eps_lim / lam),
+                lam * cx.sample_faces(_laminate_tensor_fns(*laminate_limit(mu)))]))
             probes = _maxwell_probes(cx, space)
             gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + a_op.matrix).solve)
                                 for t in (t_n, t_lim)), probes, probes)
@@ -639,7 +686,7 @@ class TestHomogenizationExperiment:
     def test_coefficient_varying_along_y_has_no_transverse_modes(self, monkeypatch):
         y_varying = lambda pts: 1.0 + 0.5 * (pts[:, 1] < 0.5)
         monkeypatch.setattr(maxwell, "_laminate_tensor_fns",
-                            lambda profile: (y_varying,) * 3)
+                            lambda a_h, a_m: (y_varying,) * 3)
         with pytest.raises(ShapeError, match="n=1: a coefficient varies along y or z"):
             maxwell_homogenization_experiment(
                 TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),

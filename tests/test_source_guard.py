@@ -31,6 +31,9 @@ A grid gradient is real, so G^H is ``matrix.T``: no ``.matrix.conj()``
 copy appears in homlab.
 A module-level cache keeps one entry (``lru_cache(maxsize=1)``), so no grid
 or solver outlives the next one built.
+The CLI builds no experiment: ``cli.py`` has no loop over an ``n_list`` and
+names no operator, space or dense LU (``LinearOp``, ``HilbertSpace``,
+``_dense_lu``); each runner calls one library experiment and its verdict.
 """
 
 import ast
@@ -300,6 +303,39 @@ def _defaulted_parameters(path):
 
     visit(ast.parse(path.read_text()), [], None)
     return found
+
+
+_CLI_FREE = {"LinearOp", "HilbertSpace", "_dense_lu"}
+
+
+def _n_list_loop(node):
+    """A ``for`` statement or a comprehension whose iterable reads an
+    ``n_list``: a name, an attribute or a subscript by a "section.n_list"
+    key."""
+    if not isinstance(node, (ast.For, ast.comprehension)):
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "n_list"
+               or isinstance(n, ast.Attribute) and n.attr == "n_list"
+               or isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)
+               and str(n.slice.value).endswith("n_list") for n in ast.walk(node.iter))
+
+
+def test_cli_builds_no_experiment():
+    cli = Path(homlab.__file__).parent / "cli.py"
+    assert _sites(cli, _n_list_loop) == []
+    assert _named_sites(cli, _CLI_FREE) == []
+
+
+def test_scan_sees_an_experiment_in_the_cli(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .hilbert import HilbertSpace, _DENSE_SVD_CUTOFF\n\n"
+                   "def run(p):\n    for n in p['run.n_list']:\n        pass\n"
+                   "    return [n for n, v in zip(p.n_list, p)]\n\n"
+                   "def build(p, n_list):\n    rows = []\n    for n in n_list:\n"
+                   "        rows.append(hilbert.LinearOp(n))\n    return max(p['run.n_list'])\n\n"
+                   "def fine(p):\n    return [k for k in {'run.n_list': 1}], hilbert._dense_lu\n")
+    assert _sites(src, _n_list_loop) == ["mod.run", "mod.run", "mod.build"]
+    assert _named_sites(src, _CLI_FREE) == ["mod", "mod.build", "mod.fine"]
 
 
 def _literal(node):

@@ -14,6 +14,7 @@ from homlab.thermo import (
     assemble_thermo,
     congruence_diagonalize,
     thermo_homogenization_experiment,
+    thermo_verdict,
 )
 
 TWO_PHASE = lambda lo, hi: (lambda y: np.where(np.asarray(y) < 0.5, lo, hi))
@@ -186,6 +187,11 @@ class TestHomogenizationExperiment:
         v = rep.values("gap_resolvent")
         assert v[-1] < v[0]
         assert rep.decreasing("gap_w") and rep.decreasing("gap_rho")
+        assert rep.columns == ("n", "cells", "gap_resolvent", "gap_c_m00inv", "gap_c_m01",
+                               "gap_c_m10", "gap_c_ms", "gap_w", "gap_rho")
+        assert thermo_verdict(rep) == []
+        failures = thermo_verdict(rep, 1e-9)
+        assert len(failures) == 1 and failures[0].startswith("thermo decay: gap_resolvent: final")
 
     def test_shipped_size_certifies_without_arpack(self, monkeypatch):
         # the coercivity bound of lam m0 + m1 comes from the connected
