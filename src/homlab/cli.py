@@ -161,30 +161,30 @@ class RunConfig:
 # the coefficient classes of the thermo and Maxwell experiments: every
 # coefficient (Maxwell: lambda eps + sigma and mu) must lie in these bounds
 _THERMO_BOUNDS, _MAXWELL_BOUNDS = (0.4, 5.0), (0.4, 10.0)
-# the most thermo cells whose solves meet their 1e-10 residual check, set by
-# the 1-d Galerkin solve of the elastic block in the Schur maps (one LAPACK
-# gttrf tridiagonal solve). Its largest relative residual in a run, with
-# c 0.4 | 5.0 (the ends of _THERMO_BOUNDS), 2 cells per period, gamma 0.5 and
-# lambda 1: 4.66e-11 at 3072 cells, 6.87e-11 at 4096, 1.32e-10 at 6144. At
-# 4096 cells gamma 0.5 or 30 and lambda 1e-3 or 1e3 do not move it, and 16 or
-# 256 cells per period give at most 7.04e-11; c 1 | 4, as shipped, 2.8e-11 at
-# 4096 and 1.36e-10 at 12 800
+# the most thermo cells whose solves meet their residual check at
+# hilbert._RESIDUAL_TOL (1e-10), set by the 1-d Galerkin solve of the elastic
+# block in the Schur maps (one LAPACK gttrf tridiagonal solve). Its largest
+# relative residual in a run, with c 0.4 | 5.0 (the ends of _THERMO_BOUNDS),
+# 2 cells per period, gamma 0.5 and lambda 1: 4.66e-11 at 3072 cells,
+# 6.87e-11 at 4096, 1.32e-10 at 6144. At 4096 cells gamma 0.5 or 30 and
+# lambda 1e-3 or 1e3 do not move it, and 16 or 256 cells per period give at
+# most 7.04e-11; c 1 | 4, as shipped, 2.8e-11 at 4096 and 1.36e-10 at 12 800
 _THERMO_CELLS = 4096
-# the largest |gamma| whose resolvent solve meets its 1e-10 residual check.
-# The solve of lambda m0 + m1 + A loses accuracy as gamma^2 / c grows in m0.
-# Its largest relative residual at 4096 cells, c at 0.4 (the lower end of
-# _THERMO_BOUNDS), the other coefficients at either end: lambda 1, gamma
-# 300 7.1e-12, 1000 4.7e-11 to 9.6e-11, 1500 SolverDiverged; lambda 1e3
-# (all coefficients 0.4, the worst case), gamma 30 1.1e-11, 50 4.6e-11, 100
-# SolverDiverged. At 30 it is at most 1.2e-11 for every lambda in [1e-6, 1e6]
+# the largest |gamma| whose resolvent solve meets its residual check at
+# hilbert._RESIDUAL_TOL. The solve of lambda m0 + m1 + A loses accuracy as
+# gamma^2 / c grows in m0. Its largest relative residual at 4096 cells, c at
+# 0.4 (the lower end of _THERMO_BOUNDS), the other coefficients at either end:
+# lambda 1, gamma 300 7.1e-12, 1000 4.7e-11 to 9.6e-11, 1500 SolverDiverged;
+# lambda 1e3 (all coefficients 0.4, the worst case), gamma 30 1.1e-11, 50
+# 4.6e-11, 100 SolverDiverged. At 30 at most 1.2e-11 for lambda in [1e-6, 1e6]
 _THERMO_GAMMA = 30.0
-# the range of lambda whose resolvent solve meets its 1e-10 residual check.
-# The solve of lambda m0 + m1 + A loses accuracy as lambda grows. Its largest
-# relative residual at 4096 cells, over gamma 0, 10, +-30 and five choices of
-# the coefficients from the ends of _THERMO_BOUNDS: at lambda 1e-6 at most
-# 7.1e-12, at 1e6 at most 1.2e-11; with every coefficient 0.4 | 5.0 (the
-# worst case), gamma 30, 1.0e-10 at 1e7 and SolverDiverged at 1e8 (8.7e-10),
-# as at 1e8 with gamma 10 (1.0e-10)
+# the range of lambda whose resolvent solve meets its residual check at
+# hilbert._RESIDUAL_TOL. The solve of lambda m0 + m1 + A loses accuracy as
+# lambda grows. Its largest relative residual at 4096 cells, over gamma 0,
+# 10, +-30 and five choices of the coefficients from the ends of
+# _THERMO_BOUNDS: at lambda 1e-6 at most 7.1e-12, at 1e6 at most 1.2e-11;
+# with every coefficient 0.4 | 5.0 (the worst case), gamma 30, 1.0e-10 at
+# 1e7 and SolverDiverged at 1e8 (8.7e-10), as at 1e8 with gamma 10 (1.0e-10)
 _THERMO_LAMBDA = (1e-6, 1e6)
 # the most cells per axis m whose box keeps its 3 m^2 (m - 1) faces within
 # the one dense SVD (of curl0) that helmholtz_decompose takes

@@ -40,7 +40,7 @@ from .errors import (
     SolverDiverged,
     VanishingHarmonicMean,
 )
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, _check_residual
+from .hilbert import _RESIDUAL_TOL, HilbertSpace, LinearOp, ProbeSet, _check_residual
 
 __all__ = [
     "GridDomain",
@@ -585,14 +585,16 @@ _CHUNK_ENTRIES = 2**15
 
 def _entry_chunks(k):
     """The stored entries of a CSR or CSC matrix, about ``_CHUNK_ENTRIES``
-    at a time in whole compressed lines: per chunk, the major and minor
-    index of each entry (in K's index dtype) and the slice of ``k.data``
-    that holds them."""
+    at a time in whole compressed lines: per chunk that holds any, the major
+    and minor index of each entry (in K's index dtype) and the slice of
+    ``k.data`` that holds them."""
     n_lines = len(k.indptr) - 1
     lines = max(1, _CHUNK_ENTRIES * n_lines // max(k.nnz, 1))
     for start in range(0, n_lines, lines):
         stop = min(start + lines, n_lines)
         entries = slice(k.indptr[start], k.indptr[stop])
+        if entries.start == entries.stop:
+            continue
         major = np.repeat(np.arange(start, stop, dtype=k.indices.dtype),
                           np.diff(k.indptr[start:stop + 1]))
         yield major, k.indices[entries], entries
@@ -887,38 +889,49 @@ def _unit_column(grad):
 
 
 def _is_hermitian(k):
-    """max |K - K^H| <= 1e-12 max |K| for a square sparse K, in one pass over
-    its stored entries, a chunk at a time: K[i, i + s] adds itself and
-    K[i + s, i] its negated conjugate at (s, i) of a table with a row of n
-    per occupied distance s (in CSC the two swap, which keeps |K - K^H|).
-    There is no transposed copy of K and no array over all its entries."""
+    """max |K - K^H| <= 1e-12 max |K| for a square sparse K, from its stored
+    entries a chunk of whole lines at a time: K[i, i + s] adds itself and
+    K[i + s, i] its negated conjugate at (s, i) of a table with a row per
+    occupied distance s (in CSC the two swap, which keeps |K - K^H|). Entry
+    (s, i) is final once line i + s is read, so a row is a ring of its open
+    columns, at most s plus one chunk's lines. No transposed copy of K."""
     if k.format not in ("csr", "csc"):
         k = k.tocsr()
     n = k.shape[0]
-    row = np.full(n, -1)    # distance -> its row of the table
-    table, top = np.zeros(0, dtype=k.dtype), 0.0
+    occupied, span, done = np.zeros(n, dtype=bool), 1, 0
+    for major, minor, _ in _entry_chunks(k):
+        far = minor - major
+        occupied[np.abs(far, out=far)] = True
+        span, done = max(span, major[-1] + 1 - done), major[-1] + 1
+    dists = np.flatnonzero(occupied)
+    width = 1 << int(np.minimum(dists + span, n - dists).max(initial=1) - 1).bit_length()
+    ring = np.zeros((len(dists), width), dtype=k.dtype)
+    row = np.zeros(n, dtype=k.indices.dtype)    # distance -> its row's start in the ring
+    row[dists] = np.arange(len(dists)) * width
+    gap, top, done = 0.0, 0.0, 0
     for major, minor, entries in _entry_chunks(k):
-        dist, vals = minor - major, k.data[entries]
-        far = np.abs(dist)
-        at = row.take(far)
-        if at.min(initial=0) < 0:
-            new = np.zeros(n, dtype=bool)
-            new[far[at < 0]] = True
-            row[new] = np.arange(np.count_nonzero(new)) + table.size // n
-            table, old = np.zeros(n * (row.max() + 1), k.dtype), table
-            table[:old.size] = old
-            at = row.take(far)
-        at *= n
-        at += np.minimum(major, minor)
+        vals, dist, before, done = k.data[entries], minor - major, done, major[-1] + 1
+        slot = row.take(np.abs(dist))
+        np.minimum(major, minor, out=major)
+        slot += np.bitwise_and(major, width - 1, out=major)
         if np.iscomplexobj(vals):
             signed = np.where(dist >= 0, vals, 0) - np.where(dist <= 0, vals.conj(), 0)
         else:    # the real diagonal cancels
             signed = np.sign(dist, dtype=vals.dtype)
             signed *= vals
-        np.add.at(table, at, signed)
-        top = max(top, np.abs(vals).max(initial=0.0))
-    gap = max((np.abs(line).max() for line in table.reshape(-1, n)), default=0.0)
-    return bool(gap <= 1e-12 * top)
+        del dist
+        np.add.at(ring.reshape(-1), slot, signed)
+        del signed, slot    # before the next chunk is cut
+        top = max(top, np.abs(vals).max())
+        for r, s in enumerate(dists):    # the columns i that line i + s has made final
+            i = max(before - s, 0)
+            while i < done - s:    # up to the ring's end, then from its start
+                final = ring[r, i % width:][:done - s - i]
+                gap = max(gap, np.abs(final).max())
+                final[:] = 0
+                i += len(final)
+    # and the columns whose line i + s holds no entry and comes after the last that does
+    return bool(max(gap, np.abs(ring).max(initial=0.0)) <= 1e-12 * top)
 
 
 class _GridSolver:
@@ -968,7 +981,7 @@ class _GridSolver:
         u = self._exact(rhs) if self._exact else self._krylov(rhs)
         if self._grounded:
             u = self._grad.mean_center(u)
-        _check_residual(self.k, u, rhs, 1e-10)
+        _check_residual(self.k, u, rhs, _RESIDUAL_TOL)
         return u
 
     def _krylov(self, rhs):
@@ -1215,7 +1228,7 @@ def divcurl_compliant(profile, bounds, cells_per_period, n_list):
     of load 1 with a_n = profile(n x mod 1) on ``cells_per_period`` n
     cells, against that of the harmonic-mean solve on the finest grid (the
     meta's ``limit``)."""
-    from .homogenize import _per_n, laminate_limit
+    from .homogenize import _oscillate, _per_n, laminate_limit
 
     check_budget((cells_per_period * max(n_list),), "dirichlet")    # before any field is sampled
     f = RHSFunctional.density(lambda pts: np.ones(len(pts)))
@@ -1233,7 +1246,7 @@ def divcurl_compliant(profile, bounds, cells_per_period, n_list):
 
     def row(n):
         v = pairing(cells_per_period * n, lambda dom: CoefficientField.from_function(
-            dom, lambda pts: profile((n * pts[:, 0]) % 1.0), bounds=bounds))
+            dom, lambda pts: _oscillate(profile, n, pts[:, 0]), bounds=bounds))
         return {"n": n, "pairing": v.real, "weak_limit_product": lim.real, "gap": abs(v - lim)}
 
     return _per_n("divcurl", n_list, row, {"mode": "compliant", "limit": lim})

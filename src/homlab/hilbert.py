@@ -62,6 +62,8 @@ _BANDED_WORK_CUTOFF = 3e9
 _BAND_LU_ENTRIES = 2 ** 28
 # a dense matrix whose kappa_1 estimate exceeds this counts as singular
 _COND_CUTOFF = 1e12
+# the largest relative residual of every checked sparse, grid or Maxwell solve
+_RESIDUAL_TOL = 1e-10
 # kernel_range's rank cutoff, relative to the largest singular value
 _RANK_TOL = 1e-10
 # the most entries in one column chunk of a probe block (2 MiB of reals)
@@ -724,7 +726,7 @@ class _SparseSolver:
     ``tol=inf`` a non-finite x fails, with no product by K: a residual that
     misses inf is NaN, from a non-finite load or K, which make x so too."""
 
-    def __init__(self, k, tol=1e-10, order=None):
+    def __init__(self, k, tol=_RESIDUAL_TOL, order=None):
         self.k = k.tocsr()
         self.tol = tol
         self._solve = _band_lu(self.k, order)

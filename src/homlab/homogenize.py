@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 
+def _oscillate(profile, n, x):
+    """profile(n x mod 1): a laminate of period 1/n at first coordinates x."""
+    return profile((n * x) % 1.0)
+
+
 class CoefficientSequence:
     """n-indexed oscillation family producing a coefficient field per mesh.
 
@@ -80,10 +85,8 @@ class CoefficientSequence:
         """a_n(x) = profile(n x_1 mod 1) times the identity."""
 
         def gen(n, domain):
-            def fn(points):
-                return profile((n * points[:, 0]) % 1.0)
-
-            return CoefficientField.from_function(domain, fn, bounds=bounds)
+            return CoefficientField.from_function(
+                domain, lambda points: _oscillate(profile, n, points[:, 0]), bounds=bounds)
 
         return cls("laminate_x1", gen, bounds, profile=profile)
 

@@ -20,24 +20,26 @@ under no boundary conditions).
 
 Every coefficient of the homogenisation experiment depends on x alone, so
 per oscillation index the experiment samples the diagonal
-T = diag(lambda eps + sigma, lambda mu) at edge and face midpoints and
-changes basis once, to transverse-mode coordinates: the orthonormal DST-I
-on interior-node axes and DCT-II on cell axes, dense 1-d tables, transform
-every block of unknowns along y and z (:func:`_to_modes`, Hockney's
-method). There the 1-d differences along y and z sit on one subdiagonal,
-the complex's operators come from the same assembly
-(``YeeComplex._mode_operators``), the one skew pair is that of the mode
-curl0, T is left as it is, and each system of the experiment -- the
-eliminated edge system of the resolvent (:class:`_EdgeResolvent`) and the
-Gram and a00 systems of the kernel splitting -- is one band along x per
-transverse mode, which the generic band LU of ``hilbert._SparseSolver``
-factorises. This is the only route by which homlab solves a Maxwell
-resolvent.
+T = diag(lambda eps + sigma, lambda mu) once per block of Yee unknowns at
+its x coordinates (:func:`_yee_blocks`, the one description of where each
+unknown sits), repeats it along y and z and changes basis once, to
+transverse-mode coordinates: the orthonormal DST-I on interior-node axes
+and DCT-II on cell axes, dense 1-d tables, transform every block of
+unknowns along y and z (:func:`_to_modes`, Hockney's method). There the
+1-d differences along y and z sit on one subdiagonal, the complex's
+operators come from the same assembly (``YeeComplex._mode_operators``),
+the one skew pair is that of the mode curl0, T is left as it is, and each
+system of the experiment -- the eliminated edge system of the resolvent
+(:class:`_EdgeResolvent`) and the Gram and a00 systems of the kernel
+splitting -- is one band along x per transverse mode, which the generic
+band LU of ``hilbert._SparseSolver`` factorises. This is the only route by
+which homlab solves a Maxwell resolvent.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,9 +49,10 @@ import scipy.sparse as sp
 from .elliptic import GridDomain, check_budget
 from .errors import CoercivityError, ShapeError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
-from .hilbert import _check_residual, _complement_basis, _rows, _skew_pair
+from .hilbert import _RESIDUAL_TOL, _check_residual, _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
-from .homogenize import _TAU_COLUMNS, _decay_verdict, _per_n, _probe_pair, _report, laminate_limit
+from .homogenize import _TAU_COLUMNS, _decay_verdict, _oscillate, _per_n, _probe_pair, _report
+from .homogenize import laminate_limit
 from .schur import Decomposition, tau_gap
 
 __all__ = [
@@ -86,7 +89,9 @@ class YeeComplex:
     ``curl0`` is D_b on axis b, (a, b, c) cyclic, with the (a, b) block minus
     the same product with D_c. Nodes, edges along a, faces normal to a and
     cells are each numbered in C order of their index grid, x slowest; edges
-    and faces come axis block by axis block.
+    and faces come axis block by axis block (:func:`_yee_blocks`). The
+    physical operators and the position and axis of each unknown are built
+    on first use; the Maxwell experiment reads none of them.
     """
 
     def __init__(self, domain):
@@ -97,7 +102,7 @@ class YeeComplex:
         if min(m) < 2:
             raise ShapeError("the staggered complex needs at least 2 cells per axis")
         check_budget(m, "yee")
-        h, lo = domain.spacing, domain.lo
+        h = domain.spacing
         vol = math.prod(h)
 
         # one 1-d factor per axis: the difference from interior nodes to
@@ -107,34 +112,31 @@ class YeeComplex:
         inner = [sp.identity(c - 1, format="coo") for c in m]
         whole = [sp.identity(c, format="coo") for c in m]
         self._factors = diff, inner, whole
-        self.grad0, self.curl0, self.div_faces = _operators(diff, inner, whole)
-        self.n_faces, self.n_edges = self.curl0.shape
-        self.n_nodes = self.grad0.shape[1]
+        self._blocks = tuple(_yee_blocks(domain))
+        self.n_edges = self._blocks[2][0].stop
+        self.n_faces = self._blocks[5][0].stop - self.n_edges
+        self.n_nodes = math.prod(c - 1 for c in m)
         self.n_cells = domain.n_cells
 
         self.edge_space = HilbertSpace(self.n_edges, weight=np.full(self.n_edges, vol))
         self.face_space = HilbertSpace(self.n_faces, weight=np.full(self.n_faces, vol))
         self.cell_space = HilbertSpace(self.n_cells, weight=np.full(self.n_cells, vol))
 
-        # edges along a sit at cell centres on axis a and at interior nodes
-        # on the others, faces normal to a the other way round
-        centres = [lo[t] + (np.arange(m[t]) + 0.5) * h[t] for t in range(3)]
-        nodes = [lo[t] + np.arange(1, m[t]) * h[t] for t in range(3)]
+    # -- derived on first use ---------------------------------------------------
 
-        def points(axes):
-            grids = np.meshgrid(*axes, indexing="ij")
-            return np.stack([g.ravel() for g in grids], axis=-1)
+    @functools.cached_property
+    def _physical_operators(self):
+        return _operators(*self._factors)
 
-        edge_mids = [points([centres[t] if t == a else nodes[t] for t in range(3)])
-                     for a in range(3)]
-        face_mids = [points([nodes[t] if t == a else centres[t] for t in range(3)])
-                     for a in range(3)]
-        self.edge_mid = np.concatenate(edge_mids)
-        self.face_mid = np.concatenate(face_mids)
-        self.edge_axis = np.repeat(np.arange(3), [len(p) for p in edge_mids])
-        self.face_axis = np.repeat(np.arange(3), [len(p) for p in face_mids])
+    grad0 = property(lambda self: self._physical_operators[0], doc="nodes -> edges")
+    curl0 = property(lambda self: self._physical_operators[1], doc="edges -> faces")
+    div_faces = property(lambda self: self._physical_operators[2], doc="faces -> cells")
 
-    # -- derived operators ------------------------------------------------------
+    # the point, (n, 3), and the axis of the block of each edge or face unknown
+    edge_mid = functools.cached_property(lambda self: _positions(self._blocks[:3]))
+    face_mid = functools.cached_property(lambda self: _positions(self._blocks[3:]))
+    edge_axis = functools.cached_property(lambda self: _spread(range(3), self._blocks[:3]))
+    face_axis = functools.cached_property(lambda self: _spread(range(3), self._blocks[3:]))
 
     @functools.cached_property
     def _mode_operators(self):
@@ -165,24 +167,12 @@ class YeeComplex:
         return self.div_faces.T.tocsr()[:, 1:]
 
     def sample_edges(self, fn):
-        """Diagonal edge coefficient from a scalar callable or an axis-wise
-        triple of callables."""
-        if callable(fn):
-            return np.asarray(fn(self.edge_mid))
-        vals = np.empty(self.n_edges)
-        for axis in range(3):
-            m = self.edge_axis == axis
-            vals[m] = fn[axis](self.edge_mid[m])
-        return vals
+        """Diagonal edge coefficient from a callable of (n, 3) points or an
+        axis-wise triple of them."""
+        return _sample(fn, self._blocks[:3])
 
     def sample_faces(self, fn):
-        if callable(fn):
-            return np.asarray(fn(self.face_mid))
-        vals = np.empty(self.n_faces)
-        for axis in range(3):
-            m = self.face_axis == axis
-            vals[m] = fn[axis](self.face_mid[m])
-        return vals
+        return _sample(fn, self._blocks[3:])
 
 
 def _kron3(x, y, z):
@@ -228,31 +218,48 @@ def _diag_bounds_check(vals, alpha, beta, what):
         )
 
 
-# edges along a sit on cells on axis a, faces normal to a on interior nodes
-_EDGES = tuple(tuple(t == a for t in range(3)) for a in range(3))
-_FACES = tuple(tuple(t != a for t in range(3)) for a in range(3))
-
-
-def _yee_blocks(cells):
-    """The edge+face unknowns of a :class:`YeeComplex` block by block, each
-    block as its slice of the unknowns, the index grid it fills (m_a cells
-    or m_a - 1 interior nodes on axis a) and whether it sits on cells on
-    each axis."""
+def _yee_blocks(domain):
+    """The edge+face unknowns of the :class:`YeeComplex` of ``domain`` block
+    by block: edges along x, y and z, then faces normal to x, y and z, each
+    block as its slice of the unknowns, the index grid it fills, one 1-d
+    coordinate array per axis, the m_a cell centres or the m_a - 1 interior
+    nodes of axis a, and per axis whether it sits on cells. Its unknowns are
+    the grid's points in C order."""
+    m, h, lo = domain.cells, domain.spacing, domain.lo
+    centres = [lo[t] + (np.arange(m[t]) + 0.5) * h[t] for t in range(3)]
+    nodes = [lo[t] + np.arange(1, m[t]) * h[t] for t in range(3)]
     start = 0
-    for kinds in _EDGES + _FACES:
-        shape = tuple(c if k else c - 1 for c, k in zip(cells, kinds))
-        yield slice(start, start + math.prod(shape)), shape, kinds
+    for faces, a in itertools.product((False, True), range(3)):
+        # edges along a sit on cells on axis a, faces normal to a on interior nodes
+        cells = tuple((t == a) != faces for t in range(3))
+        coords = tuple(centres[t] if cells[t] else nodes[t] for t in range(3))
+        shape = tuple(len(c) for c in coords)
+        yield slice(start, start + math.prod(shape)), shape, coords, cells
         start += math.prod(shape)
 
 
-def _constant_across(cells, v):
-    """Whether the edge+face vector v is exactly constant along y and z in
-    every block."""
-    for sl, shape, _ in _yee_blocks(cells):
-        u = v[sl].reshape(shape)
-        if not np.array_equal(u, np.broadcast_to(u[:, :1, :1], shape)):
-            return False
-    return True
+def _positions(blocks):
+    """The points of the unknowns of ``blocks`` (of :func:`_yee_blocks`) as
+    rows of an (n, 3) array."""
+    return np.concatenate([np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")],
+                                    axis=-1) for _, _, coords, _ in blocks])
+
+
+def _sample(fn, blocks):
+    """A callable of (n, 3) points at the unknowns of ``blocks`` (of
+    :func:`_yee_blocks`), or one callable per block, whose values (a scalar
+    or one per point) fill a real vector."""
+    if callable(fn):
+        return np.asarray(fn(_positions(blocks)))
+    return np.concatenate([np.broadcast_to(np.asarray(f(_positions([b])), dtype=float),
+                                           math.prod(b[1])) for f, b in zip(fn, blocks)])
+
+
+def _spread(values, blocks):
+    """The vector over ``blocks`` (of :func:`_yee_blocks`) that is values[b]
+    across block b: a constant, or one value per position along x."""
+    return np.concatenate([np.broadcast_to(np.reshape(v, (-1, 1, 1)), shape).ravel()
+                           for v, (_, shape, _, _) in zip(values, blocks)])
 
 
 def _transverse_table(m, cells):
@@ -268,15 +275,16 @@ def _transverse_table(m, cells):
     return table
 
 
-def _to_modes(cells, v):
-    """Q^T v for an (n, k) block v of edge+face unknowns, Q the orthogonal
-    change of basis from transverse-mode to physical coordinates (Hockney's
-    method): each block of unknowns is transformed along y and z with the
-    dense tables of :func:`_transverse_table`, the orthonormal DST-I on
-    interior-node axes and the DCT-II on cell axes."""
-    out = []
-    for sl, shape, kinds in _yee_blocks(cells):
-        qy, qz = (_transverse_table(cells[t], kinds[t]) for t in (1, 2))
+def _to_modes(cx, v):
+    """Q^T v for an (n, k) block v of the edge+face unknowns of the complex
+    ``cx``, Q the orthogonal change of basis from transverse-mode to
+    physical coordinates (Hockney's method): each block of unknowns is
+    transformed along y and z with the dense tables of
+    :func:`_transverse_table`, the orthonormal DST-I on interior-node axes
+    and the DCT-II on cell axes."""
+    out, m = [], cx.domain.cells
+    for sl, shape, _, cells in cx._blocks:
+        qy, qz = (_transverse_table(m[t], cells[t]) for t in (1, 2))
         u = np.moveaxis(v[sl].reshape(shape + v.shape[1:]), 3, 0)
         out.append(np.moveaxis(qy.T @ u @ qz, 0, 3).reshape(v[sl].shape))
     return np.concatenate(out)
@@ -317,7 +325,7 @@ class _EdgeResolvent:
         e = self._edge.solve(load)
         h = (g - self._curl0 @ e) / _rows(self._tf, g)
         x = np.concatenate([e, h])
-        _check_residual(self._full, x, rhs, 1e-10)
+        _check_residual(self._full, x, rhs, _RESIDUAL_TOL)
         return x
 
 
@@ -392,26 +400,18 @@ def helmholtz_verdict(report):
 def _maxwell_probes(cx, space):
     """Tangential sine-mode probes on the edge (+) face space of the complex
     ``cx``: the modes (1, 1, 1) and (2, 1, 1), each on the edges and then on
-    the faces of one axis in turn, as one (dim, 12) block."""
-    dim = space.dim
-    mids = np.concatenate([cx.edge_mid, cx.face_mid])
-    # column 6 i + 2 axis + (0 on an edge, 1 on a face) holds mode i
-    col = 2 * np.concatenate([cx.edge_axis, cx.face_axis]) + (np.arange(dim) >= cx.n_edges)
-    block = np.zeros((dim, 12))
-    for i, k in enumerate(((1, 1, 1), (2, 1, 1))):
-        val = np.ones(dim)
-        for a in range(3):
-            lo, hi = cx.domain.extents[a]
-            val *= np.sin(k[a] * np.pi * (mids[:, a] - lo) / (hi - lo))
-        block[np.arange(dim), 6 * i + col] = val
+    the faces of one axis in turn, as one (dim, 12) block. On each block of
+    unknowns a mode is the outer product of one sine per axis."""
+    block = np.zeros((space.dim, 12))
+    for b, (sl, _, coords, _) in enumerate(cx._blocks):
+        for i, k in enumerate(((1, 1, 1), (2, 1, 1))):
+            val = 1.0
+            for a, ((lo, hi), x) in enumerate(zip(cx.domain.extents, coords)):
+                val = val * np.sin(k[a] * np.pi * (x - lo) / (hi - lo)).reshape(
+                    [-1 if t == a else 1 for t in range(3)])
+            # column 6 i + 2 axis + (0 on an edge, 1 on a face) holds mode i
+            block[sl, 6 * i + 2 * (b % 3) + b // 3] = val.ravel()
     return ProbeSet.from_vectors(space, block, copy=False)
-
-
-def _laminate_tensor_fns(a_h, a_m):
-    """Axis-wise diagonal limit of a laminate in the first coordinate from
-    its harmonic and arithmetic means: harmonic across, arithmetic along."""
-    full = lambda value: (lambda pts: np.full(len(pts), value))
-    return full(a_h), full(a_m), full(a_m)
 
 
 def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
@@ -420,50 +420,47 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     the limit built from the lambda-dependent effective permittivity.
 
     Per n, the coefficients are eps_n(x) = eps_profile(n x_1 mod 1) etc.,
-    and their midpoint samples lambda eps_n + sigma_n and lambda mu_n must
-    lie in the class ``bounds``; the limit electric tensor is the laminate
-    limit of the combined profile lambda eps + sigma at this lambda --
-    computed per lambda, never split into a lambda-independent pair. Emits
-    the four block-map gaps on the kernel splitting of the curl block next
-    to the resolvent gap.
+    and their samples lambda eps_n + sigma_n and lambda mu_n must lie in the
+    class ``bounds``; the limit electric tensor is the laminate limit of the
+    combined profile lambda eps + sigma at this lambda -- computed per
+    lambda, never split into a lambda-independent pair -- harmonic across
+    the layers and arithmetic along them. Emits the four block-map gaps on
+    the kernel splitting of the curl block next to the resolvent gap.
 
     Laminate profiles must be exactly representable on the meshes of
     max(2 n, transverse_cells) cells along x, which pair at least 2 cells
     per period with piecewise-constant two-phase profiles.
 
-    Each system runs in the transverse-mode coordinates of the module
-    docstring, with the 12 probes transformed once per n; T_n and T_lim
-    must be exactly constant along y and z (a :class:`ShapeError` if not).
+    Each block of Yee unknowns samples the profiles once, at its x
+    coordinates, and repeats them along y and z, so T_n and T_lim are
+    constant along y and z by construction and each system runs in the
+    transverse-mode coordinates of the module docstring, with the 12 probes
+    transformed once per n.
     """
-    combined = lambda y: lam * eps_profile(y) + sigma_profile(y)
-    eps_lambda_fns = _laminate_tensor_fns(*laminate_limit(combined))
+    eps_h, eps_m = laminate_limit(lambda y: lam * eps_profile(y) + sigma_profile(y))
     mu_h, mu_m = laminate_limit(mu_profile)
-    mu_fns = _laminate_tensor_fns(mu_h, mu_m)
 
     def row(n):
         cx_cells = (max(2 * n, transverse_cells), transverse_cells, transverse_cells)
         cx = YeeComplex(GridDomain.box(cx_cells))
-        osc = lambda fn: (lambda pts: fn((n * pts[:, 0]) % 1.0))
-        te = lam * cx.sample_edges(osc(eps_profile)) + cx.sample_edges(osc(sigma_profile))
-        tf = lam * cx.sample_faces(osc(mu_profile))
+        xs = [coords[0] for _, _, coords, _ in cx._blocks]
+        te = [lam * _oscillate(eps_profile, n, x) + _oscillate(sigma_profile, n, x) for x in xs[:3]]
+        tf = [lam * _oscillate(mu_profile, n, x) for x in xs[3:]]
         try:
-            _diag_bounds_check(te, *bounds, "lambda eps + sigma")
-            _diag_bounds_check(tf, *bounds, "lambda mu")
+            _diag_bounds_check(np.concatenate(te), *bounds, "lambda eps + sigma")
+            _diag_bounds_check(np.concatenate(tf), *bounds, "lambda mu")
         except CoercivityError as exc:
             raise CoercivityError(f"at oscillation index n={n}: {exc}") from exc
         # limit system: eps(lambda) tensor entries divided back by lambda so
         # that lambda * eps_limit reproduces the lambda-limit exactly
-        t_n = sp.diags(np.concatenate([te, tf]))
-        t_lim = sp.diags(np.concatenate([lam * (cx.sample_edges(eps_lambda_fns) / lam),
-                                         lam * cx.sample_faces(mu_fns)]))
-        if not all(_constant_across(cx_cells, t.diagonal()) for t in (t_n, t_lim)):
-            raise ShapeError(f"at oscillation index n={n}: a coefficient varies along y or z, "
-                             "so it has no transverse modes")
+        t_n = sp.diags(_spread(te + tf, cx._blocks))
+        t_lim = sp.diags(_spread([lam * (a / lam) for a in (eps_h, eps_m, eps_m)]
+                                 + [lam * a for a in (mu_h, mu_m, mu_m)], cx._blocks))
 
         grad0, curl0, dual_gradient = cx._mode_operators
         pair = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0))
         space = pair.source
-        probes = ProbeSet(space, _to_modes(cx_cells, _maxwell_probes(cx, space).matrix))
+        probes = ProbeSet(space, _to_modes(cx, _maxwell_probes(cx, space).matrix))
         resolvents = [_EdgeResolvent(cx, curl0, pair.matrix, t) for t in (t_n, t_lim)]
         gap_res = wot_gap(*(LinearOp(space, space, apply=r.solve) for r in resolvents),
                           probes, probes)

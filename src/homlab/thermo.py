@@ -25,7 +25,7 @@ from .elliptic import CoefficientField, GridDomain, build_grad
 from .errors import CoercivityError
 from .hilbert import HilbertSpace, LinearOp, ProbeSet, adjoint, wot_gap
 from .hilbert import _SparseSolver, _skew_pair, _sym_lambda_min
-from .homogenize import _TAU_COLUMNS, _decay_verdict, _per_n, laminate_limit
+from .homogenize import _TAU_COLUMNS, _decay_verdict, _oscillate, _per_n, laminate_limit
 from .homogenize import g0_decomposition, g0_probe_pair
 from .schur import tau_gap
 
@@ -248,7 +248,7 @@ def thermo_homogenization_experiment(c_profile, kappa_profile, w_profile,
     def row(n):
         m = mesh_rule.cells(n)
         dom = GridDomain.interval(0, 1, m)
-        osc = lambda prof: (lambda pts: prof((n * np.atleast_2d(pts)[:, 0]) % 1.0))
+        osc = lambda prof: (lambda pts: _oscillate(prof, n, np.atleast_2d(pts)[:, 0]))
         c_n = CoefficientField.from_function(dom, osc(c_profile), bounds=bounds)
         k_n = CoefficientField.from_function(dom, osc(kappa_profile), bounds=bounds)
         sys_n = assemble_thermo(dom, osc(rho_profile), c_n, gamma,

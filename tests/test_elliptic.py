@@ -1499,8 +1499,17 @@ class TestHermitianDecision:
         coo = sp.coo_matrix(herm)
         doubled = sp.coo_matrix((np.r_[coo.data, coo.data], (np.r_[coo.row, coo.row],
                                                              np.r_[coo.col, coo.col])), (6, 6))
+        # lines 3 to 28 are empty, whole chunks of them at chunk 3
+        far = sp.lil_matrix((30, 30))
+        far[np.ix_(np.r_[0:3, 29], np.r_[0:3, 29])] = dense[:4, :4] + dense[:4, :4].T
+        skewed = far.copy()
+        skewed[0, 29] += 1.0
+        far, skewed = far.tocsr(), skewed.tocsr()
+        assert _old_is_hermitian(far) and not _old_is_hermitian(skewed)
         cases += [sym + tiny, sym + small, (sym + small).tocsr(), *bumped, sp.csc_matrix(herm),
-                  sp.csc_matrix(np.triu(dense)), doubled.tocsc(), sp.csc_matrix((4, 4))]
+                  sp.csc_matrix(np.triu(dense)), doubled.tocsc(), sp.csc_matrix((4, 4)),
+                  sp.csr_matrix(([1.0], ([0], [3])), shape=(4, 4)),    # its partner line is empty
+                  far, skewed]
         for k in cases:
             assert elliptic._is_hermitian(k) is _old_is_hermitian(k)
 
@@ -1531,6 +1540,25 @@ class TestHermitianDecision:
         elliptic._GridSolver(g, galerkin_matrix(g, _grid_coefficient(dom, kind))).solve(
             _compatible_load(g))
         assert called and set(called) == {method}
+
+    def test_32_cubed_periodic_checkerboard_peak(self):
+        # one table row per occupied distance at once took the peak to 3.58 MB
+        import tracemalloc
+
+        from homlab import elliptic
+
+        dom = GridDomain.box((32, 32, 32))
+        cb = lambda pts: np.where(np.floor(2 * pts).sum(axis=1) % 2 == 0, 1.0, 10.0)
+        k = galerkin_matrix(build_grad(dom, "periodic"), CoefficientField.from_function(dom, cb))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            hermitian = elliptic._is_hermitian(k)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert hermitian is _old_is_hermitian(k) is True
+        assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestUnitInverseFromASmallGrid:

@@ -886,3 +886,32 @@ class TestCheckResidual:
             _check_residual(k, x, np.ones((5, 3)), 1e-10)
         with pytest.raises(SolverDiverged):
             _check_residual(k, np.full(5, np.nan), np.ones(5), 1e-10)
+
+    def test_sparse_grid_and_maxwell_solves_read_one_tolerance(self, monkeypatch):
+        # a literal copy of 1e-10 would be another float object
+        from conftest import maxwell_system
+
+        from homlab import elliptic, hilbert, maxwell
+        from homlab.elliptic import CoefficientField, GridDomain, build_grad, galerkin_matrix
+
+        tols = []
+        check = hilbert._check_residual
+
+        def recording(k, x, b, tol):
+            tols.append(tol)
+            return check(k, x, b, tol)
+
+        for module in (hilbert, elliptic, maxwell):
+            monkeypatch.setattr(module, "_check_residual", recording)
+        rng = np.random.default_rng(42)
+        k, _ = random_sparse(12, 43)
+        _SparseSolver(k).solve(rng.standard_normal(12))
+        g = build_grad(GridDomain.interval(0, 1, 8))
+        elliptic._GridSolver(g, galerkin_matrix(g, CoefficientField.constant(g.domain, 2.0))) \
+            .solve(rng.standard_normal(g.scalar_space.dim))
+        const = lambda v: (lambda p: np.full(len(p), v))
+        cx, t, a_mode = maxwell_system(GridDomain.box((3, 2, 2)), const(2.0), const(1.0),
+                                       const(0.5), lam=1.0, modes=True)
+        maxwell._EdgeResolvent(cx, cx._mode_operators[1], a_mode.matrix, t) \
+            .solve(rng.standard_normal(a_mode.source.dim))
+        assert len(tols) == 3 and all(tol is hilbert._RESIDUAL_TOL for tol in tols)

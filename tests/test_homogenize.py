@@ -358,6 +358,34 @@ class TestCoefficientSequence:
         fa = seq.adjoint().field(2, GridDomain.interval(0, 1, 32))
         np.testing.assert_allclose(fa.values, f.values.conj().transpose(0, 2, 1))
 
+    def test_every_laminate_samples_one_oscillation(self, monkeypatch):
+        # the sequence, divcurl_compliant and the thermo and Maxwell
+        # experiments each sample profile(n x_1 mod 1) through _oscillate
+        from homlab import elliptic, homogenize, maxwell, thermo
+        from homlab.maxwell import maxwell_homogenization_experiment
+        from homlab.thermo import thermo_homogenization_experiment
+
+        seen = []
+        oscillate = homogenize._oscillate
+
+        def recording(profile, n, x):
+            seen.append(profile)
+            return oscillate(profile, n, x)
+
+        for module in (homogenize, maxwell, thermo):
+            monkeypatch.setattr(module, "_oscillate", recording)
+        seq, divcurl, heat, light = ((lambda y, hi=hi: np.where(np.asarray(y) < 0.5, 1.0, hi))
+                                     for hi in (2.0, 3.0, 4.0, 5.0))
+        CoefficientSequence.laminate(seq, bounds=(0.5, 6.0)).field(2, GridDomain.interval(0, 1, 8))
+        elliptic.divcurl_compliant(divcurl, (0.5, 6.0), 4, [1])
+        thermo_homogenization_experiment(heat, heat, heat, heat, gamma=0.5, lam=1.0, n_list=[1],
+                                         bounds=(0.5, 6.0), mesh_rule=MeshRule(8))
+        maxwell_homogenization_experiment(light, light, light, lam=1.0, n_list=[1],
+                                          bounds=(0.5, 12.0), transverse_cells=3)
+        assert {id(p) for p in seen} == {id(seq), id(divcurl), id(heat), id(light)}
+        x = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(oscillate(seq, 3, x), seq((3 * x) % 1.0))
+
 
 class TestHConvergence:
     def test_constant_sequence_at_solver_tolerance(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from homlab import maxwell
 from homlab.cli import main
 from homlab.elliptic import GridDomain, grid_unknowns
-from homlab.errors import CoercivityError, ShapeError, SolverDiverged
+from homlab.errors import CoercivityError, SolverDiverged
 from homlab.evolution import resolvent_bounds, skew_split
 from homlab.hilbert import LinearOp, _SparseSolver, wot_gap
 from homlab.homogenize import _probe_pair, laminate_limit
@@ -23,7 +23,6 @@ from homlab.maxwell import (
     YeeComplex,
     _EdgeResolvent,
     _diag_bounds_check,
-    _laminate_tensor_fns,
     _maxwell_probes,
     _to_modes,
     _transverse_table,
@@ -311,6 +310,18 @@ class TestMaxwellSystem:
         for axis in range(3):
             assert np.allclose(eps[cx.edge_axis == axis], 1.0 + 0.5 * axis)
 
+    def test_axiswise_scalars_fill_a_real_vector(self):
+        # a callable of a triple may return one scalar, and a complex value
+        # keeps its real part, as in a preallocated real vector
+        cx = YeeComplex(GridDomain.box((3, 2, 4)))
+        mu = cx.sample_faces((lambda p: 1.5, lambda p: np.float64(2), lambda p: 3))
+        np.testing.assert_array_equal(mu, 1.5 + 0.5 * (cx.face_axis == 1) + 1.5 * (cx.face_axis == 2))
+        with pytest.warns(np.exceptions.ComplexWarning):
+            eps = cx.sample_edges(axiswise(1.0 + 1j, 2.0, 3.0))
+        assert eps.dtype == float and np.all(eps[cx.edge_axis == 0] == 1.0)
+        whole = cx.sample_edges(lambda p: p[:, 0] + 2 * p[:, 2])
+        np.testing.assert_array_equal(whole, cx.edge_mid[:, 0] + 2 * cx.edge_mid[:, 2])
+
 
 def const(v):
     return lambda p: np.full(len(p), v)
@@ -458,35 +469,26 @@ class TestTransverseModes:
 
     @pytest.mark.parametrize("cells", [(4, 3, 5), (2, 2, 2)])
     def test_yee_blocks_tile_the_unknowns_in_the_complex_layout(self, cells):
-        cx = YeeComplex(GridDomain.box(cells, hi=(1.0, 0.7, 1.3)))
-        mids = np.concatenate([cx.edge_mid, cx.face_mid])
-        axes = np.concatenate([cx.edge_axis, 3 + cx.face_axis])
+        dom = GridDomain.box(cells, lo=(-0.5, 0.2, 1.0), hi=(1.5, 1.2, 1.6))
+        cx = YeeComplex(dom)
+        h = dom.spacing
         start = 0
-        for block, (sl, shape, kinds) in enumerate(maxwell._yee_blocks(cells)):
-            assert sl.start == start and list(kinds) == (EDGES + FACES)[block]
+        for block, (sl, shape, coords, cells_on) in enumerate(maxwell._yee_blocks(dom)):
+            kinds = (EDGES + FACES)[block]
+            assert list(cells_on) == kinds
+            assert sl.start == start and sl.stop - start == math.prod(shape)
             start = sl.stop
             assert shape == tuple(c if k else c - 1 for c, k in zip(cells, kinds))
-            np.testing.assert_array_equal(axes[sl], block)
-            # the C-order reshape puts axis t of the grid on coordinate t
-            pts = mids[sl].reshape(shape + (3,))
-            for t in range(3):
-                coord = np.moveaxis(pts[..., t], t, 0)
-                np.testing.assert_array_equal(coord, np.broadcast_to(coord[:, :1, :1],
-                                                                     coord.shape))
-                assert np.all(np.diff(coord[:, 0, 0]) > 0)
-        assert start == cx.n_edges + cx.n_faces
-
-    @pytest.mark.parametrize("block", range(6))
-    def test_constant_across_sees_a_variation_in_every_block(self, block):
-        cells = (4, 3, 3)
-        cx = YeeComplex(GridDomain.box(cells))
-        x_only = lambda p: 1.0 + p[:, 0] ** 2
-        v = np.concatenate([cx.sample_edges((x_only,) * 3), cx.sample_faces((x_only,) * 3)])
-        assert maxwell._constant_across(cells, v)
-        # one ulp at the block's last unknown, which sits off y = z = 0
-        last = list(maxwell._yee_blocks(cells))[block][0].stop - 1
-        v[last] = np.nextafter(v[last], np.inf)
-        assert not maxwell._constant_across(cells, v)
+            for t, (k, x) in enumerate(zip(kinds, coords)):
+                index = np.arange(shape[t]) + (0.5 if k else 1.0)
+                np.testing.assert_allclose(x, dom.lo[t] + index * h[t], rtol=0, atol=1e-15)
+        assert start == cx.n_edges + cx.n_faces == grid_unknowns(cells, "yee")
+        # the operators' blocks are the walk's: curl0 maps the three edge
+        # blocks to the three face blocks
+        sizes = [sl.stop - sl.start for sl, _, _, _ in maxwell._yee_blocks(dom)]
+        assert cx.curl0.shape == (sum(sizes[3:]), sum(sizes[:3]))
+        np.testing.assert_array_equal(np.bincount(cx.edge_axis), sizes[:3])
+        np.testing.assert_array_equal(np.bincount(cx.face_axis), sizes[3:])
 
     @pytest.mark.parametrize("cells", [(4, 3, 5), (2, 2, 2), (3, 6, 2)])
     def test_mode_operators_are_the_transformed_operators(self, cells):
@@ -506,7 +508,7 @@ class TestTransverseModes:
         # the transform of the experiment's probes is Q^T
         v = np.random.default_rng(9).standard_normal((cx.n_edges + cx.n_faces, 2))
         q = sp.block_diag((qe, qf))
-        np.testing.assert_allclose(_to_modes(cells, v), q.T @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_to_modes(cx, v), q.T @ v, rtol=0, atol=1e-13)
 
     def test_laminate_edge_matrix_separates_with_bandwidth_3(self, band_lu_calls):
         cx, t, a_mode = self.laminate((16, 8, 8), modes=True)
@@ -647,11 +649,12 @@ class TestHomogenizationExperiment:
             cx, t_n, a_op = maxwell_system(GridDomain.box(cells), osc(eps), osc(mu), osc(sigma),
                                            lam)
             space = a_op.source
-            eps_lim = cx.sample_edges(
-                _laminate_tensor_fns(*laminate_limit(lambda y: lam * eps(y) + sigma(y))))
+            # harmonic across the layers, arithmetic along them
+            eps_h, eps_m = laminate_limit(lambda y: lam * eps(y) + sigma(y))
+            mu_h, mu_m = laminate_limit(mu)
             t_lim = sp.diags(np.concatenate([
-                lam * (eps_lim / lam),
-                lam * cx.sample_faces(_laminate_tensor_fns(*laminate_limit(mu)))]))
+                lam * (cx.sample_edges(axiswise(eps_h, eps_m, eps_m)) / lam),
+                lam * cx.sample_faces(axiswise(mu_h, mu_m, mu_m))]))
             probes = _maxwell_probes(cx, space)
             gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + a_op.matrix).solve)
                                 for t in (t_n, t_lim)), probes, probes)
@@ -683,11 +686,49 @@ class TestHomogenizationExperiment:
             cx = YeeComplex(GridDomain.box((max(2 * n, 3), 3, 3)))
             assert abs(curl0 - cx._mode_operators[1]).max() == 0.0
 
-    def test_coefficient_varying_along_y_has_no_transverse_modes(self, monkeypatch):
-        y_varying = lambda pts: 1.0 + 0.5 * (pts[:, 1] < 0.5)
-        monkeypatch.setattr(maxwell, "_laminate_tensor_fns",
-                            lambda a_h, a_m: (y_varying,) * 3)
-        with pytest.raises(ShapeError, match="n=1: a coefficient varies along y or z"):
-            maxwell_homogenization_experiment(
-                TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
-                lam=1.0, n_list=[1], bounds=(0.5, 10.0), transverse_cells=4)
+    def test_every_system_is_constant_along_y_and_z(self, monkeypatch):
+        # T_n and T_lim as each n's resolvents receive them, cut into the Yee
+        # blocks of the complex layout built here
+        seen = []
+        resolvent = maxwell._EdgeResolvent
+
+        def recording(cx, curl0, a_matrix, t):
+            seen.append((cx.domain.cells, t.diagonal()))
+            return resolvent(cx, curl0, a_matrix, t)
+
+        monkeypatch.setattr(maxwell, "_EdgeResolvent", recording)
+        maxwell_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
+            lam=1.3, n_list=[1, 2, 4], bounds=(0.5, 10.0), transverse_cells=3)
+        assert [cells for cells, _ in seen] == [(3, 3, 3)] * 2 + [(4, 3, 3)] * 2 + [(8, 3, 3)] * 2
+        for i, (cells, diag) in enumerate(seen):
+            start = 0
+            for kinds in EDGES + FACES:
+                shape = tuple(c if k else c - 1 for c, k in zip(cells, kinds))
+                block = diag[start:start + math.prod(shape)].reshape(shape)
+                start += math.prod(shape)
+                np.testing.assert_array_equal(block, np.broadcast_to(block[:, :1, :1], shape))
+                # T_n varies along x in every block, the limit is one constant
+                assert (np.ptp(block) == 0) == (i % 2 == 1)
+            assert start == len(diag)
+
+    def test_a_run_forms_no_physical_complex(self, monkeypatch):
+        # the experiment samples and probes from 1-d coordinates and solves
+        # in transverse modes, so no complex it builds assembles its physical
+        # operators or holds the position of each unknown
+        made = []
+
+        class Recording(YeeComplex):
+            def __init__(self, domain):
+                super().__init__(domain)
+                made.append(self)
+
+        monkeypatch.setattr(maxwell, "YeeComplex", Recording)
+        maxwell_homogenization_experiment(
+            TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
+            lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
+        physical = {"grad0", "curl0", "div_faces", "_physical_operators", "edge_mid", "face_mid"}
+        assert len(made) == 2 and not any(physical & vars(cx).keys() for cx in made)
+        # the check sees them once they are formed
+        made[0].curl0, made[0].edge_mid
+        assert {"_physical_operators", "edge_mid"} <= vars(made[0]).keys()

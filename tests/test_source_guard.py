@@ -34,6 +34,9 @@ or solver outlives the next one built.
 The CLI builds no experiment: ``cli.py`` has no loop over an ``n_list`` and
 names no operator, space or dense LU (``LinearOp``, ``HilbertSpace``,
 ``_dense_lu``); each runner calls one library experiment and its verdict.
+The Maxwell experiment builds no physical complex: ``maxwell_homogenization_experiment``
+and its probes read no position, axis or sample of each unknown and no
+physical operator of a ``YeeComplex`` as an attribute.
 """
 
 import ast
@@ -336,6 +339,40 @@ def test_scan_sees_an_experiment_in_the_cli(tmp_path):
                    "def fine(p):\n    return [k for k in {'run.n_list': 1}], hilbert._dense_lu\n")
     assert _sites(src, _n_list_loop) == ["mod.run", "mod.run", "mod.build"]
     assert _named_sites(src, _CLI_FREE) == ["mod", "mod.build", "mod.fine"]
+
+
+# what a YeeComplex forms for its physical coordinates, in full size
+_PHYSICAL = {"edge_mid", "face_mid", "edge_axis", "face_axis", "sample_edges", "sample_faces",
+             "div_faces", "grad0", "curl0"}
+_MODE_ONLY = ("maxwell_homogenization_experiment", "_maxwell_probes")
+
+
+def _physical_reads(path):
+    """Where a function of ``_MODE_ONLY`` (or one nested in it) reads an
+    attribute of ``_PHYSICAL``."""
+    sites = _sites(path, lambda node: isinstance(node, ast.Attribute) and node.attr in _PHYSICAL)
+    return [s for s in sites if s.split(".")[1:2] and s.split(".")[1] in _MODE_ONLY]
+
+
+def test_maxwell_experiment_reads_no_physical_complex():
+    maxwell = Path(homlab.__file__).parent / "maxwell.py"
+    assert _physical_reads(maxwell) == []
+    # the scan still sees the complex's own reads
+    assert "maxwell.build_curl" in _sites(maxwell, lambda node: isinstance(node, ast.Attribute)
+                                          and node.attr in _PHYSICAL)
+
+
+def test_scan_sees_a_physical_read_in_the_maxwell_experiment(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def maxwell_homogenization_experiment(cx):\n"
+                   "    def row(n):\n        return cx.sample_edges(n), cx.edge_mid\n"
+                   "    grad0, curl0, _ = cx._mode_operators\n"
+                   "    return curl0 @ cx.grad0, row\n\n"
+                   "def _maxwell_probes(cx):\n    return cx.face_axis\n\n"
+                   "def build(cx, div_faces):\n    return cx.curl0, div_faces\n")
+    assert _physical_reads(src) == ["mod.maxwell_homogenization_experiment.row",
+                                    "mod.maxwell_homogenization_experiment.row",
+                                    "mod.maxwell_homogenization_experiment", "mod._maxwell_probes"]
 
 
 def _literal(node):
