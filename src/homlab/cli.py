@@ -238,7 +238,10 @@ _KEYS = {kind: {"experiment.kind": (str, None, (kind,)), "probes.seed": (int, 0,
         "run.mode": (str, "synthetic", ("synthetic", "two_scale")),
         "run.n_list": (list, [1, 2, 4, 8, 16, 32], 1),
         "run.tolerance": (float, None, POSITIVE),    # 1e-6 synthetic, 5e-2 two_scale
-        "run.cells_per_period": (int, 32, 2),    # two_scale
+        # two_scale; _run_evo refuses 2 x cells_per_period x max(n_list) - 1
+        # unknowns above hilbert._DENSE_SVD_CUTOFF, as skew_split's one dense
+        # SVD (kernel_range) would after assembly: n up to 78 at 32 per period
+        "run.cells_per_period": (int, 32, 2),
         "run.space_dim": (int, 10, 4),    # synthetic; below 4 the forced kernel is all
         "run.slope_tolerance": (float, evolution._SLOPE_TOL, POSITIVE),    # synthetic
     },
@@ -484,6 +487,11 @@ def _run_divtest(p, out, seed, digest):
 
 def _run_evo(p, out, seed, digest):
     if p["run.mode"] == "two_scale":
+        dim = 2 * p["run.cells_per_period"] * max(p["run.n_list"]) - 1
+        if dim > _DENSE_SVD_CUTOFF:
+            raise ConfigError(f"[run] n_list: 2 x cells_per_period x max(n_list) - 1 = {dim} "
+                              f"unknowns; the dense kernel split takes up to "
+                              f"{_DENSE_SVD_CUTOFF}")
         rep = evolution.two_scale_evo_experiment(
             evolution.grid_two_scale(p["run.cells_per_period"]), p["run.n_list"])
     else:

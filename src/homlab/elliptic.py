@@ -40,7 +40,7 @@ from .errors import (
     SolverDiverged,
     VanishingHarmonicMean,
 )
-from .hilbert import _RESIDUAL_TOL, HilbertSpace, LinearOp, ProbeSet, _check_residual
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, _check_residual
 
 __all__ = [
     "GridDomain",
@@ -981,7 +981,7 @@ class _GridSolver:
         u = self._exact(rhs) if self._exact else self._krylov(rhs)
         if self._grounded:
             u = self._grad.mean_center(u)
-        _check_residual(self.k, u, rhs, _RESIDUAL_TOL)
+        _check_residual(self.k @ u, rhs)
         return u
 
     def _krylov(self, rhs):

@@ -308,8 +308,10 @@ class Subspace:
         ``solver`` solves the Gram system G^H W G x = b for a vector or a
         block through its ``solve`` method, and its ``for_matrix`` gives the
         solver of another matrix on the same unknowns; by default G^H W G is
-        factorised by a :class:`_SparseSolver` in the default order, as is the
-        other matrix (the Maxwell kernel splitting, in transverse modes)."""
+        factorised by a :class:`_SparseSolver`, one band LU in reverse
+        Cuthill-McKee order whose every solve is checked at ``_RESIDUAL_TOL``,
+        and so is the other matrix (the Maxwell kernel splitting, in
+        transverse modes)."""
         g = generator.tocsr() if sp.issparse(generator) else sp.csr_matrix(generator)
         if g.shape[0] != ambient.dim:
             raise ShapeError(f"generator has {g.shape[0]} rows, ambient dim {ambient.dim}")
@@ -637,20 +639,22 @@ def strong_gap(s, t, right):
     return _chunk_gap(s, t, right, lambda d: float(s.target.column_norms(d).max()))
 
 
-def _check_residual(k, x, b, tol):
-    """Raise :class:`SolverDiverged` unless ||K x - b|| <= tol max(1, ||b||)
-    for the solution and load, or for every column of a block of them; a
-    NaN residual misses every tolerance. Its norms form no block-size temporary."""
+def _check_residual(kx, b):
+    """Raise :class:`SolverDiverged` unless ||K x - b|| <= ``_RESIDUAL_TOL``
+    max(1, ||b||) for the caller's product K x and the load, or for every
+    column of a block of them; a NaN residual misses it. Its norms form no
+    block-size temporary."""
     def norms(v):
         v = np.asarray(v)
         parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
         return np.sqrt(sum(np.einsum("i...,i...->...", u, u) for u in parts))
 
-    res = np.atleast_1d(norms(k @ x - b))
-    bad = ~(res <= tol * np.maximum(1.0, norms(b)))
+    res = np.atleast_1d(norms(kx - b))
+    bad = ~(res <= _RESIDUAL_TOL * np.maximum(1.0, norms(b)))
     if np.any(bad):
         where = f" in column {np.flatnonzero(bad)[0]}" if np.ndim(b) == 2 else ""
-        raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses {tol:.1e}{where}")
+        raise SolverDiverged(f"solve residual {np.max(res[bad]):.3e} misses "
+                             f"{_RESIDUAL_TOL:.1e}{where}")
 
 
 def _dense_lu(m):
@@ -722,25 +726,19 @@ class _SparseSolver:
     """Residual-checked solves of K x = b from one :func:`_band_lu` of a
     sparse K, its unknowns taken in the order ``order`` (by default reverse
     Cuthill-McKee); a zero pivot raises :class:`NotInM`. One right-hand side
-    or an (n, m) block, solved in one call and checked column by column. At
-    ``tol=inf`` a non-finite x fails, with no product by K: a residual that
-    misses inf is NaN, from a non-finite load or K, which make x so too."""
+    or an (n, m) block, solved in one call and checked column by column by
+    :func:`_check_residual`."""
 
-    def __init__(self, k, tol=_RESIDUAL_TOL, order=None):
+    def __init__(self, k, order=None):
         self.k = k.tocsr()
-        self.tol = tol
         self._solve = _band_lu(self.k, order)
 
     def for_matrix(self, k):
         """The solver of another matrix K: its own band LU."""
-        return _SparseSolver(k, self.tol)
+        return _SparseSolver(k)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         x = self._solve(rhs)
-        if self.tol < np.inf:
-            _check_residual(self.k, x, rhs, self.tol)
-        elif not np.isfinite(x).all():
-            where = f" in column {np.isfinite(x).all(axis=0).argmin()}" if x.ndim == 2 else ""
-            raise SolverDiverged(f"solve returned nan or inf{where}")
+        _check_residual(self.k @ x, rhs)
         return x

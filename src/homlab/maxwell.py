@@ -7,33 +7,35 @@ components on edges with tangential-zero boundary, magnetic components on
 faces, charges on cells). The identities curl0 grad0 = 0 and div curl0 = 0
 hold at machine precision by construction, and curl is literally the weighted
 adjoint of curl0, so the block operator [[0, -curl], [curl0, 0]], the
-:func:`hilbert._skew_pair` of curl0, is skew-adjoint by construction; its
-space carries the resolvent probes, one (dim, 12) block of two sine modes
-on the edges and faces of each axis. On a box the harmonic spaces of both
-Helmholtz flavors are trivial; :func:`helmholtz_decompose` finds them with
-one rank decision, the SVD of curl0, and checks that each gradient range
-lies in its curl kernel. The kernel splitting used by the homogenisation
-experiment is generator-backed (one Dirichlet-type nodal solve and one
-grounded Neumann-type cell solve -- the latter is exactly the
-natural-boundary variational problem of the coefficient convergence theory
-under no boundary conditions).
+:func:`hilbert._skew_pair` of curl0, is skew-adjoint by construction. On a
+box the harmonic spaces of both Helmholtz flavors are trivial;
+:func:`helmholtz_decompose` finds them with one rank decision, the SVD of
+curl0, and checks that each gradient range lies in its curl kernel. The
+kernel splitting used by the homogenisation experiment is generator-backed
+(one Dirichlet-type nodal solve and one grounded Neumann-type cell solve --
+the latter is exactly the natural-boundary variational problem of the
+coefficient convergence theory under no boundary conditions).
 
 Every coefficient of the homogenisation experiment depends on x alone, so
 per oscillation index the experiment samples the diagonal
 T = diag(lambda eps + sigma, lambda mu) once per block of Yee unknowns at
 its x coordinates (:func:`_yee_blocks`, the one description of where each
-unknown sits), repeats it along y and z and changes basis once, to
-transverse-mode coordinates: the orthonormal DST-I on interior-node axes
-and DCT-II on cell axes, dense 1-d tables, transform every block of
-unknowns along y and z (:func:`_to_modes`, Hockney's method). There the
-1-d differences along y and z sit on one subdiagonal, the complex's
-operators come from the same assembly (``YeeComplex._mode_operators``),
-the one skew pair is that of the mode curl0, T is left as it is, and each
-system of the experiment -- the eliminated edge system of the resolvent
+unknown sits) and repeats it along y and z, and it works in
+transverse-mode coordinates throughout, with the orthogonal change of basis
+Q that transforms every block of unknowns along y and z by the orthonormal
+DST-I on interior-node axes and DCT-II on cell axes, dense 1-d tables
+(:func:`_transverse_table`, Hockney's method). There the 1-d differences
+along y and z sit on one subdiagonal, the complex's operators come from the
+same assembly (``YeeComplex._mode_operators``), the one skew pair is that
+of the mode curl0, T is left as it is, and the resolvent probes, one
+(dim, 12) block of two sine modes on the edges and faces of each axis, are
+built as Q^T of those modes from their 1-d factors (:func:`_maxwell_probes`);
+no vector of the experiment is held in physical coordinates. Each system of
+the experiment -- the eliminated edge system of the resolvent
 (:class:`_EdgeResolvent`) and the Gram and a00 systems of the kernel
 splitting -- is one band along x per transverse mode, which the generic
-band LU of ``hilbert._SparseSolver`` factorises. This is the only route by
-which homlab solves a Maxwell resolvent.
+band LU ``hilbert._band_lu`` factorises. This is the only route by which
+homlab solves a Maxwell resolvent.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ import scipy.sparse as sp
 
 from .elliptic import GridDomain, check_budget
 from .errors import CoercivityError, ShapeError
-from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _SparseSolver
-from .hilbert import _RESIDUAL_TOL, _check_residual, _complement_basis, _rows, _skew_pair
+from .hilbert import HilbertSpace, LinearOp, ProbeSet, Subspace, _band_lu, _check_residual
+from .hilbert import _complement_basis, _rows, _skew_pair
 from .hilbert import adjoint, kernel_range, wot_gap
 from .homogenize import _TAU_COLUMNS, _decay_verdict, _oscillate, _per_n, _probe_pair, _report
 from .homogenize import laminate_limit
@@ -90,8 +92,8 @@ class YeeComplex:
     the same product with D_c. Nodes, edges along a, faces normal to a and
     cells are each numbered in C order of their index grid, x slowest; edges
     and faces come axis block by axis block (:func:`_yee_blocks`). The
-    physical operators and the position and axis of each unknown are built
-    on first use; the Maxwell experiment reads none of them.
+    physical operators are built on first use; the Maxwell experiment reads
+    none of them.
     """
 
     def __init__(self, domain):
@@ -132,12 +134,6 @@ class YeeComplex:
     curl0 = property(lambda self: self._physical_operators[1], doc="edges -> faces")
     div_faces = property(lambda self: self._physical_operators[2], doc="faces -> cells")
 
-    # the point, (n, 3), and the axis of the block of each edge or face unknown
-    edge_mid = functools.cached_property(lambda self: _positions(self._blocks[:3]))
-    face_mid = functools.cached_property(lambda self: _positions(self._blocks[3:]))
-    edge_axis = functools.cached_property(lambda self: _spread(range(3), self._blocks[:3]))
-    face_axis = functools.cached_property(lambda self: _spread(range(3), self._blocks[3:]))
-
     @functools.cached_property
     def _mode_operators(self):
         """(grad0, curl0, grounded dual gradient) in transverse-mode
@@ -165,14 +161,6 @@ class YeeComplex:
         cells carry the same uniform weight, so the adjoint is the
         transpose."""
         return self.div_faces.T.tocsr()[:, 1:]
-
-    def sample_edges(self, fn):
-        """Diagonal edge coefficient from a callable of (n, 3) points or an
-        axis-wise triple of them."""
-        return _sample(fn, self._blocks[:3])
-
-    def sample_faces(self, fn):
-        return _sample(fn, self._blocks[3:])
 
 
 def _kron3(x, y, z):
@@ -238,23 +226,6 @@ def _yee_blocks(domain):
         start += math.prod(shape)
 
 
-def _positions(blocks):
-    """The points of the unknowns of ``blocks`` (of :func:`_yee_blocks`) as
-    rows of an (n, 3) array."""
-    return np.concatenate([np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")],
-                                    axis=-1) for _, _, coords, _ in blocks])
-
-
-def _sample(fn, blocks):
-    """A callable of (n, 3) points at the unknowns of ``blocks`` (of
-    :func:`_yee_blocks`), or one callable per block, whose values (a scalar
-    or one per point) fill a real vector."""
-    if callable(fn):
-        return np.asarray(fn(_positions(blocks)))
-    return np.concatenate([np.broadcast_to(np.asarray(f(_positions([b])), dtype=float),
-                                           math.prod(b[1])) for f, b in zip(fn, blocks)])
-
-
 def _spread(values, blocks):
     """The vector over ``blocks`` (of :func:`_yee_blocks`) that is values[b]
     across block b: a constant, or one value per position along x."""
@@ -275,21 +246,6 @@ def _transverse_table(m, cells):
     return table
 
 
-def _to_modes(cx, v):
-    """Q^T v for an (n, k) block v of the edge+face unknowns of the complex
-    ``cx``, Q the orthogonal change of basis from transverse-mode to
-    physical coordinates (Hockney's method): each block of unknowns is
-    transformed along y and z with the dense tables of
-    :func:`_transverse_table`, the orthonormal DST-I on interior-node axes
-    and the DCT-II on cell axes."""
-    out, m = [], cx.domain.cells
-    for sl, shape, _, cells in cx._blocks:
-        qy, qz = (_transverse_table(m[t], cells[t]) for t in (1, 2))
-        u = np.moveaxis(v[sl].reshape(shape + v.shape[1:]), 3, 0)
-        out.append(np.moveaxis(qy.T @ u @ qz, 0, 3).reshape(v[sl].shape))
-    return np.concatenate(out)
-
-
 class _EdgeResolvent:
     """Solves of (T + A)[e; h] = [f; g] for a vector or an (n, k) block, A
     the skew pair ``a_matrix`` of ``curl0``, with the magnetic field
@@ -300,32 +256,32 @@ class _EdgeResolvent:
 
     which is real symmetric positive definite for real coefficients and has
     n_edges unknowns instead of n_edges + n_faces. It is solved from one band
-    LU in reverse Cuthill-McKee order, with every column's residual checked
-    on T + A at 1e-10. The experiment passes the transverse-mode curl0 of
+    LU (:func:`hilbert._band_lu`) in reverse Cuthill-McKee order, and every
+    column is checked once, on T + A as T x + A x, with no sum T + A stored.
+    The experiment passes the transverse-mode curl0 of
     ``YeeComplex._mode_operators`` and a T constant along y and z, for which
     the edge system has band (3, 3)."""
 
     def __init__(self, cx, curl0, a_matrix, t):
-        diag = t.diagonal()
+        self._t = t.diagonal()
+        self._a = a_matrix
         self._ne = cx.n_edges
-        self._tf = diag[self._ne:]
+        self._tf = self._t[self._ne:]
         self._we = cx.edge_space.weight
         self._wf_tf = cx.face_space.weight / self._tf
         self._curl0 = curl0
         self._curl0h = curl0.T.tocsr()    # curl0 is real
-        edge = sp.diags(self._we * diag[:self._ne]) + curl0.T @ sp.diags(self._wf_tf) @ curl0
-        # the residual is checked below, on the full system
-        self._edge = _SparseSolver(edge, tol=np.inf)
-        self._full = (t + a_matrix).tocsr()
+        self._edge = _band_lu(sp.diags(self._we * self._t[:self._ne])
+                              + curl0.T @ sp.diags(self._wf_tf) @ curl0)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         f, g = rhs[:self._ne], rhs[self._ne:]
         load = _rows(self._we, f) * f + self._curl0h @ (_rows(self._wf_tf, g) * g)
-        e = self._edge.solve(load)
+        e = self._edge(load)
         h = (g - self._curl0 @ e) / _rows(self._tf, g)
         x = np.concatenate([e, h])
-        _check_residual(self._full, x, rhs, _RESIDUAL_TOL)
+        _check_residual(_rows(self._t, x) * x + self._a @ x, rhs)
         return x
 
 
@@ -399,18 +355,21 @@ def helmholtz_verdict(report):
 
 def _maxwell_probes(cx, space):
     """Tangential sine-mode probes on the edge (+) face space of the complex
-    ``cx``: the modes (1, 1, 1) and (2, 1, 1), each on the edges and then on
-    the faces of one axis in turn, as one (dim, 12) block. On each block of
-    unknowns a mode is the outer product of one sine per axis."""
+    ``cx`` in transverse-mode coordinates: the modes (1, 1, 1) and (2, 1, 1),
+    each on the edges and then on the faces of one axis in turn, as one
+    (dim, 12) block. On each block of unknowns a mode is the outer product of
+    one sine per axis, so its mode form Q^T (module docstring) is the outer
+    product of the x sine with the y and z sines, each multiplied by the
+    transpose of its table of :func:`_transverse_table`."""
     block = np.zeros((space.dim, 12))
-    for b, (sl, _, coords, _) in enumerate(cx._blocks):
+    m = cx.domain.cells
+    for b, (sl, _, coords, cells) in enumerate(cx._blocks):
         for i, k in enumerate(((1, 1, 1), (2, 1, 1))):
-            val = 1.0
-            for a, ((lo, hi), x) in enumerate(zip(cx.domain.extents, coords)):
-                val = val * np.sin(k[a] * np.pi * (x - lo) / (hi - lo)).reshape(
-                    [-1 if t == a else 1 for t in range(3)])
+            x, y, z = (np.sin(k[a] * np.pi * (c - lo) / (hi - lo))
+                       for a, ((lo, hi), c) in enumerate(zip(cx.domain.extents, coords)))
+            y, z = (_transverse_table(m[t], cells[t]).T @ s for t, s in ((1, y), (2, z)))
             # column 6 i + 2 axis + (0 on an edge, 1 on a face) holds mode i
-            block[sl, 6 * i + 2 * (b % 3) + b // 3] = val.ravel()
+            block[sl, 6 * i + 2 * (b % 3) + b // 3] = np.multiply.outer(np.outer(x, y), z).ravel()
     return ProbeSet.from_vectors(space, block, copy=False)
 
 
@@ -434,8 +393,8 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
     Each block of Yee unknowns samples the profiles once, at its x
     coordinates, and repeats them along y and z, so T_n and T_lim are
     constant along y and z by construction and each system runs in the
-    transverse-mode coordinates of the module docstring, with the 12 probes
-    transformed once per n.
+    transverse-mode coordinates of the module docstring, where the 12 probes
+    are built.
     """
     eps_h, eps_m = laminate_limit(lambda y: lam * eps_profile(y) + sigma_profile(y))
     mu_h, mu_m = laminate_limit(mu_profile)
@@ -460,7 +419,7 @@ def maxwell_homogenization_experiment(eps_profile, mu_profile, sigma_profile,
         grad0, curl0, dual_gradient = cx._mode_operators
         pair = _skew_pair(LinearOp(cx.edge_space, cx.face_space, matrix=curl0))
         space = pair.source
-        probes = ProbeSet(space, _to_modes(cx, _maxwell_probes(cx, space).matrix))
+        probes = _maxwell_probes(cx, space)
         resolvents = [_EdgeResolvent(cx, curl0, pair.matrix, t) for t in (t_n, t_lim)]
         gap_res = wot_gap(*(LinearOp(space, space, apply=r.solve) for r in resolvents),
                           probes, probes)

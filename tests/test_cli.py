@@ -338,6 +338,26 @@ class TestFixtures:
         assert "[run] n_list" in json.loads(res.output.strip().splitlines()[-1])["error"]
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("body", [
+        # 5055 unknowns exited 1 with ShapeError after building a dense 5055^2 matrix
+        "[run]\nmode = two_scale\nn_list = 79\n",
+        "[run]\nmode = two_scale\nn_list = 1, 61\ncells_per_period = 41\n",    # 5001
+        # 12 799 unknowns ended in a raw MemoryError with no JSON line
+        "[run]\nmode = two_scale\nn_list = 200\n",
+    ], ids=["n_list-79", "one-above", "n_list-200"])
+    def test_two_scale_evo_beyond_the_dense_svd_exit_2(self, tmp_path, monkeypatch, body):
+        from homlab import evolution
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(evolution, "build_grad", no_grid)    # refused before any matrix
+        res = self.run_body(tmp_path, "evo", body)
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output.strip().splitlines()[-1])["error"]
+        assert error.startswith("[run] n_list") and "5000" in error, error
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_largest_thermo_size_meets_the_residual_check(self, tmp_path):
         # the worst case measured: c at both ends of the bounds, 2 cells per period
         res = self.run_body(tmp_path, "thermo", "[coefficients]\nc_low = 0.4\nc_high = 5.0\n"

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
-from conftest import maxwell_system
+from conftest import (
+    CELLS,
+    EDGES,
+    FACES,
+    NODES,
+    _dct2,
+    _dst1,
+    _edge_transform,
+    maxwell_system,
+    physical_maxwell_probes,
+    yee_layout,
+    yee_sample,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +36,6 @@ from homlab.maxwell import (
     _EdgeResolvent,
     _diag_bounds_check,
     _maxwell_probes,
-    _to_modes,
     _transverse_table,
     build_curl,
     helmholtz_decompose,
@@ -71,8 +82,9 @@ class TestComplexStructure:
     def test_constant_face_field_is_curl_free(self):
         dom = GridDomain.box((4, 4, 4))
         _, curl, cx = build_curl(dom)
+        face_axis = yee_layout(dom)[1][1]
         for axis in range(3):
-            field = np.where(cx.face_axis == axis, 2.5, 0.0)
+            field = np.where(face_axis == axis, 2.5, 0.0)
             assert np.abs(curl(field)).max() == 0.0
 
     def test_gradients_are_curl0_free(self):
@@ -101,13 +113,14 @@ class TestComplexStructure:
         xz = ii * h[0]
         yz = jj * h[1]
         ez_full = np.sin(np.pi * xz) * np.sin(np.pi * yz)
+        (_, edge_axis), (_, face_axis) = yee_layout(dom)
         e = np.zeros(cx.n_edges)
-        e[cx.edge_axis == 2] = ez_full[1:mx, 1:my, :].ravel()
+        e[edge_axis == 2] = ez_full[1:mx, 1:my, :].ravel()
         out = cx.curl0 @ e
         # (curl E)_x = d Ez / dy at x-normal faces (interior planes only)
         dz_dy = (ez_full[:, 1:, :] - ez_full[:, :-1, :]) / h[1]
         expected_x = dz_dy[1:mx, :, :]
-        np.testing.assert_allclose(out[cx.face_axis == 0], expected_x.ravel(), atol=1e-13)
+        np.testing.assert_allclose(out[face_axis == 0], expected_x.ravel(), atol=1e-13)
 
     def test_operators_vs_slicing_oracle(self):
         # random fields on the full staggered index grids, zero at the
@@ -144,31 +157,33 @@ class TestComplexStructure:
 
         grad = cx.grad0 @ u
         curl = cx.curl0 @ e
+        (edge_mid, edge_axis), (face_mid, face_axis) = yee_layout(dom)
         for a in range(3):
             expected = np.diff(u_full, axis=a) / h[a]
-            np.testing.assert_allclose(grad[cx.edge_axis == a],
+            np.testing.assert_allclose(grad[edge_axis == a],
                                        expected[along(a, slice(None), interior)].ravel(),
                                        rtol=1e-12, atol=1e-12)
             b, c = (a + 1) % 3, (a + 2) % 3
             expected = (np.diff(e_full[c], axis=b) / h[b]
                         - np.diff(e_full[b], axis=c) / h[c])
-            np.testing.assert_allclose(curl[cx.face_axis == a],
+            np.testing.assert_allclose(curl[face_axis == a],
                                        expected[along(a, interior[a], full)].ravel(),
                                        rtol=1e-12, atol=1e-12)
         expected = sum(np.diff(f_full[a], axis=a) / h[a] for a in range(3))
         np.testing.assert_allclose(cx.div_faces @ f, expected.ravel(), rtol=1e-12, atol=1e-12)
 
+        # the test-side positions that the oracles sample at
         centres = [lo + (np.arange(c) + 0.5) * s for lo, c, s in zip(dom.lo, m, h)]
         nodes = [lo + np.arange(1, c) * s for lo, c, s in zip(dom.lo, m, h)]
         for a in range(3):
             grids = np.meshgrid(*[centres[t] if t == a else nodes[t] for t in range(3)],
                                 indexing="ij")
-            np.testing.assert_allclose(cx.edge_mid[cx.edge_axis == a],
+            np.testing.assert_allclose(edge_mid[edge_axis == a],
                                        np.stack([g.ravel() for g in grids], axis=-1),
                                        rtol=0, atol=1e-15)
             grids = np.meshgrid(*[nodes[t] if t == a else centres[t] for t in range(3)],
                                 indexing="ij")
-            np.testing.assert_allclose(cx.face_mid[cx.face_axis == a],
+            np.testing.assert_allclose(face_mid[face_axis == a],
                                        np.stack([g.ravel() for g in grids], axis=-1),
                                        rtol=0, atol=1e-15)
 
@@ -186,7 +201,7 @@ class TestComplexStructure:
         assert cx.n_nodes == math.prod(c - 1 for c in cells)
         assert cx.grad0.shape == (cx.n_edges, cx.n_nodes)
         assert cx.div_faces.shape == (cx.n_cells, cx.n_faces)
-        for mid in (cx.edge_mid, cx.face_mid):
+        for mid, _ in yee_layout(dom):
             assert np.all(mid > np.array(dom.lo)) and np.all(mid < np.array(hi))
 
     def test_block_operator_skew_with_kernel_dims(self):
@@ -303,25 +318,6 @@ class TestMaxwellSystem:
                                     const(0.5), lam=1.0)
         resolvent_bounds(LinearOp(a_op.source, a_op.source, matrix=t.toarray()), skew_split(a_op))
 
-    def test_axiswise_coefficients(self):
-        cx = YeeComplex(GridDomain.box((3, 3, 3)))
-        eps = cx.sample_edges(tuple(lambda p, c=c: np.full(len(p), 1.0 + 0.5 * c)
-                                    for c in range(3)))
-        for axis in range(3):
-            assert np.allclose(eps[cx.edge_axis == axis], 1.0 + 0.5 * axis)
-
-    def test_axiswise_scalars_fill_a_real_vector(self):
-        # a callable of a triple may return one scalar, and a complex value
-        # keeps its real part, as in a preallocated real vector
-        cx = YeeComplex(GridDomain.box((3, 2, 4)))
-        mu = cx.sample_faces((lambda p: 1.5, lambda p: np.float64(2), lambda p: 3))
-        np.testing.assert_array_equal(mu, 1.5 + 0.5 * (cx.face_axis == 1) + 1.5 * (cx.face_axis == 2))
-        with pytest.warns(np.exceptions.ComplexWarning):
-            eps = cx.sample_edges(axiswise(1.0 + 1j, 2.0, 3.0))
-        assert eps.dtype == float and np.all(eps[cx.edge_axis == 0] == 1.0)
-        whole = cx.sample_edges(lambda p: p[:, 0] + 2 * p[:, 2])
-        np.testing.assert_array_equal(whole, cx.edge_mid[:, 0] + 2 * cx.edge_mid[:, 2])
-
 
 def const(v):
     return lambda p: np.full(len(p), v)
@@ -329,6 +325,13 @@ def const(v):
 
 def axiswise(*values):
     return tuple(const(v) for v in values)
+
+
+def yee_diagonal(domain, edge_fn, face_fn):
+    """The samples of ``edge_fn`` at the edges of :func:`yee_layout` next to
+    those of ``face_fn`` at its faces."""
+    edges, faces = yee_layout(domain)
+    return np.concatenate([yee_sample(edge_fn, *edges), yee_sample(face_fn, *faces)])
 
 
 def mode_resolvent(cx, t, a_mode):
@@ -358,8 +361,8 @@ class TestEliminatedResolvent:
         cx, t, a_mode = self.system()
         if limit:
             # an axis-wise limit diagonal, as the homogenisation experiment builds
-            t = sp.diags(np.concatenate([1.3 * cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
-                                         1.3 * cx.sample_faces(axiswise(1.2, 1.7, 1.7))]))
+            t = sp.diags(1.3 * yee_diagonal(cx.domain, axiswise(1.5, 2.0, 2.0),
+                                            axiswise(1.2, 1.7, 1.7)))
         solver = mode_resolvent(cx, t, a_mode)
         ref = _SparseSolver(t + a_mode.matrix)
         for rhs in self.blocks(a_mode.source.dim, 40):
@@ -385,6 +388,15 @@ class TestEliminatedResolvent:
         with pytest.raises(SolverDiverged, match="column 1"):
             mode_resolvent(cx, t, a_mode).solve(rhs)
 
+    def test_holds_no_copy_of_the_full_system(self):
+        # every column is checked as T x + A x on the caller's A, so the one
+        # edge+face sparse matrix the resolvent holds is that A
+        cx, t, a_mode = self.system()
+        solver = mode_resolvent(cx, t, a_mode)
+        n = cx.n_edges + cx.n_faces
+        held = [v for v in vars(solver).values() if sp.issparse(v) and v.shape == (n, n)]
+        assert len(held) == 1 and held[0] is a_mode.matrix
+
     def test_maxwell_runs_without_sparse_lu(self, tmp_path, band_lu_calls):
         # every system of the experiment separates in y and z, so each band
         # LU factorises transverse modes, at most 3 unknowns wide
@@ -396,45 +408,6 @@ class TestEliminatedResolvent:
         res = CliRunner().invoke(main, ["maxwell", "--config", config, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert band_lu_calls and all(max(kl, ku) <= 3 for _, kl, ku in band_lu_calls)
-
-
-def _dst1(m):
-    """Orthonormal DST-I on the m - 1 interior nodes of m cells, from its
-    closed form; column k has frequency k + 1."""
-    k = np.arange(1, m)
-    return np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(k, k) / m)
-
-
-def _dct2(m):
-    """Orthonormal DCT-II on m cells, from its closed form; column k has
-    frequency k."""
-    c = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(np.arange(m) + 0.5, np.arange(m)) / m)
-    c[:, 0] /= np.sqrt(2.0)
-    return c
-
-
-# edges along a sit on cells on axis a, faces normal to a on interior nodes
-EDGES = [[t == a for t in range(3)] for a in range(3)]
-FACES = [[t != a for t in range(3)] for a in range(3)]
-NODES, CELLS = [[False] * 3], [[True] * 3]
-
-
-def _edge_transform(cells, parts=EDGES):
-    """The orthogonal map Q from mode to physical coordinates of the blocks
-    of Yee unknowns that ``parts`` lists, each saying per axis whether the
-    block sits on cells (DCT-II along y or z) or on interior nodes (DST-I),
-    with each unknown's transverse mode and x position."""
-    blocks, modes, xs = [], [], []
-    for on_cells in parts:
-        tables = [_dct2(cells[t]) if on_cells[t] else _dst1(cells[t]) for t in (1, 2)]
-        freqs = [np.arange(cells[t]) if on_cells[t] else np.arange(1, cells[t]) for t in (1, 2)]
-        nx = cells[0] if on_cells[0] else cells[0] - 1
-        x = 2 * np.arange(nx) + (1 if on_cells[0] else 2)
-        blocks.append(sp.kron(sp.identity(nx), np.kron(*tables)))
-        grid = np.meshgrid(x, freqs[0], freqs[1], indexing="ij")
-        xs.append(grid[0].ravel())
-        modes.append((grid[1] * cells[2] + grid[2]).ravel())
-    return sp.block_diag(blocks).tocsr(), np.concatenate(modes), np.concatenate(xs)
 
 
 def _kernel_decomposition(space, grad0, dual_gradient):
@@ -487,8 +460,6 @@ class TestTransverseModes:
         # blocks to the three face blocks
         sizes = [sl.stop - sl.start for sl, _, _, _ in maxwell._yee_blocks(dom)]
         assert cx.curl0.shape == (sum(sizes[3:]), sum(sizes[:3]))
-        np.testing.assert_array_equal(np.bincount(cx.edge_axis), sizes[:3])
-        np.testing.assert_array_equal(np.bincount(cx.face_axis), sizes[3:])
 
     @pytest.mark.parametrize("cells", [(4, 3, 5), (2, 2, 2), (3, 6, 2)])
     def test_mode_operators_are_the_transformed_operators(self, cells):
@@ -505,12 +476,8 @@ class TestTransverseModes:
         # the chain identities hold exactly, as in physical coordinates
         for chain in (curl0 @ grad0, curl0.T @ dual):
             assert chain.nnz == 0 or np.abs(chain.data).max() == 0.0
-        # the transform of the experiment's probes is Q^T
-        v = np.random.default_rng(9).standard_normal((cx.n_edges + cx.n_faces, 2))
-        q = sp.block_diag((qe, qf))
-        np.testing.assert_allclose(_to_modes(cx, v), q.T @ v, rtol=0, atol=1e-13)
 
-    def test_laminate_edge_matrix_separates_with_bandwidth_3(self, band_lu_calls):
+    def test_laminate_edge_matrix_separates_with_bandwidth_3(self, band_lu_calls, monkeypatch):
         cx, t, a_mode = self.laminate((16, 8, 8), modes=True)
         ne = cx.n_edges
         diag = t.diagonal()
@@ -522,8 +489,7 @@ class TestTransverseModes:
         big = np.abs(k_hat.data).max()
         across = mode[k_hat.row] != mode[k_hat.col]
         assert np.abs(k_hat.data[across]).max() <= 1e-14 * big
-        order = np.lexsort((np.repeat(np.arange(3), [np.sum(cx.edge_axis == a) for a in range(3)]),
-                            x, mode))
+        order = np.lexsort((yee_layout(cx.domain)[0][1], x, mode))
         pos = np.empty_like(order)
         pos[order] = np.arange(ne)
         kept = np.abs(k_hat.data) > 1e-14 * big
@@ -531,8 +497,10 @@ class TestTransverseModes:
         # the experiment's edge resolvent factorises the mode edge matrix,
         # which is the transformed one, with band (3, 3)
         band_lu_calls.clear()
-        solver = mode_resolvent(cx, t, a_mode)
-        assert abs(solver._edge.k - k_hat).max() <= 1e-13 * big
+        factored, band_lu = [], maxwell._band_lu
+        monkeypatch.setattr(maxwell, "_band_lu", lambda k: factored.append(k) or band_lu(k))
+        mode_resolvent(cx, t, a_mode)
+        assert len(factored) == 1 and abs(factored[0] - k_hat).max() <= 1e-13 * big
         assert band_lu_calls == [((ne, ne), 3, 3)]
 
     @pytest.mark.parametrize("cells", [(3, 3, 2), (3, 2, 2), (2, 2, 2)])
@@ -575,8 +543,7 @@ class TestTransverseModes:
         assert np.abs(p0 - p0_ref).max() <= 1e-10 * np.abs(p0_ref).max()
         np.testing.assert_allclose(dec.h1.project(q.T @ v), q.T @ v - p0_ref, rtol=0,
                                    atol=1e-10 * np.abs(v).max())
-        limit = sp.diags(np.concatenate([cx.sample_edges(axiswise(1.5, 2.0, 2.0)),
-                                         cx.sample_faces(axiswise(1.2, 1.7, 1.7))]))
+        limit = sp.diags(yee_diagonal(cx.domain, axiswise(1.5, 2.0, 2.0), axiswise(1.2, 1.7, 1.7)))
         for t in (t_n, limit):
             maps = schur_maps(LinearOp(space, space, matrix=t.tocsr()), dec)
             ref = q.T @ (g @ _SparseSolver(ghw @ t @ g).solve(ghw @ (q @ p0)))
@@ -638,7 +605,8 @@ class TestHomogenizationExperiment:
     def test_rows_match_a_physical_coordinate_oracle(self):
         # the experiment runs in transverse modes; here every row is rebuilt
         # in physical coordinates: the monolithic solve of T + A, the
-        # physical kernel splitting and the physical probes
+        # physical kernel splitting and the physical probes, whose mode form
+        # Q^T the experiment's probes are
         eps, mu, sigma = TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0)
         lam, bounds, n_list = 1.0, (0.5, 10.0), [1, 2, 4]
         rep = maxwell_homogenization_experiment(eps, mu, sigma, lam=lam, n_list=n_list,
@@ -652,10 +620,14 @@ class TestHomogenizationExperiment:
             # harmonic across the layers, arithmetic along them
             eps_h, eps_m = laminate_limit(lambda y: lam * eps(y) + sigma(y))
             mu_h, mu_m = laminate_limit(mu)
+            edges, faces = yee_layout(cx.domain)
             t_lim = sp.diags(np.concatenate([
-                lam * (cx.sample_edges(axiswise(eps_h, eps_m, eps_m)) / lam),
-                lam * cx.sample_faces(axiswise(mu_h, mu_m, mu_m))]))
-            probes = _maxwell_probes(cx, space)
+                lam * (yee_sample(axiswise(eps_h, eps_m, eps_m), *edges) / lam),
+                lam * yee_sample(axiswise(mu_h, mu_m, mu_m), *faces)]))
+            probes = physical_maxwell_probes(cx)[0]
+            q = _edge_transform(cells, EDGES + FACES)[0]
+            np.testing.assert_allclose(_maxwell_probes(cx, space).matrix, q.T @ probes.matrix,
+                                       rtol=0, atol=1e-13)
             gap_res = wot_gap(*(LinearOp(space, space, apply=_SparseSolver(t + a_op.matrix).solve)
                                 for t in (t_n, t_lim)), probes, probes)
             dec = _kernel_decomposition(space, cx.grad0, cx.dual_gradient_matrix())
@@ -727,8 +699,8 @@ class TestHomogenizationExperiment:
         maxwell_homogenization_experiment(
             TWO_PHASE(1.0, 4.0), TWO_PHASE(1.0, 2.0), TWO_PHASE(0.5, 1.0),
             lam=1.0, n_list=[1, 2], bounds=(0.5, 10.0), transverse_cells=3)
-        physical = {"grad0", "curl0", "div_faces", "_physical_operators", "edge_mid", "face_mid"}
+        physical = {"grad0", "curl0", "div_faces", "_physical_operators"}
         assert len(made) == 2 and not any(physical & vars(cx).keys() for cx in made)
         # the check sees them once they are formed
-        made[0].curl0, made[0].edge_mid
-        assert {"_physical_operators", "edge_mid"} <= vars(made[0]).keys()
+        made[0].curl0
+        assert "_physical_operators" in vars(made[0])

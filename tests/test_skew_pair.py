@@ -1,12 +1,13 @@
 """The one skew pair A = [[0, -C*], [C, 0]]: skew-adjoint on random weights,
 and equal entry for entry to the hand-built blocks, product-space weights
 and probe loops it replaced in the two-scale, thermo and Maxwell systems
-(those constructions are kept here as the reference)."""
+(those constructions are kept as the reference: here, and the Maxwell probe
+loop in conftest, whose transverse-mode form the Maxwell probes are)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import maxwell_system
+from conftest import EDGES, FACES, _edge_transform, maxwell_system, physical_maxwell_probes
 
 from homlab.elliptic import CoefficientField, GridDomain, build_grad
 from homlab.evolution import grid_skew_block
@@ -33,9 +34,9 @@ def thermo_system(dom, gamma=0.7):
     return assemble_thermo(dom, 1.5, c, gamma, 0.9, kappa, lam=1.3, bounds=(0.4, 5.0))
 
 
-def maxwell_laminate(cells=(4, 3, 3)):
+def maxwell_laminate(cells=(4, 3, 3), hi=(1.0, 0.7, 1.3)):
     """The complex and skew pair of a Maxwell laminate system."""
-    dom = GridDomain.box(cells, hi=(1.0, 0.7, 1.3))
+    dom = GridDomain.box(cells, hi=hi)
     osc = lambda lo, hi: (lambda p: np.where(p[:, 0] % 0.5 < 0.25, lo, hi))
     cx, _, a = maxwell_system(dom, osc(1.0, 2.0), osc(1.0, 2.5), osc(0.5, 1.5), lam=1.3)
     return cx, a
@@ -120,32 +121,6 @@ def old_thermo_probes(sys, count=8):
     return ProbeSet.from_vectors(sys.space, vecs[:count * 2])
 
 
-def old_maxwell_probes(cx, count=6):
-    weight = np.concatenate([cx.edge_space.weight, cx.face_space.weight])
-    space = HilbertSpace(cx.n_edges + cx.n_faces, weight=weight)
-    vecs = []
-    modes = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2)]
-
-    def mode_val(points, k):
-        out = np.ones(len(points))
-        for a in range(3):
-            lo, hi = cx.domain.extents[a]
-            out *= np.sin(k[a] * np.pi * (points[:, a] - lo) / (hi - lo))
-        return out
-
-    for k in modes[:count]:
-        for axis in range(3):
-            ve = np.zeros(cx.n_edges)
-            m = cx.edge_axis == axis
-            ve[m] = mode_val(cx.edge_mid[m], k)
-            vf = np.zeros(cx.n_faces)
-            mf = cx.face_axis == axis
-            vf[mf] = mode_val(cx.face_mid[mf], k)
-            vecs.append(np.concatenate([ve, np.zeros(cx.n_faces)]))
-            vecs.append(np.concatenate([np.zeros(cx.n_edges), vf]))
-    return ProbeSet.from_vectors(space, vecs[: 2 * count]), space
-
-
 @pytest.mark.parametrize("dom", [GridDomain.interval(0, 1, 64), GridDomain.interval(-0.3, 2.1, 40),
                                  GridDomain.box((5, 4))])
 def test_thermo_probe_block_matches_the_loop(dom):
@@ -156,11 +131,13 @@ def test_thermo_probe_block_matches_the_loop(dom):
     assert np.array_equal(probes.matrix, ref.matrix)
 
 
-@pytest.mark.parametrize("cells", [(4, 3, 3), (6, 2, 3)])
-def test_maxwell_probe_block_matches_the_loop(cells):
-    cx, a = maxwell_laminate(cells)
+@pytest.mark.parametrize("cells, hi", [((16, 8, 8), (1.0, 1.0, 1.0)), ((6, 5, 7), (1.0, 0.7, 1.3))])
+def test_maxwell_probe_block_matches_the_loop(cells, hi):
+    # the block is built in transverse modes: Q^T of the physical loop
+    cx, a = maxwell_laminate(cells, hi)
     probes = _maxwell_probes(cx, a.source)
-    ref, space = old_maxwell_probes(cx)
+    ref, space = physical_maxwell_probes(cx)
     assert probes.space is a.source and space.compatible(a.source)
     assert probes.matrix.shape == (a.source.dim, 12)
-    assert np.array_equal(probes.matrix, ref.matrix)
+    q = _edge_transform(cells, EDGES + FACES)[0]
+    np.testing.assert_allclose(probes.matrix, q.T @ ref.matrix, rtol=0, atol=1e-13)

@@ -17,7 +17,9 @@ There is one solver layer: the Krylov solvers (``cg``, ``gmres``) are
 called only in ``elliptic._GridSolver``, LAPACK's tridiagonal LU (``gttrf``)
 only in ``elliptic._TransformInverse`` and its band LU (``gbtrf``) only in
 ``hilbert._band_lu``, the one sparse direct solver, which only
-``hilbert._SparseSolver`` calls, so that every band factorisation is
+``hilbert._SparseSolver`` and ``maxwell._EdgeResolvent`` call (and
+``maxwell`` imports), each checking every column it solves with
+``hilbert._check_residual``, so that every band factorisation is
 residual-checked: SuperLU (``splu``, ``spilu``) appears nowhere. A name
 counts where it is an attribute, a bare name, an import or a string
 constant, such as the routine names passed to ``get_lapack_funcs``. Grid stiffness matrices never reach the band LU, so
@@ -35,8 +37,8 @@ The CLI builds no experiment: ``cli.py`` has no loop over an ``n_list`` and
 names no operator, space or dense LU (``LinearOp``, ``HilbertSpace``,
 ``_dense_lu``); each runner calls one library experiment and its verdict.
 The Maxwell experiment builds no physical complex: ``maxwell_homogenization_experiment``
-and its probes read no position, axis or sample of each unknown and no
-physical operator of a ``YeeComplex`` as an attribute.
+and its probes read no physical operator of a ``YeeComplex`` as an
+attribute.
 """
 
 import ast
@@ -56,10 +58,13 @@ _DENSE_SOLVE_ALLOWED = {"hilbert._dense_lu", "elliptic.CoefficientField.coercivi
                         "elliptic.CoefficientField.inverse_field"}
 _DENSE_SOLVES = {"inv", "solve", "lu_factor", "lu_solve"}
 _CHOLESKY = {"cho_factor", "cho_solve", "cholesky"}
-# solver entry point -> the one class that may call it
-_SOLVER_OWNERS = {"cg": "elliptic._GridSolver", "gmres": "elliptic._GridSolver",
-                  "gttrf": "elliptic._TransformInverse", "gbtrf": "hilbert._band_lu",
-                  "_band_lu": "hilbert._SparseSolver"}
+# solver entry point -> the classes that may call it, and the modules that
+# may import it
+_SOLVER_OWNERS = {"cg": ({"elliptic._GridSolver"}, set()),
+                  "gmres": ({"elliptic._GridSolver"}, set()),
+                  "gttrf": ({"elliptic._TransformInverse"}, set()),
+                  "gbtrf": ({"hilbert._band_lu"}, set()),
+                  "_band_lu": ({"hilbert._SparseSolver", "maxwell._EdgeResolvent"}, {"maxwell"})}
 # LAPACK routines are also named with their type prefix (``dgbtrf``)
 _LAPACK = {"gttrf", "gbtrf"}
 # what the grid solver module may not name
@@ -210,11 +215,21 @@ def test_scan_sees_a_cholesky_site(tmp_path):
 
 def test_one_solver_layer():
     package = Path(homlab.__file__).parent
-    for name, owner in _SOLVER_OWNERS.items():
+    for name, (owners, importers) in _SOLVER_OWNERS.items():
         names = {name} | ({p + name for p in "sdcz"} if name in _LAPACK else set())
         sites = {s for path in sorted(package.glob("*.py")) for s in _named_sites(path, names)}
-        assert all(s == owner or s.startswith(owner + ".") for s in sites), (name, sorted(sites))
-        assert sites, name    # the scan still sees the allowed site
+        assert all(s in importers or any(s == o or s.startswith(o + ".") for o in owners)
+                   for s in sites), (name, sorted(sites))
+        # the scan still sees every allowed site
+        assert all(any(s == o or s.startswith(o + ".") for s in sites) for o in owners), name
+
+
+def test_every_band_factorisation_is_residual_checked():
+    package = Path(homlab.__file__).parent
+    for owner in _SOLVER_OWNERS["_band_lu"][0]:
+        module = owner.partition(".")[0]
+        sites = _named_sites(package / f"{module}.py", {"_check_residual"})
+        assert any(s.startswith(owner + ".") for s in sites), owner
 
 
 def test_scan_sees_a_solver_site(tmp_path):
@@ -341,9 +356,8 @@ def test_scan_sees_an_experiment_in_the_cli(tmp_path):
     assert _named_sites(src, _CLI_FREE) == ["mod", "mod.build", "mod.fine"]
 
 
-# what a YeeComplex forms for its physical coordinates, in full size
-_PHYSICAL = {"edge_mid", "face_mid", "edge_axis", "face_axis", "sample_edges", "sample_faces",
-             "div_faces", "grad0", "curl0"}
+# the physical operators a YeeComplex forms on first use, in full size
+_PHYSICAL = {"div_faces", "grad0", "curl0"}
 _MODE_ONLY = ("maxwell_homogenization_experiment", "_maxwell_probes")
 
 
@@ -365,10 +379,10 @@ def test_maxwell_experiment_reads_no_physical_complex():
 def test_scan_sees_a_physical_read_in_the_maxwell_experiment(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("def maxwell_homogenization_experiment(cx):\n"
-                   "    def row(n):\n        return cx.sample_edges(n), cx.edge_mid\n"
+                   "    def row(n):\n        return cx.div_faces @ n, cx.curl0\n"
                    "    grad0, curl0, _ = cx._mode_operators\n"
                    "    return curl0 @ cx.grad0, row\n\n"
-                   "def _maxwell_probes(cx):\n    return cx.face_axis\n\n"
+                   "def _maxwell_probes(cx):\n    return cx.div_faces\n\n"
                    "def build(cx, div_faces):\n    return cx.curl0, div_faces\n")
     assert _physical_reads(src) == ["mod.maxwell_homogenization_experiment.row",
                                     "mod.maxwell_homogenization_experiment.row",
